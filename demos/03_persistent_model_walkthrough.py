@@ -41,7 +41,7 @@ for formal in (False, True):
     label = "product (formal)" if formal else "twisted (non-formal)"
     print(f"=== middle stage {label} ===")
     a = tower(formal)
-    model = TameMinimalModel(a)
+    model = TameMinimalModel.trivial(a)
     for k in range(2, CAP + 1):
         tc, cones = tame_cone(model)
         dims = [tc.cohomology_space(r, k).dim for r in range(4)]

@@ -8,7 +8,7 @@ Subpackages by concern:
                cell attachment, interval-sphere model-structure predicates
 - cdga:        free (Sullivan) and finite CDGAs with Koszul-signed products
 - homotopy:    B (x) Lambda(t,dt), CDGA homotopies, integration, cones
-- minimal:     pointwise minimal models and minimal models of maps
+- minimal:     pointwise minimal models (one-stage surgery) and models of maps
 - pminimal:    persistent minimal models via interval surgery, presentations,
                homotopy-group barcodes
 - expressions, io, cli: the input grammar, JSON interchange, and driver

@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .cochain import CohomologySpace, compute_cohomology
-from .errors import ValidationError
+from .errors import InternalError, ValidationError
 from .exactla import ONE, QMatrix, Vector, frac
 
 Monomial = tuple[int, ...]
@@ -69,9 +69,6 @@ class CdgaElement:
 
     def __mul__(self, other: "CdgaElement") -> "CdgaElement":
         return multiply(self, other)
-
-    def d(self) -> "CdgaElement":
-        return differential(self)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, CdgaElement) and self.algebra is other.algebra
@@ -503,6 +500,16 @@ def cohomology(a: Algebra, n: int) -> tuple[int, list[CdgaElement]]:
     return space.dim, [a.from_vector(n, r) for r in space.reps]
 
 
+def check_minimality(algebra: FreeCDGA) -> None:
+    """Every generator has degree >= 2 and a decomposable differential."""
+    for g in algebra.generators:
+        if g.degree < 2:
+            raise InternalError(f"generator {g.name} has degree {g.degree} < 2")
+        for mono in algebra.generator_diff(g.name).terms:
+            if sum(mono) < 2:
+                raise InternalError(f"d({g.name}) has an indecomposable term")
+
+
 def indecomposables(a: FreeCDGA, k: int) -> tuple[int, list[str]]:
     """Q^k of a free connected algebra: its degree-k generators."""
     names = [g.name for g in a.generators if g.degree == k]
@@ -638,16 +645,21 @@ class CdgaMorphism:
                 self._mat_cache[n] = QMatrix.from_columns(cols, self.codomain.dim(n))
         return self._mat_cache[n]
 
-    def compose(self, after: "CdgaMorphism") -> "CdgaMorphism":
-        """after o self (apply self first)."""
-        if self.codomain is not after.domain:
-            raise ValidationError("compose: domain/codomain mismatch")
-        if self.kind == "free":
-            imgs = {name: after.apply(img) for name, img in self.gen_images.items()}
-            return CdgaMorphism(self.domain, after.codomain, "free", gen_images=imgs)
-        mats = {n: after.matrix(n) @ self.matrix(n)
-                for n in range(self.domain.degree_cap + 1)}
-        return CdgaMorphism(self.domain, after.codomain, "linear", matrices=mats)
+
+def linear_part(f: CdgaMorphism, dom_names: Sequence[str],
+                cod_names: Sequence[str]) -> QMatrix:
+    """Matrix of the linear part of a map of free algebras between named generators."""
+    pos = {name: i for i, name in enumerate(cod_names)}
+    cols = []
+    for name in dom_names:
+        col = [0] * len(cod_names)
+        for mono, c in f.gen_images[name].terms.items():
+            if sum(mono) == 1:
+                gname = f.codomain.generators[mono.index(1)].name
+                if gname in pos:
+                    col[pos[gname]] = c
+        cols.append(tuple(col))
+    return QMatrix.from_columns(cols, len(cod_names))
 
 
 def validate_morphism(f: CdgaMorphism, max_degree: Optional[int] = None) -> list[str]:

@@ -13,7 +13,7 @@ from typing import Optional, Sequence
 from .errors import InternalError
 from .exactla import (
     QMatrix, Vector, column_space_basis, express_in_basis, kernel_basis,
-    quotient_basis, solve, vec_add, vec_scale, zero_vec,
+    lin_comb, quotient_basis, solve,
 )
 
 
@@ -44,16 +44,7 @@ class CohomologySpace:
 
     def rep_of_class(self, h: Sequence) -> Vector:
         """Ambient cocycle representing the class with H-coordinates h."""
-        acc = zero_vec(self.ambient_dim)
-        for c, r in zip(h, self.reps, strict=True):
-            if c != 0:
-                acc = vec_add(acc, vec_scale(c, r))
-        return acc
-
-    def is_boundary(self, z: Sequence) -> bool:
-        if not self.boundaries:
-            return all(x == 0 for x in z)
-        return express_in_basis(self.boundaries, z, self.ambient_dim) is not None
+        return lin_comb(h, self.reps, self.ambient_dim)
 
 
 def compute_cohomology(d_out: QMatrix, d_in: Optional[QMatrix]) -> CohomologySpace:
@@ -66,12 +57,5 @@ def compute_cohomology(d_out: QMatrix, d_in: Optional[QMatrix]) -> CohomologySpa
         if coords is None:
             raise InternalError("boundary is not a cocycle: d*d != 0 upstream")
         b_in_z.append(coords)
-    comp = quotient_basis(b_in_z, len(z))
-    reps = []
-    for unit in comp:
-        acc = zero_vec(dim)
-        for c, zv in zip(unit, z):
-            if c != 0:
-                acc = vec_add(acc, vec_scale(c, zv))
-        reps.append(acc)
+    reps = [lin_comb(unit, z, dim) for unit in quotient_basis(b_in_z, len(z))]
     return CohomologySpace(ambient_dim=dim, cocycles=z, boundaries=b, reps=reps)

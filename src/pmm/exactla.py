@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
-Rational = Fraction
 Vector = tuple[Fraction, ...]
 
 ZERO = Fraction(0)
@@ -38,16 +37,21 @@ def vec_add(u: Vector, v: Vector) -> Vector:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 
 
-def vec_sub(u: Vector, v: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
-
-
 def vec_scale(c: Fraction, u: Vector) -> Vector:
     return tuple(c * a for a in u)
 
 
 def is_zero_vec(u: Vector) -> bool:
     return all(a == 0 for a in u)
+
+
+def lin_comb(coeffs: Iterable, vectors: Iterable[Vector], dim: int) -> Vector:
+    """sum c_i v_i, a vector of length dim (the zero vector when empty)."""
+    acc = zero_vec(dim)
+    for c, v in zip(coeffs, vectors, strict=True):
+        if c != 0:
+            acc = vec_add(acc, vec_scale(c, v))
+    return acc
 
 
 class QMatrix:
@@ -150,6 +154,13 @@ def hstack(mats: Sequence[QMatrix]) -> QMatrix:
         raise ValueError("hstack: row mismatch")
     return QMatrix(rows, sum(m.cols for m in mats),
                    [sum((list(m.data[i]) for m in mats), []) for i in range(rows)])
+
+
+def block_diag(a: QMatrix, b: QMatrix) -> QMatrix:
+    """[[a, 0], [0, b]]."""
+    rows = [list(a.data[i]) + [ZERO] * b.cols for i in range(a.rows)]
+    rows += [[ZERO] * a.cols + list(b.data[i]) for i in range(b.rows)]
+    return QMatrix(a.rows + b.rows, a.cols + b.cols, rows)
 
 
 def vstack(mats: Sequence[QMatrix]) -> QMatrix:

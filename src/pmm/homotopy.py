@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Iterator, Optional
 
 from .cdga import (
     Algebra, CdgaElement, CdgaMorphism, FreeCDGA, Monomial, differential,
@@ -250,12 +250,19 @@ class CdgaHomotopy:
     def integral_of(self, elem: CdgaElement) -> CdgaElement:
         return integrate_01(self.apply(elem))
 
-    def integral_matrix(self, n: int) -> QMatrix:
-        """Matrix of the degree -1 map (I H): M^n -> B^{n-1} on monomial bases."""
-        cols = [self.codomain.to_vector(self.integral_of(
-            self.domain.element({m: ONE})), n - 1)
-            for m in self.domain.basis_keys(n)]
-        return QMatrix.from_columns(cols, self.codomain.dim(n - 1))
+
+def extend_homotopy(f: CdgaMorphism, h: CdgaHomotopy, v: CdgaElement,
+                    a: CdgaElement, y: Optional[CdgaElement]) -> IntervalElement:
+    """Value of the extended homotopy on a new generator x with dx = v.
+
+    H(x) = f(a) + int_0^t H(v), where a is the image of x under the extended
+    map into f's domain; a class bounded at the far end by y (None when it
+    is not) adds the correction d(y (x) t).
+    """
+    out = IntervalElement.constant(f.apply(a)) + integrate_0t(h.apply(v))
+    if y is not None:
+        out = out + interval_d(IntervalElement.t_power(y, 1))
+    return out
 
 
 def check_homotopy_identity(h: CdgaHomotopy, max_degree: int) -> list[str]:
@@ -355,6 +362,15 @@ def cone(m: CdgaMorphism) -> ConeComplex:
     return ConeComplex(m)
 
 
+def cone_cohomology(m: CdgaMorphism, through: int) -> Iterator[tuple[int, int]]:
+    """(j, dim H^j) for each degree j <= through where the cone of m is not acyclic."""
+    c = cone(m)
+    for j in range(through + 1):
+        dim = c.h_dim(j)
+        if dim:
+            yield j, dim
+
+
 @dataclass
 class HomotopySquare:
     """A square commuting up to H: top u: M -> N, bottom w: A -> B,
@@ -380,14 +396,13 @@ class ConeMap:
     """Cochain map C_m -> C_n induced by a homotopy-commutative square:
     phi(v, a) = (u(v), w(a) + IH(v))."""
 
-    def __init__(self, square: HomotopySquare, check: bool = True):
+    def __init__(self, square: HomotopySquare):
         square.validate()
         self.square = square
         self.source = ConeComplex(square.left)
         self.target = ConeComplex(square.right)
         self._mat_cache: dict[int, QMatrix] = {}
-        if check:
-            self.check_chain_map()
+        self.check_chain_map()
 
     def apply_pair(self, v: CdgaElement, a: CdgaElement) -> tuple[CdgaElement, CdgaElement]:
         sq = self.square
@@ -405,9 +420,8 @@ class ConeMap:
     def apply_vector(self, n: int, w) -> Vector:
         return self.matrix(n).apply(w)
 
-    def check_chain_map(self, up_to: Optional[int] = None):
-        top = up_to if up_to is not None else self.source.max_degree - 1
-        for n in range(-1, top + 1):
+    def check_chain_map(self):
+        for n in range(-1, self.source.max_degree):
             lhs = self.target.d_matrix(n) @ self.matrix(n)
             rhs = self.matrix(n + 1) @ self.source.d_matrix(n)
             if lhs != rhs:

@@ -17,7 +17,7 @@ from .errors import ParseError, SchemaError, ValidationError
 from .expressions import parse_expression, render_element
 from .exactla import QMatrix
 from .homotopy import CdgaHomotopy, IntervalElement
-from .persistence import INF, Grid, PersistenceModule
+from .persistence import INF, Bar, Grid, PersistenceModule
 from .pcomplex import PComplexMap, PersistentComplex
 from .pminimal import (
     INTERNAL_HEADROOM, PersistentCDGA, TameMinimalModel, homotopy_barcode,
@@ -154,15 +154,6 @@ def load_input(doc: dict) -> PersistentCDGA:
     return PersistentCDGA(grid, stages, maps, user_cap)
 
 
-def load_input_file(path: str) -> PersistentCDGA:
-    with open(path) as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
-    return load_input(doc)
-
-
 # -- persistence modules and complexes ---------------------------------------
 
 def load_matrix(rows, want_rows: int, want_cols: int, where: str) -> QMatrix:
@@ -241,8 +232,7 @@ def load_pcomplex_map(doc: dict) -> PComplexMap:
 
 def barcode_payload(bars, grid: Grid) -> list[dict]:
     out = []
-    for b in sorted(bars, key=lambda b: (b.degree, b.birth,
-                                         b.death == INF, b.death)):
+    for b in sorted(bars, key=Bar.sort_key):
         out.append({
             "degree": b.degree,
             "birth": _rational_str(grid.times[b.birth]),
@@ -373,24 +363,18 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
         homotopies.append(CdgaHomotopy(algebras[r], target.stages[r + 1],
                                        assignment, check=False))
 
-    model = TameMinimalModel.__new__(TameMinimalModel)
-    model.target = target
-    model.grid = target.grid
-    model.degree_done = int(spec.get("degree_cap", target.user_cap))
-    model.algebras = algebras
-    model.sigmas = sigmas
-    model.models = models
-    model.homotopies = homotopies
-    model.gen_records = []
+    records = []
     for e in entries:
         birth_alg = algebras[e["birth"]]
         v = parse_expression(str(e["d"]), birth_alg)
         u = None
         if e["death"] is not None:
             u = parse_expression(str(e.get("endpoint") or "0"), algebras[e["death"]])
-        model.gen_records.append({
+        records.append({
             "name": e["name"], "degree": e["degree"], "birth": e["birth"],
             "death": INF if e["death"] is None else e["death"], "v": v, "u": u})
+    model = TameMinimalModel(target, algebras, sigmas, models, homotopies, records,
+                             int(spec.get("degree_cap", target.user_cap)))
     return target, model
 
 

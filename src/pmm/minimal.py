@@ -1,11 +1,16 @@
-"""Pointwise minimal models: approximation telescopes for CDGAs and maps.
+"""Minimal models of single CDGAs and of maps between them.
 
-A model is graded "k-minimal" here in the operational sense that the mapping
-cone of the model map has vanishing cohomology through degree k; each step
-kills the degree-k cone cohomology by a Hirsch extension whose generators
-carry chosen cone cocycle representatives.  For maps, both sides extend at
-once and the connecting homotopy extends by an explicit formula with a
-correction term d(y (x) t) on kernel classes.
+The Sullivan minimal model of one CDGA is the persistent minimal model over
+a one-point grid: `telescope_step` runs one degree of interval surgery
+(`pminimal.surgery_step`) on a one-stage tower, so each step kills the
+degree-k cone cohomology by a Hirsch extension whose generators carry
+chosen cone cocycle representatives.  A model is "k-minimal" here in the
+operational sense that the mapping cone of the model map has vanishing
+cohomology through degree k.
+
+For maps, both sides extend at once and the connecting homotopy extends by
+the explicit formula of `homotopy.extend_homotopy`, with a correction term
+d(y (x) t) on kernel classes.
 """
 from __future__ import annotations
 
@@ -13,14 +18,18 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 from .cdga import (
-    Algebra, CdgaMorphism, FreeCDGA, free_cdga, hirsch_extend,
-    validate_morphism,
+    Algebra, CdgaMorphism, FreeCDGA, check_minimality, free_cdga,
+    hirsch_extend, linear_part, validate_morphism,
 )
 from .errors import InternalError, ValidationError
 from .exactla import ONE, QMatrix, adapted_split, solve
 from .homotopy import (
-    CdgaHomotopy, HomotopySquare, IntervalElement, cone,
-    cone_map, integrate_0t, interval_d,
+    CdgaHomotopy, HomotopySquare, cone, cone_cohomology, cone_map,
+    extend_homotopy,
+)
+from .persistence import INF, Grid
+from .pminimal import (
+    INTERNAL_HEADROOM, PersistentCDGA, TameMinimalModel, surgery_step,
 )
 
 
@@ -49,49 +58,28 @@ def unit_model(a: Algebra, degree_cap: Optional[int] = None) -> MinModel:
     return MinModel(CdgaMorphism.on_generators(unit, a, {}), 1)
 
 
-def check_minimality(algebra: FreeCDGA) -> None:
-    """Every generator has degree >= 2 and a decomposable differential."""
-    for g in algebra.generators:
-        if g.degree < 2:
-            raise InternalError(f"generator {g.name} has degree {g.degree} < 2")
-        for mono in algebra.generator_diff(g.name).terms:
-            if sum(mono) < 2:
-                raise InternalError(f"d({g.name}) has an indecomposable term")
-
-
 def check_connectivity(model: MinModel, through: int) -> None:
-    c = cone(model.m)
-    for j in range(0, through + 1):
-        dim = c.h_dim(j)
-        if dim:
-            raise InternalError(f"cone cohomology nonzero in degree {j}: dim {dim}")
+    nonzero = next(cone_cohomology(model.m, through), None)
+    if nonzero:
+        raise InternalError(f"cone cohomology nonzero in degree {nonzero[0]}: "
+                            f"dim {nonzero[1]}")
 
 
-def telescope_step(model: MinModel, namer=None) -> MinModel:
-    """Extend a (k-1)-minimal model to a k-minimal model of the same target."""
-    k = model.k + 1
-    c = cone(model.m)
-    space = c.cohomology_space(k)
-    names = namer or (lambda deg, i: f"x{deg}_{i}")
-    new_gens = []
-    images = []
-    for i, rep in enumerate(space.reps):
-        v, a = c.unpack(k, rep)
-        new_gens.append((names(k, i), k, v))
-        images.append(a)
-    mbar_alg, _ = hirsch_extend(model.algebra, new_gens)
-    gen_images = {g.name: model.m.gen_images[g.name] for g in model.algebra.generators}
-    for (name, _, _), a in zip(new_gens, images):
-        gen_images[name] = a
-    mbar = CdgaMorphism.on_generators(mbar_alg, model.target, gen_images)
-    problems = validate_morphism(mbar)
-    if problems:
-        raise InternalError(f"telescope extension is not a morphism: {problems}")
-    out = MinModel(mbar, k)
-    check_minimality(mbar_alg)
-    if cone(mbar).h_dim(k):
-        raise InternalError(f"degree-{k} cone cohomology survives the extension")
-    return out
+def telescope_step(model: MinModel) -> MinModel:
+    """Extend a (k-1)-minimal model to a k-minimal model of the same target.
+
+    This is one degree of interval surgery on the model seen as a one-stage
+    persistent model, whose user cap leaves the target's degree cap as the
+    internal cap.
+    """
+    a = model.target
+    tower = PersistentCDGA(Grid((0,)), [a], [], a.degree_cap - INTERNAL_HEADROOM)
+    records = [{"name": g.name, "degree": g.degree, "birth": 0, "death": INF,
+                "v": model.algebra.generator_diff(g.name), "u": None}
+               for g in model.algebra.generators]
+    stage = TameMinimalModel(tower, [model.algebra], [], [model.m], [], records, model.k)
+    out = surgery_step(stage, model.k + 1)
+    return MinModel(out.models[0], out.degree_done)
 
 
 def build_min_model(a: Algebra, cap: int) -> MinModel:
@@ -155,27 +143,7 @@ def trivial_map_model(f: CdgaMorphism, degree_cap: Optional[int] = None) -> MapM
     return MapModel(g=g, m=m, n=n, f=f, homotopy=h, k=1)
 
 
-def _linear_part_matrix(gmap: CdgaMorphism, dom_names: list[str],
-                        cod_names: list[str], k: int) -> QMatrix:
-    """Q^k of a map of free algebras restricted to the named generators."""
-    cod_alg: FreeCDGA = gmap.codomain  # type: ignore[assignment]
-    rows = len(cod_names)
-    cols = []
-    pos = {name: i for i, name in enumerate(cod_names)}
-    for name in dom_names:
-        img = gmap.gen_images[name]
-        col = [0] * rows
-        for mono, c in img.terms.items():
-            if sum(mono) == 1:
-                gi = mono.index(1)
-                gen = cod_alg.generators[gi]
-                if gen.degree == k and gen.name in pos:
-                    col[pos[gen.name]] = c
-        cols.append(tuple(col))
-    return QMatrix.from_columns(cols, rows)
-
-
-def map_model_step(mm: MapModel, namer=None) -> MapModel:
+def map_model_step(mm: MapModel) -> MapModel:
     """One inductive extension of a map model, from degree k-1 to k.
 
     Bases of H^k of the two cones are adapted to psi = H^k(phi): coimage
@@ -194,23 +162,20 @@ def map_model_step(mm: MapModel, namer=None) -> MapModel:
     psi = QMatrix.from_columns(psi_cols, w_space.dim)
     split = adapted_split(psi)
 
-    names = namer or (lambda side, deg, i: f"{side}{deg}_{i}")
-
     # Domain-side data: coimage classes (eps) then kernel classes (alpha).
-    dom_new = []       # (name, degree, d_image in M)
+    dom_diffs = []     # d-images in M of the new generators
     m_images = []      # images under the extended model map
-    g_targets = []     # None for eps_i (goes to the new codomain generator i)
     cone_reps = []     # packed cone cocycles, for transport / solving
     for h_coords in split.coimage + split.kernel:
         z = v_space.rep_of_class(h_coords)
         v, a = c_m.unpack(k, z)
-        dom_new.append((None, k, v))
+        dom_diffs.append(v)
         m_images.append(a)
         cone_reps.append(z)
 
     r = split.rank
     solved = []
-    for j in range(r, len(dom_new)):
+    for j in range(r, len(dom_diffs)):
         target_vec = phi.apply_vector(k, cone_reps[j])
         sol = solve(c_n.d_matrix(k - 1), target_vec)
         if sol is None:
@@ -218,26 +183,21 @@ def map_model_step(mm: MapModel, namer=None) -> MapModel:
         solved.append(c_n.unpack(k - 1, sol))  # (x_j, y_j)
 
     # Codomain-side data: transported images (psi eps) then cokernel (beta).
-    cod_new = []
+    cod_diffs = []
     n_images = []
     for i in range(r):
-        z = cone_reps[i]
-        v, a = c_m.unpack(k, z)
-        gv = mm.g.apply(v)
-        n_images.append(mm.f.apply(a) + mm.homotopy.integral_of(v))
-        cod_new.append((None, k, gv))
+        gv, b = phi.apply_pair(*c_m.unpack(k, cone_reps[i]))
+        cod_diffs.append(gv)
+        n_images.append(b)
     for h_coords in split.cokernel:
         w, b = c_n.unpack(k, w_space.rep_of_class(h_coords))
-        cod_new.append((None, k, w))
+        cod_diffs.append(w)
         n_images.append(b)
 
-    dom_names = [names("x", k, i) for i in range(len(dom_new))]
-    cod_names = [names("y", k, i) for i in range(len(cod_new))]
-    dom_new = [(nm, deg, v) for nm, (_, deg, v) in zip(dom_names, dom_new)]
-    cod_new = [(nm, deg, w) for nm, (_, deg, w) in zip(cod_names, cod_new)]
-
-    mbar_alg, _ = hirsch_extend(mm.m.domain, dom_new)
-    nbar_alg, _ = hirsch_extend(mm.n.domain, cod_new)
+    dom_names = [f"x{k}_{i}" for i in range(len(dom_diffs))]
+    cod_names = [f"y{k}_{i}" for i in range(len(cod_diffs))]
+    mbar_alg, _ = hirsch_extend(mm.m.domain, [(nm, k, v) for nm, v in zip(dom_names, dom_diffs)])
+    nbar_alg, _ = hirsch_extend(mm.n.domain, [(nm, k, w) for nm, w in zip(cod_names, cod_diffs)])
 
     old_m: FreeCDGA = mm.m.domain  # type: ignore[assignment]
     old_n: FreeCDGA = mm.n.domain  # type: ignore[assignment]
@@ -261,14 +221,9 @@ def map_model_step(mm: MapModel, namer=None) -> MapModel:
     nbar = CdgaMorphism.on_generators(nbar_alg, mm.n.codomain, nbar_images)
 
     h_assign = {g.name: mm.homotopy.assignment[g.name] for g in old_m.generators}
-    for i in range(len(dom_new)):
-        v = dom_new[i][2]
-        base = IntervalElement.constant(mm.f.apply(m_images[i])) \
-            + integrate_0t(mm.homotopy.apply(v))
-        if i >= r:
-            y_j = solved[i - r][1]
-            base = base + interval_d(IntervalElement.t_power(y_j, 1))
-        h_assign[dom_names[i]] = base
+    for i, name in enumerate(dom_names):
+        h_assign[name] = extend_homotopy(mm.f, mm.homotopy, dom_diffs[i], m_images[i],
+                                         solved[i - r][1] if i >= r else None)
     hbar = CdgaHomotopy(mbar_alg, mm.f.codomain, h_assign)
 
     for label, mor in (("g", gbar), ("m", mbar), ("n", nbar)):
@@ -291,10 +246,10 @@ def map_model_step(mm: MapModel, namer=None) -> MapModel:
     check_minimality(mbar_alg)
     check_minimality(nbar_alg)
 
-    q = _linear_part_matrix(gbar, dom_names, cod_names, k)
-    expected = QMatrix(len(cod_new), len(dom_new),
+    q = linear_part(gbar, dom_names, cod_names)
+    expected = QMatrix(len(cod_names), len(dom_names),
                        [[ONE if (i == j and i < r) else 0
-                         for j in range(len(dom_new))] for i in range(len(cod_new))])
+                         for j in range(len(dom_names))] for i in range(len(cod_names))])
     if q != expected:
         raise InternalError("Q^k of the extended map differs from H^k(phi)")
     psi_adapted = (split.codomain_change_inv @ psi @ split.domain_change

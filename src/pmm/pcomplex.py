@@ -17,10 +17,12 @@ from typing import Optional, Sequence
 from .cochain import CohomologySpace, compute_cohomology
 from .errors import InternalError, ValidationError
 from .exactla import (
-    QMatrix, Vector, express_in_basis, is_zero_vec, kernel_basis,
-    rank, solve, unit_vec, vec, vstack, zero_vec,
+    QMatrix, Vector, block_diag, express_in_basis, is_zero_vec, kernel_basis,
+    lin_comb, rank, solve, unit_vec, vec, vstack, zero_vec,
 )
-from .persistence import INF, Grid, PersistenceModule, interval_decompose
+from .persistence import (
+    INF, Bar, BarRepresentative, Grid, PersistenceModule, interval_decompose,
+)
 
 
 class PersistentComplex:
@@ -101,18 +103,13 @@ class PersistentComplex:
         if self.grid != other.grid or self.max_degree != other.max_degree:
             raise ValidationError("direct_sum: shape mismatch")
 
-        def block(a: QMatrix, b: QMatrix) -> QMatrix:
-            rows = [list(a.data[i]) + [0] * b.cols for i in range(a.rows)]
-            rows += [[0] * a.cols + list(b.data[i]) for i in range(b.rows)]
-            return QMatrix(a.rows + b.rows, a.cols + b.cols, rows)
-
         n = len(self.grid)
         labels = [[[f"L.{lab}" for lab in self.labels[r][k]] +
                    [f"R.{lab}" for lab in other.labels[r][k]]
                    for k in range(self.max_degree + 1)] for r in range(n)]
-        d = [{k: block(self.d_mat(r, k), other.d_mat(r, k))
+        d = [{k: block_diag(self.d_mat(r, k), other.d_mat(r, k))
               for k in range(self.max_degree + 1)} for r in range(n)]
-        sigma = [{k: block(self.sigma_mat(r, k), other.sigma_mat(r, k))
+        sigma = [{k: block_diag(self.sigma_mat(r, k), other.sigma_mat(r, k))
                   for k in range(self.max_degree + 1)} for r in range(n - 1)]
         return PersistentComplex(self.grid, self.max_degree, labels, d, sigma)
 
@@ -194,21 +191,49 @@ def interval_disk(grid: Grid, k: int, s: int,
     return PersistentComplex(grid, md, labels, d, sigma)
 
 
+def cohomology_module(x: PersistentComplex, k: int,
+                      spaces: Sequence[CohomologySpace]) -> PersistenceModule:
+    """The persistence module of per-stage cohomology spaces in degree k of x.
+
+    spaces[r] is a space of classes of cocycles in x^k(r); the module map
+    sends each class representative at r through sigma(r, k) to its class at
+    r + 1.
+    """
+    dims = tuple(sp.dim for sp in spaces)
+    maps = tuple(QMatrix.from_columns(
+        [spaces[r + 1].class_of(x.sigma_mat(r, k).apply(rep)) for rep in spaces[r].reps],
+        dims[r + 1]) for r in range(len(spaces) - 1))
+    return PersistenceModule(x.grid, dims, maps)
+
+
+def bar_sections(x: PersistentComplex, k: int, spaces: Sequence[CohomologySpace]
+                 ) -> tuple[list[Bar], list[BarRepresentative], list[dict[int, Vector]]]:
+    """Interval decomposition of cohomology_module(x, k, spaces) with sections.
+
+    For each bar, the section maps every stage of its support to a cocycle
+    in x^k: the representative of the bar's class at birth, pushed along the
+    structure maps.  Each pushed cocycle is checked to stay in its bar class.
+    """
+    bars, reps = interval_decompose(cohomology_module(x, k, spaces))
+    sections = []
+    for bar, rep in zip(bars, reps):
+        last = len(spaces) - 1 if bar.death == INF else int(bar.death) - 1
+        z = {bar.birth: spaces[bar.birth].rep_of_class(rep.vectors[bar.birth])}
+        for r in range(bar.birth + 1, last + 1):
+            z[r] = x.sigma_mat(r - 1, k).apply(z[r - 1])
+            if spaces[r].class_of(z[r]) != rep.vectors[r]:
+                raise InternalError("propagated cocycle leaves its bar class")
+        sections.append(z)
+    return bars, reps, sections
+
+
 def cohomology(x: PersistentComplex, k: int) -> PersistenceModule:
     """Persistent H^k as a module over the grid.
 
     At k = max_degree the outgoing differential is not stored, so the result
     is kernel-only and flagged `truncated_top`.
     """
-    n = len(x.grid)
-    spaces = [x.cohomology_space(r, k) for r in range(n)]
-    dims = tuple(sp.dim for sp in spaces)
-    maps = []
-    for r in range(n - 1):
-        cols = [spaces[r + 1].class_of(x.sigma_mat(r, k).apply(rep))
-                for rep in spaces[r].reps]
-        maps.append(QMatrix.from_columns(cols, dims[r + 1]))
-    module = PersistenceModule(x.grid, dims, tuple(maps))
+    module = cohomology_module(x, k, [x.cohomology_space(r, k) for r in range(len(x.grid))])
     if k == x.max_degree:
         module.truncated_top = True
     return module
@@ -264,11 +289,7 @@ def hom_from_sphere(x: PersistentComplex, k: int, s: int, t
     for p in kernel_basis(joint):
         zc = p[: len(z_basis)]
         uc = p[len(z_basis):]
-        acc = zero_vec(x.dim(s, k))
-        for c, z in zip(zc, z_basis):
-            if c:
-                acc = tuple(a + c * b for a, b in zip(acc, z))
-        out.append(SphereMapData(k, s, t, acc, vec(uc)))
+        out.append(SphereMapData(k, s, t, lin_comb(zc, z_basis, x.dim(s, k)), vec(uc)))
     return len(out), out
 
 
@@ -341,21 +362,28 @@ def attach_cells(x: PersistentComplex, batch: Sequence[SphereMapData]
     end of each degree list, earlier data vectors only need zero padding.
     """
     current = x
-    for i, data in enumerate(batch):
-        padded = SphereMapData(
-            degree=data.degree, birth=data.birth, death=data.death,
-            cocycle=_pad(data.cocycle, current.dim(data.birth, data.degree)),
-            bounding=None if data.bounding is None else
-            _pad(data.bounding, current.dim(int(data.death), data.degree - 1)),
-            label=data.label)
-        current = attach_cell(current, padded, label=f"{data.label}")
+    for data in batch:
+        current = attach_cell(current, _padded(data, current))
     return current
 
 
-def _pad(v: Vector, length: int) -> Vector:
-    if len(v) > length:
-        raise InternalError("cannot pad a vector downwards")
-    return tuple(v) + (Fraction(0),) * (length - len(v))
+def _padded(data: SphereMapData, x: PersistentComplex) -> SphereMapData:
+    """The same attaching data zero-padded to the current dimensions of x.
+
+    Attaching a cell appends its label at the end of a degree list, so data
+    written against an earlier complex only needs trailing zeros.
+    """
+    def pad(v: Vector, length: int) -> Vector:
+        if len(v) > length:
+            raise InternalError("cannot pad a vector downwards")
+        return tuple(v) + (Fraction(0),) * (length - len(v))
+
+    return SphereMapData(
+        degree=data.degree, birth=data.birth, death=data.death,
+        cocycle=pad(data.cocycle, x.dim(data.birth, data.degree)),
+        bounding=None if data.bounding is None else
+        pad(data.bounding, x.dim(int(data.death), data.degree - 1)),
+        label=data.label)
 
 
 class PComplexMap:
@@ -617,17 +645,8 @@ def factor_cofibration(i_map: PComplexMap) -> FactorizationCertificate:
                     d_out = QMatrix.zero(0, y.dim(r, k))
                     sub_cols = iota[r][k]
                 spaces.append(compute_cohomology(d_out, sub_cols))
-            dims = tuple(sp.dim for sp in spaces)
-            maps = tuple(QMatrix.from_columns(
-                [spaces[r + 1].class_of(y.sigma_mat(r, k).apply(rep))
-                 for rep in spaces[r].reps], dims[r + 1]) for r in range(n - 1))
-            module = PersistenceModule(y.grid, dims, maps)
-            bars, reps = interval_decompose(module)
-            for idx, (bar, rep) in enumerate(zip(bars, reps)):
-                lift = {bar.birth: spaces[bar.birth].rep_of_class(rep.vectors[bar.birth])}
-                last = n - 1 if bar.death == INF else int(bar.death) - 1
-                for r in range(bar.birth, last):
-                    lift[r + 1] = y.sigma_mat(r, k).apply(lift[r])
+            bars, _, sections = bar_sections(y, k, spaces)
+            for idx, (bar, lift) in enumerate(zip(bars, sections)):
                 batch_all.append((SphereMapData(
                     degree=k + 1, birth=bar.birth, death=bar.death,
                     cocycle=(), bounding=None,
@@ -652,12 +671,7 @@ def factor_cofibration(i_map: PComplexMap) -> FactorizationCertificate:
             lifts.append(lift_vecs)
         # Attach the whole batch, extending iota by the lifted sections.
         for data, lift_vecs in zip(datas, lifts):
-            padded = SphereMapData(
-                degree=data.degree, birth=data.birth, death=data.death,
-                cocycle=_pad(data.cocycle, current.dim(data.birth, data.degree)),
-                bounding=None if data.bounding is None else
-                _pad(data.bounding, current.dim(int(data.death), data.degree - 1)),
-                label=data.label)
+            padded = _padded(data, current)
             current = attach_cell(current, padded)
             deg = data.degree - 1
             for offset, vec_y in enumerate(lift_vecs):

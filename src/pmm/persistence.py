@@ -19,8 +19,8 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exactla import (
-    QMatrix, Vector, frac, is_zero_vec, kernel_basis, quotient_basis, rank,
-    rref, unit_vec, vec_add, vec_scale, zero_vec,
+    QMatrix, Vector, block_diag, frac, is_zero_vec, kernel_basis, lin_comb,
+    quotient_basis, rank, rref, unit_vec,
 )
 
 INF = float("inf")
@@ -42,12 +42,6 @@ class Grid:
 
     def __len__(self) -> int:
         return len(self.times)
-
-    def time_of(self, index) -> Fraction | None:
-        """Timestamp of a stage index; None encodes infinity."""
-        if index == INF:
-            return None
-        return self.times[index]
 
     def insert(self, position: int, time) -> "Grid":
         time = frac(time)
@@ -105,13 +99,8 @@ class PersistenceModule:
         if self.grid != other.grid:
             raise ValidationError("direct_sum: grid mismatch")
         dims = tuple(a + b for a, b in zip(self.dims, other.dims))
-        maps = []
-        for r in range(len(self.dims) - 1):
-            a, b = self.maps[r], other.maps[r]
-            rows = [list(a.data[i]) + [0] * b.cols for i in range(a.rows)]
-            rows += [[0] * a.cols + list(b.data[i]) for i in range(b.rows)]
-            maps.append(QMatrix(dims[r + 1], dims[r], rows))
-        return PersistenceModule(self.grid, dims, tuple(maps))
+        maps = tuple(block_diag(a, b) for a, b in zip(self.maps, other.maps))
+        return PersistenceModule(self.grid, dims, maps)
 
 
 def rank_invariant(m: PersistenceModule, i: int, j: int) -> int:
@@ -201,13 +190,11 @@ def interval_decompose(m: PersistenceModule) -> tuple[list[Bar], list[BarReprese
             # Rewrite the dying bar's section as the kernel combination.
             # Every contributor is older or equal in (birth, order), so the
             # combination exists on the target's whole support.
-            scale = Fraction(1) / kv[pos]
+            parts = [(c / kv[pos], lv) for c, lv in zip(kv, alive) if c != 0]
             for idx in range(target.birth, i + 1):
-                acc = zero_vec(m.dims[idx])
-                for c, lv in zip(kv, alive):
-                    if c != 0:
-                        acc = vec_add(acc, vec_scale(c * scale, lv.vectors[idx]))
-                target.vectors[idx] = acc
+                target.vectors[idx] = lin_comb(
+                    [c for c, _ in parts], [lv.vectors[idx] for _, lv in parts],
+                    m.dims[idx])
             deaths[target.order] = i + 1
             finished.append(target)
         survivors = []

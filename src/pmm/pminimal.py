@@ -19,18 +19,17 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cdga import (
-    Algebra, CdgaElement, CdgaMorphism, FreeCDGA, Monomial, differential,
-    free_cdga, validate_morphism,
+    Algebra, CdgaElement, CdgaMorphism, FreeCDGA, check_minimality,
+    differential, free_cdga, hirsch_extend, linear_part, validate_morphism,
 )
 from .errors import InternalError, ValidationError
-from .exactla import QMatrix, solve
+from .exactla import solve
 from .homotopy import (
-    CdgaHomotopy, ConeComplex, ConeMap, HomotopySquare, IntervalElement,
-    check_homotopy_identity, cone, integrate_0t, interval_d,
+    CdgaHomotopy, ConeComplex, ConeMap, HomotopySquare, check_homotopy_identity,
+    cone, cone_cohomology, extend_homotopy,
 )
-from .minimal import check_minimality
-from .persistence import INF, Bar, Grid, PersistenceModule, interval_decompose
-from .pcomplex import PersistentComplex
+from .persistence import INF, Bar, Grid, PersistenceModule
+from .pcomplex import PersistentComplex, bar_sections
 
 INTERNAL_HEADROOM = 2
 
@@ -96,25 +95,41 @@ class PersistentGenerator:
 
 
 class TameMinimalModel:
-    """Stagewise minimal models with atomic homotopies between stages."""
+    """Stagewise minimal models with atomic homotopies between stages.
 
-    def __init__(self, target: PersistentCDGA):
-        n = len(target.grid)
-        cap = target.internal_cap
+    Stage r carries the model algebra algebras[r] with its model map
+    models[r] into the target stage; sigmas[r] and homotopies[r] fill the
+    square over the target's structure map r.  gen_records holds one entry
+    per persistent generator (name, degree, birth, death, birth
+    differential "v", endpoint image "u"); degree_done is the degree through
+    which surgery has run.
+    """
+
+    def __init__(self, target: PersistentCDGA, algebras: list[FreeCDGA],
+                 sigmas: list[CdgaMorphism], models: list[CdgaMorphism],
+                 homotopies: list[CdgaHomotopy], gen_records: list[dict],
+                 degree_done: int):
         self.target = target
         self.grid = target.grid
-        self.degree_done = 1
-        self.gen_records: list[dict] = []
-        self.algebras: list[FreeCDGA] = [free_cdga([], {}, cap) for _ in range(n)]
-        self.sigmas: list[CdgaMorphism] = [
-            CdgaMorphism.on_generators(self.algebras[r], self.algebras[r + 1], {})
-            for r in range(n - 1)]
-        self.models: list[CdgaMorphism] = [
-            CdgaMorphism.on_generators(self.algebras[r], target.stages[r], {})
-            for r in range(n)]
-        self.homotopies: list[CdgaHomotopy] = [
-            CdgaHomotopy(self.algebras[r], target.stages[r + 1], {}, check=False)
-            for r in range(n - 1)]
+        self.algebras = algebras
+        self.sigmas = sigmas
+        self.models = models
+        self.homotopies = homotopies
+        self.gen_records = gen_records
+        self.degree_done = degree_done
+
+    @classmethod
+    def trivial(cls, target: PersistentCDGA) -> "TameMinimalModel":
+        """The 1-minimal model: unit algebras at every stage."""
+        n = len(target.grid)
+        algebras = [free_cdga([], {}, target.internal_cap) for _ in range(n)]
+        sigmas = [CdgaMorphism.on_generators(algebras[r], algebras[r + 1], {})
+                  for r in range(n - 1)]
+        models = [CdgaMorphism.on_generators(algebras[r], target.stages[r], {})
+                  for r in range(n)]
+        homotopies = [CdgaHomotopy(algebras[r], target.stages[r + 1], {}, check=False)
+                      for r in range(n - 1)]
+        return cls(target, algebras, sigmas, models, homotopies, [], 1)
 
     # -- derived views -------------------------------------------------------
 
@@ -183,15 +198,9 @@ def surgery_step(model: TameMinimalModel, k: int) -> TameMinimalModel:
         raise ValidationError(f"surgery degree {k} out of order "
                               f"(done through {model.degree_done})")
     n = len(model.grid)
-    target = model.target
     tc, cones = tame_cone(model)
     spaces = [tc.cohomology_space(r, k) for r in range(n)]
-    dims = tuple(sp.dim for sp in spaces)
-    hmaps = tuple(QMatrix.from_columns(
-        [spaces[r + 1].class_of(tc.sigma_mat(r, k).apply(rep))
-         for rep in spaces[r].reps], dims[r + 1]) for r in range(n - 1))
-    module = PersistenceModule(model.grid, dims, hmaps)
-    bars, reps = interval_decompose(module)
+    bars, reps, sections = bar_sections(tc, k, spaces)
 
     order = sorted(range(len(bars)), key=lambda i: (
         bars[i].birth, bars[i].death == INF, bars[i].death,
@@ -200,19 +209,8 @@ def surgery_step(model: TameMinimalModel, k: int) -> TameMinimalModel:
     existing = sum(1 for rec in model.gen_records if rec["degree"] == k)
     new_records = []
     for counter, idx in enumerate(order):
-        bar, rep = bars[idx], reps[idx]
-        p = bar.birth
-        q = bar.death
-        last = n - 1 if q == INF else int(q) - 1
-        z = {p: spaces[p].rep_of_class(rep.vectors[p])}
-        for r in range(p, last):
-            z[r + 1] = tc.sigma_mat(r, k).apply(z[r])
-            if spaces[r + 1].class_of(z[r + 1]) != rep.vectors[r + 1]:
-                raise InternalError("propagated cocycle leaves its bar class")
-        sections = {}
-        for r in range(p, last + 1):
-            v_elem, a_elem = cones[r].unpack(k, z[r])
-            sections[r] = (v_elem, a_elem)
+        p, q, z = bars[idx].birth, bars[idx].death, sections[idx]
+        unpacked = {r: cones[r].unpack(k, z[r]) for r in z}
         u_elem = None
         b_elem = None
         if q != INF:
@@ -223,8 +221,8 @@ def surgery_step(model: TameMinimalModel, k: int) -> TameMinimalModel:
             u_elem, b_elem = cones[int(q)].unpack(k - 1, sol)
         new_records.append({
             "name": f"x{k}_{existing + counter}", "degree": k,
-            "birth": p, "death": q, "v": sections[p][0], "u": u_elem,
-            "b": b_elem, "sections": sections,
+            "birth": p, "death": q, "v": unpacked[p][0], "u": u_elem,
+            "b": b_elem, "sections": unpacked,
         })
 
     out = _extend_state(model, k, new_records)
@@ -236,38 +234,14 @@ def _extend_state(model: TameMinimalModel, k: int,
                   new_records: list[dict]) -> TameMinimalModel:
     n = len(model.grid)
     target = model.target
-    cap = target.internal_cap
 
     def alive(rec, r):
         return rec["birth"] <= r and (rec["death"] == INF or r < rec["death"])
 
-    out = TameMinimalModel.__new__(TameMinimalModel)
-    out.target = target
-    out.grid = model.grid
-    out.degree_done = k
-    out.gen_records = model.gen_records + [
-        {key: rec[key] for key in ("name", "degree", "birth", "death", "v", "u")}
-        for rec in new_records]
-
     old_algs = model.algebras
-    new_algs: list[FreeCDGA] = []
-    for r in range(n):
-        gens = [(g.name, g.degree) for g in old_algs[r].generators]
-        diffs: dict[str, dict[Monomial, Fraction]] = {}
-        added = [rec for rec in new_records if alive(rec, r)]
-        old_len = len(gens)
-        new_len = old_len + len(added)
-
-        def widen(terms):
-            return {mono + (0,) * (new_len - len(mono)): c for mono, c in terms.items()}
-
-        for g in old_algs[r].generators:
-            diffs[g.name] = widen(old_algs[r].generator_diff(g.name).terms)
-        for rec in added:
-            gens.append((rec["name"], k))
-            diffs[rec["name"]] = widen(rec["sections"][r][0].terms)
-        new_algs.append(free_cdga(gens, diffs, cap))
-    out.algebras = new_algs
+    new_algs = [hirsch_extend(old_algs[r], [(rec["name"], k, rec["sections"][r][0])
+                                            for rec in new_records if alive(rec, r)])[0]
+                for r in range(n)]
 
     sigmas = []
     for r in range(n - 1):
@@ -284,7 +258,6 @@ def _extend_state(model: TameMinimalModel, k: int,
                 u = rec["u"]
                 images[rec["name"]] = u.algebra.embed_terms(u, new_algs[r + 1])
         sigmas.append(CdgaMorphism.on_generators(new_algs[r], new_algs[r + 1], images))
-    out.sigmas = sigmas
 
     models = []
     for r in range(n):
@@ -294,23 +267,22 @@ def _extend_state(model: TameMinimalModel, k: int,
             if alive(rec, r):
                 images[rec["name"]] = rec["sections"][r][1]
         models.append(CdgaMorphism.on_generators(new_algs[r], target.stages[r], images))
-    out.models = models
 
     homotopies = []
     for r in range(n - 1):
         assignment = dict(model.homotopies[r].assignment)
         for rec in new_records:
-            if not alive(rec, r):
-                continue
-            v_elem, a_elem = rec["sections"][r]
-            base = IntervalElement.constant(target.maps[r].apply(a_elem)) \
-                + integrate_0t(model.homotopies[r].apply(v_elem))
-            if not alive(rec, r + 1):
-                base = base + interval_d(IntervalElement.t_power(rec["b"], 1))
-            assignment[rec["name"]] = base
+            if alive(rec, r):
+                v_elem, a_elem = rec["sections"][r]
+                assignment[rec["name"]] = extend_homotopy(
+                    target.maps[r], model.homotopies[r], v_elem, a_elem,
+                    None if alive(rec, r + 1) else rec["b"])
         homotopies.append(CdgaHomotopy(new_algs[r], target.stages[r + 1], assignment))
-    out.homotopies = homotopies
-    return out
+
+    records = model.gen_records + [
+        {key: rec[key] for key in ("name", "degree", "birth", "death", "v", "u")}
+        for rec in new_records]
+    return TameMinimalModel(target, new_algs, sigmas, models, homotopies, records, k)
 
 
 def _verify_surgery(model: TameMinimalModel, k: int, new_records: list[dict]):
@@ -326,11 +298,10 @@ def _verify_surgery(model: TameMinimalModel, k: int, new_records: list[dict]):
             raise InternalError(f"structure map {r} invalid after surgery: {problems}")
         _check_homotopy_square(model, r, only_names={rec["name"] for rec in new_records})
     for r in range(n):
-        c = cone(model.models[r])
-        for j in range(0, k + 1):
-            if c.h_dim(j):
-                raise InternalError(
-                    f"cone cohomology H^{j} nonzero at stage {r} after degree-{k} surgery")
+        nonzero = next(cone_cohomology(model.models[r], k), None)
+        if nonzero:
+            raise InternalError(f"cone cohomology H^{nonzero[0]} nonzero at stage {r} "
+                                f"after degree-{k} surgery")
 
 
 def _check_homotopy_square(model: TameMinimalModel, r: int,
@@ -365,7 +336,7 @@ def build_persistent_minimal_model(a: PersistentCDGA, cap: Optional[int] = None
     cap = cap if cap is not None else a.user_cap
     if cap > a.user_cap:
         raise ValidationError("requested cap exceeds the input's declared cap")
-    model = TameMinimalModel(a)
+    model = TameMinimalModel.trivial(a)
     for k in range(2, cap + 1):
         model = surgery_step(model, k)
     return model
@@ -435,25 +406,10 @@ def homotopy_barcode(model: TameMinimalModel) -> PiBarcode:
 
 def indecomposables_module(model: TameMinimalModel, k: int) -> PersistenceModule:
     """Q^k of the model as a persistence module (independent of the barcode)."""
-    n = len(model.grid)
-    gens_at = [[g for g in model.algebras[r].generators if g.degree == k]
-               for r in range(n)]
-    dims = tuple(len(gs) for gs in gens_at)
-    maps = []
-    for r in range(n - 1):
-        pos = {g.name: i for i, g in enumerate(gens_at[r + 1])}
-        cols = []
-        for g in gens_at[r]:
-            img = model.sigmas[r].gen_images[g.name]
-            col = [Fraction(0)] * dims[r + 1]
-            for mono, c in img.terms.items():
-                if sum(mono) == 1:
-                    gname = model.algebras[r + 1].generators[mono.index(1)].name
-                    if gname in pos:
-                        col[pos[gname]] = c
-            cols.append(tuple(col))
-        maps.append(QMatrix.from_columns(cols, dims[r + 1]))
-    return PersistenceModule(model.grid, dims, tuple(maps))
+    names = [[g.name for g in alg.generators if g.degree == k] for alg in model.algebras]
+    maps = tuple(linear_part(model.sigmas[r], names[r], names[r + 1])
+                 for r in range(len(names) - 1))
+    return PersistenceModule(model.grid, tuple(len(ns) for ns in names), maps)
 
 
 def validate_model(model: TameMinimalModel,
@@ -473,13 +429,8 @@ def validate_model(model: TameMinimalModel,
     report["minimality"] = {"status": "pass" if not failures else "fail",
                             "failures": failures}
 
-    failures = []
-    for r in range(n):
-        c = cone(model.models[r])
-        for j in range(0, cap + 1):
-            dim = c.h_dim(j)
-            if dim:
-                failures.append(f"H^{j} C_m({r}) has dimension {dim}")
+    failures = [f"H^{j} C_m({r}) has dimension {dim}" for r in range(n)
+                for j, dim in cone_cohomology(model.models[r], cap)]
     report["connectivity"] = {"status": "pass" if not failures else "fail",
                               "checked_through_degree": cap, "failures": failures}
 

@@ -163,7 +163,7 @@ def test_criterion_07_connectivity_suite():
                       ("example2", 5), ("example3", 5),
                       ("sphere2", None), ("sphere3", None)):
         _, tower = load_fixture_tower(name, cap)
-        model = TameMinimalModel(tower)
+        model = TameMinimalModel.trivial(tower)
         for k in range(2, tower.user_cap + 1):
             model = surgery_step(model, k)
             for r in range(len(tower.grid)):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -281,3 +284,18 @@ def test_cli_check_on_input(tmp_path, capsys):
     assert report["endpoint_law"] == "pass"
     assert all(c["status"] == "pass" for c in report["hirsch_certificates"])
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("module", ["pmm", "pmm.cli"])
+def test_python_m_entry_points(tmp_path, module):
+    # `python -m pmm` and `python -m pmm.cli` run the driver and keep its
+    # exit-code contract: a missing input is a schema error (exit 2).
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, "build", "--input", str(tmp_path / "missing.json"),
+         "--output", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2
+    assert "schema error" in proc.stderr

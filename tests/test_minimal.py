@@ -12,8 +12,10 @@ from pmm.minimal import (
     build_map_model, build_min_model, check_connectivity,
     telescope_step, unit_model,
 )
+from pmm.persistence import Grid
+from pmm.pminimal import PersistentCDGA, build_persistent_minimal_model
 
-from .gen import random_morphism
+from .gen import random_free_cdga, random_morphism
 
 CAP = 5
 ACAP = CAP + 2  # algebra headroom for H^CAP of cones
@@ -166,3 +168,19 @@ def test_homotopy_restriction_coherence():
         mm = map_model_step(mm)
         for name, iv in prev.items():
             assert mm.homotopy.assignment[name] == iv
+
+
+def test_pointwise_model_is_one_stage_surgery():
+    # The minimal model of one CDGA is the persistent minimal model over a
+    # one-point grid: same generators, in the same order, with the same
+    # differentials and model-map images.
+    def layout(mor):
+        return [(g.name, g.degree, mor.domain.generator_diff(g.name).terms,
+                 mor.gen_images[g.name].terms) for g in mor.domain.generators]
+
+    rng = random.Random(7)
+    for _ in range(40):
+        a = random_free_cdga(rng, ACAP, max_gens=3, max_degree=4)
+        tower = PersistentCDGA(Grid((0,)), [a], [], CAP)
+        stage = build_persistent_minimal_model(tower).models[0]
+        assert layout(build_min_model(a, CAP).m) == layout(stage)

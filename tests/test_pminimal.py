@@ -123,7 +123,7 @@ def test_tame_cone_acyclic_after_build():
 
 def test_surgery_steps_are_connective():
     a = example_one(1)
-    model = TameMinimalModel(a)
+    model = TameMinimalModel.trivial(a)
     for k in range(2, CAP + 1):
         model = surgery_step(model, k)
         for r in range(len(a.grid)):
@@ -133,7 +133,7 @@ def test_surgery_steps_are_connective():
 
 
 def test_surgery_out_of_order_rejected():
-    model = TameMinimalModel(example_one(1))
+    model = TameMinimalModel.trivial(example_one(1))
     with pytest.raises(ValidationError):
         surgery_step(model, 3)
 
