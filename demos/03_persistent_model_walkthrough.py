@@ -43,7 +43,7 @@ for formal in (False, True):
     a = tower(formal)
     model = TameMinimalModel.trivial(a)
     for k in range(2, CAP + 1):
-        tc, cones = tame_cone(model)
+        tc = tame_cone(model)[0]
         dims = [tc.cohomology_space(r, k).dim for r in range(4)]
         model = surgery_step(model, k)
         new = [rec["name"] for rec in model.gen_records if rec["degree"] == k]

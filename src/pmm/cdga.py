@@ -88,7 +88,32 @@ class CdgaElement:
             raise ValidationError("elements belong to different algebras")
 
 
-class FreeCDGA:
+class _GradedAlgebra:
+    """What free and finite CDGAs share, given basis keys, vectors and d_key."""
+
+    def zero(self) -> CdgaElement:
+        return CdgaElement(self, {})
+
+    def one(self) -> CdgaElement:
+        return CdgaElement(self, {self.unit_key: ONE})
+
+    def d_matrix(self, n: int) -> QMatrix:
+        if n not in self._dmat_cache:
+            src = self.basis_keys(n)
+            dst_dim = self.dim(n + 1)
+            cols = [self.to_vector(self.d_key(k), n + 1) if dst_dim else ()
+                    for k in src]
+            self._dmat_cache[n] = QMatrix.from_columns(cols, dst_dim)
+        return self._dmat_cache[n]
+
+    def cohomology_space(self, n: int) -> CohomologySpace:
+        if n not in self._h_cache:
+            d_in = self.d_matrix(n - 1) if n >= 1 else None
+            self._h_cache[n] = compute_cohomology(self.d_matrix(n), d_in)
+        return self._h_cache[n]
+
+
+class FreeCDGA(_GradedAlgebra):
     """Free graded-commutative algebra on named generators, degree-capped.
 
     Differentials are supplied as term dicts (Monomial -> coefficient), which
@@ -100,7 +125,7 @@ class FreeCDGA:
 
     def __init__(self, generators: Sequence[Generator],
                  differential_terms: Mapping[str, Mapping[Monomial, Fraction]],
-                 degree_cap: int, check: bool = True):
+                 degree_cap: int):
         names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate generator names: {names}")
@@ -122,10 +147,9 @@ class FreeCDGA:
                     raise ValidationError(
                         f"d({g.name}) must be homogeneous of degree {g.degree + 1}")
             self._diff[g.name] = el
-        if check:
-            for g in self.generators:
-                if not differential(self._diff[g.name]).is_zero():
-                    raise ValidationError(f"d(d({g.name})) != 0")
+        for g in self.generators:
+            if not differential(self._diff[g.name]).is_zero():
+                raise ValidationError(f"d(d({g.name})) != 0")
 
     # -- basis bookkeeping ------------------------------------------------
 
@@ -175,12 +199,6 @@ class FreeCDGA:
         return self._basis_pos[n][key]
 
     # -- element constructors ---------------------------------------------
-
-    def zero(self) -> CdgaElement:
-        return CdgaElement(self, {})
-
-    def one(self) -> CdgaElement:
-        return CdgaElement(self, {self.unit_key: ONE})
 
     def gen(self, name: str) -> CdgaElement:
         i = self.index_of[name]
@@ -246,22 +264,7 @@ class FreeCDGA:
             counts[i] += 1
         return CdgaElement(self, {tuple(counts): ONE})
 
-    def d_matrix(self, n: int) -> QMatrix:
-        if n not in self._dmat_cache:
-            src = self.basis_keys(n)
-            dst_dim = self.dim(n + 1)
-            cols = [self.to_vector(self.d_key(m), n + 1) if dst_dim else ()
-                    for m in src]
-            self._dmat_cache[n] = QMatrix.from_columns(cols, dst_dim)
-        return self._dmat_cache[n]
-
     # -- derived structure --------------------------------------------------
-
-    def cohomology_space(self, n: int) -> CohomologySpace:
-        if n not in self._h_cache:
-            d_in = self.d_matrix(n - 1) if n >= 1 else None
-            self._h_cache[n] = compute_cohomology(self.d_matrix(n), d_in)
-        return self._h_cache[n]
 
     def is_simply_connected(self) -> bool:
         if any(g.degree == 0 for g in self.generators):
@@ -280,7 +283,7 @@ class FreeCDGA:
         return CdgaElement(target, out)
 
 
-class FiniteCDGA:
+class FiniteCDGA(_GradedAlgebra):
     """Finite-dimensional CDGA given by labeled bases and structure constants."""
 
     kind = "finite"
@@ -407,12 +410,6 @@ class FiniteCDGA:
     def key_position(self, n: int, key: FiniteKey) -> int:
         return key[1]
 
-    def zero(self) -> CdgaElement:
-        return CdgaElement(self, {})
-
-    def one(self) -> CdgaElement:
-        return CdgaElement(self, {self.unit_key: ONE})
-
     def basis_elem(self, lab: str) -> CdgaElement:
         return CdgaElement(self, {self.key_of_label(lab): ONE})
 
@@ -438,21 +435,6 @@ class FiniteCDGA:
 
     def d_key(self, key: FiniteKey) -> CdgaElement:
         return CdgaElement(self, self._diff.get(key, {}))
-
-    def d_matrix(self, n: int) -> QMatrix:
-        if n not in self._dmat_cache:
-            src = self.basis_keys(n)
-            dst_dim = self.dim(n + 1)
-            cols = [self.to_vector(self.d_key(k), n + 1) if dst_dim else ()
-                    for k in src]
-            self._dmat_cache[n] = QMatrix.from_columns(cols, dst_dim)
-        return self._dmat_cache[n]
-
-    def cohomology_space(self, n: int) -> CohomologySpace:
-        if n not in self._h_cache:
-            d_in = self.d_matrix(n - 1) if n >= 1 else None
-            self._h_cache[n] = compute_cohomology(self.d_matrix(n), d_in)
-        return self._h_cache[n]
 
     def is_simply_connected(self) -> bool:
         return self.cohomology_space(0).dim == 1 and self.cohomology_space(1).dim == 0

@@ -40,11 +40,14 @@ EXIT_INTERNAL = 3
 def _load_json(path: str) -> dict:
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{path}: the document must be a JSON object")
+    return doc
 
 
 def _outpath(args, name: str) -> str:
@@ -202,6 +205,10 @@ def main(argv=None) -> int:
         return EXIT_VALIDATION
     except InternalError as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
+    except Exception as exc:  # the exit-code contract: never a raw traceback
+        message = " ".join(f"{type(exc).__name__}: {exc}".splitlines())
+        print(f"internal error: {message}", file=sys.stderr)
         return EXIT_INTERNAL
 
 

@@ -17,6 +17,8 @@ from fractions import Fraction
 from .cdga import Algebra, CdgaElement, FreeCDGA, multiply
 from .errors import ParseError
 
+MAX_NESTING = 100  # parenthesis depth; three parser frames per level, far below the limit
+
 
 class _Token:
     __slots__ = ("kind", "value", "line", "column")
@@ -74,6 +76,7 @@ class _Parser:
         self.tokens = tokens
         self.pos = 0
         self.algebra = algebra
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -118,8 +121,13 @@ class _Parser:
     def factor(self) -> CdgaElement:
         tok = self.peek()
         if tok.kind == "(":
+            if self.depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}",
+                                 tok.line, tok.column)
             self.take()
+            self.depth += 1
             inner = self.expr()
+            self.depth -= 1
             self.take(")")
             return inner
         if tok.kind == "NAT":

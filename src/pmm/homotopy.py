@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterator, Optional
+from typing import Optional, Sequence
 
 from .cdga import (
     Algebra, CdgaElement, CdgaMorphism, FreeCDGA, Monomial, differential,
@@ -80,29 +80,27 @@ class IntervalElement:
             raise ValidationError("IntervalElements over different base algebras")
 
 
+def _add_at(acc: dict[int, CdgaElement], k: int, elem: CdgaElement):
+    if not elem.is_zero():
+        acc[k] = acc[k] + elem if k in acc else elem
+
+
 def interval_mul(u: IntervalElement, v: IntervalElement) -> IntervalElement:
     """Koszul-signed product; dt * dt = 0, and t^k dt picks up (-1)^{|b|}
     when moved past a base factor b."""
     u._same(v)
-    out = IntervalElement(u.base)
     acc_poly: dict[int, CdgaElement] = {}
     acc_dt: dict[int, CdgaElement] = {}
-
-    def add(acc, k, elem):
-        if elem.is_zero():
-            return
-        acc[k] = acc[k] + elem if k in acc else elem
-
     for k1, b1 in u.poly.items():
         for k2, b2 in v.poly.items():
-            add(acc_poly, k1 + k2, multiply(b1, b2))
+            _add_at(acc_poly, k1 + k2, multiply(b1, b2))
         for k2, c2 in v.dt.items():
-            add(acc_dt, k1 + k2, multiply(b1, c2))
+            _add_at(acc_dt, k1 + k2, multiply(b1, c2))
     for k1, c1 in u.dt.items():
         for k2, b2 in v.poly.items():
             deg = b2.homogeneous_degree()
             sign = -ONE if (deg is not None and deg % 2) else ONE
-            add(acc_dt, k1 + k2, multiply(c1, b2).scale(sign))
+            _add_at(acc_dt, k1 + k2, multiply(c1, b2).scale(sign))
         # dt * dt = 0
     return IntervalElement(u.base, acc_poly, acc_dt)
 
@@ -112,20 +110,14 @@ def interval_d(u: IntervalElement) -> IntervalElement:
     d(c (x) t^k dt) = dc (x) t^k dt."""
     poly: dict[int, CdgaElement] = {}
     dt: dict[int, CdgaElement] = {}
-
-    def add(acc, k, elem):
-        if elem.is_zero():
-            return
-        acc[k] = acc[k] + elem if k in acc else elem
-
     for k, b in u.poly.items():
-        add(poly, k, differential(b))
+        _add_at(poly, k, differential(b))
         if k >= 1:
             deg = b.homogeneous_degree()
             sign = -ONE if (deg is not None and deg % 2) else ONE
-            add(dt, k - 1, b.scale(sign * k))
+            _add_at(dt, k - 1, b.scale(sign * k))
     for k, c in u.dt.items():
-        add(dt, k, differential(c))
+        _add_at(dt, k, differential(c))
     return IntervalElement(u.base, poly, dt)
 
 
@@ -147,9 +139,7 @@ def integrate_0t(u: IntervalElement) -> IntervalElement:
     for k, c in u.dt.items():
         deg = c.homogeneous_degree()
         sign = -ONE if (deg is not None and deg % 2) else ONE
-        term = c.scale(sign * Fraction(1, k + 1))
-        key = k + 1
-        poly[key] = poly[key] + term if key in poly else term
+        poly[k + 1] = c.scale(sign * Fraction(1, k + 1))
     return IntervalElement(u.base, poly, {})
 
 
@@ -362,13 +352,10 @@ def cone(m: CdgaMorphism) -> ConeComplex:
     return ConeComplex(m)
 
 
-def cone_cohomology(m: CdgaMorphism, through: int) -> Iterator[tuple[int, int]]:
-    """(j, dim H^j) for each degree j <= through where the cone of m is not acyclic."""
-    c = cone(m)
-    for j in range(through + 1):
-        dim = c.h_dim(j)
-        if dim:
-            yield j, dim
+def connectivity_failures(cones: Sequence[ConeComplex], through: int) -> list[str]:
+    """Each nonzero H^j, j <= through, of the stage cones C_m(r) = cones[r]."""
+    return [f"H^{j} C_m({r}) has dimension {c.h_dim(j)}" for r, c in enumerate(cones)
+            for j in range(through + 1) if c.h_dim(j)]
 
 
 @dataclass
@@ -382,25 +369,29 @@ class HomotopySquare:
     right: CdgaMorphism
     homotopy: CdgaHomotopy
 
-    def validate(self):
+    def validate(self) -> list[str]:
+        """Generators on which H does not start at bottom o left or end at right o top."""
         f, g = self.homotopy.endpoints()
-        for gen in self.left.domain.generators:
-            a = self.left.domain.gen(gen.name)
-            if f.apply(a) != self.bottom.apply(self.left.apply(a)):
-                raise ValidationError("homotopy start is not bottom o left")
-            if g.apply(a) != self.right.apply(self.top.apply(a)):
-                raise ValidationError("homotopy end is not right o top")
+        problems = []
+        for name in (gen.name for gen in self.left.domain.generators):
+            if f.gen_images[name] != self.bottom.apply(self.left.gen_images[name]):
+                problems.append(f"homotopy start mismatch on {name}")
+            if g.gen_images[name] != self.right.apply(self.top.gen_images[name]):
+                problems.append(f"homotopy end mismatch on {name}")
+        return problems
 
 
 class ConeMap:
     """Cochain map C_m -> C_n induced by a homotopy-commutative square:
-    phi(v, a) = (u(v), w(a) + IH(v))."""
+    phi(v, a) = (u(v), w(a) + IH(v)), between the given cones of m and n."""
 
-    def __init__(self, square: HomotopySquare):
-        square.validate()
+    def __init__(self, square: HomotopySquare, source: ConeComplex, target: ConeComplex):
+        problems = square.validate()
+        if problems:
+            raise ValidationError(f"square does not commute up to H: {problems[0]}")
         self.square = square
-        self.source = ConeComplex(square.left)
-        self.target = ConeComplex(square.right)
+        self.source = source
+        self.target = target
         self._mat_cache: dict[int, QMatrix] = {}
         self.check_chain_map()
 
@@ -429,4 +420,4 @@ class ConeMap:
 
 
 def cone_map(square: HomotopySquare) -> ConeMap:
-    return ConeMap(square)
+    return ConeMap(square, cone(square.left), cone(square.right))

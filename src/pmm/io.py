@@ -38,9 +38,21 @@ def _rational_str(q: Fraction) -> str:
     return str(q)
 
 
-def _need(doc: dict, key: str, where: str):
+def _int(x, where: str) -> int:
+    try:
+        return int(x)
+    except (TypeError, ValueError) as exc:
+        raise SchemaError(f"bad integer {x!r} in {where}") from exc
+
+
+def _need(doc, key: str, where: str, kind: type):
+    if not isinstance(doc, dict):
+        raise SchemaError(f"{where}: expected a JSON object, got {doc!r:.40}")
     if key not in doc:
         raise SchemaError(f"missing key {key!r} in {where}")
+    if not isinstance(doc[key], kind):
+        raise SchemaError(f"{key!r} in {where} must be a JSON "
+                          f"{'array' if kind is list else 'object'}")
     return doc[key]
 
 
@@ -59,9 +71,9 @@ def load_grid(doc) -> Grid:
 def _build_free_stage(spec: dict, cap: int, where: str) -> FreeCDGA:
     gens = []
     d_src = {}
-    for g in _need(spec, "generators", where):
-        name = _need(g, "name", where)
-        degree = int(_need(g, "degree", where))
+    for g in _need(spec, "generators", where, list):
+        name = _need(g, "name", where, object)
+        degree = _int(_need(g, "degree", where, object), where)
         gens.append((name, degree))
         d_src[name] = str(g.get("d", "0"))
     scratch = free_cdga(gens, {}, cap)
@@ -80,20 +92,22 @@ def _build_free_stage(spec: dict, cap: int, where: str) -> FreeCDGA:
 
 def _build_finite_stage(spec: dict, cap: int, where: str) -> FiniteCDGA:
     basis: dict[int, list[str]] = {}
-    for entry in _need(spec, "basis", where):
-        basis[int(_need(entry, "degree", where))] = list(_need(entry, "labels", where))
-    unit = _need(spec, "unit", where)
+    for entry in _need(spec, "basis", where, list):
+        basis[_int(_need(entry, "degree", where, object), where)] = \
+            list(_need(entry, "labels", where, list))
+    unit = _need(spec, "unit", where, object)
     scratch = FiniteCDGA(basis={k: v for k, v in basis.items()}, unit=unit,
                          products={}, differential={}, degree_cap=cap)
     products = {}
     for entry in spec.get("products", []):
-        left, right = _need(entry, "left", where), _need(entry, "right", where)
-        value = parse_expression(str(_need(entry, "value", where)), scratch)
+        left = _need(entry, "left", where, object)
+        right = _need(entry, "right", where, object)
+        value = parse_expression(str(_need(entry, "value", where, object)), scratch)
         products[(left, right)] = {scratch.label_of(k): c for k, c in value.terms.items()}
     differential = {}
     for entry in spec.get("differentials", []):
-        lab = _need(entry, "of", where)
-        value = parse_expression(str(_need(entry, "value", where)), scratch)
+        lab = _need(entry, "of", where, object)
+        value = parse_expression(str(_need(entry, "value", where, object)), scratch)
         differential[lab] = {scratch.label_of(k): c for k, c in value.terms.items()}
     try:
         return FiniteCDGA(basis=basis, unit=unit, products=products,
@@ -103,7 +117,7 @@ def _build_finite_stage(spec: dict, cap: int, where: str) -> FiniteCDGA:
 
 
 def _build_stage_map(spec: dict, dom: Algebra, cod: Algebra, where: str) -> CdgaMorphism:
-    images_spec = _need(spec, "images", where)
+    images_spec = _need(spec, "images", where, dict)
     images = {}
     for name, src in images_spec.items():
         try:
@@ -126,27 +140,25 @@ def _build_stage_map(spec: dict, dom: Algebra, cod: Algebra, where: str) -> Cdga
 
 def load_input(doc: dict) -> PersistentCDGA:
     """Parse and validate a persistent-CDGA input document."""
-    if not isinstance(doc, dict):
-        raise SchemaError("input document must be a JSON object")
-    grid = load_grid(_need(doc, "grid", "input"))
-    user_cap = int(_need(doc, "degree_cap", "input"))
+    grid = load_grid(_need(doc, "grid", "input", list))
+    user_cap = _int(_need(doc, "degree_cap", "input", object), "input")
     if user_cap < 2:
         raise SchemaError("degree_cap must be at least 2")
     cap = user_cap + INTERNAL_HEADROOM
-    stage_specs = _need(doc, "stages", "input")
+    stage_specs = _need(doc, "stages", "input", list)
     if len(stage_specs) != len(grid):
         raise SchemaError("stages must match grid length")
     stages = []
     for r, spec in enumerate(stage_specs):
         where = f"stage {r}"
-        kind = _need(spec, "type", where)
+        kind = _need(spec, "type", where, object)
         if kind == "free":
             stages.append(_build_free_stage(spec, cap, where))
         elif kind == "finite":
             stages.append(_build_finite_stage(spec, cap, where))
         else:
             raise SchemaError(f"{where}: unknown stage type {kind!r}")
-    map_specs = _need(doc, "maps", "input")
+    map_specs = _need(doc, "maps", "input", list)
     if len(map_specs) != len(grid) - 1:
         raise SchemaError("maps must cover consecutive stage pairs")
     maps = [_build_stage_map(spec, stages[r], stages[r + 1], f"map {r}")
@@ -165,11 +177,11 @@ def load_matrix(rows, want_rows: int, want_cols: int, where: str) -> QMatrix:
 
 
 def load_persistence_module(doc: dict) -> PersistenceModule:
-    grid = load_grid(_need(doc, "grid", "module"))
-    dims = [int(x) for x in _need(doc, "dims", "module")]
+    grid = load_grid(_need(doc, "grid", "module", list))
+    dims = [_int(x, "dims") for x in _need(doc, "dims", "module", list)]
     if len(dims) != len(grid):
         raise SchemaError("dims must match grid length")
-    map_specs = _need(doc, "maps", "module")
+    map_specs = _need(doc, "maps", "module", list)
     maps = [load_matrix(spec, dims[r + 1], dims[r], f"module map {r}")
             for r, spec in enumerate(map_specs)]
     try:
@@ -179,28 +191,28 @@ def load_persistence_module(doc: dict) -> PersistenceModule:
 
 
 def load_pcomplex(doc: dict) -> PersistentComplex:
-    grid = load_grid(_need(doc, "grid", "complex"))
-    max_degree = int(_need(doc, "max_degree", "complex"))
-    stage_specs = _need(doc, "stages", "complex")
+    grid = load_grid(_need(doc, "grid", "complex", list))
+    max_degree = _int(_need(doc, "max_degree", "complex", object), "complex")
+    stage_specs = _need(doc, "stages", "complex", list)
     if len(stage_specs) != len(grid):
         raise SchemaError("stages must match grid length")
     labels = []
     for spec in stage_specs:
-        basis = _need(spec, "basis", "complex stage")
+        basis = _need(spec, "basis", "complex stage", dict)
         labels.append([list(basis.get(str(k), [])) for k in range(max_degree + 1)])
     d = []
     for r, spec in enumerate(stage_specs):
         dd = {}
         for key, rows in spec.get("d", {}).items():
-            k = int(key)
+            k = _int(key, f"d of stage {r}")
             dd[k] = load_matrix(rows, len(labels[r][k + 1]), len(labels[r][k]),
                                 f"d({r},{k})")
         d.append(dd)
     sigma = []
-    for r, spec in enumerate(_need(doc, "maps", "complex")):
+    for r, spec in enumerate(_need(doc, "maps", "complex", list)):
         ss = {}
         for key, rows in spec.items():
-            k = int(key)
+            k = _int(key, f"map {r}")
             ss[k] = load_matrix(rows, len(labels[r + 1][k]), len(labels[r][k]),
                                 f"sigma({r},{k})")
         sigma.append(ss)
@@ -211,14 +223,14 @@ def load_pcomplex(doc: dict) -> PersistentComplex:
 
 
 def load_pcomplex_map(doc: dict) -> PComplexMap:
-    source = load_pcomplex(_need(doc, "source", "map document"))
-    target = load_pcomplex(_need(doc, "target", "map document"))
-    comp_specs = _need(doc, "components", "map document")
+    source = load_pcomplex(_need(doc, "source", "map document", dict))
+    target = load_pcomplex(_need(doc, "target", "map document", dict))
+    comp_specs = _need(doc, "components", "map document", list)
     comps = []
     for r, spec in enumerate(comp_specs):
         cc = {}
         for key, rows in spec.items():
-            k = int(key)
+            k = _int(key, f"component {r}")
             cc[k] = load_matrix(rows, target.dim(r, k), source.dim(r, k),
                                 f"component ({r},{k})")
         comps.append(cc)
@@ -292,11 +304,11 @@ def model_payload(model: TameMinimalModel, input_doc: dict) -> dict:
 
 def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
     """Rebuild a TameMinimalModel from its serialized form (and its input)."""
-    target = load_input(_need(doc, "input", "model document"))
-    spec = _need(doc, "model", "model document")
+    target = load_input(_need(doc, "input", "model document", dict))
+    spec = _need(doc, "model", "model document", dict)
     n = len(target.grid)
     icap = target.internal_cap
-    entries = _need(spec, "generators", "model")
+    entries = _need(spec, "generators", "model", list)
 
     def alive(e, r):
         death = e["death"]
@@ -339,7 +351,7 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
         prev = alg
 
     models = []
-    for r, stage in enumerate(_need(spec, "stage_models", "model")):
+    for r, stage in enumerate(_need(spec, "stage_models", "model", list)):
         images = {name: parse_expression(str(src), target.stages[r])
                   for name, src in stage.items()}
         missing = {g.name for g in algebras[r].generators} - set(images)
@@ -348,7 +360,7 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
         models.append(CdgaMorphism.on_generators(algebras[r], target.stages[r], images))
 
     homotopies = []
-    for r, stage in enumerate(_need(spec, "homotopies", "model")):
+    for r, stage in enumerate(_need(spec, "homotopies", "model", list)):
         assignment = {}
         for name, parts in stage.items():
             cod = target.stages[r + 1]

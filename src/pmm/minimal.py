@@ -15,6 +15,7 @@ d(y (x) t) on kernel classes.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Optional
 
 from .cdga import (
@@ -24,8 +25,8 @@ from .cdga import (
 from .errors import InternalError, ValidationError
 from .exactla import ONE, QMatrix, adapted_split, solve
 from .homotopy import (
-    CdgaHomotopy, HomotopySquare, cone, cone_cohomology, cone_map,
-    extend_homotopy,
+    CdgaHomotopy, ConeComplex, ConeMap, HomotopySquare, cone,
+    connectivity_failures, extend_homotopy,
 )
 from .persistence import INF, Grid
 from .pminimal import (
@@ -59,10 +60,9 @@ def unit_model(a: Algebra, degree_cap: Optional[int] = None) -> MinModel:
 
 
 def check_connectivity(model: MinModel, through: int) -> None:
-    nonzero = next(cone_cohomology(model.m, through), None)
-    if nonzero:
-        raise InternalError(f"cone cohomology nonzero in degree {nonzero[0]}: "
-                            f"dim {nonzero[1]}")
+    failures = connectivity_failures([cone(model.m)], through)
+    if failures:
+        raise InternalError(f"cone cohomology nonzero: {failures[0]}")
 
 
 def telescope_step(model: MinModel) -> MinModel:
@@ -127,6 +127,11 @@ class MapModel:
         return HomotopySquare(top=self.g, bottom=self.f, left=self.m,
                               right=self.n, homotopy=self.homotopy)
 
+    @cached_property
+    def cones(self) -> tuple[ConeComplex, ConeComplex]:
+        """The mapping cones of m and n, built once and shared with the next step."""
+        return cone(self.m), cone(self.n)
+
 
 def trivial_map_model(f: CdgaMorphism, degree_cap: Optional[int] = None) -> MapModel:
     """The 1-minimal square Q -> Q over f between simply-connected algebras."""
@@ -153,8 +158,8 @@ def map_model_step(mm: MapModel) -> MapModel:
     H^k C = 0 on both sides and Q^k(g) = psi are verified before returning.
     """
     k = mm.k + 1
-    phi = cone_map(mm.square())
-    c_m, c_n = phi.source, phi.target
+    c_m, c_n = mm.cones
+    phi = ConeMap(mm.square(), c_m, c_n)
     v_space = c_m.cohomology_space(k)
     w_space = c_n.cohomology_space(k)
 
@@ -230,18 +235,14 @@ def map_model_step(mm: MapModel) -> MapModel:
         problems = validate_morphism(mor)
         if problems:
             raise InternalError(f"extended {label} is not a morphism: {problems}")
-    e0, e1 = hbar.endpoints()
-    for g in mbar_alg.generators:
-        a = mbar_alg.gen(g.name)
-        if e0.apply(a) != mm.f.apply(mbar.apply(a)):
-            raise InternalError("extended homotopy start is not f o m")
-        if e1.apply(a) != nbar.apply(gbar.apply(a)):
-            raise InternalError("extended homotopy end is not n o g")
-
     new_mm = MapModel(g=gbar, m=mbar, n=nbar, f=mm.f, homotopy=hbar, k=k,
                       reports=list(mm.reports))
+    problems = new_mm.square().validate()
+    if problems:
+        raise InternalError(f"extended square: {problems[0]}")
 
-    if cone(mbar).h_dim(k) or cone(nbar).h_dim(k):
+    new_c_m, new_c_n = new_mm.cones
+    if new_c_m.h_dim(k) or new_c_n.h_dim(k):
         raise InternalError(f"degree-{k} cone cohomology survives the map extension")
     check_minimality(mbar_alg)
     check_minimality(nbar_alg)

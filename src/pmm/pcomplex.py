@@ -149,6 +149,22 @@ def interval_sphere(grid: Grid, k: int, s: int, t,
     if k == 0:
         # S^0 is a degree-0 line on [s,t); D^0 = 0 kills it afterwards.
         return interval_complex(grid, 0, s, t, max_degree)
+    return _cell(grid, k, s, t, max_degree)
+
+
+def interval_disk(grid: Grid, k: int, s: int,
+                  max_degree: Optional[int] = None) -> PersistentComplex:
+    """D^k_s: identity differential on two lines from s on; D^0 = 0."""
+    if not 0 <= s < len(grid):
+        raise ValidationError(f"invalid disk index s={s}")
+    if k == 0:
+        return zero_complex(grid, max_degree if max_degree is not None else 0)
+    return _cell(grid, k, s, s, max_degree)
+
+
+def _cell(grid: Grid, k: int, s: int, t, max_degree: Optional[int]) -> PersistentComplex:
+    """A degree-k line x from s on and, from t on, a line y with d y = x."""
+    n = len(grid)
     md = max_degree if max_degree is not None else k
     labels = [[[] for _ in range(md + 1)] for _ in range(n)]
     d = [dict() for _ in range(n)]
@@ -163,30 +179,6 @@ def interval_sphere(grid: Grid, k: int, s: int, t,
         if r >= s:
             sigma[r][k] = QMatrix.identity(1)
         if t != INF and r >= t:
-            sigma[r][k - 1] = QMatrix.identity(1)
-    return PersistentComplex(grid, md, labels, d, sigma)
-
-
-def interval_disk(grid: Grid, k: int, s: int,
-                  max_degree: Optional[int] = None) -> PersistentComplex:
-    """D^k_s: identity differential on two lines from s on; D^0 = 0."""
-    n = len(grid)
-    if not 0 <= s < n:
-        raise ValidationError(f"invalid disk index s={s}")
-    md = max_degree if max_degree is not None else max(k, 0)
-    if k == 0:
-        return zero_complex(grid, md)
-    labels = [[[] for _ in range(md + 1)] for _ in range(n)]
-    d = [dict() for _ in range(n)]
-    sigma = [dict() for _ in range(n - 1)]
-    for r in range(n):
-        if r >= s:
-            labels[r][k] = ["x"]
-            labels[r][k - 1] = ["y"]
-            d[r][k - 1] = QMatrix.identity(1)
-    for r in range(n - 1):
-        if r >= s:
-            sigma[r][k] = QMatrix.identity(1)
             sigma[r][k - 1] = QMatrix.identity(1)
     return PersistentComplex(grid, md, labels, d, sigma)
 
@@ -356,11 +348,7 @@ def attach_cell(x: PersistentComplex, data: SphereMapData,
 
 def attach_cells(x: PersistentComplex, batch: Sequence[SphereMapData]
                  ) -> PersistentComplex:
-    """Attach several cells whose data all refer to the original complex.
-
-    Cells are appended one at a time; since new labels are appended at the
-    end of each degree list, earlier data vectors only need zero padding.
-    """
+    """Attach several cells whose data all refer to the original complex."""
     current = x
     for data in batch:
         current = attach_cell(current, _padded(data, current))

@@ -11,6 +11,16 @@ become the endpoint image and the homotopy correction term.
 Stage algebras carry an internal degree cap two above the requested cap:
 degree-cap surgery reads cone cocycles one degree up, whose cocycle
 condition reads one degree further.
+
+Verification: where the build checks each invariant [validate_model's audit].
+- minimality: _verify_surgery [minimality]
+- stage models and structure maps are CDGA maps: _verify_surgery [structure]
+- H runs from bottom o left to right o top: HomotopySquare.validate in
+  _verify_surgery and ConeMap; integration identity: _verify_surgery [homotopy_identities]
+- stage cones acyclic through k: _verify_surgery on stage_cones() [connectivity, fresh cones]
+- tame cone: d*d = 0 on the free model (FreeCDGA, hirsch_extend) and target (load) and
+  [structure] give d*d = 0; ConeMap.check_chain_map gives d sigma = sigma d
+- bars die exactly: the death-solve, bar_sections [endpoint_law, hirsch_certificates]
 """
 from __future__ import annotations
 
@@ -26,7 +36,7 @@ from .errors import InternalError, ValidationError
 from .exactla import solve
 from .homotopy import (
     CdgaHomotopy, ConeComplex, ConeMap, HomotopySquare, check_homotopy_identity,
-    cone, cone_cohomology, extend_homotopy,
+    cone, connectivity_failures, eval_at_0, eval_at_1, extend_homotopy,
 )
 from .persistence import INF, Bar, Grid, PersistenceModule
 from .pcomplex import PersistentComplex, bar_sections
@@ -38,7 +48,7 @@ class PersistentCDGA:
     """Strict tame diagram of simply-connected CDGAs over a grid."""
 
     def __init__(self, grid: Grid, stages: Sequence[Algebra],
-                 maps: Sequence[CdgaMorphism], user_cap: int, check: bool = True):
+                 maps: Sequence[CdgaMorphism], user_cap: int):
         self.grid = grid
         self.stages = tuple(stages)
         self.maps = tuple(maps)
@@ -47,8 +57,7 @@ class PersistentCDGA:
             raise ValidationError("need one stage algebra per grid time")
         if len(self.maps) != len(grid) - 1:
             raise ValidationError("need one structure map per consecutive pair")
-        if check:
-            self.validate()
+        self.validate()
 
     @property
     def internal_cap(self) -> int:
@@ -76,7 +85,7 @@ class PersistentCDGA:
         stages.insert(index + 1, self.stages[index])
         maps = list(self.maps)
         maps.insert(index, CdgaMorphism.identity(self.stages[index]))
-        return PersistentCDGA(new_grid, stages, maps, self.user_cap, check=False)
+        return PersistentCDGA(new_grid, stages, maps, self.user_cap)
 
 
 @dataclass
@@ -117,6 +126,7 @@ class TameMinimalModel:
         self.homotopies = homotopies
         self.gen_records = gen_records
         self.degree_done = degree_done
+        self._cones: Optional[list[ConeComplex]] = None
 
     @classmethod
     def trivial(cls, target: PersistentCDGA) -> "TameMinimalModel":
@@ -156,7 +166,10 @@ class TameMinimalModel:
         return out
 
     def stage_cones(self) -> list[ConeComplex]:
-        return [cone(m) for m in self.models]
+        """The mapping cone of each stage model, built once and shared by every reader."""
+        if self._cones is None:
+            self._cones = [cone(m) for m in self.models]
+        return self._cones
 
     def stage_squares(self) -> list[HomotopySquare]:
         return [HomotopySquare(top=self.sigmas[r], bottom=self.target.maps[r],
@@ -165,16 +178,19 @@ class TameMinimalModel:
                 for r in range(len(self.grid) - 1)]
 
 
-def tame_cone(model: TameMinimalModel) -> tuple[PersistentComplex, list[ConeComplex]]:
+def tame_cone(model: TameMinimalModel
+              ) -> tuple[PersistentComplex, list[ConeComplex], list[ConeMap]]:
     """The persistent complex of stage cones glued by the homotopy cone maps.
 
     Returns the complex together with the per-stage ConeComplex objects whose
     packing order defines the complex's coordinates (degree -1 is dropped in
-    the persistent rendering; stage cones keep it for honest H^0).
+    the persistent rendering; stage cones keep it for honest H^0), and the
+    cone maps between them.  It is not validated again (see Verification).
     """
     n = len(model.grid)
     cones = model.stage_cones()
-    maps = [ConeMap(sq) for sq in model.stage_squares()]
+    maps = [ConeMap(sq, cones[r], cones[r + 1])
+            for r, sq in enumerate(model.stage_squares())]
     max_degree = model.target.internal_cap - 1
     labels = []
     for r in range(n):
@@ -189,7 +205,8 @@ def tame_cone(model: TameMinimalModel) -> tuple[PersistentComplex, list[ConeComp
          for r in range(n)]
     sigma = [{deg: maps[r].matrix(deg) for deg in range(max_degree + 1)}
              for r in range(n - 1)]
-    return PersistentComplex(model.grid, max_degree, labels, d, sigma), cones
+    tc = PersistentComplex(model.grid, max_degree, labels, d, sigma, check=False)
+    return tc, cones, maps
 
 
 def surgery_step(model: TameMinimalModel, k: int) -> TameMinimalModel:
@@ -198,7 +215,7 @@ def surgery_step(model: TameMinimalModel, k: int) -> TameMinimalModel:
         raise ValidationError(f"surgery degree {k} out of order "
                               f"(done through {model.degree_done})")
     n = len(model.grid)
-    tc, cones = tame_cone(model)
+    tc, cones, _ = tame_cone(model)
     spaces = [tc.cohomology_space(r, k) for r in range(n)]
     bars, reps, sections = bar_sections(tc, k, spaces)
 
@@ -286,46 +303,51 @@ def _extend_state(model: TameMinimalModel, k: int,
 
 
 def _verify_surgery(model: TameMinimalModel, k: int, new_records: list[dict]):
-    n = len(model.grid)
-    for r in range(n):
-        problems = validate_morphism(model.models[r])
-        if problems:
-            raise InternalError(f"stage model {r} invalid after surgery: {problems}")
-        check_minimality(model.algebras[r])
-    for r in range(n - 1):
-        problems = validate_morphism(model.sigmas[r])
-        if problems:
-            raise InternalError(f"structure map {r} invalid after surgery: {problems}")
-        _check_homotopy_square(model, r, only_names={rec["name"] for rec in new_records})
-    for r in range(n):
-        nonzero = next(cone_cohomology(model.models[r], k), None)
-        if nonzero:
-            raise InternalError(f"cone cohomology H^{nonzero[0]} nonzero at stage {r} "
-                                f"after degree-{k} surgery")
+    """The build's checks after degree-k surgery, through degree k."""
+    failures = _structure_failures(model, model.target) or _minimality_failures(model)
+    if not failures:
+        names = [rec["name"] for rec in new_records]
+        for r, square in enumerate(model.stage_squares()):
+            _check_homotopy_square(square, r, names)
+        failures = connectivity_failures(model.stage_cones(), k)
+    if failures:
+        raise InternalError(f"after degree-{k} surgery: {failures[0]}")
 
 
-def _check_homotopy_square(model: TameMinimalModel, r: int,
-                           only_names: Optional[set] = None):
-    """Endpoints and the integration identity for the stage-r homotopy."""
-    h = model.homotopies[r]
-    e0, e1 = h.endpoints()
-    f_composite = {g.name: model.target.maps[r].apply(model.models[r].gen_images[g.name])
-                   for g in model.algebras[r].generators}
-    g_composite = {g.name: model.models[r + 1].apply(model.sigmas[r].gen_images[g.name])
-                   for g in model.algebras[r].generators}
-    for g in model.algebras[r].generators:
-        if e0.gen_images[g.name] != f_composite[g.name]:
-            raise InternalError(f"homotopy start mismatch on {g.name} at stage {r}")
-        if e1.gen_images[g.name] != g_composite[g.name]:
-            raise InternalError(f"homotopy end mismatch on {g.name} at stage {r}")
-    names = only_names if only_names is not None else \
-        {g.name for g in model.algebras[r].generators}
+def _structure_failures(model: TameMinimalModel, target: PersistentCDGA) -> list[str]:
+    """Stage models and structure maps are CDGA maps; models land in target."""
+    failures = []
+    for r, m in enumerate(model.models):
+        failures.extend(f"m({r}): {p}" for p in validate_morphism(m))
+        if m.codomain is not target.stages[r]:
+            failures.append(f"m({r}) does not land in the given target")
+    for r, sigma in enumerate(model.sigmas):
+        failures.extend(f"sigma({r}): {p}" for p in validate_morphism(sigma))
+    return failures
+
+
+def _minimality_failures(model: TameMinimalModel) -> list[str]:
+    """The first stage algebra that is not minimal, if any."""
+    try:
+        for alg in model.algebras:
+            check_minimality(alg)
+    except InternalError as exc:
+        return [str(exc)]
+    return []
+
+
+def _check_homotopy_square(square: HomotopySquare, r: int, names: Sequence[str]):
+    """Endpoints of the stage-r homotopy, and its integration identity on names."""
+    problems = square.validate()
+    if problems:
+        raise InternalError(f"{problems[0]} at stage {r}")
+    h = square.homotopy
     for name in names:
         if name not in h.assignment:
             continue
-        a = model.algebras[r].gen(name)
+        a = square.left.domain.gen(name)
         lhs = differential(h.integral_of(a)) + h.integral_of(differential(a))
-        rhs = e1.apply(a) - e0.apply(a)
+        rhs = eval_at_1(h.assignment[name]) - eval_at_0(h.assignment[name])
         if lhs != rhs:
             raise InternalError(f"integration identity fails on {name} at stage {r}")
 
@@ -416,30 +438,23 @@ def validate_model(model: TameMinimalModel,
                    against: Optional[PersistentCDGA] = None) -> dict:
     """Machine-readable pass/fail per invariant class."""
     target = against if against is not None else model.target
-    n = len(model.grid)
     cap = target.user_cap
     report: dict = {"schema_version": 1}
 
-    failures = []
-    try:
-        for r in range(n):
-            check_minimality(model.algebras[r])
-    except InternalError as exc:
-        failures.append(str(exc))
+    failures = _minimality_failures(model)
     report["minimality"] = {"status": "pass" if not failures else "fail",
                             "failures": failures}
 
-    failures = [f"H^{j} C_m({r}) has dimension {dim}" for r in range(n)
-                for j, dim in cone_cohomology(model.models[r], cap)]
+    failures = connectivity_failures([cone(m) for m in model.models], cap)
     report["connectivity"] = {"status": "pass" if not failures else "fail",
                               "checked_through_degree": cap, "failures": failures}
 
     failures = []
-    for r in range(n - 1):
+    for r, square in enumerate(model.stage_squares()):
         try:
-            model.homotopies[r].check_chain_condition()
-            _check_homotopy_square(model, r)
-            problems = check_homotopy_identity(model.homotopies[r], cap)
+            square.homotopy.check_chain_condition()
+            _check_homotopy_square(square, r, [g.name for g in model.algebras[r].generators])
+            problems = check_homotopy_identity(square.homotopy, cap)
             failures.extend(f"stage {r}: {p}" for p in problems)
         except (InternalError, ValidationError) as exc:
             failures.append(f"stage {r}: {exc}")
@@ -477,15 +492,7 @@ def validate_model(model: TameMinimalModel,
         })
     report["hirsch_certificates"] = certs
 
-    failures = []
-    for r in range(n):
-        problems = validate_morphism(model.models[r])
-        failures.extend(f"m({r}): {p}" for p in problems)
-        if model.models[r].codomain is not target.stages[r]:
-            failures.append(f"m({r}) does not land in the given target")
-    for r in range(n - 1):
-        problems = validate_morphism(model.sigmas[r])
-        failures.extend(f"sigma({r}): {p}" for p in problems)
+    failures = _structure_failures(model, target)
     report["structure"] = {"status": "pass" if not failures else "fail",
                            "failures": failures}
 
@@ -510,8 +517,7 @@ def _hirsch_certificate_problems(model: TameMinimalModel, k: int,
     n = len(model.grid)
     problems = []
     for r in range(n):
-        expect = sorted(g.name for g in gens if g.birth <= r and
-                        (g.death == INF or r < g.death))
+        expect = sorted(g.name for g in gens if g.bar().alive_at(r))
         got = sorted(g.name for g in model.algebras[r].generators if g.degree == k)
         if expect != got:
             problems.append(f"stage {r}: degree-{k} generators {got}, expected {expect}")

@@ -299,3 +299,50 @@ def test_python_m_entry_points(tmp_path, module):
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2
     assert "schema error" in proc.stderr
+
+
+def _degree_word(doc):
+    doc["stages"][0]["basis"][1]["degree"] = "two"
+    return doc
+
+
+def _null_images(doc):
+    doc["maps"][0]["images"] = None
+    return doc
+
+
+def _null_stages(doc):
+    doc["stages"] = None
+    return doc
+
+
+def _top_level_array(doc):
+    return [doc]
+
+
+def _deep_parentheses(doc):
+    doc["maps"][0]["images"]["a"] = "(" * 3000 + "a" + ")" * 3000
+    return doc
+
+
+@pytest.mark.parametrize("mutate", [_degree_word, _null_images, _null_stages,
+                                    _top_level_array, _deep_parentheses])
+def test_cli_malformed_input_is_one_line_schema_error(tmp_path, capsys, mutate):
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(mutate(fixture("sphere2"))))
+    rc = main(["build", "--input", str(f), "--output", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("schema error:"), err
+
+
+def test_cli_unexpected_exception_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
+    def boom(doc):
+        raise RuntimeError("unexpected\nfailure")
+
+    monkeypatch.setattr("pmm.cli.load_input", boom)
+    rc = main(["build", "--input", str(FIXTURES / "sphere2.json"),
+               "--output", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "internal error: RuntimeError: unexpected failure\n"

@@ -1,19 +1,44 @@
+import json
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
 from pmm.cdga import CdgaMorphism, FiniteCDGA, free_cdga, multiply
-from pmm.errors import ValidationError
+from pmm.errors import InternalError, ValidationError
 from pmm.homotopy import IntervalElement, cone
+from pmm.io import load_input
 from pmm.persistence import INF, Grid, interval_decompose
 from pmm.pminimal import (
-    PersistentCDGA, TameMinimalModel, build_persistent_minimal_model,
-    homotopy_barcode, indecomposables_module, presentation, surgery_step,
-    tame_cone, validate_model,
+    PersistentCDGA, TameMinimalModel, _verify_surgery,
+    build_persistent_minimal_model, homotopy_barcode, indecomposables_module,
+    presentation, surgery_step, tame_cone, validate_model,
 )
 
 CAP = 5
 ICAP = CAP + 2
+FIXTURES = Path(__file__).parent / "fixtures"
+TOWERS = ("example1_case1", "example1_case2", "example2", "example3",
+          "sphere2", "sphere3")
+
+
+def fixture_tower(name):
+    with open(FIXTURES / f"{name}.json") as fh:
+        return load_input(json.load(fh))
+
+
+def assert_tame_cone_shared_and_valid(model):
+    """The tame cone reads the model's own stage cones and is a valid complex.
+
+    The build assembles it without validating it again; this asserts that
+    check here.
+    """
+    tc, cones, maps = tame_cone(model)
+    assert cones is model.stage_cones()
+    for r, phi in enumerate(maps):
+        assert phi.source is cones[r]
+        assert phi.target is cones[r + 1]
+    tc.validate()
 
 
 def example_one(case=1, cap=CAP):
@@ -114,22 +139,42 @@ def test_trivial_tower():
 
 
 def test_tame_cone_acyclic_after_build():
-    model = build_persistent_minimal_model(example_one(1))
-    tc, cones = tame_cone(model)
-    for r in range(4):
-        for j in range(0, CAP + 1):
-            assert cones[r].h_dim(j) == 0
+    for tower in [example_one(1)] + [fixture_tower(name) for name in TOWERS]:
+        model = build_persistent_minimal_model(tower)
+        assert_tame_cone_shared_and_valid(model)
+        for c in model.stage_cones():
+            for j in range(0, tower.user_cap + 1):
+                assert c.h_dim(j) == 0
 
 
 def test_surgery_steps_are_connective():
-    a = example_one(1)
-    model = TameMinimalModel.trivial(a)
-    for k in range(2, CAP + 1):
+    for tower in [example_one(1)] + [fixture_tower(name) for name in TOWERS]:
+        model = TameMinimalModel.trivial(tower)
+        for k in range(2, tower.user_cap + 1):
+            model = surgery_step(model, k)
+            assert_tame_cone_shared_and_valid(model)
+            for r in range(len(tower.grid)):
+                c = cone(model.models[r])
+                for j in range(0, k + 1):
+                    assert c.h_dim(j) == 0
+
+
+def test_verify_surgery_rejects_broken_stage_model():
+    # d*d = 0 on a stage cone rests on the stage model commuting with d,
+    # which the post-surgery check verifies before it reads any cone.
+    model = TameMinimalModel.trivial(example_one(1))
+    for k in range(2, 4):
         model = surgery_step(model, k)
-        for r in range(len(a.grid)):
-            c = cone(model.models[r])
-            for j in range(0, k + 1):
-                assert c.h_dim(j) == 0
+    _verify_surgery(model, 3, [])
+    r, name = next((r, g.name) for r, m in enumerate(model.models)
+                   for g in m.domain.generators
+                   if g.degree == 3 and not m.gen_images[g.name].is_zero())
+    m = model.models[r]
+    images = dict(m.gen_images)
+    images[name] = images[name].scale(2)  # m(d x) stays, d m(x) doubles
+    model.models[r] = CdgaMorphism.on_generators(m.domain, m.codomain, images)
+    with pytest.raises(InternalError, match="d-compatibility"):
+        _verify_surgery(model, 3, [])
 
 
 def test_surgery_out_of_order_rejected():
