@@ -267,9 +267,7 @@ class FreeCDGA(_GradedAlgebra):
     # -- derived structure --------------------------------------------------
 
     def is_simply_connected(self) -> bool:
-        if any(g.degree == 0 for g in self.generators):
-            return False
-        return self.cohomology_space(1).dim == 0
+        return self.cohomology_space(1).dim == 0  # generators have degree >= 1
 
     def embed_terms(self, elem: CdgaElement, target: "FreeCDGA") -> CdgaElement:
         """Re-express an element in a free algebra whose generators extend ours."""

@@ -142,7 +142,9 @@ class _Parser:
                 self._check_power(tok, exp)
                 acc = self.algebra.one()
                 for _ in range(exp):
-                    acc = multiply(acc, base)
+                    acc, last = multiply(acc, base), acc
+                    if acc == last:  # fixed: zero past the degree cap, or the unit
+                        break
                 return acc
             return base
         raise ParseError(f"expected a factor, found {tok.value!r}",

@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 
 from .cdga import (
     Algebra, CdgaElement, CdgaMorphism, FreeCDGA, Monomial, differential,
-    free_cdga, multiply,
+    free_cdga, multiply, validate_morphism,
 )
 from .cochain import CohomologySpace, compute_cohomology
 from .errors import InternalError, ValidationError
@@ -226,7 +226,6 @@ class CdgaHomotopy:
 
     def endpoints(self) -> tuple[CdgaMorphism, CdgaMorphism]:
         """(eps_0 o H, eps_1 o H) as validated morphisms."""
-        from .cdga import validate_morphism
         f_imgs = {g.name: eval_at_0(self.assignment[g.name]) for g in self.domain.generators}
         g_imgs = {g.name: eval_at_1(self.assignment[g.name]) for g in self.domain.generators}
         f = CdgaMorphism.on_generators(self.domain, self.codomain, f_imgs)
@@ -383,12 +382,10 @@ class HomotopySquare:
 
 class ConeMap:
     """Cochain map C_m -> C_n induced by a homotopy-commutative square:
-    phi(v, a) = (u(v), w(a) + IH(v)), between the given cones of m and n."""
+    phi(v, a) = (u(v), w(a) + IH(v)), between the given cones of m and n.
+    The square is checked by its maker (HomotopySquare.validate, cone_map)."""
 
     def __init__(self, square: HomotopySquare, source: ConeComplex, target: ConeComplex):
-        problems = square.validate()
-        if problems:
-            raise ValidationError(f"square does not commute up to H: {problems[0]}")
         self.square = square
         self.source = source
         self.target = target
@@ -420,4 +417,8 @@ class ConeMap:
 
 
 def cone_map(square: HomotopySquare) -> ConeMap:
+    """The cone map of a square, after checking that it commutes up to H."""
+    problems = square.validate()
+    if problems:
+        raise ValidationError(f"square does not commute up to H: {problems[0]}")
     return ConeMap(square, cone(square.left), cone(square.right))

@@ -34,15 +34,17 @@ def _rational(s, where="") -> Fraction:
         raise SchemaError(f"bad rational {s!r} {where}: {exc}") from exc
 
 
-def _rational_str(q: Fraction) -> str:
-    return str(q)
-
-
 def _int(x, where: str) -> int:
-    try:
-        return int(x)
-    except (TypeError, ValueError) as exc:
-        raise SchemaError(f"bad integer {x!r} in {where}") from exc
+    if type(x) is not int:  # a JSON integer: not a bool, a float or a numeric string
+        raise SchemaError(f"bad integer {x!r} in {where}")
+    return x
+
+
+def _key(key: str, where: str) -> int:
+    """A nonnegative integer written as a JSON object key, such as "2"."""
+    if not key.isdecimal():
+        raise SchemaError(f"bad integer key {key!r} in {where}")
+    return int(key)
 
 
 def _need(doc, key: str, where: str, kind: type):
@@ -54,6 +56,11 @@ def _need(doc, key: str, where: str, kind: type):
         raise SchemaError(f"{key!r} in {where} must be a JSON "
                           f"{'array' if kind is list else 'object'}")
     return doc[key]
+
+
+def _optional(doc, key: str, where: str, kind: type):
+    """Like _need, but an absent key reads as an empty array or object."""
+    return kind() if isinstance(doc, dict) and key not in doc else _need(doc, key, where, kind)
 
 
 # -- input documents ---------------------------------------------------------
@@ -99,13 +106,13 @@ def _build_finite_stage(spec: dict, cap: int, where: str) -> FiniteCDGA:
     scratch = FiniteCDGA(basis={k: v for k, v in basis.items()}, unit=unit,
                          products={}, differential={}, degree_cap=cap)
     products = {}
-    for entry in spec.get("products", []):
+    for entry in _optional(spec, "products", where, list):
         left = _need(entry, "left", where, object)
         right = _need(entry, "right", where, object)
         value = parse_expression(str(_need(entry, "value", where, object)), scratch)
         products[(left, right)] = {scratch.label_of(k): c for k, c in value.terms.items()}
     differential = {}
-    for entry in spec.get("differentials", []):
+    for entry in _optional(spec, "differentials", where, list):
         lab = _need(entry, "of", where, object)
         value = parse_expression(str(_need(entry, "value", where, object)), scratch)
         differential[lab] = {scratch.label_of(k): c for k, c in value.terms.items()}
@@ -199,12 +206,13 @@ def load_pcomplex(doc: dict) -> PersistentComplex:
     labels = []
     for spec in stage_specs:
         basis = _need(spec, "basis", "complex stage", dict)
-        labels.append([list(basis.get(str(k), [])) for k in range(max_degree + 1)])
+        labels.append([list(_optional(basis, str(k), "complex stage", list))
+                       for k in range(max_degree + 1)])
     d = []
     for r, spec in enumerate(stage_specs):
         dd = {}
-        for key, rows in spec.get("d", {}).items():
-            k = _int(key, f"d of stage {r}")
+        for key, rows in _optional(spec, "d", "complex stage", dict).items():
+            k = _key(key, f"d of stage {r}")
             dd[k] = load_matrix(rows, len(labels[r][k + 1]), len(labels[r][k]),
                                 f"d({r},{k})")
         d.append(dd)
@@ -212,7 +220,7 @@ def load_pcomplex(doc: dict) -> PersistentComplex:
     for r, spec in enumerate(_need(doc, "maps", "complex", list)):
         ss = {}
         for key, rows in spec.items():
-            k = _int(key, f"map {r}")
+            k = _key(key, f"map {r}")
             ss[k] = load_matrix(rows, len(labels[r + 1][k]), len(labels[r][k]),
                                 f"sigma({r},{k})")
         sigma.append(ss)
@@ -230,7 +238,7 @@ def load_pcomplex_map(doc: dict) -> PComplexMap:
     for r, spec in enumerate(comp_specs):
         cc = {}
         for key, rows in spec.items():
-            k = _int(key, f"component {r}")
+            k = _key(key, f"component {r}")
             cc[k] = load_matrix(rows, target.dim(r, k), source.dim(r, k),
                                 f"component ({r},{k})")
         comps.append(cc)
@@ -247,8 +255,8 @@ def barcode_payload(bars, grid: Grid) -> list[dict]:
     for b in sorted(bars, key=Bar.sort_key):
         out.append({
             "degree": b.degree,
-            "birth": _rational_str(grid.times[b.birth]),
-            "death": None if b.death == INF else _rational_str(grid.times[int(b.death)]),
+            "birth": str(grid.times[b.birth]),
+            "death": None if b.death == INF else str(grid.times[int(b.death)]),
         })
     return out
 
@@ -258,8 +266,8 @@ def presentation_payload(model: TameMinimalModel) -> dict:
     return {
         "generators": [{
             "name": e.name, "degree": e.degree,
-            "birth": _rational_str(e.birth_time),
-            "death": None if e.death_time is None else _rational_str(e.death_time),
+            "birth": str(e.birth_time),
+            "death": None if e.death_time is None else str(e.death_time),
             "differential": e.differential,
             "endpoint": e.endpoint,
         } for e in pres.entries],
@@ -309,6 +317,15 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
     n = len(target.grid)
     icap = target.internal_cap
     entries = _need(spec, "generators", "model", list)
+    where = "model generator"
+    for e in entries:
+        for key in ("name", "d"):
+            _need(e, key, where, object)
+        _int(_need(e, "degree", where, object), where)
+        birth = _int(_need(e, "birth", where, object), where)
+        death = _need(e, "death", where, object)
+        if not 0 <= birth < n or (death is not None and not birth < _int(death, where) < n):
+            raise SchemaError(f"{where} {e['name']!r}: lifespan outside the grid")
 
     def alive(e, r):
         death = e["death"]
@@ -364,10 +381,11 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
         assignment = {}
         for name, parts in stage.items():
             cod = target.stages[r + 1]
-            poly = {int(k): parse_expression(str(src), cod)
-                    for k, src in parts.get("poly", {}).items()}
-            dt = {int(k): parse_expression(str(src), cod)
-                  for k, src in parts.get("dt", {}).items()}
+            where = f"homotopy {r} of {name!r}"
+            poly = {_key(k, where): parse_expression(str(src), cod)
+                    for k, src in _optional(parts, "poly", where, dict).items()}
+            dt = {_key(k, where): parse_expression(str(src), cod)
+                  for k, src in _optional(parts, "dt", where, dict).items()}
             assignment[name] = IntervalElement(cod, poly, dt)
         missing = {g.name for g in algebras[r].generators} - set(assignment)
         if missing:
@@ -386,7 +404,7 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
             "name": e["name"], "degree": e["degree"], "birth": e["birth"],
             "death": INF if e["death"] is None else e["death"], "v": v, "u": u})
     model = TameMinimalModel(target, algebras, sigmas, models, homotopies, records,
-                             int(spec.get("degree_cap", target.user_cap)))
+                             _int(spec.get("degree_cap", target.user_cap), "model"))
     return target, model
 
 

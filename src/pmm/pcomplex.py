@@ -31,8 +31,7 @@ class PersistentComplex:
     def __init__(self, grid: Grid, max_degree: int,
                  labels: Sequence[Sequence[Sequence[str]]],
                  d: Sequence[dict[int, QMatrix]],
-                 sigma: Sequence[dict[int, QMatrix]],
-                 check: bool = True):
+                 sigma: Sequence[dict[int, QMatrix]]):
         self.grid = grid
         self.max_degree = max_degree
         self.labels = [[list(degree_labels) for degree_labels in stage] for stage in labels]
@@ -46,8 +45,7 @@ class PersistentComplex:
         self._sigma = [dict(m) for m in sigma]
         if len(self._d) != n or len(self._sigma) != n - 1:
             raise ValidationError("need d per stage and sigma per consecutive pair")
-        if check:
-            self.validate()
+        self.validate()
 
     # -- shape ---------------------------------------------------------------
 
@@ -57,13 +55,9 @@ class PersistentComplex:
         return len(self.labels[r][k])
 
     def d_mat(self, r: int, k: int) -> QMatrix:
-        if k < 0 or k > self.max_degree:
-            return QMatrix.zero(self.dim(r, k + 1), 0)
         return self._d[r].get(k, QMatrix.zero(self.dim(r, k + 1), self.dim(r, k)))
 
     def sigma_mat(self, r: int, k: int) -> QMatrix:
-        if k < 0 or k > self.max_degree:
-            return QMatrix.zero(0, 0)
         return self._sigma[r].get(k, QMatrix.zero(self.dim(r + 1, k), self.dim(r, k)))
 
     def sigma_range(self, r1: int, r2: int, k: int) -> QMatrix:
@@ -119,23 +113,19 @@ def zero_complex(grid: Grid, max_degree: int) -> PersistentComplex:
     labels = [[[] for _ in range(max_degree + 1)] for _ in range(n)]
     return PersistentComplex(grid, max_degree, labels,
                              [dict() for _ in range(n)],
-                             [dict() for _ in range(n - 1)], check=False)
+                             [dict() for _ in range(n - 1)])
 
 
 def interval_complex(grid: Grid, k: int, s: int, t,
                      max_degree: Optional[int] = None) -> PersistentComplex:
     """The interval I^k_[s,t): one degree-k line alive on [s,t), zero d."""
     md = max_degree if max_degree is not None else max(k, 0)
-    x = zero_complex(grid, md)
-    for r in range(len(grid)):
-        if s <= r and (t == INF or r < t):
-            x.labels[r][k] = [f"i{k}"]
-    sigma = [dict() for _ in range(len(grid) - 1)]
-    for r in range(len(grid) - 1):
-        if s <= r and (t == INF or r + 1 < t):
-            sigma[r][k] = QMatrix.identity(1)
-    return PersistentComplex(grid, md, x.labels,
-                             [dict() for _ in range(len(grid))], sigma)
+    alive = [s <= r and (t == INF or r < t) for r in range(len(grid))]
+    labels = [[[f"i{k}"] if deg == k and live else [] for deg in range(md + 1)]
+              for live in alive]
+    sigma = [{k: QMatrix.identity(1)} if alive[r] and alive[r + 1] else {}
+             for r in range(len(grid) - 1)]
+    return PersistentComplex(grid, md, labels, [{} for _ in alive], sigma)
 
 
 def interval_sphere(grid: Grid, k: int, s: int, t,
@@ -183,36 +173,36 @@ def _cell(grid: Grid, k: int, s: int, t, max_degree: Optional[int]) -> Persisten
     return PersistentComplex(grid, md, labels, d, sigma)
 
 
-def cohomology_module(x: PersistentComplex, k: int,
+def cohomology_module(grid: Grid, sigmas: Sequence[QMatrix],
                       spaces: Sequence[CohomologySpace]) -> PersistenceModule:
-    """The persistence module of per-stage cohomology spaces in degree k of x.
+    """The persistence module of per-stage cohomology spaces in one degree.
 
-    spaces[r] is a space of classes of cocycles in x^k(r); the module map
-    sends each class representative at r through sigma(r, k) to its class at
+    spaces[r] is a space of classes of cocycles at stage r; the module map
+    sends each class representative at r through sigmas[r] to its class at
     r + 1.
     """
     dims = tuple(sp.dim for sp in spaces)
     maps = tuple(QMatrix.from_columns(
-        [spaces[r + 1].class_of(x.sigma_mat(r, k).apply(rep)) for rep in spaces[r].reps],
+        [spaces[r + 1].class_of(sigmas[r].apply(rep)) for rep in spaces[r].reps],
         dims[r + 1]) for r in range(len(spaces) - 1))
-    return PersistenceModule(x.grid, dims, maps)
+    return PersistenceModule(grid, dims, maps)
 
 
-def bar_sections(x: PersistentComplex, k: int, spaces: Sequence[CohomologySpace]
+def bar_sections(grid: Grid, sigmas: Sequence[QMatrix], spaces: Sequence[CohomologySpace]
                  ) -> tuple[list[Bar], list[BarRepresentative], list[dict[int, Vector]]]:
-    """Interval decomposition of cohomology_module(x, k, spaces) with sections.
+    """Interval decomposition of cohomology_module(grid, sigmas, spaces) with sections.
 
-    For each bar, the section maps every stage of its support to a cocycle
-    in x^k: the representative of the bar's class at birth, pushed along the
-    structure maps.  Each pushed cocycle is checked to stay in its bar class.
+    For each bar, the section maps every stage of its support to a cocycle:
+    the representative of the bar's class at birth, pushed along sigmas.
+    Each pushed cocycle is checked to stay in its bar class.
     """
-    bars, reps = interval_decompose(cohomology_module(x, k, spaces))
+    bars, reps = interval_decompose(cohomology_module(grid, sigmas, spaces))
     sections = []
     for bar, rep in zip(bars, reps):
         last = len(spaces) - 1 if bar.death == INF else int(bar.death) - 1
         z = {bar.birth: spaces[bar.birth].rep_of_class(rep.vectors[bar.birth])}
         for r in range(bar.birth + 1, last + 1):
-            z[r] = x.sigma_mat(r - 1, k).apply(z[r - 1])
+            z[r] = sigmas[r - 1].apply(z[r - 1])
             if spaces[r].class_of(z[r]) != rep.vectors[r]:
                 raise InternalError("propagated cocycle leaves its bar class")
         sections.append(z)
@@ -225,7 +215,9 @@ def cohomology(x: PersistentComplex, k: int) -> PersistenceModule:
     At k = max_degree the outgoing differential is not stored, so the result
     is kernel-only and flagged `truncated_top`.
     """
-    module = cohomology_module(x, k, [x.cohomology_space(r, k) for r in range(len(x.grid))])
+    n = len(x.grid)
+    module = cohomology_module(x.grid, [x.sigma_mat(r, k) for r in range(n - 1)],
+                               [x.cohomology_space(r, k) for r in range(n)])
     if k == x.max_degree:
         module.truncated_top = True
     return module
@@ -379,18 +371,15 @@ class PComplexMap:
     with differentials and structure maps."""
 
     def __init__(self, source: PersistentComplex, target: PersistentComplex,
-                 components: Sequence[dict[int, QMatrix]], check: bool = True):
+                 components: Sequence[dict[int, QMatrix]]):
         if source.grid != target.grid:
             raise ValidationError("map needs a common grid")
         self.source = source
         self.target = target
         self.components = [dict(c) for c in components]
-        if check:
-            self.validate()
+        self.validate()
 
     def mat(self, r: int, k: int) -> QMatrix:
-        if k < 0 or k > max(self.source.max_degree, self.target.max_degree):
-            return QMatrix.zero(self.target.dim(r, k), self.source.dim(r, k))
         return self.components[r].get(
             k, QMatrix.zero(self.target.dim(r, k), self.source.dim(r, k)))
 
@@ -417,7 +406,7 @@ class PComplexMap:
     def identity(cls, x: PersistentComplex) -> "PComplexMap":
         comps = [{k: QMatrix.identity(x.dim(r, k)) for k in range(x.max_degree + 1)}
                  for r in range(len(x.grid))]
-        return cls(x, x, comps, check=False)
+        return cls(x, x, comps)
 
 
 @dataclass
@@ -633,7 +622,8 @@ def factor_cofibration(i_map: PComplexMap) -> FactorizationCertificate:
                     d_out = QMatrix.zero(0, y.dim(r, k))
                     sub_cols = iota[r][k]
                 spaces.append(compute_cohomology(d_out, sub_cols))
-            bars, _, sections = bar_sections(y, k, spaces)
+            bars, _, sections = bar_sections(
+                y.grid, [y.sigma_mat(r, k) for r in range(n - 1)], spaces)
             for idx, (bar, lift) in enumerate(zip(bars, sections)):
                 batch_all.append((SphereMapData(
                     degree=k + 1, birth=bar.birth, death=bar.death,

@@ -1,25 +1,24 @@
 """Persistent minimal models of tame persistent CDGAs.
 
-The builder sweeps degrees 2..cap.  At degree k it assembles the tame cone
-(stage mapping cones glued by the atomic homotopies), decomposes its k-th
-cohomology into interval summands with exactly-propagated sections, and
-attaches one persistent generator per bar: the section's cone cocycle gives
-the birth differential and the stage model values; at a finite death the
-propagated cocycle is bounded by a deterministic solve whose two components
-become the endpoint image and the homotopy correction term.
+The builder sweeps degrees 2..cap.  At degree k it reads H^k of the tame cone
+(stage mapping cones glued by the cone maps of the atomic homotopies) from the
+stage cones and the degree-k cone maps, decomposes it into interval summands
+with exactly-propagated sections, and attaches one persistent generator per
+bar: the section's cone cocycle gives the birth differential and the stage
+model values; at a finite death the propagated cocycle is bounded by a
+deterministic solve whose two components become the endpoint image and the
+homotopy correction term.
 
 Stage algebras carry an internal degree cap two above the requested cap:
 degree-cap surgery reads cone cocycles one degree up, whose cocycle
 condition reads one degree further.
 
-Verification: where the build checks each invariant [validate_model's audit].
-- minimality: _verify_surgery [minimality]
-- stage models and structure maps are CDGA maps: _verify_surgery [structure]
-- H runs from bottom o left to right o top: HomotopySquare.validate in
-  _verify_surgery and ConeMap; integration identity: _verify_surgery [homotopy_identities]
-- stage cones acyclic through k: _verify_surgery on stage_cones() [connectivity, fresh cones]
-- tame cone: d*d = 0 on the free model (FreeCDGA, hirsch_extend) and target (load) and
-  [structure] give d*d = 0; ConeMap.check_chain_map gives d sigma = sigma d
+Verification (README "Verification" has each invariant), build check [audit key]:
+- minimality, CDGA maps, squares (HomotopySquare.validate), integration identity,
+  stage cones acyclic through k: _verify_surgery [minimality, structure,
+  homotopy_identities, connectivity]; stage_cones() reuses a cone only while its
+  model map is the same object, so validate_model reads the build's cones
+- d sigma = sigma d: ConeMap.check_chain_map, which trusts its square
 - bars die exactly: the death-solve, bar_sections [endpoint_law, hirsch_certificates]
 """
 from __future__ import annotations
@@ -126,7 +125,7 @@ class TameMinimalModel:
         self.homotopies = homotopies
         self.gen_records = gen_records
         self.degree_done = degree_done
-        self._cones: Optional[list[ConeComplex]] = None
+        self._cones = [cone(m) for m in models]
 
     @classmethod
     def trivial(cls, target: PersistentCDGA) -> "TameMinimalModel":
@@ -166,10 +165,14 @@ class TameMinimalModel:
         return out
 
     def stage_cones(self) -> list[ConeComplex]:
-        """The mapping cone of each stage model, built once and shared by every reader."""
-        if self._cones is None:
-            self._cones = [cone(m) for m in self.models]
+        """The mapping cone of each stage model, reused while models[r] is the same object."""
+        self._cones = [c if c.m is m else cone(m) for c, m in zip(self._cones, self.models)]
         return self._cones
+
+    def cone_maps(self) -> list[ConeMap]:
+        """The cone map of each stage square; ConeMap trusts it (_verify_surgery checks it)."""
+        squares, cones = self.stage_squares(), self.stage_cones()
+        return [ConeMap(sq, cones[r], cones[r + 1]) for r, sq in enumerate(squares)]
 
     def stage_squares(self) -> list[HomotopySquare]:
         return [HomotopySquare(top=self.sigmas[r], bottom=self.target.maps[r],
@@ -182,31 +185,19 @@ def tame_cone(model: TameMinimalModel
               ) -> tuple[PersistentComplex, list[ConeComplex], list[ConeMap]]:
     """The persistent complex of stage cones glued by the homotopy cone maps.
 
-    Returns the complex together with the per-stage ConeComplex objects whose
-    packing order defines the complex's coordinates (degree -1 is dropped in
-    the persistent rendering; stage cones keep it for honest H^0), and the
-    cone maps between them.  It is not validated again (see Verification).
+    Returns the validated complex together with the per-stage ConeComplex
+    objects whose packing order defines its coordinates (degree -1 is dropped
+    in the persistent rendering; stage cones keep it for honest H^0), and the
+    cone maps between them.  The build reads the cones and maps directly.
     """
-    n = len(model.grid)
-    cones = model.stage_cones()
-    maps = [ConeMap(sq, cones[r], cones[r + 1])
-            for r, sq in enumerate(model.stage_squares())]
-    max_degree = model.target.internal_cap - 1
-    labels = []
-    for r in range(n):
-        stage = []
-        for deg in range(max_degree + 1):
-            dom = model.algebras[r]
-            tgt = model.target.stages[r]
-            stage.append([f"M:{dom.key_repr(key)}" for key in dom.basis_keys(deg + 1)]
-                         + [f"A:{tgt.key_repr(key)}" for key in tgt.basis_keys(deg)])
-        labels.append(stage)
-    d = [{deg: cones[r].d_matrix(deg) for deg in range(max_degree + 1)}
-         for r in range(n)]
-    sigma = [{deg: maps[r].matrix(deg) for deg in range(max_degree + 1)}
-             for r in range(n - 1)]
-    tc = PersistentComplex(model.grid, max_degree, labels, d, sigma, check=False)
-    return tc, cones, maps
+    cones, maps = model.stage_cones(), model.cone_maps()
+    degrees = range(model.target.internal_cap)
+    labels = [[[f"M:{c.domain.key_repr(key)}" for key in c.domain.basis_keys(deg + 1)]
+               + [f"A:{c.target.key_repr(key)}" for key in c.target.basis_keys(deg)]
+               for deg in degrees] for c in cones]
+    d = [{deg: c.d_matrix(deg) for deg in degrees} for c in cones]
+    sigma = [{deg: phi.matrix(deg) for deg in degrees} for phi in maps]
+    return PersistentComplex(model.grid, degrees[-1], labels, d, sigma), cones, maps
 
 
 def surgery_step(model: TameMinimalModel, k: int) -> TameMinimalModel:
@@ -214,10 +205,10 @@ def surgery_step(model: TameMinimalModel, k: int) -> TameMinimalModel:
     if k != model.degree_done + 1:
         raise ValidationError(f"surgery degree {k} out of order "
                               f"(done through {model.degree_done})")
-    n = len(model.grid)
-    tc, cones, _ = tame_cone(model)
-    spaces = [tc.cohomology_space(r, k) for r in range(n)]
-    bars, reps, sections = bar_sections(tc, k, spaces)
+    cones = model.stage_cones()
+    sigmas = [phi.matrix(k) for phi in model.cone_maps()]
+    spaces = [c.cohomology_space(k) for c in cones]
+    bars, reps, sections = bar_sections(model.grid, sigmas, spaces)
 
     order = sorted(range(len(bars)), key=lambda i: (
         bars[i].birth, bars[i].death == INF, bars[i].death,
@@ -231,7 +222,7 @@ def surgery_step(model: TameMinimalModel, k: int) -> TameMinimalModel:
         u_elem = None
         b_elem = None
         if q != INF:
-            pushed = tc.sigma_mat(int(q) - 1, k).apply(z[int(q) - 1])
+            pushed = sigmas[int(q) - 1].apply(z[int(q) - 1])
             sol = solve(cones[int(q)].d_matrix(k - 1), pushed)
             if sol is None:
                 raise InternalError("dead bar class fails to bound at its death")
@@ -445,7 +436,7 @@ def validate_model(model: TameMinimalModel,
     report["minimality"] = {"status": "pass" if not failures else "fail",
                             "failures": failures}
 
-    failures = connectivity_failures([cone(m) for m in model.models], cap)
+    failures = connectivity_failures(model.stage_cones(), cap)
     report["connectivity"] = {"status": "pass" if not failures else "fail",
                               "checked_through_degree": cap, "failures": failures}
 

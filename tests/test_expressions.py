@@ -34,6 +34,27 @@ def test_parse_koszul_normalization():
     assert e == multiply(m.gen("a"), m.gen("y")).scale(Fraction(1, 2))
 
 
+def test_parse_power_stops_once_fixed(monkeypatch):
+    # A power stops multiplying once the product no longer changes: past the
+    # degree cap it is zero, and a power of the unit is the unit.
+    m = algebra()
+    s2 = FiniteCDGA(basis={0: ["one"], 2: ["alpha"]}, unit="one",
+                    products={("alpha", "alpha"): {}}, differential={}, degree_cap=6)
+    a3 = parse_expression("a^3", m)
+    assert a3 == multiply(multiply(m.gen("a"), m.gen("a")), m.gen("a"))
+    calls = []
+
+    def counting(x, y):
+        calls.append(1)
+        return multiply(x, y)
+
+    monkeypatch.setattr("pmm.expressions.multiply", counting)
+    assert parse_expression("a^3", m) == a3
+    assert parse_expression("a^1000000000000", m).is_zero()
+    assert parse_expression("one^1000000000000", s2) == s2.one()
+    assert len(calls) < 20
+
+
 def test_parse_odd_power_rejected():
     m = algebra()
     with pytest.raises(ParseError):

@@ -1,8 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
 
 from pmm.cdga import CdgaMorphism, free_cdga, multiply
+from pmm.errors import InternalError, ValidationError
 from pmm.exactla import QMatrix, rank
 from pmm.homotopy import (
     CdgaHomotopy, HomotopySquare, IntervalElement,
@@ -209,6 +211,30 @@ def test_cone_map_identity_square():
     phi = cone_map(sq)
     for n in range(-1, 5):
         assert phi.matrix(n) == QMatrix.identity(phi.source.dim(n))
+
+
+def test_cone_map_rejects_square_not_starting_at_bottom_left():
+    # H is constant at u, but bottom o left = w with w(a) = 2c, w(y) = 4z.
+    m, b = sphere_map_square()
+    u = CdgaMorphism.on_generators(m, b, {"a": b.gen("c"), "y": b.gen("z")})
+    w = CdgaMorphism.on_generators(m, b, {"a": b.gen("c").scale(2),
+                                          "y": b.gen("z").scale(4)})
+    sq = HomotopySquare(top=w, bottom=w, left=CdgaMorphism.identity(m),
+                        right=CdgaMorphism.identity(b), homotopy=CdgaHomotopy.constant(u))
+    with pytest.raises(ValidationError, match="homotopy start mismatch on a"):
+        cone_map(sq)
+
+
+def test_check_chain_map_rejects_altered_matrix():
+    m, _ = sphere_map_square()
+    ident = CdgaMorphism.identity(m)
+    phi = cone_map(HomotopySquare(top=ident, bottom=ident, left=ident, right=ident,
+                                  homotopy=CdgaHomotopy.constant(ident)))
+    rows = [list(row) for row in phi.matrix(1).data]
+    rows[0][0] += 1
+    phi._mat_cache[1] = QMatrix(len(rows), len(rows[0]), rows)
+    with pytest.raises(InternalError, match="cone map fails to be a cochain map"):
+        phi.check_chain_map()
 
 
 def test_cone_long_exact_sequence_ranks():

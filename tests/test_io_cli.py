@@ -325,12 +325,62 @@ def _deep_parentheses(doc):
     return doc
 
 
+def _null_products(doc):
+    doc["stages"][1]["products"] = None
+    return doc
+
+
+def _null_differentials(doc):
+    doc["stages"][1]["differentials"] = None
+    return doc
+
+
+def _fractional_degree(doc):
+    doc["stages"][0]["basis"][1]["degree"] = 2.5
+    return doc
+
+
+def _string_cap(doc):
+    doc["degree_cap"] = "5"
+    return doc
+
+
+def _built_model(name):
+    doc = fixture(name)
+    model = build_persistent_minimal_model(load_input(doc))
+    return json.loads(json.dumps(model_payload(model, doc)))
+
+
+def _null_poly(doc):
+    model = _built_model("example1_case1")
+    model["model"]["homotopies"][0]["x2_0"]["poly"] = None
+    return model
+
+
+def _null_generator(doc):
+    model = _built_model("example1_case1")
+    model["model"]["generators"][1] = None
+    return model
+
+
+def _string_birth(doc):
+    model = _built_model("example1_case1")
+    model["model"]["generators"][0]["birth"] = "0"
+    return model
+
+
 @pytest.mark.parametrize("mutate", [_degree_word, _null_images, _null_stages,
-                                    _top_level_array, _deep_parentheses])
+                                    _top_level_array, _deep_parentheses,
+                                    _null_products, _null_differentials,
+                                    _fractional_degree, _string_cap,
+                                    _null_poly, _null_generator, _string_birth])
 def test_cli_malformed_input_is_one_line_schema_error(tmp_path, capsys, mutate):
+    # Mutations of sphere2.json go to `build`; those of a built model to `check`.
+    bad = mutate(fixture("sphere2"))
     f = tmp_path / "bad.json"
-    f.write_text(json.dumps(mutate(fixture("sphere2"))))
-    rc = main(["build", "--input", str(f), "--output", str(tmp_path)])
+    f.write_text(json.dumps(bad))
+    command = "check" if "model" in bad else "build"
+    rc = main([command, "--input", str(f), "--output", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("schema error:"), err
