@@ -7,13 +7,13 @@ representatives from quotient_basis in cocycle coordinates.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .errors import InternalError
 from .exactla import (
-    QMatrix, Vector, column_space_basis, express_in_basis, kernel_basis,
-    lin_comb, quotient_basis, solve,
+    QMatrix, Vector, column_space_basis, hstack, is_zero_vec, lin_comb,
+    quotient_basis, rref,
 )
 
 
@@ -25,22 +25,34 @@ class CohomologySpace:
     cocycles: list[Vector]          # basis of Z, ambient coordinates
     boundaries: list[Vector]        # basis of B, ambient coordinates
     reps: list[Vector]              # class representatives, ambient coordinates
+    _solver: Optional[tuple[QMatrix, QMatrix]] = field(
+        default=None, init=False, repr=False, compare=False)
 
     @property
     def dim(self) -> int:
         return len(self.reps)
 
     def class_of(self, z: Sequence) -> Vector:
-        """H-coordinates of a cocycle z; raises if z is not a cocycle."""
+        """H-coordinates of a cocycle z; raises if z is not a cocycle.
+
+        The first call reduces [reps | boundaries | I] to [[I; 0] | E], once
+        per space: reps ++ boundaries is a basis of Z.  E·z then holds z's
+        unique coordinates above and vanishes below exactly when z is in Z.
+        """
         if self.ambient_dim == 0:
             if any(x != 0 for x in z):
                 raise InternalError("class_of: nonzero vector in zero space")
             return ()
-        m = QMatrix.from_columns(self.reps + self.boundaries, self.ambient_dim)
-        coords = solve(m, z)
-        if coords is None:
+        if self._solver is None:
+            n, h = self.ambient_dim, len(self.reps)
+            p = h + len(self.boundaries)
+            basis = QMatrix.from_columns(self.reps + self.boundaries, n)
+            e = [row[p:] for row in rref(hstack([basis, QMatrix.identity(n)])).reduced.data]
+            self._solver = QMatrix(h, n, e[:h]), QMatrix(n - p, n, e[p:])
+        coords, consistency = self._solver
+        if not is_zero_vec(consistency.apply(z)):
             raise InternalError("class_of: vector is not a cocycle")
-        return coords[: len(self.reps)]
+        return coords.apply(z)
 
     def rep_of_class(self, h: Sequence) -> Vector:
         """Ambient cocycle representing the class with H-coordinates h."""
@@ -48,13 +60,16 @@ class CohomologySpace:
 
 
 def compute_cohomology(d_out: QMatrix, d_in: Optional[QMatrix]) -> CohomologySpace:
-    z = kernel_basis(d_out)
+    r = rref(d_out)
+    z, free = r.kernel_basis(), r.free_columns()
     b = column_space_basis(d_in) if d_in is not None else []
     dim = d_out.cols
     b_in_z = []
     for vb in b:
-        coords = express_in_basis(z, vb, dim) if z else None
-        if coords is None:
+        # z[i] is 1 at free[i] and 0 at the other free columns, so vb's only
+        # candidate Z-coordinates are its entries there.
+        coords = tuple(vb[f] for f in free)
+        if lin_comb(coords, z, dim) != vb:
             raise InternalError("boundary is not a cocycle: d*d != 0 upstream")
         b_in_z.append(coords)
     reps = [lin_comb(unit, z, dim) for unit in quotient_basis(b_in_z, len(z))]

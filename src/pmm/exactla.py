@@ -1,9 +1,10 @@
 """Exact linear algebra over Q.
 
 Rationals are `fractions.Fraction` (arbitrary precision, canonical reduced
-form, positive denominator).  Matrices are immutable and dense; every
-operation is pure and deterministic, so representative choices made
-downstream are reproducible bit-for-bit.
+form, positive denominator).  Matrices are immutable and stored dense, but
+the kernels (`@`, `apply`, `rref`) touch only nonzero entries: the matrices
+of this engine are mostly zeros.  Every operation is pure and deterministic,
+so representative choices made downstream are reproducible bit-for-bit.
 """
 from __future__ import annotations
 
@@ -69,9 +70,14 @@ class QMatrix:
                     f"shape mismatch: want {rows}x{cols}, got "
                     f"{len(data)} rows of lengths {sorted({len(r) for r in data})}"
                 )
-        self.rows = rows
-        self.cols = cols
-        self.data = data
+        self.rows, self.cols, self.data = rows, cols, data
+
+    @classmethod
+    def _of(cls, rows: int, cols: int, data: tuple) -> "QMatrix":
+        """A matrix whose rows are already tuples of Fractions of the right shape."""
+        m = object.__new__(cls)
+        m.rows, m.cols, m.data = rows, cols, data
+        return m
 
     @classmethod
     def from_rows(cls, entries: Sequence[Sequence]) -> "QMatrix":
@@ -96,32 +102,32 @@ class QMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i][j]
 
-    def row(self, i: int) -> Vector:
-        return self.data[i]
-
     def column(self, j: int) -> Vector:
         return tuple(r[j] for r in self.data)
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
 
-    def transpose(self) -> "QMatrix":
-        return QMatrix(self.cols, self.rows,
-                       [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
-
     def apply(self, v: Sequence) -> Vector:
         v = vec(v)
         if len(v) != self.cols:
             raise ValueError(f"apply: length {len(v)} vs {self.rows}x{self.cols}")
-        return tuple(sum((r[j] * v[j] for j in range(self.cols)), ZERO) for r in self.data)
+        nz = [(j, x) for j, x in enumerate(v) if x]
+        return tuple(sum((r[j] * x for j, x in nz if r[j]), ZERO) for r in self.data)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        ot = other.transpose()
-        return QMatrix(self.rows, other.cols,
-                       [[sum((a * b for a, b in zip(r, c)), ZERO) for c in ot.data]
-                        for r in self.data])
+        nz = [[(j, x) for j, x in enumerate(r) if x] for r in other.data]
+        out = []
+        for r in self.data:
+            acc = [ZERO] * other.cols
+            for a, pairs in zip(r, nz):
+                if a:
+                    for j, x in pairs:
+                        acc[j] += a * x
+            out.append(tuple(acc))
+        return QMatrix._of(self.rows, other.cols, tuple(out))
 
     def scale(self, c) -> "QMatrix":
         c = frac(c)
@@ -179,36 +185,52 @@ class RrefResult:
     pivots: tuple[int, ...]
     rank: int
 
+    def free_columns(self) -> list[int]:
+        return [j for j in range(self.reduced.cols) if j not in self.pivots]
+
+    def kernel_basis(self) -> list[Vector]:
+        """Kernel basis: for each free column f in order, the vector that is 1
+        at f, 0 at the other free columns and minus column f at the pivots."""
+        basis = []
+        for f in self.free_columns():
+            v = [ZERO] * self.reduced.cols
+            v[f] = ONE
+            for i, p in enumerate(self.pivots):
+                v[p] = -self.reduced.data[i][f]
+            basis.append(tuple(v))
+        return basis
+
 
 def rref(m: QMatrix) -> RrefResult:
     """Unique reduced row echelon form.
 
     Pivot search scans columns left to right, rows top to bottom; pivots are
-    normalized to 1 and cleared above and below.
+    normalized to 1 and cleared above and below.  Left of its pivot column
+    the pivot row is zero, so each elimination touches only the pivot row's
+    nonzero columns.
     """
     a = [list(r) for r in m.data]
     pivots: list[int] = []
-    pr = 0
     for pc in range(m.cols):
-        sel = None
-        for i in range(pr, m.rows):
-            if a[i][pc] != 0:
-                sel = i
-                break
+        pr = len(pivots)
+        sel = next((i for i in range(pr, m.rows) if a[i][pc]), None)
         if sel is None:
             continue
         a[pr], a[sel] = a[sel], a[pr]
-        inv = ONE / a[pr][pc]
-        a[pr] = [x * inv for x in a[pr]]
-        for i in range(m.rows):
-            if i != pr and a[i][pc] != 0:
-                c = a[i][pc]
-                a[i] = [x - c * y for x, y in zip(a[i], a[pr])]
+        if a[pr][pc] != 1:
+            inv = ONE / a[pr][pc]
+            a[pr] = [x * inv if x else x for x in a[pr]]
+        nz = [(j, a[pr][j]) for j in range(pc, m.cols) if a[pr][j]]
+        for i, row in enumerate(a):
+            c = row[pc]
+            if c and i != pr:
+                for j, y in nz:
+                    row[j] -= c * y
         pivots.append(pc)
-        pr += 1
-        if pr == m.rows:
+        if pr + 1 == m.rows:
             break
-    return RrefResult(QMatrix(m.rows, m.cols, a), tuple(pivots), len(pivots))
+    return RrefResult(QMatrix._of(m.rows, m.cols, tuple(map(tuple, a))),
+                      tuple(pivots), len(pivots))
 
 
 def rank(m: QMatrix) -> int:
@@ -235,17 +257,7 @@ def solve(a: QMatrix, b: Sequence) -> Optional[Vector]:
 
 def kernel_basis(a: QMatrix) -> list[Vector]:
     """Basis of ker(a), one vector per free column of the rref, in column order."""
-    r = rref(a)
-    pivot_set = set(r.pivots)
-    free = [j for j in range(a.cols) if j not in pivot_set]
-    basis = []
-    for f in free:
-        v = [ZERO] * a.cols
-        v[f] = ONE
-        for i, p in enumerate(r.pivots):
-            v[p] = -r.reduced.entry(i, f)
-        basis.append(tuple(v))
-    return basis
+    return rref(a).kernel_basis()
 
 
 def column_space_basis(a: QMatrix) -> list[Vector]:
@@ -313,7 +325,7 @@ class AdaptedSplit:
 def adapted_split(psi: QMatrix) -> AdaptedSplit:
     r = rref(psi)
     coim = [unit_vec(psi.cols, p) for p in r.pivots]
-    ker = kernel_basis(psi)
+    ker = r.kernel_basis()
     img = [psi.column(p) for p in r.pivots]
     coker = quotient_basis(img, psi.rows)
     dom = QMatrix.from_columns(coim + ker, psi.cols)

@@ -40,9 +40,9 @@ def _int(x, where: str) -> int:
     return x
 
 
-def _key(key: str, where: str) -> int:
-    """A nonnegative integer written as a JSON object key, such as "2"."""
-    if not key.isdecimal():
+def _key(key: str, where: str, top: float = float("inf")) -> int:
+    """An integer in 0..top written as a JSON object key, such as "2"."""
+    if not key.isdecimal() or int(key) > top:
         raise SchemaError(f"bad integer key {key!r} in {where}")
     return int(key)
 
@@ -56,6 +56,14 @@ def _need(doc, key: str, where: str, kind: type):
         raise SchemaError(f"{key!r} in {where} must be a JSON "
                           f"{'array' if kind is list else 'object'}")
     return doc[key]
+
+
+def _objects(doc, key: str, where: str, count: int) -> list:
+    """The array doc[key], which must hold exactly `count` JSON objects."""
+    items = _need(doc, key, where, list)
+    if len(items) != count or not all(isinstance(x, dict) for x in items):
+        raise SchemaError(f"{key!r} in {where} must be {count} JSON objects")
+    return items
 
 
 def _optional(doc, key: str, where: str, kind: type):
@@ -152,9 +160,7 @@ def load_input(doc: dict) -> PersistentCDGA:
     if user_cap < 2:
         raise SchemaError("degree_cap must be at least 2")
     cap = user_cap + INTERNAL_HEADROOM
-    stage_specs = _need(doc, "stages", "input", list)
-    if len(stage_specs) != len(grid):
-        raise SchemaError("stages must match grid length")
+    stage_specs = _objects(doc, "stages", "input", len(grid))
     stages = []
     for r, spec in enumerate(stage_specs):
         where = f"stage {r}"
@@ -165,9 +171,7 @@ def load_input(doc: dict) -> PersistentCDGA:
             stages.append(_build_finite_stage(spec, cap, where))
         else:
             raise SchemaError(f"{where}: unknown stage type {kind!r}")
-    map_specs = _need(doc, "maps", "input", list)
-    if len(map_specs) != len(grid) - 1:
-        raise SchemaError("maps must cover consecutive stage pairs")
+    map_specs = _objects(doc, "maps", "input", len(grid) - 1)
     maps = [_build_stage_map(spec, stages[r], stages[r + 1], f"map {r}")
             for r, spec in enumerate(map_specs)]
     return PersistentCDGA(grid, stages, maps, user_cap)
@@ -200,9 +204,7 @@ def load_persistence_module(doc: dict) -> PersistenceModule:
 def load_pcomplex(doc: dict) -> PersistentComplex:
     grid = load_grid(_need(doc, "grid", "complex", list))
     max_degree = _int(_need(doc, "max_degree", "complex", object), "complex")
-    stage_specs = _need(doc, "stages", "complex", list)
-    if len(stage_specs) != len(grid):
-        raise SchemaError("stages must match grid length")
+    stage_specs = _objects(doc, "stages", "complex", len(grid))
     labels = []
     for spec in stage_specs:
         basis = _need(spec, "basis", "complex stage", dict)
@@ -212,15 +214,15 @@ def load_pcomplex(doc: dict) -> PersistentComplex:
     for r, spec in enumerate(stage_specs):
         dd = {}
         for key, rows in _optional(spec, "d", "complex stage", dict).items():
-            k = _key(key, f"d of stage {r}")
+            k = _key(key, f"d of stage {r}", max_degree - 1)
             dd[k] = load_matrix(rows, len(labels[r][k + 1]), len(labels[r][k]),
                                 f"d({r},{k})")
         d.append(dd)
     sigma = []
-    for r, spec in enumerate(_need(doc, "maps", "complex", list)):
+    for r, spec in enumerate(_objects(doc, "maps", "complex", len(grid) - 1)):
         ss = {}
         for key, rows in spec.items():
-            k = _key(key, f"map {r}")
+            k = _key(key, f"map {r}", max_degree)
             ss[k] = load_matrix(rows, len(labels[r + 1][k]), len(labels[r][k]),
                                 f"sigma({r},{k})")
         sigma.append(ss)
@@ -233,12 +235,12 @@ def load_pcomplex(doc: dict) -> PersistentComplex:
 def load_pcomplex_map(doc: dict) -> PComplexMap:
     source = load_pcomplex(_need(doc, "source", "map document", dict))
     target = load_pcomplex(_need(doc, "target", "map document", dict))
-    comp_specs = _need(doc, "components", "map document", list)
+    comp_specs = _objects(doc, "components", "map document", len(source.grid))
     comps = []
     for r, spec in enumerate(comp_specs):
         cc = {}
         for key, rows in spec.items():
-            k = _key(key, f"component {r}")
+            k = _key(key, f"component {r}", source.max_degree)
             cc[k] = load_matrix(rows, target.dim(r, k), source.dim(r, k),
                                 f"component ({r},{k})")
         comps.append(cc)
@@ -368,7 +370,7 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
         prev = alg
 
     models = []
-    for r, stage in enumerate(_need(spec, "stage_models", "model", list)):
+    for r, stage in enumerate(_objects(spec, "stage_models", "model", n)):
         images = {name: parse_expression(str(src), target.stages[r])
                   for name, src in stage.items()}
         missing = {g.name for g in algebras[r].generators} - set(images)
@@ -377,7 +379,7 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
         models.append(CdgaMorphism.on_generators(algebras[r], target.stages[r], images))
 
     homotopies = []
-    for r, stage in enumerate(_need(spec, "homotopies", "model", list)):
+    for r, stage in enumerate(_objects(spec, "homotopies", "model", n - 1)):
         assignment = {}
         for name, parts in stage.items():
             cod = target.stages[r + 1]

@@ -1,9 +1,15 @@
 import random
 from fractions import Fraction
 
+import pytest
+
+from pmm import cochain
+from pmm.cochain import compute_cohomology
+from pmm.errors import InternalError
 from pmm.exactla import (
-    QMatrix, adapted_split, express_in_basis, invert, kernel_basis,
-    quotient_basis, rank, rref, solve, unit_vec, vec,
+    ONE, ZERO, QMatrix, RrefResult, adapted_split, express_in_basis, hstack,
+    invert, kernel_basis, lin_comb, quotient_basis, rank, rref, solve, unit_vec,
+    vec,
 )
 
 
@@ -136,3 +142,193 @@ def test_exactness_no_float():
     m = QMatrix.from_rows([[Fraction(1, 3), Fraction(1, 7)], [Fraction(2, 3), Fraction(5, 7)]])
     x = solve(m, [Fraction(1), Fraction(2)])
     assert m.apply(x) == (Fraction(1), Fraction(2))
+
+
+# -- dense reference kernels --------------------------------------------------
+# Textbook dense rref, matmul and apply, and the cohomology solves built on
+# them: the reference that the zero-skipping kernels in pmm.exactla and the
+# cached reductions in pmm.cochain must match entry for entry.
+
+def dense_rref(m):
+    a = [list(r) for r in m.data]
+    pivots = []
+    pr = 0
+    for pc in range(m.cols):
+        sel = None
+        for i in range(pr, m.rows):
+            if a[i][pc] != 0:
+                sel = i
+                break
+        if sel is None:
+            continue
+        a[pr], a[sel] = a[sel], a[pr]
+        inv = ONE / a[pr][pc]
+        a[pr] = [x * inv for x in a[pr]]
+        for i in range(m.rows):
+            if i != pr and a[i][pc] != 0:
+                c = a[i][pc]
+                a[i] = [x - c * y for x, y in zip(a[i], a[pr])]
+        pivots.append(pc)
+        pr += 1
+        if pr == m.rows:
+            break
+    return RrefResult(QMatrix(m.rows, m.cols, a), tuple(pivots), len(pivots))
+
+
+def dense_matmul(a, b):
+    cols = [b.column(j) for j in range(b.cols)]
+    return QMatrix(a.rows, b.cols, [[sum((x * y for x, y in zip(r, c)), ZERO) for c in cols]
+                                    for r in a.data])
+
+
+def dense_apply(m, v):
+    v = vec(v)
+    return tuple(sum((r[j] * v[j] for j in range(m.cols)), ZERO) for r in m.data)
+
+
+def dense_solve(a, b):
+    aug = hstack([a, QMatrix.from_columns([vec(b)], a.rows)]) if a.rows else QMatrix(0, a.cols + 1)
+    r = dense_rref(aug)
+    if a.cols in r.pivots:
+        return None
+    x = [ZERO] * a.cols
+    for i, p in enumerate(r.pivots):
+        x[p] = r.reduced.entry(i, a.cols)
+    return tuple(x)
+
+
+def dense_kernel_basis(a):
+    r = dense_rref(a)
+    basis = []
+    for f in (j for j in range(a.cols) if j not in r.pivots):
+        v = [ZERO] * a.cols
+        v[f] = ONE
+        for i, p in enumerate(r.pivots):
+            v[p] = -r.reduced.entry(i, f)
+        basis.append(tuple(v))
+    return basis
+
+
+def dense_cohomology(d_out, d_in):
+    """(cocycles, boundaries, reps), each boundary expressed by a solve."""
+    z = dense_kernel_basis(d_out)
+    b = [d_in.column(p) for p in dense_rref(d_in).pivots] if d_in is not None else []
+    dim = d_out.cols
+    b_in_z = []
+    for vb in b:
+        coords = dense_solve(QMatrix.from_columns(z, dim), vb) if z else None
+        assert coords is not None
+        b_in_z.append(coords)
+    reps = [lin_comb(unit, z, dim) for unit in quotient_basis(b_in_z, len(z))]
+    return z, b, reps
+
+
+def dense_class_of(space, v):
+    """H-coordinates of v by one solve against [reps | boundaries], or None."""
+    if space.ambient_dim == 0:
+        return ()
+    coords = dense_solve(QMatrix.from_columns(space.reps + space.boundaries,
+                                              space.ambient_dim), v)
+    return None if coords is None else coords[: len(space.reps)]
+
+
+def sparse_matrix(rng, rows, cols, density):
+    """Entries zero with probability 1 - density, else p/q, |p| <= 3, q <= 4."""
+    return QMatrix(rows, cols, [[Fraction(rng.randint(-3, 3) or 1, rng.randint(1, 4))
+                                 if rng.random() < density else 0
+                                 for _ in range(cols)] for _ in range(rows)])
+
+
+SHAPES = [(0, 0), (0, 4), (4, 0), (1, 1), (1, 5), (5, 1), (3, 7), (7, 3), (8, 8)]
+DENSITIES = [0.03, 0.3, 1.0]
+
+
+def random_cases(seed, count=8):
+    rng = random.Random(seed)
+    for density in DENSITIES:
+        for shape in SHAPES:
+            for _ in range(count):
+                yield rng, density, shape
+
+
+def test_sparse_kernels_match_dense_reference():
+    for rng, density, (rows, cols) in random_cases(101):
+        m = sparse_matrix(rng, rows, cols, density)
+        # A product of thin factors is rank-deficient, with repeated pivots.
+        inner = rng.randint(0, 3)
+        low = sparse_matrix(rng, rows, inner, density) @ sparse_matrix(rng, inner, cols, 1.0)
+        for a in (m, low):
+            got, want = rref(a), dense_rref(a)
+            assert got == want
+            assert all(type(x) is Fraction for row in got.reduced.data for x in row)
+            assert kernel_basis(a) == dense_kernel_basis(a)
+            x = sparse_matrix(rng, cols, 1, density).column(0) if cols else ()
+            assert a.apply(x) == dense_apply(a, x)
+            b = a.apply(x)
+            assert solve(a, b) == dense_solve(a, b)
+            other = sparse_matrix(rng, cols, rng.randint(0, 4), density)
+            product = a @ other
+            assert product == dense_matmul(a, other)
+            assert all(type(x) is Fraction for row in product.data for x in row)
+
+
+def test_sparse_rref_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    for rng, density, (rows, cols) in random_cases(202, count=3):
+        m = sparse_matrix(rng, rows, cols, density)
+        oracle, pivots = sympy.Matrix(rows, cols, [sympy.Rational(x.numerator, x.denominator)
+                                                   for row in m.data for x in row]).rref()
+        r = rref(m)
+        assert r.pivots == tuple(pivots)
+        assert [[sympy.Rational(x.numerator, x.denominator) for x in row]
+                for row in r.reduced.data] == oracle.tolist()
+
+
+def cochain_slice(rng, n, density):
+    """d_out (p x n) and d_in (n x q) with d_out @ d_in = 0."""
+    d_out = sparse_matrix(rng, rng.randint(0, n), n, density)
+    z = dense_kernel_basis(d_out)
+    coeffs = sparse_matrix(rng, len(z), rng.randint(0, 4), max(density, 0.3))
+    d_in = QMatrix.from_columns(z, n) @ coeffs if z else QMatrix(n, coeffs.cols)
+    return d_out, d_in
+
+
+def test_cohomology_and_class_of_match_dense_reference():
+    for rng, density, (n, _) in random_cases(303, count=4):
+        d_out, d_in = cochain_slice(rng, n, density)
+        for incoming in (d_in, None):
+            space = compute_cohomology(d_out, incoming)
+            assert (space.cocycles, space.boundaries, space.reps) == \
+                dense_cohomology(d_out, incoming)
+            for _ in range(3):
+                coeffs = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in space.cocycles]
+                z = lin_comb(coeffs, space.cocycles, n)
+                assert space.class_of(z) == dense_class_of(space, z)
+                v = sparse_matrix(rng, n, 1, 1.0).column(0) if n else ()
+                want = dense_class_of(space, v)
+                if want is None:
+                    with pytest.raises(InternalError, match="not a cocycle"):
+                        space.class_of(v)
+                else:
+                    assert space.class_of(v) == want
+
+
+def test_compute_cohomology_rejects_boundary_outside_cocycles():
+    # d_out @ d_in != 0: the boundary (1, 0) is not a cocycle of d_out = [1 1].
+    with pytest.raises(InternalError, match="boundary is not a cocycle"):
+        compute_cohomology(QMatrix.from_rows([[1, 1]]), QMatrix.from_rows([[1], [0]]))
+    # No cocycles at all, one nonzero boundary.
+    with pytest.raises(InternalError, match="boundary is not a cocycle"):
+        compute_cohomology(QMatrix.identity(2), QMatrix.from_rows([[0], [1]]))
+
+
+def test_class_of_rejects_non_cocycle_and_reduces_once(monkeypatch):
+    # H^1 of 0 -> Q^2 -> Q with d = [1 1]: Z = span(-1, 1), no boundaries.
+    space = compute_cohomology(QMatrix.from_rows([[1, 1]]), None)
+    reduced = []
+    monkeypatch.setattr(cochain, "rref", lambda m: reduced.append(m) or rref(m))
+    assert space.class_of(vec([-2, 2])) == vec([2])
+    assert space.class_of(vec([3, -3])) == vec([-3])
+    with pytest.raises(InternalError, match="class_of: vector is not a cocycle"):
+        space.class_of(vec([1, 0]))
+    assert len(reduced) == 1

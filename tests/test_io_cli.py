@@ -238,10 +238,10 @@ def test_fractional_grid_round_trip(tmp_path, capsys):
     capsys.readouterr()
 
 
-def test_cli_decompose_pcomplex(tmp_path, capsys):
+def _interval_sphere():
     # An interval sphere S^2_[0,2) on a 3-point grid, serialized by hand:
     # degree-2 line from stage 0, bounded in degree 1 from stage 2.
-    doc = {
+    return {
         "grid": ["0", "1", "2"],
         "max_degree": 2,
         "stages": [
@@ -251,6 +251,10 @@ def test_cli_decompose_pcomplex(tmp_path, capsys):
         ],
         "maps": [{"2": [["1"]]}, {"2": [["1"]]}],
     }
+
+
+def test_cli_decompose_pcomplex(tmp_path, capsys):
+    doc = _interval_sphere()
     f = tmp_path / "sphere.json"
     f.write_text(json.dumps(doc))
     rc = main(["decompose", "--input", str(f), "--output", str(tmp_path)])
@@ -369,17 +373,72 @@ def _string_birth(doc):
     return model
 
 
+def _null_stage_model(doc):
+    model = _built_model("example1_case1")
+    model["model"]["stage_models"][0] = None
+    return model
+
+
+def _null_homotopy(doc):
+    model = _built_model("example1_case1")
+    model["model"]["homotopies"][0] = None
+    return model
+
+
+def _short_stage_models(doc):
+    model = _built_model("example1_case1")
+    model["model"]["stage_models"].pop()
+    return model
+
+
+def _short_homotopies(doc):
+    model = _built_model("example1_case1")
+    model["model"]["homotopies"].pop()
+    return model
+
+
+def _null_complex_map(doc):
+    x = _interval_sphere()
+    x["maps"][0] = None
+    return x
+
+
+def _extra_complex_map(doc):
+    x = _interval_sphere()
+    x["maps"].append({"2": [["1"]]})
+    return x
+
+
+def _d_key_at_max_degree(doc):
+    x = _interval_sphere()
+    x["stages"][0]["d"]["2"] = []
+    return x
+
+
+def _null_component(doc):
+    x = _interval_sphere()
+    ident = [{"2": [["1"]]}, {"2": [["1"]]}, {"1": [["1"]], "2": [["1"]]}]
+    ident[1] = None
+    return {"source": x, "target": _interval_sphere(), "components": ident}
+
+
 @pytest.mark.parametrize("mutate", [_degree_word, _null_images, _null_stages,
                                     _top_level_array, _deep_parentheses,
                                     _null_products, _null_differentials,
                                     _fractional_degree, _string_cap,
-                                    _null_poly, _null_generator, _string_birth])
+                                    _null_poly, _null_generator, _string_birth,
+                                    _null_stage_model, _null_homotopy,
+                                    _short_stage_models, _short_homotopies,
+                                    _null_complex_map, _extra_complex_map,
+                                    _d_key_at_max_degree, _null_component])
 def test_cli_malformed_input_is_one_line_schema_error(tmp_path, capsys, mutate):
-    # Mutations of sphere2.json go to `build`; those of a built model to `check`.
+    # Mutations of sphere2.json go to `build`, those of a built model to
+    # `check`, of a persistent complex to `decompose`, of a map to `factor`.
     bad = mutate(fixture("sphere2"))
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(bad))
-    command = "check" if "model" in bad else "build"
+    command = ("check" if "model" in bad else "decompose" if "max_degree" in bad
+               else "factor" if "components" in bad else "build")
     rc = main([command, "--input", str(f), "--output", str(tmp_path)])
     err = capsys.readouterr().err
     assert rc == 2
