@@ -97,7 +97,7 @@ class QMatrix:
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls(rows, cols, [[ZERO] * cols for _ in range(rows)])
+        return cls._of(rows, cols, ((ZERO,) * cols,) * rows)
 
     def entry(self, i: int, j: int) -> Fraction:
         return self.data[i][j]
@@ -131,7 +131,8 @@ class QMatrix:
 
     def scale(self, c) -> "QMatrix":
         c = frac(c)
-        return QMatrix(self.rows, self.cols, [[c * x for x in r] for r in self.data])
+        return QMatrix._of(self.rows, self.cols,
+                           tuple(tuple(c * x if x else x for x in r) for r in self.data))
 
     def add(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -158,25 +159,22 @@ def hstack(mats: Sequence[QMatrix]) -> QMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("hstack: row mismatch")
-    return QMatrix(rows, sum(m.cols for m in mats),
-                   [sum((list(m.data[i]) for m in mats), []) for i in range(rows)])
+    return QMatrix._of(rows, sum(m.cols for m in mats),
+                       tuple(sum((m.data[i] for m in mats), ()) for i in range(rows)))
 
 
 def block_diag(a: QMatrix, b: QMatrix) -> QMatrix:
     """[[a, 0], [0, b]]."""
-    rows = [list(a.data[i]) + [ZERO] * b.cols for i in range(a.rows)]
-    rows += [[ZERO] * a.cols + list(b.data[i]) for i in range(b.rows)]
-    return QMatrix(a.rows + b.rows, a.cols + b.cols, rows)
+    return vstack([hstack([a, QMatrix.zero(a.rows, b.cols)]),
+                   hstack([QMatrix.zero(b.rows, a.cols), b])])
 
 
 def vstack(mats: Sequence[QMatrix]) -> QMatrix:
     cols = mats[0].cols
     if any(m.cols != cols for m in mats):
         raise ValueError("vstack: column mismatch")
-    out: list[Sequence] = []
-    for m in mats:
-        out.extend(m.data)
-    return QMatrix(sum(m.rows for m in mats), cols, out)
+    return QMatrix._of(sum(m.rows for m in mats), cols,
+                       tuple(r for m in mats for r in m.data))
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,7 @@ from .cdga import (
 )
 from .cochain import CohomologySpace, compute_cohomology
 from .errors import InternalError, ValidationError
-from .exactla import ONE, QMatrix, Vector, frac
+from .exactla import ONE, ZERO, QMatrix, Vector, frac, hstack, vstack
 
 
 class IntervalElement:
@@ -182,7 +182,8 @@ class CdgaHomotopy:
         self.domain = domain
         self.codomain = codomain
         self.assignment = dict(assignment)
-        self._cache: dict[Monomial, IntervalElement] = {}
+        # H of each monomial, and I_H(n) under n: clearing one memo resets both.
+        self._cache: dict[Monomial | int, IntervalElement | QMatrix] = {}
         missing = {g.name for g in domain.generators} - set(self.assignment)
         if missing:
             raise ValidationError(f"homotopy missing generators: {sorted(missing)}")
@@ -239,6 +240,16 @@ class CdgaHomotopy:
     def integral_of(self, elem: CdgaElement) -> CdgaElement:
         return integrate_01(self.apply(elem))
 
+    def integral_matrix(self, n: int) -> QMatrix:
+        """I_H(n): M^n -> B^{n-1}, a -> int_0^1 H(a); column j is the integral
+        of the j-th degree-n basis monomial of M."""
+        if n not in self._cache:
+            rows = self.codomain.dim(n - 1)
+            cols = [self.codomain.to_vector(integrate_01(self._apply_mono(mono)), n - 1)
+                    if rows else () for mono in self.domain.basis_keys(n)]
+            self._cache[n] = QMatrix.from_columns(cols, rows)
+        return self._cache[n]
+
 
 def extend_homotopy(f: CdgaMorphism, h: CdgaHomotopy, v: CdgaElement,
                     a: CdgaElement, y: Optional[CdgaElement]) -> IntervalElement:
@@ -255,16 +266,19 @@ def extend_homotopy(f: CdgaMorphism, h: CdgaHomotopy, v: CdgaElement,
 
 
 def check_homotopy_identity(h: CdgaHomotopy, max_degree: int) -> list[str]:
-    """Verify d(IH a) + IH(da) = g(a) - f(a) on every domain monomial <= max_degree."""
+    """Verify d(IH a) + IH(da) = g(a) - f(a) on every domain monomial <= max_degree,
+    as d_B(n-1) I_H(n) + I_H(n+1) d_M(n) = g(n) - f(n) in each degree n (without
+    the I_H(n+1) term above M's cap); one message per failing column."""
     f, g = h.endpoints()
     problems = []
     for n in range(max_degree + 1):
-        for mono in h.domain.basis_keys(n):
-            a = h.domain.element({mono: ONE})
-            lhs = differential(h.integral_of(a)) + h.integral_of(differential(a))
-            rhs = g.apply(a) - f.apply(a)
-            if lhs != rhs:
-                problems.append(f"identity fails on {h.domain.key_repr(mono)}")
+        lhs = h.codomain.d_matrix(n - 1) @ h.integral_matrix(n)
+        if n + 1 <= h.domain.degree_cap:
+            lhs = lhs.add(h.integral_matrix(n + 1) @ h.domain.d_matrix(n))
+        rhs = g.matrix(n).add(f.matrix(n).scale(-1))
+        problems += [f"identity fails on {h.domain.key_repr(mono)}"
+                     for j, mono in enumerate(h.domain.basis_keys(n))
+                     if lhs.column(j) != rhs.column(j)]
     return problems
 
 
@@ -272,7 +286,8 @@ class ConeComplex:
     """Mapping cone of (the cochain map underlying) m: M -> A.
 
     C^n = M^{n+1} + A^n with d(v, a) = (dv, m(v) - da); degrees run from -1
-    so that H^0 is honest.  Carries no algebra structure.
+    so that H^0 is honest.  Carries no algebra structure.  d_C(n) is the block
+    matrix [[d_M(n+1), 0], [m(n+1), -d_A(n)]] of the matrices M, A and m cache.
     """
 
     def __init__(self, m: CdgaMorphism):
@@ -295,10 +310,6 @@ class ConeComplex:
             return 0
         return self.dim_m(n) + self.dim_a(n)
 
-    def pack(self, n: int, v: CdgaElement, a: CdgaElement) -> Vector:
-        return (self.domain.to_vector(v, n + 1) if self.dim_m(n) else ()) + \
-               (self.target.to_vector(a, n) if self.dim_a(n) else ())
-
     def unpack(self, n: int, w) -> tuple[CdgaElement, CdgaElement]:
         dm = self.dim_m(n)
         v = self.domain.from_vector(n + 1, w[:dm]) if dm else self.domain.zero()
@@ -307,32 +318,18 @@ class ConeComplex:
 
     def include_target(self, a: CdgaElement, n: int) -> Vector:
         """The natural map A -> C, a -> (0, -a)."""
-        return self.pack(n, self.domain.zero(), a.scale(-1))
+        return (ZERO,) * self.dim_m(n) + self.target.to_vector(a.scale(-1), n)
 
     def d_matrix(self, n: int) -> QMatrix:
-        if n in self._d_cache:
-            return self._d_cache[n]
-        rows_out = self.dim(n + 1)
-        cols = []
-        for v, a in self._basis_elems(n):
-            dv = differential(v)
-            da = self.m.apply(v) - differential(a)
+        if n not in self._d_cache:
             if n + 1 > self.max_degree:
-                col = ()
+                self._d_cache[n] = QMatrix(0, self.dim_m(n) + self.dim_a(n))
             else:
-                col = self.pack(n + 1, dv, da)
-            cols.append(col)
-        mat = QMatrix.from_columns(cols, rows_out)
-        self._d_cache[n] = mat
-        return mat
-
-    def _basis_elems(self, n: int):
-        out = []
-        for key in self.domain.basis_keys(n + 1) if n + 1 <= self.domain.degree_cap else ():
-            out.append((self.domain.element({key: ONE}), self.target.zero()))
-        for key in (self.target.basis_keys(n) if 0 <= n <= self.target.degree_cap else ()):
-            out.append((self.domain.zero(), CdgaElement(self.target, {key: ONE})))
-        return out
+                self._d_cache[n] = vstack([
+                    hstack([self.domain.d_matrix(n + 1),
+                            QMatrix.zero(self.dim_m(n + 1), self.dim_a(n))]),
+                    hstack([self.m.matrix(n + 1), self.target.d_matrix(n).scale(-1)])])
+        return self._d_cache[n]
 
     def cohomology_space(self, n: int) -> CohomologySpace:
         """H^n of the cone; valid for n <= max_degree - 1."""
@@ -382,7 +379,8 @@ class HomotopySquare:
 
 class ConeMap:
     """Cochain map C_m -> C_n induced by a homotopy-commutative square:
-    phi(v, a) = (u(v), w(a) + IH(v)), between the given cones of m and n.
+    phi(v, a) = (u(v), w(a) + IH(v)), between the given cones of m and n: the
+    block matrix [[u(n+1), 0], [I_H(n+1), w(n)]] of u = top, w = bottom and I_H.
     The square is checked by its maker (HomotopySquare.validate, cone_map)."""
 
     def __init__(self, square: HomotopySquare, source: ConeComplex, target: ConeComplex):
@@ -392,21 +390,17 @@ class ConeMap:
         self._mat_cache: dict[int, QMatrix] = {}
         self.check_chain_map()
 
-    def apply_pair(self, v: CdgaElement, a: CdgaElement) -> tuple[CdgaElement, CdgaElement]:
-        sq = self.square
-        return sq.top.apply(v), sq.bottom.apply(a) + sq.homotopy.integral_of(v)
-
     def matrix(self, n: int) -> QMatrix:
         if n not in self._mat_cache:
-            cols = []
-            for v, a in self.source._basis_elems(n):
-                tv, ta = self.apply_pair(v, a)
-                cols.append(self.target.pack(n, tv, ta))
-            self._mat_cache[n] = QMatrix.from_columns(cols, self.target.dim(n))
+            sq, src = self.square, self.source
+            if not self.target.dim(n):
+                self._mat_cache[n] = QMatrix(0, src.dim_m(n) + src.dim_a(n))
+            else:
+                self._mat_cache[n] = vstack([
+                    hstack([sq.top.matrix(n + 1),
+                            QMatrix.zero(self.target.dim_m(n), src.dim_a(n))]),
+                    hstack([sq.homotopy.integral_matrix(n + 1), sq.bottom.matrix(n)])])
         return self._mat_cache[n]
-
-    def apply_vector(self, n: int, w) -> Vector:
-        return self.matrix(n).apply(w)
 
     def check_chain_map(self):
         for n in range(-1, self.source.max_degree):

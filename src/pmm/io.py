@@ -8,6 +8,7 @@ be reloaded and re-validated.
 from __future__ import annotations
 
 import json
+import re
 from fractions import Fraction
 
 from .cdga import (
@@ -25,13 +26,17 @@ from .pminimal import (
 )
 
 SCHEMA_VERSION = 1
+# Exact, short numbers only: Fraction("1e99999999") would build 10^99999999.
+_RATIONAL = re.compile(r"-?[0-9]+(\.[0-9]+|/0*[1-9][0-9]*)?", re.ASCII)
 
 
 def _rational(s, where="") -> Fraction:
-    try:
-        return Fraction(str(s))
-    except (ValueError, ZeroDivisionError) as exc:
-        raise SchemaError(f"bad rational {s!r} {where}: {exc}") from exc
+    """A JSON integer, or a string "[-]digits", "[-]digits.digits" or
+    "[-]digits/digits" (nonzero denominator), at most 100 characters long."""
+    text = str(s) if type(s) is int else s if isinstance(s, str) else ""
+    if len(text) > 100 or not _RATIONAL.fullmatch(text):
+        raise SchemaError(f"bad rational {s!r:.60} {where}: want an integer, decimal or p/q")
+    return Fraction(text)
 
 
 def _int(x, where: str) -> int:
@@ -40,10 +45,11 @@ def _int(x, where: str) -> int:
     return x
 
 
-def _key(key: str, where: str, top: float = float("inf")) -> int:
-    """An integer in 0..top written as a JSON object key, such as "2"."""
-    if not key.isdecimal() or int(key) > top:
-        raise SchemaError(f"bad integer key {key!r} in {where}")
+def _key(key: str, where: str, top: int = 999_999) -> int:
+    """An integer in 0..top written as a JSON object key, such as "2"; its
+    length is checked first, as int() refuses strings of over 4,300 digits."""
+    if not key.isdecimal() or len(key) > len(str(top)) or int(key) > top:
+        raise SchemaError(f"bad integer key {key!r:.60} in {where}")
     return int(key)
 
 

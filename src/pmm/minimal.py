@@ -163,7 +163,7 @@ def map_model_step(mm: MapModel) -> MapModel:
     v_space = c_m.cohomology_space(k)
     w_space = c_n.cohomology_space(k)
 
-    psi_cols = [w_space.class_of(phi.apply_vector(k, rep)) for rep in v_space.reps]
+    psi_cols = [w_space.class_of(phi.matrix(k).apply(rep)) for rep in v_space.reps]
     psi = QMatrix.from_columns(psi_cols, w_space.dim)
     split = adapted_split(psi)
 
@@ -181,7 +181,7 @@ def map_model_step(mm: MapModel) -> MapModel:
     r = split.rank
     solved = []
     for j in range(r, len(dom_diffs)):
-        target_vec = phi.apply_vector(k, cone_reps[j])
+        target_vec = phi.matrix(k).apply(cone_reps[j])
         sol = solve(c_n.d_matrix(k - 1), target_vec)
         if sol is None:
             raise InternalError("kernel class is not bounded in the target cone")
@@ -191,7 +191,7 @@ def map_model_step(mm: MapModel) -> MapModel:
     cod_diffs = []
     n_images = []
     for i in range(r):
-        gv, b = phi.apply_pair(*c_m.unpack(k, cone_reps[i]))
+        gv, b = c_n.unpack(k, phi.matrix(k).apply(cone_reps[i]))
         cod_diffs.append(gv)
         n_images.append(b)
     for h_coords in split.cokernel:

@@ -1,15 +1,19 @@
+import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
-from pmm.cdga import CdgaMorphism, free_cdga, multiply
+from pmm.cdga import CdgaElement, CdgaMorphism, FiniteCDGA, differential, free_cdga, multiply
 from pmm.errors import InternalError, ValidationError
-from pmm.exactla import QMatrix, rank
+from pmm.exactla import ONE, QMatrix, rank
 from pmm.homotopy import (
     CdgaHomotopy, HomotopySquare, IntervalElement,
     check_homotopy_identity, cone, cone_map, integrate_01, integrate_0t, interval_d, interval_mul,
 )
+from pmm.io import load_input
+from pmm.pminimal import build_persistent_minimal_model
 
 
 def lam(gens, diffs=None, cap=8):
@@ -260,3 +264,165 @@ def test_cone_long_exact_sequence_ranks():
         kmat = QMatrix.from_columns(to_cone, c.h_dim(n)) if ha.dim else QMatrix(0, 0)
         ker_dim = ha.dim - (rank(kmat) if ha.dim else 0)
         assert ker_dim == rk
+
+
+# -- element-wise reference for the block-assembled cone matrices ------------
+# Each column is built symbolically from one basis element, (v, 0) for v a
+# monomial of M^{n+1}, then (0, a) for a a basis element of A^n.
+
+def _ref_basis(c, n):
+    out = [(c.domain.element({k: ONE}), c.target.zero())
+           for k in (c.domain.basis_keys(n + 1) if n + 1 <= c.domain.degree_cap else ())]
+    out += [(c.domain.zero(), CdgaElement(c.target, {k: ONE}))
+            for k in (c.target.basis_keys(n) if 0 <= n <= c.target.degree_cap else ())]
+    return out
+
+
+def _ref_pack(c, n, v, a):
+    return ((c.domain.to_vector(v, n + 1) if c.dim_m(n) else ())
+            + (c.target.to_vector(a, n) if c.dim_a(n) else ()))
+
+
+def _ref_cone_d_matrix(c, n):
+    """d(v, a) = (dv, m(v) - da), column by column."""
+    cols = [_ref_pack(c, n + 1, differential(v), c.m.apply(v) - differential(a))
+            if n + 1 <= c.max_degree else () for v, a in _ref_basis(c, n)]
+    return QMatrix.from_columns(cols, c.dim(n + 1))
+
+
+def _ref_cone_map_matrix(phi, n):
+    """phi(v, a) = (u(v), w(a) + IH(v)), column by column."""
+    sq = phi.square
+    cols = [_ref_pack(phi.target, n, sq.top.apply(v),
+                      sq.bottom.apply(a) + sq.homotopy.integral_of(v))
+            for v, a in _ref_basis(phi.source, n)]
+    return QMatrix.from_columns(cols, phi.target.dim(n))
+
+
+def _ref_identity_messages(h, max_degree):
+    f, g = h.endpoints()
+    problems = []
+    for n in range(max_degree + 1):
+        for mono in h.domain.basis_keys(n):
+            a = h.domain.element({mono: ONE})
+            lhs = differential(h.integral_of(a)) + h.integral_of(differential(a))
+            if lhs != g.apply(a) - f.apply(a):
+                problems.append(f"identity fails on {h.domain.key_repr(mono)}")
+    return problems
+
+
+def _assert_same_matrix(got, want):
+    assert got == want
+    assert all(type(x) is Fraction for row in got.data for x in row)
+
+
+def _s2():
+    return FiniteCDGA(basis={0: ["one"], 2: ["alpha"]}, unit="one",
+                      products={("alpha", "alpha"): {}}, differential={}, degree_cap=8)
+
+
+def _built_model(name, edit=lambda doc: doc):
+    with open(Path(__file__).parent / "fixtures" / f"{name}.json") as fh:
+        return build_persistent_minimal_model(load_input(edit(json.load(fh))))
+
+
+def _sphere_killed_by_primitive(doc):
+    # Stage 1 of sphere2 gains w in degree 1 with dw = a: the degree-2 bar
+    # dies there, bounded by w, so the homotopy picks up a w (x) dt term.
+    doc["stages"][1]["basis"].insert(1, {"degree": 1, "labels": ["w"]})
+    doc["stages"][1]["differentials"] = [{"of": "w", "value": "a"}]
+    return doc
+
+
+def test_cone_d_matrix_equals_elementwise_free_and_finite_targets():
+    m, b = sphere_map_square()
+    u = CdgaMorphism.on_generators(m, b, {"a": b.gen("c"), "y": b.gen("z")})
+    s2 = _s2()
+    to_s2 = CdgaMorphism.on_generators(lam([("a", 2)]), s2, {"a": s2.basis_elem("alpha")})
+    for c in (cone(u), cone(to_s2)):
+        for n in range(-1, c.max_degree + 1):
+            _assert_same_matrix(c.d_matrix(n), _ref_cone_d_matrix(c, n))
+
+
+def test_cone_map_matrix_equals_elementwise():
+    m, b = sphere_map_square()
+    ident_m, ident_b = CdgaMorphism.identity(m), CdgaMorphism.identity(b)
+    h = CdgaHomotopy(m, b, {"a": IntervalElement.constant(b.gen("c")),
+                            "y": IntervalElement.constant(b.gen("z"))
+                            + IntervalElement.t_power(b.gen("c"), 0, with_dt=True)})
+    u, _ = h.endpoints()
+    maps = [cone_map(HomotopySquare(top=u, bottom=u, left=ident_m, right=ident_b,
+                                    homotopy=h))]
+    models = [_built_model("example1_case1"),
+              _built_model("sphere2", _sphere_killed_by_primitive)]
+    # The second built homotopy is not constant: its I_H(2) block is nonzero.
+    assert not models[1].homotopies[0].integral_matrix(2).is_zero()
+    for model in models:
+        maps += model.cone_maps()
+        for c in model.stage_cones():
+            for n in range(-1, c.max_degree + 1):
+                _assert_same_matrix(c.d_matrix(n), _ref_cone_d_matrix(c, n))
+    for phi in maps:
+        for n in range(-1, phi.source.max_degree + 1):
+            _assert_same_matrix(phi.matrix(n), _ref_cone_map_matrix(phi, n))
+
+
+def _closed_y_into_acyclic():
+    """H: Lambda(y3) -> Lambda(b2, s3; db = s), constant at y -> s."""
+    m = lam([("y", 3)])
+    scratch = lam([("b", 2), ("s", 3)])
+    b = free_cdga([("b", 2), ("s", 3)], {"b": scratch.gen("s")}, 8)
+    return m, b, CdgaHomotopy(m, b, {"y": IntervalElement.constant(b.gen("s"))})
+
+
+def test_homotopy_identity_messages_match_elementwise_on_broken_homotopy():
+    # H(y) = s + b (x) dt with db = s != 0 is no cochain homotopy: the identity
+    # fails on y and on the multiples a^k y, while the end points stay valid.
+    m = lam([("a", 2), ("y", 3)])
+    scratch = lam([("c", 2), ("b", 2), ("s", 3)])
+    b = free_cdga([("c", 2), ("b", 2), ("s", 3)], {"b": scratch.gen("s")}, 8)
+    h = CdgaHomotopy(m, b, {"a": IntervalElement.constant(b.gen("c")),
+                            "y": IntervalElement.constant(b.gen("s"))
+                            + IntervalElement.t_power(b.gen("b"), 0, with_dt=True)},
+                     check=False)
+    problems = check_homotopy_identity(h, 7)
+    assert problems == _ref_identity_messages(h, 7)
+    assert problems == ["identity fails on y", "identity fails on a*y", "identity fails on a^2*y"]
+
+
+def test_homotopy_identity_reads_integral_of_differential():
+    # H(a) = c + u dt, H(y) = z - 2cu t on dy = a^2: I_H(y) = 0, so the identity
+    # at y holds only through the I_H(a^2) d_M(y) term: I_H(a^2) = -2cu = g(y) - f(y).
+    m, _ = sphere_map_square()
+    scratch = lam([("c", 2), ("u", 1), ("z", 3)])
+    b = free_cdga([("c", 2), ("u", 1), ("z", 3)],
+                  {"z": multiply(scratch.gen("c"), scratch.gen("c"))}, 8)
+    cu = multiply(b.gen("c"), b.gen("u"))
+    h = CdgaHomotopy(m, b, {"a": IntervalElement.constant(b.gen("c"))
+                            + IntervalElement.t_power(b.gen("u"), 0, with_dt=True),
+                            "y": IntervalElement.constant(b.gen("z"))
+                            + IntervalElement.t_power(cu.scale(-2), 1)})
+    assert not h.integral_matrix(4).is_zero()
+    assert check_homotopy_identity(h, 7) == _ref_identity_messages(h, 7) == []
+
+
+def test_homotopy_identity_reads_fresh_integral_after_memo_reset():
+    m, b, h = _closed_y_into_acyclic()
+    assert check_homotopy_identity(h, 6) == []
+    # b (x) dt leaves both end points alone but moves I_H(y) by b, and db != 0.
+    h.assignment["y"] = h.assignment["y"] + IntervalElement.t_power(b.gen("b"), 0, with_dt=True)
+    h._cache.clear()
+    assert check_homotopy_identity(h, 6) == ["identity fails on y"]
+
+
+def test_check_chain_map_rejects_altered_integral_matrix():
+    m, _ = sphere_map_square()
+    ident = CdgaMorphism.identity(m)
+    sq = HomotopySquare(top=ident, bottom=ident, left=ident, right=ident,
+                        homotopy=CdgaHomotopy.constant(ident))
+    cone_map(sq)
+    i_h = sq.homotopy.integral_matrix(4)  # M^4 = <a^2> -> M^3 = <y>, zero here
+    assert (i_h.rows, i_h.cols) == (1, 1) and i_h.is_zero()
+    sq.homotopy._cache[4] = QMatrix(1, 1, [[1]])
+    with pytest.raises(InternalError, match="cone map fails to be a cochain map"):
+        cone_map(sq)

@@ -422,6 +422,26 @@ def _null_component(doc):
     return {"source": x, "target": _interval_sphere(), "components": ident}
 
 
+def _huge_map_key(doc):
+    x = _interval_sphere()
+    x["maps"][0] = {"9" * 5000: [["1"]]}
+    return x
+
+
+def _grid_time(value):
+    def mutate(doc):
+        doc["grid"][1] = value
+        return doc
+    mutate.__name__ = f"_grid_time_{value!r}"
+    return mutate
+
+
+def _float_matrix_entry(doc):
+    x = _interval_sphere()
+    x["maps"][0]["2"] = [[1.0]]
+    return x
+
+
 @pytest.mark.parametrize("mutate", [_degree_word, _null_images, _null_stages,
                                     _top_level_array, _deep_parentheses,
                                     _null_products, _null_differentials,
@@ -430,7 +450,10 @@ def _null_component(doc):
                                     _null_stage_model, _null_homotopy,
                                     _short_stage_models, _short_homotopies,
                                     _null_complex_map, _extra_complex_map,
-                                    _d_key_at_max_degree, _null_component])
+                                    _d_key_at_max_degree, _null_component,
+                                    _huge_map_key, _grid_time("1e9999"),
+                                    _grid_time("1e3"), _grid_time(1.5),
+                                    _grid_time(" 2 "), _float_matrix_entry])
 def test_cli_malformed_input_is_one_line_schema_error(tmp_path, capsys, mutate):
     # Mutations of sphere2.json go to `build`, those of a built model to
     # `check`, of a persistent complex to `decompose`, of a map to `factor`.
@@ -455,3 +478,23 @@ def test_cli_unexpected_exception_is_one_line_exit_3(tmp_path, capsys, monkeypat
     err = capsys.readouterr().err
     assert rc == 3
     assert err == "internal error: RuntimeError: unexpected failure\n"
+
+
+@pytest.mark.parametrize("time_literal", ['"9999999999999999999999999e-99999999"', "1" * 5000],
+                         ids=["exponent-string", "5000-digit-integer"])
+def test_cli_oversized_grid_time_is_refused_quickly(tmp_path, time_literal):
+    # Fraction("...e-99999999") builds a 10^99999999 denominator, and a JSON
+    # integer of 5,000 digits is past int()'s digit limit: both must exit 2
+    # well within the timeout, in a fresh process.
+    doc = fixture("sphere2")
+    doc["grid"][1] = "@"
+    f = tmp_path / "bad.json"
+    f.write_text(json.dumps(doc).replace('"@"', time_literal))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, "-m", "pmm", "build", "--input", str(f), "--output", str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=20)
+    assert proc.returncode == 2
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("schema error:")
