@@ -109,7 +109,8 @@ class _GradedAlgebra:
     def cohomology_space(self, n: int) -> CohomologySpace:
         if n not in self._h_cache:
             d_in = self.d_matrix(n - 1) if n >= 1 else None
-            self._h_cache[n] = compute_cohomology(self.d_matrix(n), d_in)
+            self._h_cache[n] = compute_cohomology(self.d_matrix(n), d_in,
+                                                  self._h_cache.get(n - 1))
         return self._h_cache[n]
 
 
@@ -125,7 +126,7 @@ class FreeCDGA(_GradedAlgebra):
 
     def __init__(self, generators: Sequence[Generator],
                  differential_terms: Mapping[str, Mapping[Monomial, Fraction]],
-                 degree_cap: int):
+                 degree_cap: int, base: Optional["FreeCDGA"] = None):
         names = [g.name for g in generators]
         if len(set(names)) != len(names):
             raise ValidationError(f"duplicate generator names: {names}")
@@ -138,18 +139,50 @@ class FreeCDGA(_GradedAlgebra):
         self._dmono_cache: dict[Monomial, CdgaElement] = {}
         self._dmat_cache: dict[int, QMatrix] = {}
         self._h_cache: dict[int, CohomologySpace] = {}
-        self._diff: dict[str, CdgaElement] = {}
-        for g in self.generators:
-            raw = differential_terms.get(g.name, {})
-            el = CdgaElement(self, raw)
-            for mono in el.terms:
+        self._diff = {g.name: CdgaElement(self, differential_terms.get(g.name, {}))
+                      for g in self.generators}
+        checked = 0
+        if base is not None:
+            if not self.extends(base):
+                raise ValidationError("generators do not extend the base algebra's")
+            checked = len(base.generators)
+            self._inherit(base)
+        for g in self.generators[checked:]:
+            for mono in self._diff[g.name].terms:
                 if self.key_degree(mono) != g.degree + 1:
                     raise ValidationError(
                         f"d({g.name}) must be homogeneous of degree {g.degree + 1}")
-            self._diff[g.name] = el
-        for g in self.generators:
+        for g in self.generators[checked:]:
             if not differential(self._diff[g.name]).is_zero():
                 raise ValidationError(f"d(d({g.name})) != 0")
+
+    def extends(self, base: "FreeCDGA") -> bool:
+        """Our generators begin with base's, with the same differentials, and
+        the caps agree: then base is a sub-CDGA, and every degree below the
+        first further generator has base's basis (padded) and differential."""
+        n = len(base.generators)
+        if self.degree_cap != base.degree_cap or self.generators[:n] != base.generators:
+            return False
+        pad = (0,) * (len(self.generators) - n)
+        return all(self._diff[g.name].terms == _padded(base._diff[g.name].terms, pad)
+                   for g in base.generators)
+
+    def _inherit(self, base: "FreeCDGA"):
+        """Take base's basis keys and d-matrices in the degrees we share, and
+        its differentials of monomials (self extends base)."""
+        added = self.generators[len(base.generators):]
+        low = min((g.degree for g in added), default=self.degree_cap + 1)
+        pad = (0,) * len(added)
+        for n, keys in base._basis_cache.items():
+            if n < low:
+                self._basis_cache[n] = tuple(m + pad for m in keys) if pad else keys
+                self._basis_pos[n] = ({m: i for i, m in enumerate(self._basis_cache[n])}
+                                      if pad else base._basis_pos[n])
+        for n, mat in base._dmat_cache.items():
+            if n + 1 < low:
+                self._dmat_cache[n] = mat
+        for m, dm in base._dmono_cache.items():
+            self._dmono_cache[m + pad] = CdgaElement(self, _padded(dm.terms, pad))
 
     # -- basis bookkeeping ------------------------------------------------
 
@@ -512,26 +545,39 @@ def hirsch_extend(a: FreeCDGA, new_gens: Sequence[tuple[str, int, CdgaElement]]
     """Adjoin free generators with prescribed cocycle differentials.
 
     Returns the extended algebra and the inclusion morphism.  Degree cap is
-    inherited; each d_image must be a cocycle in `a` of degree gen+1.
+    inherited; each d_image must be a cocycle in `a` of degree gen+1.  The
+    extension is one FreeCDGA over base `a`: it checks d^2 = 0 on the new
+    generators only and takes a's basis keys and d-matrices below them.
     """
     for name, deg, img in new_gens:
         if img.algebra is not a:
             raise ValidationError("d_image must live in the base algebra")
-        if not img.is_zero():
-            if img.homogeneous_degree() != deg + 1:
-                raise ValidationError(f"d({name}) must have degree {deg + 1}")
-            if not differential(img).is_zero():
-                raise ValidationError(f"d_image of {name} is not a cocycle")
-    gens = [(g.name, g.degree) for g in a.generators] + [(n, d) for n, d, _ in new_gens]
-    ext = free_cdga(gens, {}, a.degree_cap)
-    diffs: dict[str, Mapping] = {}
-    for g in a.generators:
-        diffs[g.name] = a.embed_terms(a.generator_diff(g.name), ext).terms
-    for name, _, img in new_gens:
-        diffs[name] = a.embed_terms(img, ext).terms
-    out = free_cdga(gens, diffs, a.degree_cap)
+        if not img.is_zero() and img.homogeneous_degree() != deg + 1:
+            raise ValidationError(f"d({name}) must have degree {deg + 1}")
+    gens = list(a.generators) + [Generator(n, d) for n, d, _ in new_gens]
+    pad = (0,) * len(new_gens)
+    diffs = {g.name: _padded(a.generator_diff(g.name).terms, pad) for g in a.generators}
+    diffs.update((name, _padded(img.terms, pad)) for name, _, img in new_gens)
+    out = FreeCDGA(gens, diffs, a.degree_cap, base=a)
     incl = CdgaMorphism.on_generators(a, out, {g.name: out.gen(g.name) for g in a.generators})
     return out, incl
+
+
+def _padded(terms: Mapping[Monomial, Fraction], pad: Monomial) -> dict[Monomial, Fraction]:
+    """Terms over generators extended by len(pad) more: each monomial + pad."""
+    return {m + pad: c for m, c in terms.items()}
+
+
+def unchanged_below(new: Algebra, old: Algebra) -> int:
+    """The degree below which `new` has old's basis (padded) and differential:
+    past the cap when new is old, the first added generator's degree when new
+    extends old, and 0 otherwise."""
+    if new is old:
+        return new.degree_cap + 1
+    if new.kind == old.kind == "free" and new.extends(old):
+        return min((g.degree for g in new.generators[len(old.generators):]),
+                   default=new.degree_cap + 1)
+    return 0
 
 
 class CdgaMorphism:
@@ -612,6 +658,28 @@ class CdgaMorphism:
                 out = out * img
         self._mono_cache[mono] = out
         return out
+
+    def inherit(self, old: "CdgaMorphism"):
+        """Take old's matrices in the degrees where neither end changed, and
+        old's images of monomials when the codomain is old's.
+
+        Guarded: each end of self is old's or extends it (`unchanged_below`),
+        and old's generators keep their images (padded into an extended codomain).
+        """
+        below = min(unchanged_below(self.domain, old.domain),
+                    unchanged_below(self.codomain, old.codomain))
+        if (self.kind, old.kind) != ("free", "free") or not below:
+            raise InternalError("cannot carry matrices: the ends do not extend old's")
+        same_codomain = self.codomain is old.codomain
+        pad = (0,) * (len(self.domain.generators) - len(old.domain.generators))
+        cpad = () if same_codomain else (0,) * (
+            len(self.codomain.generators) - len(old.codomain.generators))
+        for g in old.domain.generators:
+            if self.gen_images[g.name].terms != _padded(old.gen_images[g.name].terms, cpad):
+                raise InternalError(f"the image of {g.name} changed")
+        self._mat_cache.update((n, m) for n, m in old._mat_cache.items() if n < below)
+        if same_codomain:
+            self._mono_cache.update((m + pad, v) for m, v in old._mono_cache.items())
 
     def matrix(self, n: int) -> QMatrix:
         """Matrix of the degree-n component in the chosen bases."""

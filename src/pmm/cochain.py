@@ -3,7 +3,9 @@
 Used by CDGAs, mapping cones, and persistent complexes alike so that the
 choice of representatives is made by one deterministic rule everywhere:
 cocycles come from kernel_basis, boundaries from pivot columns, and class
-representatives from quotient_basis in cocycle coordinates.
+representatives from quotient_basis in cocycle coordinates.  Each space keeps
+the pivot columns of its d_out, so the next degree up, whose d_in is the same
+matrix, reads its boundaries off them instead of reducing that matrix again.
 """
 from __future__ import annotations
 
@@ -12,8 +14,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalError
 from .exactla import (
-    QMatrix, Vector, column_space_basis, hstack, is_zero_vec, lin_comb,
-    quotient_basis, rref,
+    QMatrix, Vector, hstack, is_zero_vec, lin_comb, quotient_basis, rref,
 )
 
 
@@ -25,6 +26,7 @@ class CohomologySpace:
     cocycles: list[Vector]          # basis of Z, ambient coordinates
     boundaries: list[Vector]        # basis of B, ambient coordinates
     reps: list[Vector]              # class representatives, ambient coordinates
+    pivots: tuple[int, ...] = field(default=(), repr=False, compare=False)  # of d_out
     _solver: Optional[tuple[QMatrix, QMatrix]] = field(
         default=None, init=False, repr=False, compare=False)
 
@@ -59,10 +61,16 @@ class CohomologySpace:
         return lin_comb(h, self.reps, self.ambient_dim)
 
 
-def compute_cohomology(d_out: QMatrix, d_in: Optional[QMatrix]) -> CohomologySpace:
+def compute_cohomology(d_out: QMatrix, d_in: Optional[QMatrix],
+                       below: Optional[CohomologySpace] = None) -> CohomologySpace:
+    """H = ker(d_out)/im(d_in).  B is spanned by the pivot columns of d_in,
+    read from `below` (the space whose d_out was d_in) when given."""
     r = rref(d_out)
     z, free = r.kernel_basis(), r.free_columns()
-    b = column_space_basis(d_in) if d_in is not None else []
+    b = []
+    if d_in is not None:
+        pivots = below.pivots if below is not None else rref(d_in).pivots
+        b = [d_in.column(p) for p in pivots]
     dim = d_out.cols
     b_in_z = []
     for vb in b:
@@ -73,4 +81,5 @@ def compute_cohomology(d_out: QMatrix, d_in: Optional[QMatrix]) -> CohomologySpa
             raise InternalError("boundary is not a cocycle: d*d != 0 upstream")
         b_in_z.append(coords)
     reps = [lin_comb(unit, z, dim) for unit in quotient_basis(b_in_z, len(z))]
-    return CohomologySpace(ambient_dim=dim, cocycles=z, boundaries=b, reps=reps)
+    return CohomologySpace(ambient_dim=dim, cocycles=z, boundaries=b, reps=reps,
+                           pivots=r.pivots)

@@ -47,12 +47,19 @@ def is_zero_vec(u: Vector) -> bool:
 
 
 def lin_comb(coeffs: Iterable, vectors: Iterable[Vector], dim: int) -> Vector:
-    """sum c_i v_i, a vector of length dim (the zero vector when empty)."""
-    acc = zero_vec(dim)
+    """sum c_i v_i, a vector of length dim (the zero vector when empty).
+
+    Accumulates only the nonzero products c_i x into one list.
+    """
+    acc = [ZERO] * dim
     for c, v in zip(coeffs, vectors, strict=True):
-        if c != 0:
-            acc = vec_add(acc, vec_scale(c, v))
-    return acc
+        if c:
+            if len(v) != dim:
+                raise ValueError(f"lin_comb: vector of length {len(v)}, want {dim}")
+            for i, x in enumerate(v):
+                if x:
+                    acc[i] += c * x
+    return tuple(acc)
 
 
 class QMatrix:
@@ -256,12 +263,6 @@ def solve(a: QMatrix, b: Sequence) -> Optional[Vector]:
 def kernel_basis(a: QMatrix) -> list[Vector]:
     """Basis of ker(a), one vector per free column of the rref, in column order."""
     return rref(a).kernel_basis()
-
-
-def column_space_basis(a: QMatrix) -> list[Vector]:
-    """Original pivot columns of a (a basis of the image)."""
-    r = rref(a)
-    return [a.column(p) for p in r.pivots]
 
 
 def quotient_basis(sub: Sequence[Vector], ambient_dim: int) -> list[Vector]:

@@ -13,11 +13,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .cdga import (
     Algebra, CdgaElement, CdgaMorphism, FreeCDGA, Monomial, differential,
-    free_cdga, multiply, validate_morphism,
+    free_cdga, multiply, unchanged_below, validate_morphism,
 )
 from .cochain import CohomologySpace, compute_cohomology
 from .errors import InternalError, ValidationError
@@ -217,13 +217,13 @@ class CdgaHomotopy:
         self._cache[mono] = out
         return out
 
-    def check_chain_condition(self):
-        """H(dg) = d(H(g)) on every generator (enough for an algebra map)."""
-        for g in self.domain.generators:
-            lhs = self.apply(self.domain.generator_diff(g.name))
-            rhs = interval_d(self.assignment[g.name])
+    def check_chain_condition(self, names: Optional[Iterable[str]] = None):
+        """H(dg) = d(H(g)) on every generator (enough for an algebra map), or on `names`."""
+        for name in (g.name for g in self.domain.generators) if names is None else names:
+            lhs = self.apply(self.domain.generator_diff(name))
+            rhs = interval_d(self.assignment[name])
             if lhs != rhs:
-                raise ValidationError(f"homotopy is not a chain map on {g.name}")
+                raise ValidationError(f"homotopy is not a chain map on {name}")
 
     def endpoints(self) -> tuple[CdgaMorphism, CdgaMorphism]:
         """(eps_0 o H, eps_1 o H) as validated morphisms."""
@@ -236,6 +236,24 @@ class CdgaHomotopy:
             if problems:
                 raise ValidationError(f"corrupt homotopy: {label} endpoint invalid: {problems}")
         return f, g
+
+    def inherit(self, old: "CdgaHomotopy"):
+        """Take old's I_H(n) in the degrees where the domain did not change,
+        and old's values on monomials.
+
+        Guarded: same codomain, a domain that is old's or extends it
+        (`unchanged_below`), and the same value on each of old's generators.
+        """
+        below = unchanged_below(self.domain, old.domain)
+        if self.codomain is not old.codomain or not below:
+            raise InternalError("cannot carry integrals: the domain does not extend old's")
+        for name, value in old.assignment.items():
+            if self.assignment[name] != value:
+                raise InternalError(f"the homotopy changed on {name}")
+        pad = (0,) * (len(self.domain.generators) - len(old.domain.generators))
+        self._cache.update((key, v) if isinstance(key, int) else (key + pad, v)
+                           for key, v in old._cache.items()
+                           if not isinstance(key, int) or key < below)
 
     def integral_of(self, elem: CdgaElement) -> CdgaElement:
         return integrate_01(self.apply(elem))
@@ -265,20 +283,42 @@ def extend_homotopy(f: CdgaMorphism, h: CdgaHomotopy, v: CdgaElement,
     return out
 
 
-def check_homotopy_identity(h: CdgaHomotopy, max_degree: int) -> list[str]:
+def check_homotopy_identity(h: CdgaHomotopy, max_degree: int,
+                            names: Optional[Sequence[str]] = None) -> list[str]:
     """Verify d(IH a) + IH(da) = g(a) - f(a) on every domain monomial <= max_degree,
     as d_B(n-1) I_H(n) + I_H(n+1) d_M(n) = g(n) - f(n) in each degree n (without
-    the I_H(n+1) term above M's cap); one message per failing column."""
-    f, g = h.endpoints()
+    the I_H(n+1) term above M's cap); one message per failing column.
+
+    With `names`, only the columns of those generators, with g(x) - f(x) read
+    off H(x): the build's check of its new generators, whose end points
+    HomotopySquare.validate checks beside it.
+    """
+    dom = h.domain
+    if names is None:
+        f, g = h.endpoints()
     problems = []
     for n in range(max_degree + 1):
-        lhs = h.codomain.d_matrix(n - 1) @ h.integral_matrix(n)
-        if n + 1 <= h.domain.degree_cap:
-            lhs = lhs.add(h.integral_matrix(n + 1) @ h.domain.d_matrix(n))
-        rhs = g.matrix(n).add(f.matrix(n).scale(-1))
-        problems += [f"identity fails on {h.domain.key_repr(mono)}"
-                     for j, mono in enumerate(h.domain.basis_keys(n))
-                     if lhs.column(j) != rhs.column(j)]
+        keys = dom.basis_keys(n)
+        if names is None:
+            cols, rhs = range(len(keys)), g.matrix(n).add(f.matrix(n).scale(-1))
+        else:
+            here = [x for x in names if dom.generators[dom.index_of[x]].degree == n]
+            if not here:
+                continue
+            cols = [dom.key_position(n, next(iter(dom.gen(x).terms))) for x in here]
+            rhs = QMatrix.from_columns(
+                [h.codomain.to_vector(eval_at_1(a) - eval_at_0(a), n)
+                 for a in (h.assignment[x] for x in here)], h.codomain.dim(n))
+
+        def part(m: QMatrix) -> QMatrix:
+            return m if names is None else QMatrix.from_columns(
+                [m.column(j) for j in cols], m.rows)
+
+        lhs = h.codomain.d_matrix(n - 1) @ part(h.integral_matrix(n))
+        if n + 1 <= dom.degree_cap:
+            lhs = lhs.add(h.integral_matrix(n + 1) @ part(dom.d_matrix(n)))
+        problems += [f"identity fails on {dom.key_repr(keys[j])}"
+                     for i, j in enumerate(cols) if lhs.column(i) != rhs.column(i)]
     return problems
 
 
@@ -337,8 +377,21 @@ class ConeComplex:
             raise ValidationError(f"cone cohomology degree {n} exceeds reliable range")
         if n not in self._h_cache:
             d_in = self.d_matrix(n - 1) if n - 1 >= -1 else None
-            self._h_cache[n] = compute_cohomology(self.d_matrix(n), d_in)
+            self._h_cache[n] = compute_cohomology(self.d_matrix(n), d_in,
+                                                  self._h_cache.get(n - 1))
         return self._h_cache[n]
+
+    def carry_cohomology(self, old: "ConeComplex"):
+        """Take old's H^n where the domain did not change in degrees n+1 and
+        n+2, once our d(n-1) and d(n), stacked from our own (carried) blocks,
+        equal old's: an extension leaves the cone unchanged there, so a
+        differing block is an error."""
+        through = unchanged_below(self.domain, old.domain) - 3
+        carried = [n for n in old._h_cache if n <= through]
+        for j in sorted({j for n in carried for j in (n - 1, n)}):
+            if self.d_matrix(j) != old.d_matrix(j):
+                raise InternalError(f"cone d({j}) differs from the previous cone's")
+        self._h_cache.update((n, old._h_cache[n]) for n in carried)
 
     def h_dim(self, n: int) -> int:
         return self.cohomology_space(n).dim
@@ -380,15 +433,17 @@ class HomotopySquare:
 class ConeMap:
     """Cochain map C_m -> C_n induced by a homotopy-commutative square:
     phi(v, a) = (u(v), w(a) + IH(v)), between the given cones of m and n: the
-    block matrix [[u(n+1), 0], [I_H(n+1), w(n)]] of u = top, w = bottom and I_H.
-    The square is checked by its maker (HomotopySquare.validate, cone_map)."""
+    block matrix [[u(n+1), 0], [I_H(n+1), w(n)]] of u = top, w = bottom and I_H,
+    checked to commute with d in `degrees` (every degree by default).  The
+    square is checked by its maker (HomotopySquare.validate, cone_map)."""
 
-    def __init__(self, square: HomotopySquare, source: ConeComplex, target: ConeComplex):
+    def __init__(self, square: HomotopySquare, source: ConeComplex, target: ConeComplex,
+                 degrees: Optional[Sequence[int]] = None):
         self.square = square
         self.source = source
         self.target = target
         self._mat_cache: dict[int, QMatrix] = {}
-        self.check_chain_map()
+        self.check_chain_map(degrees)
 
     def matrix(self, n: int) -> QMatrix:
         if n not in self._mat_cache:
@@ -402,8 +457,9 @@ class ConeMap:
                     hstack([sq.homotopy.integral_matrix(n + 1), sq.bottom.matrix(n)])])
         return self._mat_cache[n]
 
-    def check_chain_map(self):
-        for n in range(-1, self.source.max_degree):
+    def check_chain_map(self, degrees: Optional[Sequence[int]] = None):
+        """d phi(n) = phi(n+1) d for each n in degrees (default: -1..max_degree-1)."""
+        for n in range(-1, self.source.max_degree) if degrees is None else degrees:
             lhs = self.target.d_matrix(n) @ self.matrix(n)
             rhs = self.matrix(n + 1) @ self.source.d_matrix(n)
             if lhs != rhs:

@@ -13,12 +13,27 @@ Stage algebras carry an internal degree cap two above the requested cap:
 degree-cap surgery reads cone cocycles one degree up, whose cocycle
 condition reads one degree further.
 
+Surgery at degree k adjoins generators of degree k only, so each step carries
+from the last what lies below k (_extend_state): basis keys and d-matrices
+(hirsch_extend), map and homotopy blocks (inherit), and stage cone cohomology
+(ConeComplex.carry_cohomology, after checking that the cone's d-matrices there
+equal the previous cone's).
+
 Verification (README "Verification" has each invariant), build check [audit key]:
-- minimality, CDGA maps, squares (HomotopySquare.validate), integration identity,
-  stage cones acyclic through k: _verify_surgery [minimality, structure,
-  homotopy_identities, connectivity]; stage_cones() reuses a cone only while its
-  model map is the same object, so validate_model reads the build's cones
-- d sigma = sigma d: ConeMap.check_chain_map, which trusts its square
+- minimality, CDGA maps, squares (HomotopySquare.validate): _verify_surgery
+  [minimality, structure, homotopy_identities]
+- integration identity: _verify_surgery on the new generators, in degree k
+  (check_homotopy_identity) [homotopy_identities, every monomial]
+- stage cones acyclic through k: _verify_surgery reduces H^{k-2..k}; H^{<=k-3}
+  is carried after the equal-matrix check [connectivity]; stage_cones() reuses
+  a cone only while its model map is the same object, so validate_model reads
+  the build's cones
+- d^2 = 0: hirsch_extend, on the new generators
+- each homotopy is a CDGA map: _extend_state, on the new generators
+  [homotopy_identities, every generator]
+- d phi = phi d: ConeMap.check_chain_map in degrees k-1 and k, the ones
+  surgery reads, trusting its square [implied by homotopy_identities and
+  structure; cone_maps() without a window checks every degree]
 - bars die exactly: the death-solve, bar_sections [endpoint_law, hirsch_certificates]
 """
 from __future__ import annotations
@@ -35,7 +50,7 @@ from .errors import InternalError, ValidationError
 from .exactla import solve
 from .homotopy import (
     CdgaHomotopy, ConeComplex, ConeMap, HomotopySquare, check_homotopy_identity,
-    cone, connectivity_failures, eval_at_0, eval_at_1, extend_homotopy,
+    cone, connectivity_failures, extend_homotopy,
 )
 from .persistence import INF, Bar, Grid, PersistenceModule
 from .pcomplex import PersistentComplex, bar_sections
@@ -169,10 +184,12 @@ class TameMinimalModel:
         self._cones = [c if c.m is m else cone(m) for c, m in zip(self._cones, self.models)]
         return self._cones
 
-    def cone_maps(self) -> list[ConeMap]:
-        """The cone map of each stage square; ConeMap trusts it (_verify_surgery checks it)."""
+    def cone_maps(self, degrees: Optional[Sequence[int]] = None) -> list[ConeMap]:
+        """The cone map of each stage square, checked to commute with d in
+        `degrees` (default: every degree); ConeMap trusts the square
+        (_verify_surgery checks it)."""
         squares, cones = self.stage_squares(), self.stage_cones()
-        return [ConeMap(sq, cones[r], cones[r + 1]) for r, sq in enumerate(squares)]
+        return [ConeMap(sq, cones[r], cones[r + 1], degrees) for r, sq in enumerate(squares)]
 
     def stage_squares(self) -> list[HomotopySquare]:
         return [HomotopySquare(top=self.sigmas[r], bottom=self.target.maps[r],
@@ -206,7 +223,9 @@ def surgery_step(model: TameMinimalModel, k: int) -> TameMinimalModel:
         raise ValidationError(f"surgery degree {k} out of order "
                               f"(done through {model.degree_done})")
     cones = model.stage_cones()
-    sigmas = [phi.matrix(k) for phi in model.cone_maps()]
+    # phi(k) maps cocycles to cocycles and boundaries to boundaries once phi
+    # commutes with d in degrees k-1 and k; validate_model audits every degree.
+    sigmas = [phi.matrix(k) for phi in model.cone_maps((k - 1, k))]
     spaces = [c.cohomology_space(k) for c in cones]
     bars, reps, sections = bar_sections(model.grid, sigmas, spaces)
 
@@ -240,6 +259,15 @@ def surgery_step(model: TameMinimalModel, k: int) -> TameMinimalModel:
 
 def _extend_state(model: TameMinimalModel, k: int,
                   new_records: list[dict]) -> TameMinimalModel:
+    """Adjoin the degree-k generators at every stage.
+
+    Each Hirsch extension is a sub-CDGA of the next, so below degree k nothing
+    changes: the new algebras, maps and homotopies take the old ones' blocks
+    through degree k-1 (every degree at a stage that gained no generator; each
+    carry guarded by `inherit`), and the new stage cones take the old cones'
+    H^n, n <= k-3, whose d(n-1) and d(n) they share.  The chain condition of
+    each homotopy is checked on its new generators.
+    """
     n = len(model.grid)
     target = model.target
 
@@ -266,6 +294,7 @@ def _extend_state(model: TameMinimalModel, k: int,
                 u = rec["u"]
                 images[rec["name"]] = u.algebra.embed_terms(u, new_algs[r + 1])
         sigmas.append(CdgaMorphism.on_generators(new_algs[r], new_algs[r + 1], images))
+        sigmas[r].inherit(model.sigmas[r])
 
     models = []
     for r in range(n):
@@ -275,6 +304,7 @@ def _extend_state(model: TameMinimalModel, k: int,
             if alive(rec, r):
                 images[rec["name"]] = rec["sections"][r][1]
         models.append(CdgaMorphism.on_generators(new_algs[r], target.stages[r], images))
+        models[r].inherit(model.models[r])
 
     homotopies = []
     for r in range(n - 1):
@@ -285,21 +315,34 @@ def _extend_state(model: TameMinimalModel, k: int,
                 assignment[rec["name"]] = extend_homotopy(
                     target.maps[r], model.homotopies[r], v_elem, a_elem,
                     None if alive(rec, r + 1) else rec["b"])
-        homotopies.append(CdgaHomotopy(new_algs[r], target.stages[r + 1], assignment))
+        h = CdgaHomotopy(new_algs[r], target.stages[r + 1], assignment, check=False)
+        h.inherit(model.homotopies[r])
+        h.check_chain_condition([x for x in assignment if x not in model.homotopies[r].assignment])
+        homotopies.append(h)
 
     records = model.gen_records + [
         {key: rec[key] for key in ("name", "degree", "birth", "death", "v", "u")}
         for rec in new_records]
-    return TameMinimalModel(target, new_algs, sigmas, models, homotopies, records, k)
+    out = TameMinimalModel(target, new_algs, sigmas, models, homotopies, records, k)
+    for new, old in zip(out.stage_cones(), model.stage_cones()):
+        new.carry_cohomology(old)
+    return out
 
 
 def _verify_surgery(model: TameMinimalModel, k: int, new_records: list[dict]):
-    """The build's checks after degree-k surgery, through degree k."""
+    """The build's checks after degree-k surgery, through degree k: the
+    integration identity on the new generators, and H^j of the stage cones,
+    j <= k (H^{j <= k-3} carried by _extend_state)."""
     failures = _structure_failures(model, model.target) or _minimality_failures(model)
     if not failures:
         names = [rec["name"] for rec in new_records]
         for r, square in enumerate(model.stage_squares()):
-            _check_homotopy_square(square, r, names)
+            h = square.homotopy
+            problems = square.validate() or [
+                f"integration {p}" for p in check_homotopy_identity(
+                    h, k, [x for x in names if x in h.assignment])]
+            if problems:
+                raise InternalError(f"{problems[0]} at stage {r}")
         failures = connectivity_failures(model.stage_cones(), k)
     if failures:
         raise InternalError(f"after degree-{k} surgery: {failures[0]}")
@@ -325,22 +368,6 @@ def _minimality_failures(model: TameMinimalModel) -> list[str]:
     except InternalError as exc:
         return [str(exc)]
     return []
-
-
-def _check_homotopy_square(square: HomotopySquare, r: int, names: Sequence[str]):
-    """Endpoints of the stage-r homotopy, and its integration identity on names."""
-    problems = square.validate()
-    if problems:
-        raise InternalError(f"{problems[0]} at stage {r}")
-    h = square.homotopy
-    for name in names:
-        if name not in h.assignment:
-            continue
-        a = square.left.domain.gen(name)
-        lhs = differential(h.integral_of(a)) + h.integral_of(differential(a))
-        rhs = eval_at_1(h.assignment[name]) - eval_at_0(h.assignment[name])
-        if lhs != rhs:
-            raise InternalError(f"integration identity fails on {name} at stage {r}")
 
 
 def build_persistent_minimal_model(a: PersistentCDGA, cap: Optional[int] = None
@@ -444,7 +471,9 @@ def validate_model(model: TameMinimalModel,
     for r, square in enumerate(model.stage_squares()):
         try:
             square.homotopy.check_chain_condition()
-            _check_homotopy_square(square, r, [g.name for g in model.algebras[r].generators])
+            problems = square.validate()
+            if problems:
+                raise InternalError(f"{problems[0]} at stage {r}")
             problems = check_homotopy_identity(square.homotopy, cap)
             failures.extend(f"stage {r}: {p}" for p in problems)
         except (InternalError, ValidationError) as exc:

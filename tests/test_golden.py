@@ -32,7 +32,7 @@ from .gen import random_morphism, random_pcomplex, random_sphere_data
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TOWERS = ("example1_case1", "example1_case2", "example2", "example3",
-          "sphere2", "sphere3")
+          "sphere2", "sphere2_bounded", "sphere3")
 CAPS = (5, 7)
 
 GOLDEN = {
@@ -56,6 +56,10 @@ GOLDEN = {
         "39afbf32bd1a22ac9f9e71f447d7982ceb2f2e5048f927c84a61c7ac66289f32",
     "build:sphere2:7":
         "aaa6595a3f8aad4f47c85326ad21241f94f0145867e56161c6c905a52bf7949c",
+    "build:sphere2_bounded:5":
+        "cb6e138b716e144cf11b7e274cb294978ce2f50d7ee8c4cc562a0a856c111e15",
+    "build:sphere2_bounded:7":
+        "8b04fd6a4a52cd58d68d419b9574daa9459716e769ca14844d4af92efa621327",
     "build:sphere3:5":
         "44afdbc207e673d9535dd472a7cf62c749d68ef59713ce01b9c559af444cd215",
     "build:sphere3:7":
@@ -80,6 +84,10 @@ GOLDEN = {
         "0e5f4f7578417bb027f29642ecce5d1faa905a5ce287ffa4f3976eb5db050809",
     "check:sphere2:7":
         "288a516b76d0a1704c3b3d7a4ced9b8e2d040cb96564ef004c3dcf7703011a5b",
+    "check:sphere2_bounded:5":
+        "6a701099cd10b243e484bbc129d1aef113c970886b8a0060dde9e2ff1365be78",
+    "check:sphere2_bounded:7":
+        "0b8b3bb62f3921d6c6268839bcb78bc5c338602fcff33c388be284dd61971490",
     "check:sphere3:5":
         "3f7ef167be0d52a89609121612ef821ac74eb7c2cbe0e615a3242843e89c4400",
     "check:sphere3:7":

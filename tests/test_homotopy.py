@@ -321,17 +321,9 @@ def _s2():
                       products={("alpha", "alpha"): {}}, differential={}, degree_cap=8)
 
 
-def _built_model(name, edit=lambda doc: doc):
+def _built_model(name):
     with open(Path(__file__).parent / "fixtures" / f"{name}.json") as fh:
-        return build_persistent_minimal_model(load_input(edit(json.load(fh))))
-
-
-def _sphere_killed_by_primitive(doc):
-    # Stage 1 of sphere2 gains w in degree 1 with dw = a: the degree-2 bar
-    # dies there, bounded by w, so the homotopy picks up a w (x) dt term.
-    doc["stages"][1]["basis"].insert(1, {"degree": 1, "labels": ["w"]})
-    doc["stages"][1]["differentials"] = [{"of": "w", "value": "a"}]
-    return doc
+        return build_persistent_minimal_model(load_input(json.load(fh)))
 
 
 def test_cone_d_matrix_equals_elementwise_free_and_finite_targets():
@@ -353,9 +345,10 @@ def test_cone_map_matrix_equals_elementwise():
     u, _ = h.endpoints()
     maps = [cone_map(HomotopySquare(top=u, bottom=u, left=ident_m, right=ident_b,
                                     homotopy=h))]
-    models = [_built_model("example1_case1"),
-              _built_model("sphere2", _sphere_killed_by_primitive)]
-    # The second built homotopy is not constant: its I_H(2) block is nonzero.
+    # sphere2_bounded is sphere2 with w in degree 1, dw = a, at stage 1: the
+    # degree-2 bar dies there, bounded by w, so the homotopy picks up a
+    # w (x) dt term and its I_H(2) block is nonzero.
+    models = [_built_model("example1_case1"), _built_model("sphere2_bounded")]
     assert not models[1].homotopies[0].integral_matrix(2).is_zero()
     for model in models:
         maps += model.cone_maps()

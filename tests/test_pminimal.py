@@ -19,7 +19,7 @@ CAP = 5
 ICAP = CAP + 2
 FIXTURES = Path(__file__).parent / "fixtures"
 TOWERS = ("example1_case1", "example1_case2", "example2", "example3",
-          "sphere2", "sphere3")
+          "sphere2", "sphere2_bounded", "sphere3")
 
 
 def fixture_tower(name):
