@@ -30,7 +30,6 @@ from .homotopy import (
 )
 from .minimal import (
     MapModel, MinModel, build_map_model, build_min_model, map_model_step,
-    telescope_step,
 )
 from .pcomplex import (
     PComplexMap, PersistentComplex, SphereMapData, attach_cell,

@@ -710,13 +710,14 @@ def linear_part(f: CdgaMorphism, dom_names: Sequence[str],
     return QMatrix.from_columns(cols, len(cod_names))
 
 
-def validate_morphism(f: CdgaMorphism, max_degree: Optional[int] = None) -> list[str]:
-    """Violation report; empty list means the morphism is valid."""
-    cap = max_degree if max_degree is not None else min(
-        f.domain.degree_cap, f.codomain.degree_cap)
+def validate_morphism(f: CdgaMorphism, names: Optional[Iterable[str]] = None) -> list[str]:
+    """Violation report; empty list means the morphism is valid.  A map given
+    on generators is checked on every generator, or on those in `names`."""
+    cap = min(f.domain.degree_cap, f.codomain.degree_cap)
     problems: list[str] = []
     if f.kind == "free":
-        for g in f.domain.generators:
+        gens = f.domain.generators
+        for g in gens if names is None else [gens[f.domain.index_of[x]] for x in names]:
             img = f.gen_images[g.name]
             if not img.is_zero():
                 try:

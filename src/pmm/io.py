@@ -53,6 +53,23 @@ def _key(key: str, where: str, top: int = 999_999) -> int:
     return int(key)
 
 
+def _name(x, where: str) -> str:
+    """A generator name or basis label: a JSON string."""
+    if not isinstance(x, str):
+        raise SchemaError(f"bad name {x!r:.60} in {where}: want a JSON string")
+    return x
+
+
+def _exact_keys(spec: dict, names, where: str):
+    """spec, keyed by the domain's generators or labels, has each of `names`
+    as a key and no other key."""
+    missing, unknown = sorted(set(names) - set(spec)), sorted(set(spec) - set(names))
+    if missing:
+        raise SchemaError(f"{where}: missing entries for {missing}")
+    if unknown:
+        raise SchemaError(f"{where}: {unknown} name no generator or label of the domain")
+
+
 def _need(doc, key: str, where: str, kind: type):
     if not isinstance(doc, dict):
         raise SchemaError(f"{where}: expected a JSON object, got {doc!r:.40}")
@@ -93,7 +110,7 @@ def _build_free_stage(spec: dict, cap: int, where: str) -> FreeCDGA:
     gens = []
     d_src = {}
     for g in _need(spec, "generators", where, list):
-        name = _need(g, "name", where, object)
+        name = _name(_need(g, "name", where, object), where)
         degree = _int(_need(g, "degree", where, object), where)
         gens.append((name, degree))
         d_src[name] = str(g.get("d", "0"))
@@ -115,19 +132,19 @@ def _build_finite_stage(spec: dict, cap: int, where: str) -> FiniteCDGA:
     basis: dict[int, list[str]] = {}
     for entry in _need(spec, "basis", where, list):
         basis[_int(_need(entry, "degree", where, object), where)] = \
-            list(_need(entry, "labels", where, list))
-    unit = _need(spec, "unit", where, object)
+            [_name(lab, where) for lab in _need(entry, "labels", where, list)]
+    unit = _name(_need(spec, "unit", where, object), where)
     scratch = FiniteCDGA(basis={k: v for k, v in basis.items()}, unit=unit,
                          products={}, differential={}, degree_cap=cap)
     products = {}
     for entry in _optional(spec, "products", where, list):
-        left = _need(entry, "left", where, object)
-        right = _need(entry, "right", where, object)
+        left = _name(_need(entry, "left", where, object), where)
+        right = _name(_need(entry, "right", where, object), where)
         value = parse_expression(str(_need(entry, "value", where, object)), scratch)
         products[(left, right)] = {scratch.label_of(k): c for k, c in value.terms.items()}
     differential = {}
     for entry in _optional(spec, "differentials", where, list):
-        lab = _need(entry, "of", where, object)
+        lab = _name(_need(entry, "of", where, object), where)
         value = parse_expression(str(_need(entry, "value", where, object)), scratch)
         differential[lab] = {scratch.label_of(k): c for k, c in value.terms.items()}
     try:
@@ -146,16 +163,11 @@ def _build_stage_map(spec: dict, dom: Algebra, cod: Algebra, where: str) -> Cdga
         except ParseError as exc:
             raise SchemaError(f"{where}: image of {name!r}: {exc}") from exc
     if dom.kind == "free":
-        missing = {g.name for g in dom.generators} - set(images)
-        if missing:
-            raise SchemaError(f"{where}: missing images for {sorted(missing)}")
+        _exact_keys(images, [g.name for g in dom.generators], where)
         return CdgaMorphism.on_generators(dom, cod, images)
-    labels = [dom.label_of(k) for n in range(dom.degree_cap + 1)
-              for k in dom.basis_keys(n)]
     images.setdefault(dom.unit_label, cod.one())
-    missing = set(labels) - set(images)
-    if missing:
-        raise SchemaError(f"{where}: missing images for {sorted(missing)}")
+    _exact_keys(images, [dom.label_of(k) for n in range(dom.degree_cap + 1)
+                         for k in dom.basis_keys(n)], where)
     return CdgaMorphism.on_basis(dom, cod, images)
 
 
@@ -327,8 +339,8 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
     entries = _need(spec, "generators", "model", list)
     where = "model generator"
     for e in entries:
-        for key in ("name", "d"):
-            _need(e, key, where, object)
+        _name(_need(e, "name", where, object), where)
+        _need(e, "d", where, object)
         _int(_need(e, "degree", where, object), where)
         birth = _int(_need(e, "birth", where, object), where)
         death = _need(e, "death", where, object)
@@ -377,15 +389,14 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
 
     models = []
     for r, stage in enumerate(_objects(spec, "stage_models", "model", n)):
+        _exact_keys(stage, [g.name for g in algebras[r].generators], f"stage model {r}")
         images = {name: parse_expression(str(src), target.stages[r])
                   for name, src in stage.items()}
-        missing = {g.name for g in algebras[r].generators} - set(images)
-        if missing:
-            raise SchemaError(f"stage model {r} missing images for {sorted(missing)}")
         models.append(CdgaMorphism.on_generators(algebras[r], target.stages[r], images))
 
     homotopies = []
     for r, stage in enumerate(_objects(spec, "homotopies", "model", n - 1)):
+        _exact_keys(stage, [g.name for g in algebras[r].generators], f"homotopy {r}")
         assignment = {}
         for name, parts in stage.items():
             cod = target.stages[r + 1]
@@ -395,11 +406,7 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
             dt = {_key(k, where): parse_expression(str(src), cod)
                   for k, src in _optional(parts, "dt", where, dict).items()}
             assignment[name] = IntervalElement(cod, poly, dt)
-        missing = {g.name for g in algebras[r].generators} - set(assignment)
-        if missing:
-            raise SchemaError(f"homotopy {r} missing generators {sorted(missing)}")
-        homotopies.append(CdgaHomotopy(algebras[r], target.stages[r + 1],
-                                       assignment, check=False))
+        homotopies.append(CdgaHomotopy(algebras[r], target.stages[r + 1], assignment))
 
     records = []
     for e in entries:

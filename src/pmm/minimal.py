@@ -1,16 +1,18 @@
 """Minimal models of single CDGAs and of maps between them.
 
 The Sullivan minimal model of one CDGA is the persistent minimal model over
-a one-point grid: `telescope_step` runs one degree of interval surgery
-(`pminimal.surgery_step`) on a one-stage tower, so each step kills the
-degree-k cone cohomology by a Hirsch extension whose generators carry
-chosen cone cocycle representatives.  A model is "k-minimal" here in the
-operational sense that the mapping cone of the model map has vanishing
-cohomology through degree k.
+a one-point grid (`build_min_model` runs `pminimal.build_persistent_minimal_model`
+on a one-stage tower), so each degree-k step kills the degree-k cone
+cohomology by a Hirsch extension whose generators carry chosen cone cocycle
+representatives, and the build's checks are those of `pminimal`.  A model is
+"k-minimal" here in the operational sense that the mapping cone of the model
+map has vanishing cohomology through degree k.
 
 For maps, both sides extend at once and the connecting homotopy extends by
 the explicit formula of `homotopy.extend_homotopy`, with a correction term
-d(y (x) t) on kernel classes.
+d(y (x) t) on kernel classes.  The user's map is checked on entry; each step
+checks the three extended maps, the square, the homotopy's chain condition,
+minimality, H^k of both cones and Q^k(g) = H^k(phi).
 """
 from __future__ import annotations
 
@@ -25,12 +27,11 @@ from .cdga import (
 from .errors import InternalError, ValidationError
 from .exactla import ONE, QMatrix, adapted_split, solve
 from .homotopy import (
-    CdgaHomotopy, ConeComplex, ConeMap, HomotopySquare, cone,
-    connectivity_failures, extend_homotopy,
+    CdgaHomotopy, ConeComplex, ConeMap, HomotopySquare, cone, extend_homotopy,
 )
-from .persistence import INF, Grid
+from .persistence import Grid
 from .pminimal import (
-    INTERNAL_HEADROOM, PersistentCDGA, TameMinimalModel, surgery_step,
+    INTERNAL_HEADROOM, PersistentCDGA, build_persistent_minimal_model,
 )
 
 
@@ -50,53 +51,16 @@ class MinModel:
         return self.m.codomain
 
 
-def unit_model(a: Algebra, degree_cap: Optional[int] = None) -> MinModel:
-    """The 1-minimal model Q -> A of a simply-connected algebra."""
-    if not a.is_simply_connected():
-        raise ValidationError("target is not simply-connected (H^0 = Q, H^1 = 0 required)")
-    cap = degree_cap if degree_cap is not None else a.degree_cap
-    unit = free_cdga([], {}, cap)
-    return MinModel(CdgaMorphism.on_generators(unit, a, {}), 1)
-
-
-def check_connectivity(model: MinModel, through: int) -> None:
-    failures = connectivity_failures([cone(model.m)], through)
-    if failures:
-        raise InternalError(f"cone cohomology nonzero: {failures[0]}")
-
-
-def telescope_step(model: MinModel) -> MinModel:
-    """Extend a (k-1)-minimal model to a k-minimal model of the same target.
-
-    This is one degree of interval surgery on the model seen as a one-stage
-    persistent model, whose user cap leaves the target's degree cap as the
-    internal cap.
-    """
-    a = model.target
-    tower = PersistentCDGA(Grid((0,)), [a], [], a.degree_cap - INTERNAL_HEADROOM)
-    records = [{"name": g.name, "degree": g.degree, "birth": 0, "death": INF,
-                "v": model.algebra.generator_diff(g.name), "u": None}
-               for g in model.algebra.generators]
-    stage = TameMinimalModel(tower, [model.algebra], [], [model.m], [], records, model.k)
-    out = surgery_step(stage, model.k + 1)
-    return MinModel(out.models[0], out.degree_done)
-
-
 def build_min_model(a: Algebra, cap: int) -> MinModel:
-    """Iterate the telescope from the unit model up to the degree cap.
+    """The persistent minimal model of a one-stage tower on `a`, through `cap`.
 
-    The target must have degree headroom: computing H^cap of the cone reads
-    two degrees above, so a.degree_cap >= cap + 2 is required.
+    The tower's internal cap is the target's degree cap: computing H^cap of
+    the cone reads two degrees above, so a.degree_cap >= cap + 2 is required
+    (build_persistent_minimal_model refuses a larger cap).
     """
-    if a.degree_cap < cap + 2:
-        raise ValidationError(
-            f"target degree cap {a.degree_cap} too small for model cap {cap}; "
-            f"need at least {cap + 2}")
-    model = unit_model(a)
-    for k in range(2, cap + 1):
-        model = telescope_step(model)
-    check_connectivity(model, cap)
-    return model
+    tower = PersistentCDGA(Grid((0,)), [a], [], a.degree_cap - INTERNAL_HEADROOM)
+    model = build_persistent_minimal_model(tower, cap)
+    return MinModel(model.models[0], model.degree_done)
 
 
 @dataclass
@@ -144,7 +108,7 @@ def trivial_map_model(f: CdgaMorphism, degree_cap: Optional[int] = None) -> MapM
     g = CdgaMorphism.on_generators(unit_m, unit_n, {})
     m = CdgaMorphism.on_generators(unit_m, f.domain, {})
     n = CdgaMorphism.on_generators(unit_n, f.codomain, {})
-    h = CdgaHomotopy(unit_m, f.codomain, {}, check=False)
+    h = CdgaHomotopy(unit_m, f.codomain, {})
     return MapModel(g=g, m=m, n=n, f=f, homotopy=h, k=1)
 
 
@@ -230,6 +194,7 @@ def map_model_step(mm: MapModel) -> MapModel:
         h_assign[name] = extend_homotopy(mm.f, mm.homotopy, dom_diffs[i], m_images[i],
                                          solved[i - r][1] if i >= r else None)
     hbar = CdgaHomotopy(mbar_alg, mm.f.codomain, h_assign)
+    hbar.check_chain_condition()
 
     for label, mor in (("g", gbar), ("m", mbar), ("n", nbar)):
         problems = validate_morphism(mor)
@@ -263,6 +228,9 @@ def map_model_step(mm: MapModel) -> MapModel:
 
 def build_map_model(f: CdgaMorphism, cap: int) -> MapModel:
     """Approximation telescope of a map, from the trivial square to degree cap."""
+    problems = validate_morphism(f)
+    if problems:
+        raise ValidationError(f"f is not a CDGA map: {problems[0]}")
     for alg in (f.domain, f.codomain):
         if alg.degree_cap < cap + 2:
             raise ValidationError(

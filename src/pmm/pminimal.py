@@ -19,9 +19,17 @@ from the last what lies below k (_extend_state): basis keys and d-matrices
 (ConeComplex.carry_cohomology, after checking that the cone's d-matrices there
 equal the previous cone's).
 
+The build checks each generator once, in the step that adds it; the
+`inherit` guards show that the old generators' differentials, images and
+homotopy values did not change.  validate_model checks every generator.
+
 Verification (README "Verification" has each invariant), build check [audit key]:
-- minimality, CDGA maps, squares (HomotopySquare.validate): _verify_surgery
-  [minimality, structure, homotopy_identities]
+- minimality: _verify_surgery, every stage algebra [minimality]
+- stage models and sigmas are CDGA maps (validate_morphism): _verify_surgery,
+  on the new generators [structure, every generator]
+- squares commute up to H (HomotopySquare.validate): _verify_surgery, on the
+  new generators [homotopy_identities, every generator]; the end points of H
+  are then CDGA maps, being equal to composites of CDGA maps
 - integration identity: _verify_surgery on the new generators, in degree k
   (check_homotopy_identity) [homotopy_identities, every monomial]
 - stage cones acyclic through k: _verify_surgery reduces H^{k-2..k}; H^{<=k-3}
@@ -151,7 +159,7 @@ class TameMinimalModel:
                   for r in range(n - 1)]
         models = [CdgaMorphism.on_generators(algebras[r], target.stages[r], {})
                   for r in range(n)]
-        homotopies = [CdgaHomotopy(algebras[r], target.stages[r + 1], {}, check=False)
+        homotopies = [CdgaHomotopy(algebras[r], target.stages[r + 1], {})
                       for r in range(n - 1)]
         return cls(target, algebras, sigmas, models, homotopies, [], 1)
 
@@ -315,7 +323,7 @@ def _extend_state(model: TameMinimalModel, k: int,
                 assignment[rec["name"]] = extend_homotopy(
                     target.maps[r], model.homotopies[r], v_elem, a_elem,
                     None if alive(rec, r + 1) else rec["b"])
-        h = CdgaHomotopy(new_algs[r], target.stages[r + 1], assignment, check=False)
+        h = CdgaHomotopy(new_algs[r], target.stages[r + 1], assignment)
         h.inherit(model.homotopies[r])
         h.check_chain_condition([x for x in assignment if x not in model.homotopies[r].assignment])
         homotopies.append(h)
@@ -330,17 +338,18 @@ def _extend_state(model: TameMinimalModel, k: int,
 
 
 def _verify_surgery(model: TameMinimalModel, k: int, new_records: list[dict]):
-    """The build's checks after degree-k surgery, through degree k: the
-    integration identity on the new generators, and H^j of the stage cones,
-    j <= k (H^{j <= k-3} carried by _extend_state)."""
-    failures = _structure_failures(model, model.target) or _minimality_failures(model)
+    """The build's checks after degree-k surgery, each on the new generators
+    only (the `inherit` guards of _extend_state pin the old ones): stage
+    models and sigmas are CDGA maps, each square commutes up to H, and the
+    integration identity holds in degree k; then minimality, and H^j of the
+    stage cones for j <= k (H^{j <= k-3} carried by _extend_state)."""
+    names = [[rec["name"] for rec in new_records if rec["name"] in alg.index_of]
+             for alg in model.algebras]
+    failures = _structure_failures(model, model.target, names) or _minimality_failures(model)
     if not failures:
-        names = [rec["name"] for rec in new_records]
         for r, square in enumerate(model.stage_squares()):
-            h = square.homotopy
-            problems = square.validate() or [
-                f"integration {p}" for p in check_homotopy_identity(
-                    h, k, [x for x in names if x in h.assignment])]
+            problems = square.validate(names[r]) or [
+                f"integration {p}" for p in check_homotopy_identity(square.homotopy, k, names[r])]
             if problems:
                 raise InternalError(f"{problems[0]} at stage {r}")
         failures = connectivity_failures(model.stage_cones(), k)
@@ -348,15 +357,18 @@ def _verify_surgery(model: TameMinimalModel, k: int, new_records: list[dict]):
         raise InternalError(f"after degree-{k} surgery: {failures[0]}")
 
 
-def _structure_failures(model: TameMinimalModel, target: PersistentCDGA) -> list[str]:
-    """Stage models and structure maps are CDGA maps; models land in target."""
+def _structure_failures(model: TameMinimalModel, target: PersistentCDGA,
+                        names: Optional[list] = None) -> list[str]:
+    """Stage models and structure maps are CDGA maps (on every generator, or
+    on names[r] at stage r); models land in target."""
+    names = names or [None] * len(model.models)
     failures = []
     for r, m in enumerate(model.models):
-        failures.extend(f"m({r}): {p}" for p in validate_morphism(m))
+        failures.extend(f"m({r}): {p}" for p in validate_morphism(m, names[r]))
         if m.codomain is not target.stages[r]:
             failures.append(f"m({r}) does not land in the given target")
     for r, sigma in enumerate(model.sigmas):
-        failures.extend(f"sigma({r}): {p}" for p in validate_morphism(sigma))
+        failures.extend(f"sigma({r}): {p}" for p in validate_morphism(sigma, names[r]))
     return failures
 
 
@@ -463,7 +475,10 @@ def validate_model(model: TameMinimalModel,
     report["minimality"] = {"status": "pass" if not failures else "fail",
                             "failures": failures}
 
-    failures = connectivity_failures(model.stage_cones(), cap)
+    try:
+        failures = connectivity_failures(model.stage_cones(), cap)
+    except InternalError as exc:  # d*d != 0 on a cone: a stage model is no chain map
+        failures = [str(exc)]
     report["connectivity"] = {"status": "pass" if not failures else "fail",
                               "checked_through_degree": cap, "failures": failures}
 

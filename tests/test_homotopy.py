@@ -103,8 +103,7 @@ def test_endpoints_kill_dt():
     b = free_cdga([("c", 2), ("u", 1)], {}, 8)
     f = CdgaMorphism.on_generators(m, b, {"a": b.gen("c")})
     h = CdgaHomotopy(m, b, {"a": IntervalElement.constant(b.gen("c"))
-                            + IntervalElement.t_power(b.gen("u"), 0, with_dt=True)},
-                     check=False)
+                            + IntervalElement.t_power(b.gen("u"), 0, with_dt=True)})
     e0, e1 = h.endpoints()
     assert e0.apply(m.gen("a")) == b.gen("c")
     assert e1.apply(m.gen("a")) == b.gen("c")
@@ -121,6 +120,7 @@ def test_linear_interpolation_homotopy():
           + IntervalElement.t_power(b.gen("e") - b.gen("c"), 1)
           + IntervalElement.t_power(b.gen("w"), 0, with_dt=True))
     h = CdgaHomotopy(m, b, {"a": hx})
+    h.check_chain_condition()
     e0, e1 = h.endpoints()
     assert e0.apply(m.gen("a")) == b.gen("c")
     assert e1.apply(m.gen("a")) == b.gen("e")
@@ -147,6 +147,7 @@ def test_homotopy_identity_with_dt_part():
         "y": IntervalElement.constant(b.gen("z"))
              + IntervalElement.t_power(b.gen("c"), 0, with_dt=True),
     })
+    h.check_chain_condition()
     e0, e1 = h.endpoints()
     # Endpoints agree on a, differ by nothing on y (dt killed) -- but the
     # integral is nonzero: IH(y) = c, a genuine cochain homotopy datum.
@@ -342,6 +343,7 @@ def test_cone_map_matrix_equals_elementwise():
     h = CdgaHomotopy(m, b, {"a": IntervalElement.constant(b.gen("c")),
                             "y": IntervalElement.constant(b.gen("z"))
                             + IntervalElement.t_power(b.gen("c"), 0, with_dt=True)})
+    h.check_chain_condition()
     u, _ = h.endpoints()
     maps = [cone_map(HomotopySquare(top=u, bottom=u, left=ident_m, right=ident_b,
                                     homotopy=h))]
@@ -365,7 +367,9 @@ def _closed_y_into_acyclic():
     m = lam([("y", 3)])
     scratch = lam([("b", 2), ("s", 3)])
     b = free_cdga([("b", 2), ("s", 3)], {"b": scratch.gen("s")}, 8)
-    return m, b, CdgaHomotopy(m, b, {"y": IntervalElement.constant(b.gen("s"))})
+    h = CdgaHomotopy(m, b, {"y": IntervalElement.constant(b.gen("s"))})
+    h.check_chain_condition()
+    return m, b, h
 
 
 def test_homotopy_identity_messages_match_elementwise_on_broken_homotopy():
@@ -376,8 +380,7 @@ def test_homotopy_identity_messages_match_elementwise_on_broken_homotopy():
     b = free_cdga([("c", 2), ("b", 2), ("s", 3)], {"b": scratch.gen("s")}, 8)
     h = CdgaHomotopy(m, b, {"a": IntervalElement.constant(b.gen("c")),
                             "y": IntervalElement.constant(b.gen("s"))
-                            + IntervalElement.t_power(b.gen("b"), 0, with_dt=True)},
-                     check=False)
+                            + IntervalElement.t_power(b.gen("b"), 0, with_dt=True)})
     problems = check_homotopy_identity(h, 7)
     assert problems == _ref_identity_messages(h, 7)
     assert problems == ["identity fails on y", "identity fails on a*y", "identity fails on a^2*y"]
@@ -395,6 +398,7 @@ def test_homotopy_identity_reads_integral_of_differential():
                             + IntervalElement.t_power(b.gen("u"), 0, with_dt=True),
                             "y": IntervalElement.constant(b.gen("z"))
                             + IntervalElement.t_power(cu.scale(-2), 1)})
+    h.check_chain_condition()
     assert not h.integral_matrix(4).is_zero()
     assert check_homotopy_identity(h, 7) == _ref_identity_messages(h, 7) == []
 

@@ -8,6 +8,7 @@ a carried block names the check that reports it: the equal-block check of
 `ConeComplex.carry_cohomology`, `validate_model`, or the all-degree cone maps.
 """
 import json
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,7 @@ from pmm.cdga import CdgaMorphism, FiniteCDGA, free_cdga, hirsch_extend, multipl
 from pmm.cochain import CohomologySpace, compute_cohomology
 from pmm.errors import InternalError, ValidationError
 from pmm.exactla import ONE, QMatrix
-from pmm.homotopy import CdgaHomotopy, ConeComplex, ConeMap, IntervalElement
+from pmm.homotopy import CdgaHomotopy, ConeComplex, ConeMap, HomotopySquare, IntervalElement
 from pmm.io import load_input
 from pmm.persistence import Grid
 from pmm.pminimal import (
@@ -106,6 +107,47 @@ def test_each_step_reduces_three_cone_degrees_and_checks_two(monkeypatch):
         assert validate_model(model)["ok"]
 
 
+def test_each_generator_is_checked_once_by_the_build(monkeypatch):
+    # The CDGA-map checks (stage models, sigmas) and the square checks look at
+    # each (stage, generator) pair in the step that adds the generator, and
+    # never again: the inherit guards pin the old ones.
+    seen, current = Counter(), []
+    validate_morphism, validate_square = pminimal.validate_morphism, HomotopySquare.validate
+    verify = pminimal._verify_surgery
+
+    def record_verify(model, k, new_records):
+        current[:] = [model]
+        return verify(model, k, new_records)
+
+    def record_map(f, names=None):
+        model = current[0]
+        role = next((role, r) for role, maps in (("m", model.models), ("sigma", model.sigmas))
+                    for r, g in enumerate(maps) if g is f)
+        seen.update((role, x) for x in (g.name for g in f.domain.generators)
+                    if names is None or x in names)
+        return validate_morphism(f, names)
+
+    def record_square(square, names=None):
+        r = next(r for r, h in enumerate(current[0].homotopies) if h is square.homotopy)
+        seen.update((("square", r), x) for x in (g.name for g in square.left.domain.generators)
+                    if names is None or x in names)
+        return validate_square(square, names)
+
+    towers = (wedge_tower(6), load_input(json.loads((FIXTURES / "example3.json").read_text())))
+    monkeypatch.setattr(pminimal, "_verify_surgery", record_verify)
+    monkeypatch.setattr(pminimal, "validate_morphism", record_map)
+    monkeypatch.setattr(HomotopySquare, "validate", record_square)
+    for tower in towers:
+        seen.clear()
+        model = build_persistent_minimal_model(tower)
+        n = len(tower.grid)
+        want = [((role, r), g.name)
+                for role, stages in (("m", n), ("sigma", n - 1), ("square", n - 1))
+                for r in range(stages) for g in model.algebras[r].generators]
+        assert want and sorted(seen) == sorted(want)
+        assert set(seen.values()) == {1}
+
+
 def test_unwindowed_cone_maps_check_every_degree(monkeypatch):
     checked = []
     check_chain_map = ConeMap.check_chain_map
@@ -185,7 +227,7 @@ def test_homotopy_carry_refuses_a_changed_value():
     assignment = dict(h.assignment)
     assignment[name] = assignment[name].scale(2)
     with pytest.raises(InternalError, match=f"the homotopy changed on {name}"):
-        CdgaHomotopy(h.domain, h.codomain, assignment, check=False).inherit(h)
+        CdgaHomotopy(h.domain, h.codomain, assignment).inherit(h)
 
 
 def test_boundaries_read_from_the_degree_below(monkeypatch):

@@ -139,6 +139,22 @@ def test_cli_check_model_and_tamper(tmp_path, capsys):
     assert rc == 1
 
 
+def test_cli_check_reports_an_altered_homotopy_start(tmp_path, capsys):
+    # H(x2_0) no longer starts at bottom o left: the square fails, and with it
+    # the integration identity on x2_0.
+    doc = _built_model("example1_case1")
+    doc["model"]["homotopies"][0]["x2_0"]["poly"]["0"] = "2*alpha"
+    f = tmp_path / "model.json"
+    f.write_text(json.dumps(doc))
+    rc = main(["check", "--input", str(f), "--output", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["homotopy_identities"]["status"] == "fail"
+    assert report["homotopy_identities"]["failures"] == [
+        "stage 0: homotopy start mismatch on x2_0 at stage 0"]
+
+
 def test_cli_decompose_module(tmp_path, capsys):
     rc = main(["decompose", "--input", str(FIXTURES / "module_dims121.json"),
                "--output", str(tmp_path)])
@@ -397,6 +413,51 @@ def _short_homotopies(doc):
     return model
 
 
+def _list_generator_name(doc):
+    doc = fixture("example1_case1")
+    doc["stages"][0]["generators"][0]["name"] = ["alpha"]
+    return doc
+
+
+def _list_basis_label(doc):
+    doc["stages"][0]["basis"][1]["labels"] = [["a"]]
+    return doc
+
+
+def _dict_product_factor(doc):
+    doc["stages"][0]["products"][0]["left"] = {"a": 1}
+    return doc
+
+
+def _list_model_generator_name(doc):
+    model = _built_model("example1_case1")
+    model["model"]["generators"][0]["name"] = ["x2_0"]
+    return model
+
+
+def _unknown_finite_image(doc):
+    doc["maps"][0]["images"]["b"] = "0"
+    return doc
+
+
+def _unknown_free_image(doc):
+    doc = fixture("example1_case1")
+    doc["maps"][0]["images"]["gamma"] = "0"
+    return doc
+
+
+def _unknown_stage_model_key(doc):
+    model = _built_model("example1_case1")
+    model["model"]["stage_models"][0]["x9_0"] = "0"
+    return model
+
+
+def _unknown_homotopy_key(doc):
+    model = _built_model("example1_case1")
+    model["model"]["homotopies"][0]["x9_0"] = {"poly": {}, "dt": {}}
+    return model
+
+
 def _null_complex_map(doc):
     x = _interval_sphere()
     x["maps"][0] = None
@@ -453,7 +514,11 @@ def _float_matrix_entry(doc):
                                     _d_key_at_max_degree, _null_component,
                                     _huge_map_key, _grid_time("1e9999"),
                                     _grid_time("1e3"), _grid_time(1.5),
-                                    _grid_time(" 2 "), _float_matrix_entry])
+                                    _grid_time(" 2 "), _float_matrix_entry,
+                                    _list_generator_name, _list_basis_label,
+                                    _dict_product_factor, _list_model_generator_name,
+                                    _unknown_finite_image, _unknown_free_image,
+                                    _unknown_stage_model_key, _unknown_homotopy_key])
 def test_cli_malformed_input_is_one_line_schema_error(tmp_path, capsys, mutate):
     # Mutations of sphere2.json go to `build`, those of a built model to
     # `check`, of a persistent complex to `decompose`, of a map to `factor`.

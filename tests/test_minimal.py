@@ -7,13 +7,15 @@ from pmm.cdga import (
     multiply, validate_morphism,
 )
 from pmm.errors import ValidationError
-from pmm.homotopy import check_homotopy_identity
-from pmm.minimal import (
-    build_map_model, build_min_model, check_connectivity,
-    telescope_step, unit_model,
+from pmm.homotopy import (
+    IntervalElement, check_homotopy_identity, cone, connectivity_failures,
 )
+from pmm import minimal
+from pmm.minimal import build_map_model, build_min_model
 from pmm.persistence import Grid
-from pmm.pminimal import PersistentCDGA, build_persistent_minimal_model
+from pmm.pminimal import (
+    PersistentCDGA, TameMinimalModel, build_persistent_minimal_model, surgery_step,
+)
 
 from .gen import random_free_cdga, random_morphism
 
@@ -44,7 +46,7 @@ def test_min_model_sphere3():
     degrees = sorted(g.degree for g in model.algebra.generators)
     assert degrees == [3]
     assert indecomposables(model.algebra, 3)[0] == 1
-    check_connectivity(model, CAP)
+    assert connectivity_failures([cone(model.m)], CAP) == []
 
 
 def test_min_model_sphere2():
@@ -58,21 +60,24 @@ def test_min_model_sphere2():
         or alg.generator_diff(y_name) == multiply(alg.gen(a_name), alg.gen(a_name)).scale(-1)
     # The model map hits the fundamental class.
     assert not model.m.gen_images[a_name].is_zero()
-    check_connectivity(model, CAP)
+    assert connectivity_failures([cone(model.m)], CAP) == []
 
 
-def test_telescope_step_is_noop_when_connected():
-    model = build_min_model(finite_s3(), 4)
-    before = len(model.algebra.generators)
-    stepped = telescope_step(model)
-    assert stepped.k == 5
-    assert len(stepped.algebra.generators) == before
+def test_pointwise_surgery_step_is_noop_when_connected():
+    tower = PersistentCDGA(Grid((0,)), [finite_s3()], [], CAP)
+    model = TameMinimalModel.trivial(tower)
+    for k in range(2, 5):
+        model = surgery_step(model, k)
+    before = model.algebras[0].generators
+    stepped = surgery_step(model, 5)
+    assert stepped.degree_done == 5
+    assert stepped.algebras[0].generators == before
 
 
 def test_build_rejects_non_simply_connected():
     bad = free_cdga([("t", 1)], {}, ACAP)
-    with pytest.raises(ValidationError):
-        unit_model(bad)
+    with pytest.raises(ValidationError, match="not simply-connected"):
+        build_min_model(bad, CAP)
 
 
 def test_map_model_identity():
@@ -86,6 +91,31 @@ def test_map_model_identity():
         assert rep.psi.rows == rep.psi.cols
     assert validate_morphism(mm.g) == []
     assert check_homotopy_identity(mm.homotopy, 4) == []
+
+
+def test_map_model_rejects_a_map_that_is_not_a_cdga_map(monkeypatch):
+    # y -> 0 while d y = a^2 -> c^2 != 0: f is checked before any step runs.
+    a = free_cdga([("a", 2), ("y", 3)], {"y": {(2, 0): 1}}, ACAP)
+    b = free_cdga([("c", 2)], {}, ACAP)
+    f = CdgaMorphism.on_generators(a, b, {"a": b.gen("c"), "y": b.zero()})
+    monkeypatch.setattr(minimal, "map_model_step", None)
+    with pytest.raises(ValidationError, match="d-compatibility fails on generator y"):
+        build_map_model(f, 4)
+
+
+def test_map_model_step_checks_the_extended_homotopy(monkeypatch):
+    # A homotopy is checked by whoever makes it: alpha (x) t on the new
+    # generator's value has d = alpha (x) dt != 0 = H(d x2_0), so the step
+    # refuses it.
+    extend_homotopy = minimal.extend_homotopy
+
+    def off_by_a_t(f, h, v, x, y):
+        alpha = h.codomain.basis_elem("alpha")
+        return extend_homotopy(f, h, v, x, y) + IntervalElement.t_power(alpha, 1)
+
+    monkeypatch.setattr(minimal, "extend_homotopy", off_by_a_t)
+    with pytest.raises(ValidationError, match="homotopy is not a chain map on x2_0"):
+        build_map_model(CdgaMorphism.identity(finite_s2()), 2)
 
 
 def test_map_model_hopf_formal_case():

@@ -1,4 +1,5 @@
 import json
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -158,35 +159,54 @@ def test_surgery_steps_are_connective():
                     assert c.h_dim(j) == 0
 
 
-def test_verify_surgery_rejects_broken_stage_model():
-    # d*d = 0 on a stage cone rests on the stage model commuting with d,
-    # which the post-surgery check verifies before it reads any cone.
+def built_through_three():
     model = TameMinimalModel.trivial(example_one(1))
     for k in range(2, 4):
         model = surgery_step(model, k)
-    _verify_surgery(model, 3, [])
+    return model
+
+
+def test_verify_surgery_rejects_broken_stage_model():
+    # d*d = 0 on a stage cone rests on the stage model commuting with d.  The
+    # build checks it on each generator once, after the step that adds the
+    # generator; validate_model checks every generator.
+    model = built_through_three()
     r, name = next((r, g.name) for r, m in enumerate(model.models)
                    for g in m.domain.generators
                    if g.degree == 3 and not m.gen_images[g.name].is_zero())
+    _verify_surgery(model, 3, [{"name": name}])
     m = model.models[r]
     images = dict(m.gen_images)
     images[name] = images[name].scale(2)  # m(d x) stays, d m(x) doubles
     model.models[r] = CdgaMorphism.on_generators(m.domain, m.codomain, images)
-    with pytest.raises(InternalError, match="d-compatibility"):
-        _verify_surgery(model, 3, [])
+    problem = f"m({r}): d-compatibility fails on generator {name}"
+    with pytest.raises(InternalError, match=re.escape(problem)):
+        _verify_surgery(model, 3, [{"name": name}])
+    report = validate_model(model)
+    assert problem in report["structure"]["failures"]
+    assert report["connectivity"]["failures"] == ["boundary is not a cocycle: d*d != 0 upstream"]
 
 
 def test_verify_surgery_rejects_altered_homotopy_start():
-    # Squares are checked once, by _verify_surgery; ConeMap trusts them.
-    model = TameMinimalModel.trivial(example_one(1))
-    for k in range(2, 4):
-        model = surgery_step(model, k)
-    h = model.homotopies[0]
-    name = next(g.name for g in model.algebras[0].generators if g.degree == 2)
-    start = h.assignment[name].poly[0]
-    h.assignment[name] = h.assignment[name] + IntervalElement.constant(start)
-    with pytest.raises(InternalError, match=f"homotopy start mismatch on {name} at stage 0"):
-        _verify_surgery(model, 3, [])
+    # Squares are checked once, by _verify_surgery on the step's new
+    # generators (ConeMap trusts them); validate_model checks every generator.
+    def shifted_start(degree):
+        model = built_through_three()
+        r, name = next((r, g.name) for r, h in enumerate(model.homotopies)
+                       for g in h.domain.generators
+                       if g.degree == degree and 0 in h.assignment[g.name].poly)
+        value = model.homotopies[r].assignment[name]
+        model.homotopies[r].assignment[name] = value + IntervalElement.constant(value.poly[0])
+        return model, r, name
+
+    model, r, name = shifted_start(3)
+    with pytest.raises(InternalError, match=f"homotopy start mismatch on {name} at stage {r}"):
+        _verify_surgery(model, 3, [{"name": name}])
+    model, r, name = shifted_start(2)  # a generator the degree-3 step did not add
+    _verify_surgery(model, 3, [rec for rec in model.gen_records if rec["degree"] == 3])
+    report = validate_model(model)
+    assert (f"stage {r}: homotopy start mismatch on {name} at stage {r}"
+            in report["homotopy_identities"]["failures"])
 
 
 def test_validate_model_rebuilds_cone_of_replaced_stage_model():
