@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .cochain import CohomologySpace, compute_cohomology
@@ -133,6 +134,7 @@ class FreeCDGA(_GradedAlgebra):
         self.generators = tuple(generators)
         self.degree_cap = degree_cap
         self.index_of = {g.name: i for i, g in enumerate(self.generators)}
+        self._degrees = tuple(g.degree for g in self.generators)
         self._odd = tuple(i for i, g in enumerate(self.generators) if g.degree % 2 == 1)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._basis_pos: dict[int, dict[Monomial, int]] = {}
@@ -187,7 +189,7 @@ class FreeCDGA(_GradedAlgebra):
     # -- basis bookkeeping ------------------------------------------------
 
     def key_degree(self, mono: Monomial) -> int:
-        return sum(e * g.degree for e, g in zip(mono, self.generators))
+        return sum(map(mul, mono, self._degrees))
 
     def key_repr(self, mono: Monomial) -> str:
         parts = [f"{g.name}^{e}" if e > 1 else g.name

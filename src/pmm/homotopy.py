@@ -431,8 +431,8 @@ class ConeMap:
     """Cochain map C_m -> C_n induced by a homotopy-commutative square:
     phi(v, a) = (u(v), w(a) + IH(v)), between the given cones of m and n: the
     block matrix [[u(n+1), 0], [I_H(n+1), w(n)]] of u = top, w = bottom and I_H,
-    checked to commute with d in `degrees` (every degree by default).  The
-    square is checked by its maker (HomotopySquare.validate, cone_map)."""
+    checked to commute with d in `degrees` (by default every degree both cones
+    reach).  The square is checked by its maker (HomotopySquare.validate, cone_map)."""
 
     def __init__(self, square: HomotopySquare, source: ConeComplex, target: ConeComplex,
                  degrees: Optional[Sequence[int]] = None):
@@ -455,8 +455,10 @@ class ConeMap:
         return self._mat_cache[n]
 
     def check_chain_map(self, degrees: Optional[Sequence[int]] = None):
-        """d phi(n) = phi(n+1) d for each n in degrees (default: -1..max_degree-1)."""
-        for n in range(-1, self.source.max_degree) if degrees is None else degrees:
+        """d phi(n) = phi(n+1) d for each n in degrees (default: -1 to one below
+        the lower max_degree of the two cones, past which d_C reads nothing)."""
+        top = min(self.source.max_degree, self.target.max_degree)
+        for n in range(-1, top) if degrees is None else degrees:
             lhs = self.target.d_matrix(n) @ self.matrix(n)
             rhs = self.matrix(n + 1) @ self.source.d_matrix(n)
             if lhs != rhs:

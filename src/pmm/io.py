@@ -334,6 +334,8 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
     """Rebuild a TameMinimalModel from its serialized form (and its input)."""
     target = load_input(_need(doc, "input", "model document", dict))
     spec = _need(doc, "model", "model document", dict)
+    if _int(_need(spec, "degree_cap", "model", object), "model") != target.user_cap:
+        raise SchemaError(f"model degree_cap differs from the input's {target.user_cap}")
     n = len(target.grid)
     icap = target.internal_cap
     entries = _need(spec, "generators", "model", list)
@@ -419,7 +421,7 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
             "name": e["name"], "degree": e["degree"], "birth": e["birth"],
             "death": INF if e["death"] is None else e["death"], "v": v, "u": u})
     model = TameMinimalModel(target, algebras, sigmas, models, homotopies, records,
-                             _int(spec.get("degree_cap", target.user_cap), "model"))
+                             target.user_cap)
     return target, model
 
 

@@ -24,7 +24,7 @@ from pmm.pcomplex import (
 )
 from pmm.pminimal import (
     TameMinimalModel, build_persistent_minimal_model, homotopy_barcode,
-    presentation, surgery_step, )
+    presentation, surgery_step, validate_model, )
 
 from .gen import (
     random_morphism, random_pcomplex, random_pcomplex_map, random_sphere_data,
@@ -147,12 +147,13 @@ def test_criterion_06_homotopy_identity_suite():
         capv = model.target.user_cap
         for h in model.homotopies:
             assert check_homotopy_identity(h, capv) == []
-    # 200 randomized small map-model builds.
+    # 200 randomized small map-model builds, each with the full audit.
     rng = random.Random(606)
     for _ in range(200):
         f = random_morphism(rng, 7, max_gens=3, max_degree=5)
         mm = build_map_model(f, 5)
         assert check_homotopy_identity(mm.homotopy, 5) == []
+        assert validate_model(mm.model)["ok"]
     elapsed = time.monotonic() - t0
     print(f"criterion 6: PASS ({elapsed:.2f}s)")
 

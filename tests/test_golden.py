@@ -5,7 +5,8 @@ fixture at degree caps 5 and 7, `pmm check` on the saved models, `pmm
 decompose` on the module fixture and on seeded persistent complexes, `pmm
 factor` on a seeded batch of cell-attachment maps (built as in acceptance
 criterion 10), and a seeded batch of map models.  One build also runs in a
-fresh interpreter under another PYTHONHASHSEED.
+fresh interpreter under another PYTHONHASHSEED, and each demo's stdout is
+pinned, run in a fresh interpreter under the current one.
 
 An intended output change must update the digests; print the current ones
 with `PYTHONPATH=src python -m tests.test_golden`.
@@ -102,6 +103,18 @@ GOLDEN = {
         "c58341480c392355c8a3361df32a70f45af45742520fab0f6104766916d10ec0",
     "map-models:batch":
         "31539017291150846e0bd76f0bef810495451c783f5b8925fdd892c02aa86d8a",
+}
+
+DEMOS = Path(__file__).resolve().parents[1] / "demos"
+DEMO_GOLDEN = {
+    "01_interval_decomposition.py":
+        "d67193539fd4c90ddf872a1a411a3bf90228ecc51806ebd6411c8cf9d239c2d6",
+    "02_minimal_models.py":
+        "63b1f6883ec1e5cda8f6526562c456adc396e95a1ecf61a71c43976cfb0937a3",
+    "03_persistent_model_walkthrough.py":
+        "d2676dc99079452f704bb4bd2cded482e6cf7d3963ca9313018d375ca1c78660",
+    "04_model_structure.py":
+        "29117d2f6c12b9d2e9816ef0657b9a50f2ed6ef265f6469cf1eca1a8e74b0a81",
 }
 
 
@@ -225,12 +238,30 @@ def test_golden_digest(digests, case):
     assert digests[case] == GOLDEN[case]
 
 
+def subprocess_env(**extra) -> dict:
+    """The environment, with the checkout's src first on PYTHONPATH."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return dict(os.environ, **extra, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def demo_digest(name: str) -> str:
+    """sha256 of the demo's stdout, run in a fresh interpreter."""
+    proc = subprocess.run([sys.executable, str(DEMOS / name)], env=subprocess_env(),
+                          capture_output=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr.decode()
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(DEMO_GOLDEN))
+def test_demo_output(name):
+    assert demo_digest(name) == DEMO_GOLDEN[name]
+
+
 def test_golden_under_other_hash_seed(tmp_path):
     """One build in a fresh interpreter with a different PYTHONHASHSEED."""
     seed = "1" if os.environ.get("PYTHONHASHSEED") != "1" else "2"
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONHASHSEED=seed,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = subprocess_env(PYTHONHASHSEED=seed)
     outdir = tmp_path / "out"
     code = ("import sys; from pmm.cli import main; "
             "raise SystemExit(main(sys.argv[1:]))")
@@ -248,3 +279,5 @@ if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
         for case, digest in sorted(compute_digests(Path(tmp)).items()):
             print(f"    {case!r}: {digest!r},")
+    for name in sorted(DEMO_GOLDEN):
+        print(f"    {name!r}: {demo_digest(name)!r},")

@@ -10,17 +10,21 @@ a carried block names the check that reports it: the equal-block check of
 import json
 from collections import Counter
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
 
-from pmm import cochain, pminimal
-from pmm.cdga import CdgaMorphism, FiniteCDGA, free_cdga, hirsch_extend, multiply
+from pmm import cochain, minimal, pminimal
+from pmm.cdga import (
+    CdgaMorphism, FiniteCDGA, free_cdga, hirsch_extend, multiply, unchanged_below,
+)
 from pmm.cochain import CohomologySpace, compute_cohomology
 from pmm.errors import InternalError, ValidationError
 from pmm.exactla import ONE, QMatrix
 from pmm.homotopy import CdgaHomotopy, ConeComplex, ConeMap, HomotopySquare, IntervalElement
 from pmm.io import load_input
+from pmm.minimal import build_map_model, map_model_step, trivial_map_model
 from pmm.persistence import Grid
 from pmm.pminimal import (
     PersistentCDGA, TameMinimalModel, build_persistent_minimal_model,
@@ -110,7 +114,8 @@ def test_each_step_reduces_three_cone_degrees_and_checks_two(monkeypatch):
 def test_each_generator_is_checked_once_by_the_build(monkeypatch):
     # The CDGA-map checks (stage models, sigmas) and the square checks look at
     # each (stage, generator) pair in the step that adds the generator, and
-    # never again: the inherit guards pin the old ones.
+    # never again: the inherit guards pin the old ones.  A map model is built
+    # by the same step, so the same holds for its g, m, n and square.
     seen, current = Counter(), []
     validate_morphism, validate_square = pminimal.validate_morphism, HomotopySquare.validate
     verify = pminimal._verify_surgery
@@ -120,11 +125,13 @@ def test_each_generator_is_checked_once_by_the_build(monkeypatch):
         return verify(model, k, new_records)
 
     def record_map(f, names=None):
-        model = current[0]
-        role = next((role, r) for role, maps in (("m", model.models), ("sigma", model.sigmas))
-                    for r, g in enumerate(maps) if g is f)
-        seen.update((role, x) for x in (g.name for g in f.domain.generators)
-                    if names is None or x in names)
+        if current:  # a tower checks its own structure maps when it is made
+            model = current[0]
+            role = next((role, r) for role, maps in (("m", model.models),
+                                                     ("sigma", model.sigmas))
+                        for r, g in enumerate(maps) if g is f)
+            seen.update((role, x) for x in (g.name for g in f.domain.generators)
+                        if names is None or x in names)
         return validate_morphism(f, names)
 
     def record_square(square, names=None):
@@ -134,18 +141,36 @@ def test_each_generator_is_checked_once_by_the_build(monkeypatch):
         return validate_square(square, names)
 
     towers = (wedge_tower(6), load_input(json.loads((FIXTURES / "example3.json").read_text())))
+    builds = [partial(build_persistent_minimal_model, tower) for tower in towers]
+    builds.append(lambda: build_map_model(wedge_tower(5).maps[0], 5).model)
     monkeypatch.setattr(pminimal, "_verify_surgery", record_verify)
+    monkeypatch.setattr(minimal, "_verify_surgery", record_verify)
     monkeypatch.setattr(pminimal, "validate_morphism", record_map)
     monkeypatch.setattr(HomotopySquare, "validate", record_square)
-    for tower in towers:
+    for build in builds:
         seen.clear()
-        model = build_persistent_minimal_model(tower)
-        n = len(tower.grid)
+        current.clear()
+        model = build()
+        n = len(model.grid)
         want = [((role, r), g.name)
                 for role, stages in (("m", n), ("sigma", n - 1), ("square", n - 1))
                 for r in range(stages) for g in model.algebras[r].generators]
         assert want and sorted(seen) == sorted(want)
         assert set(seen.values()) == {1}
+
+
+def test_map_model_steps_extend_the_previous_step():
+    # Each step's algebras extend the previous step's, and each stage cone
+    # takes its H^{<=k-3} from the previous cone as the same objects.
+    mm = trivial_map_model(wedge_tower(6).maps[0])
+    for k in range(2, 7):
+        before, mm = mm, map_model_step(mm)
+        for r in range(2):
+            assert unchanged_below(mm.model.algebras[r], before.model.algebras[r]) >= k
+            old, new = before.model.stage_cones()[r], mm.model.stage_cones()[r]
+            for n in range(0, k - 2):
+                assert new._h_cache[n] is old._h_cache[n], (k, r, n)
+    assert validate_model(mm.model)["ok"]
 
 
 def test_unwindowed_cone_maps_check_every_degree(monkeypatch):

@@ -458,6 +458,18 @@ def _unknown_homotopy_key(doc):
     return model
 
 
+def _model_degree_cap(value):
+    def mutate(doc):
+        model = _built_model("example1_case1")
+        if value is None:
+            del model["model"]["degree_cap"]
+        else:
+            model["model"]["degree_cap"] = value
+        return model
+    mutate.__name__ = "_no_model_degree_cap" if value is None else f"_model_degree_cap_{value}"
+    return mutate
+
+
 def _null_complex_map(doc):
     x = _interval_sphere()
     x["maps"][0] = None
@@ -518,7 +530,9 @@ def _float_matrix_entry(doc):
                                     _list_generator_name, _list_basis_label,
                                     _dict_product_factor, _list_model_generator_name,
                                     _unknown_finite_image, _unknown_free_image,
-                                    _unknown_stage_model_key, _unknown_homotopy_key])
+                                    _unknown_stage_model_key, _unknown_homotopy_key,
+                                    _model_degree_cap(50), _model_degree_cap(-1),
+                                    _model_degree_cap(None)])
 def test_cli_malformed_input_is_one_line_schema_error(tmp_path, capsys, mutate):
     # Mutations of sphere2.json go to `build`, those of a built model to
     # `check`, of a persistent complex to `decompose`, of a map to `factor`.

@@ -8,13 +8,15 @@ from pmm.cdga import (
 )
 from pmm.errors import ValidationError
 from pmm.homotopy import (
-    IntervalElement, check_homotopy_identity, cone, connectivity_failures,
+    CdgaHomotopy, HomotopySquare, IntervalElement, check_homotopy_identity, cone,
+    cone_map, connectivity_failures,
 )
-from pmm import minimal
+from pmm import minimal, pminimal
 from pmm.minimal import build_map_model, build_min_model
 from pmm.persistence import Grid
 from pmm.pminimal import (
     PersistentCDGA, TameMinimalModel, build_persistent_minimal_model, surgery_step,
+    validate_model,
 )
 
 from .gen import random_free_cdga, random_morphism
@@ -107,15 +109,55 @@ def test_map_model_step_checks_the_extended_homotopy(monkeypatch):
     # A homotopy is checked by whoever makes it: alpha (x) t on the new
     # generator's value has d = alpha (x) dt != 0 = H(d x2_0), so the step
     # refuses it.
-    extend_homotopy = minimal.extend_homotopy
+    extend_homotopy = pminimal.extend_homotopy
 
     def off_by_a_t(f, h, v, x, y):
         alpha = h.codomain.basis_elem("alpha")
         return extend_homotopy(f, h, v, x, y) + IntervalElement.t_power(alpha, 1)
 
-    monkeypatch.setattr(minimal, "extend_homotopy", off_by_a_t)
+    monkeypatch.setattr(pminimal, "extend_homotopy", off_by_a_t)
     with pytest.raises(ValidationError, match="homotopy is not a chain map on x2_0"):
         build_map_model(CdgaMorphism.identity(finite_s2()), 2)
+
+
+def polynomial_map(dom_cap, cod_cap):
+    """a -> b from Lambda(a2) to Lambda(b2), each at its own degree cap."""
+    a = free_cdga([("a", 2)], {}, dom_cap)
+    b = free_cdga([("b", 2)], {}, cod_cap)
+    return CdgaMorphism.on_generators(a, b, {"a": b.gen("b")})
+
+
+def test_cone_map_checks_within_both_cones_range():
+    # The cones of id_A and id_B end at degrees 7 and 5: the default check
+    # stops below the lower end instead of reading past the target cone.
+    f = polynomial_map(8, 6)
+    square = HomotopySquare(top=f, bottom=f, left=CdgaMorphism.identity(f.domain),
+                            right=CdgaMorphism.identity(f.codomain),
+                            homotopy=CdgaHomotopy.constant(f))
+    phi = cone_map(square)
+    assert (phi.source.max_degree, phi.target.max_degree) == (7, 5)
+
+
+def test_map_model_with_a_larger_domain_cap():
+    mm = build_map_model(polynomial_map(8, 6), 4)
+    assert [(g.name, g.degree) for g in mm.m.domain.generators] == [("x2_0", 2)]
+    assert [(g.name, g.degree) for g in mm.n.domain.generators] == [("y2_0", 2)]
+    assert mm.g.gen_images["x2_0"] == mm.n.domain.gen("y2_0")
+    assert validate_model(mm.model)["ok"]
+
+
+def test_map_model_audit_catches_a_changed_image():
+    # Negative control for the full audit: after the build, g(x2_0) is
+    # doubled; d x3_0 is a multiple of x2_0^2, so g is no CDGA map.
+    mm = build_map_model(CdgaMorphism.identity(finite_s2()), 4)
+    assert validate_model(mm.model)["ok"]
+    g = mm.g
+    images = dict(g.gen_images, x2_0=g.gen_images["x2_0"].scale(2))
+    mm.model.sigmas[0] = CdgaMorphism.on_generators(g.domain, g.codomain, images)
+    report = validate_model(mm.model)
+    assert report["structure"]["status"] == "fail"
+    assert report["structure"]["failures"][0].startswith("sigma(0): ")
+    assert not report["ok"]
 
 
 def test_map_model_hopf_formal_case():
