@@ -548,14 +548,12 @@ def hirsch_extend(a: FreeCDGA, new_gens: Sequence[tuple[str, int, CdgaElement]]
 
     Returns the extended algebra and the inclusion morphism.  Degree cap is
     inherited; each d_image must be a cocycle in `a` of degree gen+1.  The
-    extension is one FreeCDGA over base `a`: it checks d^2 = 0 on the new
-    generators only and takes a's basis keys and d-matrices below them.
+    extension is one FreeCDGA over base `a`: it checks the degree and d^2 = 0
+    on the new generators only and takes a's basis keys and d-matrices below
+    them.
     """
-    for name, deg, img in new_gens:
-        if img.algebra is not a:
-            raise ValidationError("d_image must live in the base algebra")
-        if not img.is_zero() and img.homogeneous_degree() != deg + 1:
-            raise ValidationError(f"d({name}) must have degree {deg + 1}")
+    if any(img.algebra is not a for _, _, img in new_gens):
+        raise ValidationError("d_image must live in the base algebra")
     gens = list(a.generators) + [Generator(n, d) for n, d, _ in new_gens]
     pad = (0,) * len(new_gens)
     diffs = {g.name: _padded(a.generator_diff(g.name).terms, pad) for g in a.generators}

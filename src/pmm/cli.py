@@ -65,11 +65,14 @@ def _with_cap(doc: dict, args) -> dict:
 
 
 def cmd_build(args) -> int:
+    emits = [e.strip() for e in args.emit.split(",") if e.strip()]
+    for kind in emits:
+        if kind not in ("barcode", "presentation", "report", "model"):
+            raise SchemaError(f"unknown emit kind {kind!r}")
     doc = _with_cap(_load_json(args.input), args)
     tower = load_input(doc)
     model = build_persistent_minimal_model(tower)
     report = validate_model(model)
-    emits = [e.strip() for e in args.emit.split(",") if e.strip()]
     for kind in emits:
         if kind == "barcode":
             emit_barcode(model, _outpath(args, "barcode.json"))
@@ -80,8 +83,6 @@ def cmd_build(args) -> int:
             emit_report(report, _outpath(args, "report.json"))
         elif kind == "model":
             dump_json(model_payload(model, doc), _outpath(args, "model.json"))
-        else:
-            raise SchemaError(f"unknown emit kind {kind!r}")
     if args.format == "text":
         print(presentation(model).text(verbose=args.verbose_relations))
         for b in homotopy_barcode(model).bars:

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 
 from .cdga import (
-    Algebra, CdgaElement, CdgaMorphism, FiniteCDGA, FreeCDGA, free_cdga,
+    Algebra, CdgaMorphism, FiniteCDGA, FreeCDGA, free_cdga,
     )
 from .errors import ParseError, SchemaError, ValidationError
 from .expressions import parse_expression, render_element
@@ -21,8 +21,8 @@ from .homotopy import CdgaHomotopy, IntervalElement
 from .persistence import INF, Bar, Grid, PersistenceModule
 from .pcomplex import PComplexMap, PersistentComplex
 from .pminimal import (
-    INTERNAL_HEADROOM, PersistentCDGA, TameMinimalModel, homotopy_barcode,
-    presentation,
+    INTERNAL_HEADROOM, PersistentCDGA, TameMinimalModel, _attach_generators,
+    homotopy_barcode, presentation,
 )
 
 SCHEMA_VERSION = 1
@@ -331,13 +331,19 @@ def model_payload(model: TameMinimalModel, input_doc: dict) -> dict:
 
 
 def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
-    """Rebuild a TameMinimalModel from its serialized form (and its input)."""
+    """Rebuild a TameMinimalModel from its serialized form (and its input).
+
+    The saved generators are attached degree by degree, from the unit
+    algebras up, by the build's own step (_attach_generators): each "d" is
+    read in the birth stage's algebra and each "endpoint" in the death
+    stage's, as attached below its degree.  Stage models and homotopies are
+    read as saved; nothing the build computed is reused.
+    """
     target = load_input(_need(doc, "input", "model document", dict))
     spec = _need(doc, "model", "model document", dict)
     if _int(_need(spec, "degree_cap", "model", object), "model") != target.user_cap:
         raise SchemaError(f"model degree_cap differs from the input's {target.user_cap}")
     n = len(target.grid)
-    icap = target.internal_cap
     entries = _need(spec, "generators", "model", list)
     where = "model generator"
     for e in entries:
@@ -349,45 +355,20 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
         if not 0 <= birth < n or (death is not None and not birth < _int(death, where) < n):
             raise SchemaError(f"{where} {e['name']!r}: lifespan outside the grid")
 
-    def alive(e, r):
-        death = e["death"]
-        return e["birth"] <= r and (death is None or r < death)
-
-    algebras: list[FreeCDGA] = []
-    sigmas: list[CdgaMorphism] = []
-    prev = None
-    for r in range(n):
-        live = [e for e in entries if alive(e, r)]
-        gens = [(e["name"], e["degree"]) for e in live]
-        scratch = free_cdga(gens, {}, icap)
-        d_terms = {}
-        sigma_images_scratch = {}
-        if r > 0:
-            for e in entries:
-                if not alive(e, r - 1):
-                    continue
-                if alive(e, r):
-                    sigma_images_scratch[e["name"]] = scratch.gen(e["name"])
-                else:
-                    src = e.get("endpoint") or "0"
-                    sigma_images_scratch[e["name"]] = parse_expression(src, scratch)
-            bridge = CdgaMorphism.on_generators(prev, scratch, sigma_images_scratch)
-        for e in live:
-            if e["birth"] == r:
-                d_terms[e["name"]] = parse_expression(str(e["d"]), scratch).terms
-            else:
-                pushed = bridge.apply(prev.generator_diff(e["name"]))
-                d_terms[e["name"]] = pushed.terms
+    trivial = TameMinimalModel.trivial(target)
+    algebras, sigmas, records = trivial.algebras, trivial.sigmas, []
+    for k in sorted({e["degree"] for e in entries}):
+        cells = [{"name": e["name"], "degree": k, "birth": e["birth"],
+                  "death": INF if e["death"] is None else e["death"],
+                  "v": parse_expression(str(e["d"]), algebras[e["birth"]]),
+                  "u": None if e["death"] is None else
+                  parse_expression(str(e.get("endpoint") or "0"), algebras[e["death"]])}
+                 for e in entries if e["degree"] == k]
         try:
-            alg = free_cdga(gens, d_terms, icap)
+            algebras, sigmas = _attach_generators(algebras, sigmas, k, cells)
         except ValidationError as exc:
-            raise ValidationError(f"model stage {r}: {exc}") from exc
-        if r > 0:
-            images = {name: CdgaElement(alg, el.terms)
-                      for name, el in sigma_images_scratch.items()}
-            sigmas.append(CdgaMorphism.on_generators(prev, alg, images))
-        algebras.append(alg)
-        prev = alg
+            raise ValidationError(f"model generators of degree {k}: {exc}") from exc
+        records += cells
 
     models = []
     for r, stage in enumerate(_objects(spec, "stage_models", "model", n)):
@@ -410,16 +391,6 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
             assignment[name] = IntervalElement(cod, poly, dt)
         homotopies.append(CdgaHomotopy(algebras[r], target.stages[r + 1], assignment))
 
-    records = []
-    for e in entries:
-        birth_alg = algebras[e["birth"]]
-        v = parse_expression(str(e["d"]), birth_alg)
-        u = None
-        if e["death"] is not None:
-            u = parse_expression(str(e.get("endpoint") or "0"), algebras[e["death"]])
-        records.append({
-            "name": e["name"], "degree": e["degree"], "birth": e["birth"],
-            "death": INF if e["death"] is None else e["death"], "v": v, "u": u})
     model = TameMinimalModel(target, algebras, sigmas, models, homotopies, records,
                              target.user_cap)
     return target, model

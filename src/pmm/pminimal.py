@@ -17,7 +17,9 @@ Surgery at degree k adjoins generators of degree k only, so each step carries
 from the last what lies below k (_extend_state): basis keys and d-matrices
 (hirsch_extend), map and homotopy blocks (inherit), and stage cone cohomology
 (ConeComplex.carry_cohomology, after checking that the cone's d-matrices there
-equal the previous cone's).
+equal the previous cone's).  A model is its cells: _attach_generators makes
+the stage algebras and structure maps from the degree-k cells (lifespan,
+birth differential, end point), for the build and for io.load_model alike.
 
 The build checks each generator once, in the step that adds it; the
 `inherit` guards show that the old generators' differentials, images and
@@ -241,7 +243,6 @@ def surgery_step(model: TameMinimalModel, k: int) -> TameMinimalModel:
         bars[i].birth, bars[i].death == INF, bars[i].death,
         tuple(reps[i].vectors[bars[i].birth])))
 
-    existing = sum(1 for rec in model.gen_records if rec["degree"] == k)
     new_records = []
     for counter, idx in enumerate(order):
         p, q, z = bars[idx].birth, bars[idx].death, sections[idx]
@@ -255,7 +256,7 @@ def surgery_step(model: TameMinimalModel, k: int) -> TameMinimalModel:
                 raise InternalError("dead bar class fails to bound at its death")
             u_elem, b_elem = cones[int(q)].unpack(k - 1, sol)
         new_records.append({
-            "name": f"x{k}_{existing + counter}", "degree": k,
+            "name": f"x{k}_{counter}", "degree": k,
             "birth": p, "death": q, "v": unpacked[p][0], "u": u_elem,
             "b": b_elem, "sections": unpacked,
         })
@@ -267,7 +268,8 @@ def surgery_step(model: TameMinimalModel, k: int) -> TameMinimalModel:
 
 def _extend_state(model: TameMinimalModel, k: int,
                   new_records: list[dict]) -> TameMinimalModel:
-    """Adjoin the degree-k generators at every stage.
+    """Adjoin the degree-k generators at every stage (_attach_generators),
+    with their stage model values and homotopies.
 
     Each Hirsch extension is a sub-CDGA of the next, so below degree k nothing
     changes: the new algebras, maps and homotopies take the old ones' blocks
@@ -278,38 +280,15 @@ def _extend_state(model: TameMinimalModel, k: int,
     """
     n = len(model.grid)
     target = model.target
-
-    def alive(rec, r):
-        return rec["birth"] <= r and (rec["death"] == INF or r < rec["death"])
-
     old_algs = model.algebras
-    new_algs = [hirsch_extend(old_algs[r], [(rec["name"], k, rec["sections"][r][0])
-                                            for rec in new_records if alive(rec, r)])[0]
-                for r in range(n)]
-
-    sigmas = []
-    for r in range(n - 1):
-        images = {}
-        for g in old_algs[r].generators:
-            img = model.sigmas[r].gen_images[g.name]
-            images[g.name] = old_algs[r + 1].embed_terms(img, new_algs[r + 1])
-        for rec in new_records:
-            if not alive(rec, r):
-                continue
-            if alive(rec, r + 1):
-                images[rec["name"]] = new_algs[r + 1].gen(rec["name"])
-            else:
-                u = rec["u"]
-                images[rec["name"]] = u.algebra.embed_terms(u, new_algs[r + 1])
-        sigmas.append(CdgaMorphism.on_generators(new_algs[r], new_algs[r + 1], images))
-        sigmas[r].inherit(model.sigmas[r])
+    new_algs, sigmas = _attach_generators(old_algs, model.sigmas, k, new_records)
 
     models = []
     for r in range(n):
         images = {g.name: model.models[r].gen_images[g.name]
                   for g in old_algs[r].generators}
         for rec in new_records:
-            if alive(rec, r):
+            if _alive(rec, r):
                 images[rec["name"]] = rec["sections"][r][1]
         models.append(CdgaMorphism.on_generators(new_algs[r], target.stages[r], images))
         models[r].inherit(model.models[r])
@@ -318,11 +297,11 @@ def _extend_state(model: TameMinimalModel, k: int,
     for r in range(n - 1):
         assignment = dict(model.homotopies[r].assignment)
         for rec in new_records:
-            if alive(rec, r):
+            if _alive(rec, r):
                 v_elem, a_elem = rec["sections"][r]
                 assignment[rec["name"]] = extend_homotopy(
                     target.maps[r], model.homotopies[r], v_elem, a_elem,
-                    None if alive(rec, r + 1) else rec["b"])
+                    None if _alive(rec, r + 1) else rec["b"])
         h = CdgaHomotopy(new_algs[r], target.stages[r + 1], assignment)
         h.inherit(model.homotopies[r])
         h.check_chain_condition([x for x in assignment if x not in model.homotopies[r].assignment])
@@ -335,6 +314,45 @@ def _extend_state(model: TameMinimalModel, k: int,
     for new, old in zip(out.stage_cones(), model.stage_cones()):
         new.carry_cohomology(old)
     return out
+
+
+def _alive(cell: dict, r: int) -> bool:
+    return cell["birth"] <= r and (cell["death"] == INF or r < cell["death"])
+
+
+def _attach_generators(algebras: Sequence[FreeCDGA], sigmas: Sequence[CdgaMorphism],
+                       k: int, cells: list[dict]
+                       ) -> tuple[list[FreeCDGA], list[CdgaMorphism]]:
+    """Attach the degree-k cells (name, birth, death, birth differential "v"
+    over the birth stage's algebra, end point "u") as Hirsch extensions.
+
+    Stage r adjoins the cells alive there, each with v pushed along the old
+    structure maps as its differential; structure map r sends a surviving
+    cell to itself and a dying one to u, embedded by generator name.  A
+    stage that gains no generator keeps its algebra, and a map between two
+    kept algebras is kept; the others inherit the old map's blocks.
+    """
+    new_algs, diffs = [], {}
+    for r, alg in enumerate(algebras):
+        diffs = {c["name"]: c["v"] if c["birth"] == r else sigmas[r - 1].apply(diffs[c["name"]])
+                 for c in cells if _alive(c, r)}
+        new_algs.append(hirsch_extend(alg, [(name, k, v) for name, v in diffs.items()])[0]
+                        if diffs else alg)
+    new_sigmas = []
+    for r, sigma in enumerate(sigmas):
+        dom, cod = new_algs[r], new_algs[r + 1]
+        if dom is algebras[r] and cod is algebras[r + 1]:
+            new_sigmas.append(sigma)
+            continue
+        images = {g.name: algebras[r + 1].embed_terms(sigma.gen_images[g.name], cod)
+                  for g in algebras[r].generators}
+        for c in cells:
+            if _alive(c, r):
+                images[c["name"]] = (cod.gen(c["name"]) if _alive(c, r + 1)
+                                     else c["u"].algebra.embed_terms(c["u"], cod))
+        new_sigmas.append(CdgaMorphism.on_generators(dom, cod, images))
+        new_sigmas[r].inherit(sigma)
+    return new_algs, new_sigmas
 
 
 def _verify_surgery(model: TameMinimalModel, k: int, new_records: list[dict]):
@@ -468,7 +486,7 @@ def validate_model(model: TameMinimalModel,
                    against: Optional[PersistentCDGA] = None) -> dict:
     """Machine-readable pass/fail per invariant class."""
     target = against if against is not None else model.target
-    cap = target.user_cap
+    cap = model.degree_done
     report: dict = {"schema_version": 1}
 
     failures = _minimality_failures(model)

@@ -122,6 +122,14 @@ def test_hirsch_extend_rejects_non_cocycle():
         hirsch_extend(m, [("w", 4, m.gen("y") * m.gen("a"))])  # d(ay) != 0
 
 
+def test_hirsch_extend_rejects_a_differential_of_the_wrong_degree():
+    base = free_cdga([("a", 2)], {}, 8)
+    a = base.gen("a")
+    for wrong in (a, a + multiply(a, a)):
+        with pytest.raises(ValidationError, match="must be homogeneous of degree 4"):
+            hirsch_extend(base, [("y", 3, wrong)])
+
+
 def test_validate_morphism_cases():
     m = sphere2_model()
     n = free_cdga([("b", 3)], {}, 8)

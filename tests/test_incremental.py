@@ -173,6 +173,27 @@ def test_map_model_steps_extend_the_previous_step():
     assert validate_model(mm.model)["ok"]
 
 
+@pytest.mark.parametrize("cap", [3, 4])
+def test_map_model_built_below_the_cap_passes_the_audit(cap):
+    # The tower's cap is 5; validate_model reads connectivity through the
+    # degree the model was built to.
+    mm = build_map_model(wedge_tower(5).maps[0], cap)
+    report = validate_model(mm.model)
+    assert report["connectivity"]["checked_through_degree"] == cap
+    assert report["ok"], report
+
+
+def test_a_stage_that_gains_no_generator_keeps_its_algebra():
+    # example1_case1: x2_0 lives on [0, 2), so degree-2 surgery leaves
+    # stages 2 and 3, and the map between them, as they were.
+    tower = load_input(json.loads((FIXTURES / "example1_case1.json").read_text()))
+    before = TameMinimalModel.trivial(tower)
+    after = surgery_step(before, 2)
+    kept = [a is b for a, b in zip(after.algebras, before.algebras)]
+    assert kept == [False, False, True, True]
+    assert [s is t for s, t in zip(after.sigmas, before.sigmas)] == [False, False, True]
+
+
 def test_unwindowed_cone_maps_check_every_degree(monkeypatch):
     checked = []
     check_chain_map = ConeMap.check_chain_map

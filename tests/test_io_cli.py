@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -153,6 +154,79 @@ def test_cli_check_reports_an_altered_homotopy_start(tmp_path, capsys):
     assert report["homotopy_identities"]["status"] == "fail"
     assert report["homotopy_identities"]["failures"] == [
         "stage 0: homotopy start mismatch on x2_0 at stage 0"]
+
+
+def wedge_document(cap=6):
+    """W_2 as an input document: H*(S^2 v S^2) -> H*(S^2), killing a1."""
+    def stage(labels):
+        return {"type": "finite", "unit": "one",
+                "basis": [{"degree": 0, "labels": ["one"]}, {"degree": 2, "labels": labels}],
+                "products": [{"left": x, "right": y, "value": "0"}
+                             for x in labels for y in labels]}
+    return {"grid": ["0", "1"], "degree_cap": cap,
+            "stages": [stage(["a0", "a1"]), stage(["a0"])],
+            "maps": [{"images": {"one": "one", "a0": "a0", "a1": "0"}}]}
+
+
+@pytest.mark.parametrize("reorder", ["reverse", "shuffle"])
+def test_cli_check_accepts_reordered_generators(tmp_path, capsys, reorder):
+    # The reload attaches the saved generators degree by degree, so their
+    # order in the file does not matter.
+    doc = wedge_document()
+    payload = json.loads(json.dumps(model_payload(
+        build_persistent_minimal_model(load_input(doc)), doc)))
+    gens = payload["model"]["generators"]
+    assert len(gens) == 16
+    before = list(gens)
+    if reorder == "reverse":
+        gens.reverse()
+    else:
+        random.Random(1).shuffle(gens)
+    assert [g["degree"] for g in gens] != sorted(g["degree"] for g in gens)
+    assert sorted(map(json.dumps, gens)) == sorted(map(json.dumps, before))
+    f = tmp_path / "model.json"
+    f.write_text(json.dumps(payload))
+    rc = main(["check", "--input", str(f), "--output", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+
+
+def test_cli_check_reports_a_doubled_birth_differential(tmp_path, capsys):
+    doc = _built_model("example1_case1")
+    victim = next(g for g in doc["model"]["generators"] if g["degree"] == 3)
+    assert victim["d"] == "x2_0^2"
+    victim["d"] = "2*x2_0^2"
+    f = tmp_path / "model.json"
+    f.write_text(json.dumps(doc))
+    rc = main(["check", "--input", str(f), "--output", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["structure"]["status"] == "fail"
+
+
+@pytest.mark.parametrize("name", ["example1_case1", "example3", "sphere3"])
+def test_reload_attaches_the_builds_algebras_and_maps(name):
+    doc = fixture(name)
+    model = build_persistent_minimal_model(load_input(doc))
+    _, loaded = load_model(json.loads(json.dumps(model_payload(model, doc))))
+    for alg, old in zip(loaded.algebras, model.algebras, strict=True):
+        assert alg.generators == old.generators
+        assert all(alg.generator_diff(g.name).terms == old.generator_diff(g.name).terms
+                   for g in alg.generators)
+    for sigma, old in zip(loaded.sigmas, model.sigmas, strict=True):
+        assert {x: img.terms for x, img in sigma.gen_images.items()} == \
+            {x: img.terms for x, img in old.gen_images.items()}
+
+
+def test_cli_unknown_emit_kind_is_refused_before_the_build(tmp_path, capsys):
+    out = tmp_path / "out"
+    rc = main(["build", "--input", str(FIXTURES / "sphere2.json"),
+               "--output", str(out), "--emit", "barcode,bogus"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("schema error:"), err
+    assert not out.exists()
 
 
 def test_cli_decompose_module(tmp_path, capsys):
@@ -458,6 +532,12 @@ def _unknown_homotopy_key(doc):
     return model
 
 
+def _endpoint_of_higher_degree(doc):
+    model = _built_model("example1_case1")
+    model["model"]["generators"][0]["endpoint"] = "x3_0"  # x2_0 ends in degree 2
+    return model
+
+
 def _model_degree_cap(value):
     def mutate(doc):
         model = _built_model("example1_case1")
@@ -531,6 +611,7 @@ def _float_matrix_entry(doc):
                                     _dict_product_factor, _list_model_generator_name,
                                     _unknown_finite_image, _unknown_free_image,
                                     _unknown_stage_model_key, _unknown_homotopy_key,
+                                    _endpoint_of_higher_degree,
                                     _model_degree_cap(50), _model_degree_cap(-1),
                                     _model_degree_cap(None)])
 def test_cli_malformed_input_is_one_line_schema_error(tmp_path, capsys, mutate):

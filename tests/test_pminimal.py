@@ -221,6 +221,16 @@ def test_validate_model_rebuilds_cone_of_replaced_stage_model():
     assert "H^2 C_m(0) has dimension 1" in rep["connectivity"]["failures"]
 
 
+def test_validate_model_audits_through_the_degree_built():
+    # example3 at cap 6, built through 3 only: the audit reads the stage
+    # cones through degree 3, not through the input's cap.
+    with open(FIXTURES / "example3.json") as fh:
+        tower = load_input(dict(json.load(fh), degree_cap=6))
+    report = validate_model(build_persistent_minimal_model(tower, 3))
+    assert report["connectivity"]["checked_through_degree"] == 3
+    assert report["ok"], report
+
+
 def test_surgery_out_of_order_rejected():
     model = TameMinimalModel.trivial(example_one(1))
     with pytest.raises(ValidationError):
