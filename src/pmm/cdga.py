@@ -7,17 +7,24 @@ to zero).  Finite CDGAs are presented by labeled bases per degree with
 structure constants.  Both carry a mandatory degree cap: products and
 differentials truncate above the cap, which is a legitimate CDGA quotient
 because both operations only raise degree.
+
+`CdgaElement(algebra, terms)` coerces coefficients and drops zeros; it is the
+constructor for parsed input and callers outside the kernel.  The kernel's own
+results are made by `CdgaElement._of`, which trusts its terms to be nonzero
+Fractions.  The images of monomials under a morphism are memoised by prefix:
+one product per monomial.  An extension's basis is its base's basis times the
+monomials in the new generators (Λ(V ⊕ W) = ΛV ⊗ ΛW).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .cochain import CohomologySpace, compute_cohomology
 from .errors import InternalError, ValidationError
-from .exactla import ONE, QMatrix, Vector, frac
+from .exactla import ONE, ZERO, QMatrix, Vector, frac
 
 Monomial = tuple[int, ...]
 FiniteKey = tuple[int, int]  # (degree, index)
@@ -42,6 +49,17 @@ class CdgaElement:
         self.algebra = algebra
         self.terms = {k: frac(c) for k, c in terms.items() if c != 0}
 
+    @classmethod
+    def _of(cls, algebra, terms: dict) -> "CdgaElement":
+        """An element over `terms` as given, without coercion or filtering.
+
+        Kernel use only: every coefficient must already be a nonzero Fraction,
+        and `terms` becomes the element's own dict.
+        """
+        e = object.__new__(cls)
+        e.algebra, e.terms = algebra, terms
+        return e
+
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -57,16 +75,17 @@ class CdgaElement:
     def __add__(self, other: "CdgaElement") -> "CdgaElement":
         self._same(other)
         out = dict(self.terms)
-        for k, c in other.terms.items():
-            out[k] = out.get(k, Fraction(0)) + c
-        return CdgaElement(self.algebra, out)
+        _add_into(out, other.terms)
+        return CdgaElement._of(self.algebra, out)
 
     def __sub__(self, other: "CdgaElement") -> "CdgaElement":
         return self + other.scale(-1)
 
     def scale(self, c) -> "CdgaElement":
         c = frac(c)
-        return CdgaElement(self.algebra, {k: c * v for k, v in self.terms.items()})
+        if not c:
+            return CdgaElement._of(self.algebra, {})
+        return CdgaElement._of(self.algebra, {k: c * v for k, v in self.terms.items()})
 
     def __mul__(self, other: "CdgaElement") -> "CdgaElement":
         return multiply(self, other)
@@ -89,14 +108,31 @@ class CdgaElement:
             raise ValidationError("elements belong to different algebras")
 
 
+def _add_into(out: dict, terms: Mapping, c: Optional[Fraction] = None):
+    """out += c * terms (c = 1 when None), in place.  A key whose sum cancels
+    is deleted at once, so `out` holds the terms, in the order, that adding
+    the elements one at a time would give."""
+    for k, v in terms.items():
+        if c is not None:
+            v = c * v
+        if k in out:
+            v += out[k]
+            if v:
+                out[k] = v
+            else:
+                del out[k]
+        else:
+            out[k] = v
+
+
 class _GradedAlgebra:
     """What free and finite CDGAs share, given basis keys, vectors and d_key."""
 
     def zero(self) -> CdgaElement:
-        return CdgaElement(self, {})
+        return CdgaElement._of(self, {})
 
     def one(self) -> CdgaElement:
-        return CdgaElement(self, {self.unit_key: ONE})
+        return CdgaElement._of(self, {self.unit_key: ONE})
 
     def d_matrix(self, n: int) -> QMatrix:
         if n not in self._dmat_cache:
@@ -138,6 +174,8 @@ class FreeCDGA(_GradedAlgebra):
         self._odd = tuple(i for i, g in enumerate(self.generators) if g.degree % 2 == 1)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._basis_pos: dict[int, dict[Monomial, int]] = {}
+        # An extension's base: its count of generators and its basis cache.
+        self._base_basis: Optional[tuple[int, dict[int, tuple[Monomial, ...]]]] = None
         self._dmono_cache: dict[Monomial, CdgaElement] = {}
         self._dmat_cache: dict[int, QMatrix] = {}
         self._h_cache: dict[int, CohomologySpace] = {}
@@ -170,21 +208,17 @@ class FreeCDGA(_GradedAlgebra):
                    for g in base.generators)
 
     def _inherit(self, base: "FreeCDGA"):
-        """Take base's basis keys and d-matrices in the degrees we share, and
-        its differentials of monomials (self extends base)."""
+        """Take base's d-matrices in the degrees we share and its differentials
+        of monomials (self extends base); `basis_keys` reads base's bases."""
         added = self.generators[len(base.generators):]
         low = min((g.degree for g in added), default=self.degree_cap + 1)
         pad = (0,) * len(added)
-        for n, keys in base._basis_cache.items():
-            if n < low:
-                self._basis_cache[n] = tuple(m + pad for m in keys) if pad else keys
-                self._basis_pos[n] = ({m: i for i, m in enumerate(self._basis_cache[n])}
-                                      if pad else base._basis_pos[n])
+        self._base_basis = (len(base.generators), base._basis_cache)
         for n, mat in base._dmat_cache.items():
             if n + 1 < low:
                 self._dmat_cache[n] = mat
         for m, dm in base._dmono_cache.items():
-            self._dmono_cache[m + pad] = CdgaElement(self, _padded(dm.terms, pad))
+            self._dmono_cache[m + pad] = CdgaElement._of(self, _padded(dm.terms, pad))
 
     # -- basis bookkeeping ------------------------------------------------
 
@@ -201,24 +235,27 @@ class FreeCDGA(_GradedAlgebra):
         return (0,) * len(self.generators)
 
     def basis_keys(self, n: int) -> tuple[Monomial, ...]:
-        """All degree-n monomials, ordered by (total exponent, lexicographic)."""
+        """All degree-n monomials, ordered by (total exponent, lexicographic).
+
+        On an extension Λ(V ⊕ W) = ΛV ⊗ ΛW of a base ΛV, they are the base's
+        degree-(n−j) monomials times the degree-j monomials in W's generators.
+        """
         if n > self.degree_cap:
             raise ValidationError(f"degree {n} above cap {self.degree_cap}")
         if n not in self._basis_cache:
-            found: list[Monomial] = []
-
-            def rec(i: int, remaining: int, acc: list[int]):
-                if remaining == 0:
-                    found.append(tuple(acc + [0] * (len(self.generators) - i)))
-                    return
-                if i == len(self.generators):
-                    return
-                g = self.generators[i]
-                max_e = 1 if g.degree % 2 == 1 else remaining // g.degree
-                for e in range(min(max_e, remaining // g.degree) + 1):
-                    rec(i + 1, remaining - e * g.degree, acc + [e])
-
-            rec(0, n, [])
+            if self._base_basis is None:
+                found = _monomials(self._degrees, n)
+            else:
+                nb, base_cache = self._base_basis
+                w_degrees = self._degrees[nb:]
+                found = []
+                for j in range(n + 1):
+                    w_monos = _monomials(w_degrees, j)
+                    if w_monos:
+                        base_keys = base_cache.get(n - j)
+                        if base_keys is None:
+                            base_keys = _monomials(self._degrees[:nb], n - j)
+                        found += [b + w for w in w_monos for b in base_keys]
             found.sort(key=lambda m: (sum(m), m))
             self._basis_cache[n] = tuple(found)
             self._basis_pos[n] = {m: i for i, m in enumerate(found)}
@@ -238,7 +275,7 @@ class FreeCDGA(_GradedAlgebra):
     def gen(self, name: str) -> CdgaElement:
         i = self.index_of[name]
         mono = tuple(1 if j == i else 0 for j in range(len(self.generators)))
-        return CdgaElement(self, {mono: ONE})
+        return CdgaElement._of(self, {mono: ONE})
 
     def generator_diff(self, name: str) -> CdgaElement:
         return self._diff[name]
@@ -249,11 +286,12 @@ class FreeCDGA(_GradedAlgebra):
     def to_vector(self, elem: CdgaElement, n: int) -> Vector:
         basis = self.basis_keys(n)
         pos = self._basis_pos[n]
-        out = [Fraction(0)] * len(basis)
+        out = [ZERO] * len(basis)
         for k, c in elem.terms.items():
-            if self.key_degree(k) != n:
+            i = pos.get(k)  # None exactly when k has another degree
+            if i is None:
                 raise ValidationError(f"term of degree {self.key_degree(k)} in degree-{n} vector")
-            out[pos[k]] = c
+            out[i] = c
         return tuple(out)
 
     def from_vector(self, n: int, coords: Sequence) -> CdgaElement:
@@ -263,7 +301,8 @@ class FreeCDGA(_GradedAlgebra):
     # -- multiplication and differential ----------------------------------
 
     def mul_keys(self, m1: Monomial, m2: Monomial):
-        """(sign, product monomial), or None when the product is zero."""
+        """(negative, product monomial), or None when the product is zero;
+        `negative` is the Koszul sign."""
         deg = self.key_degree(m1) + self.key_degree(m2)
         if deg > self.degree_cap:
             return None
@@ -272,32 +311,30 @@ class FreeCDGA(_GradedAlgebra):
         if set(odd1) & set(odd2):
             return None
         inversions = sum(1 for i in odd1 for j in odd2 if i > j)
-        sign = -ONE if inversions % 2 else ONE
-        return sign, tuple(a + b for a, b in zip(m1, m2))
+        return inversions % 2 == 1, tuple(map(add, m1, m2))
 
     def d_key(self, mono: Monomial) -> CdgaElement:
         """Leibniz differential of one monomial."""
         if mono in self._dmono_cache:
             return self._dmono_cache[mono]
         word = [i for i, e in enumerate(mono) for _ in range(e)]
-        result = self.zero()
+        out: dict[Monomial, Fraction] = {}
         prefix_deg = 0
         for pos, gi in enumerate(word):
             dg = self._diff[self.generators[gi].name]
-            if not dg.is_zero():
+            if dg.terms:
                 pre = self._word_monomial(word[:pos])
                 suf = self._word_monomial(word[pos + 1:])
-                sign = -ONE if prefix_deg % 2 else ONE
-                result = result + (pre * dg * suf).scale(sign)
-            prefix_deg += self.generators[gi].degree
-        self._dmono_cache[mono] = result
+                _add_into(out, (pre * dg * suf).terms, -ONE if prefix_deg % 2 else None)
+            prefix_deg += self._degrees[gi]
+        result = self._dmono_cache[mono] = CdgaElement._of(self, out)
         return result
 
     def _word_monomial(self, word: list[int]) -> CdgaElement:
         counts = [0] * len(self.generators)
         for i in word:
             counts[i] += 1
-        return CdgaElement(self, {tuple(counts): ONE})
+        return CdgaElement._of(self, {tuple(counts): ONE})
 
     # -- derived structure --------------------------------------------------
 
@@ -305,15 +342,17 @@ class FreeCDGA(_GradedAlgebra):
         return self.cohomology_space(1).dim == 0  # generators have degree >= 1
 
     def embed_terms(self, elem: CdgaElement, target: "FreeCDGA") -> CdgaElement:
-        """Re-express an element in a free algebra whose generators extend ours."""
+        """Re-express an element in a free algebra whose generators extend ours.
+
+        Distinct generators go to distinct ones, so distinct monomials do too."""
         out: dict[Monomial, Fraction] = {}
         for mono, c in elem.terms.items():
             tm = [0] * len(target.generators)
             for e, g in zip(mono, self.generators):
                 if e:
                     tm[target.index_of[g.name]] = e
-            out[tuple(tm)] = out.get(tuple(tm), Fraction(0)) + c
-        return CdgaElement(target, out)
+            out[tuple(tm)] = c
+        return CdgaElement._of(target, out)
 
 
 class FiniteCDGA(_GradedAlgebra):
@@ -447,7 +486,7 @@ class FiniteCDGA(_GradedAlgebra):
         return CdgaElement(self, {self.key_of_label(lab): ONE})
 
     def to_vector(self, elem: CdgaElement, n: int) -> Vector:
-        out = [Fraction(0)] * self.dim(n)
+        out = [ZERO] * self.dim(n)
         for k, c in elem.terms.items():
             if k[0] != n:
                 raise ValidationError("inhomogeneous element in to_vector")
@@ -461,13 +500,13 @@ class FiniteCDGA(_GradedAlgebra):
         if k1[0] + k2[0] > self.degree_cap:
             return None
         if k1 == self.unit_key:
-            return ONE, k2
+            return False, k2
         if k2 == self.unit_key:
-            return ONE, k1
+            return False, k1
         return self._products.get((k1, k2), {})
 
     def d_key(self, key: FiniteKey) -> CdgaElement:
-        return CdgaElement(self, self._diff.get(key, {}))
+        return CdgaElement._of(self, dict(self._diff.get(key, {})))
 
     def is_simply_connected(self) -> bool:
         return self.cohomology_space(0).dim == 1 and self.cohomology_space(1).dim == 0
@@ -477,30 +516,36 @@ Algebra = Union[FreeCDGA, FiniteCDGA]
 
 
 def multiply(u: CdgaElement, v: CdgaElement) -> CdgaElement:
-    """Koszul-signed bilinear product, truncated above the degree cap."""
+    """Koszul-signed bilinear product, truncated above the degree cap.
+
+    Terms accumulate in first-seen order; the ones that cancel are dropped
+    at the end."""
     u._same(v)
     alg = u.algebra
+    mul_keys = alg.mul_keys
     out: dict = {}
     for k1, c1 in u.terms.items():
         for k2, c2 in v.terms.items():
-            r = alg.mul_keys(k1, k2)
+            r = mul_keys(k1, k2)
             if r is None:
                 continue
             if isinstance(r, tuple):
-                sign, key = r
-                out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
+                negative, key = r
+                p = -(c1 * c2) if negative else c1 * c2
+                out[key] = out[key] + p if key in out else p
             else:
                 for key, c in r.items():
-                    out[key] = out.get(key, Fraction(0)) + c * c1 * c2
-    return CdgaElement(alg, out)
+                    p = c * c1 * c2
+                    out[key] = out[key] + p if key in out else p
+    return CdgaElement._of(alg, {k: c for k, c in out.items() if c})
 
 
 def differential(u: CdgaElement) -> CdgaElement:
     alg = u.algebra
-    out = alg.zero()
+    out: dict = {}
     for k, c in u.terms.items():
-        out = out + alg.d_key(k).scale(c)
-    return out
+        _add_into(out, alg.d_key(k).terms, c)
+    return CdgaElement._of(alg, out)
 
 
 def monomial_basis(a: FreeCDGA, n: int) -> tuple[Monomial, ...]:
@@ -549,8 +594,8 @@ def hirsch_extend(a: FreeCDGA, new_gens: Sequence[tuple[str, int, CdgaElement]]
     Returns the extended algebra and the inclusion morphism.  Degree cap is
     inherited; each d_image must be a cocycle in `a` of degree gen+1.  The
     extension is one FreeCDGA over base `a`: it checks the degree and d^2 = 0
-    on the new generators only and takes a's basis keys and d-matrices below
-    them.
+    on the new generators only, builds its bases from a's and takes a's
+    d-matrices below them.
     """
     if any(img.algebra is not a for _, _, img in new_gens):
         raise ValidationError("d_image must live in the base algebra")
@@ -561,6 +606,36 @@ def hirsch_extend(a: FreeCDGA, new_gens: Sequence[tuple[str, int, CdgaElement]]
     out = FreeCDGA(gens, diffs, a.degree_cap, base=a)
     incl = CdgaMorphism.on_generators(a, out, {g.name: out.gen(g.name) for g in a.generators})
     return out, incl
+
+
+def _prefix(mono: Monomial) -> tuple[Optional[Monomial], int]:
+    """(mono with one factor fewer of its last generator, that generator's
+    index); (None, -1) for the unit."""
+    for i in range(len(mono) - 1, -1, -1):
+        if mono[i]:
+            return mono[:i] + (mono[i] - 1,) + mono[i + 1:], i
+    return None, -1
+
+
+def _monomials(degrees: Sequence[int], n: int) -> list[Monomial]:
+    """Every exponent tuple over generators of these degrees with total degree
+    n, odd generators to exponent at most 1, in lexicographic order."""
+    found: list[Monomial] = []
+    count = len(degrees)
+
+    def rec(i: int, remaining: int, acc: list[int]):
+        if remaining == 0:
+            found.append(tuple(acc + [0] * (count - i)))
+            return
+        if i == count:
+            return
+        deg = degrees[i]
+        max_e = 1 if deg % 2 == 1 else remaining // deg
+        for e in range(min(max_e, remaining // deg) + 1):
+            rec(i + 1, remaining - e * deg, acc + [e])
+
+    rec(0, n, [])
+    return found
 
 
 def _padded(terms: Mapping[Monomial, Fraction], pad: Monomial) -> dict[Monomial, Fraction]:
@@ -632,10 +707,10 @@ class CdgaMorphism:
         if elem.algebra is not self.domain:
             raise ValidationError("element not in the morphism domain")
         if self.kind == "free":
-            out = self.codomain.zero()
+            out: dict = {}
             for mono, c in elem.terms.items():
-                out = out + self._apply_mono(mono).scale(c)
-            return out
+                _add_into(out, self._apply_mono(mono).terms, c)
+            return CdgaElement._of(self.codomain, out)
         out = self.codomain.zero()
         by_degree: dict[int, dict] = {}
         for k, c in elem.terms.items():
@@ -649,14 +724,18 @@ class CdgaMorphism:
         return out
 
     def _apply_mono(self, mono: Monomial) -> CdgaElement:
-        if mono in self._mono_cache:
-            return self._mono_cache[mono]
-        out = self.codomain.one()
-        for i, e in enumerate(mono):
-            img = self.gen_images[self.domain.generators[i].name]
-            for _ in range(e):
-                out = out * img
-        self._mono_cache[mono] = out
+        """The image of a monomial: the image of its prefix (one factor fewer of
+        its last generator) times that generator's image, memoised, so each
+        monomial costs one product, in the order 1 * x1 * x1 * x2 * ... ."""
+        out = self._mono_cache.get(mono)
+        if out is None:
+            prefix, i = _prefix(mono)
+            if prefix is None:
+                out = self.codomain.one()
+            else:
+                img = self.gen_images[self.domain.generators[i].name]
+                out = self._apply_mono(prefix) * img
+            self._mono_cache[mono] = out
         return out
 
     def inherit(self, old: "CdgaMorphism"):

@@ -102,6 +102,9 @@ def cmd_build(args) -> int:
 def cmd_check(args) -> int:
     doc = _load_json(args.input)
     if "model" in doc:
+        if args.degree_cap is not None:
+            raise SchemaError("--degree-cap applies to an input document; "
+                              "a saved model keeps its own degree_cap")
         tower, model = load_model(doc)
         report = validate_model(model, against=tower)
     else:
@@ -177,20 +180,23 @@ def make_parser() -> argparse.ArgumentParser:
         description="Persistent Sullivan minimal models of tame persistent "
                     "CDGAs over Q")
     sub = p.add_subparsers(dest="command", required=True)
+    parsers = {}
     for name, fn in (("build", cmd_build), ("check", cmd_check),
                      ("decompose", cmd_decompose), ("factor", cmd_factor)):
-        sp = sub.add_parser(name)
+        sp = parsers[name] = sub.add_parser(name)
         sp.add_argument("--input", required=True, help="input JSON file")
-        sp.add_argument("--degree-cap", type=int, default=None,
-                        help="override the document degree cap (default 6 when "
-                             "the document omits it)")
-        sp.add_argument("--emit", default="barcode,presentation,report",
-                        help="comma list: barcode,presentation,report,model")
         sp.add_argument("--output", default=".", help="output directory")
-        sp.add_argument("--verbose-relations", action="store_true",
-                        help="include trivial relations in presentations")
-        sp.add_argument("--format", choices=("json", "text"), default="json")
         sp.set_defaults(fn=fn)
+    for name in ("build", "check"):
+        parsers[name].add_argument(
+            "--degree-cap", type=int, default=None,
+            help="override the input document's degree cap (default 6 when "
+                 "the document omits it; not for a saved model)")
+        parsers[name].add_argument("--format", choices=("json", "text"), default="json")
+    parsers["build"].add_argument("--emit", default="barcode,presentation,report",
+                                  help="comma list: barcode,presentation,report,model")
+    parsers["build"].add_argument("--verbose-relations", action="store_true",
+                                  help="include trivial relations in presentations")
     return p
 
 

@@ -5,6 +5,11 @@ form, positive denominator).  Matrices are immutable and stored dense, but
 the kernels (`@`, `apply`, `rref`) touch only nonzero entries: the matrices
 of this engine are mostly zeros.  Every operation is pure and deterministic,
 so representative choices made downstream are reproducible bit-for-bit.
+
+`QMatrix(rows, cols, entries)` and `QMatrix.from_columns` coerce each entry
+with `frac` and check the shape (`from_columns` transposes with a strict
+`zip`, so ragged columns raise); kernels whose rows are already tuples of
+Fractions of the right shape use `QMatrix._of`.
 """
 from __future__ import annotations
 
@@ -68,7 +73,7 @@ class QMatrix:
     __slots__ = ("rows", "cols", "data")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Iterable] = ()):
-        data = tuple(tuple(frac(x) for x in row) for row in entries)
+        data = tuple(tuple(map(frac, row)) for row in entries)
         if len(data) != rows or any(len(r) != cols for r in data):
             if not data and rows:
                 data = tuple((ZERO,) * cols for _ in range(rows))
@@ -95,8 +100,10 @@ class QMatrix:
 
     @classmethod
     def from_columns(cls, columns: Sequence[Vector], rows: int) -> "QMatrix":
-        return cls(rows, len(columns),
-                   [[col[i] for col in columns] for i in range(rows)])
+        """The matrix with these columns, each of length `rows`."""
+        if columns and len(columns[0]) != rows:
+            raise ValueError(f"from_columns: column of length {len(columns[0])}, want {rows}")
+        return cls(rows, len(columns), zip(*columns, strict=True))
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":

@@ -22,7 +22,7 @@ from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .cdga import (
-    Algebra, CdgaElement, CdgaMorphism, FreeCDGA, Monomial, differential,
+    Algebra, CdgaElement, CdgaMorphism, FreeCDGA, Monomial, _prefix, differential,
     free_cdga, multiply, unchanged_below,
 )
 from .cochain import CohomologySpace, compute_cohomology
@@ -213,14 +213,18 @@ class CdgaHomotopy:
         return out
 
     def _apply_mono(self, mono: Monomial) -> IntervalElement:
-        if mono in self._cache:
-            return self._cache[mono]
-        out = IntervalElement.constant(self.codomain.one())
-        for i, e in enumerate(mono):
-            img = self.assignment[self.domain.generators[i].name]
-            for _ in range(e):
-                out = interval_mul(out, img)
-        self._cache[mono] = out
+        """H of a monomial: H of its prefix (one factor fewer of its last
+        generator) times H of that generator, memoised like
+        `CdgaMorphism._apply_mono`."""
+        out = self._cache.get(mono)
+        if out is None:
+            prefix, i = _prefix(mono)
+            if prefix is None:
+                out = IntervalElement.constant(self.codomain.one())
+            else:
+                img = self.assignment[self.domain.generators[i].name]
+                out = interval_mul(self._apply_mono(prefix), img)
+            self._cache[mono] = out
         return out
 
     def check_chain_condition(self, names: Optional[Iterable[str]] = None):

@@ -14,12 +14,13 @@ degree-cap surgery reads cone cocycles one degree up, whose cocycle
 condition reads one degree further.
 
 Surgery at degree k adjoins generators of degree k only, so each step carries
-from the last what lies below k (_extend_state): basis keys and d-matrices
-(hirsch_extend), map and homotopy blocks (inherit), and stage cone cohomology
-(ConeComplex.carry_cohomology, after checking that the cone's d-matrices there
-equal the previous cone's).  A model is its cells: _attach_generators makes
-the stage algebras and structure maps from the degree-k cells (lifespan,
-birth differential, end point), for the build and for io.load_model alike.
+from the last what lies below k (_extend_state): d-matrices, with bases built
+from the last step's (hirsch_extend), map and homotopy blocks (inherit), and
+stage cone cohomology (ConeComplex.carry_cohomology, after checking that the
+cone's d-matrices there equal the previous cone's).  A model is its cells:
+_attach_generators makes the stage algebras and structure maps from the
+degree-k cells (lifespan, birth differential, end point), for the build and
+for io.load_model alike.
 
 The build checks each generator once, in the step that adds it; the
 `inherit` guards show that the old generators' differentials, images and

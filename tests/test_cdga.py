@@ -1,13 +1,19 @@
 import random
+from fractions import Fraction
 
 import pytest
 
 from pmm.cdga import (
-    CdgaMorphism, FiniteCDGA, cohomology, differential, free_cdga,
+    CdgaElement, CdgaMorphism, FiniteCDGA, cohomology, differential, free_cdga,
     hirsch_extend, indecomposables, monomial_basis, multiply,
     validate_morphism,
 )
 from pmm.errors import ValidationError
+from pmm.exactla import QMatrix
+from pmm.persistence import Grid
+from pmm.pminimal import PersistentCDGA, build_persistent_minimal_model
+
+from .gen import random_cocycle
 
 
 def sphere2_model(cap=8):
@@ -162,6 +168,28 @@ def test_finite_morphism_validation():
         CdgaMorphism.on_basis(a, a, {"one": a.one(), "alpha": a.one()})
 
 
+def test_to_vector_refuses_a_term_of_another_degree():
+    m = sphere2_model()
+    with pytest.raises(ValidationError, match="term of degree 2 in degree-3 vector"):
+        m.to_vector(m.gen("a") + m.gen("y"), 3)
+    assert m.to_vector(m.gen("y"), 3) == (1,)
+    with pytest.raises(ValidationError, match="term of degree 3 in degree-2 vector"):
+        m.to_vector(m.gen("y"), 2)
+    s2 = finite_s2()
+    with pytest.raises(ValidationError, match="inhomogeneous"):
+        s2.to_vector(s2.one() + s2.basis_elem("alpha"), 2)
+
+
+def test_public_element_constructor_coerces_and_drops_zeros():
+    m = sphere2_model()
+    a2 = (2, 0)
+    e = CdgaElement(m, {(1, 0): 3, a2: 0, (0, 1): Fraction(0), (3, 0): Fraction(1, 2)})
+    assert e.terms == {(1, 0): Fraction(3), (3, 0): Fraction(1, 2)}
+    assert all(type(c) is Fraction for c in e.terms.values())
+    assert m.element({(1, 0): -1}).terms == {(1, 0): Fraction(-1)}
+    assert m.from_vector(2, [0]).is_zero()
+
+
 def test_truncation_coherence_random():
     rng = random.Random(2)
     cap = 7
@@ -207,3 +235,191 @@ def test_indecomposables_brute_force_agreement():
         dim_dec = rank(QMatrix.from_columns(decomposable_cols, len(keys))) \
             if decomposable_cols and keys else 0
         assert indecomposables(m, k)[0] == len(keys) - dim_dec
+
+
+# -- the kernel against naive reference kernels ------------------------------
+#
+# The references redo each operation the plain way: a Fraction(0) seed per
+# accumulated term, the Koszul sign recomputed from scratch, sums of elements
+# formed one at a time with zeros dropped after each, a monomial's image as
+# the product of its factors from the unit.  They compare term lists, so the
+# terms must agree and come in the same order.
+
+def _ref_mul_keys(alg, m1, m2):
+    degrees = [g.degree for g in alg.generators]
+    if sum(e * d for e, d in zip(m1 + m2, degrees + degrees)) > alg.degree_cap:
+        return None
+    odd1 = [i for i, d in enumerate(degrees) if d % 2 and m1[i]]
+    odd2 = [i for i, d in enumerate(degrees) if d % 2 and m2[i]]
+    if set(odd1) & set(odd2):
+        return None
+    inversions = sum(1 for i in odd1 for j in odd2 if i > j)
+    return Fraction((-1) ** inversions), tuple(a + b for a, b in zip(m1, m2))
+
+
+def _ref_mul(alg, t1, t2):
+    out = {}
+    for k1, c1 in t1.items():
+        for k2, c2 in t2.items():
+            r = _ref_mul_keys(alg, k1, k2)
+            if r is not None:
+                sign, key = r
+                out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
+    return {k: c for k, c in out.items() if c != 0}
+
+
+def _ref_add(t1, t2, c=1):
+    out = dict(t1)
+    for k, v in t2.items():
+        out[k] = out.get(k, Fraction(0)) + c * v
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _ref_d_mono(alg, mono):
+    word = [i for i, e in enumerate(mono) for _ in range(e)]
+    out, prefix_deg = {}, 0
+    for pos, gi in enumerate(word):
+        g = alg.generators[gi]
+        dg = alg.generator_diff(g.name).terms
+        if dg:
+            pre = tuple(word[:pos].count(i) for i in range(len(mono)))
+            suf = tuple(word[pos + 1:].count(i) for i in range(len(mono)))
+            term = _ref_mul(alg, _ref_mul(alg, {pre: Fraction(1)}, dg), {suf: Fraction(1)})
+            out = _ref_add(out, term, (-1) ** prefix_deg)
+        prefix_deg += g.degree
+    return out
+
+
+def _ref_d(alg, terms):
+    out = {}
+    for k, c in terms.items():
+        out = _ref_add(out, _ref_d_mono(alg, k), c)
+    return out
+
+
+def _ref_image(f, mono):
+    out = {f.codomain.unit_key: Fraction(1)}
+    for i, e in enumerate(mono):
+        for _ in range(e):
+            out = _ref_mul(f.codomain, out, f.gen_images[f.domain.generators[i].name].terms)
+    return out
+
+
+def _ref_basis(degrees, cap):
+    """Degree-by-degree monomials, each one generator times a monomial below."""
+    levels = [{(0,) * len(degrees)}]
+    for n in range(1, cap + 1):
+        levels.append({m[:i] + (m[i] + 1,) + m[i + 1:]
+                       for i, d in enumerate(degrees) if d <= n for m in levels[n - d]
+                       if d % 2 == 0 or m[i] == 0})
+    return [tuple(sorted(level, key=lambda m: (sum(m), m))) for level in levels]
+
+
+def _random_element(rng, alg, n, density=0.6):
+    """Random coefficients in -2..2 on the degree-n basis (possibly zero)."""
+    keys = alg.basis_keys(n) if 0 <= n <= alg.degree_cap else ()
+    return alg.element({k: rng.randint(-2, 2) for k in keys if rng.random() < density})
+
+
+def _random_chain(rng, cap, links):
+    """A seeded chain of Hirsch extensions, generators of degrees 1..4 (odd
+    ones included); some links extend a base whose bases are not built yet."""
+    chain = [free_cdga([], {}, cap)]
+    for i in range(links):
+        a = chain[-1]
+        closed = rng.random() < 0.3  # leaves a's bases unbuilt
+        new = []
+        for j in range(rng.randint(1, 2)):
+            deg = rng.randint(1, 4)
+            z = a.zero() if closed else random_cocycle(rng, a, deg + 1)
+            new.append((f"g{i}_{j}", deg, z))
+        chain.append(hirsch_extend(a, new)[0])
+    return chain
+
+
+def _assert_same_terms(got, want):
+    assert list(got.terms.items()) == list(want.items())
+    assert all(isinstance(c, Fraction) and c != 0 for c in got.terms.values())
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_multiply_and_differential_match_the_reference_kernels(seed):
+    rng = random.Random(seed)
+    cap = rng.randint(6, 9)
+    alg = _random_chain(rng, cap, 4)[-1]
+    for _ in range(40):
+        u = _random_element(rng, alg, rng.randint(0, cap))
+        v = _random_element(rng, alg, rng.randint(0, cap))
+        _assert_same_terms(multiply(u, v), _ref_mul(alg, u.terms, v.terms))
+        _assert_same_terms(differential(u), _ref_d(alg, u.terms))
+        _assert_same_terms(u + v, _ref_add(u.terms, v.terms))
+        _assert_same_terms(u - u, {})
+        _assert_same_terms(u.scale(0), {})
+
+
+def test_cancelling_products_leave_no_zero_coefficient():
+    m = free_cdga([("a", 2), ("b", 2), ("x", 3)], {}, 8)
+    a, b, x = m.gen("a"), m.gen("b"), m.gen("x")
+    assert (a + b) * (a - b) == a * a - b * b
+    assert not any(c == 0 for c in ((a + b) * (a - b)).terms.values())
+    assert (x * x).is_zero() and (x * x).terms == {}
+    assert ((a * x) * (b * x)).terms == {}
+    assert (a * a * a * a * a).terms == {}  # degree 10, truncated at the cap 8
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_morphism_matrices_match_the_reference_images(seed):
+    rng = random.Random(100 + seed)
+    cap = rng.randint(6, 8)
+    dom = _random_chain(rng, cap, 3)[-1]
+    cod = _random_chain(rng, cap, 3)[-1]
+    images = {g.name: _random_element(rng, cod, g.degree) for g in dom.generators}
+    f = CdgaMorphism.on_generators(dom, cod, images)
+    for n in range(cap + 1):
+        keys = dom.basis_keys(n)
+        refs = [_ref_image(f, m) for m in keys]
+        for m, ref in zip(keys, refs):
+            _assert_same_terms(f._apply_mono(m), ref)
+        want = QMatrix.from_columns([cod.to_vector(cod.element(r), n) for r in refs],
+                                    cod.dim(n))
+        assert f.matrix(n) == want
+    u = _random_element(rng, dom, rng.randint(2, cap))
+    want = {}
+    for m, c in u.terms.items():
+        want = _ref_add(want, _ref_image(f, m), c)
+    _assert_same_terms(f.apply(u), want)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_extension_basis_matches_enumeration_from_scratch(seed):
+    rng = random.Random(200 + seed)
+    cap = rng.randint(5, 9)
+    for alg in _random_chain(rng, cap, 5):
+        want = _ref_basis([g.degree for g in alg.generators], cap)
+        for n in rng.sample(range(cap + 1), cap + 1):
+            assert alg.basis_keys(n) == want[n]
+            assert [alg.key_position(n, m) for m in want[n]] == list(range(len(want[n])))
+
+
+def _wedge_tower(k, cap):
+    """W_k: stage j is H*(a wedge of k - j two-spheres), each map kills the last."""
+    def stage(spheres):
+        labels = [f"a{i}" for i in range(spheres)]
+        return FiniteCDGA(basis={0: ["one"], 2: labels}, unit="one",
+                          products={(x, y): {} for x in labels for y in labels},
+                          differential={}, degree_cap=cap + 2)
+    stages = [stage(k - j) for j in range(k)]
+    maps = []
+    for a, b in zip(stages, stages[1:]):
+        images = {lab: b.basis_elem(lab) for lab in b.labels[2]}
+        images.update({"one": b.one(), a.labels[2][-1]: b.zero()})
+        maps.append(CdgaMorphism.on_basis(a, b, images))
+    return PersistentCDGA(Grid(tuple(range(k))), stages, maps, cap)
+
+
+def test_extension_basis_matches_enumeration_on_w4_at_cap_6():
+    model = build_persistent_minimal_model(_wedge_tower(4, 6))
+    assert len(model.algebras[0].generators) == 298
+    for alg in model.algebras:
+        want = _ref_basis([g.degree for g in alg.generators], alg.degree_cap)
+        assert [alg.basis_keys(n) for n in range(alg.degree_cap + 1)] == want

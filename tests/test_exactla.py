@@ -138,6 +138,27 @@ def test_invert_and_express():
     assert express_in_basis([vec([1, 0])], vec([0, 1]), 2) is None
 
 
+@pytest.mark.parametrize("columns, rows", [
+    ([(1, 2), (3,)], 2),
+    ([(1,), (2, 3)], 1),
+    ([(), ()], 2),
+    ([(1, 2, 3)], 2),
+], ids=["one-short", "one-long", "empty-with-rows", "all-long"])
+def test_from_columns_refuses_ragged_columns(columns, rows):
+    with pytest.raises(ValueError):
+        QMatrix.from_columns(columns, rows)
+
+
+def test_from_columns_shapes_and_coercion():
+    assert QMatrix.from_columns([], 3) == QMatrix(3, 0)
+    assert QMatrix.from_columns([(), ()], 0) == QMatrix(0, 2)
+    m = QMatrix.from_columns([(1, 2), (Fraction(1, 2), 0)], 2)
+    assert m.data == ((1, Fraction(1, 2)), (2, 0))
+    assert all(type(x) is Fraction for row in m.data for x in row)
+    with pytest.raises(ValueError):
+        QMatrix(2, 2, [(1, 2), (3,)])
+
+
 def test_exactness_no_float():
     m = QMatrix.from_rows([[Fraction(1, 3), Fraction(1, 7)], [Fraction(2, 3), Fraction(5, 7)]])
     x = solve(m, [Fraction(1), Fraction(2)])

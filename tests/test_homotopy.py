@@ -15,6 +15,8 @@ from pmm.homotopy import (
 from pmm.io import load_input
 from pmm.pminimal import build_persistent_minimal_model
 
+from .test_cdga import _random_chain, _random_element, _ref_add, _ref_mul
+
 
 def lam(gens, diffs=None, cap=8):
     return free_cdga(gens, diffs or {}, cap)
@@ -423,3 +425,61 @@ def test_check_chain_map_rejects_altered_integral_matrix():
     sq.homotopy._cache[4] = QMatrix(1, 1, [[1]])
     with pytest.raises(InternalError, match="cone map fails to be a cochain map"):
         cone_map(sq)
+
+
+# -- H of a monomial against the product of its factors from the unit ---------
+# The reference multiplies pairs (poly, dt) of term dicts with the reference
+# product of test_cdga, in the order 1 * H(x1) * H(x1) * H(x2) * ..., and keeps
+# the order in which terms and t-powers first appear.
+
+def _ref_interval_mul(alg, u, v):
+    poly, dt = {}, {}
+
+    def add_at(acc, k, terms):
+        if terms:
+            acc[k] = _ref_add(acc[k], terms) if k in acc else terms
+
+    for k1, b1 in u[0].items():
+        for k2, b2 in v[0].items():
+            add_at(poly, k1 + k2, _ref_mul(alg, b1, b2))
+        for k2, c2 in v[1].items():
+            add_at(dt, k1 + k2, _ref_mul(alg, b1, c2))
+    for k1, c1 in u[1].items():
+        for k2, b2 in v[0].items():
+            sign = (-1) ** alg.key_degree(next(iter(b2)))
+            add_at(dt, k1 + k2, {k: sign * c for k, c in _ref_mul(alg, c1, b2).items()})
+    return ({k: t for k, t in poly.items() if t}, {k: t for k, t in dt.items() if t})
+
+
+def _ref_h_mono(h, mono):
+    out = ({0: {h.codomain.unit_key: Fraction(1)}}, {})
+    for i, e in enumerate(mono):
+        value = h.assignment[h.domain.generators[i].name]
+        pair = ({k: v.terms for k, v in value.poly.items()},
+                {k: v.terms for k, v in value.dt.items()})
+        for _ in range(e):
+            out = _ref_interval_mul(h.codomain, out, pair)
+    return out
+
+
+def _term_lists(parts):
+    return [[(k, list(terms.items())) for k, terms in part.items()] for part in parts]
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_homotopy_of_a_monomial_matches_the_reference_product(seed):
+    rng = random.Random(300 + seed)
+    cap = rng.randint(6, 8)
+    dom = _random_chain(rng, cap, 3)[-1]
+    cod = _random_chain(rng, cap, 3)[-1]
+    assignment = {g.name: IntervalElement(
+        cod, {k: _random_element(rng, cod, g.degree, 0.4) for k in range(3)},
+        {k: _random_element(rng, cod, g.degree - 1, 0.4) for k in range(2)})
+        for g in dom.generators}
+    h = CdgaHomotopy(dom, cod, assignment)
+    for n in rng.sample(range(cap + 1), cap + 1):
+        for mono in dom.basis_keys(n):
+            got = h._apply_mono(mono)
+            got = tuple({k: v.terms for k, v in part.items()} for part in (got.poly, got.dt))
+            assert _term_lists(got) == _term_lists(_ref_h_mono(h, mono))
+            assert all(c != 0 for part in got for terms in part.values() for c in terms.values())

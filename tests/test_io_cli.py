@@ -229,6 +229,50 @@ def test_cli_unknown_emit_kind_is_refused_before_the_build(tmp_path, capsys):
     assert not out.exists()
 
 
+def _exit_code(argv):
+    """main's exit code, also when argparse refuses the command line."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.mark.parametrize("command, extra", [
+    ("check", ["--emit", "bogus"]),
+    ("check", ["--verbose-relations"]),
+    ("decompose", ["--format", "text"]),
+    ("decompose", ["--degree-cap", "5"]),
+    ("factor", ["--emit", "barcode"]),
+])
+def test_cli_subcommand_refuses_an_option_it_does_not_take(tmp_path, capsys, command, extra):
+    f = tmp_path / "model.json"
+    f.write_text(json.dumps(_built_model("example1_case1")
+                            if command == "check" else _interval_sphere()))
+    rc = _exit_code([command, "--input", str(f), "--output", str(tmp_path / "out")] + extra)
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert f"unrecognized arguments: {' '.join(extra)}" in err, err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_check_refuses_a_degree_cap_for_a_saved_model(tmp_path, capsys):
+    f = tmp_path / "model.json"
+    f.write_text(json.dumps(_built_model("example1_case1")))
+    rc = _exit_code(["check", "--input", str(f), "--output", str(tmp_path / "out"),
+                     "--degree-cap", "99"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1 and err.startswith("schema error:"), err
+    assert not (tmp_path / "out").exists()
+
+
+def test_cli_check_on_input_takes_degree_cap_and_format(tmp_path, capsys):
+    rc = main(["check", "--input", str(FIXTURES / "sphere2.json"),
+               "--output", str(tmp_path), "--degree-cap", "5", "--format", "text"])
+    assert rc == 0
+    assert "ok: True" in capsys.readouterr().out.splitlines()
+
+
 def test_cli_decompose_module(tmp_path, capsys):
     rc = main(["decompose", "--input", str(FIXTURES / "module_dims121.json"),
                "--output", str(tmp_path)])
