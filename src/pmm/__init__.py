@@ -7,7 +7,7 @@ Subpackages by concern:
 - pcomplex:    persistent cochain complexes, interval spheres/disks,
                cell attachment, interval-sphere model-structure predicates
 - cdga:        free (Sullivan) and finite CDGAs with Koszul-signed products
-- homotopy:    B (x) Lambda(t,dt), CDGA homotopies, integration, cones
+- homotopy:    homotopies into B (x) Lambda(t,dt), integration, cones
 - minimal:     pointwise minimal models and models of maps (1- and 2-stage towers)
 - pminimal:    persistent minimal models via interval surgery, presentations,
                homotopy-group barcodes
@@ -20,13 +20,13 @@ from .persistence import (
     interval_decompose, rank_invariant,
 )
 from .cdga import (
-    CdgaElement, CdgaMorphism, FiniteCDGA, FreeCDGA, cohomology, free_cdga,
+    CdgaElement, CdgaMorphism, FiniteCDGA, FreeCDGA, PathAlgebra, cohomology, free_cdga,
     hirsch_extend, indecomposables, monomial_basis, multiply, differential,
     validate_morphism,
 )
 from .homotopy import (
-    CdgaHomotopy, ConeComplex, HomotopySquare, IntervalElement, cone,
-    cone_map, integrate_01, integrate_0t, interval_d, interval_mul,
+    ConeComplex, HomotopySquare, cone, cone_map, integral_matrix, integrate_01,
+    integrate_0t,
 )
 from .minimal import (
     MapModel, MinModel, build_map_model, build_min_model, map_model_step,

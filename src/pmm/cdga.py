@@ -14,11 +14,15 @@ results are made by `CdgaElement._of`, which trusts its terms to be nonzero
 Fractions.  The images of monomials under a morphism are memoised by prefix:
 one product per monomial.  An extension's basis is its base's basis times the
 monomials in the new generators (Λ(V ⊕ W) = ΛV ⊗ ΛW).
+
+`B.path` is Sullivan's path object B ⊗ Λ(t,dt), one per B; a homotopy is a
+morphism into it (`pmm.homotopy`), made, checked and carried as any other.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -98,10 +102,7 @@ class CdgaElement:
         return hash((id(self.algebra), tuple(sorted(self.terms.items()))))
 
     def __repr__(self):
-        if not self.terms:
-            return "<0>"
-        bits = [f"{c}*{self.algebra.key_repr(k)}" for k, c in sorted(self.terms.items())]
-        return "<" + " + ".join(bits) + ">"
+        return self.algebra.element_repr(self)
 
     def _same(self, other: "CdgaElement"):
         if self.algebra is not other.algebra:
@@ -133,6 +134,17 @@ class _GradedAlgebra:
 
     def one(self) -> CdgaElement:
         return CdgaElement._of(self, {self.unit_key: ONE})
+
+    def element_repr(self, elem: CdgaElement) -> str:
+        if not elem.terms:
+            return "<0>"
+        bits = [f"{c}*{self.key_repr(k)}" for k, c in sorted(elem.terms.items())]
+        return "<" + " + ".join(bits) + ">"
+
+    @cached_property
+    def path(self) -> "PathAlgebra":
+        """B ⊗ Λ(t,dt): one object per B, so that maps into it can be carried."""
+        return PathAlgebra(self)
 
     def d_matrix(self, n: int) -> QMatrix:
         if n not in self._dmat_cache:
@@ -512,6 +524,67 @@ class FiniteCDGA(_GradedAlgebra):
         return self.cohomology_space(0).dim == 1 and self.cohomology_space(1).dim == 0
 
 
+class PathAlgebra:
+    """B ⊗ Λ(t,dt), with |t| = 0 and |dt| = 1: the term b ⊗ tʲ dtᵉ (e in {0, 1})
+    is keyed (b, j, e).  Products truncate where B's do, at B's cap on the B
+    factor, so the degree cap is B's plus one.  Made by `B.path`, and
+    without finite bases: homotopies into it are read through
+    `pmm.homotopy`'s evaluations and integrals."""
+
+    kind = "path"
+
+    def __init__(self, base: "Algebra"):
+        self.base = base
+        self.degree_cap = base.degree_cap + 1
+        self.unit_key = (base.unit_key, 0, 0)
+
+    zero = _GradedAlgebra.zero
+    one = _GradedAlgebra.one
+
+    def key_degree(self, key) -> int:
+        return self.base.key_degree(key[0]) + key[2]
+
+    def tensor(self, b: CdgaElement, j: int = 0, e: int = 0) -> CdgaElement:
+        """b ⊗ tʲ dtᵉ."""
+        if b.algebra is not self.base:
+            raise ValidationError("element not in the path algebra's base")
+        return CdgaElement._of(self, {(k, j, e): c for k, c in b.terms.items()})
+
+    def components(self, u: CdgaElement) -> dict[tuple[int, int], CdgaElement]:
+        """u = Σ b_ej ⊗ tʲ dtᵉ as {(e, j): b_ej}, in (e, j) order."""
+        parts: dict[tuple[int, int], dict] = {}
+        for (b, j, e), c in u.terms.items():
+            parts.setdefault((e, j), {})[b] = c
+        return {ej: CdgaElement._of(self.base, parts[ej]) for ej in sorted(parts)}
+
+    def element_repr(self, elem: CdgaElement) -> str:
+        bits = [f"({b!r})t^{j}{'dt' if e else ''}" for (e, j), b in self.components(elem).items()]
+        return " + ".join(bits) if bits else "0"
+
+    def mul_keys(self, k1, k2):
+        """B's product of the B factors; dt·dt = 0, and moving dt past b₂
+        costs (−1)^{|b₂|}."""
+        (b1, j1, e1), (b2, j2, e2) = k1, k2
+        if e1 and e2:
+            return None
+        r = self.base.mul_keys(b1, b2)
+        if r is None:
+            return None
+        flip = bool(e1) and self.base.key_degree(b2) % 2 == 1
+        j, e = j1 + j2, e1 + e2
+        if isinstance(r, tuple):
+            return r[0] != flip, (r[1], j, e)
+        return {(k, j, e): -c if flip else c for k, c in r.items()}
+
+    def d_key(self, key) -> CdgaElement:
+        """d(b tʲ) = db tʲ + (−1)^{|b|} j b tʲ⁻¹ dt and d(b tʲ dt) = db tʲ dt."""
+        b, j, e = key
+        out = {(k, j, e): c for k, c in self.base.d_key(b).terms.items()}
+        if j and not e:
+            out[(b, j - 1, 1)] = Fraction(-j if self.base.key_degree(b) % 2 else j)
+        return CdgaElement._of(self, out)
+
+
 Algebra = Union[FreeCDGA, FiniteCDGA]
 
 
@@ -667,6 +740,8 @@ class CdgaMorphism:
         self.gen_images = gen_images or {}
         self._matrices = matrices or {}
         self._mono_cache: dict = {}
+        # Degree-n matrices; a map into a path algebra, which has no finite
+        # bases, keeps its integrals I_H(n) here (homotopy.integral_matrix).
         self._mat_cache: dict[int, QMatrix] = {}
 
     @classmethod

@@ -6,8 +6,8 @@ Subcommands:
   decompose  persistence-module or persistent-complex file -> barcode
   factor     injective persistent-complex map file -> factorization certificate
 
-Exit codes: 0 success, 1 validation failure, 2 parse/schema error,
-3 internal invariant violation.
+Exit codes: 0 success, 1 validation failure, 2 parse/schema error (a bad
+command line included), 3 internal invariant violation.
 """
 from __future__ import annotations
 
@@ -174,8 +174,16 @@ def cmd_factor(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """argparse, with a bad command line raised as a SchemaError: `main`
+    returns 2 and prints one `schema error:` line, not a usage and exit."""
+
+    def error(self, message):
+        raise SchemaError(message)
+
+
 def make_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="pmm",
         description="Persistent Sullivan minimal models of tame persistent "
                     "CDGAs over Q")
@@ -201,8 +209,8 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = make_parser().parse_args(argv)
     try:
+        args = make_parser().parse_args(argv)
         return args.fn(args)
     except SchemaError as exc:
         print(f"schema error: {exc}", file=sys.stderr)

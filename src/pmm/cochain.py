@@ -61,6 +61,11 @@ class CohomologySpace:
         return lin_comb(h, self.reps, self.ambient_dim)
 
 
+def induced_map(f: QMatrix, src: CohomologySpace, dst: CohomologySpace) -> QMatrix:
+    """H(f): src -> dst in class coordinates; column j is the class of f(src.reps[j])."""
+    return QMatrix.from_columns([dst.class_of(f.apply(rep)) for rep in src.reps], dst.dim)
+
+
 def compute_cohomology(d_out: QMatrix, d_in: Optional[QMatrix],
                        below: Optional[CohomologySpace] = None) -> CohomologySpace:
     """H = ker(d_out)/im(d_in).  B is spanned by the pivot columns of d_in,

@@ -194,18 +194,6 @@ def parse_expression(src: str, context: Algebra,
     return elem
 
 
-def _mono_src(algebra: Algebra, key) -> str:
-    if isinstance(algebra, FreeCDGA):
-        parts = []
-        for e, g in zip(key, algebra.generators):
-            if e == 1:
-                parts.append(g.name)
-            elif e > 1:
-                parts.append(f"{g.name}^{e}")
-        return "*".join(parts) if parts else "1"
-    return algebra.label_of(key)
-
-
 def render_element(elem: CdgaElement) -> str:
     """Canonical source form: terms in (degree, basis position) order."""
     alg = elem.algebra
@@ -216,7 +204,7 @@ def render_element(elem: CdgaElement) -> str:
                                    alg.key_position(alg.key_degree(kv[0]), kv[0])))
     parts = []
     for i, (key, c) in enumerate(keyed):
-        mono = _mono_src(alg, key)
+        mono = alg.key_repr(key)
         mag = abs(c)
         if mono == "1":
             body = str(mag)

@@ -17,7 +17,6 @@ from .cdga import (
 from .errors import ParseError, SchemaError, ValidationError
 from .expressions import parse_expression, render_element
 from .exactla import QMatrix
-from .homotopy import CdgaHomotopy, IntervalElement
 from .persistence import INF, Bar, Grid, PersistenceModule
 from .pcomplex import PComplexMap, PersistentComplex
 from .pminimal import (
@@ -313,14 +312,12 @@ def model_payload(model: TameMinimalModel, input_doc: dict) -> dict:
             name: render_element(img)
             for name, img in sorted(model.models[r].gen_images.items())})
     homos = []
-    for r in range(n - 1):
+    for h in model.homotopies:
         stage = {}
-        for name in sorted(model.homotopies[r].assignment):
-            iv = model.homotopies[r].assignment[name]
-            stage[name] = {
-                "poly": {str(k): render_element(v) for k, v in sorted(iv.poly.items())},
-                "dt": {str(k): render_element(v) for k, v in sorted(iv.dt.items())},
-            }
+        for name in sorted(h.gen_images):
+            parts = h.codomain.components(h.gen_images[name])
+            stage[name] = {key: {str(j): render_element(b) for (e, j), b in parts.items()
+                                 if e == dt} for dt, key in enumerate(("poly", "dt"))}
         homos.append(stage)
     return {
         "schema_version": SCHEMA_VERSION,
@@ -380,16 +377,17 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
     homotopies = []
     for r, stage in enumerate(_objects(spec, "homotopies", "model", n - 1)):
         _exact_keys(stage, [g.name for g in algebras[r].generators], f"homotopy {r}")
-        assignment = {}
+        path = target.stages[r + 1].path
+        values = {}
         for name, parts in stage.items():
-            cod = target.stages[r + 1]
             where = f"homotopy {r} of {name!r}"
-            poly = {_key(k, where): parse_expression(str(src), cod)
-                    for k, src in _optional(parts, "poly", where, dict).items()}
-            dt = {_key(k, where): parse_expression(str(src), cod)
-                  for k, src in _optional(parts, "dt", where, dict).items()}
-            assignment[name] = IntervalElement(cod, poly, dt)
-        homotopies.append(CdgaHomotopy(algebras[r], target.stages[r + 1], assignment))
+            values[name] = path.zero()
+            for dt, key in enumerate(("poly", "dt")):
+                part = {_key(j, where): parse_expression(str(src), path.base)
+                        for j, src in _optional(parts, key, where, dict).items()}
+                for j, b in part.items():
+                    values[name] = values[name] + path.tensor(b, j, dt)
+        homotopies.append(CdgaMorphism.on_generators(algebras[r], path, values))
 
     model = TameMinimalModel(target, algebras, sigmas, models, homotopies, records,
                              target.user_cap)

@@ -25,6 +25,7 @@ from dataclasses import dataclass, field
 from .cdga import (  # check_minimality: perfbench/spans.py wraps minimal.check_minimality
     Algebra, CdgaMorphism, FreeCDGA, check_minimality, free_cdga, linear_part,
 )
+from .cochain import induced_map
 from .errors import InternalError, ValidationError
 from .exactla import ONE, QMatrix, adapted_split, solve
 from .homotopy import HomotopySquare
@@ -117,8 +118,7 @@ def map_model_step(mm: MapModel) -> MapModel:
     c_m, c_n = mm.model.stage_cones()
     phi = mm.model.cone_maps((k - 1, k))[0].matrix(k)
     v_space, w_space = c_m.cohomology_space(k), c_n.cohomology_space(k)
-    psi = QMatrix.from_columns([w_space.class_of(phi.apply(z)) for z in v_space.reps],
-                               w_space.dim)
+    psi = induced_map(phi, v_space, w_space)
     split = adapted_split(psi)
     r = split.rank
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .cochain import CohomologySpace, compute_cohomology
+from .cochain import CohomologySpace, compute_cohomology, induced_map
 from .errors import InternalError, ValidationError
 from .exactla import (
     QMatrix, Vector, block_diag, express_in_basis, is_zero_vec, kernel_basis,
@@ -181,11 +181,9 @@ def cohomology_module(grid: Grid, sigmas: Sequence[QMatrix],
     sends each class representative at r through sigmas[r] to its class at
     r + 1.
     """
-    dims = tuple(sp.dim for sp in spaces)
-    maps = tuple(QMatrix.from_columns(
-        [spaces[r + 1].class_of(sigmas[r].apply(rep)) for rep in spaces[r].reps],
-        dims[r + 1]) for r in range(len(spaces) - 1))
-    return PersistenceModule(grid, dims, maps)
+    maps = tuple(induced_map(sigmas[r], spaces[r], spaces[r + 1])
+                 for r in range(len(spaces) - 1))
+    return PersistenceModule(grid, tuple(sp.dim for sp in spaces), maps)
 
 
 def bar_sections(grid: Grid, sigmas: Sequence[QMatrix], spaces: Sequence[CohomologySpace]
@@ -481,8 +479,7 @@ def is_pointwise_quasi_iso(f: PComplexMap) -> PredicateResult:
         for k in range(x.max_degree):
             hx = x.cohomology_space(r, k)
             hy = y.cohomology_space(r, k)
-            cols = [hy.class_of(f.mat(r, k).apply(rep)) for rep in hx.reps]
-            m = QMatrix.from_columns(cols, hy.dim)
+            m = induced_map(f.mat(r, k), hx, hy)
             if rank(m) != hx.dim or rank(m) != hy.dim:
                 return PredicateResult(False, {
                     "kind": "not a quasi-isomorphism", "stage": r, "degree": k,

@@ -40,8 +40,8 @@ Verification (README "Verification" has each invariant), build check [audit key]
   a cone only while its model map is the same object, so validate_model reads
   the build's cones
 - d^2 = 0: hirsch_extend, on the new generators
-- each homotopy is a CDGA map: _extend_state, on the new generators
-  [homotopy_identities, every generator]
+- each homotopy is a CDGA map into the path algebra (validate_morphism):
+  _extend_state, on the new generators [homotopy_identities, every generator]
 - d phi = phi d: ConeMap.check_chain_map in degrees k-1 and k, the ones
   surgery reads, trusting its square [implied by homotopy_identities and
   structure; cone_maps() without a window checks every degree]
@@ -60,8 +60,8 @@ from .cdga import (
 from .errors import InternalError, ValidationError
 from .exactla import solve
 from .homotopy import (
-    CdgaHomotopy, ConeComplex, ConeMap, HomotopySquare, check_homotopy_identity,
-    cone, connectivity_failures, extend_homotopy,
+    ConeComplex, ConeMap, HomotopySquare, check_homotopy_identity, cone,
+    connectivity_failures, extend_homotopy,
 )
 from .persistence import INF, Bar, Grid, PersistenceModule
 from .pcomplex import PersistentComplex, bar_sections
@@ -132,8 +132,9 @@ class TameMinimalModel:
     """Stagewise minimal models with atomic homotopies between stages.
 
     Stage r carries the model algebra algebras[r] with its model map
-    models[r] into the target stage; sigmas[r] and homotopies[r] fill the
-    square over the target's structure map r.  gen_records holds one entry
+    models[r] into the target stage; sigmas[r] and homotopies[r] (a map into
+    the path algebra of target stage r + 1) fill the square over the
+    target's structure map r.  gen_records holds one entry
     per persistent generator (name, degree, birth, death, birth
     differential "v", endpoint image "u"); degree_done is the degree through
     which surgery has run.
@@ -141,7 +142,7 @@ class TameMinimalModel:
 
     def __init__(self, target: PersistentCDGA, algebras: list[FreeCDGA],
                  sigmas: list[CdgaMorphism], models: list[CdgaMorphism],
-                 homotopies: list[CdgaHomotopy], gen_records: list[dict],
+                 homotopies: list[CdgaMorphism], gen_records: list[dict],
                  degree_done: int):
         self.target = target
         self.grid = target.grid
@@ -162,7 +163,7 @@ class TameMinimalModel:
                   for r in range(n - 1)]
         models = [CdgaMorphism.on_generators(algebras[r], target.stages[r], {})
                   for r in range(n)]
-        homotopies = [CdgaHomotopy(algebras[r], target.stages[r + 1], {})
+        homotopies = [CdgaMorphism.on_generators(algebras[r], target.stages[r + 1].path, {})
                       for r in range(n - 1)]
         return cls(target, algebras, sigmas, models, homotopies, [], 1)
 
@@ -295,17 +296,19 @@ def _extend_state(model: TameMinimalModel, k: int,
         models[r].inherit(model.models[r])
 
     homotopies = []
-    for r in range(n - 1):
-        assignment = dict(model.homotopies[r].assignment)
+    for r, old in enumerate(model.homotopies):
+        values = dict(old.gen_images)
         for rec in new_records:
             if _alive(rec, r):
                 v_elem, a_elem = rec["sections"][r]
-                assignment[rec["name"]] = extend_homotopy(
-                    target.maps[r], model.homotopies[r], v_elem, a_elem,
+                values[rec["name"]] = extend_homotopy(
+                    target.maps[r], old, v_elem, a_elem,
                     None if _alive(rec, r + 1) else rec["b"])
-        h = CdgaHomotopy(new_algs[r], target.stages[r + 1], assignment)
-        h.inherit(model.homotopies[r])
-        h.check_chain_condition([x for x in assignment if x not in model.homotopies[r].assignment])
+        h = CdgaMorphism.on_generators(new_algs[r], old.codomain, values)
+        h.inherit(old)
+        problems = validate_morphism(h, [x for x in values if x not in old.gen_images])
+        if problems:
+            raise ValidationError(f"homotopy: {problems[0]} at stage {r}")
         homotopies.append(h)
 
     records = model.gen_records + [
@@ -504,8 +507,8 @@ def validate_model(model: TameMinimalModel,
     failures = []
     for r, square in enumerate(model.stage_squares()):
         try:
-            square.homotopy.check_chain_condition()
-            problems = square.validate()
+            problems = ([f"homotopy: {p}" for p in validate_morphism(square.homotopy)]
+                        or square.validate())
             if problems:
                 raise InternalError(f"{problems[0]} at stage {r}")
             problems = check_homotopy_identity(square.homotopy, cap)

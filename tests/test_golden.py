@@ -220,7 +220,7 @@ def compute_digests(tmp: Path) -> dict:
             h.update(repr((label, [(g.name, g.degree, repr(dom.generator_diff(g.name)),
                                     repr(mor.gen_images[g.name]))
                                    for g in dom.generators])).encode())
-        h.update(repr(sorted((k, repr(v)) for k, v in mm.homotopy.assignment.items())).encode())
+        h.update(repr(sorted((k, repr(v)) for k, v in mm.homotopy.gen_images.items())).encode())
         for rep in mm.reports:
             h.update(repr((rep.degree, rep.psi, rep.q_matrix, rep.psi_adapted,
                            rep.new_domain_gens, rep.new_codomain_gens)).encode())

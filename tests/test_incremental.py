@@ -22,7 +22,7 @@ from pmm.cdga import (
 from pmm.cochain import CohomologySpace, compute_cohomology
 from pmm.errors import InternalError, ValidationError
 from pmm.exactla import ONE, QMatrix
-from pmm.homotopy import CdgaHomotopy, ConeComplex, ConeMap, HomotopySquare, IntervalElement
+from pmm.homotopy import ConeComplex, ConeMap, HomotopySquare, integral_matrix
 from pmm.io import load_input
 from pmm.minimal import build_map_model, map_model_step, trivial_map_model
 from pmm.persistence import Grid
@@ -112,24 +112,26 @@ def test_each_step_reduces_three_cone_degrees_and_checks_two(monkeypatch):
 
 
 def test_each_generator_is_checked_once_by_the_build(monkeypatch):
-    # The CDGA-map checks (stage models, sigmas) and the square checks look at
-    # each (stage, generator) pair in the step that adds the generator, and
-    # never again: the inherit guards pin the old ones.  A map model is built
-    # by the same step, so the same holds for its g, m, n and square.
+    # The CDGA-map checks (stage models, sigmas, homotopies) and the square
+    # checks look at each (stage, generator) pair in the step that adds the
+    # generator, and never again: the inherit guards pin the old ones.  A map
+    # model is built by the same step, so the same holds for its g, m, n, H
+    # and square.
     seen, current = Counter(), []
     validate_morphism, validate_square = pminimal.validate_morphism, HomotopySquare.validate
-    verify = pminimal._verify_surgery
 
-    def record_verify(model, k, new_records):
+    def record_model(step, model, *args):
         current[:] = [model]
-        return verify(model, k, new_records)
+        return step(model, *args)
 
     def record_map(f, names=None):
         if current:  # a tower checks its own structure maps when it is made
-            model = current[0]
+            model = current[0]  # _extend_state's input, _verify_surgery's output
+            paths = [s.path for s in model.target.stages[1:]]
             role = next((role, r) for role, maps in (("m", model.models),
-                                                     ("sigma", model.sigmas))
-                        for r, g in enumerate(maps) if g is f)
+                                                     ("sigma", model.sigmas),
+                                                     ("homotopy", paths))
+                        for r, g in enumerate(maps) if g is f or g is f.codomain)
             seen.update((role, x) for x in (g.name for g in f.domain.generators)
                         if names is None or x in names)
         return validate_morphism(f, names)
@@ -143,8 +145,9 @@ def test_each_generator_is_checked_once_by_the_build(monkeypatch):
     towers = (wedge_tower(6), load_input(json.loads((FIXTURES / "example3.json").read_text())))
     builds = [partial(build_persistent_minimal_model, tower) for tower in towers]
     builds.append(lambda: build_map_model(wedge_tower(5).maps[0], 5).model)
-    monkeypatch.setattr(pminimal, "_verify_surgery", record_verify)
-    monkeypatch.setattr(minimal, "_verify_surgery", record_verify)
+    for module in (pminimal, minimal):
+        for step in ("_extend_state", "_verify_surgery"):
+            monkeypatch.setattr(module, step, partial(record_model, getattr(pminimal, step)))
     monkeypatch.setattr(pminimal, "validate_morphism", record_map)
     monkeypatch.setattr(HomotopySquare, "validate", record_square)
     for build in builds:
@@ -153,7 +156,8 @@ def test_each_generator_is_checked_once_by_the_build(monkeypatch):
         model = build()
         n = len(model.grid)
         want = [((role, r), g.name)
-                for role, stages in (("m", n), ("sigma", n - 1), ("square", n - 1))
+                for role, stages in (("m", n), ("sigma", n - 1), ("homotopy", n - 1),
+                                     ("square", n - 1))
                 for r in range(stages) for g in model.algebras[r].generators]
         assert want and sorted(seen) == sorted(want)
         assert set(seen.values()) == {1}
@@ -224,8 +228,8 @@ def test_blocks_below_the_step_are_carried_objects():
             assert after.stage_cones()[r]._h_cache[n] is before.stage_cones()[r]._h_cache[n]
     for r in range(len(tower.grid) - 1):
         for n in range(0, 4):
-            if n in before.homotopies[r]._cache:
-                assert after.homotopies[r]._cache[n] is before.homotopies[r]._cache[n]
+            if n in before.homotopies[r]._mat_cache:
+                assert after.homotopies[r]._mat_cache[n] is before.homotopies[r]._mat_cache[n]
             if n in before.sigmas[r]._mat_cache:
                 assert after.sigmas[r]._mat_cache[n] is before.sigmas[r]._mat_cache[n]
 
@@ -269,11 +273,11 @@ def test_morphism_carry_refuses_a_changed_image():
 def test_homotopy_carry_refuses_a_changed_value():
     model = built_through(wedge_tower(5), 3)
     h = model.homotopies[0]
-    name = next(x for x, value in h.assignment.items() if not value.is_zero())
-    assignment = dict(h.assignment)
-    assignment[name] = assignment[name].scale(2)
-    with pytest.raises(InternalError, match=f"the homotopy changed on {name}"):
-        CdgaHomotopy(h.domain, h.codomain, assignment).inherit(h)
+    name = next(x for x, value in h.gen_images.items() if not value.is_zero())
+    values = dict(h.gen_images)
+    values[name] = values[name].scale(2)
+    with pytest.raises(InternalError, match=f"the image of {name} changed"):
+        CdgaMorphism.on_generators(h.domain, h.codomain, values).inherit(h)
 
 
 def test_boundaries_read_from_the_degree_below(monkeypatch):
@@ -328,10 +332,10 @@ def test_altered_carried_integral_block_fails_validate_model():
     tower = load_input(json.loads((FIXTURES / "sphere2_bounded.json").read_text()))
     model = built_through(tower, 3)
     h = model.homotopies[0]
-    h._cache[2] = bump(h.integral_matrix(2))  # I_H(2): M^2 -> B^1 = <w>
+    h._mat_cache[2] = bump(integral_matrix(h, 2))  # I_H(2): M^2 -> B^1 = <w>
     for k in range(4, tower.user_cap + 1):
         model = surgery_step(model, k)
-    assert model.homotopies[0]._cache[2] is h._cache[2]
+    assert model.homotopies[0]._mat_cache[2] is h._mat_cache[2]
     report = validate_model(model)
     assert not report["ok"]
     assert "stage 0: identity fails on x2_0" in report["homotopy_identities"]["failures"]
@@ -364,7 +368,7 @@ def test_cone_map_block_outside_the_window_fails_validate_model():
     model = build_persistent_minimal_model(tower, 5)
     assert validate_model(model)["ok"]
     h = model.homotopies[0]
-    h._cache[2] = bump(h.integral_matrix(2))
+    h._mat_cache[2] = bump(integral_matrix(h, 2))
     report = validate_model(model)
     assert not report["ok"]
     assert report["homotopy_identities"]["failures"] == ["stage 0: identity fails on x2_0"]
@@ -376,14 +380,14 @@ def test_cone_map_block_outside_the_window_fails_validate_model():
 def test_bounded_sphere_fixture_builds_a_nonconstant_homotopy():
     tower = load_input(json.loads((FIXTURES / "sphere2_bounded.json").read_text()))
     model = built_through(tower, 2)
-    i_h2 = model.homotopies[0].integral_matrix(2)
+    i_h2 = integral_matrix(model.homotopies[0], 2)
     # x2_0 dies at stage 1, bounded by w: H(x2_0) = a - a t + w dt, so the
     # w (x) dt correction gives a nonzero I_H(2) block.
-    assert model.homotopies[0].assignment["x2_0"].dt
+    assert any(e for _, _, e in model.homotopies[0].gen_images["x2_0"].terms)
     assert not i_h2.is_zero()
     for k in range(3, tower.user_cap + 1):
         model = surgery_step(model, k)
-    assert model.homotopies[0].integral_matrix(2) is i_h2
+    assert integral_matrix(model.homotopies[0], 2) is i_h2
     assert homotopy_barcode(model).as_multiset() == [(2, 0, 1), (3, 0, 1)]
     assert validate_model(model)["ok"]
 
@@ -393,10 +397,11 @@ def test_build_checks_the_integration_identity_on_new_generators():
     model = built_through(tower, 2)
     pminimal._verify_surgery(model, 2, [{"name": "x2_0"}])
     h = model.homotopies[0]
-    w = h.codomain.basis_elem("w")
+    w = h.codomain.base.basis_elem("w")
     # w (x) dt moves neither end point but moves I_H(x2_0) by w, and dw = a.
-    h.assignment["x2_0"] = h.assignment["x2_0"] + IntervalElement.t_power(w, 0, with_dt=True)
-    h._cache.clear()
+    h.gen_images["x2_0"] = h.gen_images["x2_0"] + h.codomain.tensor(w, 0, 1)
+    h._mono_cache.clear()
+    h._mat_cache.clear()
     with pytest.raises(InternalError, match="integration identity fails on x2_0 at stage 0"):
         pminimal._verify_surgery(model, 2, [{"name": "x2_0"}])
 
@@ -407,9 +412,9 @@ def test_build_checks_the_chain_condition_on_new_generators(monkeypatch):
 
     def off_by_a_t(f, h, v, a, y):
         # a (x) t has d = a (x) dt != 0 = H(d x2_0): no longer a chain map.
-        return extend_homotopy(f, h, v, a, y) + IntervalElement.t_power(
-            h.codomain.basis_elem("a"), 1)
+        return extend_homotopy(f, h, v, a, y) + h.codomain.tensor(
+            h.codomain.base.basis_elem("a"), 1)
 
     monkeypatch.setattr(pminimal, "extend_homotopy", off_by_a_t)
-    with pytest.raises(ValidationError, match="homotopy is not a chain map on x2_0"):
+    with pytest.raises(ValidationError, match="d-compatibility fails on generator x2_0"):
         surgery_step(TameMinimalModel.trivial(tower), 2)

@@ -229,14 +229,6 @@ def test_cli_unknown_emit_kind_is_refused_before_the_build(tmp_path, capsys):
     assert not out.exists()
 
 
-def _exit_code(argv):
-    """main's exit code, also when argparse refuses the command line."""
-    try:
-        return main(argv)
-    except SystemExit as exc:
-        return exc.code
-
-
 @pytest.mark.parametrize("command, extra", [
     ("check", ["--emit", "bogus"]),
     ("check", ["--verbose-relations"]),
@@ -248,18 +240,38 @@ def test_cli_subcommand_refuses_an_option_it_does_not_take(tmp_path, capsys, com
     f = tmp_path / "model.json"
     f.write_text(json.dumps(_built_model("example1_case1")
                             if command == "check" else _interval_sphere()))
-    rc = _exit_code([command, "--input", str(f), "--output", str(tmp_path / "out")] + extra)
+    rc = main([command, "--input", str(f), "--output", str(tmp_path / "out")] + extra)
     err = capsys.readouterr().err
     assert rc == 2
-    assert f"unrecognized arguments: {' '.join(extra)}" in err, err
+    assert err == f"schema error: unrecognized arguments: {' '.join(extra)}\n", err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("argv, reason", [
+    (["bogus"], "argument command: invalid choice: 'bogus'"),
+    ([], "the following arguments are required: command"),
+    (["build"], "the following arguments are required: --input"),
+    (["build", "--input", "x.json", "--degree-cap", "two"],
+     "argument --degree-cap: invalid int value: 'two'"),
+], ids=["unknown-subcommand", "missing-subcommand", "missing-option", "bad-value"])
+def test_cli_bad_command_line_is_one_schema_error_line(capsys, argv, reason):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(f"schema error: {reason}"), err
+
+
+def test_cli_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--help"])
+    assert exc.value.code == 0
+    assert "usage: pmm" in capsys.readouterr().out
 
 
 def test_cli_check_refuses_a_degree_cap_for_a_saved_model(tmp_path, capsys):
     f = tmp_path / "model.json"
     f.write_text(json.dumps(_built_model("example1_case1")))
-    rc = _exit_code(["check", "--input", str(f), "--output", str(tmp_path / "out"),
-                     "--degree-cap", "99"])
+    rc = main(["check", "--input", str(f), "--output", str(tmp_path / "out"),
+               "--degree-cap", "99"])
     err = capsys.readouterr().err
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("schema error:"), err
@@ -702,3 +714,18 @@ def test_cli_oversized_grid_time_is_refused_quickly(tmp_path, time_literal):
         env=env, capture_output=True, text=True, timeout=20)
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("schema error:")
+
+
+def test_each_submodule_name_binds_the_module_on_the_package():
+    # `from pmm import homotopy` must give the module, as perfbench/spans.py
+    # imports submodules that way: no name the package exports may shadow one.
+    import importlib
+    import pkgutil
+
+    import pmm
+
+    names = [m.name for m in pkgutil.iter_modules(pmm.__path__) if not m.name.startswith("_")]
+    assert {"cdga", "cli", "homotopy", "io", "pminimal"} <= set(names)
+    for name in names:
+        module = importlib.import_module(f"pmm.{name}")
+        assert getattr(pmm, name) is module, name

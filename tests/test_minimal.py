@@ -8,8 +8,7 @@ from pmm.cdga import (
 )
 from pmm.errors import ValidationError
 from pmm.homotopy import (
-    CdgaHomotopy, HomotopySquare, IntervalElement, check_homotopy_identity, cone,
-    cone_map, connectivity_failures,
+    HomotopySquare, check_homotopy_identity, cone, cone_map, connectivity_failures,
 )
 from pmm import minimal, pminimal
 from pmm.minimal import build_map_model, build_min_model
@@ -112,11 +111,11 @@ def test_map_model_step_checks_the_extended_homotopy(monkeypatch):
     extend_homotopy = pminimal.extend_homotopy
 
     def off_by_a_t(f, h, v, x, y):
-        alpha = h.codomain.basis_elem("alpha")
-        return extend_homotopy(f, h, v, x, y) + IntervalElement.t_power(alpha, 1)
+        alpha = h.codomain.base.basis_elem("alpha")
+        return extend_homotopy(f, h, v, x, y) + h.codomain.tensor(alpha, 1)
 
     monkeypatch.setattr(pminimal, "extend_homotopy", off_by_a_t)
-    with pytest.raises(ValidationError, match="homotopy is not a chain map on x2_0"):
+    with pytest.raises(ValidationError, match="d-compatibility fails on generator x2_0"):
         build_map_model(CdgaMorphism.identity(finite_s2()), 2)
 
 
@@ -133,7 +132,9 @@ def test_cone_map_checks_within_both_cones_range():
     f = polynomial_map(8, 6)
     square = HomotopySquare(top=f, bottom=f, left=CdgaMorphism.identity(f.domain),
                             right=CdgaMorphism.identity(f.codomain),
-                            homotopy=CdgaHomotopy.constant(f))
+                            homotopy=CdgaMorphism.on_generators(
+                                f.domain, f.codomain.path,
+                                {"a": f.codomain.path.tensor(f.gen_images["a"])}))
     phi = cone_map(square)
     assert (phi.source.max_degree, phi.target.max_degree) == (7, 5)
 
@@ -236,10 +237,10 @@ def test_homotopy_restriction_coherence():
     f = random_morphism(rng, ACAP, max_gens=2, max_degree=4)
     mm = trivial_map_model(f)
     for k in range(2, 5):
-        prev = dict(mm.homotopy.assignment)
+        prev = dict(mm.homotopy.gen_images)
         mm = map_model_step(mm)
         for name, iv in prev.items():
-            assert mm.homotopy.assignment[name] == iv
+            assert mm.homotopy.gen_images[name] == iv
 
 
 def test_pointwise_model_is_one_stage_surgery():

@@ -7,7 +7,7 @@ import pytest
 
 from pmm.cdga import CdgaMorphism, FiniteCDGA, free_cdga, multiply
 from pmm.errors import InternalError, ValidationError
-from pmm.homotopy import IntervalElement, cone
+from pmm.homotopy import cone
 from pmm.io import load_input
 from pmm.persistence import INF, Grid, interval_decompose
 from pmm.pminimal import (
@@ -194,9 +194,11 @@ def test_verify_surgery_rejects_altered_homotopy_start():
         model = built_through_three()
         r, name = next((r, g.name) for r, h in enumerate(model.homotopies)
                        for g in h.domain.generators
-                       if g.degree == degree and 0 in h.assignment[g.name].poly)
-        value = model.homotopies[r].assignment[name]
-        model.homotopies[r].assignment[name] = value + IntervalElement.constant(value.poly[0])
+                       if g.degree == degree
+                       and (0, 0) in h.codomain.components(h.gen_images[g.name]))
+        h = model.homotopies[r]
+        start = h.codomain.components(h.gen_images[name])[(0, 0)]
+        h.gen_images[name] = h.gen_images[name] + h.codomain.tensor(start)
         return model, r, name
 
     model, r, name = shifted_start(3)
@@ -271,18 +273,21 @@ def test_validate_model_homotopy_tamper():
     model = build_persistent_minimal_model(example_one(1))
     h = model.homotopies[0]
     name = next(g.name for g in model.algebras[0].generators)
-    original = h.assignment[name]
-    h.assignment[name] = original + IntervalElement.t_power(
+    p = h.codomain
+    original = h.gen_images[name]
+    h.gen_images[name] = original + p.tensor(
         model.target.stages[1].one().scale(0), 0)  # no-op first: still passes
     assert validate_model(model)["ok"]
-    bad = original + IntervalElement.t_power(original.poly[0], 1) \
-        + IntervalElement.t_power(original.poly[0].scale(-1), 0)
-    h.assignment[name] = bad
-    h._cache.clear()
+    start = p.components(original)[(0, 0)]
+    bad = original + p.tensor(start, 1) + p.tensor(start.scale(-1), 0)
+    h.gen_images[name] = bad
+    h._mono_cache.clear()
+    h._mat_cache.clear()
     rep = validate_model(model)
     assert not rep["ok"]
-    h.assignment[name] = original
-    h._cache.clear()
+    h.gen_images[name] = original
+    h._mono_cache.clear()
+    h._mat_cache.clear()
     assert validate_model(model)["ok"]
 
 
