@@ -152,7 +152,7 @@ class _GradedAlgebra:
             dst_dim = self.dim(n + 1)
             cols = [self.to_vector(self.d_key(k), n + 1) if dst_dim else ()
                     for k in src]
-            self._dmat_cache[n] = QMatrix.from_columns(cols, dst_dim)
+            self._dmat_cache[n] = QMatrix._of_columns(cols, dst_dim)
         return self._dmat_cache[n]
 
     def cohomology_space(self, n: int) -> CohomologySpace:
@@ -844,7 +844,7 @@ class CdgaMorphism:
             else:
                 cols = [self.codomain.to_vector(self._apply_mono(m), n)
                         for m in self.domain.basis_keys(n)]
-                self._mat_cache[n] = QMatrix.from_columns(cols, self.codomain.dim(n))
+                self._mat_cache[n] = QMatrix._of_columns(cols, self.codomain.dim(n))
         return self._mat_cache[n]
 
 

@@ -8,8 +8,17 @@ so representative choices made downstream are reproducible bit-for-bit.
 
 `QMatrix(rows, cols, entries)` and `QMatrix.from_columns` coerce each entry
 with `frac` and check the shape (`from_columns` transposes with a strict
-`zip`, so ragged columns raise); kernels whose rows are already tuples of
-Fractions of the right shape use `QMatrix._of`.
+`zip`, so ragged columns raise).  Two private constructors trust their
+entries to be Fractions: `QMatrix._of` takes rows already of the right
+shape, and `QMatrix._of_columns` checks the shape as `from_columns` does but
+coerces nothing.  `_of_columns` is for the algebra kernel's own columns, the
+`to_vector` images of kernel elements (d-matrices, morphism matrices,
+homotopy integrals); parsed input and everything else go through
+`from_columns`.
+
+`_lower_block(a, b, c)` assembles the block matrix [[a, 0], [b, c]] in one
+pass over the rows, with one shared zero tuple; the cone d-matrices and cone
+maps of `pmm.homotopy` and `block_diag` are made by it.
 """
 from __future__ import annotations
 
@@ -101,9 +110,13 @@ class QMatrix:
     @classmethod
     def from_columns(cls, columns: Sequence[Vector], rows: int) -> "QMatrix":
         """The matrix with these columns, each of length `rows`."""
-        if columns and len(columns[0]) != rows:
-            raise ValueError(f"from_columns: column of length {len(columns[0])}, want {rows}")
-        return cls(rows, len(columns), zip(*columns, strict=True))
+        return cls(rows, len(columns), _transpose(columns, rows))
+
+    @classmethod
+    def _of_columns(cls, columns: Sequence[Vector], rows: int) -> "QMatrix":
+        """`from_columns` without coercion: every entry must already be a
+        Fraction.  Kernel use only (the `to_vector` images of kernel elements)."""
+        return cls._of(rows, len(columns), _transpose(columns, rows))
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
@@ -169,6 +182,32 @@ class QMatrix:
         return f"QMatrix({self.rows}x{self.cols}, {[list(r) for r in self.data]})"
 
 
+def _transpose(columns: Sequence[Vector], rows: int) -> tuple:
+    """The rows of the matrix with these columns, each of length `rows`;
+    ragged columns raise (a strict `zip`)."""
+    if not columns:
+        return ((),) * rows
+    if len(columns[0]) != rows:
+        raise ValueError(f"from_columns: column of length {len(columns[0])}, want {rows}")
+    return tuple(zip(*columns, strict=True))
+
+
+def _lower_block(a: QMatrix, b: QMatrix, c: QMatrix, negate_c: bool = False) -> QMatrix:
+    """[[a, 0], [b, c]] (or [[a, 0], [b, -c]]), each row written once: a's rows
+    padded with one shared zero tuple, then b's rows joined with c's."""
+    if b.cols != a.cols or b.rows != c.rows:
+        raise ValueError(f"block shapes: a {a.rows}x{a.cols}, b {b.rows}x{b.cols}, "
+                         f"c {c.rows}x{c.cols}")
+    pad = (ZERO,) * c.cols
+    top = [r + pad for r in a.data]
+    if negate_c:
+        bottom = [r + tuple(-x if x else x for x in s)
+                  for r, s in zip(b.data, c.data, strict=True)]
+    else:
+        bottom = [r + s for r, s in zip(b.data, c.data, strict=True)]
+    return QMatrix._of(a.rows + b.rows, a.cols + c.cols, tuple(top + bottom))
+
+
 def hstack(mats: Sequence[QMatrix]) -> QMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
@@ -179,8 +218,7 @@ def hstack(mats: Sequence[QMatrix]) -> QMatrix:
 
 def block_diag(a: QMatrix, b: QMatrix) -> QMatrix:
     """[[a, 0], [0, b]]."""
-    return vstack([hstack([a, QMatrix.zero(a.rows, b.cols)]),
-                   hstack([QMatrix.zero(b.rows, a.cols), b])])
+    return _lower_block(a, QMatrix.zero(b.rows, a.cols), b)
 
 
 def vstack(mats: Sequence[QMatrix]) -> QMatrix:

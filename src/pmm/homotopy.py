@@ -18,6 +18,13 @@ Each check here takes every generator, or a window `names` of generators:
 `HomotopySquare.validate` (H starts at bottom o left and ends at right o
 top, so its end points are CDGA maps) and `check_homotopy_identity` (the
 identity above, with g(a) - f(a) read off H(a)).
+
+Mapping cones and cone maps are the block matrices [[A, 0], [B, C]] of the
+per-degree matrices their algebras, maps and homotopy cache, each written in
+one pass over the rows by `exactla._lower_block` (which negates d_A(n) in
+the same pass).  The integral matrices I_H(n) are made with
+`QMatrix._of_columns`: their columns are `to_vector` images of the kernel's
+own elements, already Fractions.
 """
 from __future__ import annotations
 
@@ -30,7 +37,7 @@ from .cdga import (
 )
 from .cochain import CohomologySpace, compute_cohomology
 from .errors import InternalError, ValidationError
-from .exactla import ZERO, QMatrix, Vector, hstack, vstack
+from .exactla import ZERO, QMatrix, Vector, _lower_block
 
 
 def eval_at_0(u: CdgaElement) -> CdgaElement:
@@ -97,7 +104,7 @@ def integral_matrix(h: CdgaMorphism, n: int) -> QMatrix:
         rows = base.dim(n - 1)
         cols = [base.to_vector(integrate_01(h._apply_mono(mono)), n - 1)
                 if rows else () for mono in h.domain.basis_keys(n)]
-        h._mat_cache[n] = QMatrix.from_columns(cols, rows)
+        h._mat_cache[n] = QMatrix._of_columns(cols, rows)
     return h._mat_cache[n]
 
 
@@ -193,10 +200,9 @@ class ConeComplex:
             if n + 1 > self.max_degree:
                 self._d_cache[n] = QMatrix(0, self.dim_m(n) + self.dim_a(n))
             else:
-                self._d_cache[n] = vstack([
-                    hstack([self.domain.d_matrix(n + 1),
-                            QMatrix.zero(self.dim_m(n + 1), self.dim_a(n))]),
-                    hstack([self.m.matrix(n + 1), self.target.d_matrix(n).scale(-1)])])
+                self._d_cache[n] = _lower_block(
+                    self.domain.d_matrix(n + 1), self.m.matrix(n + 1),
+                    self.target.d_matrix(n), negate_c=True)
         return self._d_cache[n]
 
     def cohomology_space(self, n: int) -> CohomologySpace:
@@ -280,10 +286,9 @@ class ConeMap:
             if not self.target.dim(n):
                 self._mat_cache[n] = QMatrix(0, src.dim_m(n) + src.dim_a(n))
             else:
-                self._mat_cache[n] = vstack([
-                    hstack([sq.top.matrix(n + 1),
-                            QMatrix.zero(self.target.dim_m(n), src.dim_a(n))]),
-                    hstack([integral_matrix(sq.homotopy, n + 1), sq.bottom.matrix(n)])])
+                self._mat_cache[n] = _lower_block(
+                    sq.top.matrix(n + 1), integral_matrix(sq.homotopy, n + 1),
+                    sq.bottom.matrix(n))
         return self._mat_cache[n]
 
     def check_chain_map(self, degrees: Optional[Sequence[int]] = None):

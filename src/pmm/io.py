@@ -45,9 +45,12 @@ def _int(x, where: str) -> int:
 
 
 def _key(key: str, where: str, top: int = 999_999) -> int:
-    """An integer in 0..top written as a JSON object key, such as "2"; its
-    length is checked first, as int() refuses strings of over 4,300 digits."""
-    if not key.isdecimal() or len(key) > len(str(top)) or int(key) > top:
+    """An integer in 0..top written as a JSON object key in its one ASCII
+    decimal form str(n), such as "2".  "02" or non-ASCII digits would name
+    the same integer as another key of the object, so they are refused.  The
+    length is checked before int(), which refuses strings of over 4,300 digits."""
+    if (not (key.isascii() and key.isdecimal()) or len(key) > len(str(top))
+            or str(int(key)) != key or int(key) > top):
         raise SchemaError(f"bad integer key {key!r:.60} in {where}")
     return int(key)
 
@@ -225,6 +228,8 @@ def load_pcomplex(doc: dict) -> PersistentComplex:
     labels = []
     for spec in stage_specs:
         basis = _need(spec, "basis", "complex stage", dict)
+        for key in basis:
+            _key(key, "complex stage basis", max_degree)
         labels.append([list(_optional(basis, str(k), "complex stage", list))
                        for k in range(max_degree + 1)])
     d = []

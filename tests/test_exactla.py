@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -7,9 +8,9 @@ from pmm import cochain
 from pmm.cochain import compute_cohomology
 from pmm.errors import InternalError
 from pmm.exactla import (
-    ONE, ZERO, QMatrix, RrefResult, adapted_split, express_in_basis, hstack,
-    invert, kernel_basis, lin_comb, quotient_basis, rank, rref, solve, unit_vec,
-    vec,
+    ONE, ZERO, QMatrix, RrefResult, _lower_block, adapted_split, block_diag,
+    express_in_basis, hstack, invert, kernel_basis, lin_comb, quotient_basis,
+    rank, rref, solve, unit_vec, vec, vstack,
 )
 
 
@@ -353,3 +354,67 @@ def test_class_of_rejects_non_cocycle_and_reduces_once(monkeypatch):
     with pytest.raises(InternalError, match="class_of: vector is not a cocycle"):
         space.class_of(vec([1, 0]))
     assert len(reduced) == 1
+
+
+# -- trusted constructors -------------------------------------------------------
+# _lower_block and QMatrix._of_columns skip what the public stacks and
+# from_columns do (a zero block, coercion); they must give the same matrices.
+
+def stacked(a, b, c):
+    """[[a, 0], [b, c]] by the public hstack and vstack."""
+    return vstack([hstack([a, QMatrix.zero(a.rows, c.cols)]), hstack([b, c])])
+
+
+def test_lower_block_matches_stacked_blocks():
+    rng = random.Random(404)
+    for density in DENSITIES:
+        # Every block shape with each dimension 0, 1 or 3: 0-row, 0-column
+        # and empty blocks included.
+        for ra, rb, ca, cc in itertools.product((0, 1, 3), repeat=4):
+            a = sparse_matrix(rng, ra, ca, density)
+            b = sparse_matrix(rng, rb, ca, density)
+            c = sparse_matrix(rng, rb, cc, density)
+            out = _lower_block(a, b, c)
+            assert (out.rows, out.cols) == (ra + rb, ca + cc)
+            assert out == stacked(a, b, c)
+            assert _lower_block(a, b, c, negate_c=True) == stacked(a, b, c.scale(-1))
+            assert block_diag(a, c) == stacked(a, QMatrix.zero(c.rows, a.cols), c)
+
+
+@pytest.mark.parametrize("a, b, c", [
+    ((2, 3), (1, 2), (1, 4)),
+    ((2, 3), (1, 3), (2, 4)),
+    ((0, 0), (0, 1), (0, 0)),
+    ((0, 2), (1, 2), (0, 1)),
+], ids=["b-cols", "c-rows", "empty-b-cols", "empty-c-rows"])
+def test_lower_block_refuses_mismatched_shapes(a, b, c):
+    with pytest.raises(ValueError, match="block shapes"):
+        _lower_block(QMatrix.zero(*a), QMatrix.zero(*b), QMatrix.zero(*c))
+
+
+def test_of_columns_matches_from_columns():
+    for rng, density, (rows, cols) in random_cases(505):
+        columns = sparse_matrix(rng, rows, cols, density).columns()
+        m = QMatrix._of_columns(columns, rows)
+        assert (m.rows, m.cols) == (rows, cols)
+        assert m == QMatrix.from_columns(columns, rows)
+    # rows > 0 with no columns, and rows == 0.
+    assert QMatrix._of_columns([], 3) == QMatrix.from_columns([], 3) == QMatrix(3, 0)
+    assert QMatrix._of_columns([], 3).data == ((), (), ())
+    assert QMatrix._of_columns([(), ()], 0) == QMatrix(0, 2)
+    assert QMatrix._of_columns([], 0) == QMatrix(0, 0)
+
+
+@pytest.mark.parametrize("columns, rows", [
+    ([(ONE, ONE), (ONE,)], 2),
+    ([(ONE,), (ONE, ZERO)], 1),
+    ([(), ()], 2),
+    ([(ONE, ONE, ONE)], 2),
+    ([(), (ONE,)], 0),
+], ids=["one-short", "one-long", "empty-with-rows", "all-long", "long-after-empty"])
+def test_of_columns_refuses_ragged_columns_as_from_columns_does(columns, rows):
+    with pytest.raises(ValueError) as want:
+        QMatrix.from_columns(columns, rows)
+    with pytest.raises(ValueError) as got:
+        QMatrix._of_columns(columns, rows)
+    assert str(got.value) == str(want.value)

@@ -10,7 +10,7 @@ from pmm.cdga import (
     validate_morphism,
 )
 from pmm.errors import InternalError, ValidationError
-from pmm.exactla import ONE, QMatrix, rank
+from pmm.exactla import ONE, QMatrix, hstack, rank, vstack
 from pmm.homotopy import (
     HomotopySquare, check_homotopy_identity, cone, cone_map, eval_at_0, eval_at_1,
     integral_matrix, integrate_01, integrate_0t,
@@ -19,6 +19,7 @@ from pmm.io import load_input
 from pmm.pminimal import build_persistent_minimal_model
 
 from .test_cdga import _random_chain, _random_element, _ref_mul_keys
+from .test_incremental import wedge_tower
 
 
 def lam(gens, diffs=None, cap=8):
@@ -391,6 +392,44 @@ def test_cone_map_matrix_equals_elementwise():
     for phi in maps:
         for n in range(-1, phi.source.max_degree + 1):
             _assert_same_matrix(phi.matrix(n), _ref_cone_map_matrix(phi, n))
+
+
+# -- the one-pass cone blocks against the stacked formula ---------------------
+
+TOWER_FIXTURES = ("example1_case1", "example1_case2", "example2", "example3",
+                  "sphere2", "sphere2_bounded", "sphere3")
+
+
+def _stacked_cone_d_matrix(c, n):
+    """[[d_M(n+1), 0], [m(n+1), -d_A(n)]] by hstack, vstack and scale(-1)."""
+    if n + 1 > c.max_degree:
+        return QMatrix(0, c.dim_m(n) + c.dim_a(n))
+    return vstack([hstack([c.domain.d_matrix(n + 1),
+                           QMatrix.zero(c.dim_m(n + 1), c.dim_a(n))]),
+                   hstack([c.m.matrix(n + 1), c.target.d_matrix(n).scale(-1)])])
+
+
+def _stacked_cone_map_matrix(phi, n):
+    """[[u(n+1), 0], [I_H(n+1), w(n)]] by hstack and vstack."""
+    sq, src = phi.square, phi.source
+    if not phi.target.dim(n):
+        return QMatrix(0, src.dim_m(n) + src.dim_a(n))
+    return vstack([hstack([sq.top.matrix(n + 1),
+                           QMatrix.zero(phi.target.dim_m(n), src.dim_a(n))]),
+                   hstack([integral_matrix(sq.homotopy, n + 1), sq.bottom.matrix(n)])])
+
+
+@pytest.mark.parametrize("name", TOWER_FIXTURES + ("W_2 cap 6",))
+def test_cone_blocks_equal_the_stacked_formula(name):
+    model = (build_persistent_minimal_model(wedge_tower(6)) if name.startswith("W_2")
+             else _built_model(name))
+    cones, maps = model.stage_cones(), model.cone_maps()
+    for c in cones:
+        for n in range(-1, c.max_degree + 1):
+            _assert_same_matrix(c.d_matrix(n), _stacked_cone_d_matrix(c, n))
+    for phi in maps:
+        for n in range(-1, phi.source.max_degree + 1):
+            _assert_same_matrix(phi.matrix(n), _stacked_cone_map_matrix(phi, n))
 
 
 def _closed_y_into_acyclic():

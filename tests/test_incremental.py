@@ -316,6 +316,18 @@ def test_altered_carried_model_matrix_fails_the_equal_block_check():
         surgery_step(model, 4)
 
 
+@pytest.mark.parametrize("stage", [0, 1])
+def test_altered_inherited_model_block_fails_the_equal_block_check(stage):
+    # m(2) is the lower-left block of the cone's d(1), in the rows that the
+    # one-pass assembly joins with -d_A(1); the last entry sits next to it.
+    model = built_through(wedge_tower(5), 4)
+    m = model.models[stage]
+    assert 1 in model.stage_cones()[stage]._d_cache
+    m._mat_cache[2] = bump(m.matrix(2), m.matrix(2).rows - 1, m.matrix(2).cols - 1)
+    with pytest.raises(InternalError, match=r"cone d\(1\) differs from the previous cone's"):
+        surgery_step(model, 5)
+
+
 def test_altered_carried_sigma_matrix_fails_the_all_degree_cone_maps():
     tower = wedge_tower(5)
     model = built_through(tower, 3)

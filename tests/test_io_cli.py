@@ -637,6 +637,20 @@ def _huge_map_key(doc):
     return x
 
 
+def _leading_zero_map_key(doc):
+    # With max_degree 12, "02" is not longer than the largest key.
+    x = _interval_sphere()
+    x["max_degree"] = 12
+    x["maps"][0] = {"02": [["1"]]}
+    return x
+
+
+def _leading_zero_basis_key(doc):
+    x = _interval_sphere()
+    x["stages"][0]["basis"]["02"] = ["z"]
+    return x
+
+
 def _grid_time(value):
     def mutate(doc):
         doc["grid"][1] = value
@@ -660,7 +674,8 @@ def _float_matrix_entry(doc):
                                     _short_stage_models, _short_homotopies,
                                     _null_complex_map, _extra_complex_map,
                                     _d_key_at_max_degree, _null_component,
-                                    _huge_map_key, _grid_time("1e9999"),
+                                    _huge_map_key, _leading_zero_map_key,
+                                    _leading_zero_basis_key, _grid_time("1e9999"),
                                     _grid_time("1e3"), _grid_time(1.5),
                                     _grid_time(" 2 "), _float_matrix_entry,
                                     _list_generator_name, _list_basis_label,
@@ -682,6 +697,37 @@ def test_cli_malformed_input_is_one_line_schema_error(tmp_path, capsys, mutate):
     err = capsys.readouterr().err
     assert rc == 2
     assert len(err.splitlines()) == 1 and err.startswith("schema error:"), err
+
+
+@pytest.mark.parametrize("poly", [{"0": "a", "1": "-a", "01": "7*a"},
+                                  {"0": "a", "\u0661": "-a"},
+                                  {"00": "a", "1": "-a"}],
+                         ids=["leading-zero", "arabic-indic-digit", "double-zero"])
+def test_cli_check_refuses_a_non_canonical_homotopy_key(tmp_path, capsys, poly):
+    # "01" and "\u0661" name the t-power that "1" names, and "00" the one "0"
+    # names, so the document is ambiguous; it is refused before any check runs.
+    model = _built_model("sphere2_bounded")
+    assert model["model"]["homotopies"][0]["x2_0"]["poly"] == {"0": "a", "1": "-a"}
+    model["model"]["homotopies"][0]["x2_0"]["poly"] = poly
+    f = tmp_path / "model.json"
+    f.write_text(json.dumps(model))
+    rc = main(["check", "--input", str(f)])
+    err = capsys.readouterr().err
+    bad = next(k for k in poly if k not in ("0", "1"))
+    assert rc == 2
+    assert err == f"schema error: bad integer key {bad!r} in homotopy 0 of 'x2_0'\n"
+
+
+def test_cli_decompose_refuses_an_input_degree_key_with_a_leading_zero(tmp_path, capsys):
+    doc = _interval_sphere()
+    doc["max_degree"] = 12
+    doc["stages"][2]["d"] = {"01": [["1"]]}
+    f = tmp_path / "complex.json"
+    f.write_text(json.dumps(doc))
+    rc = main(["decompose", "--input", str(f), "--output", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == "schema error: bad integer key '01' in d of stage 2\n"
 
 
 def test_cli_unexpected_exception_is_one_line_exit_3(tmp_path, capsys, monkeypatch):
