@@ -15,6 +15,15 @@ Fractions.  The images of monomials under a morphism are memoised by prefix:
 one product per monomial.  An extension's basis is its base's basis times the
 monomials in the new generators (Λ(V ⊕ W) = ΛV ⊗ ΛW).
 
+A finite CDGA is checked once, when it is made, on its structure constants:
+Leibniz on the basis pairs with a nonzero product or a differential,
+associativity on the triples without a unit factor where ab or bc is nonzero,
+and d² = 0; no other pair or triple can fail.  Graded commutativity and the
+unit law are settled by construction: each product entry fixes its mirror
+image, and the unit multiplies as the unit (`mul_keys`), so an entry that says
+otherwise is refused.  A linear map out of one is checked multiplicative pair
+by pair against the images of the basis, each computed once.
+
 `B.path` is Sullivan's path object B ⊗ Λ(t,dt), one per B; a homotopy is a
 morphism into it (`pmm.homotopy`), made, checked and carried as any other.
 """
@@ -435,34 +444,59 @@ class FiniteCDGA(_GradedAlgebra):
                 self._products[(k2, k1)] = flipped
 
     def _validate(self):
-        one = self.one()
-        keys = [k for labs in self.labels.values() for k in
-                (self.key_of_label(lab) for lab in labs)]
+        """The CDGA axioms on the structure constants, basis pair by pair and
+        triple by triple, skipping only what cannot fail.
+
+        Commutativity was settled by `_symmetrize_products`, and `mul_keys`
+        multiplies by the unit itself, so the unit law holds once no product
+        entry with a unit factor says otherwise, and a triple with a unit
+        factor is associative.  A pair with a zero product of closed elements
+        satisfies Leibniz, and a triple (a, b, c) with ab = bc = 0 has both
+        sides zero.  Pairs and triples go in (k1, k2, k3) order, so the first
+        failure reported is the one the full loops would report first.
+        """
+        unit = self.unit_key
+        keys = [self._key_of_label[lab] for labs in self.labels.values() for lab in labs]
+        pos = {k: i for i, k in enumerate(keys)}
         for k in keys:
-            e = CdgaElement(self, {k: ONE})
-            if (one * e).terms != e.terms or (e * one).terms != e.terms:
-                raise ValidationError(f"unit fails on {self.label_of(k)}")
+            for pair in ((unit, k), (k, unit)):
+                if pair in self._products and self._products[pair] != {k: ONE}:
+                    raise ValidationError(f"unit fails on {self.label_of(k)}")
+        elem = {k: CdgaElement._of(self, {k: ONE}) for k in keys}
+        d = {k: self.d_key(k) for k in keys}
+        # nonzero[k]: the non-unit k' with k·k' ≠ 0, in key order.
+        nonzero: dict[FiniteKey, list[FiniteKey]] = {k: [] for k in keys}
+        for k1, k2 in sorted(self._products, key=lambda pair: (pos[pair[0]], pos[pair[1]])):
+            if self._products[(k1, k2)] and unit not in (k1, k2):
+                nonzero[k1].append(k2)
+        # Second factors to visit whatever the first: the unit, the elements
+        # with a differential, and the left factors of a nonzero product.
+        always = {k for k in keys if k == unit or d[k].terms or nonzero[k]}
+        nonunit = [k for k in keys if k != unit]
         for k1 in keys:
-            for k2 in keys:
-                a, b = CdgaElement(self, {k1: ONE}), CdgaElement(self, {k2: ONE})
-                sign = -ONE if (k1[0] % 2 and k2[0] % 2) else ONE
-                if (a * b).terms != (b * a).scale(sign).terms:
-                    raise ValidationError(
-                        f"commutativity fails on {self.label_of(k1)},{self.label_of(k2)}")
-                lhs = differential(a * b)
-                sgn = -ONE if k1[0] % 2 else ONE
-                rhs = differential(a) * b + (a * differential(b)).scale(sgn)
-                if lhs.terms != rhs.terms:
-                    raise ValidationError(
-                        f"Leibniz fails on {self.label_of(k1)},{self.label_of(k2)}")
-                for k3 in keys:
+            a = elem[k1]
+            sgn = -ONE if k1[0] % 2 else ONE
+            seconds = keys if k1 == unit or d[k1].terms else sorted(
+                always.union(nonzero[k1]), key=pos.__getitem__)
+            for k2 in seconds:
+                b = elem[k2]
+                unit_pair = unit in (k1, k2)
+                if unit_pair or k2 in nonzero[k1] or d[k1].terms or d[k2].terms:
+                    lhs = differential(a * b)
+                    rhs = d[k1] * b + (a * d[k2]).scale(sgn)
+                    if lhs.terms != rhs.terms:
+                        raise ValidationError(
+                            f"Leibniz fails on {self.label_of(k1)},{self.label_of(k2)}")
+                if unit_pair:
+                    continue
+                for k3 in nonunit if k2 in nonzero[k1] else nonzero[k2]:
                     if k1[0] + k2[0] + k3[0] > self.degree_cap:
                         continue
-                    c = CdgaElement(self, {k3: ONE})
+                    c = elem[k3]
                     if ((a * b) * c).terms != (a * (b * c)).terms:
                         raise ValidationError("associativity fails")
         for k in keys:
-            if not differential(differential(CdgaElement(self, {k: ONE}))).is_zero():
+            if differential(d[k]).terms:
                 raise ValidationError(f"d(d({self.label_of(k)})) != 0")
 
     # -- shared interface ---------------------------------------------------
@@ -694,21 +728,23 @@ def _monomials(degrees: Sequence[int], n: int) -> list[Monomial]:
     """Every exponent tuple over generators of these degrees with total degree
     n, odd generators to exponent at most 1, in lexicographic order."""
     found: list[Monomial] = []
-    count = len(degrees)
-
-    def rec(i: int, remaining: int, acc: list[int]):
-        if remaining == 0:
-            found.append(tuple(acc + [0] * (count - i)))
-            return
-        if i == count:
-            return
-        deg = degrees[i]
-        max_e = 1 if deg % 2 == 1 else remaining // deg
-        for e in range(min(max_e, remaining // deg) + 1):
-            rec(i + 1, remaining - e * deg, acc + [e])
-
-    rec(0, n, [])
+    _monomials_into(found, degrees, len(degrees), 0, n, [])
     return found
+
+
+def _monomials_into(found: list[Monomial], degrees: Sequence[int], count: int,
+                    i: int, remaining: int, acc: list[int]):
+    """Append to `found` each monomial whose first i exponents are `acc` and
+    whose other `count` − i exponents add `remaining` to its degree."""
+    if remaining == 0:
+        found.append(tuple(acc + [0] * (count - i)))
+        return
+    if i == count:
+        return
+    deg = degrees[i]
+    max_e = 1 if deg % 2 == 1 else remaining // deg
+    for e in range(min(max_e, remaining // deg) + 1):
+        _monomials_into(found, degrees, count, i + 1, remaining - e * deg, acc + [e])
 
 
 def _padded(terms: Mapping[Monomial, Fraction], pad: Monomial) -> dict[Monomial, Fraction]:
@@ -887,7 +923,10 @@ def validate_morphism(f: CdgaMorphism, names: Optional[Iterable[str]] = None) ->
                 problems.append(f"d-compatibility fails on generator {g.name}")
     else:
         dom: FiniteCDGA = f.domain  # type: ignore[assignment]
-        if not f.apply(dom.one()) == f.codomain.one():
+        keys = [k for m in range(cap + 1) for k in dom.basis_keys(m)]
+        elem = {k: CdgaElement._of(dom, {k: ONE}) for k in keys}
+        image = {k: f.apply(elem[k]) for k in keys}
+        if not image[dom.unit_key] == f.codomain.one():
             problems.append("unit not preserved")
         for n in range(min(cap, dom.degree_cap) + 1):
             if n + 1 <= cap:
@@ -895,13 +934,15 @@ def validate_morphism(f: CdgaMorphism, names: Optional[Iterable[str]] = None) ->
                 rhs = f.codomain.d_matrix(n) @ f.matrix(n)
                 if lhs != rhs:
                     problems.append(f"d-compatibility fails in degree {n}")
-        for k1 in [k for m in range(cap + 1) for k in dom.basis_keys(m)]:
-            for k2 in [k for m in range(cap + 1) for k in dom.basis_keys(m)]:
+        # f(ab) = Σ c·f(k) over the terms c·k of ab: f is linear.
+        for k1 in keys:
+            for k2 in keys:
                 if k1[0] + k2[0] > cap:
                     continue
-                a = CdgaElement(dom, {k1: ONE})
-                b = CdgaElement(dom, {k2: ONE})
-                if f.apply(a * b).terms != (f.apply(a) * f.apply(b)).terms:
+                f_ab: dict = {}
+                for k, c in (elem[k1] * elem[k2]).terms.items():
+                    _add_into(f_ab, image[k].terms, c)
+                if f_ab != (image[k1] * image[k2]).terms:
                     problems.append(
                         f"multiplicativity fails on {dom.label_of(k1)},{dom.label_of(k2)}")
     return problems

@@ -1,11 +1,12 @@
+import gc
 import random
 from fractions import Fraction
 
 import pytest
 
 from pmm.cdga import (
-    CdgaElement, CdgaMorphism, FiniteCDGA, cohomology, differential, free_cdga,
-    hirsch_extend, indecomposables, monomial_basis, multiply,
+    CdgaElement, CdgaMorphism, FiniteCDGA, _monomials, cohomology, differential,
+    free_cdga, hirsch_extend, indecomposables, monomial_basis, multiply,
     validate_morphism,
 )
 from pmm.errors import ValidationError
@@ -46,6 +47,18 @@ def test_monomial_basis_mixed():
     a = free_cdga([("a", 2), ("y", 3)], {}, 8)
     assert [a.key_repr(m) for m in monomial_basis(a, 5)] == ["a*y"]
     assert [a.key_repr(m) for m in monomial_basis(a, 7)] == ["a^2*y"]
+
+
+def test_monomial_enumeration_leaves_no_cyclic_garbage():
+    degrees = (2, 3, 2, 4, 3, 2, 5, 4, 2, 3)
+    gc.collect()
+    gc.disable()
+    try:
+        found = _monomials(degrees, 9)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert found and len(set(found)) == len(found)
 
 
 def test_koszul_signs():
