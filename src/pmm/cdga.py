@@ -444,17 +444,13 @@ class FiniteCDGA(_GradedAlgebra):
                 self._products[(k2, k1)] = flipped
 
     def _validate(self):
-        """The CDGA axioms on the structure constants, basis pair by pair and
-        triple by triple, skipping only what cannot fail.
-
-        Commutativity was settled by `_symmetrize_products`, and `mul_keys`
-        multiplies by the unit itself, so the unit law holds once no product
-        entry with a unit factor says otherwise, and a triple with a unit
-        factor is associative.  A pair with a zero product of closed elements
-        satisfies Leibniz, and a triple (a, b, c) with ab = bc = 0 has both
-        sides zero.  Pairs and triples go in (k1, k2, k3) order, so the first
-        failure reported is the one the full loops would report first.
-        """
+        """The CDGA axioms on the structure constants, skipping only the pairs
+        and triples that cannot fail: a zero product of closed elements
+        satisfies Leibniz, a triple with ab = bc = 0 has both sides zero, and
+        `mul_keys` multiplies by the unit itself, so a triple with a unit
+        factor is associative and the unit law rests on the product entries.
+        Commutativity was settled by `_symmetrize_products`.  The order is the
+        full loops' (k1, k2, k3), so the first failure is theirs."""
         unit = self.unit_key
         keys = [self._key_of_label[lab] for labs in self.labels.values() for lab in labs]
         pos = {k: i for i, k in enumerate(keys)}
