@@ -412,9 +412,9 @@ class FiniteCDGA(_GradedAlgebra):
         for (l1, l2), terms in products.items():
             k1, k2 = self.key_of_label(l1), self.key_of_label(l2)
             deg = k1[0] + k2[0]
-            if deg > degree_cap:
-                continue
-            self._products[(k1, k2)] = self._label_terms(terms, deg)
+            value = self._label_terms(terms, deg)  # no basis element lies above the cap
+            if deg <= degree_cap:
+                self._products[(k1, k2)] = value
         self._symmetrize_products()
         self._validate()
 
@@ -438,8 +438,8 @@ class FiniteCDGA(_GradedAlgebra):
             flipped = {k: sign * c for k, c in self._products[(k1, k2)].items()}
             if (k2, k1) in self._products:
                 if self._products[(k2, k1)] != flipped:
-                    raise ValidationError(
-                        f"products for {k1},{k2} break graded commutativity")
+                    raise ValidationError(f"products for {self.label_of(k1)},"
+                                          f"{self.label_of(k2)} break graded commutativity")
             else:
                 self._products[(k2, k1)] = flipped
 

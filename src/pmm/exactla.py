@@ -236,7 +236,8 @@ class RrefResult:
     rank: int
 
     def free_columns(self) -> list[int]:
-        return [j for j in range(self.reduced.cols) if j not in self.pivots]
+        pivots = set(self.pivots)
+        return [j for j in range(self.reduced.cols) if j not in pivots]
 
     def kernel_basis(self) -> list[Vector]:
         """Kernel basis: for each free column f in order, the vector that is 1

@@ -219,12 +219,15 @@ class ConeComplex:
         """Take old's H^n where the domain did not change in degrees n+1 and
         n+2, once our d(n-1) and d(n), stacked from our own (carried) blocks,
         equal old's: an extension leaves the cone unchanged there, so a
-        differing block is an error."""
+        differing block is an error.  Each equal matrix is then replaced by
+        old's, which the carried spaces hold as their d_out, so one copy
+        stays alive."""
         through = unchanged_below(self.domain, old.domain) - 3
         carried = [n for n in old._h_cache if n <= through]
         for j in sorted({j for n in carried for j in (n - 1, n)}):
             if self.d_matrix(j) != old.d_matrix(j):
                 raise InternalError(f"cone d({j}) differs from the previous cone's")
+            self._d_cache[j] = old.d_matrix(j)
         self._h_cache.update((n, old._h_cache[n]) for n in carried)
 
     def h_dim(self, n: int) -> int:

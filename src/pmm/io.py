@@ -130,11 +130,20 @@ def _build_free_stage(spec: dict, cap: int, where: str) -> FreeCDGA:
         raise ValidationError(f"{where}: {exc}") from exc
 
 
+def _once(table: dict, key, value, where: str, kind: str, name: str):
+    """table[key] = value, refusing a second `kind` entry for the same key:
+    which of the two is meant cannot be told."""
+    if key in table:
+        raise SchemaError(f"{where}: two {kind} entries for {name}")
+    table[key] = value
+
+
 def _build_finite_stage(spec: dict, cap: int, where: str) -> FiniteCDGA:
     basis: dict[int, list[str]] = {}
     for entry in _need(spec, "basis", where, list):
-        basis[_int(_need(entry, "degree", where, object), where)] = \
-            [_name(lab, where) for lab in _need(entry, "labels", where, list)]
+        degree = _int(_need(entry, "degree", where, object), where)
+        _once(basis, degree, [_name(lab, where) for lab in _need(entry, "labels", where, list)],
+              where, "basis", f"degree {degree}")
     unit = _name(_need(spec, "unit", where, object), where)
     scratch = FiniteCDGA(basis={k: v for k, v in basis.items()}, unit=unit,
                          products={}, differential={}, degree_cap=cap)
@@ -143,12 +152,14 @@ def _build_finite_stage(spec: dict, cap: int, where: str) -> FiniteCDGA:
         left = _name(_need(entry, "left", where, object), where)
         right = _name(_need(entry, "right", where, object), where)
         value = parse_expression(str(_need(entry, "value", where, object)), scratch)
-        products[(left, right)] = {scratch.label_of(k): c for k, c in value.terms.items()}
+        _once(products, (left, right), {scratch.label_of(k): c for k, c in value.terms.items()},
+              where, "products", f"{left},{right}")
     differential = {}
     for entry in _optional(spec, "differentials", where, list):
         lab = _name(_need(entry, "of", where, object), where)
         value = parse_expression(str(_need(entry, "value", where, object)), scratch)
-        differential[lab] = {scratch.label_of(k): c for k, c in value.terms.items()}
+        _once(differential, lab, {scratch.label_of(k): c for k, c in value.terms.items()},
+              where, "differentials", lab)
     try:
         return FiniteCDGA(basis=basis, unit=unit, products=products,
                           differential=differential, degree_cap=cap)

@@ -1,5 +1,6 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -354,6 +355,104 @@ def test_class_of_rejects_non_cocycle_and_reduces_once(monkeypatch):
     with pytest.raises(InternalError, match="class_of: vector is not a cocycle"):
         space.class_of(vec([1, 0]))
     assert len(reduced) == 1
+
+
+class EagerSpace:
+    """compute_cohomology and CohomologySpace as they were when the space
+    built everything at once: all cocycles, the boundaries' Z-coordinates,
+    the class representatives and the class_of solver."""
+
+    def __init__(self, d_out, d_in, below=None):
+        r = rref(d_out)
+        z, free = r.kernel_basis(), r.free_columns()
+        b = []
+        if d_in is not None:
+            pivots = below.pivots if below is not None else rref(d_in).pivots
+            b = [d_in.column(p) for p in pivots]
+        dim = d_out.cols
+        b_in_z = []
+        for vb in b:
+            coords = tuple(vb[f] for f in free)
+            if lin_comb(coords, z, dim) != vb:
+                raise InternalError("boundary is not a cocycle: d*d != 0 upstream")
+            b_in_z.append(coords)
+        self.ambient_dim, self.cocycles, self.boundaries, self.pivots = dim, z, b, r.pivots
+        self.reps = [lin_comb(unit, z, dim) for unit in quotient_basis(b_in_z, len(z))]
+        self.dim = len(self.reps)
+        if dim:
+            h, p = len(self.reps), len(self.reps) + len(b)
+            basis = QMatrix.from_columns(self.reps + b, dim)
+            e = [row[p:] for row in rref(hstack([basis, QMatrix.identity(dim)])).reduced.data]
+            self.solver = QMatrix(h, dim, e[:h]), QMatrix(dim - p, dim, e[p:])
+
+    def class_of(self, z):
+        if self.ambient_dim == 0:
+            return ()
+        coords, consistency = self.solver
+        return coords.apply(z) if not any(consistency.apply(z)) else None
+
+
+def lazy_and_eager(d_out, d_in, with_below):
+    """The lazy and the eager space of one slice; with_below reads B off the
+    space of d_in, as the algebras and cones do."""
+    below = compute_cohomology(d_in, None) if with_below and d_in is not None else None
+    eager_below = EagerSpace(d_in, None) if below is not None else None
+    return compute_cohomology(d_out, d_in, below), EagerSpace(d_out, d_in, eager_below)
+
+
+def test_lazy_space_matches_the_eager_space():
+    for rng, density, (n, _) in random_cases(404, count=4):
+        d_out, d_in = cochain_slice(rng, n, density)
+        for incoming, with_below in ((d_in, True), (d_in, False), (None, False)):
+            space, eager = lazy_and_eager(d_out, incoming, with_below)
+            # Only the dimension, boundaries and pivots exist before a read.
+            assert not {"cocycles", "reps", "_solver"} & set(vars(space))
+            assert (space.dim, space.ambient_dim, space.pivots, space.boundaries) == \
+                (eager.dim, eager.ambient_dim, eager.pivots, eager.boundaries)
+            assert not {"cocycles", "reps", "_solver"} & set(vars(space))
+            assert (space.cocycles, space.reps) == (eager.cocycles, eager.reps)
+            probes = [lin_comb([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
+                                for _ in eager.cocycles], eager.cocycles, n)
+                      for _ in range(3)]
+            probes += [sparse_matrix(rng, n, 1, 1.0).column(0) if n else () for _ in range(2)]
+            for v in probes:
+                want = eager.class_of(v)
+                if want is None:
+                    with pytest.raises(InternalError, match="class_of: vector is not a cocycle"):
+                        space.class_of(v)
+                else:
+                    assert space.class_of(v) == want
+
+
+def test_lazy_space_refuses_d_squared_nonzero_as_the_eager_space_does():
+    # d_in drawn freely, so d_out @ d_in is often nonzero.
+    refused = 0
+    for rng, density, (n, _) in random_cases(505, count=4):
+        d_out = sparse_matrix(rng, rng.randint(0, n), n, density)
+        d_in = sparse_matrix(rng, n, rng.randint(0, 3), density)
+        for with_below in (True, False):
+            try:
+                EagerSpace(d_out, d_in)
+            except InternalError as exc:
+                refused += 1
+                with pytest.raises(InternalError, match=re.escape(str(exc))):
+                    lazy_and_eager(d_out, d_in, with_below)
+            else:
+                space, eager = lazy_and_eager(d_out, d_in, with_below)
+                assert (space.dim, space.reps) == (eager.dim, eager.reps)
+    assert refused > 50
+
+
+def test_a_below_of_another_matrix_is_refused():
+    d0 = QMatrix.from_rows([[1, 0], [2, 0], [0, 0]])
+    d1 = QMatrix.from_rows([[0, 0, 1], [2, -1, 0]])
+    below = compute_cohomology(d0, None)
+    equal = QMatrix.from_rows([[1, 0], [2, 0], [0, 0]])
+    assert compute_cohomology(d1, equal, below) == compute_cohomology(d1, d0, below)
+    other = QMatrix.from_rows([[0, 1], [0, 2], [0, 0]])  # same shape, same pivots
+    for d_in in (other, None, QMatrix.from_rows([[1, 0, 0], [2, 0, 0], [0, 0, 0]])):
+        with pytest.raises(InternalError, match="below's d_out is not this d_in"):
+            compute_cohomology(d1, d_in, below)
 
 
 # -- trusted constructors -------------------------------------------------------

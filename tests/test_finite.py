@@ -65,7 +65,7 @@ def test_graded_commutativity_failure_is_refused():
     # x, y odd: yx must be −xy.
     assert refusal({0: ["one"], 1: ["x", "y"], 2: ["z"]},
                    products={("x", "y"): {"z": 1}, ("y", "x"): {"z": 1}}) == \
-        "products for (1, 0),(1, 1) break graded commutativity"
+        "products for x,y break graded commutativity"
 
 
 def test_nonzero_differential_of_the_unit_is_refused():
@@ -135,6 +135,56 @@ def test_a_stage_against_the_unit_law_exits_1(tmp_path, capsys):
     rc = main(["build", "--input", str(f), "--output", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err == "validation error: stage 0: unit fails on a\n"
+
+
+# -- repeated entries and products above the cap -------------------------------
+
+def build_exit(doc, tmp_path, capsys) -> tuple[int, str]:
+    f = tmp_path / "stage.json"
+    f.write_text(json.dumps(doc))
+    rc = main(["build", "--input", str(f), "--output", str(tmp_path / "out")])
+    return rc, capsys.readouterr().err
+
+
+def _repeat_basis_degree(stage):
+    stage["basis"].insert(1, {"degree": 2, "labels": ["zz"]})
+
+
+def _repeat_product(stage):
+    stage["basis"].append({"degree": 4, "labels": ["b"]})
+    stage["products"] = [{"left": "a", "right": "a", "value": "b"},
+                         {"left": "a", "right": "a", "value": "2*b"}]
+
+
+def _repeat_differential(stage):
+    stage["basis"].append({"degree": 3, "labels": ["e"]})
+    stage["differentials"] = [{"of": "e", "value": "0"}, {"of": "e", "value": "0"}]
+
+
+@pytest.mark.parametrize("edit, message", [
+    (_repeat_basis_degree, "two basis entries for degree 2"),
+    (_repeat_product, "two products entries for a,a"),
+    (_repeat_differential, "two differentials entries for e"),
+])
+def test_a_repeated_stage_entry_exits_2(edit, message, tmp_path, capsys):
+    # Which of the two entries is meant cannot be told, so neither is kept.
+    doc = sphere2_doc()
+    edit(doc["stages"][0])
+    assert build_exit(doc, tmp_path, capsys) == (2, f"schema error: stage 0: {message}\n")
+
+
+def test_a_product_above_the_cap_must_be_zero(tmp_path, capsys):
+    # A degree-6 c under the internal cap 8: c*c has degree 12 and must be 0.
+    doc = sphere2_doc()
+    for stage in doc["stages"]:
+        stage["basis"].append({"degree": 6, "labels": ["c"]})
+        stage["products"].append({"left": "c", "right": "c", "value": "7*a"})
+    doc["maps"][0]["images"]["c"] = "c"
+    assert build_exit(doc, tmp_path, capsys) == \
+        (1, "validation error: stage 0: term a has degree 2, expected 12\n")
+    for stage in doc["stages"]:
+        stage["products"][-1]["value"] = "0"
+    assert build_exit(doc, tmp_path, capsys)[0] == 0
 
 
 # -- the structure-constant checks against the element-level reference ---------

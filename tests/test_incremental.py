@@ -9,7 +9,6 @@ a carried block names the check that reports it: the equal-block check of
 """
 import json
 from collections import Counter
-from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
@@ -365,9 +364,11 @@ def test_altered_carried_cone_cohomology_fails_connectivity():
     model = built_through(wedge_tower(5), 4)
     cone = model.stage_cones()[0]
     h1 = cone.cohomology_space(1)
-    cone._h_cache[1] = CohomologySpace(h1.ambient_dim, h1.cocycles, h1.boundaries,
-                                       [(Fraction(1),) + (Fraction(0),) * (h1.ambient_dim - 1)],
-                                       h1.pivots)
+    assert (h1.dim, h1.pivots, h1.boundaries) == (0, (0, 1), [])
+    # Drop d(1)'s last echelon row and pivot: the space now claims rank 1, so dim 1.
+    cone._h_cache[1] = CohomologySpace(h1.d_out, h1._echelon[:1],
+                                       h1.pivots[:1], h1.boundaries)
+    assert cone._h_cache[1].dim == 1
     with pytest.raises(InternalError,
                        match=r"after degree-5 surgery: H\^1 C_m\(0\) has dimension 1"):
         surgery_step(model, 5)
