@@ -115,7 +115,9 @@ def induced_map(f: QMatrix, src: CohomologySpace, dst: CohomologySpace) -> QMatr
 def compute_cohomology(d_out: QMatrix, d_in: Optional[QMatrix],
                        below: Optional[CohomologySpace] = None) -> CohomologySpace:
     """H = ker(d_out)/im(d_in).  B is spanned by the pivot columns of d_in,
-    read from `below` (the space whose d_out was d_in) when given."""
+    read from `below` (the space whose d_out was d_in) when given; a `below`
+    that reduced another matrix is refused, since those pivots would not be
+    d_in's."""
     if below is not None and below.d_out is not d_in and below.d_out != d_in:
         raise InternalError("compute_cohomology: below's d_out is not this d_in")
     r = rref(d_out)
