@@ -64,6 +64,7 @@ class CohomologySpace:
         return f"CohomologySpace(ambient_dim={self.ambient_dim}, dim={self.dim})"
 
     def _rref(self) -> RrefResult:
+        """d_out's reduction without its zero rows, rebuilt from the kept rows."""
         rank = len(self.pivots)
         return RrefResult(QMatrix._of(rank, self.ambient_dim, self._echelon), self.pivots, rank)
 
