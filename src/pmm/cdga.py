@@ -29,9 +29,9 @@ morphism into it (`pmm.homotopy`), made, checked and carried as any other.
 """
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
@@ -150,10 +150,17 @@ class _GradedAlgebra:
         bits = [f"{c}*{self.key_repr(k)}" for k, c in sorted(elem.terms.items())]
         return "<" + " + ".join(bits) + ">"
 
-    @cached_property
+    _path_ref = None
+
+    @property
     def path(self) -> "PathAlgebra":
-        """B ⊗ Λ(t,dt): one object per B, so that maps into it can be carried."""
-        return PathAlgebra(self)
+        """B ⊗ Λ(t,dt): one object per B while anything holds it, so that maps
+        into it can be carried.  It holds B, and B holds it weakly: no cycle."""
+        path = self._path_ref() if self._path_ref is not None else None
+        if path is None:
+            path = PathAlgebra(self)
+            self._path_ref = weakref.ref(path)
+        return path
 
     def d_matrix(self, n: int) -> QMatrix:
         if n not in self._dmat_cache:
@@ -197,10 +204,11 @@ class FreeCDGA(_GradedAlgebra):
         self._basis_pos: dict[int, dict[Monomial, int]] = {}
         # An extension's base: its count of generators and its basis cache.
         self._base_basis: Optional[tuple[int, dict[int, tuple[Monomial, ...]]]] = None
-        self._dmono_cache: dict[Monomial, CdgaElement] = {}
+        # Term dicts, not elements: an element would hold self, a cycle.
+        self._dmono_cache: dict[Monomial, dict[Monomial, Fraction]] = {}
         self._dmat_cache: dict[int, QMatrix] = {}
         self._h_cache: dict[int, CohomologySpace] = {}
-        self._diff = {g.name: CdgaElement(self, differential_terms.get(g.name, {}))
+        self._diff = {g.name: CdgaElement(self, differential_terms.get(g.name, {})).terms
                       for g in self.generators}
         checked = 0
         if base is not None:
@@ -209,12 +217,12 @@ class FreeCDGA(_GradedAlgebra):
             checked = len(base.generators)
             self._inherit(base)
         for g in self.generators[checked:]:
-            for mono in self._diff[g.name].terms:
+            for mono in self._diff[g.name]:
                 if self.key_degree(mono) != g.degree + 1:
                     raise ValidationError(
                         f"d({g.name}) must be homogeneous of degree {g.degree + 1}")
         for g in self.generators[checked:]:
-            if not differential(self._diff[g.name]).is_zero():
+            if not differential(self.generator_diff(g.name)).is_zero():
                 raise ValidationError(f"d(d({g.name})) != 0")
 
     def extends(self, base: "FreeCDGA") -> bool:
@@ -225,7 +233,7 @@ class FreeCDGA(_GradedAlgebra):
         if self.degree_cap != base.degree_cap or self.generators[:n] != base.generators:
             return False
         pad = (0,) * (len(self.generators) - n)
-        return all(self._diff[g.name].terms == _padded(base._diff[g.name].terms, pad)
+        return all(self._diff[g.name] == _padded(base._diff[g.name], pad)
                    for g in base.generators)
 
     def _inherit(self, base: "FreeCDGA"):
@@ -239,7 +247,7 @@ class FreeCDGA(_GradedAlgebra):
             if n + 1 < low:
                 self._dmat_cache[n] = mat
         for m, dm in base._dmono_cache.items():
-            self._dmono_cache[m + pad] = CdgaElement._of(self, _padded(dm.terms, pad))
+            self._dmono_cache[m + pad] = _padded(dm, pad)
 
     # -- basis bookkeeping ------------------------------------------------
 
@@ -299,7 +307,7 @@ class FreeCDGA(_GradedAlgebra):
         return CdgaElement._of(self, {mono: ONE})
 
     def generator_diff(self, name: str) -> CdgaElement:
-        return self._diff[name]
+        return CdgaElement._of(self, self._diff[name])
 
     def element(self, terms: Mapping[Monomial, Fraction]) -> CdgaElement:
         return CdgaElement(self, terms)
@@ -336,20 +344,21 @@ class FreeCDGA(_GradedAlgebra):
 
     def d_key(self, mono: Monomial) -> CdgaElement:
         """Leibniz differential of one monomial."""
-        if mono in self._dmono_cache:
-            return self._dmono_cache[mono]
+        out = self._dmono_cache.get(mono)
+        if out is not None:
+            return CdgaElement._of(self, out)
         word = [i for i, e in enumerate(mono) for _ in range(e)]
-        out: dict[Monomial, Fraction] = {}
+        out = {}
         prefix_deg = 0
         for pos, gi in enumerate(word):
-            dg = self._diff[self.generators[gi].name]
+            dg = self.generator_diff(self.generators[gi].name)
             if dg.terms:
                 pre = self._word_monomial(word[:pos])
                 suf = self._word_monomial(word[pos + 1:])
                 _add_into(out, (pre * dg * suf).terms, -ONE if prefix_deg % 2 else None)
             prefix_deg += self._degrees[gi]
-        result = self._dmono_cache[mono] = CdgaElement._of(self, out)
-        return result
+        self._dmono_cache[mono] = out
+        return CdgaElement._of(self, out)
 
     def _word_monomial(self, word: list[int]) -> CdgaElement:
         counts = [0] * len(self.generators)

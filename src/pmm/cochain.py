@@ -3,17 +3,22 @@
 Used by CDGAs, mapping cones, and persistent complexes alike so that the
 choice of representatives is made by one deterministic rule everywhere:
 cocycles come from kernel_basis, boundaries from pivot columns, and class
-representatives from quotient_basis in cocycle coordinates.
+representatives and coordinates from the boundaries' `reverse_echelon` in
+cocycle coordinates (the rule of complements and of the elder rule).
 
 `compute_cohomology` does only what the dimension needs: one reduction of
 d_out, the boundaries (pivot columns of d_in), and the check d_out·b = 0 for
 each boundary b against the nonzero rows of d_out's echelon form.  The
 boundaries are independent and lie in Z, so dim H = cols − rank − #B.  The
 space keeps those echelon rows, d_out's pivots and d_out itself; the
-cocycles, the class representatives and class_of's solver are computed from
-them on first read.  Connectivity checks read only `dim`.  The next degree
-up, whose d_in is this d_out, reads its boundaries off the kept pivots
-instead of reducing that matrix again.
+cocycles and the class data (representatives and class_of) are computed
+from them on first read.  Connectivity checks read only `dim`.  The next
+degree up, whose d_in is this d_out, reads its boundaries off the kept
+pivots instead of reducing that matrix again.
+
+A cocycle's Z-coordinates are its entries at d_out's free columns.  The
+representatives are the cocycles at the Z-positions that are no key of the
+boundaries' reverse echelon; class_of clears those keys and reads the rest.
 """
 from __future__ import annotations
 
@@ -22,7 +27,7 @@ from typing import Optional, Sequence
 
 from .errors import InternalError
 from .exactla import (
-    QMatrix, RrefResult, Vector, hstack, is_zero_vec, lin_comb, quotient_basis, rref,
+    QMatrix, RrefResult, Vector, is_zero_vec, lin_comb, reverse_echelon, rref, vec,
 )
 
 
@@ -73,35 +78,35 @@ class CohomologySpace:
         return self._rref().kernel_basis()
 
     @cached_property
-    def reps(self) -> list[Vector]:
-        # cocycles[i] is 1 at free[i] and 0 at the other free columns, so a
-        # boundary's Z-coordinates are its entries there.
-        z, free = self.cocycles, self._rref().free_columns()
-        b_in_z = [tuple(vb[f] for f in free) for vb in self.boundaries]
-        return [lin_comb(unit, z, self.ambient_dim) for unit in quotient_basis(b_in_z, len(z))]
+    def _classes(self) -> tuple[list[int], dict[int, Vector], list[int]]:
+        """(free columns of d_out, the boundaries' reverse echelon in
+        Z-coordinates, the Z-positions it leaves unkeyed)."""
+        free = self._rref().free_columns()
+        echelon = reverse_echelon([tuple(b[f] for f in free) for b in self.boundaries],
+                                  len(free))
+        return free, echelon, [j for j in range(len(free)) if j not in echelon]
 
     @cached_property
-    def _solver(self) -> tuple[QMatrix, QMatrix]:
-        """[reps | boundaries | I] reduced to [[I; 0] | E]: reps ++ boundaries
-        is a basis of Z, so E·z holds z's unique coordinates above and
-        vanishes below exactly when z is in Z."""
-        n, h = self.ambient_dim, len(self.reps)
-        p = h + len(self.boundaries)
-        basis = QMatrix.from_columns(self.reps + self.boundaries, n)
-        e = [row[p:] for row in rref(hstack([basis, QMatrix.identity(n)])).reduced.data]
-        return QMatrix(h, n, e[:h]), QMatrix(n - p, n, e[p:])
+    def reps(self) -> list[Vector]:
+        return [self.cocycles[j] for j in self._classes[2]]
 
     def class_of(self, z: Sequence) -> Vector:
-        """H-coordinates of a cocycle z; raises if z is not a cocycle.  The
-        solver is one reduction, made on the first call."""
+        """H-coordinates of a cocycle z; raises if z is not a cocycle.  Read
+        off the boundaries' reverse echelon, computed on the first call."""
         if self.ambient_dim == 0:
             if any(x != 0 for x in z):
                 raise InternalError("class_of: nonzero vector in zero space")
             return ()
-        coords, consistency = self._solver
-        if not is_zero_vec(consistency.apply(z)):
+        z = vec(z)
+        if not is_zero_vec(self._rref().reduced.apply(z)):
             raise InternalError("class_of: vector is not a cocycle")
-        return coords.apply(z)
+        free, echelon, positions = self._classes
+        c = [z[f] for f in free]
+        for key, b in echelon.items():
+            ck = c[key]
+            if ck:
+                c = [x - ck * y if y else x for x, y in zip(c, b)]
+        return tuple(c[j] for j in positions)
 
     def rep_of_class(self, h: Sequence) -> Vector:
         """Ambient cocycle representing the class with H-coordinates h."""

@@ -311,20 +311,27 @@ def kernel_basis(a: QMatrix) -> list[Vector]:
     return rref(a).kernel_basis()
 
 
-def quotient_basis(sub: Sequence[Vector], ambient_dim: int) -> list[Vector]:
-    """Standard basis vectors completing span(sub) to the ambient space.
+def reverse_echelon(vectors: Sequence[Vector], n: int) -> dict[int, Vector]:
+    """A basis of span(vectors) keyed by each basis vector's last nonzero
+    coordinate, youngest key first: the rref of the coordinate-reversed
+    rows, so each is 1 at its key and 0 at the other keys.  The elder rule,
+    complements and class coordinates all read this one echelon."""
+    if not vectors:
+        return {}
+    r = rref(QMatrix(len(vectors), n, [v[::-1] for v in vectors]))
+    return {n - 1 - p: row[::-1] for p, row in zip(r.pivots, r.reduced.data)}
 
-    Chosen greedily as the lexicographically-first e_j not already in the
-    span, which matches taking the non-pivot part of rref([sub | I]).
-    """
+
+def quotient_basis(sub: Sequence[Vector], ambient_dim: int) -> list[Vector]:
+    """Standard basis vectors completing span(sub) to the ambient space: the
+    lexicographically-first e_j not already in the span, which are the e_j
+    whose j is no key of `reverse_echelon(sub)` (no vector of span(sub) ends
+    at coordinate j)."""
     for v in sub:
         if len(v) != ambient_dim:
             raise ValueError("quotient_basis: vector length mismatch")
-    cols = list(sub) + [unit_vec(ambient_dim, j) for j in range(ambient_dim)]
-    m = QMatrix.from_columns(cols, ambient_dim) if ambient_dim else QMatrix(0, len(cols))
-    r = rref(m)
-    k = len(sub)
-    return [unit_vec(ambient_dim, p - k) for p in r.pivots if p >= k]
+    keys = reverse_echelon(sub, ambient_dim)
+    return [unit_vec(ambient_dim, j) for j in range(ambient_dim) if j not in keys]
 
 
 def express_in_basis(basis: Sequence[Vector], target: Sequence, dim: int) -> Optional[Vector]:
@@ -358,7 +365,6 @@ class AdaptedSplit:
     image: tuple[Vector, ...]
     cokernel: tuple[Vector, ...]
     domain_change: QMatrix        # columns: coimage ++ kernel
-    domain_change_inv: QMatrix
     codomain_change: QMatrix      # columns: image ++ cokernel
     codomain_change_inv: QMatrix
 
@@ -378,6 +384,6 @@ def adapted_split(psi: QMatrix) -> AdaptedSplit:
     return AdaptedSplit(
         coimage=tuple(coim), kernel=tuple(ker),
         image=tuple(img), cokernel=tuple(coker),
-        domain_change=dom, domain_change_inv=invert(dom),
+        domain_change=dom,
         codomain_change=cod, codomain_change_inv=invert(cod),
     )

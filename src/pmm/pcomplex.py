@@ -18,7 +18,7 @@ from .cochain import CohomologySpace, compute_cohomology, induced_map
 from .errors import InternalError, ValidationError
 from .exactla import (
     QMatrix, Vector, block_diag, express_in_basis, is_zero_vec, kernel_basis,
-    lin_comb, rank, solve, unit_vec, vec, vstack, zero_vec,
+    lin_comb, quotient_basis, rank, solve, unit_vec, vec, vstack, zero_vec,
 )
 from .persistence import (
     INF, Bar, BarRepresentative, Grid, PersistenceModule, interval_decompose,
@@ -428,7 +428,8 @@ def is_fibration(f: PComplexMap) -> PredicateResult:
     for r in range(n):
         for k in range(x.max_degree + 1):
             if rank(f.mat(r, k)) != y.dim(r, k):
-                miss = _unhit_vector(f.mat(r, k), y.dim(r, k))
+                # The first unit vector outside the image.
+                miss = quotient_basis(f.mat(r, k).columns(), y.dim(r, k))[0]
                 return PredicateResult(False, {
                     "kind": "not pointwise surjective", "stage": r, "degree": k,
                     "target_element": miss})
@@ -439,15 +440,6 @@ def is_fibration(f: PComplexMap) -> PredicateResult:
                 if res is not None:
                     return PredicateResult(False, res)
     return PredicateResult(True)
-
-
-def _unhit_vector(m: QMatrix, dim_target: int) -> Vector:
-    cols = m.columns()
-    for idx in range(dim_target):
-        e = unit_vec(dim_target, idx)
-        if express_in_basis(cols, e, dim_target) is None if cols else True:
-            return e
-    raise InternalError("surjectivity failed but every basis vector lifts")
 
 
 def _corner_check(f: PComplexMap, i: int, j: int, k: int) -> Optional[dict]:

@@ -11,6 +11,10 @@ representative section that is propagated exactly by the structure maps and
 maps to literal zero at its death index.  Downstream surgery relies on the
 zero-at-death property (a class that merely merges into others cannot be
 attached as a cell).
+
+The elder rule is `exactla.reverse_echelon`: each kernel vector, keyed by its
+last nonzero coordinate, closes the youngest bar it involves; the newborn
+sections (`quotient_basis`) are the unit vectors the same rule leaves unkeyed.
 """
 from __future__ import annotations
 
@@ -20,7 +24,7 @@ from fractions import Fraction
 from .errors import ValidationError
 from .exactla import (
     QMatrix, Vector, block_diag, frac, is_zero_vec, kernel_basis, lin_comb,
-    quotient_basis, rank, rref, unit_vec,
+    quotient_basis, rank, reverse_echelon, unit_vec,
 )
 
 INF = float("inf")
@@ -131,31 +135,6 @@ class _Live:
         self.vectors = {birth: first_vector}
 
 
-def _reverse_echelon(vectors: list[Vector]) -> list[Vector]:
-    """Echelonize so each vector has a distinct last nonzero coordinate.
-
-    Implemented as rref on coordinate-reversed rows; the resulting pivots are
-    the youngest coordinates, which encodes the elder rule.
-    """
-    if not vectors:
-        return []
-    n = len(vectors[0])
-    rev = QMatrix(len(vectors), n, [list(reversed(v)) for v in vectors])
-    red = rref(rev).reduced
-    out = []
-    for row in red.data:
-        if any(x != 0 for x in row):
-            out.append(tuple(reversed(row)))
-    return out
-
-
-def _last_nonzero(v: Vector) -> int:
-    for i in range(len(v) - 1, -1, -1):
-        if v[i] != 0:
-            return i
-    raise ValueError("zero vector has no pivot")
-
-
 def interval_decompose(m: PersistenceModule) -> tuple[list[Bar], list[BarRepresentative]]:
     """Split a grid-based module into interval summands with sections.
 
@@ -176,21 +155,16 @@ def interval_decompose(m: PersistenceModule) -> tuple[list[Bar], list[BarReprese
 
     for i in range(n - 1):
         t = m.maps[i]
+        kern = {}
         if alive:
             smat = QMatrix.from_columns([lv.vectors[i] for lv in alive], m.dims[i])
-            ts = t @ smat
-            kern = _reverse_echelon(kernel_basis(ts))
-        else:
-            kern = []
-        dying_positions = set()
-        for kv in kern:
-            pos = _last_nonzero(kv)
-            dying_positions.add(pos)
+            kern = reverse_echelon(kernel_basis(t @ smat), len(alive))
+        for pos, kv in kern.items():
             target = alive[pos]
-            # Rewrite the dying bar's section as the kernel combination.
-            # Every contributor is older or equal in (birth, order), so the
-            # combination exists on the target's whole support.
-            parts = [(c / kv[pos], lv) for c, lv in zip(kv, alive) if c != 0]
+            # Rewrite the dying bar's section as the kernel combination (kv
+            # is 1 at pos).  Every contributor is older or equal in (birth,
+            # order), so the combination exists on the target's whole support.
+            parts = [(c, lv) for c, lv in zip(kv, alive) if c != 0]
             for idx in range(target.birth, i + 1):
                 target.vectors[idx] = lin_comb(
                     [c for c, _ in parts], [lv.vectors[idx] for _, lv in parts],
@@ -199,7 +173,7 @@ def interval_decompose(m: PersistenceModule) -> tuple[list[Bar], list[BarReprese
             finished.append(target)
         survivors = []
         for pos, lv in enumerate(alive):
-            if pos in dying_positions:
+            if pos in kern:
                 continue
             lv.vectors[i + 1] = t.apply(lv.vectors[i])
             survivors.append(lv)

@@ -1,17 +1,18 @@
 import itertools
 import random
 import re
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
-from pmm import cochain
+from pmm import cochain, exactla
 from pmm.cochain import compute_cohomology
 from pmm.errors import InternalError
 from pmm.exactla import (
     ONE, ZERO, QMatrix, RrefResult, _lower_block, adapted_split, block_diag,
     express_in_basis, hstack, invert, kernel_basis, lin_comb, quotient_basis,
-    rank, rref, solve, unit_vec, vec, vstack,
+    rank, reverse_echelon, rref, solve, unit_vec, vec, vstack,
 )
 
 
@@ -132,6 +133,83 @@ def test_quotient_basis_completes_random():
             assert rank(full) == dim
 
 
+# -- the identity-block complement and the list elder rule, as references --------
+# quotient_basis reduced [sub | I]; interval_decompose echelonized a kernel
+# with _reverse_echelon and keyed each row by _last_nonzero.
+
+def ref_quotient_basis(sub, ambient_dim):
+    cols = list(sub) + [unit_vec(ambient_dim, j) for j in range(ambient_dim)]
+    m = QMatrix.from_columns(cols, ambient_dim) if ambient_dim else QMatrix(0, len(cols))
+    k = len(sub)
+    return [unit_vec(ambient_dim, p - k) for p in rref(m).pivots if p >= k]
+
+
+def ref_reverse_echelon(vectors):
+    if not vectors:
+        return []
+    n = len(vectors[0])
+    red = rref(QMatrix(len(vectors), n, [list(reversed(v)) for v in vectors])).reduced
+    return [tuple(reversed(row)) for row in red.data if any(x != 0 for x in row)]
+
+
+def ref_last_nonzero(v):
+    for i in range(len(v) - 1, -1, -1):
+        if v[i] != 0:
+            return i
+    raise ValueError("zero vector has no pivot")
+
+
+def echelon_cases(seed, count):
+    """(vectors, n, kind): random rows, rows with dependent combinations
+    appended, full-rank sets, and empty ones, for n from 0 to 6."""
+    rng = random.Random(seed)
+    for i in range(count):
+        n, kind = rng.randint(0, 6), ("random", "dependent", "full", "empty")[i % 4]
+        density = rng.choice(DENSITIES)
+        if kind == "empty":
+            vectors = []
+        elif kind == "full":
+            # A unit upper-triangular basis, then random rows, shuffled.
+            vectors = [vec(1 if i == j else rng.randint(-2, 2) if i > j else 0
+                           for i in range(n)) for j in range(n)]
+            vectors += sparse_matrix(rng, rng.randint(0, 3), n, density).data
+            rng.shuffle(vectors)
+        else:
+            vectors = list(sparse_matrix(rng, rng.randint(1, 5), n, density).data)
+            if kind == "dependent":
+                coeffs = [Fraction(rng.randint(-2, 2), rng.randint(1, 3)) for _ in vectors]
+                vectors += [lin_comb(coeffs, vectors, n), vectors[0]]
+                rng.shuffle(vectors)
+        yield vectors, n, kind
+
+
+def test_reverse_echelon_and_quotient_basis_match_the_references():
+    kinds = Counter()
+    for vectors, n, kind in echelon_cases(1616, count=480):
+        kinds[kind] += 1
+        got = reverse_echelon(vectors, n)
+        want = ref_reverse_echelon(vectors)
+        assert list(got) == [ref_last_nonzero(v) for v in want]
+        assert list(got.values()) == want
+        assert all(type(x) is Fraction for v in got.values() for x in v)
+        assert quotient_basis(vectors, n) == ref_quotient_basis(vectors, n)
+        if kind == "full":
+            assert sorted(got) == list(range(n)) and quotient_basis(vectors, n) == []
+    assert kinds == {"random": 120, "dependent": 120, "full": 120, "empty": 120}
+
+
+def test_reverse_echelon_keys_the_youngest_coordinate_first():
+    # span{(1, 1, 0), (0, 2, 1)}: the youngest reachable coordinate is 2,
+    # then 1 once coordinate 2 is cleared; 0 is the complement.
+    got = reverse_echelon([vec([1, 1, 0]), vec([0, 2, 1])], 3)
+    assert got == {2: vec([-2, 0, 1]), 1: vec([1, 1, 0])}
+    assert list(got) == [2, 1]
+    assert quotient_basis([vec([1, 1, 0]), vec([0, 2, 1])], 3) == [unit_vec(3, 0)]
+    assert reverse_echelon([], 3) == {} and reverse_echelon([(), ()], 0) == {}
+    with pytest.raises(ValueError, match="quotient_basis: vector length mismatch"):
+        quotient_basis([vec([1, 0])], 3)
+
+
 def test_invert_and_express():
     m = QMatrix.from_rows([[2, 1], [1, 1]])
     assert invert(m) @ m == QMatrix.identity(2)
@@ -242,7 +320,7 @@ def dense_cohomology(d_out, d_in):
         coords = dense_solve(QMatrix.from_columns(z, dim), vb) if z else None
         assert coords is not None
         b_in_z.append(coords)
-    reps = [lin_comb(unit, z, dim) for unit in quotient_basis(b_in_z, len(z))]
+    reps = [lin_comb(unit, z, dim) for unit in ref_quotient_basis(b_in_z, len(z))]
     return z, b, reps
 
 
@@ -347,14 +425,35 @@ def test_compute_cohomology_rejects_boundary_outside_cocycles():
 
 def test_class_of_rejects_non_cocycle_and_reduces_once(monkeypatch):
     # H^1 of 0 -> Q^2 -> Q with d = [1 1]: Z = span(-1, 1), no boundaries.
-    space = compute_cohomology(QMatrix.from_rows([[1, 1]]), None)
-    reduced = []
-    monkeypatch.setattr(cochain, "rref", lambda m: reduced.append(m) or rref(m))
-    assert space.class_of(vec([-2, 2])) == vec([2])
-    assert space.class_of(vec([3, -3])) == vec([-3])
-    with pytest.raises(InternalError, match="class_of: vector is not a cocycle"):
-        space.class_of(vec([1, 0]))
-    assert len(reduced) == 1
+    # H^1 of Q -> Q^3 -> Q with d_in = (1, -1, 2)ᵀ, d_out = [1 1 0]: Z has
+    # the free columns 1 and 2, where B is (-1, 2); H is spanned by (-1, 1, 0),
+    # and (0, 0, 1) = 1/2 (-1, 1, 0) + 1/2 (1, -1, 2).
+    no_b = compute_cohomology(QMatrix.from_rows([[1, 1]]), None)
+    with_b = compute_cohomology(QMatrix.from_rows([[1, 1, 0]]),
+                                QMatrix.from_rows([[1], [-1], [2]]))
+    echelons, reduced = [], []
+    monkeypatch.setattr(cochain, "reverse_echelon",
+                        lambda *a: echelons.append(a) or reverse_echelon(*a))
+    for module in (cochain, exactla):
+        monkeypatch.setattr(module, "rref", lambda m: reduced.append(m) or rref(m))
+    cases = ((no_b, [([-2, 2], [2]), ([3, -3], [-3])], [1, 0], 0),
+             (with_b, [([-1, 1, 0], [1]), ([0, 0, 1], [Fraction(1, 2)]),
+                       ([1, -1, 2], [0])], [1, 0, 0], 1))
+    for space, answers, non_cocycle, reductions in cases:
+        echelons.clear()
+        reduced.clear()
+        (z, want), *rest = answers
+        assert space.class_of(vec(z)) == vec(want)
+        # The class data is made once, on the first call; its one reverse
+        # echelon is the only reduction, and only when there are boundaries.
+        assert len(echelons) == 1 and len(reduced) == reductions
+        for z, want in rest:
+            assert space.class_of(vec(z)) == vec(want)
+        with pytest.raises(InternalError, match="class_of: vector is not a cocycle"):
+            space.class_of(vec(non_cocycle))
+        assert len(echelons) == 1 and len(reduced) == reductions
+        assert space.reps == [space.cocycles[0]]
+        assert len(echelons) == 1 and len(reduced) == reductions
 
 
 class EagerSpace:
@@ -377,7 +476,7 @@ class EagerSpace:
                 raise InternalError("boundary is not a cocycle: d*d != 0 upstream")
             b_in_z.append(coords)
         self.ambient_dim, self.cocycles, self.boundaries, self.pivots = dim, z, b, r.pivots
-        self.reps = [lin_comb(unit, z, dim) for unit in quotient_basis(b_in_z, len(z))]
+        self.reps = [lin_comb(unit, z, dim) for unit in ref_quotient_basis(b_in_z, len(z))]
         self.dim = len(self.reps)
         if dim:
             h, p = len(self.reps), len(self.reps) + len(b)
@@ -406,10 +505,10 @@ def test_lazy_space_matches_the_eager_space():
         for incoming, with_below in ((d_in, True), (d_in, False), (None, False)):
             space, eager = lazy_and_eager(d_out, incoming, with_below)
             # Only the dimension, boundaries and pivots exist before a read.
-            assert not {"cocycles", "reps", "_solver"} & set(vars(space))
+            assert not {"cocycles", "reps", "_classes"} & set(vars(space))
             assert (space.dim, space.ambient_dim, space.pivots, space.boundaries) == \
                 (eager.dim, eager.ambient_dim, eager.pivots, eager.boundaries)
-            assert not {"cocycles", "reps", "_solver"} & set(vars(space))
+            assert not {"cocycles", "reps", "_classes"} & set(vars(space))
             assert (space.cocycles, space.reps) == (eager.cocycles, eager.reps)
             probes = [lin_comb([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                                 for _ in eager.cocycles], eager.cocycles, n)

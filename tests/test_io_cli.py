@@ -83,15 +83,16 @@ TOWER_FIXTURES = ("example1_case1", "example1_case2", "example2", "example3",
 @pytest.mark.parametrize("name", TOWER_FIXTURES)
 def test_the_check_path_computes_no_class_representatives(name, monkeypatch):
     # pmm check audits connectivity, which reads only dim H: no space there
-    # needs its representatives, so quotient_basis never runs.
+    # needs its representatives or class coordinates, so the reverse echelon
+    # of its boundaries is never made (nor any complement).
     from pmm import cochain, exactla
     doc = fixture(name)
     payload = json.loads(json.dumps(model_payload(
         build_persistent_minimal_model(load_input(doc)), doc)))
     calls = []
     for module in (cochain, exactla):
-        monkeypatch.setattr(module, "quotient_basis",
-                            lambda *a, q=exactla.quotient_basis: calls.append(a) or q(*a))
+        monkeypatch.setattr(module, "reverse_echelon",
+                            lambda *a, r=exactla.reverse_echelon: calls.append(a) or r(*a))
     tower, model = load_model(payload)
     assert validate_model(model, against=tower)["ok"]
     assert calls == []

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from pmm.errors import ValidationError
-from pmm.exactla import QMatrix
+from pmm.exactla import QMatrix, express_in_basis, unit_vec
 from pmm.persistence import INF, Grid, interval_decompose
 from pmm.pcomplex import (
     PComplexMap, SphereMapData, attach_cell, cohomology, factor_cofibration,
@@ -180,6 +180,55 @@ def test_fibration_counterexample_quotient_of_disks():
     assert res.witness["kind"] == "corner map not surjective"
     i, j = res.witness["pair"]
     assert i < t <= j
+
+
+def first_unhit_unit(m, dim):
+    """The first e_j outside the column span of m, one solve per unit vector."""
+    cols = m.columns()
+    for j in range(dim):
+        e = unit_vec(dim, j)
+        if not cols or express_in_basis(cols, e, dim) is None:
+            return e
+    return None
+
+
+def inclusion_matrix(x, y, r, k):
+    """X^k(r) -> Y^k(r) sending each cell to the cell of the same label."""
+    return QMatrix(y.dim(r, k), x.dim(r, k),
+                   [[int(a == b) for b in x.labels[r][k]] for a in y.labels[r][k]])
+
+
+def test_not_pointwise_surjective_witness_is_the_first_unhit_unit_vector():
+    # A zero map into a sphere misses its cell: the witness is e_0 at the
+    # first stage and degree where the target is nonzero.
+    g = grid_of(3)
+    s = interval_sphere(g, 2, 1, INF)
+    z = zero_complex(g, 2)
+    res = is_fibration(PComplexMap(z, s, [{k: QMatrix.zero(s.dim(r, k), 0) for k in range(3)}
+                                          for r in range(3)]))
+    assert res.witness == {"kind": "not pointwise surjective", "stage": 1, "degree": 2,
+                           "target_element": unit_vec(1, 0)}
+    # Random maps x -> y = x with one more cell: the inclusion plus a random
+    # map, so the image is a generic subspace that misses the new cell.
+    # The witness is the first unit vector outside the image at the first
+    # (stage, degree) where the map is not onto.
+    rng = random.Random(2024)
+    found = Counter()
+    for _ in range(40):
+        x = random_pcomplex(rng, g, 3, cells=4)
+        deg, s = rng.randint(2, 3), rng.randint(0, 2)
+        t = rng.choice([INF] + list(range(s + 1, 3)))
+        y = attach_cell(x, random_sphere_data(rng, x, deg, s, t, label="new"), label="new")
+        h = random_pcomplex_map(rng, x, y)
+        f = PComplexMap(x, y, [{k: inclusion_matrix(x, y, r, k).add(h.mat(r, k))
+                                for k in range(4)} for r in range(3)])
+        misses = [(r, k, first_unhit_unit(f.mat(r, k), y.dim(r, k)))
+                  for r in range(3) for k in range(4)]
+        r, k, e = next(m for m in misses if m[2] is not None)
+        assert is_fibration(f).witness == {"kind": "not pointwise surjective", "stage": r,
+                                           "degree": k, "target_element": e}
+        found[e.index(1)] += 1
+    assert found[0] >= 5 and sum(found.values()) - found[0] >= 5, found
 
 
 def test_isomorphism_is_fibration():

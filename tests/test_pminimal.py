@@ -378,6 +378,36 @@ def test_random_towers_full_pipeline():
         assert got == want, trial
 
 
+@pytest.mark.parametrize("make", ["example3", "random"])
+def test_a_built_model_is_freed_without_the_cyclic_collector(make):
+    # No algebra sits on a reference cycle: the free algebras cache term
+    # dicts, not elements (which hold their algebra), and B.path, which
+    # holds B, is held by B only weakly.  So with the collector off, what
+    # the build made is freed by reference counting alone.
+    import gc
+    import random as _random
+    from pmm.cdga import FreeCDGA, PathAlgebra
+    from .gen import random_tower
+    gc.collect()
+    gc.disable()
+    try:
+        tower = fixture_tower("example3") if make == "example3" else \
+            random_tower(_random.Random(3), user_cap=4)
+        model = build_persistent_minimal_model(tower)
+        assert validate_model(model)["ok"]
+        assert any(isinstance(a, FreeCDGA) for a in model.algebras)
+        del tower, model
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        gc.collect()
+        cyclic = [type(o).__name__ for o in gc.garbage
+                  if isinstance(o, (FreeCDGA, FiniteCDGA, PathAlgebra))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
+    assert cyclic == []
+
+
 def _differential_by_name(alg, elem):
     out = {}
     for mono, c in elem.terms.items():
