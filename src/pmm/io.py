@@ -25,6 +25,8 @@ from .pminimal import (
 )
 
 SCHEMA_VERSION = 1
+# A complex document holds one label list per (stage, degree) slot.
+MAX_COMPLEX_SLOTS = 100_000
 # Exact, short numbers only: Fraction("1e99999999") would build 10^99999999.
 _RATIONAL = re.compile(r"-?[0-9]+(\.[0-9]+|/0*[1-9][0-9]*)?", re.ASCII)
 
@@ -235,6 +237,11 @@ def load_persistence_module(doc: dict) -> PersistenceModule:
 def load_pcomplex(doc: dict) -> PersistentComplex:
     grid = load_grid(_need(doc, "grid", "complex", list))
     max_degree = _int(_need(doc, "max_degree", "complex", object), "complex")
+    if max_degree < 0:
+        raise SchemaError(f"complex max_degree {max_degree} is negative")
+    if len(grid) * (max_degree + 1) > MAX_COMPLEX_SLOTS:
+        raise SchemaError(f"complex too large: {len(grid)} stages x {max_degree + 1} degrees "
+                          f"is over {MAX_COMPLEX_SLOTS} (stage, degree) slots")
     stage_specs = _objects(doc, "stages", "complex", len(grid))
     labels = []
     for spec in stage_specs:

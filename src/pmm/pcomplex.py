@@ -7,6 +7,11 @@ a pointwise pushout whose cofiber is an interval.  The fibration and
 trivial-fibration predicates quantify over grid index pairs, which by the
 constancy of tame objects on half-open intervals (first grid time taken as
 global birth) covers every real pair.
+
+Maps out of a sphere, the corners of the fibration check and the gap maps
+of the direct I-injectivity check are all onto one fiber product
+(`_fiber_product`).  `is_trivial_fibration` always checks that fibration
+plus pointwise quasi-isomorphism agrees with the gap-map characterization.
 """
 from __future__ import annotations
 
@@ -17,8 +22,8 @@ from typing import Optional, Sequence
 from .cochain import CohomologySpace, compute_cohomology, induced_map
 from .errors import InternalError, ValidationError
 from .exactla import (
-    QMatrix, Vector, block_diag, express_in_basis, is_zero_vec, kernel_basis,
-    lin_comb, quotient_basis, rank, solve, unit_vec, vec, vstack, zero_vec,
+    QMatrix, Vector, block_diag, express_in_basis, hstack, is_zero_vec,
+    kernel_basis, lin_comb, quotient_basis, rank, solve, zero_vec,
 )
 from .persistence import (
     INF, Bar, BarRepresentative, Grid, PersistenceModule, interval_decompose,
@@ -131,15 +136,20 @@ def interval_complex(grid: Grid, k: int, s: int, t,
 def interval_sphere(grid: Grid, k: int, s: int, t,
                     max_degree: Optional[int] = None) -> PersistentComplex:
     """S^k_[s,t): the cocycle line on [s,t), completed to a disk from t on."""
+    _check_lifespan(grid, s, t)
+    if k == 0:
+        # S^0 is a degree-0 line on [s,t); D^0 = 0 kills it afterwards.
+        return interval_complex(grid, 0, s, t, max_degree)
+    return _cell(grid, k, s, t, max_degree)
+
+
+def _check_lifespan(grid: Grid, s: int, t):
+    """A sphere's lifespan [s, t): grid indices s < t, or t = INF."""
     n = len(grid)
     if not 0 <= s < n:
         raise ValidationError(f"invalid sphere birth s={s}")
     if t != INF and not (isinstance(t, int) and s < t < n):
         raise ValidationError(f"invalid sphere death t={t}: need a grid index after s")
-    if k == 0:
-        # S^0 is a degree-0 line on [s,t); D^0 = 0 kills it afterwards.
-        return interval_complex(grid, 0, s, t, max_degree)
-    return _cell(grid, k, s, t, max_degree)
 
 
 def interval_disk(grid: Grid, k: int, s: int,
@@ -234,8 +244,7 @@ class SphereMapData:
 
     def validate_against(self, x: PersistentComplex):
         k, s, t = self.degree, self.birth, self.death
-        if not 0 <= s < len(x.grid):
-            raise ValidationError("sphere data birth out of range")
+        _check_lifespan(x.grid, s, t)
         if len(self.cocycle) != x.dim(s, k):
             raise ValidationError("cocycle has the wrong length")
         if not is_zero_vec(x.d_mat(s, k).apply(self.cocycle)):
@@ -244,34 +253,30 @@ class SphereMapData:
             if self.bounding is not None:
                 raise ValidationError("bounding element given for an immortal cell")
             return
-        if not (s < t < len(x.grid)):
-            raise ValidationError("sphere data death out of range")
         if self.bounding is None or len(self.bounding) != x.dim(t, k - 1):
             raise ValidationError("bounding element has the wrong length")
-        pushed = x.sigma_range(s, int(t), k).apply(self.cocycle)
-        if x.d_mat(int(t), k - 1).apply(self.bounding) != pushed:
+        pushed = x.sigma_range(s, t, k).apply(self.cocycle)
+        if x.d_mat(t, k - 1).apply(self.bounding) != pushed:
             raise ValidationError("bounding element does not bound the pushed cocycle")
+
+
+def _fiber_product(a: QMatrix, b: QMatrix) -> list[tuple[Vector, Vector]]:
+    """A basis of {(u, v) : a u = b v}: the kernel of [a | -b], split."""
+    return [(p[:a.cols], p[a.cols:]) for p in kernel_basis(hstack([a, b.scale(-1)]))]
 
 
 def hom_from_sphere(x: PersistentComplex, k: int, s: int, t
                     ) -> tuple[int, list[SphereMapData]]:
-    """Basis of Hom(S^k_[s,t), X) = Z X^k(s) x_{Z X^k(t)} X^{k-1}(t)."""
+    """Basis of Hom(S^k_[s,t), X) = Z X^k(s) x_{X^k(t)} X^{k-1}(t): a
+    cocycle at s whose push to t is d of an element at t."""
+    _check_lifespan(x.grid, s, t)
     z_basis = kernel_basis(x.d_mat(s, k))
     if t == INF:
         data = [SphereMapData(k, s, INF, z, None) for z in z_basis]
         return len(data), data
-    t = int(t)
-    sig = x.sigma_range(s, t, k)
-    d_t = x.d_mat(t, k - 1)
-    nrows = x.dim(t, k)
-    cols = [sig.apply(z) for z in z_basis] + \
-           [tuple(-c for c in col) for col in d_t.columns()]
-    joint = QMatrix.from_columns(cols, nrows)
-    out = []
-    for p in kernel_basis(joint):
-        zc = p[: len(z_basis)]
-        uc = p[len(z_basis):]
-        out.append(SphereMapData(k, s, t, lin_comb(zc, z_basis, x.dim(s, k)), vec(uc)))
+    pushed = x.sigma_range(s, t, k) @ QMatrix.from_columns(z_basis, x.dim(s, k))
+    out = [SphereMapData(k, s, t, lin_comb(zc, z_basis, x.dim(s, k)), u)
+           for zc, u in _fiber_product(pushed, x.d_mat(t, k - 1))]
     return len(out), out
 
 
@@ -425,14 +430,13 @@ def is_fibration(f: PComplexMap) -> PredicateResult:
     """
     x, y = f.source, f.target
     n = len(x.grid)
-    for r in range(n):
-        for k in range(x.max_degree + 1):
-            if rank(f.mat(r, k)) != y.dim(r, k):
-                # The first unit vector outside the image.
-                miss = quotient_basis(f.mat(r, k).columns(), y.dim(r, k))[0]
-                return PredicateResult(False, {
-                    "kind": "not pointwise surjective", "stage": r, "degree": k,
-                    "target_element": miss})
+    miss = _not_onto(f)
+    if miss is not None:
+        r, k = miss
+        return PredicateResult(False, {
+            "kind": "not pointwise surjective", "stage": r, "degree": k,
+            # The first unit vector outside the image.
+            "target_element": quotient_basis(f.mat(r, k).columns(), y.dim(r, k))[0]})
     for i in range(n):
         for j in range(i, n):
             for k in range(x.max_degree + 1):
@@ -442,25 +446,26 @@ def is_fibration(f: PComplexMap) -> PredicateResult:
     return PredicateResult(True)
 
 
+def _not_onto(f: PComplexMap) -> Optional[tuple[int, int]]:
+    """The first (stage, degree) at which f is not onto, or None."""
+    y = f.target
+    return next(((r, k) for r in range(len(y.grid)) for k in range(y.max_degree + 1)
+                 if rank(f.mat(r, k)) != y.dim(r, k)), None)
+
+
 def _corner_check(f: PComplexMap, i: int, j: int, k: int) -> Optional[dict]:
     x, y = f.source, f.target
     # Fiber product {(x_j, y_i) : f(x_j) = sigma(y_i)} inside X^k(j) + Y^k(i).
-    dxj, dyi = x.dim(j, k), y.dim(i, k)
-    constraint = QMatrix.from_columns(
-        [f.mat(j, k).column(c) for c in range(dxj)] +
-        [tuple(-e for e in y.sigma_range(i, j, k).column(c)) for c in range(dyi)],
-        y.dim(j, k))
-    fiber = kernel_basis(constraint)
-    corner_cols = [tuple(x.sigma_range(i, j, k).column(c)) + tuple(f.mat(i, k).column(c))
-                   for c in range(x.dim(i, k))]
-    m = QMatrix.from_columns(corner_cols, dxj + dyi)
-    if rank(m) == len(fiber):
+    fiber = _fiber_product(f.mat(j, k), y.sigma_range(i, j, k))
+    sig_x, f_i = x.sigma_range(i, j, k), f.mat(i, k)
+    dim = x.dim(j, k) + y.dim(i, k)
+    corner_cols = [sig_x.column(c) + f_i.column(c) for c in range(x.dim(i, k))]
+    if rank(QMatrix.from_columns(corner_cols, dim)) == len(fiber):
         return None
-    for v in fiber:
-        if express_in_basis(corner_cols, v, dxj + dyi) is None if corner_cols \
-                else not is_zero_vec(v):
+    for u, v in fiber:
+        if express_in_basis(corner_cols, u + v, dim) is None:
             return {"kind": "corner map not surjective", "pair": (i, j), "degree": k,
-                    "fiber_element": {"x_at_j": v[:dxj], "y_at_i": v[dxj:]}}
+                    "fiber_element": {"x_at_j": u, "y_at_i": v}}
     raise InternalError("corner rank deficient but no witness found")
 
 
@@ -479,81 +484,51 @@ def is_pointwise_quasi_iso(f: PComplexMap) -> PredicateResult:
     return PredicateResult(True)
 
 
-def is_trivial_fibration(f: PComplexMap, cross_check: bool = False) -> PredicateResult:
-    """Fibration and pointwise quasi-isomorphism.
-
-    With cross_check=True the direct gap-map characterization of
-    I-injectivity is evaluated independently and must agree.
-    """
-    fib = is_fibration(f)
-    if fib.holds:
-        qiso = is_pointwise_quasi_iso(f)
-        out = PredicateResult(qiso.holds, qiso.witness)
-    else:
-        out = fib
-    if cross_check:
-        direct = _i_injective_direct(f)
-        if direct.holds != out.holds:
-            raise InternalError(
-                "gap-map characterization disagrees with fibration + quasi-iso")
+def is_trivial_fibration(f: PComplexMap) -> PredicateResult:
+    """Fibration and pointwise quasi-isomorphism, checked to agree with the
+    direct gap-map characterization of I-injectivity (`_i_injective_direct`)."""
+    out = is_fibration(f)
+    if out.holds:
+        out = is_pointwise_quasi_iso(f)
+    if _i_injective_direct(f) != out.holds:
+        raise InternalError("gap-map characterization disagrees with fibration + quasi-iso")
     return out
 
 
-def _i_injective_direct(f: PComplexMap) -> PredicateResult:
-    x, y = f.source, f.target
-    n = len(x.grid)
-    surj = all(rank(f.mat(r, k)) == y.dim(r, k)
-               for r in range(n) for k in range(x.max_degree + 1))
-    if not surj:
-        return PredicateResult(False, {"kind": "not pointwise surjective"})
-    qiso = is_pointwise_quasi_iso(f)
-    if not qiso.holds:
-        return PredicateResult(False, qiso.witness)
-    for i in range(n):
-        for j in range(i, n):
-            for k in range(1, x.max_degree):
-                if not _gap_map_epi(f, i, j, k):
-                    return PredicateResult(False, {
-                        "kind": "gap map not epi", "pair": (i, j), "degree": k})
-    return PredicateResult(True)
+def _i_injective_direct(f: PComplexMap) -> bool:
+    """Pointwise onto, a pointwise quasi-isomorphism, and every gap map onto."""
+    n = len(f.source.grid)
+    return (_not_onto(f) is None and is_pointwise_quasi_iso(f).holds
+            and all(_gap_map_epi(f, i, j, k) for i in range(n) for j in range(i, n)
+                    for k in range(1, f.source.max_degree)))
 
 
 def _gap_map_epi(f: PComplexMap, i: int, j: int, k: int) -> bool:
-    """u_i -> (du_i, u_j, f(u_i)) onto the triple fiber product."""
+    """u_i -> ((d u_i, sigma u_i), f u_i) onto the fiber product of
+    (z, u_j) -> (sigma z - d u_j, f z, f u_j) and y_i -> (0, d y_i, sigma y_i),
+    z a cocycle in X^k(i), u_j in X^{k-1}(j) and y_i in Y^{k-1}(i)."""
     x, y = f.source, f.target
     zx = kernel_basis(x.d_mat(i, k))
-    dim_u = x.dim(j, k - 1)
-    dim_y = y.dim(i, k - 1)
-    # Variables (z-coords, u_j, y_i); constraints:
-    # sigma(z) = d u_j ; f(z) = d y_i ; f(u_j) = sigma(y_i).
-    rows = []
-    sig_x = x.sigma_range(i, j, k)
-    block1 = QMatrix.from_columns(
-        [sig_x.apply(z) for z in zx] +
-        [tuple(-c for c in col) for col in x.d_mat(j, k - 1).columns()] +
-        [zero_vec(x.dim(j, k))] * dim_y, x.dim(j, k))
-    block2 = QMatrix.from_columns(
-        [f.mat(i, k).apply(z) for z in zx] +
-        [zero_vec(y.dim(i, k))] * dim_u +
-        [tuple(-c for c in col) for col in y.d_mat(i, k - 1).columns()], y.dim(i, k))
-    block3 = QMatrix.from_columns(
-        [zero_vec(y.dim(j, k - 1))] * len(zx) +
-        [f.mat(j, k - 1).column(c) for c in range(dim_u)] +
-        [tuple(-c for c in col) for col in y.sigma_range(i, j, k - 1).columns()],
-        y.dim(j, k - 1))
-    big = vstack([block1, block2, block3])
-    fiber = kernel_basis(big)
+    sig_z, f_z = x.sigma_range(i, j, k), f.mat(i, k)
+    sig_x, sig_y = x.sigma_range(i, j, k - 1), y.sigma_range(i, j, k - 1)
+    rows = x.dim(j, k) + y.dim(i, k) + y.dim(j, k - 1)
+    a = QMatrix.from_columns(
+        [sig_z.apply(z) + f_z.apply(z) + zero_vec(y.dim(j, k - 1)) for z in zx] +
+        [tuple(-c for c in du) + zero_vec(y.dim(i, k)) + fu
+         for du, fu in zip(x.d_mat(j, k - 1).columns(), f.mat(j, k - 1).columns())],
+        rows)
+    b = QMatrix.from_columns(
+        [zero_vec(x.dim(j, k)) + dy + sy
+         for dy, sy in zip(y.d_mat(i, k - 1).columns(), sig_y.columns())], rows)
+    fiber = _fiber_product(a, b)
+    d_i, f_i = x.d_mat(i, k - 1), f.mat(i, k - 1)
     gap_cols = []
     for c in range(x.dim(i, k - 1)):
-        e = unit_vec(x.dim(i, k - 1), c)
-        du = x.d_mat(i, k - 1).apply(e)
-        zc = express_in_basis(zx, du, x.dim(i, k)) if zx else ()
+        zc = express_in_basis(zx, d_i.column(c), x.dim(i, k))
         if zc is None:
             raise InternalError("d of a cochain is not a cocycle")
-        gap_cols.append(tuple(zc) + tuple(x.sigma_range(i, j, k - 1).apply(e))
-                        + tuple(f.mat(i, k - 1).apply(e)))
-    m = QMatrix.from_columns(gap_cols, len(zx) + dim_u + dim_y)
-    return rank(m) == len(fiber)
+        gap_cols.append(zc + sig_x.column(c) + f_i.column(c))
+    return rank(QMatrix.from_columns(gap_cols, a.cols + b.cols)) == len(fiber)
 
 
 @dataclass
@@ -597,8 +572,10 @@ def factor_cofibration(i_map: PComplexMap) -> FactorizationCertificate:
         return sol
 
     def run_stage(which: int):
-        nonlocal current, iota
-        batch_all: list[tuple[SphereMapData, list[Vector]]] = []
+        nonlocal current
+        # Attaching data for the whole batch, computed against the iota and
+        # the complex from before the batch: (d y_birth or 0, y_death).
+        batch: list[tuple[SphereMapData, dict[int, Vector]]] = []
         for k in range(x.max_degree + 1):
             spaces = []
             for r in range(n):
@@ -614,35 +591,23 @@ def factor_cofibration(i_map: PComplexMap) -> FactorizationCertificate:
             bars, _, sections = bar_sections(
                 y.grid, [y.sigma_mat(r, k) for r in range(n - 1)], spaces)
             for idx, (bar, lift) in enumerate(zip(bars, sections)):
-                batch_all.append((SphereMapData(
-                    degree=k + 1, birth=bar.birth, death=bar.death,
-                    cocycle=(), bounding=None,
-                    label=f"s{which}_{k}_{idx}"), [lift[r] for r in sorted(lift)]))
-        # Convert lifts (elements of Y) into attaching data over `current`.
-        datas = []
-        lifts = []
-        for data, lift_vecs in batch_all:
-            k1 = data.degree
-            s = data.birth
-            first = lift_vecs[0]
-            if which == 1:
-                coc = zero_vec(current.dim(s, k1))
-            else:
-                coc = preimage(s, k1, y.d_mat(s, k1 - 1).apply(first))
-            bounding = None
-            if data.death != INF:
-                t = int(data.death)
-                pushed = y.sigma_mat(t - 1, k1 - 1).apply(lift_vecs[-1])
-                bounding = preimage(t, k1 - 1, pushed)
-            datas.append(SphereMapData(k1, s, data.death, coc, bounding, data.label))
-            lifts.append(lift_vecs)
+                s = bar.birth
+                if which == 1:
+                    coc = zero_vec(current.dim(s, k + 1))
+                else:
+                    coc = preimage(s, k + 1, y.d_mat(s, k).apply(lift[s]))
+                bounding = None
+                if bar.death != INF:
+                    t = int(bar.death)
+                    bounding = preimage(t, k, y.sigma_mat(t - 1, k).apply(lift[t - 1]))
+                batch.append((SphereMapData(k + 1, s, bar.death, coc, bounding,
+                                            f"s{which}_{k}_{idx}"), lift))
         # Attach the whole batch, extending iota by the lifted sections.
-        for data, lift_vecs in zip(datas, lifts):
+        for data, lift in batch:
             padded = _padded(data, current)
             current = attach_cell(current, padded)
             deg = data.degree - 1
-            for offset, vec_y in enumerate(lift_vecs):
-                r = data.birth + offset
+            for r, vec_y in lift.items():
                 old = iota[r][deg]
                 iota[r] = dict(iota[r])
                 iota[r][deg] = QMatrix.from_columns(old.columns() + [vec_y],

@@ -284,7 +284,7 @@ def test_criterion_10_model_structure_predicates():
         else:
             y = random_pcomplex(rng, g, 3, cells=2)
             f = random_pcomplex_map(rng, x, y)
-        is_trivial_fibration(f, cross_check=True)  # raises on disagreement
+        is_trivial_fibration(f)  # raises on disagreement
 
     # (c) factorization certificates, including the two fixtures.
     g4 = Grid((0, 1, 2, 3))

@@ -10,12 +10,23 @@ import pytest
 from pmm.cli import main
 from pmm.errors import SchemaError, ValidationError
 from pmm.io import (
-    barcode_payload, load_input, load_model, model_payload, )
+    barcode_payload, load_input, load_model, load_pcomplex_map, model_payload, )
+from pmm.pcomplex import interval_complex, zero_complex
+from pmm.persistence import Grid
 from pmm.pminimal import (
     build_persistent_minimal_model, homotopy_barcode, validate_model,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
+
+
+def run_module(module, argv, **kwargs):
+    """`python -m module *argv` in a fresh process, this checkout's src first."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-m", module, *argv], env=env,
+                          capture_output=True, text=True, **kwargs)
 
 
 def fixture(name):
@@ -345,26 +356,15 @@ def test_cli_validation_error_exit_code(tmp_path, capsys):
 
 
 def test_cli_factor(tmp_path, capsys):
-    # 0 -> I^2_[1,3) on a 4-point grid as a map document.
-    grid = ["0", "1", "2", "3"]
-    def empty_stage():
-        return {"basis": {}, "d": {}}
-    interval_stage = {"basis": {"2": ["i2"]}, "d": {}}
-    target = {
-        "grid": grid, "max_degree": 3,
-        "stages": [empty_stage(), interval_stage, interval_stage, empty_stage()],
-        "maps": [{}, {"2": [["1"]]}, {}],
-    }
-    source = {
-        "grid": grid, "max_degree": 3,
-        "stages": [empty_stage()] * 4,
-        "maps": [{}, {}, {}],
-    }
-    doc = {"source": source, "target": target,
-           "components": [{}, {}, {}, {}]}
-    f = tmp_path / "map.json"
-    f.write_text(json.dumps(doc))
-    rc = main(["factor", "--input", str(f), "--output", str(tmp_path)])
+    # The fixture is 0 -> I^2_[1,3) on a 4-point grid as a map document.
+    f = load_pcomplex_map(fixture("map_zero_to_interval"))
+    g = Grid((0, 1, 2, 3))
+    want = interval_complex(g, 2, 1, 3, max_degree=3)
+    assert f.source.labels == zero_complex(g, 3).labels and f.target.labels == want.labels
+    assert all(f.target.sigma_mat(r, k) == want.sigma_mat(r, k)
+               for r in range(3) for k in range(4))
+    rc = main(["factor", "--input", str(FIXTURES / "map_zero_to_interval.json"),
+               "--output", str(tmp_path)])
     assert rc == 0
     cert = json.loads((tmp_path / "factorization.json").read_text())
     assert cert["verified"]
@@ -462,13 +462,8 @@ def test_cli_check_on_input(tmp_path, capsys):
 def test_python_m_entry_points(tmp_path, module):
     # `python -m pmm` and `python -m pmm.cli` run the driver and keep its
     # exit-code contract: a missing input is a schema error (exit 2).
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", module, "build", "--input", str(tmp_path / "missing.json"),
-         "--output", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120)
+    proc = run_module(module, ["build", "--input", str(tmp_path / "missing.json"),
+                               "--output", str(tmp_path)], timeout=120)
     assert proc.returncode == 2
     assert "schema error" in proc.stderr
 
@@ -774,14 +769,62 @@ def test_cli_oversized_grid_time_is_refused_quickly(tmp_path, time_literal):
     doc["grid"][1] = "@"
     f = tmp_path / "bad.json"
     f.write_text(json.dumps(doc).replace('"@"', time_literal))
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    proc = subprocess.run(
-        [sys.executable, "-m", "pmm", "build", "--input", str(f), "--output", str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=20)
+    proc = run_module("pmm", ["build", "--input", str(f), "--output", str(tmp_path)],
+                      timeout=20)
     assert proc.returncode == 2
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("schema error:")
+
+
+def _empty_complex(stages, max_degree):
+    return {"grid": list(range(stages)), "max_degree": max_degree,
+            "stages": [{"basis": {}}] * stages, "maps": [{}] * (stages - 1)}
+
+
+@pytest.mark.parametrize("max_degree", [-1, -5])
+def test_cli_refuses_a_negative_max_degree(tmp_path, capsys, max_degree):
+    # Empty stages, so the degree is the only fault.
+    f = tmp_path / "complex.json"
+    f.write_text(json.dumps(_empty_complex(3, max_degree)))
+    rc = main(["decompose", "--input", str(f), "--output", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"schema error: complex max_degree {max_degree} is negative\n"
+
+
+@pytest.mark.parametrize("command", ["decompose", "factor"])
+def test_cli_refuses_an_oversized_complex_before_building_it(tmp_path, command):
+    # 8 empty stages with max_degree 10^7: a document of about 200 bytes
+    # with 8 * 10^7 (stage, degree) slots.  It must exit 2 before one label
+    # list per slot is built: in a fresh process with its address space
+    # capped at 1 GiB (a MemoryError would exit 3), well within the timeout.
+    import resource
+
+    huge = _empty_complex(8, 10_000_000)
+    doc = huge if command == "decompose" else {
+        "source": huge, "target": huge, "components": [{}] * 8}
+    f = tmp_path / "huge.json"
+    f.write_text(json.dumps(doc))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = run_module("pmm", [command, "--input", str(f), "--output", str(tmp_path)],
+                      timeout=20, preexec_fn=cap_memory)
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr == ("schema error: complex too large: 8 stages x 10000001 degrees "
+                           "is over 100000 (stage, degree) slots\n")
+
+
+def test_complex_slot_bound_is_inclusive(tmp_path, capsys, monkeypatch):
+    # grid length x (max_degree + 1) at the bound loads; one degree more exits 2.
+    monkeypatch.setattr("pmm.io.MAX_COMPLEX_SLOTS", 8)
+    for max_degree, want in ((3, 0), (4, 2)):
+        f = tmp_path / f"complex{max_degree}.json"
+        f.write_text(json.dumps(_empty_complex(2, max_degree)))
+        rc = main(["decompose", "--input", str(f), "--output", str(tmp_path)])
+        err = capsys.readouterr().err
+        assert rc == want, err
+    assert err == ("schema error: complex too large: 2 stages x 5 degrees "
+                   "is over 8 (stage, degree) slots\n")
 
 
 def test_each_submodule_name_binds_the_module_on_the_package():

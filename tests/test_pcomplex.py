@@ -1,15 +1,17 @@
 import random
+import re
 from collections import Counter
 
 import pytest
 
-from pmm.errors import ValidationError
-from pmm.exactla import QMatrix, express_in_basis, unit_vec
+from pmm import pcomplex
+from pmm.errors import InternalError, ValidationError
+from pmm.exactla import QMatrix, express_in_basis, hstack, rank, unit_vec
 from pmm.persistence import INF, Grid, interval_decompose
 from pmm.pcomplex import (
-    PComplexMap, SphereMapData, attach_cell, cohomology, factor_cofibration,
-    hom_from_disk, hom_from_sphere, interval_complex, interval_disk,
-    interval_sphere, is_fibration, is_pointwise_quasi_iso,
+    PComplexMap, SphereMapData, _fiber_product, attach_cell, cohomology,
+    factor_cofibration, hom_from_disk, hom_from_sphere, interval_complex,
+    interval_disk, interval_sphere, is_fibration, is_pointwise_quasi_iso,
     is_trivial_fibration, zero_complex,
 )
 
@@ -81,6 +83,42 @@ def test_hom_from_sphere_infinite_death():
     s = interval_sphere(g, 2, 0, INF)
     dim, basis = hom_from_sphere(s, 2, 0, INF)
     assert dim == 1 and basis[0].bounding is None
+
+
+@pytest.mark.parametrize("s, t, message", [
+    (-1, 2, "invalid sphere birth s=-1"), (3, INF, "invalid sphere birth s=3"),
+    (0, 5, "invalid sphere death t=5"), (1, 1, "invalid sphere death t=1"),
+    (2, 1, "invalid sphere death t=1"), (0, 1.5, "invalid sphere death t=1.5")],
+    ids=["birth-before-grid", "birth-after-grid", "death-after-grid", "death-at-birth",
+         "death-before-birth", "fractional-death"])
+def test_hom_from_sphere_refuses_a_lifespan_outside_the_grid(s, t, message):
+    # A lifespan [s, t) needs grid indices s < t (or t = INF).  Maps out of
+    # a sphere, the sphere itself and attaching data share one check.
+    g = grid_of(3)
+    x = interval_sphere(g, 2, 0, 2, max_degree=3)
+    for call in (lambda: hom_from_sphere(x, 2, s, t), lambda: interval_sphere(g, 2, s, t),
+                 lambda: attach_cell(x, SphereMapData(2, s, t, (), ()))):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+            call()
+
+
+def test_fiber_product_is_a_basis_of_the_pullback():
+    # {(u, v) : a u = b v} has dimension cols(a) + cols(b) - rank([a | -b]);
+    # the pairs must satisfy the equation and be independent.  Empty a or b
+    # (no columns) and zero rows are included.
+    rng = random.Random(1717)
+    shapes = Counter()
+    for _ in range(150):
+        rows, p, q = rng.randint(0, 4), rng.randint(0, 4), rng.randint(0, 4)
+        a, b = (QMatrix(rows, c, [[rng.choice([0, 0, 1, -1, 2]) for _ in range(c)]
+                                  for _ in range(rows)]) for c in (p, q))
+        pairs = _fiber_product(a, b)
+        assert len(pairs) == p + q - rank(hstack([a, b.scale(-1)]))
+        for u, v in pairs:
+            assert len(u) == p and len(v) == q and a.apply(u) == b.apply(v)
+        assert rank(QMatrix(len(pairs), p + q, [u + v for u, v in pairs])) == len(pairs)
+        shapes["empty a" if p == 0 else "empty b" if q == 0 else "both"] += 1
+    assert min(shapes.values()) >= 10, shapes
 
 
 def test_attach_to_zero_finite_death_gives_interval():
@@ -236,7 +274,7 @@ def test_isomorphism_is_fibration():
     g = grid_of(3)
     x = random_pcomplex(rng, g, 3, cells=3)
     assert is_fibration(PComplexMap.identity(x)).holds
-    assert is_trivial_fibration(PComplexMap.identity(x), cross_check=True).holds
+    assert is_trivial_fibration(PComplexMap.identity(x)).holds
 
 
 def test_disk_to_zero_is_trivial_fibration_iff_born_at_zero():
@@ -246,13 +284,24 @@ def test_disk_to_zero_is_trivial_fibration_iff_born_at_zero():
     d0 = interval_disk(g, 2, 0)
     comps = [{k: QMatrix.zero(0, d0.dim(r, k)) for k in range(3)} for r in range(3)]
     f0 = PComplexMap(d0, z, comps)
-    assert is_trivial_fibration(f0, cross_check=True).holds
+    assert is_trivial_fibration(f0).holds
     # Born later: the corner from the earlier stage fails.
     d1 = interval_disk(g, 2, 1)
     comps = [{k: QMatrix.zero(0, d1.dim(r, k)) for k in range(3)} for r in range(3)]
     f1 = PComplexMap(d1, z, comps)
     assert not is_fibration(f1).holds
     assert is_pointwise_quasi_iso(f1).holds
+
+
+def test_trivial_fibration_always_runs_the_gap_map_cross_check(monkeypatch):
+    # Negative control: with every gap map reported not onto, the direct
+    # characterization says no while fibration + quasi-iso says yes on an
+    # identity, and is_trivial_fibration raises without being asked to check.
+    x = random_pcomplex(random.Random(5), grid_of(3), 3, cells=3)
+    assert is_trivial_fibration(PComplexMap.identity(x)).holds
+    monkeypatch.setattr(pcomplex, "_gap_map_epi", lambda f, i, j, k: False)
+    with pytest.raises(InternalError, match="gap-map characterization disagrees"):
+        is_trivial_fibration(PComplexMap.identity(x))
 
 
 def test_sphere_to_zero_not_trivial_fibration():
@@ -264,7 +313,7 @@ def test_sphere_to_zero_not_trivial_fibration():
     comps = [{k: QMatrix.zero(0, s.dim(r, k)) for k in range(4)} for r in range(3)]
     f = PComplexMap(s, z, comps)
     assert not is_pointwise_quasi_iso(f).holds
-    assert not is_trivial_fibration(f, cross_check=True).holds
+    assert not is_trivial_fibration(f).holds
 
 
 def test_trivial_fibration_agreement_random():
@@ -275,7 +324,7 @@ def test_trivial_fibration_agreement_random():
         x = random_pcomplex(rng, g, 3, cells=3)
         y = random_pcomplex(rng, g, 3, cells=2)
         f = random_pcomplex_map(rng, x, y)
-        is_trivial_fibration(f, cross_check=True)  # raises on disagreement
+        is_trivial_fibration(f)  # raises on disagreement
         checked += 1
     assert checked == 40
 
