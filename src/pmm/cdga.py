@@ -11,9 +11,13 @@ because both operations only raise degree.
 `CdgaElement(algebra, terms)` coerces coefficients and drops zeros; it is the
 constructor for parsed input and callers outside the kernel.  The kernel's own
 results are made by `CdgaElement._of`, which trusts its terms to be nonzero
-Fractions.  The images of monomials under a morphism are memoised by prefix:
-one product per monomial.  An extension's basis is its base's basis times the
-monomials in the new generators (Λ(V ⊕ W) = ΛV ⊗ ΛW).
+Fractions.  An extension's basis is its base's basis times the monomials in
+the new generators (Λ(V ⊕ W) = ΛV ⊗ ΛW).
+
+A morphism is the images of its domain's basis keys: given, one per label, out
+of a finite algebra; generated out of a free one, each monomial's image its
+prefix's memoised image times one generator's, so one product per monomial.
+`apply` and `matrix` read the images the same way for both.
 
 A finite CDGA is checked once, when it is made, on its structure constants:
 Leibniz on the basis pairs with a nonzero product or a differential,
@@ -21,8 +25,8 @@ associativity on the triples without a unit factor where ab or bc is nonzero,
 and d² = 0; no other pair or triple can fail.  Graded commutativity and the
 unit law are settled by construction: each product entry fixes its mirror
 image, and the unit multiplies as the unit (`mul_keys`), so an entry that says
-otherwise is refused.  A linear map out of one is checked multiplicative pair
-by pair against the images of the basis, each computed once.
+otherwise is refused.  A map out of one is checked multiplicative pair by
+pair against its stored images of the basis.
 
 `B.path` is Sullivan's path object B ⊗ Λ(t,dt), one per B; a homotopy is a
 morphism into it (`pmm.homotopy`), made, checked and carried as any other.
@@ -161,6 +165,12 @@ class _GradedAlgebra:
             path = PathAlgebra(self)
             self._path_ref = weakref.ref(path)
         return path
+
+    def from_vector(self, n: int, coords: Sequence) -> CdgaElement:
+        return CdgaElement(self, dict(zip(self.basis_keys(n), coords, strict=True)))
+
+    def is_simply_connected(self) -> bool:
+        return self.cohomology_space(0).dim == 1 and self.cohomology_space(1).dim == 0
 
     def d_matrix(self, n: int) -> QMatrix:
         if n not in self._dmat_cache:
@@ -323,10 +333,6 @@ class FreeCDGA(_GradedAlgebra):
             out[i] = c
         return tuple(out)
 
-    def from_vector(self, n: int, coords: Sequence) -> CdgaElement:
-        basis = self.basis_keys(n)
-        return CdgaElement(self, {k: c for k, c in zip(basis, coords, strict=True)})
-
     # -- multiplication and differential ----------------------------------
 
     def mul_keys(self, m1: Monomial, m2: Monomial):
@@ -367,9 +373,6 @@ class FreeCDGA(_GradedAlgebra):
         return CdgaElement._of(self, {tuple(counts): ONE})
 
     # -- derived structure --------------------------------------------------
-
-    def is_simply_connected(self) -> bool:
-        return self.cohomology_space(1).dim == 0  # generators have degree >= 1
 
     def embed_terms(self, elem: CdgaElement, target: "FreeCDGA") -> CdgaElement:
         """Re-express an element in a free algebra whose generators extend ours.
@@ -544,9 +547,6 @@ class FiniteCDGA(_GradedAlgebra):
             out[k[1]] = c
         return tuple(out)
 
-    def from_vector(self, n: int, coords: Sequence) -> CdgaElement:
-        return CdgaElement(self, {(n, i): c for i, c in enumerate(coords)})
-
     def mul_keys(self, k1: FiniteKey, k2: FiniteKey):
         if k1[0] + k2[0] > self.degree_cap:
             return None
@@ -558,9 +558,6 @@ class FiniteCDGA(_GradedAlgebra):
 
     def d_key(self, key: FiniteKey) -> CdgaElement:
         return CdgaElement._of(self, dict(self._diff.get(key, {})))
-
-    def is_simply_connected(self) -> bool:
-        return self.cohomology_space(0).dim == 1 and self.cohomology_space(1).dim == 0
 
 
 class PathAlgebra:
@@ -770,17 +767,18 @@ def unchanged_below(new: Algebra, old: Algebra) -> int:
 
 
 class CdgaMorphism:
-    """Degree-preserving algebra map, given on generators or by degree matrices."""
+    """Degree-preserving algebra map, kept as the images of the domain's basis
+    keys: generated from the generator images on a free domain, given one per
+    basis label on a finite one."""
 
-    def __init__(self, domain: Algebra, codomain: Algebra, kind: str,
+    def __init__(self, domain: Algebra, codomain: Algebra,
                  gen_images: Optional[dict[str, CdgaElement]] = None,
-                 matrices: Optional[dict[int, QMatrix]] = None):
+                 images: Optional[dict] = None):
         self.domain = domain
         self.codomain = codomain
-        self.kind = kind
         self.gen_images = gen_images or {}
-        self._matrices = matrices or {}
-        self._mono_cache: dict = {}
+        # Basis key -> image: given in full, or memoised by `image`.
+        self._images: dict = images or {}
         # Degree-n matrices; a map into a path algebra, which has no finite
         # bases, keeps its integrals I_H(n) here (homotopy.integral_matrix).
         self._mat_cache: dict[int, QMatrix] = {}
@@ -791,67 +789,54 @@ class CdgaMorphism:
         missing = {g.name for g in domain.generators} - set(images)
         if missing:
             raise ValidationError(f"missing generator images: {sorted(missing)}")
-        return cls(domain, codomain, "free", gen_images=dict(images))
+        return cls(domain, codomain, gen_images=dict(images))
 
     @classmethod
     def on_basis(cls, domain: FiniteCDGA, codomain: Algebra,
                  images: dict[str, CdgaElement]) -> "CdgaMorphism":
         """Linear data from basis-label images (checked multiplicative later)."""
-        mats: dict[int, QMatrix] = {}
+        given = {}
         for n in range(domain.degree_cap + 1):
-            keys = domain.basis_keys(n)
-            if not keys:
-                continue
-            cols = []
-            for k in keys:
+            for k in domain.basis_keys(n):
                 lab = domain.label_of(k)
                 img = images.get(lab)
                 if img is None:
                     raise ValidationError(f"missing image for basis label {lab}")
-                cols.append(codomain.to_vector(img, n))
-            mats[n] = QMatrix.from_columns(cols, codomain.dim(n))
-        return cls(domain, codomain, "linear", matrices=mats)
+                if img.algebra is not codomain:
+                    raise ValidationError(f"image of {lab} is not in the codomain")
+                codomain.to_vector(img, n)  # refuses a term of another degree
+                given[k] = img
+        return cls(domain, codomain, images=given)
 
     @classmethod
     def identity(cls, a: Algebra) -> "CdgaMorphism":
         if a.kind == "free":
             return cls.on_generators(a, a, {g.name: a.gen(g.name) for g in a.generators})
-        mats = {n: QMatrix.identity(a.dim(n)) for n in range(a.degree_cap + 1)}
-        return cls(a, a, "linear", matrices=mats)
+        return cls(a, a, images={k: CdgaElement._of(a, {k: ONE})
+                                 for n in range(a.degree_cap + 1) for k in a.basis_keys(n)})
 
     def apply(self, elem: CdgaElement) -> CdgaElement:
         if elem.algebra is not self.domain:
             raise ValidationError("element not in the morphism domain")
-        if self.kind == "free":
-            out: dict = {}
-            for mono, c in elem.terms.items():
-                _add_into(out, self._apply_mono(mono).terms, c)
-            return CdgaElement._of(self.codomain, out)
-        out = self.codomain.zero()
-        by_degree: dict[int, dict] = {}
+        out: dict = {}
         for k, c in elem.terms.items():
-            by_degree.setdefault(self.domain.key_degree(k), {})[k] = c
-        for n, terms in by_degree.items():
-            v = self.domain.to_vector(CdgaElement(self.domain, terms), n)
-            mat = self._matrices.get(n)
-            if mat is None:
-                continue
-            out = out + self.codomain.from_vector(n, mat.apply(v))
-        return out
+            _add_into(out, self.image(k).terms, c)
+        return CdgaElement._of(self.codomain, out)
 
-    def _apply_mono(self, mono: Monomial) -> CdgaElement:
-        """The image of a monomial: the image of its prefix (one factor fewer of
-        its last generator) times that generator's image, memoised, so each
-        monomial costs one product, in the order 1 * x1 * x1 * x2 * ... ."""
-        out = self._mono_cache.get(mono)
+    def image(self, key) -> CdgaElement:
+        """The image of a basis key.  A monomial's is the image of its prefix
+        (one factor fewer of its last generator) times that generator's image,
+        memoised, so each monomial costs one product, in the order
+        1 * x1 * x1 * x2 * ... ."""
+        out = self._images.get(key)
         if out is None:
-            prefix, i = _prefix(mono)
+            prefix, i = _prefix(key)
             if prefix is None:
                 out = self.codomain.one()
             else:
                 img = self.gen_images[self.domain.generators[i].name]
-                out = self._apply_mono(prefix) * img
-            self._mono_cache[mono] = out
+                out = self.image(prefix) * img
+            self._images[key] = out
         return out
 
     def inherit(self, old: "CdgaMorphism"):
@@ -863,7 +848,7 @@ class CdgaMorphism:
         """
         below = min(unchanged_below(self.domain, old.domain),
                     unchanged_below(self.codomain, old.codomain))
-        if (self.kind, old.kind) != ("free", "free") or not below:
+        if self.domain.kind != "free" or not below:
             raise InternalError("cannot carry matrices: the ends do not extend old's")
         same_codomain = self.codomain is old.codomain
         pad = (0,) * (len(self.domain.generators) - len(old.domain.generators))
@@ -874,18 +859,13 @@ class CdgaMorphism:
                 raise InternalError(f"the image of {g.name} changed")
         self._mat_cache.update((n, m) for n, m in old._mat_cache.items() if n < below)
         if same_codomain:
-            self._mono_cache.update((m + pad, v) for m, v in old._mono_cache.items())
+            self._images.update((m + pad, v) for m, v in old._images.items())
 
     def matrix(self, n: int) -> QMatrix:
         """Matrix of the degree-n component in the chosen bases."""
         if n not in self._mat_cache:
-            if self.kind == "linear":
-                self._mat_cache[n] = self._matrices.get(
-                    n, QMatrix.zero(self.codomain.dim(n), self.domain.dim(n)))
-            else:
-                cols = [self.codomain.to_vector(self._apply_mono(m), n)
-                        for m in self.domain.basis_keys(n)]
-                self._mat_cache[n] = QMatrix._of_columns(cols, self.codomain.dim(n))
+            cols = [self.codomain.to_vector(self.image(k), n) for k in self.domain.basis_keys(n)]
+            self._mat_cache[n] = QMatrix._of_columns(cols, self.codomain.dim(n))
         return self._mat_cache[n]
 
 
@@ -910,7 +890,7 @@ def validate_morphism(f: CdgaMorphism, names: Optional[Iterable[str]] = None) ->
     on generators is checked on every generator, or on those in `names`."""
     cap = min(f.domain.degree_cap, f.codomain.degree_cap)
     problems: list[str] = []
-    if f.kind == "free":
+    if f.domain.kind == "free":
         gens = f.domain.generators
         for g in gens if names is None else [gens[f.domain.index_of[x]] for x in names]:
             img = f.gen_images[g.name]
@@ -930,8 +910,7 @@ def validate_morphism(f: CdgaMorphism, names: Optional[Iterable[str]] = None) ->
         dom: FiniteCDGA = f.domain  # type: ignore[assignment]
         keys = [k for m in range(cap + 1) for k in dom.basis_keys(m)]
         elem = {k: CdgaElement._of(dom, {k: ONE}) for k in keys}
-        image = {k: f.apply(elem[k]) for k in keys}
-        if not image[dom.unit_key] == f.codomain.one():
+        if not f.image(dom.unit_key) == f.codomain.one():
             problems.append("unit not preserved")
         for n in range(min(cap, dom.degree_cap) + 1):
             if n + 1 <= cap:
@@ -939,15 +918,11 @@ def validate_morphism(f: CdgaMorphism, names: Optional[Iterable[str]] = None) ->
                 rhs = f.codomain.d_matrix(n) @ f.matrix(n)
                 if lhs != rhs:
                     problems.append(f"d-compatibility fails in degree {n}")
-        # f(ab) = Σ c·f(k) over the terms c·k of ab: f is linear.
         for k1 in keys:
             for k2 in keys:
                 if k1[0] + k2[0] > cap:
                     continue
-                f_ab: dict = {}
-                for k, c in (elem[k1] * elem[k2]).terms.items():
-                    _add_into(f_ab, image[k].terms, c)
-                if f_ab != (image[k1] * image[k2]).terms:
+                if f.apply(elem[k1] * elem[k2]).terms != (f.image(k1) * f.image(k2)).terms:
                     problems.append(
                         f"multiplicativity fails on {dom.label_of(k1)},{dom.label_of(k2)}")
     return problems

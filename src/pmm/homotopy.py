@@ -102,7 +102,7 @@ def integral_matrix(h: CdgaMorphism, n: int) -> QMatrix:
     if n not in h._mat_cache:
         base = h.codomain.base
         rows = base.dim(n - 1)
-        cols = [base.to_vector(integrate_01(h._apply_mono(mono)), n - 1)
+        cols = [base.to_vector(integrate_01(h.image(mono)), n - 1)
                 if rows else () for mono in h.domain.basis_keys(n)]
         h._mat_cache[n] = QMatrix._of_columns(cols, rows)
     return h._mat_cache[n]
@@ -141,7 +141,7 @@ def check_homotopy_identity(h: CdgaMorphism, max_degree: int,
                     if dom.generators[dom.index_of[x]].degree == n]
             if not cols:
                 continue
-        values = (h._apply_mono(keys[j]) for j in cols)
+        values = (h.image(keys[j]) for j in cols)
         rhs = QMatrix.from_columns([base.to_vector(eval_at_1(a) - eval_at_0(a), n)
                                     for a in values], base.dim(n))
 

@@ -27,6 +27,9 @@ from .pminimal import (
 SCHEMA_VERSION = 1
 # A complex document holds one label list per (stage, degree) slot.
 MAX_COMPLEX_SLOTS = 100_000
+# A module stage of dimension d costs d unit vectors of length d
+# (`quotient_basis`): 49 MB at d = 2,000, whatever the document's size.
+MAX_MODULE_DIM = 2_000
 # Exact, short numbers only: Fraction("1e99999999") would build 10^99999999.
 _RATIONAL = re.compile(r"-?[0-9]+(\.[0-9]+|/0*[1-9][0-9]*)?", re.ASCII)
 
@@ -213,6 +216,8 @@ def load_input(doc: dict) -> PersistentCDGA:
 # -- persistence modules and complexes ---------------------------------------
 
 def load_matrix(rows, want_rows: int, want_cols: int, where: str) -> QMatrix:
+    if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
+        raise SchemaError(f"{where}: a matrix must be a JSON array of arrays")
     data = [[_rational(x, where) for x in row] for row in rows]
     if len(data) != want_rows or any(len(r) != want_cols for r in data):
         raise SchemaError(f"{where}: matrix shape mismatch, "
@@ -225,7 +230,13 @@ def load_persistence_module(doc: dict) -> PersistenceModule:
     dims = [_int(x, "dims") for x in _need(doc, "dims", "module", list)]
     if len(dims) != len(grid):
         raise SchemaError("dims must match grid length")
+    if min(dims) < 0:
+        raise SchemaError(f"module dimension {min(dims)} is negative")
+    if sum(dims) > MAX_MODULE_DIM:
+        raise SchemaError(f"module too large: total dimension {sum(dims)} is over {MAX_MODULE_DIM}")
     map_specs = _need(doc, "maps", "module", list)
+    if len(map_specs) != len(grid) - 1:
+        raise SchemaError(f"module has {len(map_specs)} maps for {len(grid) - 1} stage pairs")
     maps = [load_matrix(spec, dims[r + 1], dims[r], f"module map {r}")
             for r, spec in enumerate(map_specs)]
     try:
@@ -248,7 +259,8 @@ def load_pcomplex(doc: dict) -> PersistentComplex:
         basis = _need(spec, "basis", "complex stage", dict)
         for key in basis:
             _key(key, "complex stage basis", max_degree)
-        labels.append([list(_optional(basis, str(k), "complex stage", list))
+        labels.append([[_name(lab, "complex stage basis")
+                        for lab in _optional(basis, str(k), "complex stage", list)]
                        for k in range(max_degree + 1)])
     d = []
     for r, spec in enumerate(stage_specs):

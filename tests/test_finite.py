@@ -12,7 +12,7 @@ from pmm.cdga import (
 )
 from pmm.cli import main
 from pmm.errors import ValidationError
-from pmm.exactla import ONE
+from pmm.exactla import ONE, QMatrix
 from pmm.io import load_input
 
 from .gen import random_free_cdga, random_morphism
@@ -421,3 +421,61 @@ def test_stage_map_checks_agree_with_the_element_level_reference(seed):
             assert problems == reference_problems(f), (x, y)
             found += problems
     assert found
+
+
+# -- the images of the basis keys: one representation of a map --------------
+
+def matrix_route(a: FiniteCDGA, b: FiniteCDGA, images: dict):
+    """(apply, matrices) of the linear map a -> b sending each label to its
+    image, by per-degree matrices of the images: to_vector, the matrix,
+    from_vector."""
+    mats = {n: QMatrix.from_columns([b.to_vector(images[a.label_of(k)], n)
+                                     for k in a.basis_keys(n)], b.dim(n))
+            for n in range(a.degree_cap + 2)}
+
+    def apply(u: CdgaElement) -> CdgaElement:
+        out = b.zero()
+        for n in sorted({k[0] for k in u.terms}):
+            part = CdgaElement(a, {k: c for k, c in u.terms.items() if k[0] == n})
+            out = out + b.from_vector(n, mats[n].apply(a.to_vector(part, n)))
+        return out
+    return apply, mats
+
+
+def random_combination(rng, alg: FiniteCDGA, n: int) -> CdgaElement:
+    return CdgaElement(alg, {k: rng.randint(-3, 3) for k in alg.basis_keys(n)})
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_on_basis_images_agree_with_the_matrix_route(seed):
+    rng = random.Random(3000 + seed)
+    specs = seeded_specs(seed)
+    checked = 0
+    for _ in range(4):
+        a, b = (FiniteCDGA(**spec) for spec in rng.sample(specs, 2))
+        images = {a.label_of(k): random_combination(rng, b, n)
+                  for n in range(a.degree_cap + 1) for k in a.basis_keys(n)}
+        f = CdgaMorphism.on_basis(a, b, images)
+        apply, mats = matrix_route(a, b, images)
+        for n, mat in mats.items():
+            assert f.matrix(n) == mat
+        for _ in range(6):
+            degrees = rng.sample(range(a.degree_cap + 1), rng.randint(1, 3))
+            u = sum((random_combination(rng, a, n) for n in degrees), a.zero())
+            assert f.apply(u) == apply(u)
+            checked += not f.apply(u).is_zero()
+    assert checked
+
+
+def test_on_basis_refuses_an_image_in_another_algebra():
+    a, other = s2(), s2()
+    with pytest.raises(ValidationError, match="^image of a is not in the codomain$"):
+        CdgaMorphism.on_basis(a, a, {"one": a.one(), "a": other.basis_elem("a")})
+
+
+def test_on_basis_keeps_its_refusals():
+    a = s2()
+    with pytest.raises(ValidationError, match="^missing image for basis label a$"):
+        CdgaMorphism.on_basis(a, a, {"one": a.one()})
+    with pytest.raises(ValidationError, match="^inhomogeneous element in to_vector$"):
+        CdgaMorphism.on_basis(a, a, {"one": a.one(), "a": a.one()})

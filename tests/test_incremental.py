@@ -413,7 +413,7 @@ def test_build_checks_the_integration_identity_on_new_generators():
     w = h.codomain.base.basis_elem("w")
     # w (x) dt moves neither end point but moves I_H(x2_0) by w, and dw = a.
     h.gen_images["x2_0"] = h.gen_images["x2_0"] + h.codomain.tensor(w, 0, 1)
-    h._mono_cache.clear()
+    h._images.clear()
     h._mat_cache.clear()
     with pytest.raises(InternalError, match="integration identity fails on x2_0 at stage 0"):
         pminimal._verify_surgery(model, 2, [{"name": "x2_0"}])

@@ -840,3 +840,69 @@ def test_each_submodule_name_binds_the_module_on_the_package():
     for name in names:
         module = importlib.import_module(f"pmm.{name}")
         assert getattr(pmm, name) is module, name
+
+
+def _one_stage_complex(**stage):
+    return {"grid": ["0"], "max_degree": 1, "stages": [stage], "maps": []}
+
+
+def _with_component(doc):
+    doc["components"][1] = {"2": 5}
+    return doc
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("decompose", {"grid": ["0"], "dims": [-1], "maps": []},
+     "module dimension -1 is negative"),
+    ("decompose", {"grid": ["0", "1"], "dims": [1, 1], "maps": [[["1"]], [["1"]]]},
+     "module has 2 maps for 1 stage pairs"),
+    ("decompose", {"grid": ["0"], "dims": [200_000], "maps": []},
+     "module too large: total dimension 200000 is over 2000"),
+    ("decompose", {"grid": ["0", "1"], "dims": [1, 1], "maps": [[1]]},
+     "module map 0: a matrix must be a JSON array of arrays"),
+    ("decompose", _one_stage_complex(basis={"0": ["a"], "1": ["b"]}, d={"0": 5}),
+     "d(0,0): a matrix must be a JSON array of arrays"),
+    ("decompose", {**_empty_complex(2, 0), "maps": [{"0": [1]}]},
+     "sigma(0,0): a matrix must be a JSON array of arrays"),
+    ("decompose", _one_stage_complex(basis={"0": [1, 2]}),
+     "bad name 1 in complex stage basis: want a JSON string"),
+    ("factor", _with_component(fixture("map_zero_to_interval")),
+     "component (1,2): a matrix must be a JSON array of arrays"),
+], ids=["negative-dim", "extra-map", "huge-dim", "flat-module-map", "int-complex-d",
+        "flat-sigma", "int-labels", "int-component"])
+def test_cli_refuses_a_malformed_module_or_complex(tmp_path, capsys, command, doc, message):
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    rc = main([command, "--input", str(f), "--output", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == f"schema error: {message}\n"
+
+
+def test_module_dimension_bound_is_inclusive():
+    from pmm.io import MAX_MODULE_DIM, load_persistence_module
+
+    at = {"grid": ["0", "1"], "dims": [MAX_MODULE_DIM - 1, 1],
+          "maps": [[[0] * (MAX_MODULE_DIM - 1)]]}
+    assert load_persistence_module(at).dims == (MAX_MODULE_DIM - 1, 1)
+    over = {**at, "dims": [MAX_MODULE_DIM, 1], "maps": [[[0] * MAX_MODULE_DIM]]}
+    with pytest.raises(SchemaError, match=f"total dimension {MAX_MODULE_DIM + 1} is over"):
+        load_persistence_module(over)
+
+
+def test_the_largest_module_decomposes_under_a_memory_cap(tmp_path):
+    # One stage at the bound: d unit vectors of length d, in a fresh process
+    # with its address space capped at 1 GiB (a MemoryError would exit 3).
+    import resource
+
+    from pmm.io import MAX_MODULE_DIM
+
+    f = tmp_path / "module.json"
+    f.write_text(json.dumps({"grid": ["0"], "dims": [MAX_MODULE_DIM], "maps": []}))
+
+    def cap_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    proc = run_module("pmm", ["decompose", "--input", str(f), "--output", str(tmp_path)],
+                      timeout=60, preexec_fn=cap_memory)
+    assert proc.returncode == 0, proc.stderr
+    assert len(json.loads((tmp_path / "barcode.json").read_text())) == MAX_MODULE_DIM

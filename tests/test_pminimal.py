@@ -281,12 +281,12 @@ def test_validate_model_homotopy_tamper():
     start = p.components(original)[(0, 0)]
     bad = original + p.tensor(start, 1) + p.tensor(start.scale(-1), 0)
     h.gen_images[name] = bad
-    h._mono_cache.clear()
+    h._images.clear()
     h._mat_cache.clear()
     rep = validate_model(model)
     assert not rep["ok"]
     h.gen_images[name] = original
-    h._mono_cache.clear()
+    h._images.clear()
     h._mat_cache.clear()
     assert validate_model(model)["ok"]
 
