@@ -41,7 +41,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .cochain import CohomologySpace, compute_cohomology
 from .errors import InternalError, ValidationError
-from .exactla import ONE, ZERO, QMatrix, Vector, frac
+from .exactla import ONE, QMatrix, Vector, dense_vec, frac
 
 Monomial = tuple[int, ...]
 FiniteKey = tuple[int, int]  # (degree, index)
@@ -169,6 +169,9 @@ class _GradedAlgebra:
     def from_vector(self, n: int, coords: Sequence) -> CdgaElement:
         return CdgaElement(self, dict(zip(self.basis_keys(n), coords, strict=True)))
 
+    def to_vector(self, elem: CdgaElement, n: int) -> Vector:
+        return dense_vec(self.to_sparse(elem, n), self.dim(n))
+
     def is_simply_connected(self) -> bool:
         return self.cohomology_space(0).dim == 1 and self.cohomology_space(1).dim == 0
 
@@ -176,9 +179,8 @@ class _GradedAlgebra:
         if n not in self._dmat_cache:
             src = self.basis_keys(n)
             dst_dim = self.dim(n + 1)
-            cols = [self.to_vector(self.d_key(k), n + 1) if dst_dim else ()
-                    for k in src]
-            self._dmat_cache[n] = QMatrix._of_columns(cols, dst_dim)
+            cols = [self.to_sparse(self.d_key(k), n + 1) if dst_dim else {} for k in src]
+            self._dmat_cache[n] = QMatrix._of_sparse_columns(cols, dst_dim)
         return self._dmat_cache[n]
 
     def cohomology_space(self, n: int) -> CohomologySpace:
@@ -322,16 +324,17 @@ class FreeCDGA(_GradedAlgebra):
     def element(self, terms: Mapping[Monomial, Fraction]) -> CdgaElement:
         return CdgaElement(self, terms)
 
-    def to_vector(self, elem: CdgaElement, n: int) -> Vector:
-        basis = self.basis_keys(n)
+    def to_sparse(self, elem: CdgaElement, n: int) -> dict[int, Fraction]:
+        """{basis position: coefficient} of a degree-n element."""
+        self.basis_keys(n)
         pos = self._basis_pos[n]
-        out = [ZERO] * len(basis)
+        out = {}
         for k, c in elem.terms.items():
             i = pos.get(k)  # None exactly when k has another degree
             if i is None:
                 raise ValidationError(f"term of degree {self.key_degree(k)} in degree-{n} vector")
             out[i] = c
-        return tuple(out)
+        return out
 
     # -- multiplication and differential ----------------------------------
 
@@ -539,13 +542,13 @@ class FiniteCDGA(_GradedAlgebra):
     def basis_elem(self, lab: str) -> CdgaElement:
         return CdgaElement(self, {self.key_of_label(lab): ONE})
 
-    def to_vector(self, elem: CdgaElement, n: int) -> Vector:
-        out = [ZERO] * self.dim(n)
+    def to_sparse(self, elem: CdgaElement, n: int) -> dict[int, Fraction]:
+        out = {}
         for k, c in elem.terms.items():
             if k[0] != n:
                 raise ValidationError("inhomogeneous element in to_vector")
             out[k[1]] = c
-        return tuple(out)
+        return out
 
     def mul_keys(self, k1: FiniteKey, k2: FiniteKey):
         if k1[0] + k2[0] > self.degree_cap:
@@ -864,8 +867,8 @@ class CdgaMorphism:
     def matrix(self, n: int) -> QMatrix:
         """Matrix of the degree-n component in the chosen bases."""
         if n not in self._mat_cache:
-            cols = [self.codomain.to_vector(self.image(k), n) for k in self.domain.basis_keys(n)]
-            self._mat_cache[n] = QMatrix._of_columns(cols, self.codomain.dim(n))
+            cols = [self.codomain.to_sparse(self.image(k), n) for k in self.domain.basis_keys(n)]
+            self._mat_cache[n] = QMatrix._of_sparse_columns(cols, self.codomain.dim(n))
         return self._mat_cache[n]
 
 

@@ -6,15 +6,18 @@ cocycles come from kernel_basis, boundaries from pivot columns, and class
 representatives and coordinates from the boundaries' `reverse_echelon` in
 cocycle coordinates (the rule of complements and of the elder rule).
 
-`compute_cohomology` does only what the dimension needs: one reduction of
-d_out, the boundaries (pivot columns of d_in), and the check d_out·b = 0 for
-each boundary b against the nonzero rows of d_out's echelon form.  The
-boundaries are independent and lie in Z, so dim H = cols − rank − #B.  The
-space keeps those echelon rows, d_out's pivots and d_out itself; the
-cocycles and the class data (representatives and class_of) are computed
-from them on first read.  Connectivity checks read only `dim`.  The next
-degree up, whose d_in is this d_out, reads its boundaries off the kept
-pivots instead of reducing that matrix again.
+`compute_cohomology` does only what the dimension needs: one forward
+echelon of d_out (`exactla.echelon`), whose keys are d_out's pivot columns
+and whose rows span its row space; the boundaries (pivot columns of d_in);
+and the check d_out·d_in = 0 on those rows (each column of d_in is a
+combination of the boundaries).  The boundaries are independent and lie in
+Z, so dim H = cols − rank − #B.  The space keeps the echelon rows, the
+pivots and d_out itself.  The first read of the cocycles back-substitutes
+the rows into d_out's RREF, which then replaces them; the class data
+(representatives and class_of) is also computed on first read.
+Connectivity checks read only `dim`.  The next degree up, whose d_in is this
+d_out, reads its boundaries off the kept pivots instead of reducing that
+matrix again.
 
 A cocycle's Z-coordinates are its entries at d_out's free columns.  The
 representatives are the cocycles at the Z-positions that are no key of the
@@ -27,7 +30,8 @@ from typing import Optional, Sequence
 
 from .errors import InternalError
 from .exactla import (
-    QMatrix, RrefResult, Vector, is_zero_vec, lin_comb, reverse_echelon, rref, vec,
+    QMatrix, Row, RrefResult, Vector, back_substitute, echelon, is_zero_vec, lin_comb,
+    reverse_echelon, vec,
 )
 
 
@@ -41,13 +45,12 @@ class CohomologySpace:
     cocycles, boundaries and reps are.
     """
 
-    def __init__(self, d_out: QMatrix, echelon: tuple[Vector, ...], pivots: tuple[int, ...],
-                 boundaries: list[Vector]):
-        """`echelon` holds the first len(pivots) rows of rref(d_out)."""
+    def __init__(self, d_out: QMatrix, rows: dict[int, Row], boundaries: list[Vector]):
+        """`rows` is a forward echelon of d_out (`exactla.echelon`)."""
         self.d_out = d_out
-        self.pivots = pivots
+        self.pivots = tuple(rows)
         self.boundaries = boundaries
-        self._echelon = echelon
+        self._rows = rows
 
     @property
     def ambient_dim(self) -> int:
@@ -68,23 +71,23 @@ class CohomologySpace:
     def __repr__(self):
         return f"CohomologySpace(ambient_dim={self.ambient_dim}, dim={self.dim})"
 
-    def _rref(self) -> RrefResult:
-        """d_out's reduction without its zero rows, rebuilt from the kept rows."""
-        rank = len(self.pivots)
-        return RrefResult(QMatrix._of(rank, self.ambient_dim, self._echelon), self.pivots, rank)
+    def _basis(self) -> QMatrix:
+        """The kept rows, a basis of d_out's row space, as a matrix."""
+        return QMatrix._of(len(self.pivots), self.ambient_dim, tuple(self._rows.values()))
 
     @cached_property
     def cocycles(self) -> list[Vector]:
-        return self._rref().kernel_basis()
+        self._rows = back_substitute(self._rows)
+        return RrefResult(self._basis(), self.pivots, len(self.pivots)).kernel_basis()
 
     @cached_property
     def _classes(self) -> tuple[list[int], dict[int, Vector], list[int]]:
         """(free columns of d_out, the boundaries' reverse echelon in
         Z-coordinates, the Z-positions it leaves unkeyed)."""
-        free = self._rref().free_columns()
-        echelon = reverse_echelon([tuple(b[f] for f in free) for b in self.boundaries],
-                                  len(free))
-        return free, echelon, [j for j in range(len(free)) if j not in echelon]
+        pivots = set(self.pivots)
+        free = [j for j in range(self.ambient_dim) if j not in pivots]
+        keyed = reverse_echelon([tuple(b[f] for f in free) for b in self.boundaries], len(free))
+        return free, keyed, [j for j in range(len(free)) if j not in keyed]
 
     @cached_property
     def reps(self) -> list[Vector]:
@@ -98,11 +101,11 @@ class CohomologySpace:
                 raise InternalError("class_of: nonzero vector in zero space")
             return ()
         z = vec(z)
-        if not is_zero_vec(self._rref().reduced.apply(z)):
+        if not is_zero_vec(self._basis().apply(z)):
             raise InternalError("class_of: vector is not a cocycle")
-        free, echelon, positions = self._classes
+        free, keyed, positions = self._classes
         c = [z[f] for f in free]
-        for key, b in echelon.items():
+        for key, b in keyed.items():
             ck = c[key]
             if ck:
                 c = [x - ck * y if y else x for x, y in zip(c, b)]
@@ -126,12 +129,10 @@ def compute_cohomology(d_out: QMatrix, d_in: Optional[QMatrix],
     d_in's."""
     if below is not None and below.d_out is not d_in and below.d_out != d_in:
         raise InternalError("compute_cohomology: below's d_out is not this d_in")
-    r = rref(d_out)
-    echelon = QMatrix._of(r.rank, d_out.cols, r.reduced.data[:r.rank])
     b = []
     if d_in is not None:
-        pivots = below.pivots if below is not None else rref(d_in).pivots
-        b = [d_in.column(p) for p in pivots]
-    if b and not (echelon @ QMatrix._of_columns(b, d_out.cols)).is_zero():
+        b = [d_in.column(p) for p in (below.pivots if below is not None else echelon(d_in))]
+    space = CohomologySpace(d_out, echelon(d_out), b)
+    if b and not (space._basis() @ d_in).is_zero():
         raise InternalError("boundary is not a cocycle: d*d != 0 upstream")
-    return CohomologySpace(d_out, echelon.data, r.pivots, b)
+    return space

@@ -1,32 +1,39 @@
 """Exact linear algebra over Q.
 
 Rationals are `fractions.Fraction` (arbitrary precision, canonical reduced
-form, positive denominator).  Matrices are immutable and stored dense, but
-the kernels (`@`, `apply`, `rref`) touch only nonzero entries: the matrices
-of this engine are mostly zeros.  Every operation is pure and deterministic,
-so representative choices made downstream are reproducible bit-for-bit.
+form, positive denominator).  Matrices are immutable and stored as sparse
+rows, each a dict {column: Fraction} of its nonzero entries: no kernel
+stores, tests or copies a zero.  `.data` is a dense view, computed on each
+read and never kept; vectors are dense tuples.  Every operation is pure and
+deterministic, so representative choices made downstream are reproducible
+bit-for-bit.
 
-`QMatrix(rows, cols, entries)` and `QMatrix.from_columns` coerce each entry
-with `frac` and check the shape (`from_columns` transposes with a strict
-`zip`, so ragged columns raise).  Two private constructors trust their
-entries to be Fractions: `QMatrix._of` takes rows already of the right
-shape, and `QMatrix._of_columns` checks the shape as `from_columns` does but
-coerces nothing.  `_of_columns` is for the algebra kernel's own columns, the
-`to_vector` images of kernel elements (d-matrices, morphism matrices,
-homotopy integrals); parsed input and everything else go through
-`from_columns`.
+One eliminator serves every reduction.  `echelon` is the forward echelon
+keyed by pivot column: its keys are the matrix's pivot columns (an
+invariant) and its rows a basis of the row space, which is all that ranks,
+pivots and membership tests need.  `back_substitute` turns it into the
+unique RREF where one is read (`rref`, and through it `kernel_basis`,
+`reverse_echelon` and `invert`); `solve` back-substitutes its right-hand
+column alone.
 
-`_lower_block(a, b, c)` assembles the block matrix [[a, 0], [b, c]] in one
-pass over the rows, with one shared zero tuple; the cone d-matrices and cone
-maps of `pmm.homotopy` and `block_diag` are made by it.
+`QMatrix(rows, cols, entries)` and `from_columns` coerce each entry with
+`frac` and check the shape.  The private constructors trust their entries
+to be Fractions: `_of` takes sparse rows, `_of_columns` dense columns (their
+length checked as by `from_columns`) and `_of_sparse_columns` columns
+{row: Fraction} of nonzero entries, unchecked.  Only the algebra kernel
+calls `_of_sparse_columns`, with the `to_sparse` images of its own elements
+(d-matrices, morphism matrices, homotopy integrals).  `_lower_block(a, b,
+c)` assembles [[a, 0], [b, c]] for the cone matrices and `block_diag`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
+Row = dict[int, Fraction]
 
 ZERO = Fraction(0)
 ONE = Fraction(1)
@@ -48,12 +55,12 @@ def unit_vec(n: int, i: int) -> Vector:
     return tuple(ONE if j == i else ZERO for j in range(n))
 
 
-def vec_add(u: Vector, v: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vec_scale(c: Fraction, u: Vector) -> Vector:
-    return tuple(c * a for a in u)
+def dense_vec(entries: Row, n: int) -> Vector:
+    """The length-n vector with these {position: value} entries, 0 elsewhere."""
+    out = [ZERO] * n
+    for j, x in entries.items():
+        out[j] = x
+    return tuple(out)
 
 
 def is_zero_vec(u: Vector) -> bool:
@@ -76,28 +83,40 @@ def lin_comb(coeffs: Iterable, vectors: Iterable[Vector], dim: int) -> Vector:
     return tuple(acc)
 
 
-class QMatrix:
-    """Immutable dense matrix of Fractions with fixed shape."""
+def _axpy(r: Row, c: Fraction, s: Row) -> None:
+    """r += c·s in place, c nonzero, keeping only nonzero entries."""
+    for j, y in s.items():
+        v = r[j] + c * y if j in r else c * y
+        if v:
+            r[j] = v
+        else:
+            del r[j]
 
-    __slots__ = ("rows", "cols", "data")
+
+class QMatrix:
+    """Immutable matrix of Fractions with fixed shape, stored as sparse rows."""
+
+    __slots__ = ("rows", "cols", "_rows")
 
     def __init__(self, rows: int, cols: int, entries: Iterable[Iterable] = ()):
         data = tuple(tuple(map(frac, row)) for row in entries)
         if len(data) != rows or any(len(r) != cols for r in data):
             if not data and rows:
-                data = tuple((ZERO,) * cols for _ in range(rows))
+                data = ((),) * rows
             else:
                 raise ValueError(
                     f"shape mismatch: want {rows}x{cols}, got "
                     f"{len(data)} rows of lengths {sorted({len(r) for r in data})}"
                 )
-        self.rows, self.cols, self.data = rows, cols, data
+        self.rows, self.cols = rows, cols
+        self._rows = tuple({j: x for j, x in enumerate(r) if x} for r in data)
 
     @classmethod
-    def _of(cls, rows: int, cols: int, data: tuple) -> "QMatrix":
-        """A matrix whose rows are already tuples of Fractions of the right shape."""
+    def _of(cls, rows: int, cols: int, sparse_rows: tuple) -> "QMatrix":
+        """A matrix with these rows, each a {column: Fraction} of nonzero
+        entries; the rows are shared, never copied, so no one may change them."""
         m = object.__new__(cls)
-        m.rows, m.cols, m.data = rows, cols, data
+        m.rows, m.cols, m._rows = rows, cols, sparse_rows
         return m
 
     @classmethod
@@ -110,110 +129,115 @@ class QMatrix:
     @classmethod
     def from_columns(cls, columns: Sequence[Vector], rows: int) -> "QMatrix":
         """The matrix with these columns, each of length `rows`."""
-        return cls(rows, len(columns), _transpose(columns, rows))
+        return cls._of_columns([tuple(map(frac, c)) for c in columns], rows)
 
     @classmethod
     def _of_columns(cls, columns: Sequence[Vector], rows: int) -> "QMatrix":
-        """`from_columns` without coercion: every entry must already be a
-        Fraction.  Kernel use only (the `to_vector` images of kernel elements)."""
-        return cls._of(rows, len(columns), _transpose(columns, rows))
+        """`from_columns` without coercion: every entry must already be a Fraction."""
+        for c in columns:
+            if len(c) != rows:
+                raise ValueError(f"from_columns: column of length {len(c)}, want {rows}")
+        return cls._of_sparse_columns([{i: x for i, x in enumerate(c) if x} for c in columns],
+                                      rows)
+
+    @classmethod
+    def _of_sparse_columns(cls, columns: Sequence[Row], rows: int) -> "QMatrix":
+        """The matrix whose column j has the entries {row: Fraction} of
+        columns[j], all nonzero and below `rows`.  Kernel use only."""
+        out = tuple({} for _ in range(rows))
+        for j, col in enumerate(columns):
+            for i, x in col.items():
+                out[i][j] = x
+        return cls._of(rows, len(columns), out)
 
     @classmethod
     def identity(cls, n: int) -> "QMatrix":
-        return cls(n, n, [[ONE if i == j else ZERO for j in range(n)] for i in range(n)])
+        return cls._of(n, n, tuple({i: ONE} for i in range(n)))
 
     @classmethod
     def zero(cls, rows: int, cols: int) -> "QMatrix":
-        return cls._of(rows, cols, ((ZERO,) * cols,) * rows)
+        return cls._of(rows, cols, tuple({} for _ in range(rows)))
+
+    @property
+    def data(self) -> tuple[Vector, ...]:
+        """The rows as dense tuples, computed on each read."""
+        return tuple(dense_vec(r, self.cols) for r in self._rows)
+
+    def nonzeros(self) -> int:
+        return sum(map(len, self._rows))
 
     def entry(self, i: int, j: int) -> Fraction:
-        return self.data[i][j]
+        return self._rows[i].get(j, ZERO)
 
     def column(self, j: int) -> Vector:
-        return tuple(r[j] for r in self.data)
+        return tuple([r.get(j, ZERO) for r in self._rows])
 
     def columns(self) -> list[Vector]:
         return [self.column(j) for j in range(self.cols)]
 
     def apply(self, v: Sequence) -> Vector:
-        v = vec(v)
         if len(v) != self.cols:
             raise ValueError(f"apply: length {len(v)} vs {self.rows}x{self.cols}")
-        nz = [(j, x) for j, x in enumerate(v) if x]
-        return tuple(sum((r[j] * x for j, x in nz if r[j]), ZERO) for r in self.data)
+        v = {j: frac(x) for j, x in enumerate(v) if x}
+        return tuple(sum([x * v[j] for j, x in r.items() if j in v], ZERO) for r in self._rows)
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
             raise ValueError(f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        nz = [[(j, x) for j, x in enumerate(r) if x] for r in other.data]
-        out = []
-        for r in self.data:
-            acc = [ZERO] * other.cols
-            for a, pairs in zip(r, nz):
-                if a:
-                    for j, x in pairs:
-                        acc[j] += a * x
-            out.append(tuple(acc))
-        return QMatrix._of(self.rows, other.cols, tuple(out))
+        out = tuple({} for _ in self._rows)
+        for acc, r in zip(out, self._rows):
+            for k, a in r.items():
+                _axpy(acc, a, other._rows[k])
+        return QMatrix._of(self.rows, other.cols, out)
 
     def scale(self, c) -> "QMatrix":
         c = frac(c)
         return QMatrix._of(self.rows, self.cols,
-                           tuple(tuple(c * x if x else x for x in r) for r in self.data))
+                           tuple({j: c * x for j, x in r.items()} if c else {} for r in self._rows))
 
     def add(self, other: "QMatrix") -> "QMatrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
             raise ValueError("add: shape mismatch")
-        return QMatrix(self.rows, self.cols,
-                       [[a + b for a, b in zip(r, s)] for r, s in zip(self.data, other.data)])
+        out = tuple(map(dict, self._rows))
+        for r, s in zip(out, other._rows):
+            _axpy(r, ONE, s)
+        return QMatrix._of(self.rows, self.cols, out)
 
     def is_zero(self) -> bool:
-        return all(x == 0 for r in self.data for x in r)
+        return not any(self._rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, QMatrix)
                 and self.rows == other.rows and self.cols == other.cols
-                and self.data == other.data)
+                and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self):
         return f"QMatrix({self.rows}x{self.cols}, {[list(r) for r in self.data]})"
 
 
-def _transpose(columns: Sequence[Vector], rows: int) -> tuple:
-    """The rows of the matrix with these columns, each of length `rows`;
-    ragged columns raise (a strict `zip`)."""
-    if not columns:
-        return ((),) * rows
-    if len(columns[0]) != rows:
-        raise ValueError(f"from_columns: column of length {len(columns[0])}, want {rows}")
-    return tuple(zip(*columns, strict=True))
-
-
 def _lower_block(a: QMatrix, b: QMatrix, c: QMatrix, negate_c: bool = False) -> QMatrix:
-    """[[a, 0], [b, c]] (or [[a, 0], [b, -c]]), each row written once: a's rows
-    padded with one shared zero tuple, then b's rows joined with c's."""
+    """[[a, 0], [b, c]] (or [[a, 0], [b, -c]]): a's rows, then b's rows joined
+    with c's; a row is shared, not copied, where nothing joins it."""
     if b.cols != a.cols or b.rows != c.rows:
         raise ValueError(f"block shapes: a {a.rows}x{a.cols}, b {b.rows}x{b.cols}, "
                          f"c {c.rows}x{c.cols}")
-    pad = (ZERO,) * c.cols
-    top = [r + pad for r in a.data]
-    if negate_c:
-        bottom = [r + tuple(-x if x else x for x in s)
-                  for r, s in zip(b.data, c.data, strict=True)]
-    else:
-        bottom = [r + s for r, s in zip(b.data, c.data, strict=True)]
-    return QMatrix._of(a.rows + b.rows, a.cols + c.cols, tuple(top + bottom))
+    s = a.cols
+    bottom = tuple({**rb, **{s + j: -x if negate_c else x for j, x in rc.items()}} if rc else rb
+                   for rb, rc in zip(b._rows, c._rows))
+    return QMatrix._of(a.rows + b.rows, a.cols + c.cols, a._rows + bottom)
 
 
 def hstack(mats: Sequence[QMatrix]) -> QMatrix:
     rows = mats[0].rows
     if any(m.rows != rows for m in mats):
         raise ValueError("hstack: row mismatch")
-    return QMatrix._of(rows, sum(m.cols for m in mats),
-                       tuple(sum((m.data[i] for m in mats), ()) for i in range(rows)))
+    shifts = list(accumulate((m.cols for m in mats), initial=0))
+    return QMatrix._of(rows, shifts[-1], tuple(
+        {s + j: x for m, s in zip(mats, shifts) for j, x in m._rows[i].items()}
+        for i in range(rows)))
 
 
 def block_diag(a: QMatrix, b: QMatrix) -> QMatrix:
@@ -226,7 +250,43 @@ def vstack(mats: Sequence[QMatrix]) -> QMatrix:
     if any(m.cols != cols for m in mats):
         raise ValueError("vstack: column mismatch")
     return QMatrix._of(sum(m.rows for m in mats), cols,
-                       tuple(r for m in mats for r in m.data))
+                       tuple(r for m in mats for r in m._rows))
+
+
+def echelon(m: QMatrix) -> dict[int, Row]:
+    """Forward echelon of m: pivot column -> row, by pivot column, each row 1
+    at its pivot column and 0 left of it.  Each row of m is reduced by the
+    pivot row at its leading column until it is zero or leads at a new one."""
+    piv: dict[int, Row] = {}
+    for r in m._rows:
+        r = dict(r)
+        while r:
+            c = min(r)
+            p = piv.get(c)
+            if p is None:
+                x = r[c]
+                if x != 1:
+                    inv = ONE / x
+                    r = {j: y * inv for j, y in r.items()}
+                piv[c] = r
+                break
+            _axpy(r, -r[c], p)
+    return {c: piv[c] for c in sorted(piv)}
+
+
+def back_substitute(rows: dict[int, Row]) -> dict[int, Row]:
+    """The RREF rows of a forward echelon, by pivot column: each row cleared
+    at the later pivot columns by their rows, already reduced."""
+    done: dict[int, Row] = {}
+    for c in reversed(rows):
+        r = rows[c]
+        hits = [(j, x) for j, x in r.items() if j in done]
+        if hits:
+            r = dict(r)
+            for j, x in hits:
+                _axpy(r, -x, done[j])
+        done[c] = r
+    return dict(reversed(done.items()))
 
 
 @dataclass(frozen=True)
@@ -246,63 +306,43 @@ class RrefResult:
         for f in self.free_columns():
             v = [ZERO] * self.reduced.cols
             v[f] = ONE
-            for i, p in enumerate(self.pivots):
-                v[p] = -self.reduced.data[i][f]
+            for p, row in zip(self.pivots, self.reduced._rows):
+                x = row.get(f)
+                if x:
+                    v[p] = -x
             basis.append(tuple(v))
         return basis
 
 
 def rref(m: QMatrix) -> RrefResult:
-    """Unique reduced row echelon form.
-
-    Pivot search scans columns left to right, rows top to bottom; pivots are
-    normalized to 1 and cleared above and below.  Left of its pivot column
-    the pivot row is zero, so each elimination touches only the pivot row's
-    nonzero columns.
-    """
-    a = [list(r) for r in m.data]
-    pivots: list[int] = []
-    for pc in range(m.cols):
-        pr = len(pivots)
-        sel = next((i for i in range(pr, m.rows) if a[i][pc]), None)
-        if sel is None:
-            continue
-        a[pr], a[sel] = a[sel], a[pr]
-        if a[pr][pc] != 1:
-            inv = ONE / a[pr][pc]
-            a[pr] = [x * inv if x else x for x in a[pr]]
-        nz = [(j, a[pr][j]) for j in range(pc, m.cols) if a[pr][j]]
-        for i, row in enumerate(a):
-            c = row[pc]
-            if c and i != pr:
-                for j, y in nz:
-                    row[j] -= c * y
-        pivots.append(pc)
-        if pr + 1 == m.rows:
-            break
-    return RrefResult(QMatrix._of(m.rows, m.cols, tuple(map(tuple, a))),
-                      tuple(pivots), len(pivots))
+    """Unique reduced row echelon form: the forward echelon, back-substituted,
+    pivots normalized to 1, then the zero rows."""
+    rows = back_substitute(echelon(m))
+    reduced = tuple(rows.values()) + tuple({} for _ in range(m.rows - len(rows)))
+    return RrefResult(QMatrix._of(m.rows, m.cols, reduced), tuple(rows), len(rows))
 
 
 def rank(m: QMatrix) -> int:
-    return rref(m).rank
+    return len(echelon(m))
 
 
 def solve(a: QMatrix, b: Sequence) -> Optional[Vector]:
-    """Particular solution of a x = b with zeros in all free coordinates.
+    """Particular solution of a x = b with zeros in all free coordinates: the
+    forward echelon of [a | b], back-substituted in b's column alone.
 
     Returns None when the system is inconsistent.
     """
     b = vec(b)
     if len(b) != a.rows:
         raise ValueError(f"solve: rhs length {len(b)} vs {a.rows} rows")
-    aug = hstack([a, QMatrix.from_columns([b], a.rows)]) if a.rows else QMatrix(0, a.cols + 1)
-    r = rref(aug)
-    if a.cols in r.pivots:
+    n = a.cols
+    rows = echelon(hstack([a, QMatrix._of_columns([b], a.rows)]))
+    if n in rows:
         return None
-    x = [ZERO] * a.cols
-    for i, p in enumerate(r.pivots):
-        x[p] = r.reduced.entry(i, a.cols)
+    x = [ZERO] * n
+    for c in reversed(rows):
+        r = rows[c]
+        x[c] = r.get(n, ZERO) - sum([y * x[j] for j, y in r.items() if j != n and x[j]], ZERO)
     return tuple(x)
 
 
@@ -319,7 +359,7 @@ def reverse_echelon(vectors: Sequence[Vector], n: int) -> dict[int, Vector]:
     if not vectors:
         return {}
     r = rref(QMatrix(len(vectors), n, [v[::-1] for v in vectors]))
-    return {n - 1 - p: row[::-1] for p, row in zip(r.pivots, r.reduced.data)}
+    return {n - 1 - p: dense_vec(row, n)[::-1] for p, row in zip(r.pivots, r.reduced._rows)}
 
 
 def quotient_basis(sub: Sequence[Vector], ambient_dim: int) -> list[Vector]:
@@ -347,9 +387,10 @@ def invert(m: QMatrix) -> QMatrix:
     if n == 0:
         return QMatrix(0, 0)
     r = rref(hstack([m, QMatrix.identity(n)]))
-    if r.rank < n:
+    if r.pivots[-1] >= n:
         raise ValueError("invert: singular matrix")
-    return QMatrix(n, n, [row[n:] for row in r.reduced.data])
+    return QMatrix._of(n, n, tuple({j - n: x for j, x in row.items() if j >= n}
+                                   for row in r.reduced._rows))
 
 
 @dataclass(frozen=True)

@@ -102,9 +102,9 @@ def integral_matrix(h: CdgaMorphism, n: int) -> QMatrix:
     if n not in h._mat_cache:
         base = h.codomain.base
         rows = base.dim(n - 1)
-        cols = [base.to_vector(integrate_01(h.image(mono)), n - 1)
-                if rows else () for mono in h.domain.basis_keys(n)]
-        h._mat_cache[n] = QMatrix._of_columns(cols, rows)
+        cols = [base.to_sparse(integrate_01(h.image(mono)), n - 1)
+                if rows else {} for mono in h.domain.basis_keys(n)]
+        h._mat_cache[n] = QMatrix._of_sparse_columns(cols, rows)
     return h._mat_cache[n]
 
 

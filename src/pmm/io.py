@@ -30,6 +30,11 @@ MAX_COMPLEX_SLOTS = 100_000
 # A module stage of dimension d costs d unit vectors of length d
 # (`quotient_basis`): 49 MB at d = 2,000, whatever the document's size.
 MAX_MODULE_DIM = 2_000
+# A complex's basis labels cost the same, one kernel vector each.
+MAX_COMPLEX_LABELS = 2_000
+# Elimination fills in: random square maps with 1,500 nonzero entries took up
+# to 11 s to decompose, with 1,000 up to 3.2 s (2-core x86_64, Python 3.11.7).
+MAX_MODULE_NONZEROS = 1_000
 # Exact, short numbers only: Fraction("1e99999999") would build 10^99999999.
 _RATIONAL = re.compile(r"-?[0-9]+(\.[0-9]+|/0*[1-9][0-9]*)?", re.ASCII)
 
@@ -37,6 +42,8 @@ _RATIONAL = re.compile(r"-?[0-9]+(\.[0-9]+|/0*[1-9][0-9]*)?", re.ASCII)
 def _rational(s, where="") -> Fraction:
     """A JSON integer, or a string "[-]digits", "[-]digits.digits" or
     "[-]digits/digits" (nonzero denominator), at most 100 characters long."""
+    if type(s) is int and -10**99 < s < 10**100:  # str(s) is at most 100 characters
+        return Fraction(s)
     text = str(s) if type(s) is int else s if isinstance(s, str) else ""
     if len(text) > 100 or not _RATIONAL.fullmatch(text):
         raise SchemaError(f"bad rational {s!r:.60} {where}: want an integer, decimal or p/q")
@@ -239,6 +246,10 @@ def load_persistence_module(doc: dict) -> PersistenceModule:
         raise SchemaError(f"module has {len(map_specs)} maps for {len(grid) - 1} stage pairs")
     maps = [load_matrix(spec, dims[r + 1], dims[r], f"module map {r}")
             for r, spec in enumerate(map_specs)]
+    nonzeros = sum(m.nonzeros() for m in maps)
+    if nonzeros > MAX_MODULE_NONZEROS:
+        raise SchemaError(f"module too large: {nonzeros} nonzero map entries is over "
+                          f"{MAX_MODULE_NONZEROS}")
     try:
         return PersistenceModule(grid, tuple(dims), tuple(maps))
     except ValidationError as exc:
@@ -262,6 +273,9 @@ def load_pcomplex(doc: dict) -> PersistentComplex:
         labels.append([[_name(lab, "complex stage basis")
                         for lab in _optional(basis, str(k), "complex stage", list)]
                        for k in range(max_degree + 1)])
+    total = sum(len(labs) for stage in labels for labs in stage)
+    if total > MAX_COMPLEX_LABELS:
+        raise SchemaError(f"complex too large: {total} basis labels is over {MAX_COMPLEX_LABELS}")
     d = []
     for r, spec in enumerate(stage_specs):
         dd = {}

@@ -4,7 +4,15 @@ from __future__ import annotations
 from fractions import Fraction
 
 from pmm.cdga import CdgaElement, CdgaMorphism, free_cdga, hirsch_extend
-from pmm.exactla import QMatrix, kernel_basis, vec_add, vec_scale, zero_vec
+from pmm.exactla import QMatrix, kernel_basis, zero_vec
+
+
+def vec_add(u, v):
+    return tuple(a + b for a, b in zip(u, v, strict=True))
+
+
+def vec_scale(c, u):
+    return tuple(c * a for a in u)
 
 
 def random_cocycle(rng, algebra, degree, density=0.8):

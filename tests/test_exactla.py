@@ -10,9 +10,9 @@ from pmm import cochain, exactla
 from pmm.cochain import compute_cohomology
 from pmm.errors import InternalError
 from pmm.exactla import (
-    ONE, ZERO, QMatrix, RrefResult, _lower_block, adapted_split, block_diag,
-    express_in_basis, hstack, invert, kernel_basis, lin_comb, quotient_basis,
-    rank, reverse_echelon, rref, solve, unit_vec, vec, vstack,
+    ONE, ZERO, QMatrix, RrefResult, _lower_block, adapted_split, back_substitute, block_diag,
+    echelon, express_in_basis, hstack, invert, kernel_basis, lin_comb, quotient_basis, rank,
+    reverse_echelon, rref, solve, unit_vec, vec, vstack,
 )
 
 
@@ -141,14 +141,14 @@ def ref_quotient_basis(sub, ambient_dim):
     cols = list(sub) + [unit_vec(ambient_dim, j) for j in range(ambient_dim)]
     m = QMatrix.from_columns(cols, ambient_dim) if ambient_dim else QMatrix(0, len(cols))
     k = len(sub)
-    return [unit_vec(ambient_dim, p - k) for p in rref(m).pivots if p >= k]
+    return [unit_vec(ambient_dim, p - k) for p in ref_rref(m).pivots if p >= k]
 
 
 def ref_reverse_echelon(vectors):
     if not vectors:
         return []
     n = len(vectors[0])
-    red = rref(QMatrix(len(vectors), n, [list(reversed(v)) for v in vectors])).reduced
+    red = ref_rref(QMatrix(len(vectors), n, [list(reversed(v)) for v in vectors])).reduced
     return [tuple(reversed(row)) for row in red.data if any(x != 0 for x in row)]
 
 
@@ -246,32 +246,34 @@ def test_exactness_no_float():
 
 
 # -- dense reference kernels --------------------------------------------------
-# Textbook dense rref, matmul and apply, and the cohomology solves built on
-# them: the reference that the zero-skipping kernels in pmm.exactla and the
+# The dense rref that pmm.exactla ran before its rows were sparse, and the
+# textbook dense matmul and apply, with the solves and cohomology built on
+# them: the reference that the sparse eliminator in pmm.exactla and the
 # cached reductions in pmm.cochain must match entry for entry.
 
-def dense_rref(m):
+def ref_rref(m):
+    """Unique reduced row echelon form over dense rows: pivot search scans
+    columns left to right, rows top to bottom; pivots are normalized to 1 and
+    cleared above and below."""
     a = [list(r) for r in m.data]
     pivots = []
-    pr = 0
     for pc in range(m.cols):
-        sel = None
-        for i in range(pr, m.rows):
-            if a[i][pc] != 0:
-                sel = i
-                break
+        pr = len(pivots)
+        sel = next((i for i in range(pr, m.rows) if a[i][pc]), None)
         if sel is None:
             continue
         a[pr], a[sel] = a[sel], a[pr]
-        inv = ONE / a[pr][pc]
-        a[pr] = [x * inv for x in a[pr]]
-        for i in range(m.rows):
-            if i != pr and a[i][pc] != 0:
-                c = a[i][pc]
-                a[i] = [x - c * y for x, y in zip(a[i], a[pr])]
+        if a[pr][pc] != 1:
+            inv = ONE / a[pr][pc]
+            a[pr] = [x * inv if x else x for x in a[pr]]
+        nz = [(j, a[pr][j]) for j in range(pc, m.cols) if a[pr][j]]
+        for i, row in enumerate(a):
+            c = row[pc]
+            if c and i != pr:
+                for j, y in nz:
+                    row[j] -= c * y
         pivots.append(pc)
-        pr += 1
-        if pr == m.rows:
+        if pr + 1 == m.rows:
             break
     return RrefResult(QMatrix(m.rows, m.cols, a), tuple(pivots), len(pivots))
 
@@ -289,7 +291,7 @@ def dense_apply(m, v):
 
 def dense_solve(a, b):
     aug = hstack([a, QMatrix.from_columns([vec(b)], a.rows)]) if a.rows else QMatrix(0, a.cols + 1)
-    r = dense_rref(aug)
+    r = ref_rref(aug)
     if a.cols in r.pivots:
         return None
     x = [ZERO] * a.cols
@@ -299,7 +301,7 @@ def dense_solve(a, b):
 
 
 def dense_kernel_basis(a):
-    r = dense_rref(a)
+    r = ref_rref(a)
     basis = []
     for f in (j for j in range(a.cols) if j not in r.pivots):
         v = [ZERO] * a.cols
@@ -313,7 +315,7 @@ def dense_kernel_basis(a):
 def dense_cohomology(d_out, d_in):
     """(cocycles, boundaries, reps), each boundary expressed by a solve."""
     z = dense_kernel_basis(d_out)
-    b = [d_in.column(p) for p in dense_rref(d_in).pivots] if d_in is not None else []
+    b = [d_in.column(p) for p in ref_rref(d_in).pivots] if d_in is not None else []
     dim = d_out.cols
     b_in_z = []
     for vb in b:
@@ -359,7 +361,7 @@ def test_sparse_kernels_match_dense_reference():
         inner = rng.randint(0, 3)
         low = sparse_matrix(rng, rows, inner, density) @ sparse_matrix(rng, inner, cols, 1.0)
         for a in (m, low):
-            got, want = rref(a), dense_rref(a)
+            got, want = rref(a), ref_rref(a)
             assert got == want
             assert all(type(x) is Fraction for row in got.reduced.data for x in row)
             assert kernel_basis(a) == dense_kernel_basis(a)
@@ -375,14 +377,71 @@ def test_sparse_kernels_match_dense_reference():
 
 def test_sparse_rref_matches_sympy():
     sympy = pytest.importorskip("sympy")
-    for rng, density, (rows, cols) in random_cases(202, count=3):
-        m = sparse_matrix(rng, rows, cols, density)
-        oracle, pivots = sympy.Matrix(rows, cols, [sympy.Rational(x.numerator, x.denominator)
-                                                   for row in m.data for x in row]).rref()
+    for m in edge_cases(202, count=2):
+        entries = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x.numerator, x.denominator)
+                                                for row in m.data for x in row])
+        oracle, pivots = entries.rref()
         r = rref(m)
         assert r.pivots == tuple(pivots)
         assert [[sympy.Rational(x.numerator, x.denominator) for x in row]
                 for row in r.reduced.data] == oracle.tolist()
+        assert [[sympy.Rational(x.numerator, x.denominator) for x in v]
+                for v in kernel_basis(m)] == [list(v) for v in entries.nullspace()]
+
+
+def edge_cases(seed, count=4):
+    """0×n, n×0, all-zero, full-rank, repeated-row and low-rank matrices, then
+    the seeded random ones."""
+    rng = random.Random(seed)
+    yield from (QMatrix(0, 4), QMatrix(4, 0), QMatrix(0, 0), QMatrix.zero(3, 5))
+    for n in (1, 4, 7):
+        yield QMatrix(n, n, [[1 if i == j else rng.randint(-2, 2) if j > i else 0
+                              for j in range(n)] for i in range(n)][::-1])
+        yield sparse_matrix(rng, n, 1, 1.0) @ QMatrix(1, n + 2, [[1] * (n + 2)])
+    for _, density, (rows, cols) in random_cases(seed, count):
+        m = sparse_matrix(rng, rows, cols, density)
+        yield m
+        if rows:
+            repeated = [m.data[rng.randrange(rows)] for _ in range(rows)]
+            yield QMatrix(2 * rows, cols, list(m.data) + repeated)
+
+
+def test_eliminator_matches_the_dense_reference():
+    rng = random.Random(1919)
+    square = singular = 0
+    for m in edge_cases(1919):
+        want = ref_rref(m)
+        rows = echelon(m)
+        # The forward echelon: the reference's pivots as keys, each row 1 at
+        # its key and 0 left of it, and the same row space.
+        assert tuple(rows) == want.pivots
+        assert all(min(row) == p and row[p] == 1 for p, row in rows.items())
+        basis = QMatrix._of(len(rows), m.cols, tuple(rows.values()))
+        assert ref_rref(basis).reduced.data == want.reduced.data[:want.rank]
+        # Back-substitution gives the reference's reduced rows, entry for entry.
+        assert QMatrix._of(want.rank, m.cols, tuple(back_substitute(rows).values())).data == \
+            want.reduced.data[:want.rank]
+        got = rref(m)
+        assert (got.reduced.data, got.pivots, got.rank) == \
+            (want.reduced.data, want.pivots, want.rank)
+        assert got == want and rank(m) == want.rank
+        assert all(type(x) is Fraction for row in got.reduced.data for x in row)
+        assert kernel_basis(m) == dense_kernel_basis(m)
+        x = sparse_matrix(rng, m.cols, 1, 0.5).column(0) if m.cols else ()
+        for b in (m.apply(x), sparse_matrix(rng, m.rows, 1, 0.5).column(0) if m.rows else ()):
+            assert solve(m, b) == dense_solve(m, b)
+        assert reverse_echelon(m.data, m.cols) == dict(zip(
+            map(ref_last_nonzero, ref_reverse_echelon(m.data)), ref_reverse_echelon(m.data)))
+        if m.rows == m.cols:
+            square += 1
+            if want.rank == m.rows:
+                inverse = ref_rref(hstack([m, QMatrix.identity(m.rows)])).reduced
+                assert invert(m).data == tuple(row[m.rows:] for row in inverse.data)
+            else:
+                singular += 1
+                with pytest.raises(ValueError, match="invert: singular matrix"):
+                    invert(m)
+    assert square > 20 and singular > 10
 
 
 def cochain_slice(rng, n, density):
@@ -434,8 +493,9 @@ def test_class_of_rejects_non_cocycle_and_reduces_once(monkeypatch):
     echelons, reduced = [], []
     monkeypatch.setattr(cochain, "reverse_echelon",
                         lambda *a: echelons.append(a) or reverse_echelon(*a))
-    for module in (cochain, exactla):
-        monkeypatch.setattr(module, "rref", lambda m: reduced.append(m) or rref(m))
+    # A reduction is cochain's own eliminator call or an rref in exactla.
+    monkeypatch.setattr(cochain, "echelon", lambda m: reduced.append(m) or echelon(m))
+    monkeypatch.setattr(exactla, "rref", lambda m: reduced.append(m) or rref(m))
     cases = ((no_b, [([-2, 2], [2]), ([3, -3], [-3])], [1, 0], 0),
              (with_b, [([-1, 1, 0], [1]), ([0, 0, 1], [Fraction(1, 2)]),
                        ([1, -1, 2], [0])], [1, 0, 0], 1))
@@ -462,11 +522,11 @@ class EagerSpace:
     the class representatives and the class_of solver."""
 
     def __init__(self, d_out, d_in, below=None):
-        r = rref(d_out)
+        r = ref_rref(d_out)
         z, free = r.kernel_basis(), r.free_columns()
         b = []
         if d_in is not None:
-            pivots = below.pivots if below is not None else rref(d_in).pivots
+            pivots = below.pivots if below is not None else ref_rref(d_in).pivots
             b = [d_in.column(p) for p in pivots]
         dim = d_out.cols
         b_in_z = []
@@ -481,7 +541,7 @@ class EagerSpace:
         if dim:
             h, p = len(self.reps), len(self.reps) + len(b)
             basis = QMatrix.from_columns(self.reps + b, dim)
-            e = [row[p:] for row in rref(hstack([basis, QMatrix.identity(dim)])).reduced.data]
+            e = [row[p:] for row in ref_rref(hstack([basis, QMatrix.identity(dim)])).reduced.data]
             self.solver = QMatrix(h, dim, e[:h]), QMatrix(dim - p, dim, e[p:])
 
     def class_of(self, z):
@@ -509,18 +569,24 @@ def test_lazy_space_matches_the_eager_space():
             assert (space.dim, space.ambient_dim, space.pivots, space.boundaries) == \
                 (eager.dim, eager.ambient_dim, eager.pivots, eager.boundaries)
             assert not {"cocycles", "reps", "_classes"} & set(vars(space))
-            assert (space.cocycles, space.reps) == (eager.cocycles, eager.reps)
             probes = [lin_comb([Fraction(rng.randint(-3, 3), rng.randint(1, 3))
                                 for _ in eager.cocycles], eager.cocycles, n)
                       for _ in range(3)]
             probes += [sparse_matrix(rng, n, 1, 1.0).column(0) if n else () for _ in range(2)]
-            for v in probes:
-                want = eager.class_of(v)
-                if want is None:
-                    with pytest.raises(InternalError, match="class_of: vector is not a cocycle"):
-                        space.class_of(v)
-                else:
-                    assert space.class_of(v) == want
+            # class_of on the forward echelon, then on the RREF that the
+            # first read of the cocycles puts in its place.
+            for read_cocycles in (False, True):
+                if read_cocycles:
+                    assert "cocycles" not in vars(space)
+                    assert (space.cocycles, space.reps) == (eager.cocycles, eager.reps)
+                for v in probes:
+                    want = eager.class_of(v)
+                    if want is None:
+                        with pytest.raises(InternalError,
+                                           match="class_of: vector is not a cocycle"):
+                            space.class_of(v)
+                    else:
+                        assert space.class_of(v) == want
 
 
 def test_lazy_space_refuses_d_squared_nonzero_as_the_eager_space_does():
@@ -593,14 +659,26 @@ def test_lower_block_refuses_mismatched_shapes(a, b, c):
 def test_of_columns_matches_from_columns():
     for rng, density, (rows, cols) in random_cases(505):
         columns = sparse_matrix(rng, rows, cols, density).columns()
-        m = QMatrix._of_columns(columns, rows)
-        assert (m.rows, m.cols) == (rows, cols)
-        assert m == QMatrix.from_columns(columns, rows)
+        dense = [[int(x) if x.denominator == 1 else x for x in row] for row in zip(*columns)]
+        built = [QMatrix._of_columns(columns, rows), QMatrix.from_columns(columns, rows),
+                 QMatrix(rows, cols, dense or ()),
+                 QMatrix._of_sparse_columns([{i: x for i, x in enumerate(c) if x}
+                                             for c in columns], rows)]
+        for m in built:
+            assert (m.rows, m.cols) == (rows, cols)
+            assert m == built[0] and hash(m) == hash(built[0])
+            assert m.data == tuple(zip(*columns)) or (not cols and m.data == ((),) * rows)
+            assert all(type(x) is Fraction for row in m.data for x in row)
     # rows > 0 with no columns, and rows == 0.
     assert QMatrix._of_columns([], 3) == QMatrix.from_columns([], 3) == QMatrix(3, 0)
     assert QMatrix._of_columns([], 3).data == ((), (), ())
     assert QMatrix._of_columns([(), ()], 0) == QMatrix(0, 2)
     assert QMatrix._of_columns([], 0) == QMatrix(0, 0)
+    assert QMatrix._of_sparse_columns([{}, {}], 3) == QMatrix.zero(3, 2) == QMatrix(3, 2)
+    # A sum writes its entries in another order than a constructor does.
+    late_first = QMatrix.from_rows([[0, 0, 1]]).add(QMatrix.from_rows([[1, 0, 0]]))
+    assert late_first == QMatrix.from_rows([[1, 0, 1]])
+    assert hash(late_first) == hash(QMatrix.from_rows([[1, 0, 1]]))
 
 
 @pytest.mark.parametrize("columns, rows", [

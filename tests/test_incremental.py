@@ -284,8 +284,8 @@ def test_boundaries_read_from_the_degree_below(monkeypatch):
     d1 = QMatrix.from_rows([[0, 0, 1], [2, -1, 0]])
     below = compute_cohomology(d0, None)
     calls = []
-    rref = cochain.rref
-    monkeypatch.setattr(cochain, "rref", lambda m: calls.append(m) or rref(m))
+    echelon = cochain.echelon
+    monkeypatch.setattr(cochain, "echelon", lambda m: calls.append(m) or echelon(m))
     fresh = compute_cohomology(d1, d0)
     assert len(calls) == 2
     calls.clear()
@@ -366,8 +366,8 @@ def test_altered_carried_cone_cohomology_fails_connectivity():
     h1 = cone.cohomology_space(1)
     assert (h1.dim, h1.pivots, h1.boundaries) == (0, (0, 1), [])
     # Drop d(1)'s last echelon row and pivot: the space now claims rank 1, so dim 1.
-    cone._h_cache[1] = CohomologySpace(h1.d_out, h1._echelon[:1],
-                                       h1.pivots[:1], h1.boundaries)
+    first = h1.pivots[0]
+    cone._h_cache[1] = CohomologySpace(h1.d_out, {first: h1._rows[first]}, h1.boundaries)
     assert cone._h_cache[1].dim == 1
     with pytest.raises(InternalError,
                        match=r"after degree-5 surgery: H\^1 C_m\(0\) has dimension 1"):

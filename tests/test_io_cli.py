@@ -868,8 +868,16 @@ def _with_component(doc):
      "bad name 1 in complex stage basis: want a JSON string"),
     ("factor", _with_component(fixture("map_zero_to_interval")),
      "component (1,2): a matrix must be a JSON array of arrays"),
+    ("decompose", {"grid": ["0", "1"], "dims": [200, 200], "maps": [[[1] * 200] * 200]},
+     "module too large: 40000 nonzero map entries is over 1000"),
+    ("decompose", _one_stage_complex(basis={"0": [f"a{i}" for i in range(2001)]}),
+     "complex too large: 2001 basis labels is over 2000"),
+    ("factor", {"source": _one_stage_complex(basis={"1": [f"a{i}" for i in range(5000)]}),
+                "target": _one_stage_complex(basis={}), "components": [{}]},
+     "complex too large: 5000 basis labels is over 2000"),
 ], ids=["negative-dim", "extra-map", "huge-dim", "flat-module-map", "int-complex-d",
-        "flat-sigma", "int-labels", "int-component"])
+        "flat-sigma", "int-labels", "int-component", "dense-module-map", "many-labels",
+        "many-source-labels"])
 def test_cli_refuses_a_malformed_module_or_complex(tmp_path, capsys, command, doc, message):
     f = tmp_path / "doc.json"
     f.write_text(json.dumps(doc))
@@ -887,6 +895,37 @@ def test_module_dimension_bound_is_inclusive():
     over = {**at, "dims": [MAX_MODULE_DIM, 1], "maps": [[[0] * MAX_MODULE_DIM]]}
     with pytest.raises(SchemaError, match=f"total dimension {MAX_MODULE_DIM + 1} is over"):
         load_persistence_module(over)
+
+
+def test_module_nonzero_bound_is_inclusive():
+    # Three stages of dimension bound + 1, 1, 1: the two maps' nonzero
+    # entries count together, zeros and "0" strings not at all.
+    from pmm.io import MAX_MODULE_NONZEROS, load_persistence_module
+
+    n = MAX_MODULE_NONZEROS
+
+    def module(first, second):
+        return {"grid": ["0", "1", "2"], "dims": [n + 1, 1, 1], "maps": [[first], [[second]]]}
+
+    for doc in (module([0] + [1] * n, "0"), module(["0", 0] + ["-1/2"] * (n - 1), 3)):
+        assert sum(m.nonzeros() for m in load_persistence_module(doc).maps) == n
+    for doc in (module([0] + [1] * n, "1/2"), module([2] * (n + 1), 0)):
+        with pytest.raises(SchemaError, match=f"^module too large: {n + 1}"
+                                              f" nonzero map entries is over {n}$"):
+            load_persistence_module(doc)
+
+
+def test_complex_label_bound_is_inclusive():
+    from pmm.io import MAX_COMPLEX_LABELS, load_pcomplex
+
+    labels = [f"a{i}" for i in range(MAX_COMPLEX_LABELS)]
+    at = {"grid": ["0", "1"], "max_degree": 2, "maps": [{}],
+          "stages": [{"basis": {"0": labels[:5], "2": labels[5:-1]}}, {"basis": {"1": ["b"]}}]}
+    assert load_pcomplex(at).dim(0, 2) == MAX_COMPLEX_LABELS - 6
+    over = {**at, "stages": [at["stages"][0], {"basis": {"1": ["b", "c"]}}]}
+    with pytest.raises(SchemaError, match=f"^complex too large: {MAX_COMPLEX_LABELS + 1}"
+                                          f" basis labels is over {MAX_COMPLEX_LABELS}$"):
+        load_pcomplex(over)
 
 
 def test_the_largest_module_decomposes_under_a_memory_cap(tmp_path):
