@@ -22,8 +22,10 @@ to be Fractions: `_of` takes sparse rows, `_of_columns` dense columns (their
 length checked as by `from_columns`) and `_of_sparse_columns` columns
 {row: Fraction} of nonzero entries, unchecked.  Only the algebra kernel
 calls `_of_sparse_columns`, with the `to_sparse` images of its own elements
-(d-matrices, morphism matrices, homotopy integrals).  `_lower_block(a, b,
-c)` assembles [[a, 0], [b, c]] for the cone matrices and `block_diag`.
+(d-matrices, morphism matrices, homotopy integrals, the integration
+identity's g - f) and the unit columns of a selection matrix.
+`_lower_block(a, b, c)` assembles [[a, 0], [b, c]] for the cone matrices
+and `block_diag`.
 """
 from __future__ import annotations
 
@@ -372,12 +374,6 @@ def quotient_basis(sub: Sequence[Vector], ambient_dim: int) -> list[Vector]:
             raise ValueError("quotient_basis: vector length mismatch")
     keys = reverse_echelon(sub, ambient_dim)
     return [unit_vec(ambient_dim, j) for j in range(ambient_dim) if j not in keys]
-
-
-def express_in_basis(basis: Sequence[Vector], target: Sequence, dim: int) -> Optional[Vector]:
-    """Coordinates of target in span(basis), or None if outside the span."""
-    m = QMatrix.from_columns(list(basis), dim)
-    return solve(m, target)
 
 
 def invert(m: QMatrix) -> QMatrix:

@@ -22,9 +22,10 @@ identity above, with g(a) - f(a) read off H(a)).
 Mapping cones and cone maps are the block matrices [[A, 0], [B, C]] of the
 per-degree matrices their algebras, maps and homotopy cache, each written in
 one pass over the rows by `exactla._lower_block` (which negates d_A(n) in
-the same pass).  The integral matrices I_H(n) are made with
-`QMatrix._of_columns`: their columns are `to_vector` images of the kernel's
-own elements, already Fractions.
+the same pass).  The integral matrices I_H(n), and the g - f side of
+`check_homotopy_identity`, are made with `QMatrix._of_sparse_columns`: their
+columns are `to_sparse` images of the kernel's own elements, already nonzero
+Fractions.
 """
 from __future__ import annotations
 
@@ -37,7 +38,7 @@ from .cdga import (
 )
 from .cochain import CohomologySpace, compute_cohomology
 from .errors import InternalError, ValidationError
-from .exactla import ZERO, QMatrix, Vector, _lower_block
+from .exactla import ONE, ZERO, QMatrix, Vector, _lower_block
 
 
 def eval_at_0(u: CdgaElement) -> CdgaElement:
@@ -129,6 +130,7 @@ def check_homotopy_identity(h: CdgaMorphism, max_degree: int,
     or on the generators `names`, as d_B(n-1) I_H(n) + I_H(n+1) d_M(n) = g - f
     on the columns of degree n (without the I_H(n+1) term above M's cap), with
     g(a) - f(a) read off the memoised H(a); one message per failing column.
+    A window `names` is picked by a selection matrix, columns in `names` order.
     """
     dom, base = h.domain, h.codomain.base
     problems = []
@@ -142,18 +144,20 @@ def check_homotopy_identity(h: CdgaMorphism, max_degree: int,
             if not cols:
                 continue
         values = (h.image(keys[j]) for j in cols)
-        rhs = QMatrix.from_columns([base.to_vector(eval_at_1(a) - eval_at_0(a), n)
-                                    for a in values], base.dim(n))
+        rhs = QMatrix._of_sparse_columns([base.to_sparse(eval_at_1(a) - eval_at_0(a), n)
+                                          for a in values], base.dim(n))
+        pick = None if names is None else QMatrix._of_sparse_columns(
+            [{j: ONE} for j in cols], len(keys))
 
         def part(m: QMatrix) -> QMatrix:
-            return m if names is None else QMatrix.from_columns(
-                [m.column(j) for j in cols], m.rows)
+            return m if pick is None else m @ pick
 
         lhs = base.d_matrix(n - 1) @ part(integral_matrix(h, n))
         if n + 1 <= dom.degree_cap:
             lhs = lhs.add(integral_matrix(h, n + 1) @ part(dom.d_matrix(n)))
-        problems += [f"identity fails on {dom.key_repr(keys[j])}"
-                     for i, j in enumerate(cols) if lhs.column(i) != rhs.column(i)]
+        if lhs != rhs:
+            problems += [f"identity fails on {dom.key_repr(keys[j])}"
+                         for i, j in enumerate(cols) if lhs.column(i) != rhs.column(i)]
     return problems
 
 

@@ -35,6 +35,9 @@ MAX_COMPLEX_LABELS = 2_000
 # Elimination fills in: random square maps with 1,500 nonzero entries took up
 # to 11 s to decompose, with 1,000 up to 3.2 s (2-core x86_64, Python 3.11.7).
 MAX_MODULE_NONZEROS = 1_000
+# So do a complex's d and maps together (1,000 entries: up to 3.7 s; 2,000:
+# up to 18 s), and a map document's components.
+MAX_COMPLEX_NONZEROS = 1_000
 # Exact, short numbers only: Fraction("1e99999999") would build 10^99999999.
 _RATIONAL = re.compile(r"-?[0-9]+(\.[0-9]+|/0*[1-9][0-9]*)?", re.ASCII)
 
@@ -232,6 +235,12 @@ def load_matrix(rows, want_rows: int, want_cols: int, where: str) -> QMatrix:
     return QMatrix(want_rows, want_cols, data)
 
 
+def _bound_nonzeros(mats, bound: int, what: str, entries: str):
+    nonzeros = sum(m.nonzeros() for m in mats)
+    if nonzeros > bound:
+        raise SchemaError(f"{what} too large: {nonzeros} nonzero {entries} entries is over {bound}")
+
+
 def load_persistence_module(doc: dict) -> PersistenceModule:
     grid = load_grid(_need(doc, "grid", "module", list))
     dims = [_int(x, "dims") for x in _need(doc, "dims", "module", list)]
@@ -246,10 +255,7 @@ def load_persistence_module(doc: dict) -> PersistenceModule:
         raise SchemaError(f"module has {len(map_specs)} maps for {len(grid) - 1} stage pairs")
     maps = [load_matrix(spec, dims[r + 1], dims[r], f"module map {r}")
             for r, spec in enumerate(map_specs)]
-    nonzeros = sum(m.nonzeros() for m in maps)
-    if nonzeros > MAX_MODULE_NONZEROS:
-        raise SchemaError(f"module too large: {nonzeros} nonzero map entries is over "
-                          f"{MAX_MODULE_NONZEROS}")
+    _bound_nonzeros(maps, MAX_MODULE_NONZEROS, "module", "map")
     try:
         return PersistenceModule(grid, tuple(dims), tuple(maps))
     except ValidationError as exc:
@@ -292,6 +298,8 @@ def load_pcomplex(doc: dict) -> PersistentComplex:
             ss[k] = load_matrix(rows, len(labels[r + 1][k]), len(labels[r][k]),
                                 f"sigma({r},{k})")
         sigma.append(ss)
+    _bound_nonzeros([m for mats in d + sigma for m in mats.values()],
+                    MAX_COMPLEX_NONZEROS, "complex", "d and map")
     try:
         return PersistentComplex(grid, max_degree, labels, d, sigma)
     except ValidationError as exc:
@@ -310,6 +318,8 @@ def load_pcomplex_map(doc: dict) -> PComplexMap:
             cc[k] = load_matrix(rows, target.dim(r, k), source.dim(r, k),
                                 f"component ({r},{k})")
         comps.append(cc)
+    _bound_nonzeros([m for cc in comps for m in cc.values()],
+                    MAX_COMPLEX_NONZEROS, "map", "component")
     try:
         return PComplexMap(source, target, comps)
     except ValidationError as exc:

@@ -11,7 +11,10 @@ global birth) covers every real pair.
 Maps out of a sphere, the corners of the fibration check and the gap maps
 of the direct I-injectivity check are all onto one fiber product
 (`_fiber_product`).  `is_trivial_fibration` always checks that fibration
-plus pointwise quasi-isomorphism agrees with the gap-map characterization.
+plus pointwise quasi-isomorphism agrees with the gap-map characterization,
+both over every degree a complex holds: quasi-isos through max_degree, gap
+maps through k = max_degree + 1.  Every matrix is assembled from blocks
+(hstack, vstack, block_diag, scale, @), never from dense rows or columns.
 """
 from __future__ import annotations
 
@@ -22,8 +25,8 @@ from typing import Optional, Sequence
 from .cochain import CohomologySpace, compute_cohomology, induced_map
 from .errors import InternalError, ValidationError
 from .exactla import (
-    QMatrix, Vector, block_diag, express_in_basis, hstack, is_zero_vec,
-    kernel_basis, lin_comb, quotient_basis, rank, solve, zero_vec,
+    ONE, QMatrix, Vector, block_diag, hstack, is_zero_vec, kernel_basis,
+    quotient_basis, rank, rref, solve, vec, vstack, zero_vec,
 )
 from .persistence import (
     INF, Bar, BarRepresentative, Grid, PersistenceModule, interval_decompose,
@@ -60,10 +63,12 @@ class PersistentComplex:
         return len(self.labels[r][k])
 
     def d_mat(self, r: int, k: int) -> QMatrix:
-        return self._d[r].get(k, QMatrix.zero(self.dim(r, k + 1), self.dim(r, k)))
+        m = self._d[r].get(k)
+        return QMatrix.zero(self.dim(r, k + 1), self.dim(r, k)) if m is None else m
 
     def sigma_mat(self, r: int, k: int) -> QMatrix:
-        return self._sigma[r].get(k, QMatrix.zero(self.dim(r + 1, k), self.dim(r, k)))
+        m = self._sigma[r].get(k)
+        return QMatrix.zero(self.dim(r + 1, k), self.dim(r, k)) if m is None else m
 
     def sigma_range(self, r1: int, r2: int, k: int) -> QMatrix:
         m = QMatrix.identity(self.dim(r1, k))
@@ -274,9 +279,9 @@ def hom_from_sphere(x: PersistentComplex, k: int, s: int, t
     if t == INF:
         data = [SphereMapData(k, s, INF, z, None) for z in z_basis]
         return len(data), data
-    pushed = x.sigma_range(s, t, k) @ QMatrix.from_columns(z_basis, x.dim(s, k))
-    out = [SphereMapData(k, s, t, lin_comb(zc, z_basis, x.dim(s, k)), u)
-           for zc, u in _fiber_product(pushed, x.d_mat(t, k - 1))]
+    z = QMatrix.from_columns(z_basis, x.dim(s, k))
+    out = [SphereMapData(k, s, t, z.apply(zc), u)
+           for zc, u in _fiber_product(x.sigma_range(s, t, k) @ z, x.d_mat(t, k - 1))]
     return len(out), out
 
 
@@ -303,41 +308,25 @@ def attach_cell(x: PersistentComplex, data: SphereMapData,
     d = [dict(x._d[r]) for r in range(n)]
     sigma = [dict(x._sigma[r]) for r in range(n - 1)]
 
-    def alive(r):
-        return r >= s and (t == INF or r < t)
-
-    for r in range(n):
-        if not alive(r):
-            continue
-        pos = len(labels[r][k - 1])
+    pushed = vec(data.cocycle)
+    live = range(s, n if t == INF else t)
+    for r in live:
+        if r > s:
+            pushed = x.sigma_mat(r - 1, k).apply(pushed)
         labels[r][k - 1].append(lab)
         # d gains a column (d gamma = pushed cocycle) and, one degree down,
         # a zero row (nothing hits gamma).
-        pushed = x.sigma_range(s, r, k).apply(data.cocycle)
-        old = x.d_mat(r, k - 1)
-        d[r][k - 1] = QMatrix.from_columns(old.columns() + [pushed], old.rows)
+        d[r][k - 1] = hstack([x.d_mat(r, k - 1), QMatrix.from_columns([pushed], x.dim(r, k))])
         if k - 2 >= 0:
-            below = x.d_mat(r, k - 2)
-            d[r][k - 2] = QMatrix(below.rows + 1, below.cols,
-                                  [list(row) for row in below.data] + [[0] * below.cols])
-    for r in range(n - 1):
-        src_alive, dst_alive = alive(r), alive(r + 1)
-        if not src_alive and not dst_alive:
-            continue
-        old = x.sigma_mat(r, k - 1)
-        rows = [list(row) for row in old.data]
-        if src_alive and dst_alive:
-            for row in rows:
-                row.append(0)
-            rows.append([0] * old.cols + [1])
-            sigma[r][k - 1] = QMatrix(old.rows + 1, old.cols + 1, rows)
-        elif src_alive:  # crossing into the death stage
-            for i, row in enumerate(rows):
-                row.append(data.bounding[i])
-            sigma[r][k - 1] = QMatrix(old.rows, old.cols + 1, rows)
-        else:  # newborn at r+1 == s
-            rows.append([0] * old.cols)
-            sigma[r][k - 1] = QMatrix(old.rows + 1, old.cols, rows)
+            d[r][k - 2] = vstack([x.d_mat(r, k - 2), QMatrix.zero(1, x.dim(r, k - 2))])
+        if r + 1 in live:
+            sigma[r][k - 1] = block_diag(x.sigma_mat(r, k - 1), QMatrix.identity(1))
+        elif r + 1 < n:  # crossing into the death stage t
+            sigma[r][k - 1] = hstack([x.sigma_mat(r, k - 1),
+                                      QMatrix.from_columns([data.bounding], x.dim(t, k - 1))])
+    if s > 0:  # newborn at s
+        old = x.sigma_mat(s - 1, k - 1)
+        sigma[s - 1][k - 1] = vstack([old, QMatrix.zero(1, old.cols)])
     return PersistentComplex(x.grid, x.max_degree, labels, d, sigma)
 
 
@@ -457,23 +446,21 @@ def _corner_check(f: PComplexMap, i: int, j: int, k: int) -> Optional[dict]:
     x, y = f.source, f.target
     # Fiber product {(x_j, y_i) : f(x_j) = sigma(y_i)} inside X^k(j) + Y^k(i).
     fiber = _fiber_product(f.mat(j, k), y.sigma_range(i, j, k))
-    sig_x, f_i = x.sigma_range(i, j, k), f.mat(i, k)
-    dim = x.dim(j, k) + y.dim(i, k)
-    corner_cols = [sig_x.column(c) + f_i.column(c) for c in range(x.dim(i, k))]
-    if rank(QMatrix.from_columns(corner_cols, dim)) == len(fiber):
+    corner = vstack([x.sigma_range(i, j, k), f.mat(i, k)])
+    if rank(corner) == len(fiber):
         return None
     for u, v in fiber:
-        if express_in_basis(corner_cols, u + v, dim) is None:
+        if solve(corner, u + v) is None:
             return {"kind": "corner map not surjective", "pair": (i, j), "degree": k,
                     "fiber_element": {"x_at_j": u, "y_at_i": v}}
     raise InternalError("corner rank deficient but no witness found")
 
 
 def is_pointwise_quasi_iso(f: PComplexMap) -> PredicateResult:
-    """Checked in degrees < max_degree (the top degree is truncated)."""
+    """Checked in degrees 0..max_degree (d(max_degree) has no rows)."""
     x, y = f.source, f.target
     for r in range(len(x.grid)):
-        for k in range(x.max_degree):
+        for k in range(x.max_degree + 1):
             hx = x.cohomology_space(r, k)
             hy = y.cohomology_space(r, k)
             m = induced_map(f.mat(r, k), hx, hy)
@@ -496,11 +483,12 @@ def is_trivial_fibration(f: PComplexMap) -> PredicateResult:
 
 
 def _i_injective_direct(f: PComplexMap) -> bool:
-    """Pointwise onto, a pointwise quasi-isomorphism, and every gap map onto."""
+    """Pointwise onto, a pointwise quasi-isomorphism, and every gap map onto
+    (k up to max_degree + 1, whose disk has its lower cell at max_degree)."""
     n = len(f.source.grid)
     return (_not_onto(f) is None and is_pointwise_quasi_iso(f).holds
             and all(_gap_map_epi(f, i, j, k) for i in range(n) for j in range(i, n)
-                    for k in range(1, f.source.max_degree)))
+                    for k in range(1, f.source.max_degree + 2)))
 
 
 def _gap_map_epi(f: PComplexMap, i: int, j: int, k: int) -> bool:
@@ -508,27 +496,21 @@ def _gap_map_epi(f: PComplexMap, i: int, j: int, k: int) -> bool:
     (z, u_j) -> (sigma z - d u_j, f z, f u_j) and y_i -> (0, d y_i, sigma y_i),
     z a cocycle in X^k(i), u_j in X^{k-1}(j) and y_i in Y^{k-1}(i)."""
     x, y = f.source, f.target
-    zx = kernel_basis(x.d_mat(i, k))
-    sig_z, f_z = x.sigma_range(i, j, k), f.mat(i, k)
-    sig_x, sig_y = x.sigma_range(i, j, k - 1), y.sigma_range(i, j, k - 1)
-    rows = x.dim(j, k) + y.dim(i, k) + y.dim(j, k - 1)
-    a = QMatrix.from_columns(
-        [sig_z.apply(z) + f_z.apply(z) + zero_vec(y.dim(j, k - 1)) for z in zx] +
-        [tuple(-c for c in du) + zero_vec(y.dim(i, k)) + fu
-         for du, fu in zip(x.d_mat(j, k - 1).columns(), f.mat(j, k - 1).columns())],
-        rows)
-    b = QMatrix.from_columns(
-        [zero_vec(x.dim(j, k)) + dy + sy
-         for dy, sy in zip(y.d_mat(i, k - 1).columns(), sig_y.columns())], rows)
-    fiber = _fiber_product(a, b)
-    d_i, f_i = x.d_mat(i, k - 1), f.mat(i, k - 1)
-    gap_cols = []
-    for c in range(x.dim(i, k - 1)):
-        zc = express_in_basis(zx, d_i.column(c), x.dim(i, k))
-        if zc is None:
-            raise InternalError("d of a cochain is not a cocycle")
-        gap_cols.append(zc + sig_x.column(c) + f_i.column(c))
-    return rank(QMatrix.from_columns(gap_cols, a.cols + b.cols)) == len(fiber)
+    d_k, d_i, d_j = x.d_mat(i, k), x.d_mat(i, k - 1), x.d_mat(j, k - 1)
+    if not (d_k @ d_i).is_zero():
+        raise InternalError("d of a cochain is not a cocycle")
+    red = rref(d_k)
+    z = QMatrix.from_columns(red.kernel_basis(), d_k.cols)
+    a = vstack([hstack([x.sigma_range(i, j, k) @ z, d_j.scale(-1)]),
+                hstack([f.mat(i, k) @ z, QMatrix.zero(y.dim(i, k), d_j.cols)]),
+                hstack([QMatrix.zero(y.dim(j, k - 1), z.cols), f.mat(j, k - 1)])])
+    b = vstack([QMatrix.zero(x.dim(j, k), y.dim(i, k - 1)), y.d_mat(i, k - 1),
+                y.sigma_range(i, j, k - 1)])
+    # A kernel-basis vector is 1 at its own free column of d(i,k) and 0 at the
+    # others, so a cocycle's Z-coordinates are its entries at the free columns.
+    coords = QMatrix._of(z.cols, z.rows, tuple({c: ONE} for c in red.free_columns()))
+    gap = vstack([coords @ d_i, x.sigma_range(i, j, k - 1), f.mat(i, k - 1)])
+    return rank(gap) == len(_fiber_product(a, b))
 
 
 @dataclass
@@ -557,7 +539,7 @@ def factor_cofibration(i_map: PComplexMap) -> FactorizationCertificate:
     n = len(x.grid)
     for r in range(n):
         for k in range(x.max_degree + 1):
-            if kernel_basis(i_map.mat(r, k)):
+            if rank(i_map.mat(r, k)) < i_map.mat(r, k).cols:
                 raise ValidationError(f"map is not injective at ({r},{k})")
 
     iota = [{k: i_map.mat(r, k) for k in range(x.max_degree + 1)} for r in range(n)]
@@ -581,9 +563,8 @@ def factor_cofibration(i_map: PComplexMap) -> FactorizationCertificate:
             for r in range(n):
                 if which == 1:
                     d_out = y.d_mat(r, k)
-                    sub_cols = QMatrix.from_columns(
-                        [iota[r][k].apply(z) for z in kernel_basis(current.d_mat(r, k))],
-                        y.dim(r, k))
+                    sub_cols = iota[r][k] @ QMatrix.from_columns(
+                        kernel_basis(current.d_mat(r, k)), current.dim(r, k))
                 else:
                     d_out = QMatrix.zero(0, y.dim(r, k))
                     sub_cols = iota[r][k]
@@ -608,10 +589,7 @@ def factor_cofibration(i_map: PComplexMap) -> FactorizationCertificate:
             current = attach_cell(current, padded)
             deg = data.degree - 1
             for r, vec_y in lift.items():
-                old = iota[r][deg]
-                iota[r] = dict(iota[r])
-                iota[r][deg] = QMatrix.from_columns(old.columns() + [vec_y],
-                                                    y.dim(r, deg))
+                iota[r][deg] = hstack([iota[r][deg], QMatrix.from_columns([vec_y], y.dim(r, deg))])
             (stage1 if which == 1 else stage2).append(padded)
 
     run_stage(1)
@@ -644,8 +622,9 @@ def _verify_certificate(i_map: PComplexMap, cert: FactorizationCertificate) -> l
                 problems.append(f"iso not invertible at ({r},{k})")
     for r in range(n):
         for k in range(x.max_degree + 1):
-            restricted = QMatrix.from_columns(
-                [cert.iso[r][k].column(c) for c in range(x.dim(r, k))], y.dim(r, k))
-            if restricted != i_map.mat(r, k):
+            m = cert.iso[r][k]
+            first = vstack([QMatrix.identity(x.dim(r, k)),
+                            QMatrix.zero(m.cols - x.dim(r, k), x.dim(r, k))])
+            if m @ first != i_map.mat(r, k):
                 problems.append(f"iso does not restrict to i at ({r},{k})")
     return problems

@@ -11,7 +11,7 @@ from pmm.cochain import compute_cohomology
 from pmm.errors import InternalError
 from pmm.exactla import (
     ONE, ZERO, QMatrix, RrefResult, _lower_block, adapted_split, back_substitute, block_diag,
-    echelon, express_in_basis, hstack, invert, kernel_basis, lin_comb, quotient_basis, rank,
+    echelon, hstack, invert, kernel_basis, lin_comb, quotient_basis, rank,
     reverse_echelon, rref, solve, unit_vec, vec, vstack,
 )
 
@@ -213,9 +213,9 @@ def test_reverse_echelon_keys_the_youngest_coordinate_first():
 def test_invert_and_express():
     m = QMatrix.from_rows([[2, 1], [1, 1]])
     assert invert(m) @ m == QMatrix.identity(2)
-    coords = express_in_basis([vec([1, 0]), vec([1, 1])], vec([3, 2]), 2)
+    coords = solve(QMatrix.from_columns([vec([1, 0]), vec([1, 1])], 2), vec([3, 2]))
     assert coords == vec([1, 2])
-    assert express_in_basis([vec([1, 0])], vec([0, 1]), 2) is None
+    assert solve(QMatrix.from_columns([vec([1, 0])], 2), vec([0, 1])) is None
 
 
 @pytest.mark.parametrize("columns, rows", [

@@ -928,6 +928,38 @@ def test_complex_label_bound_is_inclusive():
         load_pcomplex(over)
 
 
+def test_complex_and_map_nonzero_bounds_are_inclusive():
+    # A complex's d and maps count together, a map document's components on
+    # their own; zeros and "0" strings not at all.
+    from pmm.io import MAX_COMPLEX_NONZEROS, load_pcomplex, load_pcomplex_map
+
+    n = MAX_COMPLEX_NONZEROS
+    labels = [f"a{i}" for i in range(n + 1)]
+
+    def complex_doc(d_row, map_row):
+        # Stage 0: n + 1 degree-0 labels and d into one degree-1 label;
+        # stage 1: one degree-0 label.  Every square commutes through zero.
+        return {"grid": ["0", "1"], "max_degree": 1, "maps": [{"0": [map_row]}],
+                "stages": [{"basis": {"0": labels, "1": ["c"]}, "d": {"0": [d_row]}},
+                           {"basis": {"0": ["b"]}}]}
+
+    def map_doc(row):
+        source = {"grid": ["0"], "max_degree": 0, "stages": [{"basis": {"0": labels}}], "maps": []}
+        target = {**source, "stages": [{"basis": {"0": ["b"]}}]}
+        return {"source": source, "target": target, "components": [{"0": [row]}]}
+
+    d_row = ["0", 0] + [1] * (n - 2) + ["-1/2"]
+    x = load_pcomplex(complex_doc(d_row, [2] + [0] * n))
+    assert x.d_mat(0, 0).nonzeros() + x.sigma_mat(0, 0).nonzeros() == n
+    assert load_pcomplex_map(map_doc([0] + [3] * n)).mat(0, 0).nonzeros() == n
+    with pytest.raises(SchemaError, match=f"^complex too large: {n + 1}"
+                                          f" nonzero d and map entries is over {n}$"):
+        load_pcomplex(complex_doc(d_row, [2] * 2 + [0] * (n - 1)))
+    with pytest.raises(SchemaError, match=f"^map too large: {n + 1}"
+                                          f" nonzero component entries is over {n}$"):
+        load_pcomplex_map(map_doc(["1/3"] * (n + 1)))
+
+
 def test_the_largest_module_decomposes_under_a_memory_cap(tmp_path):
     # One stage at the bound: d unit vectors of length d, in a fresh process
     # with its address space capped at 1 GiB (a MemoryError would exit 3).

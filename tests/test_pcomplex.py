@@ -6,13 +6,13 @@ import pytest
 
 from pmm import pcomplex
 from pmm.errors import InternalError, ValidationError
-from pmm.exactla import QMatrix, express_in_basis, hstack, rank, unit_vec
+from pmm.exactla import QMatrix, hstack, kernel_basis, rank, solve, unit_vec
 from pmm.persistence import INF, Grid, interval_decompose
 from pmm.pcomplex import (
-    PComplexMap, SphereMapData, _fiber_product, attach_cell, cohomology,
-    factor_cofibration, hom_from_disk, hom_from_sphere, interval_complex,
-    interval_disk, interval_sphere, is_fibration, is_pointwise_quasi_iso,
-    is_trivial_fibration, zero_complex,
+    PComplexMap, PersistentComplex, SphereMapData, _fiber_product, _gap_map_epi,
+    attach_cell, cohomology, factor_cofibration, hom_from_disk, hom_from_sphere,
+    interval_complex, interval_disk, interval_sphere, is_fibration,
+    is_pointwise_quasi_iso, is_trivial_fibration, zero_complex,
 )
 
 from .gen import random_pcomplex, random_pcomplex_map, random_sphere_data
@@ -202,7 +202,6 @@ def test_fibration_counterexample_quotient_of_disks():
             rows = len(quo_labels[r + 1][k])
             cols = len(quo_labels[r][k])
             sig[r][k] = QMatrix.zero(rows, cols)
-    from pmm.pcomplex import PersistentComplex
     quo = PersistentComplex(g, 2, quo_labels, d, sig)
     comps = []
     for r in range(3):
@@ -222,10 +221,9 @@ def test_fibration_counterexample_quotient_of_disks():
 
 def first_unhit_unit(m, dim):
     """The first e_j outside the column span of m, one solve per unit vector."""
-    cols = m.columns()
     for j in range(dim):
         e = unit_vec(dim, j)
-        if not cols or express_in_basis(cols, e, dim) is None:
+        if solve(QMatrix.from_columns(m.columns(), dim), e) is None:
             return e
     return None
 
@@ -291,6 +289,9 @@ def test_disk_to_zero_is_trivial_fibration_iff_born_at_zero():
     f1 = PComplexMap(d1, z, comps)
     assert not is_fibration(f1).holds
     assert is_pointwise_quasi_iso(f1).holds
+    # The unliftable square sits at k = 3 = max_degree + 1, which the gap-map
+    # side of the cross-check must reach.
+    assert not is_trivial_fibration(f1).holds
 
 
 def test_trivial_fibration_always_runs_the_gap_map_cross_check(monkeypatch):
@@ -409,7 +410,7 @@ def test_non_injective_rejected():
 def test_hom_from_sphere_dimension_independent():
     # Fiber-product dimension from rank bookkeeping: dim Z^k(s) + dim X^{k-1}(t)
     # minus the rank of the gluing map (z, u) -> sigma(z) - d(u).
-    from pmm.exactla import kernel_basis, rank as mat_rank
+    from pmm.exactla import rank as mat_rank
     rng = random.Random(55)
     g = grid_of(3)
     for _ in range(30):
@@ -444,15 +445,164 @@ def test_projection_with_disk_born_at_grid_start_is_fibration():
     g = grid_of(3)
     x = random_pcomplex(rng, g, 3, cells=2)
     for s, expected in ((0, True), (1, False)):
-        d = interval_disk(g, 2, s, max_degree=3)
-        total = x.direct_sum(d)
-        comps = []
-        for r in range(3):
-            stage = {}
-            for k in range(4):
-                rows = [[1 if i == j else 0 for j in range(total.dim(r, k))]
-                        for i in range(x.dim(r, k))]
-                stage[k] = QMatrix(x.dim(r, k), total.dim(r, k), rows)
-            comps.append(stage)
-        proj = PComplexMap(total, x, comps)
+        proj = projection(x, x.direct_sum(interval_disk(g, 2, s, max_degree=3)))
         assert is_fibration(proj).holds == expected, s
+
+
+def projection(x, total):
+    """total -> x sending the first cells of each slot to x's cells (X + D -> X)."""
+    return PComplexMap(total, x, [{k: QMatrix(x.dim(r, k), total.dim(r, k),
+                                              [[int(i == j) for j in range(total.dim(r, k))]
+                                               for i in range(x.dim(r, k))])
+                                   for k in range(x.max_degree + 1)}
+                                  for r in range(len(x.grid))])
+
+
+def seeded_maps(rng, count):
+    """Maps on grids of 1-4 stages, max_degree 1-4, in turn: projections
+    X + D^k_s -> X, random maps, and intervals I^k_[s,t) -> 0."""
+    for idx in range(count):
+        n, md = rng.randint(1, 4), rng.randint(1, 4)
+        g = grid_of(n)
+        if idx % 3 == 0:
+            x = random_pcomplex(rng, g, md, cells=3)
+            disk = interval_disk(g, rng.randint(1, md), rng.randint(0, n - 1), max_degree=md)
+            yield projection(x, x.direct_sum(disk))
+        elif idx % 3 == 1:
+            yield random_pcomplex_map(rng, random_pcomplex(rng, g, md, cells=3),
+                                      random_pcomplex(rng, g, md, cells=2))
+        else:
+            s = rng.randint(0, n - 1)
+            t = rng.choice([INF] + list(range(s + 1, n)))
+            i = interval_complex(g, rng.randint(0, md), s, t, max_degree=md)
+            yield PComplexMap(i, zero_complex(g, md),
+                              [{k: QMatrix.zero(0, i.dim(r, k)) for k in range(md + 1)}
+                               for r in range(n)])
+
+
+def test_trivial_fibration_cross_check_agrees_on_seeded_maps():
+    # The two sides of the cross-check quantify over the same degrees: the
+    # quasi-iso side through max_degree, the gap maps through max_degree + 1.
+    # When they did not, a disk born after the first grid time (an
+    # unliftable square at k = max_degree + 1) made valid maps raise.
+    held = Counter(is_trivial_fibration(f).holds for f in seeded_maps(random.Random(600), 600))
+    assert held[True] >= 50 and held[False] >= 50, held
+
+
+def ref_attach_cell(x, data, label=None):
+    """attach_cell before block assembly: d and sigma rebuilt from dense rows
+    and columns, each stage's cocycle pushed by sigma_range(s, r)."""
+    data.validate_against(x)
+    k, s, t = data.degree, data.birth, data.death
+    n = len(x.grid)
+    lab = label or data.label
+    labels = [[list(x.labels[r][deg]) for deg in range(x.max_degree + 1)] for r in range(n)]
+    d = [dict(x._d[r]) for r in range(n)]
+    sigma = [dict(x._sigma[r]) for r in range(n - 1)]
+
+    def alive(r):
+        return r >= s and (t == INF or r < t)
+
+    for r in range(n):
+        if not alive(r):
+            continue
+        labels[r][k - 1].append(lab)
+        pushed = x.sigma_range(s, r, k).apply(data.cocycle)
+        old = x.d_mat(r, k - 1)
+        d[r][k - 1] = QMatrix.from_columns(old.columns() + [pushed], old.rows)
+        if k - 2 >= 0:
+            below = x.d_mat(r, k - 2)
+            d[r][k - 2] = QMatrix(below.rows + 1, below.cols,
+                                  [list(row) for row in below.data] + [[0] * below.cols])
+    for r in range(n - 1):
+        src_alive, dst_alive = alive(r), alive(r + 1)
+        if not src_alive and not dst_alive:
+            continue
+        old = x.sigma_mat(r, k - 1)
+        rows = [list(row) for row in old.data]
+        if src_alive and dst_alive:
+            for row in rows:
+                row.append(0)
+            rows.append([0] * old.cols + [1])
+            sigma[r][k - 1] = QMatrix(old.rows + 1, old.cols + 1, rows)
+        elif src_alive:
+            for i, row in enumerate(rows):
+                row.append(data.bounding[i])
+            sigma[r][k - 1] = QMatrix(old.rows, old.cols + 1, rows)
+        else:
+            rows.append([0] * old.cols)
+            sigma[r][k - 1] = QMatrix(old.rows + 1, old.cols, rows)
+    return PersistentComplex(x.grid, x.max_degree, labels, d, sigma)
+
+
+def ref_gap_map_epi(f, i, j, k):
+    """_gap_map_epi before block assembly: a, b and the gap map joined from
+    dense columns, each cocycle's Z-coordinates found by a solve."""
+    x, y = f.source, f.target
+    zx = kernel_basis(x.d_mat(i, k))
+    sig_z, f_z = x.sigma_range(i, j, k), f.mat(i, k)
+    sig_x, sig_y = x.sigma_range(i, j, k - 1), y.sigma_range(i, j, k - 1)
+    rows = x.dim(j, k) + y.dim(i, k) + y.dim(j, k - 1)
+    a = QMatrix.from_columns(
+        [sig_z.apply(z) + f_z.apply(z) + (0,) * y.dim(j, k - 1) for z in zx] +
+        [tuple(-c for c in du) + (0,) * y.dim(i, k) + fu
+         for du, fu in zip(x.d_mat(j, k - 1).columns(), f.mat(j, k - 1).columns())],
+        rows)
+    b = QMatrix.from_columns(
+        [(0,) * x.dim(j, k) + dy + sy
+         for dy, sy in zip(y.d_mat(i, k - 1).columns(), sig_y.columns())], rows)
+    d_i, f_i = x.d_mat(i, k - 1), f.mat(i, k - 1)
+    gap_cols = []
+    for c in range(x.dim(i, k - 1)):
+        zc = solve(QMatrix.from_columns(zx, x.dim(i, k)), d_i.column(c))
+        assert zc is not None
+        gap_cols.append(zc + sig_x.column(c) + f_i.column(c))
+    return rank(QMatrix.from_columns(gap_cols, a.cols + b.cols)) == len(_fiber_product(a, b))
+
+
+def test_attach_cell_matches_the_dense_reference():
+    # Every d and sigma entry of the block assembly equals the dense one, on
+    # random complexes with cells of every degree, birth and death.
+    rng = random.Random(808)
+    crossings = Counter()
+    for _ in range(150):
+        n, md = rng.randint(1, 4), rng.randint(1, 4)
+        x = random_pcomplex(rng, grid_of(n), md, cells=5)
+        k, s = rng.randint(1, md), rng.randint(0, n - 1)
+        t = rng.choice([INF] + list(range(s + 1, n)))
+        data = random_sphere_data(rng, x, k, s, t, label="new")
+        got, want = attach_cell(x, data), ref_attach_cell(x, data)
+        assert got.labels == want.labels
+        for r in range(n):
+            for deg in range(md + 1):
+                assert got.d_mat(r, deg).data == want.d_mat(r, deg).data
+                if r + 1 < n:
+                    assert got.sigma_mat(r, deg).data == want.sigma_mat(r, deg).data
+        crossings["death" if t != INF else "immortal"] += 1
+        crossings["nonzero cocycle"] += any(data.cocycle)
+    assert min(crossings.values()) >= 10, crossings
+
+
+def test_gap_map_epi_matches_the_dense_reference():
+    # Identities, projections X + D^k_s -> X and random maps, every grid pair
+    # and k up to max_degree + 1; some gap maps are not onto.  The chain
+    # u -> b, a -> c on [0, 1) gives d(0,2) a pivot column (a) beside a free
+    # one (b), so the gap map at (0, 1, 2) reads the Z-coordinates of d u = b.
+    chain = zero_complex(grid_of(2), 3)
+    for deg, cocycle in ((4, ()), (3, (1,)), (3, (0,)), (2, (0, 1))):
+        chain = attach_cell(chain, SphereMapData(deg, 0, 1, cocycle, ()))
+    to_zero = PComplexMap(chain, zero_complex(grid_of(2), 3),
+                          [{k: QMatrix.zero(0, chain.dim(r, k)) for k in range(4)}
+                           for r in range(2)])
+    rng = random.Random(909)
+    values = Counter()
+    for idx, f in enumerate([to_zero, *seeded_maps(rng, 60)]):
+        for g in (f, PComplexMap.identity(f.source)):
+            n = len(g.source.grid)
+            for i in range(n):
+                for j in range(i, n):
+                    for k in range(1, g.source.max_degree + 2):
+                        got = _gap_map_epi(g, i, j, k)
+                        assert got == ref_gap_map_epi(g, i, j, k), (idx, i, j, k)
+                        values[got] += 1
+    assert values[False] >= 20 and values[True] >= 100, values
