@@ -46,7 +46,7 @@ for formal in (False, True):
         tc = tame_cone(model)[0]
         dims = [tc.cohomology_space(r, k).dim for r in range(4)]
         model = surgery_step(model, k)
-        new = [rec["name"] for rec in model.gen_records if rec["degree"] == k]
+        new = [g.name for g in model.gen_records if g.degree == k]
         print(f"  degree {k}: cone H^{k} dims per stage {dims}, attached {new or 'nothing'}")
     print("  barcode:", homotopy_barcode(model).as_multiset())
     print("  presentation:", presentation(model).text())

@@ -352,28 +352,21 @@ class FreeCDGA(_GradedAlgebra):
         return inversions % 2 == 1, tuple(map(add, m1, m2))
 
     def d_key(self, mono: Monomial) -> CdgaElement:
-        """Leibniz differential of one monomial."""
+        """Leibniz differential of one monomial p * x, with x its last
+        generator: d(p x) = d(p) x + (-1)^|p| p dx, memoised, so each
+        monomial costs two products on its prefix's differential."""
         out = self._dmono_cache.get(mono)
-        if out is not None:
-            return CdgaElement._of(self, out)
-        word = [i for i, e in enumerate(mono) for _ in range(e)]
-        out = {}
-        prefix_deg = 0
-        for pos, gi in enumerate(word):
-            dg = self.generator_diff(self.generators[gi].name)
-            if dg.terms:
-                pre = self._word_monomial(word[:pos])
-                suf = self._word_monomial(word[pos + 1:])
-                _add_into(out, (pre * dg * suf).terms, -ONE if prefix_deg % 2 else None)
-            prefix_deg += self._degrees[gi]
-        self._dmono_cache[mono] = out
+        if out is None:
+            prefix, i = _prefix(mono)
+            out = {}
+            if prefix is not None:
+                name = self.generators[i].name
+                _add_into(out, (self.d_key(prefix) * self.gen(name)).terms)
+                _add_into(out, (CdgaElement._of(self, {prefix: ONE})
+                                * self.generator_diff(name)).terms,
+                          -ONE if self.key_degree(prefix) % 2 else None)
+            self._dmono_cache[mono] = out
         return CdgaElement._of(self, out)
-
-    def _word_monomial(self, word: list[int]) -> CdgaElement:
-        counts = [0] * len(self.generators)
-        for i in word:
-            counts[i] += 1
-        return CdgaElement._of(self, {tuple(counts): ONE})
 
     # -- derived structure --------------------------------------------------
 

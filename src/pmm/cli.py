@@ -131,7 +131,7 @@ def cmd_decompose(args) -> int:
     elif "max_degree" in doc:
         x = load_pcomplex(doc)
         all_bars = []
-        for k in range(x.max_degree):
+        for k in range(x.max_degree + 1):
             module = pcomplex_cohomology(x, k)
             bars, _ = interval_decompose(module)
             for b in bars:

@@ -12,9 +12,8 @@ One eliminator serves every reduction.  `echelon` is the forward echelon
 keyed by pivot column: its keys are the matrix's pivot columns (an
 invariant) and its rows a basis of the row space, which is all that ranks,
 pivots and membership tests need.  `back_substitute` turns it into the
-unique RREF where one is read (`rref`, and through it `kernel_basis`,
-`reverse_echelon` and `invert`); `solve` back-substitutes its right-hand
-column alone.
+unique RREF where one is read (`rref`, and through it `kernel_basis` and
+`reverse_echelon`); `solve` back-substitutes its right-hand column alone.
 
 `QMatrix(rows, cols, entries)` and `from_columns` coerce each entry with
 `frac` and check the shape.  The private constructors trust their entries
@@ -376,19 +375,6 @@ def quotient_basis(sub: Sequence[Vector], ambient_dim: int) -> list[Vector]:
     return [unit_vec(ambient_dim, j) for j in range(ambient_dim) if j not in keys]
 
 
-def invert(m: QMatrix) -> QMatrix:
-    if m.rows != m.cols:
-        raise ValueError("invert: not square")
-    n = m.rows
-    if n == 0:
-        return QMatrix(0, 0)
-    r = rref(hstack([m, QMatrix.identity(n)]))
-    if r.pivots[-1] >= n:
-        raise ValueError("invert: singular matrix")
-    return QMatrix._of(n, n, tuple({j - n: x for j, x in row.items() if j >= n}
-                                   for row in r.reduced._rows))
-
-
 @dataclass(frozen=True)
 class AdaptedSplit:
     """Bases adapted to Coim + Ker -> Im + Coker for a fixed map psi.
@@ -403,7 +389,6 @@ class AdaptedSplit:
     cokernel: tuple[Vector, ...]
     domain_change: QMatrix        # columns: coimage ++ kernel
     codomain_change: QMatrix      # columns: image ++ cokernel
-    codomain_change_inv: QMatrix
 
     @property
     def rank(self) -> int:
@@ -418,9 +403,5 @@ def adapted_split(psi: QMatrix) -> AdaptedSplit:
     coker = quotient_basis(img, psi.rows)
     dom = QMatrix.from_columns(coim + ker, psi.cols)
     cod = QMatrix.from_columns(img + coker, psi.rows)
-    return AdaptedSplit(
-        coimage=tuple(coim), kernel=tuple(ker),
-        image=tuple(img), cokernel=tuple(coker),
-        domain_change=dom,
-        codomain_change=cod, codomain_change_inv=invert(cod),
-    )
+    return AdaptedSplit(coimage=tuple(coim), kernel=tuple(ker), image=tuple(img),
+                        cokernel=tuple(coker), domain_change=dom, codomain_change=cod)

@@ -20,8 +20,8 @@ from .exactla import QMatrix
 from .persistence import INF, Bar, Grid, PersistenceModule
 from .pcomplex import PComplexMap, PersistentComplex
 from .pminimal import (
-    INTERNAL_HEADROOM, PersistentCDGA, TameMinimalModel, _attach_generators,
-    homotopy_barcode, presentation,
+    INTERNAL_HEADROOM, PersistentCDGA, PersistentGenerator, TameMinimalModel,
+    _attach_generators, homotopy_barcode, presentation,
 )
 
 SCHEMA_VERSION = 1
@@ -414,12 +414,12 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
     trivial = TameMinimalModel.trivial(target)
     algebras, sigmas, records = trivial.algebras, trivial.sigmas, []
     for k in sorted({e["degree"] for e in entries}):
-        cells = [{"name": e["name"], "degree": k, "birth": e["birth"],
-                  "death": INF if e["death"] is None else e["death"],
-                  "v": parse_expression(str(e["d"]), algebras[e["birth"]]),
-                  "u": None if e["death"] is None else
-                  parse_expression(str(e.get("endpoint") or "0"), algebras[e["death"]])}
-                 for e in entries if e["degree"] == k]
+        cells = [PersistentGenerator(
+            e["name"], k, e["birth"], INF if e["death"] is None else e["death"],
+            parse_expression(str(e["d"]), algebras[e["birth"]]),
+            None if e["death"] is None else
+            parse_expression(str(e.get("endpoint") or "0"), algebras[e["death"]]))
+            for e in entries if e["degree"] == k]
         try:
             algebras, sigmas = _attach_generators(algebras, sigmas, k, cells)
         except ValidationError as exc:

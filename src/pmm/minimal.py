@@ -1,11 +1,11 @@
 """Minimal models of single CDGAs and of maps between them.
 
 Both are persistent minimal models of short towers, built and checked by the
-extend-and-verify step of `pminimal`.  The Sullivan minimal model of one CDGA
-is the persistent minimal model over a one-point grid (`build_min_model` runs
-`pminimal.build_persistent_minimal_model` on a one-stage tower).  A model is
-"k-minimal" here in the operational sense that the mapping cone of the model
-map has vanishing cohomology through degree k.
+one step body of `pminimal` (`attach_classes`).  The Sullivan minimal model
+of one CDGA is the persistent minimal model over a one-point grid
+(`build_min_model` runs `pminimal.build_persistent_minimal_model` on a
+one-stage tower).  A model is "k-minimal" here in the operational sense that
+the mapping cone of the model map has vanishing cohomology through degree k.
 
 A model of a map f: A -> B is the two-stage tame model of the tower A -> B
 over the grid (0, 1), as the relative Sullivan model of a map is built from
@@ -13,10 +13,11 @@ the same Hirsch extensions (Felix-Halperin-Thomas, section 14): M, N, g, m,
 n and the homotopy H from f o m to n o g are the stage algebras, sigma,
 stage models and homotopy of that model.  Only the choice of generators is
 the map's own: `map_model_step` adapts bases of H^k of the two cones to
-psi = H^k(phi), turns each class into a generator record and passes the
-records to `pminimal._extend_state` and `pminimal._verify_surgery`, so each
-generator is checked once, in the step that adds it.  The step itself checks
-Q^k(g) = psi.  `pminimal.validate_model(mm.model)` is the full audit.
+psi = H^k(phi) and turns each class into a cell (lifespan, cone cocycle, end
+point); `pminimal.attach_classes`, the step surgery runs on the bars of the
+tame cone, attaches the cells and checks each new generator once.  The map
+step itself checks that the adapted bases split psi and that Q^k(g) = psi.
+`pminimal.validate_model(mm.model)` is the full audit.
 """
 from __future__ import annotations
 
@@ -27,12 +28,12 @@ from .cdga import (  # check_minimality: perfbench/spans.py wraps minimal.check_
 )
 from .cochain import induced_map
 from .errors import InternalError, ValidationError
-from .exactla import ONE, QMatrix, adapted_split, solve
+from .exactla import ONE, QMatrix, adapted_split
 from .homotopy import HomotopySquare
 from .persistence import INF, Grid
 from .pminimal import (
-    INTERNAL_HEADROOM, PersistentCDGA, TameMinimalModel, _extend_state,
-    _verify_surgery, build_persistent_minimal_model,
+    INTERNAL_HEADROOM, PersistentCDGA, TameMinimalModel, attach_classes,
+    build_persistent_minimal_model, cone_classes,
 )
 
 
@@ -107,17 +108,16 @@ def map_model_step(mm: MapModel) -> MapModel:
     """One inductive extension of a map model, from degree k-1 to k.
 
     Bases of H^k of the two cones are adapted to psi = H^k(phi).  Each class
-    becomes one generator record: a coimage class a bar [0,1) whose end point
-    is the new codomain generator it transports to, a kernel class a bar
-    [0,1) whose end point and homotopy correction solve its death in the
-    target cone, and a transported or cokernel class a bar [1,inf).  The
-    persistent builder extends and checks the model; Q^k(g) = psi is checked
-    here.
+    becomes one cell of the persistent step (`pminimal.attach_classes`): a
+    coimage class a bar [0,1) whose end point is the new codomain generator
+    it transports to, a kernel class a bar [0,1) whose death is solved for
+    in the target cone, and a transported or cokernel class a bar [1,inf).
+    The persistent step extends and checks the model; Q^k(g) = psi is
+    checked here.
     """
     k = mm.k + 1
-    c_m, c_n = mm.model.stage_cones()
-    phi = mm.model.cone_maps((k - 1, k))[0].matrix(k)
-    v_space, w_space = c_m.cohomology_space(k), c_n.cohomology_space(k)
+    sigmas, (v_space, w_space) = cone_classes(mm.model, k)
+    phi = sigmas[0]
     psi = induced_map(phi, v_space, w_space)
     split = adapted_split(psi)
     r = split.rank
@@ -128,38 +128,24 @@ def map_model_step(mm: MapModel) -> MapModel:
     dom_names = [f"x{k}_{i}" for i in range(len(dom_reps))]
     cod_names = [f"y{k}_{i}" for i in range(len(cod_reps))]
     # A coimage generator ends at the codomain generator of the same index;
-    # _extend_state embeds end points by generator name.
+    # end points are embedded by generator name.
     ends = free_cdga([(name, k) for name in cod_names], {}, k)
+    cells = [(name, 0, 1, {0: z}, ends.gen(cod_names[i]) if i < r else None)
+             for i, (name, z) in enumerate(zip(dom_names, dom_reps))]
+    cells += [(name, 1, INF, {1: w}, None) for name, w in zip(cod_names, cod_reps)]
+    model = attach_classes(mm.model, k, sigmas, cells)
 
-    def record(name, birth, section, u=None, b=None):
-        return {"name": name, "degree": k, "birth": birth, "death": 1 if birth == 0 else INF,
-                "v": section[0], "u": u, "b": b, "sections": {birth: section}}
-
-    records = []
-    for i, (name, z) in enumerate(zip(dom_names, dom_reps)):
-        if i < r:
-            u, b = ends.gen(cod_names[i]), None
-        else:
-            sol = solve(c_n.d_matrix(k - 1), phi.apply(z))
-            if sol is None:
-                raise InternalError("kernel class is not bounded in the target cone")
-            u, b = c_n.unpack(k - 1, sol)
-        records.append(record(name, 0, c_m.unpack(k, z), u, b))
-    records += [record(name, 1, c_n.unpack(k, w)) for name, w in zip(cod_names, cod_reps)]
-
-    model = _extend_state(mm.model, k, records)
-    _verify_surgery(model, k, records)
-
+    # In the adapted bases psi is the rank block [[I, 0], [0, 0]].
+    block = QMatrix(len(cod_names), len(dom_names),
+                    [[ONE if (i == j and i < r) else 0
+                      for j in range(len(dom_names))] for i in range(len(cod_names))])
+    if split.codomain_change @ block != psi @ split.domain_change:
+        raise InternalError("adapted bases do not split H^k(phi)")
     q = linear_part(model.sigmas[0], dom_names, cod_names)
-    expected = QMatrix(len(cod_names), len(dom_names),
-                       [[ONE if (i == j and i < r) else 0
-                         for j in range(len(dom_names))] for i in range(len(cod_names))])
-    if q != expected:
+    if q != block:
         raise InternalError("Q^k of the extended map differs from H^k(phi)")
-    psi_adapted = (split.codomain_change_inv @ psi @ split.domain_change
-                   if psi.rows and psi.cols else psi)
     return MapModel(model, mm.reports + [StepReport(
-        degree=k, psi=psi, q_matrix=q, psi_adapted=psi_adapted,
+        degree=k, psi=psi, q_matrix=q, psi_adapted=block,
         new_domain_gens=dom_names, new_codomain_gens=cod_names)])
 
 

@@ -223,17 +223,11 @@ def bar_sections(grid: Grid, sigmas: Sequence[QMatrix], spaces: Sequence[Cohomol
 
 
 def cohomology(x: PersistentComplex, k: int) -> PersistenceModule:
-    """Persistent H^k as a module over the grid.
-
-    At k = max_degree the outgoing differential is not stored, so the result
-    is kernel-only and flagged `truncated_top`.
-    """
+    """Persistent H^k as a module over the grid (d(max_degree) is zero: a
+    complex holds nothing above max_degree)."""
     n = len(x.grid)
-    module = cohomology_module(x.grid, [x.sigma_mat(r, k) for r in range(n - 1)],
-                               [x.cohomology_space(r, k) for r in range(n)])
-    if k == x.max_degree:
-        module.truncated_top = True
-    return module
+    return cohomology_module(x.grid, [x.sigma_mat(r, k) for r in range(n - 1)],
+                             [x.cohomology_space(r, k) for r in range(n)])
 
 
 @dataclass
@@ -583,14 +577,17 @@ def factor_cofibration(i_map: PComplexMap) -> FactorizationCertificate:
                     bounding = preimage(t, k, y.sigma_mat(t - 1, k).apply(lift[t - 1]))
                 batch.append((SphereMapData(k + 1, s, bar.death, coc, bounding,
                                             f"s{which}_{k}_{idx}"), lift))
-        # Attach the whole batch, extending iota by the lifted sections.
+        # Attach the whole batch, then extend iota by the lifted sections,
+        # one block per (stage, degree) in attaching order.
+        lifted: dict[tuple[int, int], list[Vector]] = {}
         for data, lift in batch:
             padded = _padded(data, current)
             current = attach_cell(current, padded)
-            deg = data.degree - 1
             for r, vec_y in lift.items():
-                iota[r][deg] = hstack([iota[r][deg], QMatrix.from_columns([vec_y], y.dim(r, deg))])
+                lifted.setdefault((r, data.degree - 1), []).append(vec_y)
             (stage1 if which == 1 else stage2).append(padded)
+        for (r, deg), cols in lifted.items():
+            iota[r][deg] = hstack([iota[r][deg], QMatrix.from_columns(cols, y.dim(r, deg))])
 
     run_stage(1)
     intermediate = current

@@ -88,7 +88,6 @@ class PersistenceModule:
         self.grid = grid
         self.dims = tuple(dims)
         self.maps = tuple(maps)
-        self.truncated_top = False  # set by pcomplex.cohomology at max degree
 
     def map_range(self, i: int, j: int) -> QMatrix:
         """Composite structure map from stage i to stage j (i <= j)."""

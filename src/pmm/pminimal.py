@@ -9,6 +9,11 @@ model values; at a finite death the propagated cocycle is bounded by a
 deterministic solve whose two components become the endpoint image and the
 homotopy correction term.
 
+One step body, attach_classes, attaches generators for surgery and for the
+models of maps (minimal.map_model_step): a caller only chooses the classes,
+as cells (name, lifespan, cone cocycles, end point or None).  A generator
+has one record, PersistentGenerator, kept in gen_records.
+
 Stage algebras carry an internal degree cap two above the requested cap:
 degree-cap surgery reads cone cocycles one degree up, whose cocycle
 condition reads one degree further.
@@ -17,10 +22,10 @@ Surgery at degree k adjoins generators of degree k only, so each step carries
 from the last what lies below k (_extend_state): d-matrices, with bases built
 from the last step's (hirsch_extend), map and homotopy blocks (inherit), and
 stage cone cohomology (ConeComplex.carry_cohomology, after checking that the
-cone's d-matrices there equal the previous cone's).  A model is its cells:
-_attach_generators makes the stage algebras and structure maps from the
-degree-k cells (lifespan, birth differential, end point), for the build and
-for io.load_model alike.
+cone's d-matrices there equal the previous cone's).  A model is its
+generators: _attach_generators makes the stage algebras and structure maps
+from the degree-k ones (lifespan, birth differential, end point), for the
+build and for io.load_model alike.
 
 The build checks each generator once, in the step that adds it; the
 `inherit` guards show that the old generators' differentials, images and
@@ -49,7 +54,7 @@ Verification (README "Verification" has each invariant), build check [audit key]
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -115,7 +120,8 @@ class PersistentCDGA:
 
 @dataclass
 class PersistentGenerator:
-    """One cell of the persistent model: lifespan plus attaching data."""
+    """One cell of the persistent model: lifespan plus attaching data, over
+    the algebras it was attached to or any whose generators extend them."""
 
     name: str
     degree: int
@@ -127,6 +133,9 @@ class PersistentGenerator:
     def bar(self) -> Bar:
         return Bar(self.birth, self.death, self.degree)
 
+    def alive_at(self, r: int) -> bool:
+        return self.birth <= r < self.death
+
 
 class TameMinimalModel:
     """Stagewise minimal models with atomic homotopies between stages.
@@ -134,15 +143,14 @@ class TameMinimalModel:
     Stage r carries the model algebra algebras[r] with its model map
     models[r] into the target stage; sigmas[r] and homotopies[r] (a map into
     the path algebra of target stage r + 1) fill the square over the
-    target's structure map r.  gen_records holds one entry
-    per persistent generator (name, degree, birth, death, birth
-    differential "v", endpoint image "u"); degree_done is the degree through
-    which surgery has run.
+    target's structure map r.  gen_records holds each PersistentGenerator
+    with its elements as attached; degree_done is the degree through which
+    surgery has run.
     """
 
     def __init__(self, target: PersistentCDGA, algebras: list[FreeCDGA],
                  sigmas: list[CdgaMorphism], models: list[CdgaMorphism],
-                 homotopies: list[CdgaMorphism], gen_records: list[dict],
+                 homotopies: list[CdgaMorphism], gen_records: list[PersistentGenerator],
                  degree_done: int):
         self.target = target
         self.grid = target.grid
@@ -171,19 +179,14 @@ class TameMinimalModel:
 
     @property
     def generators(self) -> list[PersistentGenerator]:
-        out = []
-        for rec in self.gen_records:
-            v = rec["v"]
-            v_bound = v.algebra.embed_terms(v, self.algebras[rec["birth"]])
-            u_bound = None
-            if rec["u"] is not None:
-                u = rec["u"]
-                u_bound = u.algebra.embed_terms(u, self.algebras[int(rec["death"])])
-            out.append(PersistentGenerator(
-                name=rec["name"], degree=rec["degree"], birth=rec["birth"],
-                death=rec["death"], birth_differential=v_bound,
-                endpoint_image=u_bound))
-        return out
+        """The cells with their elements embedded in the final stage algebras."""
+        def embed(x: CdgaElement, r) -> CdgaElement:
+            return x.algebra.embed_terms(x, self.algebras[int(r)])
+
+        return [replace(g, birth_differential=embed(g.birth_differential, g.birth),
+                        endpoint_image=None if g.endpoint_image is None
+                        else embed(g.endpoint_image, g.death))
+                for g in self.gen_records]
 
     def pushforward(self, elem: CdgaElement, r_from: int, r_to: int) -> CdgaElement:
         out = elem
@@ -229,49 +232,64 @@ def tame_cone(model: TameMinimalModel
     return PersistentComplex(model.grid, degrees[-1], labels, d, sigma), cones, maps
 
 
+def cone_classes(model: TameMinimalModel, k: int) -> tuple[list, list]:
+    """The degree-k cone-map matrices and H^k of each stage cone."""
+    # phi(k) maps cocycles to cocycles and boundaries to boundaries once phi
+    # commutes with d in degrees k-1 and k; validate_model audits every degree.
+    sigmas = [phi.matrix(k) for phi in model.cone_maps((k - 1, k))]
+    return sigmas, [c.cohomology_space(k) for c in model.stage_cones()]
+
+
 def surgery_step(model: TameMinimalModel, k: int) -> TameMinimalModel:
     """Attach one persistent generator per bar of H^k of the tame cone."""
     if k != model.degree_done + 1:
         raise ValidationError(f"surgery degree {k} out of order "
                               f"(done through {model.degree_done})")
-    cones = model.stage_cones()
-    # phi(k) maps cocycles to cocycles and boundaries to boundaries once phi
-    # commutes with d in degrees k-1 and k; validate_model audits every degree.
-    sigmas = [phi.matrix(k) for phi in model.cone_maps((k - 1, k))]
-    spaces = [c.cohomology_space(k) for c in cones]
+    sigmas, spaces = cone_classes(model, k)
     bars, reps, sections = bar_sections(model.grid, sigmas, spaces)
-
     order = sorted(range(len(bars)), key=lambda i: (
         bars[i].birth, bars[i].death == INF, bars[i].death,
         tuple(reps[i].vectors[bars[i].birth])))
+    return attach_classes(model, k, sigmas, [
+        (f"x{k}_{counter}", bars[i].birth, bars[i].death, sections[i], None)
+        for counter, i in enumerate(order)])
 
-    new_records = []
-    for counter, idx in enumerate(order):
-        p, q, z = bars[idx].birth, bars[idx].death, sections[idx]
-        unpacked = {r: cones[r].unpack(k, z[r]) for r in z}
-        u_elem = None
-        b_elem = None
-        if q != INF:
-            pushed = sigmas[int(q) - 1].apply(z[int(q) - 1])
-            sol = solve(cones[int(q)].d_matrix(k - 1), pushed)
+
+def attach_classes(model: TameMinimalModel, k: int, sigmas: Sequence,
+                   cells: list[tuple]) -> TameMinimalModel:
+    """Adjoin one degree-k generator per chosen cone class, then check it.
+
+    Each cell is (name, birth, death, {r: cone cocycle}, end point or None),
+    its cocycles a section over its lifespan.  A finite death with no end
+    point is solved for one: the class pushed into the death stage is
+    bounded there, and the bounding cochain's two components become the end
+    point and the homotopy correction.  `sigmas` are the degree-k cone-map
+    matrices.
+    """
+    cones = model.stage_cones()
+    gens, parts = [], []
+    for name, birth, death, z, end in cells:
+        sections = {r: cones[r].unpack(k, z[r]) for r in z}
+        correction = None
+        if death != INF and end is None:
+            q = int(death)
+            sol = solve(cones[q].d_matrix(k - 1), sigmas[q - 1].apply(z[q - 1]))
             if sol is None:
                 raise InternalError("dead bar class fails to bound at its death")
-            u_elem, b_elem = cones[int(q)].unpack(k - 1, sol)
-        new_records.append({
-            "name": f"x{k}_{counter}", "degree": k,
-            "birth": p, "death": q, "v": unpacked[p][0], "u": u_elem,
-            "b": b_elem, "sections": unpacked,
-        })
-
-    out = _extend_state(model, k, new_records)
-    _verify_surgery(out, k, new_records)
+            end, correction = cones[q].unpack(k - 1, sol)
+        gens.append(PersistentGenerator(name, k, birth, death, sections[birth][0], end))
+        parts.append((sections, correction))
+    out = _extend_state(model, k, gens, parts)
+    _verify_surgery(out, k, [g.name for g in gens])
     return out
 
 
-def _extend_state(model: TameMinimalModel, k: int,
-                  new_records: list[dict]) -> TameMinimalModel:
+def _extend_state(model: TameMinimalModel, k: int, gens: list[PersistentGenerator],
+                  parts: list[tuple]) -> TameMinimalModel:
     """Adjoin the degree-k generators at every stage (_attach_generators),
-    with their stage model values and homotopies.
+    with their stage model values and homotopies; parts[i] holds gens[i]'s
+    unpacked sections {r: (model value v, target value a)} and its homotopy
+    correction at death (or None).
 
     Each Hirsch extension is a sub-CDGA of the next, so below degree k nothing
     changes: the new algebras, maps and homotopies take the old ones' blocks
@@ -283,27 +301,27 @@ def _extend_state(model: TameMinimalModel, k: int,
     n = len(model.grid)
     target = model.target
     old_algs = model.algebras
-    new_algs, sigmas = _attach_generators(old_algs, model.sigmas, k, new_records)
+    new_algs, sigmas = _attach_generators(old_algs, model.sigmas, k, gens)
 
     models = []
     for r in range(n):
         images = {g.name: model.models[r].gen_images[g.name]
                   for g in old_algs[r].generators}
-        for rec in new_records:
-            if _alive(rec, r):
-                images[rec["name"]] = rec["sections"][r][1]
+        for g, (sections, _) in zip(gens, parts):
+            if g.alive_at(r):
+                images[g.name] = sections[r][1]
         models.append(CdgaMorphism.on_generators(new_algs[r], target.stages[r], images))
         models[r].inherit(model.models[r])
 
     homotopies = []
     for r, old in enumerate(model.homotopies):
         values = dict(old.gen_images)
-        for rec in new_records:
-            if _alive(rec, r):
-                v_elem, a_elem = rec["sections"][r]
-                values[rec["name"]] = extend_homotopy(
+        for g, (sections, correction) in zip(gens, parts):
+            if g.alive_at(r):
+                v_elem, a_elem = sections[r]
+                values[g.name] = extend_homotopy(
                     target.maps[r], old, v_elem, a_elem,
-                    None if _alive(rec, r + 1) else rec["b"])
+                    None if g.alive_at(r + 1) else correction)
         h = CdgaMorphism.on_generators(new_algs[r], old.codomain, values)
         h.inherit(old)
         problems = validate_morphism(h, [x for x in values if x not in old.gen_images])
@@ -311,35 +329,31 @@ def _extend_state(model: TameMinimalModel, k: int,
             raise ValidationError(f"homotopy: {problems[0]} at stage {r}")
         homotopies.append(h)
 
-    records = model.gen_records + [
-        {key: rec[key] for key in ("name", "degree", "birth", "death", "v", "u")}
-        for rec in new_records]
-    out = TameMinimalModel(target, new_algs, sigmas, models, homotopies, records, k)
+    out = TameMinimalModel(target, new_algs, sigmas, models, homotopies,
+                           model.gen_records + gens, k)
     for new, old in zip(out.stage_cones(), model.stage_cones()):
         new.carry_cohomology(old)
     return out
 
 
-def _alive(cell: dict, r: int) -> bool:
-    return cell["birth"] <= r and (cell["death"] == INF or r < cell["death"])
-
-
 def _attach_generators(algebras: Sequence[FreeCDGA], sigmas: Sequence[CdgaMorphism],
-                       k: int, cells: list[dict]
+                       k: int, cells: list[PersistentGenerator]
                        ) -> tuple[list[FreeCDGA], list[CdgaMorphism]]:
-    """Attach the degree-k cells (name, birth, death, birth differential "v"
-    over the birth stage's algebra, end point "u") as Hirsch extensions.
+    """Attach the degree-k cells as Hirsch extensions, each birth
+    differential over the birth stage's algebra.
 
-    Stage r adjoins the cells alive there, each with v pushed along the old
-    structure maps as its differential; structure map r sends a surviving
-    cell to itself and a dying one to u, embedded by generator name.  A
-    stage that gains no generator keeps its algebra, and a map between two
-    kept algebras is kept; the others inherit the old map's blocks.
+    Stage r adjoins the cells alive there, each with its birth differential
+    pushed along the old structure maps; structure map r sends a surviving
+    cell to itself and a dying one to its end point, embedded by generator
+    name.  A stage that gains no generator keeps its algebra, and a map
+    between two kept algebras is kept; the others inherit the old map's
+    blocks.
     """
     new_algs, diffs = [], {}
     for r, alg in enumerate(algebras):
-        diffs = {c["name"]: c["v"] if c["birth"] == r else sigmas[r - 1].apply(diffs[c["name"]])
-                 for c in cells if _alive(c, r)}
+        diffs = {c.name: c.birth_differential if c.birth == r
+                 else sigmas[r - 1].apply(diffs[c.name])
+                 for c in cells if c.alive_at(r)}
         new_algs.append(hirsch_extend(alg, [(name, k, v) for name, v in diffs.items()])[0]
                         if diffs else alg)
     new_sigmas = []
@@ -351,22 +365,22 @@ def _attach_generators(algebras: Sequence[FreeCDGA], sigmas: Sequence[CdgaMorphi
         images = {g.name: algebras[r + 1].embed_terms(sigma.gen_images[g.name], cod)
                   for g in algebras[r].generators}
         for c in cells:
-            if _alive(c, r):
-                images[c["name"]] = (cod.gen(c["name"]) if _alive(c, r + 1)
-                                     else c["u"].algebra.embed_terms(c["u"], cod))
+            if c.alive_at(r):
+                u = c.endpoint_image
+                images[c.name] = (cod.gen(c.name) if c.alive_at(r + 1)
+                                  else u.algebra.embed_terms(u, cod))
         new_sigmas.append(CdgaMorphism.on_generators(dom, cod, images))
         new_sigmas[r].inherit(sigma)
     return new_algs, new_sigmas
 
 
-def _verify_surgery(model: TameMinimalModel, k: int, new_records: list[dict]):
+def _verify_surgery(model: TameMinimalModel, k: int, new_names: list[str]):
     """The build's checks after degree-k surgery, each on the new generators
     only (the `inherit` guards of _extend_state pin the old ones): stage
     models and sigmas are CDGA maps, each square commutes up to H, and the
     integration identity holds in degree k; then minimality, and H^j of the
     stage cones for j <= k (H^{j <= k-3} carried by _extend_state)."""
-    names = [[rec["name"] for rec in new_records if rec["name"] in alg.index_of]
-             for alg in model.algebras]
+    names = [[name for name in new_names if name in alg.index_of] for alg in model.algebras]
     failures = _structure_failures(model, model.target, names) or _minimality_failures(model)
     if not failures:
         for r, square in enumerate(model.stage_squares()):
@@ -574,7 +588,7 @@ def _hirsch_certificate_problems(model: TameMinimalModel, k: int,
     n = len(model.grid)
     problems = []
     for r in range(n):
-        expect = sorted(g.name for g in gens if g.bar().alive_at(r))
+        expect = sorted(g.name for g in gens if g.alive_at(r))
         got = sorted(g.name for g in model.algebras[r].generators if g.degree == k)
         if expect != got:
             problems.append(f"stage {r}: degree-{k} generators {got}, expected {expect}")

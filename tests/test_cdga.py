@@ -368,6 +368,12 @@ def test_multiply_and_differential_match_the_reference_kernels(seed):
         _assert_same_terms(u + v, _ref_add(u.terms, v.terms))
         _assert_same_terms(u - u, {})
         _assert_same_terms(u.scale(0), {})
+    # d_key differentiates a monomial through its memoised prefix; the
+    # reference applies the Leibniz rule letter by letter to its whole word.
+    for n in range(cap):
+        want = QMatrix.from_columns([alg.to_vector(alg.element(_ref_d_mono(alg, m)), n + 1)
+                                     for m in alg.basis_keys(n)], alg.dim(n + 1))
+        assert alg.d_matrix(n) == want
 
 
 def test_cancelling_products_leave_no_zero_coefficient():

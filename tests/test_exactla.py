@@ -11,7 +11,7 @@ from pmm.cochain import compute_cohomology
 from pmm.errors import InternalError
 from pmm.exactla import (
     ONE, ZERO, QMatrix, RrefResult, _lower_block, adapted_split, back_substitute, block_diag,
-    echelon, hstack, invert, kernel_basis, lin_comb, quotient_basis, rank,
+    echelon, hstack, kernel_basis, lin_comb, quotient_basis, rank,
     reverse_echelon, rref, solve, unit_vec, vec, vstack,
 )
 
@@ -108,14 +108,12 @@ def test_adapted_split_block_structure_random():
         rows, cols = rng.randint(0, 4), rng.randint(0, 4)
         psi = rand_matrix(rng, rows, cols)
         s = adapted_split(psi)
-        # Expressing psi in the new bases gives exactly [[I,0],[0,0]].
-        if rows and cols:
-            block = s.codomain_change_inv @ psi @ s.domain_change
-            r = s.rank
-            for i in range(rows):
-                for j in range(cols):
-                    want = 1 if (i == j and i < r) else 0
-                    assert block.entry(i, j) == want
+        # Expressing psi in the new bases gives exactly [[I,0],[0,0]]: with
+        # block that rank block, codomain_change @ block = psi @ domain_change.
+        r = s.rank
+        block = QMatrix(rows, cols, [[1 if (i == j and i < r) else 0 for j in range(cols)]
+                                     for i in range(rows)])
+        assert s.codomain_change @ block == psi @ s.domain_change
         # Bases really are bases.
         assert rank(s.domain_change) == cols
         assert rank(s.codomain_change) == rows
@@ -211,8 +209,6 @@ def test_reverse_echelon_keys_the_youngest_coordinate_first():
 
 
 def test_invert_and_express():
-    m = QMatrix.from_rows([[2, 1], [1, 1]])
-    assert invert(m) @ m == QMatrix.identity(2)
     coords = solve(QMatrix.from_columns([vec([1, 0]), vec([1, 1])], 2), vec([3, 2]))
     assert coords == vec([1, 2])
     assert solve(QMatrix.from_columns([vec([1, 0])], 2), vec([0, 1])) is None
@@ -408,7 +404,6 @@ def edge_cases(seed, count=4):
 
 def test_eliminator_matches_the_dense_reference():
     rng = random.Random(1919)
-    square = singular = 0
     for m in edge_cases(1919):
         want = ref_rref(m)
         rows = echelon(m)
@@ -432,16 +427,6 @@ def test_eliminator_matches_the_dense_reference():
             assert solve(m, b) == dense_solve(m, b)
         assert reverse_echelon(m.data, m.cols) == dict(zip(
             map(ref_last_nonzero, ref_reverse_echelon(m.data)), ref_reverse_echelon(m.data)))
-        if m.rows == m.cols:
-            square += 1
-            if want.rank == m.rows:
-                inverse = ref_rref(hstack([m, QMatrix.identity(m.rows)])).reduced
-                assert invert(m).data == tuple(row[m.rows:] for row in inverse.data)
-            else:
-                singular += 1
-                with pytest.raises(ValueError, match="invert: singular matrix"):
-                    invert(m)
-    assert square > 20 and singular > 10
 
 
 def cochain_slice(rng, n, density):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from pmm import cochain, minimal, pminimal
+from pmm import cochain, pminimal
 from pmm.cdga import (
     CdgaMorphism, FiniteCDGA, free_cdga, hirsch_extend, multiply, unchanged_below,
 )
@@ -79,10 +79,10 @@ def test_each_step_reduces_three_cone_degrees_and_checks_two(monkeypatch):
                             else degrees))
         return check_chain_map(phi, degrees)
 
-    def record_verify(model, k, new_records):
+    def record_verify(model, k, new_names):
         in_verify[0] = True
         try:
-            return verify(model, k, new_records)
+            return verify(model, k, new_names)
         finally:
             in_verify[0] = False
 
@@ -144,9 +144,8 @@ def test_each_generator_is_checked_once_by_the_build(monkeypatch):
     towers = (wedge_tower(6), load_input(json.loads((FIXTURES / "example3.json").read_text())))
     builds = [partial(build_persistent_minimal_model, tower) for tower in towers]
     builds.append(lambda: build_map_model(wedge_tower(5).maps[0], 5).model)
-    for module in (pminimal, minimal):
-        for step in ("_extend_state", "_verify_surgery"):
-            monkeypatch.setattr(module, step, partial(record_model, getattr(pminimal, step)))
+    for step in ("_extend_state", "_verify_surgery"):
+        monkeypatch.setattr(pminimal, step, partial(record_model, getattr(pminimal, step)))
     monkeypatch.setattr(pminimal, "validate_morphism", record_map)
     monkeypatch.setattr(HomotopySquare, "validate", record_square)
     for build in builds:
@@ -408,7 +407,7 @@ def test_bounded_sphere_fixture_builds_a_nonconstant_homotopy():
 def test_build_checks_the_integration_identity_on_new_generators():
     tower = load_input(json.loads((FIXTURES / "sphere2_bounded.json").read_text()))
     model = built_through(tower, 2)
-    pminimal._verify_surgery(model, 2, [{"name": "x2_0"}])
+    pminimal._verify_surgery(model, 2, ["x2_0"])
     h = model.homotopies[0]
     w = h.codomain.base.basis_elem("w")
     # w (x) dt moves neither end point but moves I_H(x2_0) by w, and dw = a.
@@ -416,7 +415,7 @@ def test_build_checks_the_integration_identity_on_new_generators():
     h._images.clear()
     h._mat_cache.clear()
     with pytest.raises(InternalError, match="integration identity fails on x2_0 at stage 0"):
-        pminimal._verify_surgery(model, 2, [{"name": "x2_0"}])
+        pminimal._verify_surgery(model, 2, ["x2_0"])
 
 
 def test_build_checks_the_chain_condition_on_new_generators(monkeypatch):

@@ -422,27 +422,19 @@ def _interval_sphere():
 
 
 def test_cli_decompose_pcomplex(tmp_path, capsys):
+    # A complex holds nothing above max_degree, so its top degree is read
+    # like any other: S^2_[0,2) gives its bar whether it is written with
+    # max_degree 2 or with an empty degree 3 above it.
     doc = _interval_sphere()
-    f = tmp_path / "sphere.json"
-    f.write_text(json.dumps(doc))
-    rc = main(["decompose", "--input", str(f), "--output", str(tmp_path)])
-    assert rc == 0
-    bars = json.loads((tmp_path / "barcode.json").read_text())
-    # H^1 vanishes everywhere (reliable degrees are < max_degree).
-    assert bars == []
-    capsys.readouterr()
-
-    # Same complex with headroom: the degree-2 bar [0, 2) becomes visible.
-    doc["max_degree"] = 3
-    for stage in doc["stages"]:
-        pass  # bases unchanged; degree 3 is empty
-    f2 = tmp_path / "sphere3.json"
-    f2.write_text(json.dumps(doc))
-    rc = main(["decompose", "--input", str(f2), "--output", str(tmp_path)])
-    assert rc == 0
-    bars = json.loads((tmp_path / "barcode.json").read_text())
-    assert bars == [{"degree": 2, "birth": "0", "death": "2"}]
-    capsys.readouterr()
+    for max_degree in (2, 3):
+        doc["max_degree"] = max_degree
+        f = tmp_path / f"sphere{max_degree}.json"
+        f.write_text(json.dumps(doc))
+        rc = main(["decompose", "--input", str(f), "--output", str(tmp_path)])
+        assert rc == 0
+        bars = json.loads((tmp_path / "barcode.json").read_text())
+        assert bars == [{"degree": 2, "birth": "0", "death": "2"}]
+        capsys.readouterr()
 
 
 def test_cli_check_on_input(tmp_path, capsys):

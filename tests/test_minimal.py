@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -6,7 +7,8 @@ from pmm.cdga import (
     CdgaMorphism, FiniteCDGA, free_cdga, indecomposables,
     multiply, validate_morphism,
 )
-from pmm.errors import ValidationError
+from pmm.errors import InternalError, ValidationError
+from pmm.exactla import adapted_split
 from pmm.homotopy import (
     HomotopySquare, check_homotopy_identity, cone, cone_map, connectivity_failures,
 )
@@ -116,6 +118,18 @@ def test_map_model_step_checks_the_extended_homotopy(monkeypatch):
 
     monkeypatch.setattr(pminimal, "extend_homotopy", off_by_a_t)
     with pytest.raises(ValidationError, match="d-compatibility fails on generator x2_0"):
+        build_map_model(CdgaMorphism.identity(finite_s2()), 2)
+
+
+def test_map_model_step_checks_the_adapted_split(monkeypatch):
+    # In the adapted bases psi is the rank block [[I, 0], [0, 0]]; a codomain
+    # basis that does not carry the coimage onto the image is refused.
+    def skewed(psi):
+        split = adapted_split(psi)
+        return replace(split, codomain_change=split.codomain_change.scale(2))
+
+    monkeypatch.setattr(minimal, "adapted_split", skewed)
+    with pytest.raises(InternalError, match="adapted bases do not split"):
         build_map_model(CdgaMorphism.identity(finite_s2()), 2)
 
 

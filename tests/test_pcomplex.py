@@ -44,9 +44,9 @@ def test_disk_acyclic():
     g = grid_of(3)
     d = interval_disk(g, 2, 0)
     assert bars_of(cohomology(d, 1)) == Counter()
-    # Degree 2 is the top degree: kernel-only and flagged.
-    h2 = cohomology(d, 2)
-    assert h2.truncated_top
+    # Degree 2 is the top degree: its cocycle is the boundary of degree 1.
+    assert d.max_degree == 2
+    assert cohomology(d, 2).dims == (0, 0, 0)
 
 
 def test_disk0_is_zero():
@@ -306,8 +306,7 @@ def test_trivial_fibration_always_runs_the_gap_map_cross_check(monkeypatch):
 
 
 def test_sphere_to_zero_not_trivial_fibration():
-    # Embed with degree headroom so the sphere's own class is below the
-    # truncated top degree.
+    # The sphere's degree-2 class goes to zero: no quasi-isomorphism.
     g = grid_of(3)
     s = interval_sphere(g, 2, 0, 2, max_degree=3)
     z = zero_complex(g, 3)

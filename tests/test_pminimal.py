@@ -174,14 +174,14 @@ def test_verify_surgery_rejects_broken_stage_model():
     r, name = next((r, g.name) for r, m in enumerate(model.models)
                    for g in m.domain.generators
                    if g.degree == 3 and not m.gen_images[g.name].is_zero())
-    _verify_surgery(model, 3, [{"name": name}])
+    _verify_surgery(model, 3, [name])
     m = model.models[r]
     images = dict(m.gen_images)
     images[name] = images[name].scale(2)  # m(d x) stays, d m(x) doubles
     model.models[r] = CdgaMorphism.on_generators(m.domain, m.codomain, images)
     problem = f"m({r}): d-compatibility fails on generator {name}"
     with pytest.raises(InternalError, match=re.escape(problem)):
-        _verify_surgery(model, 3, [{"name": name}])
+        _verify_surgery(model, 3, [name])
     report = validate_model(model)
     assert problem in report["structure"]["failures"]
     assert report["connectivity"]["failures"] == ["boundary is not a cocycle: d*d != 0 upstream"]
@@ -203,9 +203,9 @@ def test_verify_surgery_rejects_altered_homotopy_start():
 
     model, r, name = shifted_start(3)
     with pytest.raises(InternalError, match=f"homotopy start mismatch on {name} at stage {r}"):
-        _verify_surgery(model, 3, [{"name": name}])
+        _verify_surgery(model, 3, [name])
     model, r, name = shifted_start(2)  # a generator the degree-3 step did not add
-    _verify_surgery(model, 3, [rec for rec in model.gen_records if rec["degree"] == 3])
+    _verify_surgery(model, 3, [g.name for g in model.gen_records if g.degree == 3])
     report = validate_model(model)
     assert (f"stage {r}: homotopy start mismatch on {name} at stage {r}"
             in report["homotopy_identities"]["failures"])
@@ -257,15 +257,15 @@ def test_validate_model_negative_controls():
     assert validate_model(model)["ok"]
 
     # Tamper with an endpoint image: endpoint law and certificates fail.
-    rec = next(r for r in model.gen_records if r["u"] is not None
-               and not r["u"].is_zero())
-    original = rec["u"]
-    rec["u"] = original.scale(2)
+    gen = next(g for g in model.gen_records if g.endpoint_image is not None
+               and not g.endpoint_image.is_zero())
+    original = gen.endpoint_image
+    gen.endpoint_image = original.scale(2)
     rep = validate_model(model)
     assert not rep["ok"]
     assert rep["endpoint_law"] != "pass" or any(
         c["status"] == "fail" for c in rep["hirsch_certificates"])
-    rec["u"] = original
+    gen.endpoint_image = original
     assert validate_model(model)["ok"]
 
 
