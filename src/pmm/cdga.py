@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import lru_cache
 from fractions import Fraction
 from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
@@ -126,6 +127,8 @@ def _add_into(out: dict, terms: Mapping, c: Optional[Fraction] = None):
     """out += c * terms (c = 1 when None), in place.  A key whose sum cancels
     is deleted at once, so `out` holds the terms, in the order, that adding
     the elements one at a time would give."""
+    if c is ONE:
+        c = None
     for k, v in terms.items():
         if c is not None:
             v = c * v
@@ -291,13 +294,15 @@ class FreeCDGA(_GradedAlgebra):
                 w_degrees = self._degrees[nb:]
                 found = []
                 for j in range(n + 1):
-                    w_monos = _monomials(w_degrees, j)
+                    w_monos = _new_monomials(w_degrees, j)
                     if w_monos:
                         base_keys = base_cache.get(n - j)
                         if base_keys is None:
                             base_keys = _monomials(self._degrees[:nb], n - j)
                         found += [b + w for w in w_monos for b in base_keys]
-            found.sort(key=lambda m: (sum(m), m))
+            # (total exponent, lexicographic): the second sort is stable.
+            found.sort()
+            found.sort(key=sum)
             self._basis_cache[n] = tuple(found)
             self._basis_pos[n] = {m: i for i, m in enumerate(found)}
         return self._basis_cache[n]
@@ -636,7 +641,9 @@ def multiply(u: CdgaElement, v: CdgaElement) -> CdgaElement:
                 continue
             if isinstance(r, tuple):
                 negative, key = r
-                p = -(c1 * c2) if negative else c1 * c2
+                p = c2 if c1 is ONE else c1 if c2 is ONE else c1 * c2
+                if negative:
+                    p = -p
                 out[key] = out[key] + p if key in out else p
             else:
                 for key, c in r.items():
@@ -728,6 +735,14 @@ def _monomials(degrees: Sequence[int], n: int) -> list[Monomial]:
     found: list[Monomial] = []
     _monomials_into(found, degrees, len(degrees), 0, n, [])
     return found
+
+
+@lru_cache(maxsize=1024)
+def _new_monomials(degrees: tuple[int, ...], n: int) -> tuple[Monomial, ...]:
+    """`_monomials` memoised for an extension's added generators, whose few
+    degree tuples recur at every step; a whole basis is never memoised here,
+    so a freed algebra's bases are freed with it."""
+    return tuple(_monomials(degrees, n))
 
 
 def _monomials_into(found: list[Monomial], degrees: Sequence[int], count: int,

@@ -38,7 +38,7 @@ from .cdga import (
 )
 from .cochain import CohomologySpace, compute_cohomology
 from .errors import InternalError, ValidationError
-from .exactla import ONE, ZERO, QMatrix, Vector, _lower_block
+from .exactla import ONE, QMatrix, _lower_block
 
 
 def eval_at_0(u: CdgaElement) -> CdgaElement:
@@ -176,6 +176,9 @@ class ConeComplex:
         # d: C^n -> C^{n+1} reads M^{n+2}; stay a degree below the cap.
         self.max_degree = min(self.domain.degree_cap, self.target.degree_cap) - 1
         self._d_cache: dict[int, QMatrix] = {}
+        # n -> (d_M(n+1), m(n+1), d_A(n), d(n)): the blocks d(n) was assembled
+        # from, and the result, for carry_cohomology's identity check.
+        self._d_blocks: dict[int, tuple] = {}
         self._h_cache: dict[int, CohomologySpace] = {}
 
     def dim_m(self, n: int) -> int:
@@ -195,18 +198,15 @@ class ConeComplex:
         a = self.target.from_vector(n, w[dm:]) if self.dim_a(n) else self.target.zero()
         return v, a
 
-    def include_target(self, a: CdgaElement, n: int) -> Vector:
-        """The natural map A -> C, a -> (0, -a)."""
-        return (ZERO,) * self.dim_m(n) + self.target.to_vector(a.scale(-1), n)
-
     def d_matrix(self, n: int) -> QMatrix:
         if n not in self._d_cache:
             if n + 1 > self.max_degree:
                 self._d_cache[n] = QMatrix(0, self.dim_m(n) + self.dim_a(n))
             else:
-                self._d_cache[n] = _lower_block(
-                    self.domain.d_matrix(n + 1), self.m.matrix(n + 1),
-                    self.target.d_matrix(n), negate_c=True)
+                blocks = (self.domain.d_matrix(n + 1), self.m.matrix(n + 1),
+                          self.target.d_matrix(n))
+                self._d_cache[n] = _lower_block(*blocks, negate_c=True)
+                self._d_blocks[n] = blocks + (self._d_cache[n],)
         return self._d_cache[n]
 
     def cohomology_space(self, n: int) -> CohomologySpace:
@@ -221,17 +221,25 @@ class ConeComplex:
 
     def carry_cohomology(self, old: "ConeComplex"):
         """Take old's H^n where the domain did not change in degrees n+1 and
-        n+2, once our d(n-1) and d(n), stacked from our own (carried) blocks,
-        equal old's: an extension leaves the cone unchanged there, so a
-        differing block is an error.  Each equal matrix is then replaced by
-        old's, which the carried spaces hold as their d_out, so one copy
-        stays alive."""
+        n+2, once our d(n-1) and d(n) equal old's: an extension leaves the
+        cone unchanged there, so a differing block is an error.  Old's d(j)
+        is ours, unassembled, when old stacked it from the very block objects
+        our domain, model map and target now cache (carried by
+        `FreeCDGA(base=)` and `inherit`) and still holds that result; else
+        ours is stacked and compared.  We keep old's matrix, which the
+        carried spaces hold as their d_out, so one copy stays alive."""
         through = unchanged_below(self.domain, old.domain) - 3
         carried = [n for n in old._h_cache if n <= through]
         for j in sorted({j for n in carried for j in (n - 1, n)}):
-            if self.d_matrix(j) != old.d_matrix(j):
-                raise InternalError(f"cone d({j}) differs from the previous cone's")
-            self._d_cache[j] = old.d_matrix(j)
+            mine = (self.domain._dmat_cache.get(j + 1), self.m._mat_cache.get(j + 1),
+                    self.target._dmat_cache.get(j), old._d_cache.get(j))
+            record = old._d_blocks.get(j)
+            if record is None or any(a is not b for a, b in zip(mine, record)):
+                if self.d_matrix(j) != old.d_matrix(j):
+                    raise InternalError(f"cone d({j}) differs from the previous cone's")
+                record = self._d_blocks[j][:3] + (old.d_matrix(j),)
+            self._d_cache[j] = record[3]
+            self._d_blocks[j] = record
         self._h_cache.update((n, old._h_cache[n]) for n in carried)
 
     def h_dim(self, n: int) -> int:

@@ -226,13 +226,24 @@ def load_input(doc: dict) -> PersistentCDGA:
 # -- persistence modules and complexes ---------------------------------------
 
 def load_matrix(rows, want_rows: int, want_cols: int, where: str) -> QMatrix:
+    """A dense JSON matrix read into sparse rows: every entry is checked, a
+    bad one refused before the shape, but a JSON-integer zero makes no
+    Fraction."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise SchemaError(f"{where}: a matrix must be a JSON array of arrays")
-    data = [[_rational(x, where) for x in row] for row in rows]
-    if len(data) != want_rows or any(len(r) != want_cols for r in data):
+    data = []
+    for row in rows:
+        sparse = {}
+        for j, x in enumerate(row):
+            if type(x) is not int or x:
+                c = _rational(x, where)
+                if c:
+                    sparse[j] = c
+        data.append(sparse)
+    if len(rows) != want_rows or any(len(r) != want_cols for r in rows):
         raise SchemaError(f"{where}: matrix shape mismatch, "
                           f"want {want_rows}x{want_cols}")
-    return QMatrix(want_rows, want_cols, data)
+    return QMatrix._of(want_rows, want_cols, tuple(data))
 
 
 def _bound_nonzeros(mats, bound: int, what: str, entries: str):

@@ -324,15 +324,6 @@ def attach_cell(x: PersistentComplex, data: SphereMapData,
     return PersistentComplex(x.grid, x.max_degree, labels, d, sigma)
 
 
-def attach_cells(x: PersistentComplex, batch: Sequence[SphereMapData]
-                 ) -> PersistentComplex:
-    """Attach several cells whose data all refer to the original complex."""
-    current = x
-    for data in batch:
-        current = attach_cell(current, _padded(data, current))
-    return current
-
-
 def _padded(data: SphereMapData, x: PersistentComplex) -> SphereMapData:
     """The same attaching data zero-padded to the current dimensions of x.
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exactla import (
-    QMatrix, Vector, block_diag, frac, is_zero_vec, kernel_basis, lin_comb,
+    QMatrix, Vector, block_diag, frac, kernel_basis, lin_comb,
     quotient_basis, rank, reverse_echelon, unit_vec,
 )
 
@@ -215,25 +215,3 @@ def from_bars(grid: Grid, bars: list[Bar]) -> PersistenceModule:
         maps.append(QMatrix(len(dst), len(src), mat))
     return PersistenceModule(grid, dims, tuple(maps))
 
-
-def check_representatives(m: PersistenceModule, bars: list[Bar],
-                          reps: list[BarRepresentative]) -> None:
-    """Raise unless the sections satisfy every BarRepresentative invariant."""
-    n = len(m.dims)
-    for rep in reps:
-        b = rep.bar
-        last = n - 1 if b.death == INF else int(b.death) - 1
-        if is_zero_vec(rep.vectors[b.birth]):
-            raise ValidationError("representative vanishes at birth")
-        for i in range(b.birth, last):
-            if m.maps[i].apply(rep.vectors[i]) != rep.vectors[i + 1]:
-                raise ValidationError("representative does not commute with structure maps")
-        if b.death != INF:
-            img = m.maps[last].apply(rep.vectors[last])
-            if not is_zero_vec(img):
-                raise ValidationError("representative image at death is nonzero")
-    # Alive sections are linearly independent at every index.
-    for i in range(n):
-        cols = [rep.vectors[i] for rep in reps if rep.bar.alive_at(i)]
-        if cols and rank(QMatrix.from_columns(cols, m.dims[i])) != len(cols):
-            raise ValidationError(f"alive sections dependent at stage {i}")

@@ -22,10 +22,10 @@ Surgery at degree k adjoins generators of degree k only, so each step carries
 from the last what lies below k (_extend_state): d-matrices, with bases built
 from the last step's (hirsch_extend), map and homotopy blocks (inherit), and
 stage cone cohomology (ConeComplex.carry_cohomology, after checking that the
-cone's d-matrices there equal the previous cone's).  A model is its
-generators: _attach_generators makes the stage algebras and structure maps
-from the degree-k ones (lifespan, birth differential, end point), for the
-build and for io.load_model alike.
+cone's d-matrices there equal the previous cone's, or are stacked from the
+same block objects).  A model is its generators: _attach_generators makes
+the stage algebras and structure maps from the degree-k ones (lifespan,
+birth differential, end point), for the build and for io.load_model alike.
 
 The build checks each generator once, in the step that adds it; the
 `inherit` guards show that the old generators' differentials, images and
@@ -47,9 +47,10 @@ Verification (README "Verification" has each invariant), build check [audit key]
 - d^2 = 0: hirsch_extend, on the new generators
 - each homotopy is a CDGA map into the path algebra (validate_morphism):
   _extend_state, on the new generators [homotopy_identities, every generator]
-- d phi = phi d: ConeMap.check_chain_map in degrees k-1 and k, the ones
-  surgery reads, trusting its square [implied by homotopy_identities and
-  structure; cone_maps() without a window checks every degree]
+- d phi = phi d: ConeMap.check_chain_map, trusting its square, in degrees 1
+  and 2 at the first step and k after it, so each degree once (cone_classes)
+  [implied by homotopy_identities and structure; cone_maps() without a
+  window checks every degree]
 - bars die exactly: the death-solve, bar_sections [endpoint_law, hirsch_certificates]
 """
 from __future__ import annotations
@@ -60,7 +61,7 @@ from typing import Optional, Sequence
 
 from .cdga import (
     Algebra, CdgaElement, CdgaMorphism, FreeCDGA, check_minimality,
-    differential, free_cdga, hirsch_extend, linear_part, validate_morphism,
+    differential, free_cdga, hirsch_extend, validate_morphism,
 )
 from .errors import InternalError, ValidationError
 from .exactla import solve
@@ -68,7 +69,7 @@ from .homotopy import (
     ConeComplex, ConeMap, HomotopySquare, check_homotopy_identity, cone,
     connectivity_failures, extend_homotopy,
 )
-from .persistence import INF, Bar, Grid, PersistenceModule
+from .persistence import INF, Bar, Grid
 from .pcomplex import PersistentComplex, bar_sections
 
 INTERNAL_HEADROOM = 2
@@ -107,15 +108,6 @@ class PersistentCDGA:
             problems = validate_morphism(f)
             if problems:
                 raise ValidationError(f"stage map {r} invalid: {problems}")
-
-    def insert_duplicate_stage(self, index: int, time) -> "PersistentCDGA":
-        """Refine the grid by repeating stage `index` with an identity map."""
-        new_grid = self.grid.insert(index + 1, time)
-        stages = list(self.stages)
-        stages.insert(index + 1, self.stages[index])
-        maps = list(self.maps)
-        maps.insert(index, CdgaMorphism.identity(self.stages[index]))
-        return PersistentCDGA(new_grid, stages, maps, self.user_cap)
 
 
 @dataclass
@@ -233,10 +225,17 @@ def tame_cone(model: TameMinimalModel
 
 
 def cone_classes(model: TameMinimalModel, k: int) -> tuple[list, list]:
-    """The degree-k cone-map matrices and H^k of each stage cone."""
-    # phi(k) maps cocycles to cocycles and boundaries to boundaries once phi
-    # commutes with d in degrees k-1 and k; validate_model audits every degree.
-    sigmas = [phi.matrix(k) for phi in model.cone_maps((k - 1, k))]
+    """The degree-k cone-map matrices and H^k of each stage cone.
+
+    phi(k) maps cocycles to cocycles and boundaries to boundaries once phi
+    commutes with d in degrees k-1 and k.  The first step checks both, each
+    later one degree k only: its degree-(k-1) equation is the one the step
+    before checked, padded with zero rows.  C^{k-1} = M^k + A^{k-1} gains no
+    column from the degree-(k-1) generators W, as W·M^1 = 0; the rows gained
+    in C^k are zero on both sides, as d and sigma of an old monomial involve
+    no new generator; the `inherit` guards pin the old generators' data the
+    other entries are built from.  tame_cone checks every degree."""
+    sigmas = [phi.matrix(k) for phi in model.cone_maps((k - 1, k) if k == 2 else (k,))]
     return sigmas, [c.cohomology_space(k) for c in model.stage_cones()]
 
 
@@ -490,14 +489,6 @@ def homotopy_barcode(model: TameMinimalModel) -> PiBarcode:
     bars = [g.bar() for g in sorted(model.generators,
                                     key=lambda g: (g.degree, g.birth, g.name))]
     return PiBarcode(bars)
-
-
-def indecomposables_module(model: TameMinimalModel, k: int) -> PersistenceModule:
-    """Q^k of the model as a persistence module (independent of the barcode)."""
-    names = [[g.name for g in alg.generators if g.degree == k] for alg in model.algebras]
-    maps = tuple(linear_part(model.sigmas[r], names[r], names[r + 1])
-                 for r in range(len(names) - 1))
-    return PersistenceModule(model.grid, tuple(len(ns) for ns in names), maps)
 
 
 def validate_model(model: TameMinimalModel,

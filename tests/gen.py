@@ -1,10 +1,13 @@
-"""Seeded random generators shared by the property and acceptance suites."""
+"""Seeded random generators shared by the property and acceptance suites,
+and the reference checks and constructions only the tests use."""
 from __future__ import annotations
 
 from fractions import Fraction
 
-from pmm.cdga import CdgaElement, CdgaMorphism, free_cdga, hirsch_extend
-from pmm.exactla import QMatrix, kernel_basis, zero_vec
+from pmm.cdga import CdgaElement, CdgaMorphism, free_cdga, hirsch_extend, linear_part
+from pmm.errors import ValidationError
+from pmm.exactla import ZERO, QMatrix, is_zero_vec, kernel_basis, rank, zero_vec
+from pmm.persistence import INF, PersistenceModule
 
 
 def vec_add(u, v):
@@ -218,3 +221,61 @@ def random_pcomplex_map(rng, x, y):
                                 for i in range(rows_m)])
         comps.append(stage)
     return PComplexMap(x, y, comps)
+
+
+# -- reference checks and constructions ------------------------------------------
+
+
+def check_representatives(m, bars, reps) -> None:
+    """Raise unless the sections satisfy every BarRepresentative invariant."""
+    n = len(m.dims)
+    for rep in reps:
+        b = rep.bar
+        last = n - 1 if b.death == INF else int(b.death) - 1
+        if is_zero_vec(rep.vectors[b.birth]):
+            raise ValidationError("representative vanishes at birth")
+        for i in range(b.birth, last):
+            if m.maps[i].apply(rep.vectors[i]) != rep.vectors[i + 1]:
+                raise ValidationError("representative does not commute with structure maps")
+        if b.death != INF:
+            img = m.maps[last].apply(rep.vectors[last])
+            if not is_zero_vec(img):
+                raise ValidationError("representative image at death is nonzero")
+    # Alive sections are linearly independent at every index.
+    for i in range(n):
+        cols = [rep.vectors[i] for rep in reps if rep.bar.alive_at(i)]
+        if cols and rank(QMatrix.from_columns(cols, m.dims[i])) != len(cols):
+            raise ValidationError(f"alive sections dependent at stage {i}")
+
+
+def attach_cells(x, batch):
+    """Attach several cells whose data all refer to the original complex x."""
+    from pmm.pcomplex import _padded, attach_cell
+
+    for data in batch:
+        x = attach_cell(x, _padded(data, x))
+    return x
+
+
+def include_target(c, a, n):
+    """The natural map A -> C of a mapping cone c, a -> (0, -a), in degree n."""
+    return (ZERO,) * c.dim_m(n) + c.target.to_vector(a.scale(-1), n)
+
+
+def indecomposables_module(model, k) -> PersistenceModule:
+    """Q^k of a tame model as a persistence module (independent of the barcode)."""
+    names = [[g.name for g in alg.generators if g.degree == k] for alg in model.algebras]
+    maps = tuple(linear_part(model.sigmas[r], names[r], names[r + 1])
+                 for r in range(len(names) - 1))
+    return PersistenceModule(model.grid, tuple(len(ns) for ns in names), maps)
+
+
+def insert_duplicate_stage(tower, index, time):
+    """Refine a tower's grid by repeating stage `index` with an identity map."""
+    from pmm.pminimal import PersistentCDGA
+
+    stages = list(tower.stages)
+    stages.insert(index + 1, tower.stages[index])
+    maps = list(tower.maps)
+    maps.insert(index, CdgaMorphism.identity(tower.stages[index]))
+    return PersistentCDGA(tower.grid.insert(index + 1, time), stages, maps, tower.user_cap)

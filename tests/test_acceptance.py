@@ -15,7 +15,7 @@ from pmm.homotopy import check_homotopy_identity, cone
 from pmm.io import load_input
 from pmm.minimal import build_map_model
 from pmm.persistence import (
-    INF, Grid, PersistenceModule, check_representatives, from_bars,
+    INF, Grid, PersistenceModule, from_bars,
     interval_decompose, rank_invariant,
 )
 from pmm.pcomplex import (
@@ -27,7 +27,8 @@ from pmm.pminimal import (
     presentation, surgery_step, validate_model, )
 
 from .gen import (
-    random_morphism, random_pcomplex, random_pcomplex_map, random_sphere_data,
+    check_representatives, include_target, insert_duplicate_stage, random_morphism,
+    random_pcomplex, random_pcomplex_map, random_sphere_data,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -220,7 +221,7 @@ def test_criterion_09_cone_exactness():
                 [hb.class_of(b.to_vector(f.apply(a.from_vector(n, r)), n))
                  for r in ha.reps], hb.dim)
             to_cone = QMatrix.from_columns(
-                [hc.class_of(c.include_target(b.from_vector(n, r), n))
+                [hc.class_of(include_target(c, b.from_vector(n, r), n))
                  for r in hb.reps], hc.dim)
             delta_prev = QMatrix.from_columns(
                 [ha.class_of(a.to_vector(c.unpack(n - 1, r)[0], n))
@@ -350,7 +351,7 @@ def test_criterion_12_grid_refinement_stability():
         base_pres = presentation(base_model).text(verbose=True)
         for idx in range(len(tower.grid)):
             new_time = tower.grid.times[idx] + Fraction(1, 2)
-            refined = tower.insert_duplicate_stage(idx, new_time)
+            refined = insert_duplicate_stage(tower, idx, new_time)
             model = build_persistent_minimal_model(refined)
             assert bars_times(model) == base_bars, (name, idx)
             assert presentation(model).text(verbose=True) == base_pres, (name, idx)

@@ -18,6 +18,7 @@ from pmm.homotopy import (
 from pmm.io import load_input
 from pmm.pminimal import build_persistent_minimal_model
 
+from .gen import include_target
 from .test_cdga import _random_chain, _random_element, _ref_mul_keys
 from .test_incremental import wedge_tower
 
@@ -294,8 +295,8 @@ def test_cone_long_exact_sequence_ranks():
         rk = rank(QMatrix.from_columns(img_in_h, ha.dim)) if ha.dim else 0
         # Euler-characteristic style check of exactness at H^nA:
         # dim ker(H^nA -> H^nC) == rk.
-        to_cone = [c.cohomology_space(n).class_of(c.include_target(
-            s2.from_vector(n, r), n)) for r in ha.reps]
+        to_cone = [c.cohomology_space(n).class_of(include_target(
+            c, s2.from_vector(n, r), n)) for r in ha.reps]
         kmat = QMatrix.from_columns(to_cone, c.h_dim(n)) if ha.dim else QMatrix(0, 0)
         ker_dim = ha.dim - (rank(kmat) if ha.dim else 0)
         assert ker_dim == rk

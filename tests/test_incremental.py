@@ -8,6 +8,7 @@ a carried block names the check that reports it: the equal-block check of
 `ConeComplex.carry_cohomology`, `validate_model`, or the all-degree cone maps.
 """
 import json
+import random
 from collections import Counter
 from functools import partial
 from pathlib import Path
@@ -16,7 +17,7 @@ import pytest
 
 from pmm import cochain, pminimal
 from pmm.cdga import (
-    CdgaMorphism, FiniteCDGA, free_cdga, hirsch_extend, multiply, unchanged_below,
+    CdgaMorphism, FiniteCDGA, _monomials, free_cdga, hirsch_extend, multiply, unchanged_below,
 )
 from pmm.cochain import CohomologySpace, compute_cohomology
 from pmm.errors import InternalError, ValidationError
@@ -27,7 +28,7 @@ from pmm.minimal import build_map_model, map_model_step, trivial_map_model
 from pmm.persistence import Grid
 from pmm.pminimal import (
     PersistentCDGA, TameMinimalModel, build_persistent_minimal_model,
-    homotopy_barcode, surgery_step, tame_cone, validate_model,
+    homotopy_barcode, presentation, surgery_step, tame_cone, validate_model,
 )
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -97,7 +98,9 @@ def test_each_step_reduces_three_cone_degrees_and_checks_two(monkeypatch):
             checked.clear()
             old_gens = [len(a.generators) for a in model.algebras]
             model = surgery_step(model, k)
-            assert checked == [[k - 1, k]] * (len(tower.grid) - 1)
+            # The first step checks its cone maps in degrees 1 and 2; each
+            # later step in degree k, the one new equation (cone_classes).
+            assert checked == [[1, 2] if k == 2 else [k]] * (len(tower.grid) - 1)
             for r, cone in enumerate(model.stage_cones()):
                 degrees = sorted(n for c, n in computed if c is cone)
                 window = list(range(max(0, k - 2), k + 1))
@@ -159,6 +162,61 @@ def test_each_generator_is_checked_once_by_the_build(monkeypatch):
                 for r in range(stages) for g in model.algebras[r].generators]
         assert want and sorted(seen) == sorted(want)
         assert set(seen.values()) == {1}
+
+
+def test_each_cone_map_degree_is_checked_once_by_the_build(monkeypatch):
+    # Step 2 checks its cone maps in degrees 1 and 2, each later step k in
+    # degree k alone (cone_classes): over a build, every degree 1..cap is
+    # checked exactly once per stage pair.  tame_cone checks every degree.
+    calls = []
+    check_chain_map = ConeMap.check_chain_map
+
+    def record_check(phi, degrees=None):
+        calls.append(list(range(-1, min(phi.source.max_degree, phi.target.max_degree)))
+                     if degrees is None else list(degrees))
+        return check_chain_map(phi, degrees)
+
+    monkeypatch.setattr(ConeMap, "check_chain_map", record_check)
+    towers = (wedge_tower(6), load_input(json.loads((FIXTURES / "example3.json").read_text())))
+    builds = [partial(build_persistent_minimal_model, tower) for tower in towers]
+    builds.append(lambda: build_map_model(wedge_tower(5).maps[0], 5).model)
+    for build in builds:
+        calls.clear()
+        model = build()
+        pairs, cap = len(model.grid) - 1, model.degree_done
+        assert pairs and len(calls) == pairs * (cap - 1)
+        for r in range(pairs):
+            per_pair = Counter(n for degrees in calls[r::pairs] for n in degrees)
+            assert per_pair == Counter(range(1, cap + 1)), r
+        calls.clear()
+        tame_cone(model)
+        assert len(calls) == pairs
+        assert all(set(range(-1, cap + 1)) <= set(degrees) for degrees in calls)
+
+
+@pytest.mark.parametrize("seed", [None, 500, 501, 505, 506])
+def test_surgery_extension_bases_match_a_from_scratch_enumeration(seed):
+    # Each step's model algebras extend the last step's, and the added
+    # generators' monomials are shared across steps and stages by degree
+    # tuple.  Every algebra, odd generators included, lists its degree-n
+    # monomials as one enumeration over all its generators does, sorted by
+    # (total exponent, lexicographic).  Seed None is the wedge tower, with
+    # many generators of one degree; the others are seeded free towers.
+    from .gen import random_tower
+
+    tower = wedge_tower(6) if seed is None else random_tower(
+        random.Random(seed), 6, n_stages=4, max_gens=3)
+    model = TameMinimalModel.trivial(tower)
+    algebras = [alg for alg in tower.stages if alg.kind == "free"]
+    for k in range(2, tower.user_cap + 1):
+        model = surgery_step(model, k)
+        algebras += model.algebras
+    assert any(g.degree % 2 for alg in algebras for g in alg.generators)
+    for alg in algebras:
+        degrees = [g.degree for g in alg.generators]
+        for n in range(alg.degree_cap + 1):
+            want = sorted(_monomials(degrees, n), key=lambda m: (sum(m), m))
+            assert list(alg.basis_keys(n)) == want, (seed, n)
 
 
 def test_map_model_steps_extend_the_previous_step():
@@ -351,6 +409,39 @@ def test_altered_carried_integral_block_fails_validate_model():
     assert "stage 0: identity fails on x2_0" in report["homotopy_identities"]["failures"]
 
 
+def test_an_equal_replaced_block_is_carried_through_the_comparison():
+    # A carried d-matrix replaced by an equal but distinct object is no
+    # longer the block old's d(1) was stacked from: the new cone stacks its
+    # own d(1), finds it equal and keeps old's, and the build goes on as if
+    # nothing had happened.
+    tower = wedge_tower(5)
+    model = built_through(tower, 3)
+    m = model.algebras[0].d_matrix(2)
+    copy = QMatrix(m.rows, m.cols, m.data)
+    assert copy == m and copy is not m
+    model.algebras[0]._dmat_cache[2] = copy
+    after = surgery_step(model, 4)
+    old, new = model.stage_cones()[0], after.stage_cones()[0]
+    assert new._d_blocks[1][0] is copy and new._d_cache[1] is old._d_cache[1]
+    for k in range(5, tower.user_cap + 1):
+        after = surgery_step(after, k)
+    plain = build_persistent_minimal_model(wedge_tower(5))
+    assert presentation(after).text(verbose=True) == presentation(plain).text(verbose=True)
+    assert validate_model(after)["ok"]
+
+
+def test_altered_target_d_matrix_fails_the_equal_block_check():
+    # B^1 = <w> with dw = a at stage 1: the target's d(1) is a block of each
+    # cone's d(1), so an altered one is reported when the next step carries.
+    tower = load_input(json.loads((FIXTURES / "sphere2_bounded.json").read_text()))
+    model = built_through(tower, 4)
+    target = tower.stages[1]
+    assert 1 in model.stage_cones()[1]._d_cache and not target.d_matrix(1).is_zero()
+    target._dmat_cache[1] = bump(target.d_matrix(1))
+    with pytest.raises(InternalError, match=r"cone d\(1\) differs from the previous cone's"):
+        surgery_step(model, 5)
+
+
 def test_altered_carried_cone_d_matrix_fails_the_equal_block_check():
     model = built_through(wedge_tower(5), 4)
     cone = model.stage_cones()[1]
@@ -374,7 +465,7 @@ def test_altered_carried_cone_cohomology_fails_connectivity():
 
 
 def test_cone_map_block_outside_the_window_fails_validate_model():
-    # The last step (k = 5) checked its cone maps in degrees 4 and 5 only;
+    # The last step (k = 5) checked its cone maps in degree 5 only;
     # phi(1) holds I_H(2), which validate_model's identity check reads.
     tower = load_input(json.loads((FIXTURES / "sphere2_bounded.json").read_text()))
     model = build_persistent_minimal_model(tower, 5)

@@ -952,6 +952,27 @@ def test_complex_and_map_nonzero_bounds_are_inclusive():
         load_pcomplex_map(map_doc(["1/3"] * (n + 1)))
 
 
+def test_load_matrix_checks_every_entry_then_the_shape():
+    # Zeros, JSON or string, are checked but not stored: the rows come out
+    # sparse and equal to the dense construction.  A bad entry is refused
+    # before a wrong shape, wherever it sits.
+    from fractions import Fraction
+
+    from pmm.exactla import QMatrix
+    from pmm.io import load_matrix
+
+    got = load_matrix([[0, "1/2", "0"], ["-0.0", 0, -3]], 2, 3, "m")
+    assert got == QMatrix(2, 3, [[0, Fraction(1, 2), 0], [0, 0, -3]])
+    assert [dict(row) for row in got._rows] == [{1: Fraction(1, 2)}, {2: Fraction(-3)}]
+    assert load_matrix([], 0, 4, "m") == QMatrix(0, 4)
+    for bad in ([[0, 1], [0, "x"]], [[0, 1, 0], [True]], [[0, 1.5]], [[10 ** 100]]):
+        with pytest.raises(SchemaError, match="^bad rational .* m: want an integer"):
+            load_matrix(bad, 2, 3, "m")
+    for shape in ([[0, 0, 0], [0, 0]], [[0, 0, 0]], [[0, 0, 0]] * 3):
+        with pytest.raises(SchemaError, match=r"^m: matrix shape mismatch, want 2x3$"):
+            load_matrix(shape, 2, 3, "m")
+
+
 def test_the_largest_module_decomposes_under_a_memory_cap(tmp_path):
     # One stage at the bound: d unit vectors of length d, in a fresh process
     # with its address space capped at 1 GiB (a MemoryError would exit 3).

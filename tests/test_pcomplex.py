@@ -15,7 +15,7 @@ from pmm.pcomplex import (
     is_pointwise_quasi_iso, is_trivial_fibration, zero_complex,
 )
 
-from .gen import random_pcomplex, random_pcomplex_map, random_sphere_data
+from .gen import attach_cells, random_pcomplex, random_pcomplex_map, random_sphere_data
 
 
 def grid_of(n):
@@ -427,7 +427,6 @@ def test_hom_from_sphere_dimension_independent():
 
 
 def test_attach_cells_batch():
-    from pmm.pcomplex import attach_cells
     g = grid_of(3)
     x = zero_complex(g, 3)
     batch = [SphereMapData(3, 0, 2, (), (), label="u"),

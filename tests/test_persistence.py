@@ -6,9 +6,10 @@ import pytest
 from pmm.errors import ValidationError
 from pmm.exactla import QMatrix
 from pmm.persistence import (
-    INF, Bar, Grid, PersistenceModule, check_representatives, from_bars,
-    interval_decompose, rank_invariant,
+    INF, Bar, Grid, PersistenceModule, from_bars, interval_decompose, rank_invariant,
 )
+
+from .gen import check_representatives
 
 
 def grid_of(n):

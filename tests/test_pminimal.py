@@ -12,9 +12,11 @@ from pmm.io import load_input
 from pmm.persistence import INF, Grid, interval_decompose
 from pmm.pminimal import (
     PersistentCDGA, TameMinimalModel, _verify_surgery,
-    build_persistent_minimal_model, homotopy_barcode, indecomposables_module,
-    presentation, surgery_step, tame_cone, validate_model,
+    build_persistent_minimal_model, homotopy_barcode, presentation, surgery_step,
+    tame_cone, validate_model,
 )
+
+from .gen import indecomposables_module, insert_duplicate_stage
 
 CAP = 5
 ICAP = CAP + 2
@@ -300,7 +302,7 @@ def test_grid_refinement_stability():
                  for b in homotopy_barcode(model).bars]
     from fractions import Fraction
     for idx in range(3):
-        refined = base.insert_duplicate_stage(idx, Fraction(2 * idx + 1, 2))
+        refined = insert_duplicate_stage(base, idx, Fraction(2 * idx + 1, 2))
         rmodel = build_persistent_minimal_model(refined)
         bars = [(b.degree, rmodel.grid.times[b.birth],
                  None if b.death == INF else rmodel.grid.times[int(b.death)])
