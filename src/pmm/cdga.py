@@ -217,8 +217,11 @@ class FreeCDGA(_GradedAlgebra):
         self._odd = tuple(i for i, g in enumerate(self.generators) if g.degree % 2 == 1)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._basis_pos: dict[int, dict[Monomial, int]] = {}
-        # An extension's base: its count of generators and its basis cache.
-        self._base_basis: Optional[tuple[int, dict[int, tuple[Monomial, ...]]]] = None
+        # An extension's base: its count of generators, its basis cache and
+        # its own `_base_basis`, so that a basis can be built down the chain.
+        self._base_basis: Optional[_BaseBasis] = None
+        # The base this algebra was checked to extend when it was made.
+        self._extends_ref: Optional[weakref.ref] = None
         # Term dicts, not elements: an element would hold self, a cycle.
         self._dmono_cache: dict[Monomial, dict[Monomial, Fraction]] = {}
         self._dmat_cache: dict[int, QMatrix] = {}
@@ -230,6 +233,7 @@ class FreeCDGA(_GradedAlgebra):
             if not self.extends(base):
                 raise ValidationError("generators do not extend the base algebra's")
             checked = len(base.generators)
+            self._extends_ref = weakref.ref(base)
             self._inherit(base)
         for g in self.generators[checked:]:
             for mono in self._diff[g.name]:
@@ -257,7 +261,7 @@ class FreeCDGA(_GradedAlgebra):
         added = self.generators[len(base.generators):]
         low = min((g.degree for g in added), default=self.degree_cap + 1)
         pad = (0,) * len(added)
-        self._base_basis = (len(base.generators), base._basis_cache)
+        self._base_basis = (len(base.generators), base._basis_cache, base._base_basis)
         for n, mat in base._dmat_cache.items():
             if n + 1 < low:
                 self._dmat_cache[n] = mat
@@ -282,30 +286,19 @@ class FreeCDGA(_GradedAlgebra):
         """All degree-n monomials, ordered by (total exponent, lexicographic).
 
         On an extension Λ(V ⊕ W) = ΛV ⊗ ΛW of a base ΛV, they are the base's
-        degree-(n−j) monomials times the degree-j monomials in W's generators.
+        degree-(n−j) monomials times the degree-j monomials in W's generators;
+        a base basis not built yet is built the same way from the base's own
+        base, down the chain, and kept in the base's cache (`_chain_basis`).
         """
         if n > self.degree_cap:
             raise ValidationError(f"degree {n} above cap {self.degree_cap}")
-        if n not in self._basis_cache:
-            if self._base_basis is None:
-                found = _monomials(self._degrees, n)
-            else:
-                nb, base_cache = self._base_basis
-                w_degrees = self._degrees[nb:]
-                found = []
-                for j in range(n + 1):
-                    w_monos = _new_monomials(w_degrees, j)
-                    if w_monos:
-                        base_keys = base_cache.get(n - j)
-                        if base_keys is None:
-                            base_keys = _monomials(self._degrees[:nb], n - j)
-                        found += [b + w for w in w_monos for b in base_keys]
-            # (total exponent, lexicographic): the second sort is stable.
-            found.sort()
-            found.sort(key=sum)
-            self._basis_cache[n] = tuple(found)
-            self._basis_pos[n] = {m: i for i, m in enumerate(found)}
-        return self._basis_cache[n]
+        keys = self._basis_cache.get(n)
+        if keys is None:
+            keys = _chain_basis(self._degrees, (len(self._degrees), self._basis_cache,
+                                                self._base_basis), n)
+        if n not in self._basis_pos:
+            self._basis_pos[n] = {m: i for i, m in enumerate(keys)}
+        return keys
 
     def dim(self, n: int) -> int:
         if n < 0 or n > self.degree_cap:
@@ -358,18 +351,49 @@ class FreeCDGA(_GradedAlgebra):
 
     def d_key(self, mono: Monomial) -> CdgaElement:
         """Leibniz differential of one monomial p * x, with x its last
-        generator: d(p x) = d(p) x + (-1)^|p| p dx, memoised, so each
-        monomial costs two products on its prefix's differential."""
+        generator: d(p x) = d(p) x + (-1)^|p| p dx, memoised on p, by key
+        arithmetic.  Every term has degree |p x| + 1, so the cap is tested
+        once.  A term q of d(p) gives q x: zero when x is odd and q holds it,
+        and otherwise signed by the parity of q's odd generators after x.  A
+        term w of dx gives p w, signed by the Koszul inversions between p's
+        odd generators and w's.  The terms come in the order, with the
+        coefficients, that the two products `multiply` makes would give."""
         out = self._dmono_cache.get(mono)
         if out is None:
             prefix, i = _prefix(mono)
             out = {}
-            if prefix is not None:
-                name = self.generators[i].name
-                _add_into(out, (self.d_key(prefix) * self.gen(name)).terms)
-                _add_into(out, (CdgaElement._of(self, {prefix: ONE})
-                                * self.generator_diff(name)).terms,
-                          -ONE if self.key_degree(prefix) % 2 else None)
+            if prefix is not None and self.key_degree(mono) < self.degree_cap:
+                odd = self._odd
+                if self._degrees[i] % 2:
+                    after = [j for j in odd if j > i]
+                    for q, c in self.d_key(prefix).terms.items():
+                        if not q[i]:
+                            out[q[:i] + (1,) + q[i + 1:]] = (
+                                -c if sum([q[j] for j in after]) % 2 else c)
+                else:
+                    for q, c in self.d_key(prefix).terms.items():
+                        out[q[:i] + (q[i] + 1,) + q[i + 1:]] = c
+                p_odd = [j for j in odd if prefix[j]]
+                flip = self.key_degree(prefix) % 2
+                for w, c in self._diff[self.generators[i].name].items():
+                    if p_odd:
+                        if any([w[j] for j in p_odd]):
+                            continue
+                        w_odd = [j for j in odd if w[j]]
+                        negative = (flip + sum([1 for a in p_odd for b in w_odd if a > b])) % 2
+                    else:
+                        negative = flip
+                    key = tuple(map(add, prefix, w))
+                    if negative:
+                        c = -c
+                    if key in out:
+                        c += out[key]
+                        if c:
+                            out[key] = c
+                        else:
+                            del out[key]
+                    else:
+                        out[key] = c
             self._dmono_cache[mono] = out
         return CdgaElement._of(self, out)
 
@@ -729,6 +753,36 @@ def _prefix(mono: Monomial) -> tuple[Optional[Monomial], int]:
     return None, -1
 
 
+# A free algebra's count of generators, its basis cache and its base's
+# record (None at the root of a chain of extensions).
+_BaseBasis = tuple[int, dict[int, tuple[Monomial, ...]], Optional[tuple]]
+
+
+def _chain_basis(degrees: tuple[int, ...], level: _BaseBasis, n: int) -> tuple[Monomial, ...]:
+    """The degree-n basis of the algebra on the first `count` of these
+    generators, read from its cache or built and stored there: enumerated at
+    the root, and on an extension the base's degree-(n−j) monomials (built
+    the same way) times the `_new_monomials` of degree j in the added ones."""
+    count, cache, base = level
+    keys = cache.get(n)
+    if keys is None:
+        if base is None:
+            found = _monomials(degrees[:count], n)
+        else:
+            w_degrees = degrees[base[0]:count]
+            found = []
+            for j in range(n + 1):
+                w_monos = _new_monomials(w_degrees, j)
+                if w_monos:
+                    base_keys = _chain_basis(degrees, base, n - j)
+                    found += [b + w for w in w_monos for b in base_keys]
+        # (total exponent, lexicographic): the second sort is stable.
+        found.sort()
+        found.sort(key=sum)
+        keys = cache[n] = tuple(found)
+    return keys
+
+
 def _monomials(degrees: Sequence[int], n: int) -> list[Monomial]:
     """Every exponent tuple over generators of these degrees with total degree
     n, odd generators to exponent at most 1, in lexicographic order."""
@@ -771,7 +825,8 @@ def unchanged_below(new: Algebra, old: Algebra) -> int:
     extends old, and 0 otherwise."""
     if new is old:
         return new.degree_cap + 1
-    if new.kind == old.kind == "free" and new.extends(old):
+    if new.kind == old.kind == "free" and (
+            new._extends_ref is not None and new._extends_ref() is old or new.extends(old)):
         return min((g.degree for g in new.generators[len(old.generators):]),
                    default=new.degree_cap + 1)
     return 0

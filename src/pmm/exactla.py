@@ -31,6 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
 Vector = tuple[Fraction, ...]
@@ -254,25 +255,76 @@ def vstack(mats: Sequence[QMatrix]) -> QMatrix:
                        tuple(r for m in mats for r in m._rows))
 
 
+def _primitive(r: Row) -> dict[int, int]:
+    """The row of integers with gcd 1 that is a positive multiple of r."""
+    den = lcm(*[x.denominator for x in r.values()])
+    r = {j: x.numerator * (den // x.denominator) for j, x in r.items()}
+    g = gcd(*r.values())
+    return r if g == 1 else {j: x // g for j, x in r.items()}
+
+
 def echelon(m: QMatrix) -> dict[int, Row]:
     """Forward echelon of m: pivot column -> row, by pivot column, each row 1
     at its pivot column and 0 left of it.  Each row of m is reduced by the
-    pivot row at its leading column until it is zero or leads at a new one."""
-    piv: dict[int, Row] = {}
+    pivot row at its leading column until it is zero or leads at a new one.
+
+    The reduction runs on primitive integer rows: a row leading at c with
+    entry a, reduced by the pivot row p with entry b there, becomes b·r − a·p
+    (a, b divided by their gcd), then is divided by the gcd of its entries.
+    Each such row is proportional to the one Fraction elimination gives, so
+    the pivots and the normalized rows are the same.  A row of m that leads
+    at a new pivot column is kept as it is and made integer only when a
+    later row is reduced by it; the kept rows become Fractions, 1 at their
+    pivot, at the end."""
+    piv: dict[int, dict] = {}
+    ints: set[int] = set()  # the pivot columns whose rows are integer
     for r in m._rows:
-        r = dict(r)
+        if not r:
+            continue
+        c = min(r)
+        if c not in piv:
+            piv[c] = r
+            continue
+        r = _primitive(r)
         while r:
-            c = min(r)
             p = piv.get(c)
             if p is None:
-                x = r[c]
-                if x != 1:
-                    inv = ONE / x
-                    r = {j: y * inv for j, y in r.items()}
                 piv[c] = r
+                ints.add(c)
                 break
-            _axpy(r, -r[c], p)
-    return {c: piv[c] for c in sorted(piv)}
+            if c not in ints:
+                piv[c] = p = _primitive(p)
+                ints.add(c)
+            a, b = r[c], p[c]
+            g = gcd(a, b)
+            if b < 0:
+                g = -g
+            a, b = a // g, b // g
+            r = {j: b * x for j, x in r.items()} if b != 1 else dict(r)
+            for j, y in p.items():
+                v = r[j] - a * y if j in r else -a * y
+                if v:
+                    r[j] = v
+                else:
+                    del r[j]
+            if r:
+                g = gcd(*r.values())
+                if g != 1:
+                    r = {j: x // g for j, x in r.items()}
+                c = min(r)
+    out: dict[int, Row] = {}
+    for c in sorted(piv):
+        r = piv[c]
+        x = r[c]
+        if c in ints:
+            r = ({j: Fraction(y) for j, y in r.items()} if x == 1 else
+                 {j: Fraction(-y) for j, y in r.items()} if x == -1 else
+                 {j: Fraction(y, x) for j, y in r.items()})
+        elif x != 1:
+            inv = ONE / x
+            r = {j: y * inv for j, y in r.items()}
+        out[c] = r
+    return out
 
 
 def back_substitute(rows: dict[int, Row]) -> dict[int, Row]:

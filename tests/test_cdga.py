@@ -5,12 +5,12 @@ from fractions import Fraction
 import pytest
 
 from pmm.cdga import (
-    CdgaElement, CdgaMorphism, FiniteCDGA, _monomials, cohomology, differential,
-    free_cdga, hirsch_extend, indecomposables, monomial_basis, multiply,
+    CdgaElement, CdgaMorphism, FiniteCDGA, _add_into, _monomials, _prefix, cohomology,
+    differential, free_cdga, hirsch_extend, indecomposables, monomial_basis, multiply,
     validate_morphism,
 )
 from pmm.errors import ValidationError
-from pmm.exactla import QMatrix
+from pmm.exactla import ONE, QMatrix
 from pmm.persistence import Grid
 from pmm.pminimal import PersistentCDGA, build_persistent_minimal_model
 
@@ -374,6 +374,66 @@ def test_multiply_and_differential_match_the_reference_kernels(seed):
         want = QMatrix.from_columns([alg.to_vector(alg.element(_ref_d_mono(alg, m)), n + 1)
                                      for m in alg.basis_keys(n)], alg.dim(n + 1))
         assert alg.d_matrix(n) == want
+
+
+def _ref_d_key_by_products(alg, mono, memo):
+    """The Leibniz step as two products, d(p x) = d(p)·x + (−1)^|p| p·dx, each
+    made by `multiply`, the sum accumulated by `_add_into`."""
+    if mono not in memo:
+        prefix, i = _prefix(mono)
+        out = {}
+        if prefix is not None:
+            name = alg.generators[i].name
+            dp = CdgaElement._of(alg, _ref_d_key_by_products(alg, prefix, memo))
+            _add_into(out, multiply(dp, alg.gen(name)).terms)
+            _add_into(out, multiply(CdgaElement._of(alg, {prefix: ONE}),
+                                    alg.generator_diff(name)).terms,
+                      -ONE if alg.key_degree(prefix) % 2 else None)
+        memo[mono] = out
+    return memo[mono]
+
+
+def _algebra_with_later_and_odd_names(rng, cap):
+    """Closed u₁, v₃, a₂, b₂ and x₃, w₂, y₄, z₅ whose differentials are random
+    elements of the subalgebra on the closed ones (so d² = 0), with the term
+    u·v forced in dx; x comes first and the others in a seeded order, so
+    differentials name later-indexed and odd generators."""
+    closed = [("u", 1), ("v", 3), ("a", 2), ("b", 2)]
+    rest = closed + [("w", 2), ("y", 4), ("z", 5)]
+    rng.shuffle(rest)
+    gens = [("x", 3)] + rest
+    degrees = [d for _, d in gens]
+    free = {i for i, (name, _) in enumerate(gens) if (name, degrees[i]) not in closed}
+    diffs = {}
+    for i, (name, d) in enumerate(gens):
+        if i in free:
+            monos = [m for m in _monomials(degrees, d + 1)
+                     if not any(m[j] for j in free)]
+            diffs[name] = {m: Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 1, 2]))
+                           for m in monos if rng.random() < 0.7}
+    uv = tuple(int(name in "uv") for name, _ in gens)
+    diffs["x"][uv] = Fraction(rng.choice([-2, 1]))
+    return free_cdga(gens, diffs, cap)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_direct_leibniz_matches_the_word_and_product_references(seed):
+    # d_key works on keys: a term q of d(p) times x by one more factor of x
+    # (none when x is odd and q holds it, signed by q's odd generators after
+    # x), and p times a term of dx signed by Koszul inversions.  Every
+    # d-matrix equals the one made from the letter-by-letter reference, and
+    # each monomial's terms come in the order of the two-product reference.
+    rng = random.Random(2300 + seed)
+    cap = rng.randint(7, 9)
+    alg = _algebra_with_later_and_odd_names(rng, cap)
+    memo = {}
+    for n in range(cap + 1):
+        if n < cap:
+            want = QMatrix.from_columns([alg.to_vector(alg.element(_ref_d_mono(alg, m)), n + 1)
+                                         for m in alg.basis_keys(n)], alg.dim(n + 1))
+            assert alg.d_matrix(n) == want, (seed, n)
+        for m in alg.basis_keys(n):
+            _assert_same_terms(alg.d_key(m), _ref_d_key_by_products(alg, m, memo))
 
 
 def test_cancelling_products_leave_no_zero_coefficient():

@@ -429,6 +429,80 @@ def test_eliminator_matches_the_dense_reference():
             map(ref_last_nonzero, ref_reverse_echelon(m.data)), ref_reverse_echelon(m.data)))
 
 
+# -- the Fraction eliminator, as a reference for the integer-row one -----------
+
+def ref_fraction_echelon(m):
+    """The forward echelon in Fractions: each row of m reduced in place by
+    r -= r[c]·p, with p the pivot row at its leading column c, normalized
+    to 1 at c when it becomes a pivot row."""
+    piv = {}
+    for r in m._rows:
+        r = dict(r)
+        while r:
+            c = min(r)
+            p = piv.get(c)
+            if p is None:
+                x = r[c]
+                if x != 1:
+                    inv = ONE / x
+                    r = {j: y * inv for j, y in r.items()}
+                piv[c] = r
+                break
+            a = -r[c]
+            for j, y in p.items():
+                v = r[j] + a * y if j in r else a * y
+                if v:
+                    r[j] = v
+                else:
+                    del r[j]
+    return {c: piv[c] for c in sorted(piv)}
+
+
+def integer_row_cases(seed, count=40):
+    """Seeded sparse matrices with entries 1/(j+1), large and negative ones,
+    zero rows, rows that lead negative and repeated (and rescaled) rows."""
+    rng = random.Random(seed)
+    big = 10 ** 30 + 7
+    for _ in range(count):
+        rows, cols = rng.randint(1, 9), rng.randint(1, 9)
+        density = rng.choice([0.2, 0.5, 1.0])
+        entries = []
+        for i in range(rows):
+            kind = rng.random()
+            if kind < 0.1:
+                entries.append([0] * cols)
+                continue
+            row = [rng.choice([Fraction(1, j + 1), Fraction(-big, j + 2), Fraction(big, 3),
+                               rng.randint(-5, 5), Fraction(rng.randint(-9, 9), rng.randint(1, 9))])
+                   if rng.random() < density else 0 for j in range(cols)]
+            lead = next((j for j, x in enumerate(row) if x), None)
+            if lead is not None and kind < 0.4:
+                row[lead] = -abs(Fraction(row[lead])) * rng.randint(1, 4)
+            entries.append(row)
+        for _ in range(rng.randint(0, 3)):
+            src = entries[rng.randrange(rows)]
+            entries.append([Fraction(x) * rng.choice([1, -1, Fraction(-3, 7), big]) for x in src])
+        rng.shuffle(entries)
+        yield QMatrix(len(entries), cols, entries)
+
+
+def test_integer_row_echelon_matches_the_fraction_eliminator():
+    # The integer-row eliminator keeps rows proportional to the Fraction
+    # one's, so the pivots, the normalized rows and their key order agree,
+    # and every entry it returns is a Fraction.
+    cases = list(integer_row_cases(2323))
+    assert any(max(abs(x.numerator) for row in m._rows for x in row.values()) > 10 ** 29
+               for m in cases if m.nonzeros())
+    for m in cases:
+        got, want = echelon(m), ref_fraction_echelon(m)
+        assert got == want
+        assert list(got) == list(want)
+        assert [list(row.items()) for row in got.values()] == \
+            [list(row.items()) for row in want.values()]
+        assert all(type(x) is Fraction for row in got.values() for x in row.values())
+        assert all(row[c] == 1 and min(row) == c for c, row in got.items())
+
+
 def cochain_slice(rng, n, density):
     """d_out (p x n) and d_in (n x q) with d_out @ d_in = 0."""
     d_out = sparse_matrix(rng, rng.randint(0, n), n, density)

@@ -17,7 +17,8 @@ import pytest
 
 from pmm import cochain, pminimal
 from pmm.cdga import (
-    CdgaMorphism, FiniteCDGA, _monomials, free_cdga, hirsch_extend, multiply, unchanged_below,
+    CdgaMorphism, FiniteCDGA, FreeCDGA, _monomials, free_cdga, hirsch_extend, multiply,
+    unchanged_below,
 )
 from pmm.cochain import CohomologySpace, compute_cohomology
 from pmm.errors import InternalError, ValidationError
@@ -324,6 +325,35 @@ def test_morphism_carry_refuses_a_changed_image():
     other = free_cdga([("q", 2)], {}, m.domain.degree_cap)
     with pytest.raises(InternalError, match="cannot carry"):
         CdgaMorphism.on_generators(other, m.codomain, {"q": m.codomain.zero()}).inherit(m)
+
+
+def test_the_guard_answers_a_verified_base_by_identity(monkeypatch):
+    # An extension checked `extends(base)` when it was made; the carry guard
+    # answers for that base by identity.  Any other algebra is still run
+    # through `extends`: an equal copy of the base passes it, and the
+    # extension of a different algebra is refused with `cannot carry`.
+    base = free_cdga([("a", 2), ("b", 2)], {}, 8)
+    a, b = base.gen("a"), base.gen("b")
+    ext, _ = hirsch_extend(base, [("y", 3, multiply(a, b))])
+    copy = free_cdga([("a", 2), ("b", 2)], {}, 8)
+    other = free_cdga([("a", 2), ("c", 2)], {}, 8)
+    other_ext, _ = hirsch_extend(other, [("y", 3, multiply(other.gen("a"), other.gen("c")))])
+    calls = []
+    extends = FreeCDGA.extends
+    monkeypatch.setattr(FreeCDGA, "extends", lambda s, o: calls.append((s, o)) or extends(s, o))
+    assert unchanged_below(ext, base) == 3 and calls == []
+    assert unchanged_below(ext, copy) == 3 and calls == [(ext, copy)]
+    assert unchanged_below(other_ext, base) == 0 and calls[-1] == (other_ext, base)
+    m = CdgaMorphism.on_generators(base, base, {"a": a, "b": b})
+    m.matrix(2)
+    carried = CdgaMorphism.on_generators(ext, ext, {"a": ext.gen("a"), "b": ext.gen("b"),
+                                                    "y": ext.gen("y")})
+    carried.inherit(m)
+    assert carried._mat_cache[2] is m._mat_cache[2]
+    refused = CdgaMorphism.on_generators(other_ext, base, {
+        name: base.zero() for name in ("a", "c", "y")})
+    with pytest.raises(InternalError, match="cannot carry matrices"):
+        refused.inherit(m)
 
 
 def test_homotopy_carry_refuses_a_changed_value():

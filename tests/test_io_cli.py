@@ -109,6 +109,47 @@ def test_the_check_path_computes_no_class_representatives(name, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("name", TOWER_FIXTURES)
+def test_the_check_path_builds_extension_bases_down_the_chain(name, monkeypatch):
+    # load_model attaches the saved generators degree by degree, a chain of
+    # extensions from the unit algebras.  No extension enumerates its base's
+    # basis from scratch: every full `_monomials` run with generators is the
+    # basis of an algebra with no base, once per degree built.  Then every
+    # algebra of the chain, in every degree, lists the monomials of one
+    # enumeration over all its generators, sorted by (total exponent, lex).
+    from pmm import cdga
+    doc = fixture(name)
+    payload = json.loads(json.dumps(model_payload(
+        build_persistent_minimal_model(load_input(doc)), doc)))
+    made, full = [], []
+    init, enumerate_monomials = cdga.FreeCDGA.__init__, cdga._monomials
+
+    def record_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        made.append(self)
+
+    def counting(degrees, n):
+        if degrees and sys._getframe(1).f_code.co_name != "_new_monomials":
+            full.append((tuple(degrees), n))
+        return enumerate_monomials(degrees, n)
+
+    monkeypatch.setattr(cdga.FreeCDGA, "__init__", record_init)
+    monkeypatch.setattr(cdga, "_monomials", counting)
+    cdga._new_monomials.cache_clear()
+    tower, model = load_model(payload)
+    assert validate_model(model, against=tower)["ok"]
+    roots = [(tuple(g.degree for g in alg.generators), n) for alg in made
+             if alg._base_basis is None and alg.generators for n in alg._basis_cache]
+    assert sorted(full) == sorted(roots)
+    monkeypatch.setattr(cdga, "_monomials", enumerate_monomials)
+    for alg in made:
+        degrees = [g.degree for g in alg.generators]
+        for n in range(alg.degree_cap + 1):
+            want = sorted(enumerate_monomials(degrees, n), key=lambda m: (sum(m), m))
+            assert list(alg.basis_keys(n)) == want, (name, n)
+            assert [alg.key_position(n, m) for m in want] == list(range(len(want)))
+
+
 def test_model_tamper_detected():
     doc = fixture("example3")
     tower = load_input(doc)
