@@ -12,7 +12,10 @@ because both operations only raise degree.
 constructor for parsed input and callers outside the kernel.  The kernel's own
 results are made by `CdgaElement._of`, which trusts its terms to be nonzero
 Fractions.  An extension's basis is its base's basis times the monomials in
-the new generators (Λ(V ⊕ W) = ΛV ⊗ ΛW).
+the new generators (Λ(V ⊕ W) = ΛV ⊗ ΛW); a base basis not built yet is
+built the same way down the chain of bases and kept by that base.  A free
+algebra differentiates a monomial p·x by the Leibniz rule on the memoised
+d(p), with the signs and the cap worked out on the exponent tuples.
 
 A morphism is the images of its domain's basis keys: given, one per label, out
 of a finite algebra; generated out of a free one, each monomial's image its
@@ -313,7 +316,7 @@ class FreeCDGA(_GradedAlgebra):
 
     def gen(self, name: str) -> CdgaElement:
         i = self.index_of[name]
-        mono = tuple(1 if j == i else 0 for j in range(len(self.generators)))
+        mono = (0,) * i + (1,) + (0,) * (len(self.generators) - i - 1)
         return CdgaElement._of(self, {mono: ONE})
 
     def generator_diff(self, name: str) -> CdgaElement:
@@ -373,19 +376,16 @@ class FreeCDGA(_GradedAlgebra):
                 else:
                     for q, c in self.d_key(prefix).terms.items():
                         out[q[:i] + (q[i] + 1,) + q[i + 1:]] = c
+                # (−1)^|p| is the parity of p's odd generators.
                 p_odd = [j for j in odd if prefix[j]]
-                flip = self.key_degree(prefix) % 2
                 for w, c in self._diff[self.generators[i].name].items():
                     if p_odd:
                         if any([w[j] for j in p_odd]):
                             continue
                         w_odd = [j for j in odd if w[j]]
-                        negative = (flip + sum([1 for a in p_odd for b in w_odd if a > b])) % 2
-                    else:
-                        negative = flip
+                        if (len(p_odd) + sum([1 for a in p_odd for b in w_odd if a > b])) % 2:
+                            c = -c
                     key = tuple(map(add, prefix, w))
-                    if negative:
-                        c = -c
                     if key in out:
                         c += out[key]
                         if c:
@@ -822,7 +822,9 @@ def _padded(terms: Mapping[Monomial, Fraction], pad: Monomial) -> dict[Monomial,
 def unchanged_below(new: Algebra, old: Algebra) -> int:
     """The degree below which `new` has old's basis (padded) and differential:
     past the cap when new is old, the first added generator's degree when new
-    extends old, and 0 otherwise."""
+    extends old, and 0 otherwise.  An extension checked `extends` against its
+    base when it was made, so that base is answered by identity; any other
+    pair runs the check."""
     if new is old:
         return new.degree_cap + 1
     if new.kind == old.kind == "free" and (

@@ -11,8 +11,12 @@ bit-for-bit.
 One eliminator serves every reduction.  `echelon` is the forward echelon
 keyed by pivot column: its keys are the matrix's pivot columns (an
 invariant) and its rows a basis of the row space, which is all that ranks,
-pivots and membership tests need.  `back_substitute` turns it into the
-unique RREF where one is read (`rref`, and through it `kernel_basis` and
+pivots and membership tests need.  It reduces on primitive integer rows
+(each row scaled by the lcm of its denominators, reduced by b·r − a·p and
+divided by the gcd of its entries), and only the rows it returns are
+Fractions, 1 at their pivot: the same rows, up to scale at every step, as
+elimination over Fractions.  `back_substitute` turns it into the unique
+RREF where one is read (`rref`, and through it `kernel_basis` and
 `reverse_echelon`); `solve` back-substitutes its right-hand column alone.
 
 `QMatrix(rows, cols, entries)` and `from_columns` coerce each entry with
@@ -300,7 +304,8 @@ def echelon(m: QMatrix) -> dict[int, Row]:
             if b < 0:
                 g = -g
             a, b = a // g, b // g
-            r = {j: b * x for j, x in r.items()} if b != 1 else dict(r)
+            if b != 1:
+                r = {j: b * x for j, x in r.items()}
             for j, y in p.items():
                 v = r[j] - a * y if j in r else -a * y
                 if v:
