@@ -220,9 +220,9 @@ class FreeCDGA(_GradedAlgebra):
         self._odd = tuple(i for i, g in enumerate(self.generators) if g.degree % 2 == 1)
         self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
         self._basis_pos: dict[int, dict[Monomial, int]] = {}
-        # An extension's base: its count of generators, its basis cache and
-        # its own `_base_basis`, so that a basis can be built down the chain.
-        self._base_basis: Optional[_BaseBasis] = None
+        # Its count of generators, its basis cache and its base's record (None
+        # without a base), so that a basis can be built down the chain.
+        self._chain: _Chain = (len(self.generators), self._basis_cache, None)
         # The base this algebra was checked to extend when it was made.
         self._extends_ref: Optional[weakref.ref] = None
         # Term dicts, not elements: an element would hold self, a cycle.
@@ -264,7 +264,7 @@ class FreeCDGA(_GradedAlgebra):
         added = self.generators[len(base.generators):]
         low = min((g.degree for g in added), default=self.degree_cap + 1)
         pad = (0,) * len(added)
-        self._base_basis = (len(base.generators), base._basis_cache, base._base_basis)
+        self._chain = (len(self.generators), self._basis_cache, base._chain)
         for n, mat in base._dmat_cache.items():
             if n + 1 < low:
                 self._dmat_cache[n] = mat
@@ -297,8 +297,7 @@ class FreeCDGA(_GradedAlgebra):
             raise ValidationError(f"degree {n} above cap {self.degree_cap}")
         keys = self._basis_cache.get(n)
         if keys is None:
-            keys = _chain_basis(self._degrees, (len(self._degrees), self._basis_cache,
-                                                self._base_basis), n)
+            keys = _chain_basis(self._degrees, self._chain, n)
         if n not in self._basis_pos:
             self._basis_pos[n] = {m: i for i, m in enumerate(keys)}
         return keys
@@ -755,10 +754,10 @@ def _prefix(mono: Monomial) -> tuple[Optional[Monomial], int]:
 
 # A free algebra's count of generators, its basis cache and its base's
 # record (None at the root of a chain of extensions).
-_BaseBasis = tuple[int, dict[int, tuple[Monomial, ...]], Optional[tuple]]
+_Chain = tuple[int, dict[int, tuple[Monomial, ...]], Optional[tuple]]
 
 
-def _chain_basis(degrees: tuple[int, ...], level: _BaseBasis, n: int) -> tuple[Monomial, ...]:
+def _chain_basis(degrees: tuple[int, ...], level: _Chain, n: int) -> tuple[Monomial, ...]:
     """The degree-n basis of the algebra on the first `count` of these
     generators, read from its cache or built and stored there: enumerated at
     the root, and on an extension the base's degree-(n−j) monomials (built

@@ -301,8 +301,6 @@ def echelon(m: QMatrix) -> dict[int, Row]:
                 ints.add(c)
             a, b = r[c], p[c]
             g = gcd(a, b)
-            if b < 0:
-                g = -g
             a, b = a // g, b // g
             if b != 1:
                 r = {j: b * x for j, x in r.items()}
@@ -323,7 +321,6 @@ def echelon(m: QMatrix) -> dict[int, Row]:
         x = r[c]
         if c in ints:
             r = ({j: Fraction(y) for j, y in r.items()} if x == 1 else
-                 {j: Fraction(-y) for j, y in r.items()} if x == -1 else
                  {j: Fraction(y, x) for j, y in r.items()})
         elif x != 1:
             inv = ONE / x

@@ -139,7 +139,7 @@ def test_the_check_path_builds_extension_bases_down_the_chain(name, monkeypatch)
     tower, model = load_model(payload)
     assert validate_model(model, against=tower)["ok"]
     roots = [(tuple(g.degree for g in alg.generators), n) for alg in made
-             if alg._base_basis is None and alg.generators for n in alg._basis_cache]
+             if alg._chain[2] is None and alg.generators for n in alg._basis_cache]
     assert sorted(full) == sorted(roots)
     monkeypatch.setattr(cdga, "_monomials", enumerate_monomials)
     for alg in made:
