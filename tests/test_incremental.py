@@ -349,7 +349,7 @@ def test_the_guard_answers_a_verified_base_by_identity(monkeypatch):
     carried = CdgaMorphism.on_generators(ext, ext, {"a": ext.gen("a"), "b": ext.gen("b"),
                                                     "y": ext.gen("y")})
     carried.inherit(m)
-    assert carried._mat_cache[2] is m._mat_cache[2]
+    assert carried._mat_cache[2] is m._mat_cache[2] and len(calls) == 2
     refused = CdgaMorphism.on_generators(other_ext, base, {
         name: base.zero() for name in ("a", "c", "y")})
     with pytest.raises(InternalError, match="cannot carry matrices"):
