@@ -223,8 +223,6 @@ class FreeCDGA(_GradedAlgebra):
         # Its count of generators, its basis cache and its base's record (None
         # without a base), so that a basis can be built down the chain.
         self._chain: _Chain = (len(self.generators), self._basis_cache, None)
-        # The base this algebra was checked to extend when it was made.
-        self._extends_ref: Optional[weakref.ref] = None
         # Term dicts, not elements: an element would hold self, a cycle.
         self._dmono_cache: dict[Monomial, dict[Monomial, Fraction]] = {}
         self._dmat_cache: dict[int, QMatrix] = {}
@@ -236,7 +234,6 @@ class FreeCDGA(_GradedAlgebra):
             if not self.extends(base):
                 raise ValidationError("generators do not extend the base algebra's")
             checked = len(base.generators)
-            self._extends_ref = weakref.ref(base)
             self._inherit(base)
         for g in self.generators[checked:]:
             for mono in self._diff[g.name]:
@@ -822,12 +819,12 @@ def unchanged_below(new: Algebra, old: Algebra) -> int:
     """The degree below which `new` has old's basis (padded) and differential:
     past the cap when new is old, the first added generator's degree when new
     extends old, and 0 otherwise.  An extension checked `extends` against its
-    base when it was made, so that base is answered by identity; any other
-    pair runs the check."""
+    base when it was made and holds that base's `_chain` record, so that base
+    is answered by identity; any other pair runs the check."""
     if new is old:
         return new.degree_cap + 1
     if new.kind == old.kind == "free" and (
-            new._extends_ref is not None and new._extends_ref() is old or new.extends(old)):
+            new._chain[2] is old._chain or new.extends(old)):
         return min((g.degree for g in new.generators[len(old.generators):]),
                    default=new.degree_cap + 1)
     return 0

@@ -272,33 +272,24 @@ def echelon(m: QMatrix) -> dict[int, Row]:
     at its pivot column and 0 left of it.  Each row of m is reduced by the
     pivot row at its leading column until it is zero or leads at a new one.
 
-    The reduction runs on primitive integer rows: a row leading at c with
-    entry a, reduced by the pivot row p with entry b there, becomes b·r − a·p
-    (a, b divided by their gcd), then is divided by the gcd of its entries.
-    Each such row is proportional to the one Fraction elimination gives, so
-    the pivots and the normalized rows are the same.  A row of m that leads
-    at a new pivot column is kept as it is and made integer only when a
-    later row is reduced by it; the kept rows become Fractions, 1 at their
-    pivot, at the end."""
-    piv: dict[int, dict] = {}
-    ints: set[int] = set()  # the pivot columns whose rows are integer
+    The reduction runs on primitive integer rows: each row of m is scaled by
+    the lcm of its denominators and divided by the gcd of its entries; a row
+    leading at c with entry a, reduced by the pivot row p with entry b there,
+    becomes b·r − a·p (a, b divided by their gcd), then is divided by the gcd
+    of its entries.  Each such row is proportional to the one Fraction
+    elimination gives, so the pivots and the normalized rows are the same.
+    The kept rows become Fractions, 1 at their pivot, at the end."""
+    piv: dict[int, dict[int, int]] = {}
     for r in m._rows:
         if not r:
             continue
-        c = min(r)
-        if c not in piv:
-            piv[c] = r
-            continue
         r = _primitive(r)
+        c = min(r)
         while r:
             p = piv.get(c)
             if p is None:
                 piv[c] = r
-                ints.add(c)
                 break
-            if c not in ints:
-                piv[c] = p = _primitive(p)
-                ints.add(c)
             a, b = r[c], p[c]
             g = gcd(a, b)
             a, b = a // g, b // g
@@ -319,13 +310,7 @@ def echelon(m: QMatrix) -> dict[int, Row]:
     for c in sorted(piv):
         r = piv[c]
         x = r[c]
-        if c in ints:
-            r = ({j: Fraction(y) for j, y in r.items()} if x == 1 else
-                 {j: Fraction(y, x) for j, y in r.items()})
-        elif x != 1:
-            inv = ONE / x
-            r = {j: y * inv for j, y in r.items()}
-        out[c] = r
+        out[c] = {j: Fraction(y, x) for j, y in r.items()}
     return out
 
 
