@@ -129,6 +129,8 @@ def compute_cohomology(d_out: QMatrix, d_in: Optional[QMatrix],
     d_in's."""
     if below is not None and below.d_out is not d_in and below.d_out != d_in:
         raise InternalError("compute_cohomology: below's d_out is not this d_in")
+    if not d_out.cols:  # C^n = 0: no cocycles, no boundaries
+        return CohomologySpace(d_out, {}, [])
     b = []
     if d_in is not None:
         b = [d_in.column(p) for p in (below.pivots if below is not None else echelon(d_in))]

@@ -150,6 +150,8 @@ class QMatrix:
     def _of_sparse_columns(cls, columns: Sequence[Row], rows: int) -> "QMatrix":
         """The matrix whose column j has the entries {row: Fraction} of
         columns[j], all nonzero and below `rows`.  Kernel use only."""
+        if not rows:
+            return cls._of(0, len(columns), ())
         out = tuple({} for _ in range(rows))
         for j, col in enumerate(columns):
             for i, x in col.items():
@@ -191,6 +193,8 @@ class QMatrix:
         if self.cols != other.rows:
             raise ValueError(f"matmul: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         out = tuple({} for _ in self._rows)
+        if not (self.cols and other.cols):
+            return QMatrix._of(self.rows, other.cols, out)
         for acc, r in zip(out, self._rows):
             for k, a in r.items():
                 _axpy(acc, a, other._rows[k])

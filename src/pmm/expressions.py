@@ -4,6 +4,7 @@
     term     := [rational '*']? factor ('*' factor)*
     factor   := IDENT ('^' NAT)? | '(' expr ')' | rational
     rational := NAT ['/' NAT]
+    NAT      := ASCII digits 0-9, at most 100 of them
 
 Identifiers resolve against a context algebra: generator names of a free
 CDGA or basis labels of a finite one.  Rendering is deterministic (terms in
@@ -18,6 +19,7 @@ from .cdga import Algebra, CdgaElement, FreeCDGA, multiply
 from .errors import ParseError
 
 MAX_NESTING = 100  # parenthesis depth; three parser frames per level, far below the limit
+MAX_DIGITS = 100  # digits in one number, as io._rational bounds a number's text
 
 
 class _Token:
@@ -45,10 +47,12 @@ def _tokenize(src: str) -> list[_Token]:
             col += 1
             i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":  # ASCII only: int() would read other scripts' digits too
             j = i
-            while j < len(src) and src[j].isdigit():
+            while j < len(src) and "0" <= src[j] <= "9":
                 j += 1
+            if j - i > MAX_DIGITS:
+                raise ParseError(f"number longer than {MAX_DIGITS} digits", line, col)
             out.append(_Token("NAT", src[i:j], line, col))
             col += j - i
             i = j

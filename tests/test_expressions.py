@@ -76,6 +76,36 @@ def test_parse_parens_and_unary_minus():
     assert e2 == multiply(m.gen("a"), m.gen("y")).scale(2)
 
 
+@pytest.mark.parametrize("src, message, column", [
+    ("\u00b2*a", "unexpected character '\u00b2'", 1),      # superscript two
+    ("\u0661*a", "unexpected character '\u0661'", 1),      # Arabic-Indic one
+    ("a^\u00b2", "unexpected character '\u00b2'", 3),
+    ("12\u0663*a", "unexpected character '\u0663'", 3),    # ASCII digits, then another script's
+    ("1" * 101 + "*a", "number longer than 100 digits", 1),
+    ("a + 1/" + "3" * 101, "number longer than 100 digits", 7),
+    ("a^" + "2" * 5001, "number longer than 100 digits", 3),
+], ids=["superscript", "arabic-indic", "superscript-power", "mixed-scripts",
+        "101-digits", "101-digit-denominator", "5001-digit-power"])
+def test_parse_numbers_are_ascii_digits_at_most_100(src, message, column):
+    # int() would read the Arabic-Indic digit as 1 and refuse the superscript
+    # and the 5,001 digits with a ValueError; the tokenizer refuses them first.
+    with pytest.raises(ParseError) as err:
+        parse_expression(src, algebra())
+    assert str(err.value) == f"{message} (line 1, column {column})"
+
+
+def test_parse_numbers_of_100_digits_and_unicode_identifiers_still_read():
+    m = algebra()
+    big = int("9" * 100)
+    assert parse_expression("9" * 100 + "/" + "7" * 100 + "*a", m) == \
+        m.gen("a").scale(Fraction(big, int("7" * 100)))
+    assert parse_expression("0123*a", m) == m.gen("a").scale(123)
+    s2 = FiniteCDGA(basis={0: ["one"], 2: ["\u03b1\u00b2", "a\u0661"]}, unit="one",
+                    products={}, differential={}, degree_cap=6)
+    assert parse_expression("2*\u03b1\u00b2 + a\u0661", s2) == \
+        s2.basis_elem("\u03b1\u00b2").scale(2) + s2.basis_elem("a\u0661")
+
+
 def test_parse_inhomogeneous_flag():
     m = algebra()
     parse_expression("a + y", m)  # allowed by default

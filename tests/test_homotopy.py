@@ -12,13 +12,13 @@ from pmm.cdga import (
 from pmm.errors import InternalError, ValidationError
 from pmm.exactla import ONE, QMatrix, hstack, rank, vstack
 from pmm.homotopy import (
-    HomotopySquare, check_homotopy_identity, cone, cone_map, eval_at_0, eval_at_1,
-    integral_matrix, integrate_01, integrate_0t,
+    HomotopySquare, _end_difference, check_homotopy_identity, cone, cone_map, eval_at_0,
+    eval_at_1, integral_matrix, integrate_01, integrate_0t,
 )
 from pmm.io import load_input
 from pmm.pminimal import build_persistent_minimal_model
 
-from .gen import include_target
+from .gen import include_target, random_tower
 from .test_cdga import _random_chain, _random_element, _ref_mul_keys
 from .test_incremental import wedge_tower
 
@@ -480,6 +480,100 @@ def test_homotopy_identity_reads_fresh_integral_after_memo_reset():
     assert check_homotopy_identity(h, 6) == ["identity fails on y"]
 
 
+# -- the one-pass columns against the two-step forms ----------------------------
+# I_H's columns and the identity's g - f columns are read in one pass over the
+# terms of H(a); the references go through the intermediate elements.
+
+
+def _two_step_integral(u):
+    return eval_at_1(integrate_0t(u))
+
+
+def _two_step_end_difference(u):
+    return eval_at_1(u) - eval_at_0(u)
+
+
+def _built_homotopies():
+    """Every homotopy of the built models of wedge_tower(5), example3,
+    sphere2_bounded and two seeded free towers with odd generators, whose
+    homotopies have dt terms over odd-degree elements of the target."""
+    models = [_built_model("example3"), _built_model("sphere2_bounded")] + [
+        build_persistent_minimal_model(tower) for tower in [wedge_tower(5)] + [
+            random_tower(random.Random(seed), 6, n_stages=4, max_gens=3) for seed in (7, 508)]]
+    return [h for model in models for h in model.homotopies]
+
+
+def test_one_pass_columns_match_the_two_step_forms():
+    odd_dt = high_t = both_ends = 0
+    for h in _built_homotopies():
+        base = h.codomain.base
+        for n in range(h.domain.degree_cap + 1):
+            integral = integral_matrix(h, n)
+            for col, mono in enumerate(h.domain.basis_keys(n)):
+                u = h.image(mono)
+                assert integrate_01(u) == _two_step_integral(u)
+                assert _end_difference(u) == _two_step_end_difference(u)
+                if base.dim(n - 1):
+                    assert integral.column(col) == base.to_vector(_two_step_integral(u), n - 1)
+                powers = [(j, e) for _, j, e in u.terms]
+                odd_dt += any(e and base.key_degree(b) % 2 for b, _, e in u.terms)
+                high_t += any(j >= 2 for j, _ in powers)
+                both_ends += (0, 0) in powers and any(j and not e for j, e in powers)
+    assert odd_dt and high_t and both_ends
+
+
+# -- the identity check reads every degree where the target is nonzero ------------
+
+
+def _read_degrees(monkeypatch, h, *args):
+    """(messages, the degrees n whose d_B(n-1) check_homotopy_identity read)."""
+    base = h.codomain.base
+    read, d_matrix = [], base.d_matrix
+
+    def recording(n):
+        read.append(n + 1)
+        return d_matrix(n)
+
+    monkeypatch.setattr(base, "d_matrix", recording)
+    problems = check_homotopy_identity(h, *args)
+    monkeypatch.undo()
+    return problems, read
+
+
+def test_identity_check_reads_every_degree_where_the_target_is_nonzero(monkeypatch):
+    skipped = 0
+    for h in _built_homotopies():
+        base, dom = h.codomain.base, h.domain
+        cap = dom.degree_cap
+        problems, read = _read_degrees(monkeypatch, h, cap)
+        assert problems == []
+        assert read == [n for n in range(cap + 1) if base.dim(n)]
+        skipped += cap + 1 - len(read)
+        # A window reads the degrees of its generators where B is nonzero.
+        names = [g.name for g in dom.generators]
+        problems, read = _read_degrees(monkeypatch, h, cap, names)
+        assert problems == []
+        assert read == sorted({g.degree for g in dom.generators if base.dim(g.degree)})
+    assert skipped
+
+
+def test_tampered_dt_part_in_a_nonzero_target_degree_fails_the_full_check(monkeypatch):
+    # B^2 = <a> and B^3 = ... = B^8 = 0 at stage 0 of sphere2_bounded: the
+    # identity reads degrees 0..2 only.  w (x) dt moves neither end point but
+    # moves I_H(x2_0) by w, and dw = a: the failure in degree 2 is still found.
+    h = _built_model("sphere2_bounded").homotopies[0]
+    base = h.codomain.base
+    assert [base.dim(n) for n in range(9)] == [1, 1, 1, 0, 0, 0, 0, 0, 0]
+    assert check_homotopy_identity(h, 8) == []
+    h.gen_images["x2_0"] = h.gen_images["x2_0"] + h.codomain.tensor(base.basis_elem("w"), 0, 1)
+    h._images.clear()
+    h._mat_cache.clear()
+    problems, read = _read_degrees(monkeypatch, h, 8)
+    assert read == [0, 1, 2]
+    assert problems == _ref_identity_messages(h, 8) == ["identity fails on x2_0"]
+    assert check_homotopy_identity(h, 8, ["x2_0", "x3_0"]) == ["identity fails on x2_0"]
+
+
 def test_check_chain_map_rejects_altered_integral_matrix():
     m, _ = sphere_map_square()
     ident = CdgaMorphism.identity(m)
@@ -631,6 +725,7 @@ def test_path_algebra_matches_the_interval_formulas(seed):
             assert _as_old(differential(u)) == _old_d(old_u)
             assert _as_old(integrate_0t(u)) == _old_integrate_0t(old_u)
             assert integrate_01(u) == sum(_old_integrate_0t(old_u)[0].values(), base.zero())
+            assert _end_difference(u) == _two_step_end_difference(u)
             odd_past_dt += bool(old_u[1]) and any(b.homogeneous_degree() % 2
                                                   for b in old_v[0].values())
             truncated += bool(u.terms and v.terms) and n1 + n2 > base.degree_cap

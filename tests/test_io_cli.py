@@ -749,6 +749,32 @@ def test_cli_malformed_input_is_one_line_schema_error(tmp_path, capsys, mutate):
     assert len(err.splitlines()) == 1 and err.startswith("schema error:"), err
 
 
+@pytest.mark.parametrize("where, value, reason", [
+    ("image", "\u00b2*a", "map 0: image of 'a': unexpected character '\u00b2'"),
+    ("image", "\u0661*a", "map 0: image of 'a': unexpected character '\u0661'"),
+    ("image", "1" * 101 + "*a", "map 0: image of 'a': number longer than 100 digits"),
+    ("image", "1" * 5001 + "*a", "map 0: image of 'a': number longer than 100 digits"),
+    ("product", "\u00b2*a", "unexpected character '\u00b2'"),
+], ids=["superscript-image", "arabic-indic-image", "101-digit-image", "5001-digit-image",
+        "superscript-product"])
+def test_cli_build_refuses_a_number_that_is_not_short_ascii_digits(tmp_path, capsys, where,
+                                                                   value, reason):
+    # int() would take the Arabic-Indic digit for 1 and raise ValueError
+    # (exit 3) on the superscript and on 5,001 digits.
+    doc = fixture("sphere2")
+    if where == "image":
+        doc["maps"][0]["images"]["a"] = value
+    else:
+        doc["stages"][0]["products"][0]["value"] = value
+    f = tmp_path / "tower.json"
+    f.write_text(json.dumps(doc))
+    rc = main(["build", "--input", str(f), "--output", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err == f"schema error: {reason} (line 1, column 1)\n", err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("poly", [{"0": "a", "1": "-a", "01": "7*a"},
                                   {"0": "a", "\u0661": "-a"},
                                   {"00": "a", "1": "-a"}],
