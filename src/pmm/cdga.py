@@ -13,9 +13,14 @@ constructor for parsed input and callers outside the kernel.  The kernel's own
 results are made by `CdgaElement._of`, which trusts its terms to be nonzero
 Fractions.  An extension's basis is its base's basis times the monomials in
 the new generators (Λ(V ⊕ W) = ΛV ⊗ ΛW); a base basis not built yet is
-built the same way down the chain of bases and kept by that base.  A free
-algebra differentiates a monomial p·x by the Leibniz rule on the memoised
-d(p), with the signs and the cap worked out on the exponent tuples.
+built the same way down the chain of bases and kept by that base.  A basis
+depends only on the generator degrees, so free algebras with the same degree
+tuple share one table of bases and positions, across stages, steps, builds
+and checks; a table lives while some algebra holds it.  What depends on
+the differentials (d-matrices, cohomology, the carry guard's identity answer)
+stays with each algebra.  A free algebra differentiates a monomial p·x by the
+Leibniz rule on the memoised d(p), with the signs and the cap worked out on
+the exponent tuples.
 
 A morphism is the images of its domain's basis keys: given, one per label, out
 of a finite algebra; generated out of a free one, each monomial's image its
@@ -218,10 +223,16 @@ class FreeCDGA(_GradedAlgebra):
         self.index_of = {g.name: i for i, g in enumerate(self.generators)}
         self._degrees = tuple(g.degree for g in self.generators)
         self._odd = tuple(i for i, g in enumerate(self.generators) if g.degree % 2 == 1)
-        self._basis_cache: dict[int, tuple[Monomial, ...]] = {}
-        self._basis_pos: dict[int, dict[Monomial, int]] = {}
+        # Bases and positions are a function of the generator degrees, so
+        # every algebra with these degrees reads the same table.
+        table = _BASES.get(self._degrees)
+        if table is None:
+            table = _BASES[self._degrees] = _Bases()
+        self._basis_cache: dict[int, tuple[Monomial, ...]] = table
+        self._basis_pos: dict[int, dict[Monomial, int]] = table.pos
         # Its count of generators, its basis cache and its base's record (None
-        # without a base), so that a basis can be built down the chain.
+        # without a base), so that a basis can be built down the chain.  The
+        # record is this algebra's own, even where the cache is shared.
         self._chain: _Chain = (len(self.generators), self._basis_cache, None)
         # Term dicts, not elements: an element would hold self, a cycle.
         self._dmono_cache: dict[Monomial, dict[Monomial, Fraction]] = {}
@@ -289,6 +300,8 @@ class FreeCDGA(_GradedAlgebra):
         degree-(n−j) monomials times the degree-j monomials in W's generators;
         a base basis not built yet is built the same way from the base's own
         base, down the chain, and kept in the base's cache (`_chain_basis`).
+        The caches are shared by all algebras with the same generator degrees,
+        so a basis any of them built is read, not built again.
         """
         if n > self.degree_cap:
             raise ValidationError(f"degree {n} above cap {self.degree_cap}")
@@ -754,6 +767,21 @@ def _prefix(mono: Monomial) -> tuple[Optional[Monomial], int]:
 _Chain = tuple[int, dict[int, tuple[Monomial, ...]], Optional[tuple]]
 
 
+class _Bases(dict):
+    """{n: degree-n basis} of one generator-degree tuple, and in `pos` each
+    basis's {monomial: position}.  `_BASES` names it weakly, so it lives while
+    some algebra holds it: its own algebras, and their extensions through
+    `_chain`."""
+
+    __slots__ = ("__weakref__", "pos")
+
+    def __init__(self):
+        self.pos: dict[int, dict[Monomial, int]] = {}
+
+
+_BASES: "weakref.WeakValueDictionary[tuple[int, ...], _Bases]" = weakref.WeakValueDictionary()
+
+
 def _chain_basis(degrees: tuple[int, ...], level: _Chain, n: int) -> tuple[Monomial, ...]:
     """The degree-n basis of the algebra on the first `count` of these
     generators, read from its cache or built and stored there: enumerated at
@@ -820,7 +848,10 @@ def unchanged_below(new: Algebra, old: Algebra) -> int:
     past the cap when new is old, the first added generator's degree when new
     extends old, and 0 otherwise.  An extension checked `extends` against its
     base when it was made and holds that base's `_chain` record, so that base
-    is answered by identity; any other pair runs the check."""
+    is answered by identity; any other pair runs the check.  The record is
+    each algebra's own: the basis table in it is shared by every algebra with
+    the same generator degrees, whatever their differentials, so it answers
+    nothing here."""
     if new is old:
         return new.degree_cap + 1
     if new.kind == old.kind == "free" and (

@@ -14,7 +14,8 @@ combination of the boundaries).  The boundaries are independent and lie in
 Z, so dim H = cols − rank − #B.  The space keeps the echelon rows, the
 pivots and d_out itself.  The first read of the cocycles back-substitutes
 the rows into d_out's RREF, which then replaces them; the class data
-(representatives and class_of) is also computed on first read.
+(representatives and class_of) is also computed on first read, and never
+on a space of dimension 0, whose reps are [] and whose classes are ().
 Connectivity checks read only `dim`.  The next degree up, whose d_in is this
 d_out, reads its boundaries off the kept pivots instead of reducing that
 matrix again.
@@ -91,6 +92,8 @@ class CohomologySpace:
 
     @cached_property
     def reps(self) -> list[Vector]:
+        if not self.dim:
+            return []
         return [self.cocycles[j] for j in self._classes[2]]
 
     def class_of(self, z: Sequence) -> Vector:
@@ -103,6 +106,8 @@ class CohomologySpace:
         z = vec(z)
         if not is_zero_vec(self._basis().apply(z)):
             raise InternalError("class_of: vector is not a cocycle")
+        if not self.dim:
+            return ()
         free, keyed, positions = self._classes
         c = [z[f] for f in free]
         for key, b in keyed.items():

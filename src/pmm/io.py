@@ -123,6 +123,15 @@ def load_grid(doc) -> Grid:
         raise SchemaError(str(exc)) from exc
 
 
+def _parse_entry(src, algebra: Algebra, where: str, require_homogeneous: bool = False):
+    """An expression of a stage or map entry, read in `algebra`; a ParseError
+    is refused as a SchemaError that names the entry, `where`."""
+    try:
+        return parse_expression(str(src), algebra, require_homogeneous)
+    except ParseError as exc:
+        raise SchemaError(f"{where}: {exc}") from exc
+
+
 def _build_free_stage(spec: dict, cap: int, where: str) -> FreeCDGA:
     gens = []
     d_src = {}
@@ -130,15 +139,11 @@ def _build_free_stage(spec: dict, cap: int, where: str) -> FreeCDGA:
         name = _name(_need(g, "name", where, object), where)
         degree = _int(_need(g, "degree", where, object), where)
         gens.append((name, degree))
-        d_src[name] = str(g.get("d", "0"))
+        d_src[name] = g.get("d", "0")
     scratch = free_cdga(gens, {}, cap)
-    diffs = {}
-    for name, src in d_src.items():
-        try:
-            elem = parse_expression(src, scratch, require_homogeneous=True)
-        except ParseError as exc:
-            raise SchemaError(f"{where}: d({name}): {exc}") from exc
-        diffs[name] = elem.terms
+    diffs = {name: _parse_entry(src, scratch, f"{where}: d({name})",
+                                require_homogeneous=True).terms
+             for name, src in d_src.items()}
     try:
         return free_cdga(gens, diffs, cap)
     except ValidationError as exc:
@@ -166,13 +171,14 @@ def _build_finite_stage(spec: dict, cap: int, where: str) -> FiniteCDGA:
     for entry in _optional(spec, "products", where, list):
         left = _name(_need(entry, "left", where, object), where)
         right = _name(_need(entry, "right", where, object), where)
-        value = parse_expression(str(_need(entry, "value", where, object)), scratch)
+        value = _parse_entry(_need(entry, "value", where, object), scratch,
+                             f"{where}: product {left},{right}")
         _once(products, (left, right), {scratch.label_of(k): c for k, c in value.terms.items()},
               where, "products", f"{left},{right}")
     differential = {}
     for entry in _optional(spec, "differentials", where, list):
         lab = _name(_need(entry, "of", where, object), where)
-        value = parse_expression(str(_need(entry, "value", where, object)), scratch)
+        value = _parse_entry(_need(entry, "value", where, object), scratch, f"{where}: d({lab})")
         _once(differential, lab, {scratch.label_of(k): c for k, c in value.terms.items()},
               where, "differentials", lab)
     try:
@@ -184,12 +190,8 @@ def _build_finite_stage(spec: dict, cap: int, where: str) -> FiniteCDGA:
 
 def _build_stage_map(spec: dict, dom: Algebra, cod: Algebra, where: str) -> CdgaMorphism:
     images_spec = _need(spec, "images", where, dict)
-    images = {}
-    for name, src in images_spec.items():
-        try:
-            images[name] = parse_expression(str(src), cod)
-        except ParseError as exc:
-            raise SchemaError(f"{where}: image of {name!r}: {exc}") from exc
+    images = {name: _parse_entry(src, cod, f"{where}: image of {name!r}")
+              for name, src in images_spec.items()}
     if dom.kind == "free":
         _exact_keys(images, [g.name for g in dom.generators], where)
         return CdgaMorphism.on_generators(dom, cod, images)
@@ -404,7 +406,9 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
     algebras up, by the build's own step (_attach_generators): each "d" is
     read in the birth stage's algebra and each "endpoint" in the death
     stage's, as attached below its degree.  Stage models and homotopies are
-    read as saved; nothing the build computed is reused.
+    read as saved.  Nothing derived from the model's data is reused from a
+    build; bases, a function of the generator degrees alone, are shared by
+    every free algebra alive in the process (`pmm.cdga`).
     """
     target = load_input(_need(doc, "input", "model document", dict))
     spec = _need(doc, "model", "model document", dict)

@@ -61,6 +61,46 @@ def test_monomial_enumeration_leaves_no_cyclic_garbage():
     assert found and len(set(found)) == len(found)
 
 
+def test_algebras_with_the_same_degrees_share_their_bases():
+    # A basis is a function of the generator degrees: algebras on equal degree
+    # tuples, whatever their names, differentials or caps, and however they
+    # were made, read one basis and one position dict per degree.
+    root = sphere2_model()
+    renamed = free_cdga([("u", 2), ("v", 3)], {}, 9)
+    a = free_cdga([("a", 2)], {}, 8)
+    ext, _ = hirsch_extend(a, [("y", 3, multiply(a.gen("a"), a.gen("a")))])
+    keys = ext.basis_keys(7)
+    assert keys == ((2, 1),)
+    assert root.basis_keys(7) is keys and renamed.basis_keys(7) is keys
+    assert renamed._basis_pos is root._basis_pos is ext._basis_pos
+    assert root.key_position(7, (2, 1)) == 0
+    swapped = free_cdga([("y", 3), ("a", 2)], {}, 8)
+    assert swapped._basis_cache is not root._basis_cache
+    assert swapped.basis_keys(7) == ((1, 2),)
+
+
+def test_a_shared_table_lives_as_long_as_an_algebra_holds_it():
+    # The tables are weakly kept: a table goes when no algebra holds it, by
+    # reference counting alone.  An extension holds its base's table (its
+    # `_chain`), so that table outlives the base itself.
+    from pmm.cdga import _BASES
+    degrees, ext_degrees = (2, 5, 7), (2, 5, 7, 9)  # no other test uses these
+    gc.collect()
+    gc.disable()
+    try:
+        base = free_cdga([("a", 2), ("b", 5), ("c", 7)], {}, 12)
+        assert base.dim(9) == 2 and degrees in _BASES
+        ext, incl = hirsch_extend(base, [("e", 9, base.zero())])
+        assert ext.dim(9) == 3 and ext_degrees in _BASES
+        del base, incl
+        assert degrees in _BASES
+        del ext
+        assert not {degrees, ext_degrees} & set(_BASES)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
 def test_koszul_signs():
     a = free_cdga([("x", 3), ("y", 5)], {}, 9)
     x, y = a.gen("x"), a.gen("y")

@@ -575,6 +575,26 @@ def test_class_of_rejects_non_cocycle_and_reduces_once(monkeypatch):
         assert len(echelons) == 1 and len(reduced) == reductions
 
 
+def test_a_space_of_dimension_zero_computes_no_class_data(monkeypatch):
+    # H^1 of Q -> Q^2 -> Q with d_in = (1, -1)ᵀ, d_out = [1 1] has Z = B, and
+    # H^0 of Q^2 -> Q^2 with d_out the identity has Z = 0: both have
+    # dimension 0 in ambient dimension 2.  Their reps and classes are read
+    # with no back-substitution and no reverse echelon of the boundaries,
+    # and a non-cocycle is still refused.
+    exact = compute_cohomology(QMatrix.from_rows([[1, 1]]), QMatrix.from_rows([[1], [-1]]))
+    injective = compute_cohomology(QMatrix.identity(2), None)
+    calls = []
+    for name in ("reverse_echelon", "back_substitute"):
+        monkeypatch.setattr(cochain, name, lambda *a, name=name: calls.append(name))
+    for space, cocycle in ((exact, [3, -3]), (injective, [0, 0])):
+        assert space.dim == 0 and space.ambient_dim == 2
+        assert space.reps == [] and space.class_of(vec(cocycle)) == ()
+        with pytest.raises(InternalError, match="class_of: vector is not a cocycle"):
+            space.class_of(vec([1, 0]))
+        assert not {"cocycles", "_classes"} & set(vars(space))
+    assert calls == []
+
+
 class EagerSpace:
     """compute_cohomology and CohomologySpace as they were when the space
     built everything at once: all cocycles, the boundaries' Z-coordinates,

@@ -356,6 +356,28 @@ def test_the_guard_answers_a_verified_base_by_identity(monkeypatch):
         refused.inherit(m)
 
 
+def test_the_guard_does_not_answer_an_equal_degree_algebra_by_identity(monkeypatch):
+    # `twin` has `base`'s generators and so `base`'s shared basis tables, but
+    # another differential.  Its extension's record names twin's record, not
+    # base's: the guard runs `extends`, which fails, and `inherit` refuses.
+    scratch = free_cdga([("a", 2), ("x", 3)], {}, 8)
+    base = free_cdga([("a", 2), ("x", 3)], {"x": multiply(scratch.gen("a"), scratch.gen("a"))}, 8)
+    twin = free_cdga([("a", 2), ("x", 3)], {}, 8)
+    assert twin._basis_cache is base._basis_cache
+    twin_ext, _ = hirsch_extend(twin, [("y", 3, twin.zero())])
+    assert twin_ext._chain[2] is twin._chain and twin_ext._chain[2][1] is base._chain[1]
+    calls = []
+    extends = FreeCDGA.extends
+    monkeypatch.setattr(FreeCDGA, "extends", lambda s, o: calls.append((s, o)) or extends(s, o))
+    assert unchanged_below(twin_ext, base) == 0 and calls == [(twin_ext, base)]
+    m = CdgaMorphism.on_generators(base, base, {"a": base.gen("a"), "x": base.gen("x")})
+    m.matrix(2)
+    refused = CdgaMorphism.on_generators(twin_ext, base, {
+        "a": base.gen("a"), "x": base.gen("x"), "y": base.zero()})
+    with pytest.raises(InternalError, match="cannot carry matrices"):
+        refused.inherit(m)
+
+
 def test_homotopy_carry_refuses_a_changed_value():
     model = built_through(wedge_tower(5), 3)
     h = model.homotopies[0]

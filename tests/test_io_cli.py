@@ -113,14 +113,19 @@ def test_the_check_path_computes_no_class_representatives(name, monkeypatch):
 def test_the_check_path_builds_extension_bases_down_the_chain(name, monkeypatch):
     # load_model attaches the saved generators degree by degree, a chain of
     # extensions from the unit algebras.  No extension enumerates its base's
-    # basis from scratch: every full `_monomials` run with generators is the
-    # basis of an algebra with no base, once per degree built.  Then every
-    # algebra of the chain, in every degree, lists the monomials of one
-    # enumeration over all its generators, sorted by (total exponent, lex).
+    # basis from scratch: every full `_monomials` run with generators is over
+    # the degrees of an algebra with no base.  Bases are shared by degree
+    # tuple, so no (degree tuple, degree) pair is enumerated twice, however
+    # many algebras read it: a second check while the first one's model is
+    # alive enumerates nothing again.  Then every algebra of the chain, in
+    # every degree, lists the monomials of one enumeration over all its
+    # generators, sorted by (total exponent, lex).
+    import gc
     from pmm import cdga
     doc = fixture(name)
     payload = json.loads(json.dumps(model_payload(
         build_persistent_minimal_model(load_input(doc)), doc)))
+    gc.collect()  # the build's tables go with the build
     made, full = [], []
     init, enumerate_monomials = cdga.FreeCDGA.__init__, cdga._monomials
 
@@ -136,11 +141,12 @@ def test_the_check_path_builds_extension_bases_down_the_chain(name, monkeypatch)
     monkeypatch.setattr(cdga.FreeCDGA, "__init__", record_init)
     monkeypatch.setattr(cdga, "_monomials", counting)
     cdga._new_monomials.cache_clear()
-    tower, model = load_model(payload)
-    assert validate_model(model, against=tower)["ok"]
-    roots = [(tuple(g.degree for g in alg.generators), n) for alg in made
-             if alg._chain[2] is None and alg.generators for n in alg._basis_cache]
-    assert sorted(full) == sorted(roots)
+    checked = [load_model(payload) for _ in range(2)]
+    for tower, model in checked:
+        assert validate_model(model, against=tower)["ok"]
+    roots = {alg._degrees for alg in made if alg._chain[2] is None}
+    assert {degrees for degrees, _ in full} <= roots
+    assert len(set(full)) == len(full)
     monkeypatch.setattr(cdga, "_monomials", enumerate_monomials)
     for alg in made:
         degrees = [g.degree for g in alg.generators]
@@ -148,6 +154,36 @@ def test_the_check_path_builds_extension_bases_down_the_chain(name, monkeypatch)
             want = sorted(enumerate_monomials(degrees, n), key=lambda m: (sum(m), m))
             assert list(alg.basis_keys(n)) == want, (name, n)
             assert [alg.key_position(n, m) for m in want] == list(range(len(want)))
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_a_tower_built_after_others_in_one_process_writes_the_same_files(tmp_path, seed):
+    # Bases are shared by generator degrees among all the algebras alive in
+    # a process.  example3 built while the models of example1_case1 and
+    # example2 are alive (their algebras share its degree tuples) writes the
+    # files it writes built alone.
+    emit = ["--emit", "barcode,presentation,report,model"]
+    script = ("import json, sys\n"
+              "from pmm.cli import main\n"
+              "from pmm.io import load_input\n"
+              "from pmm.pminimal import build_persistent_minimal_model\n"
+              "alive = [build_persistent_minimal_model(load_input(json.load(open(p))))\n"
+              "         for p in sys.argv[1:-1]]\n"
+              "sys.exit(main(['build', '--input', sys.argv[-2], '--output', sys.argv[-1]]\n"
+              f"              + {emit!r}))\n")
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    inputs = [str(FIXTURES / f"{name}.json") for name in ("example1_case1", "example2", "example3")]
+    after = subprocess.run([sys.executable, "-c", script, *inputs, str(tmp_path / "after")],
+                           env=env, capture_output=True, text=True)
+    alone = subprocess.run([sys.executable, "-m", "pmm", "build", "--input", inputs[-1],
+                            "--output", str(tmp_path / "alone"), *emit],
+                           env=env, capture_output=True, text=True)
+    assert after.returncode == alone.returncode == 0, after.stderr + alone.stderr
+    assert after.stdout == alone.stdout
+    for name in ("barcode.json", "presentation.txt", "report.json", "model.json"):
+        assert (tmp_path / "after" / name).read_bytes() == (tmp_path / "alone" / name).read_bytes()
 
 
 def test_model_tamper_detected():
@@ -754,9 +790,10 @@ def test_cli_malformed_input_is_one_line_schema_error(tmp_path, capsys, mutate):
     ("image", "\u0661*a", "map 0: image of 'a': unexpected character '\u0661'"),
     ("image", "1" * 101 + "*a", "map 0: image of 'a': number longer than 100 digits"),
     ("image", "1" * 5001 + "*a", "map 0: image of 'a': number longer than 100 digits"),
-    ("product", "\u00b2*a", "unexpected character '\u00b2'"),
+    ("product", "\u00b2*a", "stage 0: product a,a: unexpected character '\u00b2'"),
+    ("differential", "\u00b2*a", "stage 0: d(a): unexpected character '\u00b2'"),
 ], ids=["superscript-image", "arabic-indic-image", "101-digit-image", "5001-digit-image",
-        "superscript-product"])
+        "superscript-product", "superscript-differential"])
 def test_cli_build_refuses_a_number_that_is_not_short_ascii_digits(tmp_path, capsys, where,
                                                                    value, reason):
     # int() would take the Arabic-Indic digit for 1 and raise ValueError
@@ -764,8 +801,10 @@ def test_cli_build_refuses_a_number_that_is_not_short_ascii_digits(tmp_path, cap
     doc = fixture("sphere2")
     if where == "image":
         doc["maps"][0]["images"]["a"] = value
-    else:
+    elif where == "product":
         doc["stages"][0]["products"][0]["value"] = value
+    else:
+        doc["stages"][0]["differentials"].append({"of": "a", "value": value})
     f = tmp_path / "tower.json"
     f.write_text(json.dumps(doc))
     rc = main(["build", "--input", str(f), "--output", str(tmp_path / "out")])
