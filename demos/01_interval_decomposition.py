@@ -27,8 +27,10 @@ bars, reps = interval_decompose(module)
 print("\nbars:")
 for b, rep in zip(bars, reps):
     death = "inf" if b.death == INF else str(grid.times[int(b.death)])
-    print(f"  [{grid.times[b.birth]}, {death})  section: "
-          f"{ {i: [str(x) for x in v] for i, v in sorted(rep.vectors.items())} }")
+    # A section vector keeps its nonzero entries only; print it in full.
+    section = {i: [str(v.get(j, 0)) for j in range(module.dims[i])]
+               for i, v in sorted(rep.vectors.items())}
+    print(f"  [{grid.times[b.birth]}, {death})  section: {section}")
 
 print("\nround trip through from_bars:")
 rebuilt = from_bars(grid, bars)

@@ -50,7 +50,7 @@ from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .cochain import CohomologySpace, compute_cohomology
 from .errors import InternalError, ValidationError
-from .exactla import ONE, QMatrix, Vector, dense_vec, frac
+from .exactla import ONE, QMatrix, Row, check_keys, frac
 
 Monomial = tuple[int, ...]
 FiniteKey = tuple[int, int]  # (degree, index)
@@ -177,11 +177,11 @@ class _GradedAlgebra:
             self._path_ref = weakref.ref(path)
         return path
 
-    def from_vector(self, n: int, coords: Sequence) -> CdgaElement:
-        return CdgaElement(self, dict(zip(self.basis_keys(n), coords, strict=True)))
-
-    def to_vector(self, elem: CdgaElement, n: int) -> Vector:
-        return dense_vec(self.to_sparse(elem, n), self.dim(n))
+    def from_vector(self, n: int, coords: Row) -> CdgaElement:
+        """The degree-n element with these coordinates in the basis of A^n."""
+        keys = self.basis_keys(n)
+        check_keys(coords, len(keys), f"from_vector in degree {n}")
+        return CdgaElement(self, {keys[j]: coords[j] for j in sorted(coords)})
 
     def is_simply_connected(self) -> bool:
         return self.cohomology_space(0).dim == 1 and self.cohomology_space(1).dim == 0
@@ -899,7 +899,7 @@ class CdgaMorphism:
                     raise ValidationError(f"missing image for basis label {lab}")
                 if img.algebra is not codomain:
                     raise ValidationError(f"image of {lab} is not in the codomain")
-                codomain.to_vector(img, n)  # refuses a term of another degree
+                codomain.to_sparse(img, n)  # refuses a term of another degree
                 given[k] = img
         return cls(domain, codomain, images=given)
 
@@ -970,13 +970,13 @@ def linear_part(f: CdgaMorphism, dom_names: Sequence[str],
     pos = {name: i for i, name in enumerate(cod_names)}
     cols = []
     for name in dom_names:
-        col = [0] * len(cod_names)
+        col = {}
         for mono, c in f.gen_images[name].terms.items():
             if sum(mono) == 1:
                 gname = f.codomain.generators[mono.index(1)].name
                 if gname in pos:
                     col[pos[gname]] = c
-        cols.append(tuple(col))
+        cols.append(col)
     return QMatrix.from_columns(cols, len(cod_names))
 
 

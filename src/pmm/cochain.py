@@ -2,9 +2,10 @@
 
 Used by CDGAs, mapping cones, and persistent complexes alike so that the
 choice of representatives is made by one deterministic rule everywhere:
-cocycles come from kernel_basis, boundaries from pivot columns, and class
+cocycles come from d_out's RREF, boundaries from pivot columns, and class
 representatives and coordinates from the boundaries' `reverse_echelon` in
-cocycle coordinates (the rule of complements and of the elder rule).
+cocycle coordinates (the rule of complements and of the elder rule).  Every
+vector is an `exactla.Row`: cocycles, boundaries, reps, class coordinates.
 
 `compute_cohomology` does only what the dimension needs: one forward
 echelon of d_out (`exactla.echelon`), whose keys are d_out's pivot columns
@@ -13,12 +14,12 @@ and the check d_out·d_in = 0 on those rows (each column of d_in is a
 combination of the boundaries).  The boundaries are independent and lie in
 Z, so dim H = cols − rank − #B.  The space keeps the echelon rows, the
 pivots and d_out itself.  The first read of the cocycles back-substitutes
-the rows into d_out's RREF, which then replaces them; the class data
-(representatives and class_of) is also computed on first read, and never
-on a space of dimension 0, whose reps are [] and whose classes are ().
-Connectivity checks read only `dim`.  The next degree up, whose d_in is this
-d_out, reads its boundaries off the kept pivots instead of reducing that
-matrix again.
+the rows into d_out's RREF, which then replaces them, and reads the cocycles
+off it (`exactla.kernel_of`); the class data (representatives and class_of)
+is also computed on first read, and never on a space of dimension 0, whose
+reps are [] and whose classes are {}.  Connectivity checks read only `dim`.
+The next degree up, whose d_in is this d_out, reads its boundaries off the
+kept pivots instead of reducing that matrix again.
 
 A cocycle's Z-coordinates are its entries at d_out's free columns.  The
 representatives are the cocycles at the Z-positions that are no key of the
@@ -27,12 +28,11 @@ boundaries' reverse echelon; class_of clears those keys and reads the rest.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional, Sequence
+from typing import Optional
 
 from .errors import InternalError
 from .exactla import (
-    QMatrix, Row, RrefResult, Vector, back_substitute, echelon, is_zero_vec, lin_comb,
-    reverse_echelon, vec,
+    QMatrix, Row, _axpy, back_substitute, combine, echelon, kernel_of, reverse_echelon,
 )
 
 
@@ -46,7 +46,7 @@ class CohomologySpace:
     cocycles, boundaries and reps are.
     """
 
-    def __init__(self, d_out: QMatrix, rows: dict[int, Row], boundaries: list[Vector]):
+    def __init__(self, d_out: QMatrix, rows: dict[int, Row], boundaries: list[Row]):
         """`rows` is a forward echelon of d_out (`exactla.echelon`)."""
         self.d_out = d_out
         self.pivots = tuple(rows)
@@ -77,48 +77,50 @@ class CohomologySpace:
         return QMatrix._of(len(self.pivots), self.ambient_dim, tuple(self._rows.values()))
 
     @cached_property
-    def cocycles(self) -> list[Vector]:
+    def cocycles(self) -> list[Row]:
         self._rows = back_substitute(self._rows)
-        return RrefResult(self._basis(), self.pivots, len(self.pivots)).kernel_basis()
+        return kernel_of(self._rows, self.ambient_dim)
 
     @cached_property
-    def _classes(self) -> tuple[list[int], dict[int, Vector], list[int]]:
-        """(free columns of d_out, the boundaries' reverse echelon in
-        Z-coordinates, the Z-positions it leaves unkeyed)."""
+    def _classes(self) -> tuple[dict[int, int], dict[int, Row], dict[int, int]]:
+        """(Z-position of each free column of d_out, the boundaries' reverse
+        echelon in Z-coordinates, the H-coordinate of each Z-position it
+        leaves unkeyed)."""
         pivots = set(self.pivots)
         free = [j for j in range(self.ambient_dim) if j not in pivots]
-        keyed = reverse_echelon([tuple(b[f] for f in free) for b in self.boundaries], len(free))
-        return free, keyed, [j for j in range(len(free)) if j not in keyed]
+        pos = {f: i for i, f in enumerate(free)}
+        keyed = reverse_echelon([{pos[f]: x for f, x in b.items() if f in pos}
+                                 for b in self.boundaries], len(free))
+        unkeyed = [j for j in range(len(free)) if j not in keyed]
+        return pos, keyed, {j: h for h, j in enumerate(unkeyed)}
 
     @cached_property
-    def reps(self) -> list[Vector]:
+    def reps(self) -> list[Row]:
         if not self.dim:
             return []
         return [self.cocycles[j] for j in self._classes[2]]
 
-    def class_of(self, z: Sequence) -> Vector:
-        """H-coordinates of a cocycle z; raises if z is not a cocycle.  Read
-        off the boundaries' reverse echelon, computed on the first call."""
-        if self.ambient_dim == 0:
-            if any(x != 0 for x in z):
-                raise InternalError("class_of: nonzero vector in zero space")
-            return ()
-        z = vec(z)
-        if not is_zero_vec(self._basis().apply(z)):
+    def class_of(self, z: Row) -> Row:
+        """H-coordinates of a cocycle z; raises if z has a coordinate outside
+        the ambient space or is not a cocycle.  Read off the boundaries'
+        reverse echelon, computed on the first call."""
+        if z and (min(z) < 0 or max(z) >= self.ambient_dim):
+            raise InternalError("class_of: coordinate outside the ambient space")
+        if self._basis().apply(z):
             raise InternalError("class_of: vector is not a cocycle")
         if not self.dim:
-            return ()
-        free, keyed, positions = self._classes
-        c = [z[f] for f in free]
+            return {}
+        pos, keyed, h_of = self._classes
+        c = {pos[f]: x for f, x in z.items() if f in pos}
         for key, b in keyed.items():
-            ck = c[key]
+            ck = c.get(key)
             if ck:
-                c = [x - ck * y if y else x for x, y in zip(c, b)]
-        return tuple(c[j] for j in positions)
+                _axpy(c, -ck, b)
+        return {h_of[j]: x for j, x in c.items() if j in h_of}
 
-    def rep_of_class(self, h: Sequence) -> Vector:
+    def rep_of_class(self, h: Row) -> Row:
         """Ambient cocycle representing the class with H-coordinates h."""
-        return lin_comb(h, self.reps, self.ambient_dim)
+        return combine((c, self.reps[j]) for j, c in h.items())
 
 
 def induced_map(f: QMatrix, src: CohomologySpace, dst: CohomologySpace) -> QMatrix:

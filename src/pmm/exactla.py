@@ -2,9 +2,11 @@
 
 Rationals are `fractions.Fraction` (arbitrary precision, canonical reduced
 form, positive denominator).  Matrices are immutable and stored as sparse
-rows, each a dict {column: Fraction} of its nonzero entries: no kernel
-stores, tests or copies a zero.  `.data` is a dense view, computed on each
-read and never kept; vectors are dense tuples.  Every operation is pure and
+rows, and a vector is a `Row`, the dict {coordinate: Fraction} of its
+nonzero entries: no kernel stores, tests or copies a zero.  `apply`,
+`solve`, `column`, `kernel_basis`, `reverse_echelon`, `quotient_basis` and
+`adapted_split` take and return Rows.  `.data` is the one dense view,
+computed on each read and never kept.  Every operation is pure and
 deterministic, so representative choices made downstream are reproducible
 bit-for-bit.
 
@@ -19,12 +21,12 @@ elimination over Fractions.  `back_substitute` turns it into the unique
 RREF where one is read (`rref`, and through it `kernel_basis` and
 `reverse_echelon`); `solve` back-substitutes its right-hand column alone.
 
-`QMatrix(rows, cols, entries)` and `from_columns` coerce each entry with
-`frac` and check the shape.  The private constructors trust their entries
-to be Fractions: `_of` takes sparse rows, `_of_columns` dense columns (their
-length checked as by `from_columns`) and `_of_sparse_columns` columns
-{row: Fraction} of nonzero entries, unchecked.  Only the algebra kernel
-calls `_of_sparse_columns`, with the `to_sparse` images of its own elements
+`QMatrix(rows, cols, entries)` coerces each dense entry with `frac` and
+checks the shape; `from_columns` coerces each Row's entries and checks that
+every key lies below `rows`.  The private constructors trust their entries
+to be nonzero Fractions: `_of` takes sparse rows and `_of_sparse_columns`
+columns {row: Fraction}, unchecked.  The algebra kernel calls
+`_of_sparse_columns` with the `to_sparse` images of its own elements
 (d-matrices, morphism matrices, homotopy integrals, the integration
 identity's g - f) and the unit columns of a selection matrix.
 `_lower_block(a, b, c)` assembles [[a, 0], [b, c]] for the cone matrices
@@ -38,7 +40,6 @@ from itertools import accumulate
 from math import gcd, lcm
 from typing import Iterable, Optional, Sequence
 
-Vector = tuple[Fraction, ...]
 Row = dict[int, Fraction]
 
 ZERO = Fraction(0)
@@ -49,44 +50,34 @@ def frac(x) -> Fraction:
     return x if isinstance(x, Fraction) else Fraction(x)
 
 
-def vec(entries: Iterable) -> Vector:
-    return tuple(frac(x) for x in entries)
-
-
-def zero_vec(n: int) -> Vector:
-    return (ZERO,) * n
-
-
-def unit_vec(n: int, i: int) -> Vector:
-    return tuple(ONE if j == i else ZERO for j in range(n))
-
-
-def dense_vec(entries: Row, n: int) -> Vector:
-    """The length-n vector with these {position: value} entries, 0 elsewhere."""
+def dense_vec(entries: Row, n: int) -> tuple[Fraction, ...]:
+    """The length-n tuple with these {position: value} entries, 0 elsewhere."""
     out = [ZERO] * n
     for j, x in entries.items():
         out[j] = x
     return tuple(out)
 
 
-def is_zero_vec(u: Vector) -> bool:
-    return all(a == 0 for a in u)
+def check_keys(v: Row, n: int, what: str) -> None:
+    """Refuse a Row with a coordinate outside 0..n-1."""
+    if v and (min(v) < 0 or max(v) >= n):
+        raise ValueError(f"{what}: coordinate {min(v) if min(v) < 0 else max(v)} "
+                         f"outside 0..{n - 1}")
 
 
-def lin_comb(coeffs: Iterable, vectors: Iterable[Vector], dim: int) -> Vector:
-    """sum c_i v_i, a vector of length dim (the zero vector when empty).
-
-    Accumulates only the nonzero products c_i x into one list.
-    """
-    acc = [ZERO] * dim
-    for c, v in zip(coeffs, vectors, strict=True):
+def combine(terms: Iterable[tuple[Fraction, Row]]) -> Row:
+    """sum c·v over the (c, v) pairs, keeping only nonzero entries."""
+    acc: Row = {}
+    for c, v in terms:
         if c:
-            if len(v) != dim:
-                raise ValueError(f"lin_comb: vector of length {len(v)}, want {dim}")
-            for i, x in enumerate(v):
-                if x:
-                    acc[i] += c * x
-    return tuple(acc)
+            _axpy(acc, c, v)
+    return acc
+
+
+def split_row(v: Row, at: int) -> tuple[Row, Row]:
+    """(the coordinates below `at`, the rest shifted down by `at`)."""
+    return ({j: x for j, x in v.items() if j < at},
+            {j - at: x for j, x in v.items() if j >= at})
 
 
 def _axpy(r: Row, c: Fraction, s: Row) -> None:
@@ -133,18 +124,13 @@ class QMatrix:
         return cls(rows, len(entries[0]), entries)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[Vector], rows: int) -> "QMatrix":
-        """The matrix with these columns, each of length `rows`."""
-        return cls._of_columns([tuple(map(frac, c)) for c in columns], rows)
-
-    @classmethod
-    def _of_columns(cls, columns: Sequence[Vector], rows: int) -> "QMatrix":
-        """`from_columns` without coercion: every entry must already be a Fraction."""
+    def from_columns(cls, columns: Sequence[Row], rows: int) -> "QMatrix":
+        """The matrix with these columns, each a Row with keys below `rows`."""
+        out = []
         for c in columns:
-            if len(c) != rows:
-                raise ValueError(f"from_columns: column of length {len(c)}, want {rows}")
-        return cls._of_sparse_columns([{i: x for i, x in enumerate(c) if x} for c in columns],
-                                      rows)
+            check_keys(c, rows, "from_columns")
+            out.append({i: frac(x) for i, x in c.items() if x})
+        return cls._of_sparse_columns(out, rows)
 
     @classmethod
     def _of_sparse_columns(cls, columns: Sequence[Row], rows: int) -> "QMatrix":
@@ -167,7 +153,7 @@ class QMatrix:
         return cls._of(rows, cols, tuple({} for _ in range(rows)))
 
     @property
-    def data(self) -> tuple[Vector, ...]:
+    def data(self) -> tuple[tuple[Fraction, ...], ...]:
         """The rows as dense tuples, computed on each read."""
         return tuple(dense_vec(r, self.cols) for r in self._rows)
 
@@ -177,17 +163,22 @@ class QMatrix:
     def entry(self, i: int, j: int) -> Fraction:
         return self._rows[i].get(j, ZERO)
 
-    def column(self, j: int) -> Vector:
-        return tuple([r.get(j, ZERO) for r in self._rows])
+    def column(self, j: int) -> Row:
+        return {i: r[j] for i, r in enumerate(self._rows) if j in r}
 
-    def columns(self) -> list[Vector]:
+    def columns(self) -> list[Row]:
         return [self.column(j) for j in range(self.cols)]
 
-    def apply(self, v: Sequence) -> Vector:
-        if len(v) != self.cols:
-            raise ValueError(f"apply: length {len(v)} vs {self.rows}x{self.cols}")
-        v = {j: frac(x) for j, x in enumerate(v) if x}
-        return tuple(sum([x * v[j] for j, x in r.items() if j in v], ZERO) for r in self._rows)
+    def apply(self, v: Row) -> Row:
+        """The product with the column vector v."""
+        check_keys(v, self.cols, f"apply to {self.rows}x{self.cols}")
+        out = {}
+        if v:
+            for i, r in enumerate(self._rows):
+                x = sum([x * v[j] for j, x in r.items() if j in v], ZERO)
+                if x:
+                    out[i] = x
+        return out
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
         if self.cols != other.rows:
@@ -343,19 +334,20 @@ class RrefResult:
         pivots = set(self.pivots)
         return [j for j in range(self.reduced.cols) if j not in pivots]
 
-    def kernel_basis(self) -> list[Vector]:
-        """Kernel basis: for each free column f in order, the vector that is 1
-        at f, 0 at the other free columns and minus column f at the pivots."""
-        basis = []
-        for f in self.free_columns():
-            v = [ZERO] * self.reduced.cols
-            v[f] = ONE
-            for p, row in zip(self.pivots, self.reduced._rows):
-                x = row.get(f)
-                if x:
-                    v[p] = -x
-            basis.append(tuple(v))
-        return basis
+    def kernel_basis(self) -> list[Row]:
+        return kernel_of(dict(zip(self.pivots, self.reduced._rows)), self.reduced.cols)
+
+
+def kernel_of(rows: dict[int, Row], n: int) -> list[Row]:
+    """Kernel basis of the RREF rows {pivot: row} on n columns: for each free
+    column f in order, the vector that is 1 at f, 0 at the other free columns
+    and minus column f at the pivots."""
+    at: dict[int, Row] = {}
+    for p, row in rows.items():
+        for f, x in row.items():
+            if f != p:
+                at.setdefault(f, {})[p] = -x
+    return [{**at.get(f, {}), f: ONE} for f in range(n) if f not in rows]
 
 
 def rref(m: QMatrix) -> RrefResult:
@@ -370,52 +362,56 @@ def rank(m: QMatrix) -> int:
     return len(echelon(m))
 
 
-def solve(a: QMatrix, b: Sequence) -> Optional[Vector]:
+def solve(a: QMatrix, b: Row) -> Optional[Row]:
     """Particular solution of a x = b with zeros in all free coordinates: the
-    forward echelon of [a | b], back-substituted in b's column alone.
+    forward echelon of [a | b], back-substituted in b's column alone; x = 0
+    when b = 0, with no elimination.
 
     Returns None when the system is inconsistent.
     """
-    b = vec(b)
-    if len(b) != a.rows:
-        raise ValueError(f"solve: rhs length {len(b)} vs {a.rows} rows")
+    check_keys(b, a.rows, "solve: rhs")
+    if not b:
+        return {}
     n = a.cols
-    rows = echelon(hstack([a, QMatrix._of_columns([b], a.rows)]))
+    rows = echelon(hstack([a, QMatrix.from_columns([b], a.rows)]))
     if n in rows:
         return None
-    x = [ZERO] * n
+    x: Row = {}
     for c in reversed(rows):
         r = rows[c]
-        x[c] = r.get(n, ZERO) - sum([y * x[j] for j, y in r.items() if j != n and x[j]], ZERO)
-    return tuple(x)
+        v = r.get(n, ZERO) - sum([y * x[j] for j, y in r.items() if j in x], ZERO)
+        if v:
+            x[c] = v
+    return dict(reversed(x.items()))
 
 
-def kernel_basis(a: QMatrix) -> list[Vector]:
+def kernel_basis(a: QMatrix) -> list[Row]:
     """Basis of ker(a), one vector per free column of the rref, in column order."""
     return rref(a).kernel_basis()
 
 
-def reverse_echelon(vectors: Sequence[Vector], n: int) -> dict[int, Vector]:
+def reverse_echelon(vectors: Sequence[Row], n: int) -> dict[int, Row]:
     """A basis of span(vectors) keyed by each basis vector's last nonzero
     coordinate, youngest key first: the rref of the coordinate-reversed
     rows, so each is 1 at its key and 0 at the other keys.  The elder rule,
     complements and class coordinates all read this one echelon."""
     if not vectors:
         return {}
-    r = rref(QMatrix(len(vectors), n, [v[::-1] for v in vectors]))
-    return {n - 1 - p: dense_vec(row, n)[::-1] for p, row in zip(r.pivots, r.reduced._rows)}
+    r = rref(QMatrix._of(len(vectors), n,
+                         tuple({n - 1 - j: x for j, x in v.items()} for v in vectors)))
+    return {n - 1 - p: {n - 1 - j: x for j, x in row.items()}
+            for p, row in zip(r.pivots, r.reduced._rows)}
 
 
-def quotient_basis(sub: Sequence[Vector], ambient_dim: int) -> list[Vector]:
+def quotient_basis(sub: Sequence[Row], ambient_dim: int) -> list[Row]:
     """Standard basis vectors completing span(sub) to the ambient space: the
     lexicographically-first e_j not already in the span, which are the e_j
     whose j is no key of `reverse_echelon(sub)` (no vector of span(sub) ends
     at coordinate j)."""
     for v in sub:
-        if len(v) != ambient_dim:
-            raise ValueError("quotient_basis: vector length mismatch")
+        check_keys(v, ambient_dim, "quotient_basis")
     keys = reverse_echelon(sub, ambient_dim)
-    return [unit_vec(ambient_dim, j) for j in range(ambient_dim) if j not in keys]
+    return [{j: ONE} for j in range(ambient_dim) if j not in keys]
 
 
 @dataclass(frozen=True)
@@ -426,10 +422,10 @@ class AdaptedSplit:
     coimage vectors map bijectively onto the image vectors, kernel vectors
     map to zero, and cokernel vectors complete the image in the codomain.
     """
-    coimage: tuple[Vector, ...]
-    kernel: tuple[Vector, ...]
-    image: tuple[Vector, ...]
-    cokernel: tuple[Vector, ...]
+    coimage: tuple[Row, ...]
+    kernel: tuple[Row, ...]
+    image: tuple[Row, ...]
+    cokernel: tuple[Row, ...]
     domain_change: QMatrix        # columns: coimage ++ kernel
     codomain_change: QMatrix      # columns: image ++ cokernel
 
@@ -440,7 +436,7 @@ class AdaptedSplit:
 
 def adapted_split(psi: QMatrix) -> AdaptedSplit:
     r = rref(psi)
-    coim = [unit_vec(psi.cols, p) for p in r.pivots]
+    coim = [{p: ONE} for p in r.pivots]
     ker = r.kernel_basis()
     img = [psi.column(p) for p in r.pivots]
     coker = quotient_basis(img, psi.rows)

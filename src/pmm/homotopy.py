@@ -42,7 +42,7 @@ from .cdga import (
 )
 from .cochain import CohomologySpace, compute_cohomology
 from .errors import InternalError, ValidationError
-from .exactla import ONE, QMatrix, _lower_block
+from .exactla import ONE, QMatrix, Row, _lower_block, split_row
 
 
 def eval_at_0(u: CdgaElement) -> CdgaElement:
@@ -218,11 +218,11 @@ class ConeComplex:
             return 0
         return self.dim_m(n) + self.dim_a(n)
 
-    def unpack(self, n: int, w) -> tuple[CdgaElement, CdgaElement]:
-        dm = self.dim_m(n)
-        v = self.domain.from_vector(n + 1, w[:dm]) if dm else self.domain.zero()
-        a = self.target.from_vector(n, w[dm:]) if self.dim_a(n) else self.target.zero()
-        return v, a
+    def unpack(self, n: int, w: Row) -> tuple[CdgaElement, CdgaElement]:
+        """The (M^{n+1}, A^n) components of the cone vector w."""
+        v, a = split_row(w, self.dim_m(n))
+        return (self.domain.from_vector(n + 1, v) if v else self.domain.zero(),
+                self.target.from_vector(n, a) if a else self.target.zero())
 
     def d_matrix(self, n: int) -> QMatrix:
         if n not in self._d_cache:

@@ -25,8 +25,8 @@ from typing import Optional, Sequence
 from .cochain import CohomologySpace, compute_cohomology, induced_map
 from .errors import InternalError, ValidationError
 from .exactla import (
-    ONE, QMatrix, Vector, block_diag, hstack, is_zero_vec, kernel_basis,
-    quotient_basis, rank, rref, solve, vec, vstack, zero_vec,
+    ONE, QMatrix, Row, block_diag, dense_vec, frac, hstack, kernel_basis, quotient_basis, rank,
+    rref, solve, split_row, vstack,
 )
 from .persistence import (
     INF, Bar, BarRepresentative, Grid, PersistenceModule, interval_decompose,
@@ -202,7 +202,7 @@ def cohomology_module(grid: Grid, sigmas: Sequence[QMatrix],
 
 
 def bar_sections(grid: Grid, sigmas: Sequence[QMatrix], spaces: Sequence[CohomologySpace]
-                 ) -> tuple[list[Bar], list[BarRepresentative], list[dict[int, Vector]]]:
+                 ) -> tuple[list[Bar], list[BarRepresentative], list[dict[int, Row]]]:
     """Interval decomposition of cohomology_module(grid, sigmas, spaces) with sections.
 
     For each bar, the section maps every stage of its support to a cocycle:
@@ -232,13 +232,16 @@ def cohomology(x: PersistentComplex, k: int) -> PersistenceModule:
 
 @dataclass
 class SphereMapData:
-    """A map out of S^degree_[birth,death): cocycle at birth, bounding at death."""
+    """A map out of S^degree_[birth,death): cocycle at birth, bounding at death.
+
+    The attaching-data record that `pmm factor` writes: both vectors are
+    dense tuples, of the dimensions of the complex the cell attaches to."""
 
     degree: int
     birth: int
     death: float
-    cocycle: Vector                 # in X^degree(birth)
-    bounding: Optional[Vector]      # in X^{degree-1}(death); None when death=INF
+    cocycle: tuple                  # in X^degree(birth)
+    bounding: Optional[tuple]       # in X^{degree-1}(death); None when death=INF
     label: str = "c"
 
     def validate_against(self, x: PersistentComplex):
@@ -246,7 +249,8 @@ class SphereMapData:
         _check_lifespan(x.grid, s, t)
         if len(self.cocycle) != x.dim(s, k):
             raise ValidationError("cocycle has the wrong length")
-        if not is_zero_vec(x.d_mat(s, k).apply(self.cocycle)):
+        cocycle = _row(self.cocycle)
+        if x.d_mat(s, k).apply(cocycle):
             raise ValidationError("attaching element is not a cocycle")
         if t == INF:
             if self.bounding is not None:
@@ -254,14 +258,19 @@ class SphereMapData:
             return
         if self.bounding is None or len(self.bounding) != x.dim(t, k - 1):
             raise ValidationError("bounding element has the wrong length")
-        pushed = x.sigma_range(s, t, k).apply(self.cocycle)
-        if x.d_mat(t, k - 1).apply(self.bounding) != pushed:
+        pushed = x.sigma_range(s, t, k).apply(cocycle)
+        if x.d_mat(t, k - 1).apply(_row(self.bounding)) != pushed:
             raise ValidationError("bounding element does not bound the pushed cocycle")
 
 
-def _fiber_product(a: QMatrix, b: QMatrix) -> list[tuple[Vector, Vector]]:
+def _row(v) -> Row:
+    """The Row of a dense vector: its nonzero entries, as Fractions."""
+    return {j: frac(x) for j, x in enumerate(v) if x}
+
+
+def _fiber_product(a: QMatrix, b: QMatrix) -> list[tuple[Row, Row]]:
     """A basis of {(u, v) : a u = b v}: the kernel of [a | -b], split."""
-    return [(p[:a.cols], p[a.cols:]) for p in kernel_basis(hstack([a, b.scale(-1)]))]
+    return [split_row(p, a.cols) for p in kernel_basis(hstack([a, b.scale(-1)]))]
 
 
 def hom_from_sphere(x: PersistentComplex, k: int, s: int, t
@@ -270,11 +279,12 @@ def hom_from_sphere(x: PersistentComplex, k: int, s: int, t
     cocycle at s whose push to t is d of an element at t."""
     _check_lifespan(x.grid, s, t)
     z_basis = kernel_basis(x.d_mat(s, k))
+    dim = x.dim(s, k)
     if t == INF:
-        data = [SphereMapData(k, s, INF, z, None) for z in z_basis]
+        data = [SphereMapData(k, s, INF, dense_vec(z, dim), None) for z in z_basis]
         return len(data), data
-    z = QMatrix.from_columns(z_basis, x.dim(s, k))
-    out = [SphereMapData(k, s, t, z.apply(zc), u)
+    z = QMatrix.from_columns(z_basis, dim)
+    out = [SphereMapData(k, s, t, dense_vec(z.apply(zc), dim), dense_vec(u, x.dim(t, k - 1)))
            for zc, u in _fiber_product(x.sigma_range(s, t, k) @ z, x.d_mat(t, k - 1))]
     return len(out), out
 
@@ -302,7 +312,7 @@ def attach_cell(x: PersistentComplex, data: SphereMapData,
     d = [dict(x._d[r]) for r in range(n)]
     sigma = [dict(x._sigma[r]) for r in range(n - 1)]
 
-    pushed = vec(data.cocycle)
+    pushed = _row(data.cocycle)
     live = range(s, n if t == INF else t)
     for r in live:
         if r > s:
@@ -317,30 +327,12 @@ def attach_cell(x: PersistentComplex, data: SphereMapData,
             sigma[r][k - 1] = block_diag(x.sigma_mat(r, k - 1), QMatrix.identity(1))
         elif r + 1 < n:  # crossing into the death stage t
             sigma[r][k - 1] = hstack([x.sigma_mat(r, k - 1),
-                                      QMatrix.from_columns([data.bounding], x.dim(t, k - 1))])
+                                      QMatrix.from_columns([_row(data.bounding)],
+                                                           x.dim(t, k - 1))])
     if s > 0:  # newborn at s
         old = x.sigma_mat(s - 1, k - 1)
         sigma[s - 1][k - 1] = vstack([old, QMatrix.zero(1, old.cols)])
     return PersistentComplex(x.grid, x.max_degree, labels, d, sigma)
-
-
-def _padded(data: SphereMapData, x: PersistentComplex) -> SphereMapData:
-    """The same attaching data zero-padded to the current dimensions of x.
-
-    Attaching a cell appends its label at the end of a degree list, so data
-    written against an earlier complex only needs trailing zeros.
-    """
-    def pad(v: Vector, length: int) -> Vector:
-        if len(v) > length:
-            raise InternalError("cannot pad a vector downwards")
-        return tuple(v) + (Fraction(0),) * (length - len(v))
-
-    return SphereMapData(
-        degree=data.degree, birth=data.birth, death=data.death,
-        cocycle=pad(data.cocycle, x.dim(data.birth, data.degree)),
-        bounding=None if data.bounding is None else
-        pad(data.bounding, x.dim(int(data.death), data.degree - 1)),
-        label=data.label)
 
 
 class PComplexMap:
@@ -435,7 +427,7 @@ def _corner_check(f: PComplexMap, i: int, j: int, k: int) -> Optional[dict]:
     if rank(corner) == len(fiber):
         return None
     for u, v in fiber:
-        if solve(corner, u + v) is None:
+        if solve(corner, {**u, **{x.dim(j, k) + i: c for i, c in v.items()}}) is None:
             return {"kind": "corner map not surjective", "pair": (i, j), "degree": k,
                     "fiber_element": {"x_at_j": u, "y_at_i": v}}
     raise InternalError("corner rank deficient but no witness found")
@@ -542,7 +534,7 @@ def factor_cofibration(i_map: PComplexMap) -> FactorizationCertificate:
         nonlocal current
         # Attaching data for the whole batch, computed against the iota and
         # the complex from before the batch: (d y_birth or 0, y_death).
-        batch: list[tuple[SphereMapData, dict[int, Vector]]] = []
+        batch: list[tuple] = []
         for k in range(x.max_degree + 1):
             spaces = []
             for r in range(n):
@@ -558,25 +550,26 @@ def factor_cofibration(i_map: PComplexMap) -> FactorizationCertificate:
                 y.grid, [y.sigma_mat(r, k) for r in range(n - 1)], spaces)
             for idx, (bar, lift) in enumerate(zip(bars, sections)):
                 s = bar.birth
-                if which == 1:
-                    coc = zero_vec(current.dim(s, k + 1))
-                else:
-                    coc = preimage(s, k + 1, y.d_mat(s, k).apply(lift[s]))
+                coc = {} if which == 1 else preimage(s, k + 1, y.d_mat(s, k).apply(lift[s]))
                 bounding = None
                 if bar.death != INF:
                     t = int(bar.death)
                     bounding = preimage(t, k, y.sigma_mat(t - 1, k).apply(lift[t - 1]))
-                batch.append((SphereMapData(k + 1, s, bar.death, coc, bounding,
-                                            f"s{which}_{k}_{idx}"), lift))
-        # Attach the whole batch, then extend iota by the lifted sections,
-        # one block per (stage, degree) in attaching order.
-        lifted: dict[tuple[int, int], list[Vector]] = {}
-        for data, lift in batch:
-            padded = _padded(data, current)
-            current = attach_cell(current, padded)
+                batch.append((k + 1, s, bar.death, coc, bounding, f"s{which}_{k}_{idx}", lift))
+        # Attach the whole batch, each cell's record written against the
+        # complex it attaches to (attaching appends labels, so the vectors'
+        # coordinates stay put), then extend iota by the lifted sections, one
+        # block per (stage, degree) in attaching order.
+        lifted: dict[tuple[int, int], list[Row]] = {}
+        for deg, s, death, coc, bounding, label, lift in batch:
+            data = SphereMapData(
+                deg, s, death, dense_vec(coc, current.dim(s, deg)),
+                None if bounding is None else dense_vec(bounding, current.dim(int(death), deg - 1)),
+                label)
+            current = attach_cell(current, data)
             for r, vec_y in lift.items():
-                lifted.setdefault((r, data.degree - 1), []).append(vec_y)
-            (stage1 if which == 1 else stage2).append(padded)
+                lifted.setdefault((r, deg - 1), []).append(vec_y)
+            (stage1 if which == 1 else stage2).append(data)
         for (r, deg), cols in lifted.items():
             iota[r][deg] = hstack([iota[r][deg], QMatrix.from_columns(cols, y.dim(r, deg))])
 

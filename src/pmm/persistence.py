@@ -15,6 +15,7 @@ attached as a cell).
 The elder rule is `exactla.reverse_echelon`: each kernel vector, keyed by its
 last nonzero coordinate, closes the youngest bar it involves; the newborn
 sections (`quotient_basis`) are the unit vectors the same rule leaves unkeyed.
+Section vectors are `exactla.Row`s, the nonzero entries only.
 """
 from __future__ import annotations
 
@@ -23,8 +24,8 @@ from fractions import Fraction
 
 from .errors import ValidationError
 from .exactla import (
-    QMatrix, Vector, block_diag, frac, kernel_basis, lin_comb,
-    quotient_basis, rank, reverse_echelon, unit_vec,
+    ONE, QMatrix, Row, block_diag, combine, frac, kernel_basis, quotient_basis, rank,
+    reverse_echelon,
 )
 
 INF = float("inf")
@@ -122,7 +123,7 @@ class BarRepresentative:
     """
 
     bar: Bar
-    vectors: dict[int, Vector] = field(default_factory=dict)
+    vectors: dict[int, Row] = field(default_factory=dict)
 
 
 class _Live:
@@ -149,7 +150,7 @@ def interval_decompose(m: PersistenceModule) -> tuple[list[Bar], list[BarReprese
     alive: list[_Live] = []
     counter = 0
     for b in range(m.dims[0]):
-        alive.append(_Live(0, counter, unit_vec(m.dims[0], b)))
+        alive.append(_Live(0, counter, {b: ONE}))
         counter += 1
 
     for i in range(n - 1):
@@ -163,11 +164,8 @@ def interval_decompose(m: PersistenceModule) -> tuple[list[Bar], list[BarReprese
             # Rewrite the dying bar's section as the kernel combination (kv
             # is 1 at pos).  Every contributor is older or equal in (birth,
             # order), so the combination exists on the target's whole support.
-            parts = [(c, lv) for c, lv in zip(kv, alive) if c != 0]
             for idx in range(target.birth, i + 1):
-                target.vectors[idx] = lin_comb(
-                    [c for c, _ in parts], [lv.vectors[idx] for _, lv in parts],
-                    m.dims[idx])
+                target.vectors[idx] = combine((c, alive[j].vectors[idx]) for j, c in kv.items())
             deaths[target.order] = i + 1
             finished.append(target)
         survivors = []

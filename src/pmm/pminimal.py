@@ -56,6 +56,7 @@ Verification (README "Verification" has each invariant), build check [audit key]
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cmp_to_key
 from fractions import Fraction
 from typing import Optional, Sequence
 
@@ -64,7 +65,7 @@ from .cdga import (
     differential, free_cdga, hirsch_extend, validate_morphism,
 )
 from .errors import InternalError, ValidationError
-from .exactla import solve
+from .exactla import Row, solve
 from .homotopy import (
     ConeComplex, ConeMap, HomotopySquare, check_homotopy_identity, cone,
     connectivity_failures, extend_homotopy,
@@ -248,10 +249,18 @@ def surgery_step(model: TameMinimalModel, k: int) -> TameMinimalModel:
     bars, reps, sections = bar_sections(model.grid, sigmas, spaces)
     order = sorted(range(len(bars)), key=lambda i: (
         bars[i].birth, bars[i].death == INF, bars[i].death,
-        tuple(reps[i].vectors[bars[i].birth])))
+        _dense_order(reps[i].vectors[bars[i].birth])))
     return attach_classes(model, k, sigmas, [
         (f"x{k}_{counter}", bars[i].birth, bars[i].death, sections[i], None)
         for counter, i in enumerate(order)])
+
+
+@cmp_to_key
+def _dense_order(u: Row, v: Row) -> int:
+    """Order Rows of one length as their dense tuples: by the entries at the
+    first coordinate where they differ."""
+    j = min((j for j in u.keys() | v.keys() if u.get(j) != v.get(j)), default=None)
+    return 0 if j is None else -1 if u.get(j, 0) < v.get(j, 0) else 1
 
 
 def attach_classes(model: TameMinimalModel, k: int, sigmas: Sequence,

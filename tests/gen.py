@@ -6,8 +6,10 @@ from fractions import Fraction
 
 from pmm.cdga import CdgaElement, CdgaMorphism, free_cdga, hirsch_extend, linear_part
 from pmm.errors import ValidationError
-from pmm.exactla import ZERO, QMatrix, is_zero_vec, kernel_basis, rank, zero_vec
+from pmm.exactla import QMatrix, combine, kernel_basis, rank, split_row
 from pmm.persistence import INF, PersistenceModule
+
+from .dense import dense, zero_vec
 
 
 def vec_add(u, v):
@@ -18,18 +20,26 @@ def vec_scale(c, u):
     return tuple(c * a for a in u)
 
 
+def row_add(u, v):
+    return combine(((1, u), (1, v)))
+
+
+def row_scale(c, u):
+    return combine(((c, u),))
+
+
 def random_cocycle(rng, algebra, degree, density=0.8):
     """Random small-coefficient cocycle of the given degree (possibly zero)."""
     dim = algebra.dim(degree)
     if dim == 0:
         return algebra.zero()
     basis = kernel_basis(algebra.d_matrix(degree))
-    acc = zero_vec(dim)
+    acc = {}
     for v in basis:
         if rng.random() < density:
             c = rng.randint(-2, 2)
             if c:
-                acc = vec_add(acc, vec_scale(Fraction(c), v))
+                acc = row_add(acc, row_scale(Fraction(c), v))
     return algebra.from_vector(degree, acc)
 
 
@@ -62,26 +72,22 @@ def random_morphism_into(rng, b, cap, max_gens=3, max_degree=5, prefix="a"):
         deg = rng.randint(2, max_degree)
         f = CdgaMorphism.on_generators(a, b, images)
         z_basis = kernel_basis(a.d_matrix(deg + 1))
-        fz_cols = [b.to_vector(f.apply(a.from_vector(deg + 1, z)), deg + 1)
+        fz_cols = [b.to_sparse(f.apply(a.from_vector(deg + 1, z)), deg + 1)
                    for z in z_basis]
         d_cols = b.d_matrix(deg).columns()
         n_rows = b.dim(deg + 1)
-        joint = QMatrix.from_columns(
-            [tuple(c) for c in fz_cols] + [vec_scale(Fraction(-1), c) for c in d_cols],
-            n_rows)
+        joint = QMatrix.from_columns(fz_cols + [row_scale(Fraction(-1), c) for c in d_cols],
+                                     n_rows)
         pairs = kernel_basis(joint)
-        v_coords = zero_vec(len(z_basis))
-        x_coords = zero_vec(b.dim(deg))
+        v_coords, x_coords = {}, {}
         for p in pairs:
             if rng.random() < 0.85:
                 c = rng.randint(-2, 2)
                 if c:
-                    v_coords = vec_add(v_coords, vec_scale(Fraction(c), p[:len(z_basis)]))
-                    x_coords = vec_add(x_coords, vec_scale(Fraction(c), p[len(z_basis):]))
-        dv = zero_vec(a.dim(deg + 1))
-        for c, z in zip(v_coords, z_basis):
-            if c:
-                dv = vec_add(dv, vec_scale(c, z))
+                    v, x = split_row(p, len(z_basis))
+                    v_coords = row_add(v_coords, row_scale(Fraction(c), v))
+                    x_coords = row_add(x_coords, row_scale(Fraction(c), x))
+        dv = combine((c, z_basis[j]) for j, c in v_coords.items())
         d_elem = a.from_vector(deg + 1, dv) if a.dim(deg + 1) else a.zero()
         name = f"{prefix}{i}"
         a, _ = hirsch_extend(a, [(name, deg, d_elem)])
@@ -209,7 +215,7 @@ def random_pcomplex_map(rng, x, y):
     for v in sols:
         c = rng.randint(-3, 3)
         if c and rng.random() < 0.9:
-            flat = vec_add(flat, vec_scale(Fraction(c), v))
+            flat = vec_add(flat, vec_scale(Fraction(c), dense(v, total)))
     comps = []
     for r in range(n):
         stage = {}
@@ -232,14 +238,14 @@ def check_representatives(m, bars, reps) -> None:
     for rep in reps:
         b = rep.bar
         last = n - 1 if b.death == INF else int(b.death) - 1
-        if is_zero_vec(rep.vectors[b.birth]):
+        if not rep.vectors[b.birth]:
             raise ValidationError("representative vanishes at birth")
         for i in range(b.birth, last):
             if m.maps[i].apply(rep.vectors[i]) != rep.vectors[i + 1]:
                 raise ValidationError("representative does not commute with structure maps")
         if b.death != INF:
             img = m.maps[last].apply(rep.vectors[last])
-            if not is_zero_vec(img):
+            if img:
                 raise ValidationError("representative image at death is nonzero")
     # Alive sections are linearly independent at every index.
     for i in range(n):
@@ -248,18 +254,35 @@ def check_representatives(m, bars, reps) -> None:
             raise ValidationError(f"alive sections dependent at stage {i}")
 
 
+def padded(data, x):
+    """The same attaching data zero-padded to the current dimensions of x:
+    attaching a cell appends its label at the end of a degree list."""
+    from pmm.pcomplex import SphereMapData
+
+    def pad(v, length):
+        assert len(v) <= length
+        return tuple(v) + zero_vec(length - len(v))
+
+    return SphereMapData(
+        degree=data.degree, birth=data.birth, death=data.death,
+        cocycle=pad(data.cocycle, x.dim(data.birth, data.degree)),
+        bounding=None if data.bounding is None else
+        pad(data.bounding, x.dim(int(data.death), data.degree - 1)),
+        label=data.label)
+
+
 def attach_cells(x, batch):
     """Attach several cells whose data all refer to the original complex x."""
-    from pmm.pcomplex import _padded, attach_cell
+    from pmm.pcomplex import attach_cell
 
     for data in batch:
-        x = attach_cell(x, _padded(data, x))
+        x = attach_cell(x, padded(data, x))
     return x
 
 
 def include_target(c, a, n):
     """The natural map A -> C of a mapping cone c, a -> (0, -a), in degree n."""
-    return (ZERO,) * c.dim_m(n) + c.target.to_vector(a.scale(-1), n)
+    return {c.dim_m(n) + j: x for j, x in c.target.to_sparse(a.scale(-1), n).items()}
 
 
 def indecomposables_module(model, k) -> PersistenceModule:

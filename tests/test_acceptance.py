@@ -218,16 +218,16 @@ def test_criterion_09_cone_exactness():
             ha_next = a.cohomology_space(n + 1)
             # H^n(f), H^nB -> H^nC, delta: H^{n-1}C -> H^nA, H^nC -> H^{n+1}A
             f_mat = QMatrix.from_columns(
-                [hb.class_of(b.to_vector(f.apply(a.from_vector(n, r)), n))
+                [hb.class_of(b.to_sparse(f.apply(a.from_vector(n, r)), n))
                  for r in ha.reps], hb.dim)
             to_cone = QMatrix.from_columns(
                 [hc.class_of(include_target(c, b.from_vector(n, r), n))
                  for r in hb.reps], hc.dim)
             delta_prev = QMatrix.from_columns(
-                [ha.class_of(a.to_vector(c.unpack(n - 1, r)[0], n))
+                [ha.class_of(a.to_sparse(c.unpack(n - 1, r)[0], n))
                  for r in hc_prev.reps], ha.dim)
             delta = QMatrix.from_columns(
-                [ha_next.class_of(a.to_vector(c.unpack(n, r)[0], n + 1))
+                [ha_next.class_of(a.to_sparse(c.unpack(n, r)[0], n + 1))
                  for r in hc.reps], ha_next.dim)
             # Composites vanish and ranks match kernels: exact at each spot.
             if ha.dim and hc_prev.dim:

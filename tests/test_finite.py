@@ -427,9 +427,9 @@ def test_stage_map_checks_agree_with_the_element_level_reference(seed):
 
 def matrix_route(a: FiniteCDGA, b: FiniteCDGA, images: dict):
     """(apply, matrices) of the linear map a -> b sending each label to its
-    image, by per-degree matrices of the images: to_vector, the matrix,
+    image, by per-degree matrices of the images: to_sparse, the matrix,
     from_vector."""
-    mats = {n: QMatrix.from_columns([b.to_vector(images[a.label_of(k)], n)
+    mats = {n: QMatrix.from_columns([b.to_sparse(images[a.label_of(k)], n)
                                      for k in a.basis_keys(n)], b.dim(n))
             for n in range(a.degree_cap + 2)}
 
@@ -437,7 +437,7 @@ def matrix_route(a: FiniteCDGA, b: FiniteCDGA, images: dict):
         out = b.zero()
         for n in sorted({k[0] for k in u.terms}):
             part = CdgaElement(a, {k: c for k, c in u.terms.items() if k[0] == n})
-            out = out + b.from_vector(n, mats[n].apply(a.to_vector(part, n)))
+            out = out + b.from_vector(n, mats[n].apply(a.to_sparse(part, n)))
         return out
     return apply, mats
 

@@ -400,7 +400,7 @@ def test_boundaries_read_from_the_degree_below(monkeypatch):
     calls.clear()
     read = compute_cohomology(d1, d0, below)
     assert calls == [d1]
-    assert read == fresh and read.boundaries == [(1, 2, 0)]
+    assert read == fresh and read.boundaries == [{0: 1, 1: 2}]
     with pytest.raises(InternalError, match="boundary is not a cocycle"):
         compute_cohomology(QMatrix.from_rows([[1, 0, 0]]), d0, below)
 

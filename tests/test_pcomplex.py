@@ -6,7 +6,7 @@ import pytest
 
 from pmm import pcomplex
 from pmm.errors import InternalError, ValidationError
-from pmm.exactla import QMatrix, hstack, kernel_basis, rank, solve, unit_vec
+from pmm.exactla import ONE, QMatrix, hstack, kernel_basis, rank, solve
 from pmm.persistence import INF, Grid, interval_decompose
 from pmm.pcomplex import (
     PComplexMap, PersistentComplex, SphereMapData, _fiber_product, _gap_map_epi,
@@ -15,6 +15,7 @@ from pmm.pcomplex import (
     is_pointwise_quasi_iso, is_trivial_fibration, zero_complex,
 )
 
+from .dense import dense, row
 from .gen import attach_cells, random_pcomplex, random_pcomplex_map, random_sphere_data
 
 
@@ -115,8 +116,9 @@ def test_fiber_product_is_a_basis_of_the_pullback():
         pairs = _fiber_product(a, b)
         assert len(pairs) == p + q - rank(hstack([a, b.scale(-1)]))
         for u, v in pairs:
-            assert len(u) == p and len(v) == q and a.apply(u) == b.apply(v)
-        assert rank(QMatrix(len(pairs), p + q, [u + v for u, v in pairs])) == len(pairs)
+            assert max(u, default=-1) < p and max(v, default=-1) < q and a.apply(u) == b.apply(v)
+        assert rank(QMatrix(len(pairs), p + q, [dense(u, p) + dense(v, q) for u, v in pairs])) \
+            == len(pairs)
         shapes["empty a" if p == 0 else "empty b" if q == 0 else "both"] += 1
     assert min(shapes.values()) >= 10, shapes
 
@@ -181,7 +183,8 @@ def test_attach_cofiber_structure():
         if t != INF:
             cross = out.sigma_mat(int(t) - 1, k - 1)
             newcol = cross.column(out.dim(int(t) - 1, k - 1) - 1)
-            assert len(newcol) == x.dim(int(t), k - 1)  # maps into old basis only
+            # maps into old basis only
+            assert cross.rows == x.dim(int(t), k - 1) and max(newcol, default=-1) < cross.rows
 
 
 def test_fibration_counterexample_quotient_of_disks():
@@ -222,7 +225,7 @@ def test_fibration_counterexample_quotient_of_disks():
 def first_unhit_unit(m, dim):
     """The first e_j outside the column span of m, one solve per unit vector."""
     for j in range(dim):
-        e = unit_vec(dim, j)
+        e = {j: ONE}
         if solve(QMatrix.from_columns(m.columns(), dim), e) is None:
             return e
     return None
@@ -243,7 +246,7 @@ def test_not_pointwise_surjective_witness_is_the_first_unhit_unit_vector():
     res = is_fibration(PComplexMap(z, s, [{k: QMatrix.zero(s.dim(r, k), 0) for k in range(3)}
                                           for r in range(3)]))
     assert res.witness == {"kind": "not pointwise surjective", "stage": 1, "degree": 2,
-                           "target_element": unit_vec(1, 0)}
+                           "target_element": {0: ONE}}
     # Random maps x -> y = x with one more cell: the inclusion plus a random
     # map, so the image is a generic subspace that misses the new cell.
     # The witness is the first unit vector outside the image at the first
@@ -263,7 +266,7 @@ def test_not_pointwise_surjective_witness_is_the_first_unhit_unit_vector():
         r, k, e = next(m for m in misses if m[2] is not None)
         assert is_fibration(f).witness == {"kind": "not pointwise surjective", "stage": r,
                                            "degree": k, "target_element": e}
-        found[e.index(1)] += 1
+        found[min(e)] += 1
     assert found[0] >= 5 and sum(found.values()) - found[0] >= 5, found
 
 
@@ -420,7 +423,7 @@ def test_hom_from_sphere_dimension_independent():
         dim, basis = hom_from_sphere(x, k, s, t)
         z = kernel_basis(x.d_mat(s, k))
         cols = [x.sigma_range(s, t, k).apply(v) for v in z] + \
-               [tuple(-c for c in col) for col in x.d_mat(t, k - 1).columns()]
+               [{i: -c for i, c in col.items()} for col in x.d_mat(t, k - 1).columns()]
         joint = QMatrix.from_columns(cols, x.dim(t, k))
         expected = len(z) + x.dim(t, k - 1) - mat_rank(joint)
         assert dim == expected
@@ -505,7 +508,7 @@ def ref_attach_cell(x, data, label=None):
         if not alive(r):
             continue
         labels[r][k - 1].append(lab)
-        pushed = x.sigma_range(s, r, k).apply(data.cocycle)
+        pushed = x.sigma_range(s, r, k).apply({i: c for i, c in enumerate(data.cocycle) if c})
         old = x.d_mat(r, k - 1)
         d[r][k - 1] = QMatrix.from_columns(old.columns() + [pushed], old.rows)
         if k - 2 >= 0:
@@ -542,19 +545,22 @@ def ref_gap_map_epi(f, i, j, k):
     sig_x, sig_y = x.sigma_range(i, j, k - 1), y.sigma_range(i, j, k - 1)
     rows = x.dim(j, k) + y.dim(i, k) + y.dim(j, k - 1)
     a = QMatrix.from_columns(
-        [sig_z.apply(z) + f_z.apply(z) + (0,) * y.dim(j, k - 1) for z in zx] +
-        [tuple(-c for c in du) + (0,) * y.dim(i, k) + fu
+        [row(dense(sig_z.apply(z), x.dim(j, k)) + dense(f_z.apply(z), y.dim(i, k))
+             + (0,) * y.dim(j, k - 1)) for z in zx] +
+        [row(tuple(-c for c in dense(du, x.dim(j, k))) + (0,) * y.dim(i, k)
+             + dense(fu, y.dim(j, k - 1)))
          for du, fu in zip(x.d_mat(j, k - 1).columns(), f.mat(j, k - 1).columns())],
         rows)
     b = QMatrix.from_columns(
-        [(0,) * x.dim(j, k) + dy + sy
+        [row((0,) * x.dim(j, k) + dense(dy, y.dim(i, k)) + dense(sy, y.dim(j, k - 1)))
          for dy, sy in zip(y.d_mat(i, k - 1).columns(), sig_y.columns())], rows)
     d_i, f_i = x.d_mat(i, k - 1), f.mat(i, k - 1)
     gap_cols = []
     for c in range(x.dim(i, k - 1)):
         zc = solve(QMatrix.from_columns(zx, x.dim(i, k)), d_i.column(c))
         assert zc is not None
-        gap_cols.append(zc + sig_x.column(c) + f_i.column(c))
+        gap_cols.append(row(dense(zc, len(zx)) + dense(sig_x.column(c), x.dim(j, k - 1))
+                            + dense(f_i.column(c), y.dim(i, k - 1))))
     return rank(QMatrix.from_columns(gap_cols, a.cols + b.cols)) == len(_fiber_product(a, b))
 
 
