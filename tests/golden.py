@@ -1,7 +1,9 @@
 """Golden outputs: sha256 digests of CLI and library outputs, pinned byte for byte.
 
 Covers `pmm build --emit barcode,presentation,report,model` on every tower
-fixture at degree caps 5 and 7, `pmm check` on the saved models, `pmm
+fixture at degree caps 5 and 7 and on the three-stage wedge tower (whose
+bars of one lifespan pin the order surgery names them in), `pmm check` on
+the saved models, `pmm
 decompose` on the module fixture and on seeded persistent complexes, `pmm
 factor` on a seeded batch of cell-attachment maps (built as in acceptance
 criterion 10), and a seeded batch of map models; and each demo's stdout,
@@ -70,6 +72,8 @@ GOLDEN = {
         "44afdbc207e673d9535dd472a7cf62c749d68ef59713ce01b9c559af444cd215",
     "build:sphere3:7":
         "1e3709c434804969df6a3fe55445d0e0122be0a8e3aa2e6c7677a6d81b41f641",
+    "build:wedge3:5":
+        "c0ca2c086f704e45988a5eb161d2960e04ffea461a42d63189e3aa54ee810f7a",
     "check:example1_case1:5":
         "54fb0d1cbcd4f0639df2caf6319222841284fcf2b690bc92c9ca003061153d18",
     "check:example1_case1:7":
@@ -140,6 +144,23 @@ def build_argv(name, cap):
             "--degree-cap", str(cap), "--emit", "barcode,presentation,report,model"]
 
 
+def wedge_doc(k: int, cap: int) -> dict:
+    """W_k: stage j is H*(wedge of k - j two-spheres), all products zero, and
+    each map kills the last sphere.  Many bars share a lifespan, so the
+    build's order among them shows in the generator names."""
+    def stage(m):
+        labels = [f"a{i}" for i in range(m)]
+        return {"type": "finite", "unit": "one", "differentials": [],
+                "basis": [{"degree": 0, "labels": ["one"]}, {"degree": 2, "labels": labels}],
+                "products": [{"left": x, "right": y, "value": "0"}
+                             for i, x in enumerate(labels) for y in labels[i:]]}
+
+    maps = [{"images": {**{f"a{i}": f"a{i}" for i in range(k - j - 1)}, f"a{k - j - 1}": "0"}}
+            for j in range(k - 1)]
+    return {"grid": [str(j) for j in range(k)], "degree_cap": cap,
+            "stages": [stage(k - j) for j in range(k)], "maps": maps}
+
+
 def matrix_doc(m: QMatrix):
     return [[str(x) for x in row] for row in m.data]
 
@@ -192,6 +213,11 @@ def compute_digests(tmp: Path) -> dict:
             out[f"check:{name}:{cap}"] = run_cli(
                 ["check", "--input", str(build_dir / "model.json")],
                 tmp / f"check-{name}-{cap}")
+    wedge = tmp / "wedge3.json"
+    wedge.write_text(json.dumps(wedge_doc(3, 5)))
+    out["build:wedge3:5"] = run_cli(
+        ["build", "--input", str(wedge), "--emit", "barcode,presentation,report,model"],
+        tmp / "build-wedge3")
     out["decompose:module_dims121"] = run_cli(
         ["decompose", "--input", str(FIXTURES / "module_dims121.json")],
         tmp / "decompose-module")

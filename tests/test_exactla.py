@@ -14,6 +14,7 @@ from pmm.exactla import (
     echelon, hstack, kernel_basis, quotient_basis, rank, reverse_echelon, rref, solve, vstack,
 )
 
+from . import dense as reference
 from .dense import dense, lin_comb, row, unit_vec, vec
 
 
@@ -212,6 +213,44 @@ def test_reverse_echelon_keys_the_youngest_coordinate_first():
     assert reverse_echelon([], 3) == {} and reverse_echelon([{}, {}], 0) == {}
     with pytest.raises(ValueError, match="quotient_basis: coordinate 3 outside 0..2"):
         quotient_basis([row([1, 0, 0, 1])], 3)
+
+
+def test_an_empty_right_hand_side_is_solved_without_elimination(monkeypatch):
+    # solve(a, {}) is x = 0, the particular solution with zeros in the free
+    # coordinates, which the dense reference finds by elimination; a
+    # nonzero right-hand side still eliminates.
+    calls = []
+    monkeypatch.setattr(exactla, "echelon", lambda m: calls.append(m) or echelon(m))
+    for rng, density, (rows, cols) in random_cases(2626, count=2):
+        a = sparse_matrix(rng, rows, cols, density)
+        calls.clear()
+        assert solve(a, {}) == {}
+        assert calls == []
+        assert reference.solve(a, (0,) * rows) == (0,) * cols
+        x = sparse_matrix(rng, cols, 1, 1.0).column(0) if cols else {}
+        b = a.apply(x)
+        if b:
+            assert dense_or_none(solve(a, b), cols) == reference.solve(a, dense(b, rows))
+            assert len(calls) == 1
+
+
+def test_a_residue_outside_the_pivots_is_inconsistent():
+    # b = a x + e_j, with e_j outside the column space of a (a unit vector
+    # quotient_basis leaves), has no solution; the dense reference agrees.
+    found = 0
+    for rng, density, (rows, cols) in random_cases(2627, count=2):
+        a = sparse_matrix(rng, rows, cols, density)
+        x = sparse_matrix(rng, cols, 1, 1.0).column(0) if cols else {}
+        for e in quotient_basis(a.columns(), rows):
+            (j, one), = e.items()
+            b = {**a.apply(x)}
+            b[j] = b.get(j, ZERO) + one
+            if not b[j]:
+                del b[j]
+            assert solve(a, b) is None
+            assert reference.solve(a, dense(b, rows)) is None
+            found += 1
+    assert found > 50
 
 
 def test_invert_and_express():
@@ -582,6 +621,12 @@ def test_class_of_rejects_non_cocycle_and_reduces_once(monkeypatch):
             assert space.class_of(row(z)) == row(want)
         with pytest.raises(InternalError, match="class_of: vector is not a cocycle"):
             space.class_of(row(non_cocycle))
+        # A coordinate outside the ambient space is refused, as the dense
+        # vector of another length was.
+        for key in (space.ambient_dim, space.ambient_dim + 2, -1):
+            with pytest.raises(InternalError,
+                               match="^class_of: coordinate outside the ambient space$"):
+                space.class_of({key: ONE})
         assert len(echelons) == 1 and len(reduced) == reductions
         assert space.reps == [space.cocycles[0]]
         assert len(echelons) == 1 and len(reduced) == reductions

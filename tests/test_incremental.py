@@ -220,6 +220,75 @@ def test_surgery_extension_bases_match_a_from_scratch_enumeration(seed):
             assert list(alg.basis_keys(n)) == want, (seed, n)
 
 
+@pytest.mark.parametrize("tower", [None, "example3", 500, 501, 505, "map"])
+def test_class_data_matches_its_dense_expansion_through_a_build(monkeypatch, tower):
+    # Every cocycle, rep, class_of and rep_of_class answer, bar section and
+    # death-solve answer a build reads is a Row equal, expanded, to the dense
+    # reference kernels' answer on the expanded inputs (tests/dense.py): on
+    # the wedge tower, example3, seeded free towers and a map model.
+    from .dense import DenseSpace, dense
+    from .dense import apply as dense_apply
+    from .dense import solve as dense_solve
+    from .gen import random_tower
+
+    refs, seen = {}, Counter()
+
+    def ref(space):
+        if id(space) not in refs:
+            refs[id(space)] = space, DenseSpace(space)
+        return refs[id(space)][1]
+
+    def class_of(space, z, real=CohomologySpace.class_of):
+        got = real(space, z)
+        assert dense(got, space.dim) == ref(space).class_of(dense(z, space.ambient_dim))
+        seen["class_of"] += 1
+        return got
+
+    def rep_of_class(space, h, real=CohomologySpace.rep_of_class):
+        got = real(space, h)
+        assert dense(got, space.ambient_dim) == ref(space).rep_of_class(dense(h, space.dim))
+        seen["rep_of_class"] += 1
+        return got
+
+    def bar_sections(grid, sigmas, spaces, real=pminimal.bar_sections):
+        bars, reps, sections = real(grid, sigmas, spaces)
+        for bar, rep, section in zip(bars, reps, sections, strict=True):
+            birth = spaces[bar.birth]
+            z = ref(birth).rep_of_class(dense(rep.vectors[bar.birth], birth.dim))
+            for r in sorted(section):
+                if r > bar.birth:
+                    z = dense_apply(sigmas[r - 1], z)
+                assert dense(section[r], spaces[r].ambient_dim) == z
+                seen["section"] += 1
+        return bars, reps, sections
+
+    def solve(a, b, real=pminimal.solve):
+        got = real(a, b)
+        assert (None if got is None else dense(got, a.cols)) == dense_solve(a, dense(b, a.rows))
+        seen["death-solve"] += 1
+        return got
+
+    monkeypatch.setattr(CohomologySpace, "class_of", class_of)
+    monkeypatch.setattr(CohomologySpace, "rep_of_class", rep_of_class)
+    monkeypatch.setattr(pminimal, "bar_sections", bar_sections)
+    monkeypatch.setattr(pminimal, "solve", solve)
+    if tower == "map":
+        build_map_model(wedge_tower(6).maps[0], 6)
+    else:
+        build_persistent_minimal_model(
+            wedge_tower(6) if tower is None
+            else load_input(json.loads((FIXTURES / f"{tower}.json").read_text()))
+            if isinstance(tower, str)
+            else random_tower(random.Random(tower), 6, n_stages=4, max_gens=3))
+    for space, want in refs.values():
+        n = space.ambient_dim
+        assert [dense(v, n) for v in space.cocycles] == want.cocycles
+        assert [dense(v, n) for v in space.reps] == want.reps
+        assert [dense(v, n) for v in space.boundaries] == want.boundaries
+    assert refs and seen["class_of"] and seen["rep_of_class"], seen
+    assert seen["death-solve"] and (seen["section"] or tower == "map"), seen
+
+
 def test_map_model_steps_extend_the_previous_step():
     # Each step's algebras extend the previous step's, and each stage cone
     # takes its H^{<=k-3} from the previous cone as the same objects.

@@ -103,6 +103,25 @@ def test_hom_from_sphere_refuses_a_lifespan_outside_the_grid(s, t, message):
             call()
 
 
+@pytest.mark.parametrize("data, message", [
+    (SphereMapData(2, 0, INF, (1, 0), None), "cocycle has the wrong length"),
+    (SphereMapData(1, 0, INF, (1,), None), "attaching element is not a cocycle"),
+    (SphereMapData(2, 0, INF, (1,), (0,)), "bounding element given for an immortal cell"),
+    (SphereMapData(2, 0, 1, (1,), (1, 0)), "bounding element has the wrong length"),
+    (SphereMapData(2, 0, 1, (1,), None), "bounding element has the wrong length"),
+    (SphereMapData(2, 0, 1, (1,), (2,)), "bounding element does not bound the pushed cocycle"),
+], ids=["cocycle-length", "not-a-cocycle", "immortal-bounding", "bounding-length",
+        "no-bounding", "does-not-bound"])
+def test_attach_cell_refuses_bad_attaching_data(data, message):
+    # D^2_0: x in degree 2 and y in degree 1 with d y = x, from stage 0 on.
+    # y is no cocycle; x is one, and at stage 1 it is d y, not d (2 y).
+    disk = interval_disk(grid_of(3), 2, 0)
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        attach_cell(disk, data)
+    ok = SphereMapData(2, 0, 1, (1,), (1,))
+    assert attach_cell(disk, ok).dim(0, 1) == 2
+
+
 def test_fiber_product_is_a_basis_of_the_pullback():
     # {(u, v) : a u = b v} has dimension cols(a) + cols(b) - rank([a | -b]);
     # the pairs must satisfy the equation and be independent.  Empty a or b

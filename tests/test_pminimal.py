@@ -1,6 +1,8 @@
 import json
+import random
 import re
 from collections import Counter
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -10,13 +12,16 @@ from pmm.errors import InternalError, ValidationError
 from pmm.homotopy import cone
 from pmm.io import load_input
 from pmm.persistence import INF, Grid, interval_decompose
+from pmm.pcomplex import bar_sections
 from pmm.pminimal import (
-    PersistentCDGA, TameMinimalModel, _verify_surgery,
-    build_persistent_minimal_model, homotopy_barcode, presentation, surgery_step,
-    tame_cone, validate_model,
+    PersistentCDGA, TameMinimalModel, _dense_order, _verify_surgery, attach_classes,
+    build_persistent_minimal_model, cone_classes, homotopy_barcode, presentation,
+    surgery_step, tame_cone, validate_model,
 )
 
+from .dense import dense, row
 from .gen import indecomposables_module, insert_duplicate_stage
+from .test_incremental import wedge_tower
 
 CAP = 5
 ICAP = CAP + 2
@@ -233,6 +238,32 @@ def test_validate_model_audits_through_the_degree_built():
     report = validate_model(build_persistent_minimal_model(tower, 3))
     assert report["connectivity"]["checked_through_degree"] == 3
     assert report["ok"], report
+
+
+def test_attach_classes_refuses_a_class_that_does_not_bound_at_its_death():
+    # H^2 of the trivial model's cones of H*(S^2 v S^2) -> H*(S^2): a0 lives
+    # on [0, inf) and a1 on [0, 1).  Given a death at 1, a0's class, which
+    # survives there, has no bounding cochain to solve for.
+    model = TameMinimalModel.trivial(wedge_tower(5))
+    sigmas, spaces = cone_classes(model, 2)
+    bars, _, sections = bar_sections(model.grid, sigmas, spaces)
+    assert sorted((b.birth, b.death) for b in bars) == [(0, 1), (0, INF)]
+    cells = [(f"x2_{i}", b.birth, b.death, z, None) for i, (b, z) in enumerate(zip(bars, sections))]
+    tampered = [(name, s, 1, z, end) for name, s, t, z, end in cells]
+    with pytest.raises(InternalError, match="^dead bar class fails to bound at its death$"):
+        attach_classes(model, 2, sigmas, tampered)
+    assert len(attach_classes(model, 2, sigmas, cells).gen_records) == 2
+
+
+def test_bars_are_ordered_as_their_dense_birth_vectors():
+    # surgery_step orders the bars of one lifespan by their birth vectors as
+    # dense tuples compare; the Rows must sort the same way.
+    rng = random.Random(2626)
+    for n in range(7):
+        rows = [row([rng.choice([0, 0, 0, 1, -1, 2, Fraction(1, 2)]) for _ in range(n)])
+                for _ in range(40)]
+        assert [dense(r, n) for r in sorted(rows, key=_dense_order)] == \
+            sorted(dense(r, n) for r in rows)
 
 
 def test_surgery_out_of_order_rejected():
