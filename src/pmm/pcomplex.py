@@ -19,7 +19,6 @@ maps through k = max_degree + 1.  Every matrix is assembled from blocks
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from .cochain import CohomologySpace, compute_cohomology, induced_map

@@ -715,8 +715,8 @@ def test_lazy_space_matches_the_eager_space():
             for read_cocycles in (False, True):
                 if read_cocycles:
                     assert "cocycles" not in vars(space)
-                    assert ([dense(v, n) for v in space.cocycles], [dense(v, n) for v in space.reps]) \
-                        == (eager.cocycles, eager.reps)
+                    assert [dense(v, n) for v in space.cocycles] == eager.cocycles
+                    assert [dense(v, n) for v in space.reps] == eager.reps
                 for v in probes:
                     want = eager.class_of(v)
                     if want is None:
