@@ -1,9 +1,11 @@
 """Graded-commutative algebra kernel: free (Sullivan) and finite CDGAs.
 
 Free algebras are presented by ordered generators with prescribed cocycle
-differentials; elements are rational combinations of normalized monomials
-(exponent tuples aligned with the generator order, odd generators squaring
-to zero).  Finite CDGAs are presented by labeled bases per degree with
+differentials; elements are rational combinations of normalized monomials,
+each keyed by its (generator index, exponent >= 1) pairs in increasing index
+order, `()` for the unit, odd generators squaring to zero.  A key does not
+depend on the count of generators, so a monomial of ΛV is the same key in
+every extension of ΛV.  Finite CDGAs are presented by labeled bases per degree with
 structure constants.  Both carry a mandatory degree cap: products and
 differentials truncate above the cap, which is a legitimate CDGA quotient
 because both operations only raise degree.
@@ -19,8 +21,9 @@ tuple share one table of bases and positions, across stages, steps, builds
 and checks; a table lives while some algebra holds it.  What depends on
 the differentials (d-matrices, cohomology, the carry guard's identity answer)
 stays with each algebra.  A free algebra differentiates a monomial p·x by the
-Leibniz rule on the memoised d(p), with the signs and the cap worked out on
-the exponent tuples.
+Leibniz rule on the memoised d(p), each product signed by `mul_keys`.  Bases
+and `element_repr` list monomials in the order of their dense exponent
+tuples (`_dense_order`).
 
 A morphism is the images of its domain's basis keys: given, one per label, out
 of a finite algebra; generated out of a free one, each monomial's image its
@@ -45,15 +48,21 @@ import weakref
 from dataclasses import dataclass
 from functools import lru_cache
 from fractions import Fraction
-from operator import add, mul
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .cochain import CohomologySpace, compute_cohomology
 from .errors import InternalError, ValidationError
 from .exactla import ONE, QMatrix, Row, check_keys, frac
 
-Monomial = tuple[int, ...]
+Monomial = tuple[tuple[int, int], ...]  # (generator index, exponent) pairs
 FiniteKey = tuple[int, int]  # (degree, index)
+
+
+def _dense_order(mono: Monomial) -> tuple:
+    """A sort key under which monomials sort as their dense exponent tuples
+    do: the pairs with each index negated, a shorter prefix counting as
+    smaller."""
+    return tuple([(-i, e) for i, e in mono])
 
 
 @dataclass(frozen=True)
@@ -162,10 +171,12 @@ class _GradedAlgebra:
     def element_repr(self, elem: CdgaElement) -> str:
         if not elem.terms:
             return "<0>"
-        bits = [f"{c}*{self.key_repr(k)}" for k, c in sorted(elem.terms.items())]
+        bits = [f"{elem.terms[k]}*{self.key_repr(k)}"
+                for k in sorted(elem.terms, key=self._term_order)]
         return "<" + " + ".join(bits) + ">"
 
     _path_ref = None
+    _term_order = None  # element_repr's sort key of basis keys; None: the keys themselves
 
     @property
     def path(self) -> "PathAlgebra":
@@ -222,7 +233,6 @@ class FreeCDGA(_GradedAlgebra):
         self.degree_cap = degree_cap
         self.index_of = {g.name: i for i, g in enumerate(self.generators)}
         self._degrees = tuple(g.degree for g in self.generators)
-        self._odd = tuple(i for i, g in enumerate(self.generators) if g.degree % 2 == 1)
         # Bases and positions are a function of the generator degrees, so
         # every algebra with these degrees reads the same table.
         table = _BASES.get(self._degrees)
@@ -248,6 +258,8 @@ class FreeCDGA(_GradedAlgebra):
             self._inherit(base)
         for g in self.generators[checked:]:
             for mono in self._diff[g.name]:
+                if not _is_monomial(mono, self._degrees):
+                    raise ValidationError(f"d({g.name}) has a malformed monomial {mono!r:.60}")
                 if self.key_degree(mono) != g.degree + 1:
                     raise ValidationError(
                         f"d({g.name}) must be homogeneous of degree {g.degree + 1}")
@@ -258,40 +270,37 @@ class FreeCDGA(_GradedAlgebra):
     def extends(self, base: "FreeCDGA") -> bool:
         """Our generators begin with base's, with the same differentials, and
         the caps agree: then base is a sub-CDGA, and every degree below the
-        first further generator has base's basis (padded) and differential."""
+        first further generator has base's basis and differential."""
         n = len(base.generators)
         if self.degree_cap != base.degree_cap or self.generators[:n] != base.generators:
             return False
-        pad = (0,) * (len(self.generators) - n)
-        return all(self._diff[g.name] == _padded(base._diff[g.name], pad)
-                   for g in base.generators)
+        return all(self._diff[g.name] == base._diff[g.name] for g in base.generators)
 
     def _inherit(self, base: "FreeCDGA"):
         """Take base's d-matrices in the degrees we share and its differentials
-        of monomials (self extends base); `basis_keys` reads base's bases."""
+        of monomials (self extends base); `basis_keys` reads base's bases.
+        The memo is copied, not shared: a sibling extension of base may give
+        another generator our first added index."""
         added = self.generators[len(base.generators):]
         low = min((g.degree for g in added), default=self.degree_cap + 1)
-        pad = (0,) * len(added)
         self._chain = (len(self.generators), self._basis_cache, base._chain)
         for n, mat in base._dmat_cache.items():
             if n + 1 < low:
                 self._dmat_cache[n] = mat
-        for m, dm in base._dmono_cache.items():
-            self._dmono_cache[m + pad] = _padded(dm, pad)
+        self._dmono_cache.update(base._dmono_cache)
 
     # -- basis bookkeeping ------------------------------------------------
 
     def key_degree(self, mono: Monomial) -> int:
-        return sum(map(mul, mono, self._degrees))
+        return sum([self._degrees[i] * e for i, e in mono])
 
     def key_repr(self, mono: Monomial) -> str:
-        parts = [f"{g.name}^{e}" if e > 1 else g.name
-                 for e, g in zip(mono, self.generators) if e]
+        gens = self.generators
+        parts = [f"{gens[i].name}^{e}" if e > 1 else gens[i].name for i, e in mono]
         return "*".join(parts) if parts else "1"
 
-    @property
-    def unit_key(self) -> Monomial:
-        return (0,) * len(self.generators)
+    unit_key: Monomial = ()
+    _term_order = staticmethod(_dense_order)
 
     def basis_keys(self, n: int) -> tuple[Monomial, ...]:
         """All degree-n monomials, ordered by (total exponent, lexicographic).
@@ -324,9 +333,7 @@ class FreeCDGA(_GradedAlgebra):
     # -- element constructors ---------------------------------------------
 
     def gen(self, name: str) -> CdgaElement:
-        i = self.index_of[name]
-        mono = (0,) * i + (1,) + (0,) * (len(self.generators) - i - 1)
-        return CdgaElement._of(self, {mono: ONE})
+        return CdgaElement._of(self, {((self.index_of[name], 1),): ONE})
 
     def generator_diff(self, name: str) -> CdgaElement:
         return CdgaElement._of(self, self._diff[name])
@@ -342,7 +349,8 @@ class FreeCDGA(_GradedAlgebra):
         for k, c in elem.terms.items():
             i = pos.get(k)  # None exactly when k has another degree
             if i is None:
-                raise ValidationError(f"term of degree {self.key_degree(k)} in degree-{n} vector")
+                raise ValidationError(f"term {self.key_repr(k)} of degree {self.key_degree(k)} "
+                                      f"in degree-{n} vector")
             out[i] = c
         return out
 
@@ -354,55 +362,38 @@ class FreeCDGA(_GradedAlgebra):
         deg = self.key_degree(m1) + self.key_degree(m2)
         if deg > self.degree_cap:
             return None
-        odd1 = [i for i in self._odd if m1[i]]
-        odd2 = [i for i in self._odd if m2[i]]
+        degrees = self._degrees
+        odd1 = [i for i, _ in m1 if degrees[i] % 2]
+        odd2 = [i for i, _ in m2 if degrees[i] % 2]
         if set(odd1) & set(odd2):
             return None
         inversions = sum(1 for i in odd1 for j in odd2 if i > j)
-        return inversions % 2 == 1, tuple(map(add, m1, m2))
+        return inversions % 2 == 1, _times(m1, m2)
 
     def d_key(self, mono: Monomial) -> CdgaElement:
         """Leibniz differential of one monomial p * x, with x its last
-        generator: d(p x) = d(p) x + (-1)^|p| p dx, memoised on p, by key
-        arithmetic.  Every term has degree |p x| + 1, so the cap is tested
-        once.  A term q of d(p) gives q x: zero when x is odd and q holds it,
-        and otherwise signed by the parity of q's odd generators after x.  A
-        term w of dx gives p w, signed by the Koszul inversions between p's
-        odd generators and w's.  The terms come in the order, with the
-        coefficients, that the two products `multiply` makes would give."""
+        generator: d(p x) = d(p) x + (-1)^|p| p dx, memoised on p, each
+        product of two keys made and signed by `mul_keys`.  Every term has
+        degree |p x| + 1, so the cap is tested once.  The terms come in the
+        order, with the coefficients, that the two products `multiply` makes
+        would give."""
         out = self._dmono_cache.get(mono)
         if out is None:
             prefix, i = _prefix(mono)
             out = {}
             if prefix is not None and self.key_degree(mono) < self.degree_cap:
-                odd = self._odd
-                if self._degrees[i] % 2:
-                    after = [j for j in odd if j > i]
-                    for q, c in self.d_key(prefix).terms.items():
-                        if not q[i]:
-                            out[q[:i] + (1,) + q[i + 1:]] = (
-                                -c if sum([q[j] for j in after]) % 2 else c)
-                else:
-                    for q, c in self.d_key(prefix).terms.items():
-                        out[q[:i] + (q[i] + 1,) + q[i + 1:]] = c
-                # (−1)^|p| is the parity of p's odd generators.
-                p_odd = [j for j in odd if prefix[j]]
+                mul_keys, x = self.mul_keys, ((i, 1),)
+                for q, c in self.d_key(prefix).terms.items():
+                    r = mul_keys(q, x)
+                    if r is not None:
+                        out[r[1]] = -c if r[0] else c
+                p_odd = self.key_degree(prefix) % 2 == 1
+                pdx = {}
                 for w, c in self._diff[self.generators[i].name].items():
-                    if p_odd:
-                        if any([w[j] for j in p_odd]):
-                            continue
-                        w_odd = [j for j in odd if w[j]]
-                        if (len(p_odd) + sum([1 for a in p_odd for b in w_odd if a > b])) % 2:
-                            c = -c
-                    key = tuple(map(add, prefix, w))
-                    if key in out:
-                        c += out[key]
-                        if c:
-                            out[key] = c
-                        else:
-                            del out[key]
-                    else:
-                        out[key] = c
+                    r = mul_keys(prefix, w)
+                    if r is not None:
+                        pdx[r[1]] = -c if r[0] != p_odd else c
+                _add_into(out, pdx)
             self._dmono_cache[mono] = out
         return CdgaElement._of(self, out)
 
@@ -412,13 +403,9 @@ class FreeCDGA(_GradedAlgebra):
         """Re-express an element in a free algebra whose generators extend ours.
 
         Distinct generators go to distinct ones, so distinct monomials do too."""
-        out: dict[Monomial, Fraction] = {}
-        for mono, c in elem.terms.items():
-            tm = [0] * len(target.generators)
-            for e, g in zip(mono, self.generators):
-                if e:
-                    tm[target.index_of[g.name]] = e
-            out[tuple(tm)] = c
+        index = [target.index_of[g.name] for g in self.generators]
+        out = {tuple(sorted([(index[i], e) for i, e in mono])): c
+               for mono, c in elem.terms.items()}
         return CdgaElement._of(target, out)
 
 
@@ -577,7 +564,8 @@ class FiniteCDGA(_GradedAlgebra):
         out = {}
         for k, c in elem.terms.items():
             if k[0] != n:
-                raise ValidationError("inhomogeneous element in to_vector")
+                raise ValidationError(f"term {self.label_of(k)} of degree {k[0]} "
+                                      f"in degree-{n} vector")
             out[k[1]] = c
         return out
 
@@ -711,7 +699,7 @@ def check_minimality(algebra: FreeCDGA) -> None:
         if g.degree < 2:
             raise InternalError(f"generator {g.name} has degree {g.degree} < 2")
         for mono in algebra.generator_diff(g.name).terms:
-            if sum(mono) < 2:
+            if sum([e for _, e in mono]) < 2:
                 raise InternalError(f"d({g.name}) has an indecomposable term")
 
 
@@ -745,9 +733,8 @@ def hirsch_extend(a: FreeCDGA, new_gens: Sequence[tuple[str, int, CdgaElement]]
     if any(img.algebra is not a for _, _, img in new_gens):
         raise ValidationError("d_image must live in the base algebra")
     gens = list(a.generators) + [Generator(n, d) for n, d, _ in new_gens]
-    pad = (0,) * len(new_gens)
-    diffs = {g.name: _padded(a.generator_diff(g.name).terms, pad) for g in a.generators}
-    diffs.update((name, _padded(img.terms, pad)) for name, _, img in new_gens)
+    diffs = dict(a._diff)
+    diffs.update((name, img.terms) for name, _, img in new_gens)
     out = FreeCDGA(gens, diffs, a.degree_cap, base=a)
     incl = CdgaMorphism.on_generators(a, out, {g.name: out.gen(g.name) for g in a.generators})
     return out, incl
@@ -756,10 +743,32 @@ def hirsch_extend(a: FreeCDGA, new_gens: Sequence[tuple[str, int, CdgaElement]]
 def _prefix(mono: Monomial) -> tuple[Optional[Monomial], int]:
     """(mono with one factor fewer of its last generator, that generator's
     index); (None, -1) for the unit."""
-    for i in range(len(mono) - 1, -1, -1):
-        if mono[i]:
-            return mono[:i] + (mono[i] - 1,) + mono[i + 1:], i
-    return None, -1
+    if not mono:
+        return None, -1
+    i, e = mono[-1]
+    return (mono[:-1] + ((i, e - 1),) if e > 1 else mono[:-1]), i
+
+
+def _times(m1: Monomial, m2: Monomial) -> Monomial:
+    """The monomial m1·m2, signs aside: the exponents of each index added."""
+    if not m1 or not m2:
+        return m1 or m2
+    exps = dict(m1)
+    for i, e in m2:
+        exps[i] = exps.get(i, 0) + e
+    return tuple(sorted(exps.items()))
+
+
+def _is_monomial(mono, degrees: Sequence[int]) -> bool:
+    """Whether `mono` is a key over generators of these degrees: int pairs,
+    indices strictly increasing in 0..len(degrees)−1, exponents >= 1 and at
+    most 1 on an odd generator."""
+    if not (isinstance(mono, tuple) and all(isinstance(p, tuple) and len(p) == 2
+                                            and type(p[0]) is type(p[1]) is int for p in mono)):
+        return False
+    bounds = [-1] + [i for i, _ in mono] + [len(degrees)]
+    return (all(a < b for a, b in zip(bounds, bounds[1:]))
+            and all(e == 1 or e > 1 and degrees[i] % 2 == 0 for i, e in mono))
 
 
 # A free algebra's count of generators, its basis cache and its base's
@@ -796,55 +805,48 @@ def _chain_basis(degrees: tuple[int, ...], level: _Chain, n: int) -> tuple[Monom
             w_degrees = degrees[base[0]:count]
             found = []
             for j in range(n + 1):
-                w_monos = _new_monomials(w_degrees, j)
+                w_monos = _new_monomials(w_degrees, j, base[0])
                 if w_monos:
                     base_keys = _chain_basis(degrees, base, n - j)
                     found += [b + w for w in w_monos for b in base_keys]
-        # (total exponent, lexicographic): the second sort is stable.
-        found.sort()
-        found.sort(key=sum)
+        found.sort(key=lambda m: (sum([e for _, e in m]), _dense_order(m)))
         keys = cache[n] = tuple(found)
     return keys
 
 
 def _monomials(degrees: Sequence[int], n: int) -> list[Monomial]:
-    """Every exponent tuple over generators of these degrees with total degree
-    n, odd generators to exponent at most 1, in lexicographic order."""
+    """Every monomial over generators of these degrees with total degree n,
+    odd generators to exponent at most 1, in dense lexicographic order."""
     found: list[Monomial] = []
-    _monomials_into(found, degrees, len(degrees), 0, n, [])
+    _monomials_into(found, degrees, 0, n, [])
     return found
 
 
 @lru_cache(maxsize=1024)
-def _new_monomials(degrees: tuple[int, ...], n: int) -> tuple[Monomial, ...]:
-    """`_monomials` memoised for an extension's added generators, whose few
-    degree tuples recur at every step; a whole basis is never memoised here,
-    so a freed algebra's bases are freed with it."""
-    return tuple(_monomials(degrees, n))
+def _new_monomials(degrees: tuple[int, ...], n: int, first: int) -> tuple[Monomial, ...]:
+    """`_monomials` memoised for an extension's added generators, numbered
+    from `first`; a whole basis is never memoised here, so a freed algebra's
+    bases are freed with it."""
+    return tuple(tuple([(first + i, e) for i, e in m]) for m in _monomials(degrees, n))
 
 
-def _monomials_into(found: list[Monomial], degrees: Sequence[int], count: int,
-                    i: int, remaining: int, acc: list[int]):
-    """Append to `found` each monomial whose first i exponents are `acc` and
-    whose other `count` − i exponents add `remaining` to its degree."""
+def _monomials_into(found: list[Monomial], degrees: Sequence[int], i: int,
+                    remaining: int, acc: list[tuple[int, int]]):
+    """Append to `found` each monomial whose pairs below index i are `acc`
+    and whose other generators add `remaining` to its degree."""
     if remaining == 0:
-        found.append(tuple(acc + [0] * (count - i)))
+        found.append(tuple(acc))
         return
-    if i == count:
+    if i == len(degrees):
         return
     deg = degrees[i]
     max_e = 1 if deg % 2 == 1 else remaining // deg
     for e in range(min(max_e, remaining // deg) + 1):
-        _monomials_into(found, degrees, count, i + 1, remaining - e * deg, acc + [e])
-
-
-def _padded(terms: Mapping[Monomial, Fraction], pad: Monomial) -> dict[Monomial, Fraction]:
-    """Terms over generators extended by len(pad) more: each monomial + pad."""
-    return {m + pad: c for m, c in terms.items()}
+        _monomials_into(found, degrees, i + 1, remaining - e * deg, acc + [(i, e)] if e else acc)
 
 
 def unchanged_below(new: Algebra, old: Algebra) -> int:
-    """The degree below which `new` has old's basis (padded) and differential:
+    """The degree below which `new` has old's basis and differential:
     past the cap when new is old, the first added generator's degree when new
     extends old, and 0 otherwise.  An extension checked `extends` against its
     base when it was made and holds that base's `_chain` record, so that base
@@ -939,22 +941,18 @@ class CdgaMorphism:
         old's images of monomials when the codomain is old's.
 
         Guarded: each end of self is old's or extends it (`unchanged_below`),
-        and old's generators keep their images (padded into an extended codomain).
+        and old's generators keep their images.
         """
         below = min(unchanged_below(self.domain, old.domain),
                     unchanged_below(self.codomain, old.codomain))
         if self.domain.kind != "free" or not below:
             raise InternalError("cannot carry matrices: the ends do not extend old's")
-        same_codomain = self.codomain is old.codomain
-        pad = (0,) * (len(self.domain.generators) - len(old.domain.generators))
-        cpad = () if same_codomain else (0,) * (
-            len(self.codomain.generators) - len(old.codomain.generators))
         for g in old.domain.generators:
-            if self.gen_images[g.name].terms != _padded(old.gen_images[g.name].terms, cpad):
+            if self.gen_images[g.name].terms != old.gen_images[g.name].terms:
                 raise InternalError(f"the image of {g.name} changed")
         self._mat_cache.update((n, m) for n, m in old._mat_cache.items() if n < below)
-        if same_codomain:
-            self._images.update((m + pad, v) for m, v in old._images.items())
+        if self.codomain is old.codomain:
+            self._images.update(old._images)
 
     def matrix(self, n: int) -> QMatrix:
         """Matrix of the degree-n component in the chosen bases."""
@@ -972,8 +970,8 @@ def linear_part(f: CdgaMorphism, dom_names: Sequence[str],
     for name in dom_names:
         col = {}
         for mono, c in f.gen_images[name].terms.items():
-            if sum(mono) == 1:
-                gname = f.codomain.generators[mono.index(1)].name
+            if len(mono) == 1 and mono[0][1] == 1:
+                gname = f.codomain.generators[mono[0][0]].name
                 if gname in pos:
                     col[pos[gname]] = c
         cols.append(col)

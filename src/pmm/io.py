@@ -229,15 +229,15 @@ def load_input(doc: dict) -> PersistentCDGA:
 
 def load_matrix(rows, want_rows: int, want_cols: int, where: str) -> QMatrix:
     """A dense JSON matrix read into sparse rows: every entry is checked, a
-    bad one refused before the shape, but a JSON-integer zero makes no
-    Fraction."""
+    bad one refused before the shape, but a JSON-integer zero or the string
+    "0" makes no Fraction."""
     if not isinstance(rows, list) or not all(isinstance(row, list) for row in rows):
         raise SchemaError(f"{where}: a matrix must be a JSON array of arrays")
     data = []
     for row in rows:
         sparse = {}
         for j, x in enumerate(row):
-            if type(x) is not int or x:
+            if x != "0" and (type(x) is not int or x):
                 c = _rational(x, where)
                 if c:
                     sparse[j] = c

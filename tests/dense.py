@@ -2,7 +2,9 @@
 of `pmm.exactla` and `pmm.cochain` as they ran on dense tuples, before every
 vector became a sparse Row.  The tests compare the sparse kernels with these,
 entry for entry, through `dense` (a Row expanded to a tuple) and `row` (a
-tuple's nonzero entries)."""
+tuple's nonzero entries).  Monomials convert the same way: `dense_key` gives
+a free algebra's (index, exponent) key as the exponent tuple over all its
+generators, and `sparse_key` takes it back."""
 from __future__ import annotations
 
 from pmm.exactla import ONE, ZERO, QMatrix, echelon, frac, hstack, rref
@@ -48,6 +50,20 @@ def dense(r: dict, n: int) -> tuple:
     for j, x in r.items():
         out[j] = frac(x)
     return tuple(out)
+
+
+def dense_key(mono, count: int) -> tuple:
+    """The length-`count` exponent tuple of a monomial key."""
+    out = [0] * count
+    for i, e in mono:
+        out[i] = e
+    return tuple(out)
+
+
+def sparse_key(exponents) -> tuple:
+    """The monomial key of an exponent tuple: its (index, exponent) pairs
+    with a nonzero exponent."""
+    return tuple((i, e) for i, e in enumerate(exponents) if e)
 
 
 def apply(m: QMatrix, v) -> tuple:

@@ -5,15 +5,16 @@ from fractions import Fraction
 import pytest
 
 from pmm.cdga import (
-    CdgaElement, CdgaMorphism, FiniteCDGA, _add_into, _monomials, _prefix, cohomology,
-    differential, free_cdga, hirsch_extend, indecomposables, monomial_basis, multiply,
-    validate_morphism,
+    CdgaElement, CdgaMorphism, FiniteCDGA, FreeCDGA, Generator, _add_into, _monomials, _prefix,
+    cohomology, differential, free_cdga, hirsch_extend, indecomposables, monomial_basis,
+    multiply, validate_morphism,
 )
 from pmm.errors import ValidationError
 from pmm.exactla import ONE, QMatrix
 from pmm.persistence import Grid
 from pmm.pminimal import PersistentCDGA, build_persistent_minimal_model
 
+from .dense import dense_key, sparse_key
 from .gen import random_cocycle
 
 
@@ -70,13 +71,13 @@ def test_algebras_with_the_same_degrees_share_their_bases():
     a = free_cdga([("a", 2)], {}, 8)
     ext, _ = hirsch_extend(a, [("y", 3, multiply(a.gen("a"), a.gen("a")))])
     keys = ext.basis_keys(7)
-    assert keys == ((2, 1),)
+    assert keys == (sparse_key((2, 1)),)
     assert root.basis_keys(7) is keys and renamed.basis_keys(7) is keys
     assert renamed._basis_pos is root._basis_pos is ext._basis_pos
-    assert root.key_position(7, (2, 1)) == 0
+    assert root.key_position(7, sparse_key((2, 1))) == 0
     swapped = free_cdga([("y", 3), ("a", 2)], {}, 8)
     assert swapped._basis_cache is not root._basis_cache
-    assert swapped.basis_keys(7) == ((1, 2),)
+    assert swapped.basis_keys(7) == (sparse_key((1, 2)),)
 
 
 def test_a_shared_table_lives_as_long_as_an_algebra_holds_it():
@@ -125,6 +126,47 @@ def test_d_squared_enforced():
     with pytest.raises(ValidationError):
         # du = a is not a cocycle of the right degree.
         free_cdga([("a", 2), ("u", 2)], {"u": scratch.gen("a")}, 8)
+
+
+@pytest.mark.parametrize("key", [
+    (2, 0, 0),            # a dense exponent tuple of the wrong length
+    (2, 0),               # a dense exponent tuple of the right length
+    (2,),
+    "a^2",
+    ((0, 2), (1, 0)),     # an exponent 0
+    ((0, 0),),
+    ((0, -1),),
+    ((0, 2.0),),          # not int pairs
+    ((0, True),),
+    (("0", 2),),
+    ((0, 2, 1),),
+    ((0,),),
+    ((1, 1), (0, 1)),     # indices not strictly increasing
+    ((0, 1), (0, 1)),
+    ((2, 1),),            # an index out of range
+    ((-1, 2),),
+])
+def test_a_malformed_monomial_is_refused_naming_its_generator(key):
+    with pytest.raises(ValidationError, match=r"^d\(y\) has a malformed monomial"):
+        free_cdga([("a", 2), ("y", 3)], {"y": {key: 1}}, 8)
+
+
+def test_an_odd_generator_squared_is_a_malformed_monomial():
+    # x² has degree 6 = |z| + 1, so only the odd exponent refuses it.
+    with pytest.raises(ValidationError, match=r"^d\(z\) has a malformed monomial"):
+        free_cdga([("x", 3), ("z", 5)], {"z": {((0, 2),): 1}}, 8)
+    assert free_cdga([("a", 2), ("y", 3)], {"y": {((0, 2),): 1}}, 8).dim(7) == 1
+
+
+def test_an_extension_checks_the_keys_of_its_new_generators_only():
+    base = sphere2_model()
+    gens = list(base.generators) + [Generator("z", 5)]
+    diffs = {"y": base.generator_diff("y").terms, "z": {((1, 2),): 1}}
+    with pytest.raises(ValidationError, match=r"^d\(z\) has a malformed monomial"):
+        FreeCDGA(gens, diffs, 8, base=base)
+    diffs["y"] = {(2, 0, 0): 1}
+    with pytest.raises(ValidationError, match="do not extend the base"):
+        FreeCDGA(gens, diffs, 8, base=base)
 
 
 def test_cohomology_sphere2_model():
@@ -223,23 +265,23 @@ def test_finite_morphism_validation():
 
 def test_to_sparse_refuses_a_term_of_another_degree():
     m = sphere2_model()
-    with pytest.raises(ValidationError, match="term of degree 2 in degree-3 vector"):
+    with pytest.raises(ValidationError, match="term a of degree 2 in degree-3 vector"):
         m.to_sparse(m.gen("a") + m.gen("y"), 3)
     assert m.to_sparse(m.gen("y"), 3) == {0: 1}
-    with pytest.raises(ValidationError, match="term of degree 3 in degree-2 vector"):
+    with pytest.raises(ValidationError, match="term y of degree 3 in degree-2 vector"):
         m.to_sparse(m.gen("y"), 2)
     s2 = finite_s2()
-    with pytest.raises(ValidationError, match="inhomogeneous"):
+    with pytest.raises(ValidationError, match="term one of degree 0 in degree-2 vector"):
         s2.to_sparse(s2.one() + s2.basis_elem("alpha"), 2)
 
 
 def test_public_element_constructor_coerces_and_drops_zeros():
     m = sphere2_model()
-    a2 = (2, 0)
-    e = CdgaElement(m, {(1, 0): 3, a2: 0, (0, 1): Fraction(0), (3, 0): Fraction(1, 2)})
-    assert e.terms == {(1, 0): Fraction(3), (3, 0): Fraction(1, 2)}
+    a, a2, y, a3 = (sparse_key(m) for m in ((1, 0), (2, 0), (0, 1), (3, 0)))
+    e = CdgaElement(m, {a: 3, a2: 0, y: Fraction(0), a3: Fraction(1, 2)})
+    assert e.terms == {a: Fraction(3), a3: Fraction(1, 2)}
     assert all(type(c) is Fraction for c in e.terms.values())
-    assert m.element({(1, 0): -1}).terms == {(1, 0): Fraction(-1)}
+    assert m.element({a: -1}).terms == {a: Fraction(-1)}
     assert m.from_vector(2, {}).is_zero()
 
 
@@ -296,7 +338,17 @@ def test_indecomposables_brute_force_agreement():
 # accumulated term, the Koszul sign recomputed from scratch, sums of elements
 # formed one at a time with zeros dropped after each, a monomial's image as
 # the product of its factors from the unit.  They compare term lists, so the
-# terms must agree and come in the same order.
+# terms must agree and come in the same order.  They key monomials by dense
+# exponent tuples over all the algebra's generators: `_dense` and `_sparse`
+# convert the engine's terms to them and back.
+
+def _dense(alg, terms):
+    return {dense_key(m, len(alg.generators)): c for m, c in terms.items()}
+
+
+def _sparse(terms):
+    return {sparse_key(m): c for m, c in terms.items()}
+
 
 def _ref_mul_keys(alg, m1, m2):
     degrees = [g.degree for g in alg.generators]
@@ -333,7 +385,7 @@ def _ref_d_mono(alg, mono):
     out, prefix_deg = {}, 0
     for pos, gi in enumerate(word):
         g = alg.generators[gi]
-        dg = alg.generator_diff(g.name).terms
+        dg = _dense(alg, alg.generator_diff(g.name).terms)
         if dg:
             pre = tuple(word[:pos].count(i) for i in range(len(mono)))
             suf = tuple(word[pos + 1:].count(i) for i in range(len(mono)))
@@ -351,10 +403,11 @@ def _ref_d(alg, terms):
 
 
 def _ref_image(f, mono):
-    out = {f.codomain.unit_key: Fraction(1)}
+    out = {(0,) * len(f.codomain.generators): Fraction(1)}
     for i, e in enumerate(mono):
         for _ in range(e):
-            out = _ref_mul(f.codomain, out, f.gen_images[f.domain.generators[i].name].terms)
+            image = _dense(f.codomain, f.gen_images[f.domain.generators[i].name].terms)
+            out = _ref_mul(f.codomain, out, image)
     return out
 
 
@@ -365,7 +418,8 @@ def _ref_basis(degrees, cap):
         levels.append({m[:i] + (m[i] + 1,) + m[i + 1:]
                        for i, d in enumerate(degrees) if d <= n for m in levels[n - d]
                        if d % 2 == 0 or m[i] == 0})
-    return [tuple(sorted(level, key=lambda m: (sum(m), m))) for level in levels]
+    return [tuple(sparse_key(m) for m in sorted(level, key=lambda m: (sum(m), m)))
+            for level in levels]
 
 
 def _random_element(rng, alg, n, density=0.6):
@@ -403,17 +457,24 @@ def test_multiply_and_differential_match_the_reference_kernels(seed):
     for _ in range(40):
         u = _random_element(rng, alg, rng.randint(0, cap))
         v = _random_element(rng, alg, rng.randint(0, cap))
-        _assert_same_terms(multiply(u, v), _ref_mul(alg, u.terms, v.terms))
-        _assert_same_terms(differential(u), _ref_d(alg, u.terms))
+        du, dv = _dense(alg, u.terms), _dense(alg, v.terms)
+        _assert_same_terms(multiply(u, v), _sparse(_ref_mul(alg, du, dv)))
+        _assert_same_terms(differential(u), _sparse(_ref_d(alg, du)))
         _assert_same_terms(u + v, _ref_add(u.terms, v.terms))
         _assert_same_terms(u - u, {})
         _assert_same_terms(u.scale(0), {})
     # d_key differentiates a monomial through its memoised prefix; the
     # reference applies the Leibniz rule letter by letter to its whole word.
     for n in range(cap):
-        want = QMatrix.from_columns([alg.to_sparse(alg.element(_ref_d_mono(alg, m)), n + 1)
-                                     for m in alg.basis_keys(n)], alg.dim(n + 1))
-        assert alg.d_matrix(n) == want
+        assert alg.d_matrix(n) == _ref_d_matrix(alg, n)
+
+
+def _ref_d_matrix(alg, n):
+    """d(n) with each column the word reference's d of one basis monomial."""
+    count = len(alg.generators)
+    return QMatrix.from_columns(
+        [alg.to_sparse(alg.element(_sparse(_ref_d_mono(alg, dense_key(m, count)))), n + 1)
+         for m in alg.basis_keys(n)], alg.dim(n + 1))
 
 
 def _ref_d_key_by_products(alg, mono, memo):
@@ -448,10 +509,10 @@ def _algebra_with_later_and_odd_names(rng, cap):
     for i, (name, d) in enumerate(gens):
         if i in free:
             monos = [m for m in _monomials(degrees, d + 1)
-                     if not any(m[j] for j in free)]
+                     if not any(dense_key(m, len(gens))[j] for j in free)]
             diffs[name] = {m: Fraction(rng.choice([-3, -1, 1, 2]), rng.choice([1, 1, 2]))
                            for m in monos if rng.random() < 0.7}
-    uv = tuple(int(name in "uv") for name, _ in gens)
+    uv = sparse_key(tuple(int(name in "uv") for name, _ in gens))
     diffs["x"][uv] = Fraction(rng.choice([-2, 1]))
     return free_cdga(gens, diffs, cap)
 
@@ -469,9 +530,7 @@ def test_direct_leibniz_matches_the_word_and_product_references(seed):
     memo = {}
     for n in range(cap + 1):
         if n < cap:
-            want = QMatrix.from_columns([alg.to_sparse(alg.element(_ref_d_mono(alg, m)), n + 1)
-                                         for m in alg.basis_keys(n)], alg.dim(n + 1))
-            assert alg.d_matrix(n) == want, (seed, n)
+            assert alg.d_matrix(n) == _ref_d_matrix(alg, n), (seed, n)
         for m in alg.basis_keys(n):
             _assert_same_terms(alg.d_key(m), _ref_d_key_by_products(alg, m, memo))
 
@@ -494,19 +553,23 @@ def test_morphism_matrices_match_the_reference_images(seed):
     cod = _random_chain(rng, cap, 3)[-1]
     images = {g.name: _random_element(rng, cod, g.degree) for g in dom.generators}
     f = CdgaMorphism.on_generators(dom, cod, images)
+    count = len(dom.generators)
     for n in range(cap + 1):
         keys = dom.basis_keys(n)
-        refs = [_ref_image(f, m) for m in keys]
+        refs = [_sparse(_ref_image(f, dense_key(m, count))) for m in keys]
         for m, ref in zip(keys, refs):
             _assert_same_terms(f.image(m), ref)
-        want = QMatrix.from_columns([cod.to_sparse(cod.element(r), n) for r in refs],
-                                    cod.dim(n))
-        assert f.matrix(n) == want
+        assert f.matrix(n) == _ref_matrix(cod, n, refs)
     u = _random_element(rng, dom, rng.randint(2, cap))
     want = {}
     for m, c in u.terms.items():
-        want = _ref_add(want, _ref_image(f, m), c)
-    _assert_same_terms(f.apply(u), want)
+        want = _ref_add(want, _ref_image(f, dense_key(m, count)), c)
+    _assert_same_terms(f.apply(u), _sparse(want))
+
+
+def _ref_matrix(cod, n, images):
+    """The degree-n matrix with these images (engine terms) as its columns."""
+    return QMatrix.from_columns([cod.to_sparse(cod.element(r), n) for r in images], cod.dim(n))
 
 
 @pytest.mark.parametrize("seed", range(8))
@@ -518,6 +581,58 @@ def test_extension_basis_matches_enumeration_from_scratch(seed):
         for n in rng.sample(range(cap + 1), cap + 1):
             assert alg.basis_keys(n) == want[n]
             assert [alg.key_position(n, m) for m in want[n]] == list(range(len(want[n])))
+
+
+def test_element_repr_lists_terms_in_dense_lexicographic_order():
+    # Keys are (index, exponent) pairs, but repr lists terms as their dense
+    # exponent tuples sort, which is not the order of the pair tuples.
+    rng = random.Random(2700)
+    reordered = 0
+    for _ in range(6):
+        cap = rng.randint(6, 9)
+        alg = _random_chain(rng, cap, 4)[-1]
+        count = len(alg.generators)
+        for _ in range(20):
+            u = sum((_random_element(rng, alg, rng.randint(0, cap)) for _ in range(3)),
+                    alg.zero())
+            keys = sorted(u.terms, key=lambda m: dense_key(m, count))
+            want = " + ".join(f"{u.terms[k]}*{alg.key_repr(k)}" for k in keys)
+            assert repr(u) == (f"<{want}>" if keys else "<0>")
+            reordered += keys != sorted(u.terms)
+    assert reordered
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_sibling_extensions_keep_their_own_memoised_differentials(seed):
+    # Two extensions of one base give index len(base.generators) to different
+    # generators of the same degrees: they share basis tables, but each copies
+    # the base's memoised differentials, so d_key calls made in turn on the two
+    # answer each from its own.  Every d-matrix and inclusion matrix equals
+    # the per-word reference.
+    rng = random.Random(2710 + seed)
+    cap = rng.randint(7, 9)
+    base = _random_chain(rng, cap, 3)[-1]
+    for n in range(cap):
+        base.d_matrix(n)
+    degrees = [rng.randint(2, 4) for _ in range(2)]
+    left, left_incl = hirsch_extend(base, [(f"l{j}", d, random_cocycle(rng, base, d + 1))
+                                           for j, d in enumerate(degrees)])
+    right, right_incl = hirsch_extend(base, [(f"r{j}", d, base.zero())
+                                             for j, d in enumerate(degrees)])
+    assert left._basis_cache is right._basis_cache
+    assert any(left.generator_diff(f"l{j}").terms for j in range(2))
+    for n in range(cap):
+        for m in left.basis_keys(n):
+            left.d_key(m)
+            right.d_key(m)
+    for n in range(cap):
+        assert left.d_matrix(n) == _ref_d_matrix(left, n), (seed, n)
+        assert right.d_matrix(n) == _ref_d_matrix(right, n), (seed, n)
+    for ext, incl in ((left, left_incl), (right, right_incl)):
+        for n in range(cap + 1):
+            refs = [_sparse(_ref_image(incl, dense_key(m, len(base.generators))))
+                    for m in base.basis_keys(n)]
+            assert incl.matrix(n) == _ref_matrix(ext, n, refs)
 
 
 def _wedge_tower(k, cap):

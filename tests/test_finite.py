@@ -477,5 +477,5 @@ def test_on_basis_keeps_its_refusals():
     a = s2()
     with pytest.raises(ValidationError, match="^missing image for basis label a$"):
         CdgaMorphism.on_basis(a, a, {"one": a.one()})
-    with pytest.raises(ValidationError, match="^inhomogeneous element in to_vector$"):
+    with pytest.raises(ValidationError, match="^term one of degree 0 in degree-2 vector$"):
         CdgaMorphism.on_basis(a, a, {"one": a.one(), "a": a.one()})

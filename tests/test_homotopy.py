@@ -18,6 +18,7 @@ from pmm.homotopy import (
 from pmm.io import load_input
 from pmm.pminimal import build_persistent_minimal_model
 
+from .dense import dense_key, sparse_key
 from .gen import include_target, random_tower
 from .test_cdga import _random_chain, _random_element, _ref_mul_keys
 from .test_incremental import wedge_tower
@@ -591,16 +592,18 @@ def test_check_chain_map_rejects_altered_integral_matrix():
 # -- H of a monomial against the product of its factors from the unit ---------
 # The reference multiplies term dicts over path keys (b, j, e), Fraction(0)-seeded
 # with the sign recomputed from scratch, in the order 1 * H(x1) * H(x1) * H(x2) * ...,
-# and keeps the order in which terms first appear.
+# and keeps the order in which terms first appear.  Its b are dense exponent
+# tuples over the base's generators.
 
 def _ref_path_mul(base, t1, t2):
+    degrees = [g.degree for g in base.generators]
     out = {}
     for (b1, j1, e1), c1 in t1.items():
         for (b2, j2, e2), c2 in t2.items():
             r = None if e1 and e2 else _ref_mul_keys(base, b1, b2)
             if r is not None:
                 sign, b = r
-                if e1 and base.key_degree(b2) % 2:
+                if e1 and sum(x * d for x, d in zip(b2, degrees)) % 2:
                     sign = -sign
                 key = (b, j1 + j2, e1 + e2)
                 out[key] = out.get(key, Fraction(0)) + sign * c1 * c2
@@ -609,11 +612,13 @@ def _ref_path_mul(base, t1, t2):
 
 def _ref_h_mono(h, mono):
     base = h.codomain.base
-    out = {(base.unit_key, 0, 0): Fraction(1)}
+    count = len(base.generators)
+    out = {((0,) * count, 0, 0): Fraction(1)}
     for i, e in enumerate(mono):
-        value = h.gen_images[h.domain.generators[i].name]
+        value = {(dense_key(b, count), j, t): c for (b, j, t), c
+                 in h.gen_images[h.domain.generators[i].name].terms.items()}
         for _ in range(e):
-            out = _ref_path_mul(base, out, value.terms)
+            out = _ref_path_mul(base, out, value)
     return out
 
 
@@ -636,7 +641,9 @@ def test_homotopy_of_a_monomial_matches_the_reference_product(seed):
     for n in rng.sample(range(cap + 1), cap + 1):
         for mono in dom.basis_keys(n):
             got = h.image(mono)
-            assert list(got.terms.items()) == list(_ref_h_mono(h, mono).items())
+            want = _ref_h_mono(h, dense_key(mono, len(dom.generators)))
+            assert list(got.terms.items()) == [((sparse_key(b), j, e), c)
+                                               for (b, j, e), c in want.items()]
             assert all(c != 0 for c in got.terms.values())
 
 

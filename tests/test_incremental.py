@@ -32,6 +32,8 @@ from pmm.pminimal import (
     homotopy_barcode, presentation, surgery_step, tame_cone, validate_model,
 )
 
+from .dense import dense_key, sparse_key
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -216,8 +218,9 @@ def test_surgery_extension_bases_match_a_from_scratch_enumeration(seed):
     for alg in algebras:
         degrees = [g.degree for g in alg.generators]
         for n in range(alg.degree_cap + 1):
-            want = sorted(_monomials(degrees, n), key=lambda m: (sum(m), m))
-            assert list(alg.basis_keys(n)) == want, (seed, n)
+            dense = sorted((dense_key(m, len(degrees)) for m in _monomials(degrees, n)),
+                           key=lambda m: (sum(m), m))
+            assert list(alg.basis_keys(n)) == [sparse_key(m) for m in dense], (seed, n)
 
 
 @pytest.mark.parametrize("tower", [None, "example3", 500, 501, 505, "map"])
@@ -373,12 +376,14 @@ def test_free_cdga_base_must_be_a_prefix():
 
 
 def test_hirsch_extend_checks_the_new_generators_only():
-    base = free_cdga([("a", 2), ("y", 3)], {"y": {(2, 0): ONE}}, 8)
+    base = free_cdga([("a", 2), ("y", 3)], {"y": {sparse_key((2, 0)): ONE}}, 8)
     with pytest.raises(ValidationError, match=r"d\(d\(w\)\) != 0"):
         hirsch_extend(base, [("w", 4, multiply(base.gen("a"), base.gen("y")))])
     ext, _ = hirsch_extend(base, [("z", 4, base.zero())])
-    # Below degree 4 the extension reads base's basis keys, padded.
-    assert ext.basis_keys(3) == tuple(m + (0,) for m in base.basis_keys(3))
+    # Below degree 4 the extension reads base's basis keys, each the same
+    # exponent tuple with a zero for z.
+    assert [dense_key(m, 3) for m in ext.basis_keys(3)] == [
+        dense_key(m, 2) + (0,) for m in base.basis_keys(3)]
 
 
 def test_morphism_carry_refuses_a_changed_image():

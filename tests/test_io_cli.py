@@ -17,6 +17,8 @@ from pmm.pminimal import (
     build_persistent_minimal_model, homotopy_barcode, validate_model,
 )
 
+from .dense import dense_key, sparse_key
+
 FIXTURES = Path(__file__).parent / "fixtures"
 
 
@@ -151,7 +153,9 @@ def test_the_check_path_builds_extension_bases_down_the_chain(name, monkeypatch)
     for alg in made:
         degrees = [g.degree for g in alg.generators]
         for n in range(alg.degree_cap + 1):
-            want = sorted(enumerate_monomials(degrees, n), key=lambda m: (sum(m), m))
+            dense = sorted((dense_key(m, len(degrees)) for m in enumerate_monomials(degrees, n)),
+                           key=lambda m: (sum(m), m))
+            want = [sparse_key(m) for m in dense]
             assert list(alg.basis_keys(n)) == want, (name, n)
             assert [alg.key_position(n, m) for m in want] == list(range(len(want)))
 
@@ -1077,6 +1081,26 @@ def test_load_matrix_checks_every_entry_then_the_shape():
     for shape in ([[0, 0, 0], [0, 0]], [[0, 0, 0]], [[0, 0, 0]] * 3):
         with pytest.raises(SchemaError, match=r"^m: matrix shape mismatch, want 2x3$"):
             load_matrix(shape, 2, 3, "m")
+
+
+def test_load_matrix_skips_the_string_zero_and_checks_every_other_form(monkeypatch):
+    # The exact string "0" is skipped as a JSON-integer zero is, without a
+    # Fraction; "-0" and "0/1" are read as zero, and 0.0, false and " 0"
+    # are still refused, before a wrong shape.
+    from pmm import io
+    from pmm.exactla import QMatrix
+
+    read = []
+    rational = io._rational
+    monkeypatch.setattr(io, "_rational", lambda x, where: read.append(x) or rational(x, where))
+    got = io.load_matrix([["0", 0, "-0"], ["0/1", "0", "2"]], 2, 3, "m")
+    assert got == QMatrix(2, 3, [[0, 0, 0], [0, 0, 2]])
+    assert [dict(row) for row in got._rows] == [{}, {2: 2}]
+    assert read == ["-0", "0/1", "2"]
+    for bad in (0.0, False, " 0"):
+        for rows in ([["0", bad, "0"], ["0", "0", "0"]], [["0", bad]]):
+            with pytest.raises(SchemaError, match="^bad rational .* m: want an integer"):
+                io.load_matrix(rows, 2, 3, "m")
 
 
 def test_the_largest_module_decomposes_under_a_memory_cap(tmp_path):

@@ -20,6 +20,7 @@ from pmm.pminimal import (
     validate_model,
 )
 
+from .dense import sparse_key
 from .gen import random_free_cdga, random_morphism
 
 CAP = 5
@@ -98,7 +99,7 @@ def test_map_model_identity():
 
 def test_map_model_rejects_a_map_that_is_not_a_cdga_map(monkeypatch):
     # y -> 0 while d y = a^2 -> c^2 != 0: f is checked before any step runs.
-    a = free_cdga([("a", 2), ("y", 3)], {"y": {(2, 0): 1}}, ACAP)
+    a = free_cdga([("a", 2), ("y", 3)], {"y": {sparse_key((2, 0)): 1}}, ACAP)
     b = free_cdga([("c", 2)], {}, ACAP)
     f = CdgaMorphism.on_generators(a, b, {"a": b.gen("c"), "y": b.zero()})
     monkeypatch.setattr(minimal, "map_model_step", None)
