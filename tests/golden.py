@@ -3,7 +3,7 @@
 Covers `pmm build --emit barcode,presentation,report,model` on every tower
 fixture at degree caps 5 and 7 and on the three-stage wedge tower (whose
 bars of one lifespan pin the order surgery names them in), `pmm check` on
-the saved models, `pmm
+the saved models and (with its stderr) on four altered ones it refuses, `pmm
 decompose` on the module fixture and on seeded persistent complexes, `pmm
 factor` on a seeded batch of cell-attachment maps (built as in acceptance
 criterion 10), and a seeded batch of map models; and each demo's stdout,
@@ -102,6 +102,14 @@ GOLDEN = {
         "3f7ef167be0d52a89609121612ef821ac74eb7c2cbe0e615a3242843e89c4400",
     "check:sphere3:7":
         "9f6d383858921922a3cce766c706ef34c71a2ab71300c6ec388de1f912ed7806",
+    "check-fails:degree-1-generator":
+        "13ffc630885224f4479b3c7069f8c0e0e27cf19a92dc30405cca7dcf3a329823",
+    "check-fails:doubled-birth-differential":
+        "98bd512210127f9d0271ede9f0b0f9ee1539b7f9d7aa20a1572b2e5464e652d2",
+    "check-fails:homotopy-start":
+        "559184c7527ff0d568215ef5850873a3fe5c252b8df81df1c851806477f29d11",
+    "check-fails:stage-image-of-degree-0":
+        "136ce6911cbfff3eef150cd8f9a61868d53d6b2cdae11a974d9d863235b32339",
     "decompose:module_dims121":
         "e2bc9ea912fce36d425f8fc004eef2a4cdda5e5cdd079b16dd9eb4b84b86e8ff",
     "decompose:pcomplex-batch":
@@ -127,13 +135,16 @@ DEMO_GOLDEN = {
 }
 
 
-def run_cli(argv, outdir: Path) -> str:
-    """Digest of the exit code, stdout and every file written to outdir."""
+def run_cli(argv, outdir: Path, with_stderr: bool = False) -> str:
+    """Digest of the exit code, stdout (and stderr, if asked) and every file
+    written to outdir."""
     outdir.mkdir(parents=True, exist_ok=True)
-    buf = io.StringIO()
-    with contextlib.redirect_stdout(buf):
+    buf, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(err):
         rc = main(argv + ["--output", str(outdir)])
     h = hashlib.sha256(f"rc={rc}\n{buf.getvalue()}".encode())
+    if with_stderr:
+        h.update(f"stderr={err.getvalue()}".encode())
     for path in sorted(outdir.iterdir()):
         h.update(path.name.encode() + b"\0" + path.read_bytes())
     return h.hexdigest()
@@ -142,6 +153,35 @@ def run_cli(argv, outdir: Path) -> str:
 def build_argv(name, cap):
     return ["build", "--input", str(FIXTURES / f"{name}.json"),
             "--degree-cap", str(cap), "--emit", "barcode,presentation,report,model"]
+
+
+def add_degree_one_generator(spec: dict):
+    """Add y1 of degree 1 to a saved model: born at stage 0, immortal, zero
+    in every stage model and homotopy.  Every stage algebra is then not
+    minimal."""
+    spec["generators"].append({"name": "y1", "degree": 1, "birth": 0, "death": None,
+                               "d": "0", "endpoint": None})
+    for images in spec["stage_models"]:
+        images["y1"] = "0"
+    for values in spec["homotopies"]:
+        values["y1"] = {}
+
+
+def double_birth_differential(spec: dict):
+    victim = next(g for g in spec["generators"] if g["degree"] == 3)
+    victim["d"] = "2*" + victim["d"]
+
+
+# Saved models (of the cap-5 build of a tower fixture) that `pmm check`
+# refuses, each changed in place: its report, or its error and no report.
+TAMPERED = {
+    "degree-1-generator": ("example3", add_degree_one_generator),
+    "homotopy-start": ("example1_case1", lambda spec: spec["homotopies"][0]["x2_0"]["poly"]
+                       .update({"0": "2*alpha"})),
+    "doubled-birth-differential": ("example1_case1", double_birth_differential),
+    "stage-image-of-degree-0": ("example3", lambda spec: spec["stage_models"][0]
+                                .update({"x4_0": "1"})),
+}
 
 
 def wedge_doc(k: int, cap: int) -> dict:
@@ -213,6 +253,13 @@ def compute_digests(tmp: Path) -> dict:
             out[f"check:{name}:{cap}"] = run_cli(
                 ["check", "--input", str(build_dir / "model.json")],
                 tmp / f"check-{name}-{cap}")
+    for case, (name, change) in TAMPERED.items():
+        doc = json.loads((tmp / f"build-{name}-5" / "model.json").read_text())
+        change(doc["model"])
+        path = tmp / f"tampered-{case}.json"
+        path.write_text(json.dumps(doc))
+        out[f"check-fails:{case}"] = run_cli(["check", "--input", str(path)],
+                                             tmp / f"check-{case}", with_stderr=True)
     wedge = tmp / "wedge3.json"
     wedge.write_text(json.dumps(wedge_doc(3, 5)))
     out["build:wedge3:5"] = run_cli(

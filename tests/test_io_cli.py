@@ -18,6 +18,7 @@ from pmm.pminimal import (
 )
 
 from .dense import dense_key, sparse_key
+from .golden import add_degree_one_generator
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -317,6 +318,21 @@ def test_cli_check_reports_a_doubled_birth_differential(tmp_path, capsys):
     assert rc == 1
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["structure"]["status"] == "fail"
+
+
+def test_cli_check_reports_a_degree_one_generator_once(tmp_path, capsys):
+    # Every stage algebra holds y1, so every stage fails minimality; the
+    # report names the first failure only.
+    doc = _built_model("example3")
+    add_degree_one_generator(doc["model"])
+    f = tmp_path / "model.json"
+    f.write_text(json.dumps(doc))
+    rc = main(["check", "--input", str(f), "--output", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["minimality"] == {"status": "fail",
+                                    "failures": ["generator y1 has degree 1 < 2"]}
 
 
 @pytest.mark.parametrize("name", ["example1_case1", "example3", "sphere3"])

@@ -194,6 +194,16 @@ def test_verify_surgery_rejects_broken_stage_model():
     assert report["connectivity"]["failures"] == ["boundary is not a cocycle: d*d != 0 upstream"]
 
 
+def test_verify_surgery_rejects_an_indecomposable_differential():
+    # d(b) = a is a linear term: the stage algebra is free but not minimal.
+    model = built_through_three()
+    model.algebras[0] = free_cdga([("b", 2), ("a", 3)], {"b": {((1, 1),): 1}}, ICAP)
+    new = [g.name for g in model.gen_records if g.degree == 3]
+    with pytest.raises(InternalError, match=re.escape(
+            "after degree-3 surgery: d(b) has an indecomposable term")):
+        _verify_surgery(model, 3, new)
+
+
 def test_verify_surgery_rejects_altered_homotopy_start():
     # Squares are checked once, by _verify_surgery on the step's new
     # generators (ConeMap trusts them); validate_model checks every generator.
