@@ -10,12 +10,13 @@ structure constants.  Both carry a mandatory degree cap: products and
 differentials truncate above the cap, which is a legitimate CDGA quotient
 because both operations only raise degree.
 
-`CdgaElement(algebra, terms)` coerces coefficients and drops zeros; it is the
-constructor for parsed input and callers outside the kernel.  The kernel's own
-results are made by `CdgaElement._of`, which trusts its terms to be nonzero
-Fractions.  An extension's basis is its base's basis times the monomials in
-the new generators (Λ(V ⊕ W) = ΛV ⊗ ΛW); a base basis not built yet is
-built the same way down the chain of bases and kept by that base.  A basis
+`CdgaElement(algebra, terms)` coerces coefficients, drops zeros and, over a
+free algebra, refuses a key that is no monomial; it is the constructor for
+parsed input and callers outside the kernel.  The kernel's own results are made
+by `CdgaElement._of`, which trusts its keys and its nonzero Fraction terms.
+An extension's basis is its base's basis times the monomials in the new
+generators (Λ(V ⊕ W) = ΛV ⊗ ΛW); a base basis not built yet is built the
+same way down the chain of bases and kept by that base.  A basis
 depends only on the generator degrees, so free algebras with the same degree
 tuple share one table of bases and positions, across stages, steps, builds
 and checks; a table lives while some algebra holds it.  What depends on
@@ -82,7 +83,11 @@ class CdgaElement:
 
     def __init__(self, algebra, terms: Mapping):
         self.algebra = algebra
-        self.terms = {k: frac(c) for k, c in terms.items() if c != 0}
+        self.terms = _coerced(terms.items())
+        if isinstance(algebra, FreeCDGA):
+            for k in self.terms:
+                if not _is_monomial(k, algebra._degrees):
+                    raise ValidationError(f"{k!r:.60} is not a monomial of the algebra")
 
     @classmethod
     def _of(cls, algebra, terms: dict) -> "CdgaElement":
@@ -140,6 +145,11 @@ class CdgaElement:
             raise ValidationError("elements belong to different algebras")
 
 
+def _coerced(pairs: Iterable[tuple]) -> dict:
+    """{key: Fraction} of the (key, coefficient) pairs, zeros dropped."""
+    return {k: frac(c) for k, c in pairs if c != 0}
+
+
 def _add_into(out: dict, terms: Mapping, c: Optional[Fraction] = None):
     """out += c * terms (c = 1 when None), in place.  A key whose sum cancels
     is deleted at once, so `out` holds the terms, in the order, that adding
@@ -192,7 +202,7 @@ class _GradedAlgebra:
         """The degree-n element with these coordinates in the basis of A^n."""
         keys = self.basis_keys(n)
         check_keys(coords, len(keys), f"from_vector in degree {n}")
-        return CdgaElement(self, {keys[j]: coords[j] for j in sorted(coords)})
+        return CdgaElement._of(self, _coerced((keys[j], coords[j]) for j in sorted(coords)))
 
     def is_simply_connected(self) -> bool:
         return self.cohomology_space(0).dim == 1 and self.cohomology_space(1).dim == 0
@@ -248,7 +258,7 @@ class FreeCDGA(_GradedAlgebra):
         self._dmono_cache: dict[Monomial, dict[Monomial, Fraction]] = {}
         self._dmat_cache: dict[int, QMatrix] = {}
         self._h_cache: dict[int, CohomologySpace] = {}
-        self._diff = {g.name: CdgaElement(self, differential_terms.get(g.name, {})).terms
+        self._diff = {g.name: _coerced(differential_terms.get(g.name, {}).items())
                       for g in self.generators}
         checked = 0
         if base is not None:
@@ -693,14 +703,15 @@ def cohomology(a: Algebra, n: int) -> tuple[int, list[CdgaElement]]:
     return space.dim, [a.from_vector(n, r) for r in space.reps]
 
 
-def check_minimality(algebra: FreeCDGA) -> None:
-    """Every generator has degree >= 2 and a decomposable differential."""
+def check_minimality(algebra: FreeCDGA) -> list[str]:
+    """[] when every generator has degree >= 2 and a decomposable
+    differential; else the first failure, as a one-item list."""
     for g in algebra.generators:
         if g.degree < 2:
-            raise InternalError(f"generator {g.name} has degree {g.degree} < 2")
-        for mono in algebra.generator_diff(g.name).terms:
-            if sum([e for _, e in mono]) < 2:
-                raise InternalError(f"d({g.name}) has an indecomposable term")
+            return [f"generator {g.name} has degree {g.degree} < 2"]
+        if any(sum([e for _, e in mono]) < 2 for mono in algebra.generator_diff(g.name).terms):
+            return [f"d({g.name}) has an indecomposable term"]
+    return []
 
 
 def indecomposables(a: FreeCDGA, k: int) -> tuple[int, list[str]]:

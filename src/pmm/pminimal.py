@@ -31,22 +31,24 @@ The build checks each generator once, in the step that adds it; the
 `inherit` guards show that the old generators' differentials, images and
 homotopy values did not change.  validate_model checks every generator.
 
-Verification (README "Verification" has each invariant), build check [audit key]:
-- minimality: _verify_surgery, every stage algebra [minimality]
-- stage models and sigmas are CDGA maps (validate_morphism): _verify_surgery,
-  on the new generators [structure, every generator]
-- squares commute up to H (HomotopySquare.validate): _verify_surgery, on the
-  new generators [homotopy_identities, every generator]; the end points of H
-  are then CDGA maps, being equal to composites of CDGA maps
-- integration identity: _verify_surgery on the new generators, in degree k
-  (check_homotopy_identity) [homotopy_identities, every monomial]
-- stage cones acyclic through k: _verify_surgery reduces H^{k-2..k}; H^{<=k-3}
-  is carried after the equal-matrix check [connectivity]; stage_cones() reuses
-  a cone only while its model map is the same object, so validate_model reads
+Verification (README "Verification" has each invariant).  _audit is the one
+home of the first six checks, each failure under its report [key]: the build
+runs it on the new generators after each step (_verify_surgery raises its
+first failure), validate_model on every generator.
+- minimality: every stage algebra (check_minimality) [minimality]
+- stage models and sigmas are CDGA maps (validate_morphism) [structure]
+- squares commute up to H (HomotopySquare.validate) [homotopy_identities];
+  the end points of H are then CDGA maps, being equal to composites of CDGA maps
+- integration identity through k (check_homotopy_identity), on every
+  monomial or on the new generators' columns [homotopy_identities]
+- stage cones acyclic through k [connectivity]: the build reduces H^{k-2..k}
+  and carries H^{<=k-3} after the equal-matrix check; stage_cones() reuses a
+  cone only while its model map is the same object, so validate_model reads
   the build's cones
-- d^2 = 0: hirsch_extend, on the new generators
 - each homotopy is a CDGA map into the path algebra (validate_morphism):
-  _extend_state, on the new generators [homotopy_identities, every generator]
+  _audit without a window; in the build, _extend_state on the new generators
+  [homotopy_identities]
+- d^2 = 0: hirsch_extend, on the new generators
 - d phi = phi d: ConeMap.check_chain_map, trusting its square, in degrees 1
   and 2 at the first step and k after it, so each degree once (cone_classes)
   [implied by homotopy_identities and structure; cone_maps() without a
@@ -383,47 +385,47 @@ def _attach_generators(algebras: Sequence[FreeCDGA], sigmas: Sequence[CdgaMorphi
 
 
 def _verify_surgery(model: TameMinimalModel, k: int, new_names: list[str]):
-    """The build's checks after degree-k surgery, each on the new generators
-    only (the `inherit` guards of _extend_state pin the old ones): stage
-    models and sigmas are CDGA maps, each square commutes up to H, and the
-    integration identity holds in degree k; then minimality, and H^j of the
-    stage cones for j <= k (H^{j <= k-3} carried by _extend_state)."""
+    """The build's audit after degree-k surgery, on the new generators only
+    (the `inherit` guards of _extend_state pin the old ones, and
+    _extend_state checks the new homotopy values): the first failure raises.
+    H^{j <= k-3} of the stage cones is carried by _extend_state."""
     names = [[name for name in new_names if name in alg.index_of] for alg in model.algebras]
-    failures = _structure_failures(model, model.target, names) or _minimality_failures(model)
-    if not failures:
-        for r, square in enumerate(model.stage_squares()):
-            problems = square.validate(names[r]) or [
-                f"integration {p}" for p in check_homotopy_identity(square.homotopy, k, names[r])]
-            if problems:
-                raise InternalError(f"{problems[0]} at stage {r}")
-        failures = connectivity_failures(model.stage_cones(), k)
+    failures = [f for fs in _audit(model, model.target, k, names).values() for f in fs]
     if failures:
         raise InternalError(f"after degree-{k} surgery: {failures[0]}")
 
 
-def _structure_failures(model: TameMinimalModel, target: PersistentCDGA,
-                        names: Optional[list] = None) -> list[str]:
-    """Stage models and structure maps are CDGA maps (on every generator, or
-    on names[r] at stage r); models land in target."""
-    names = names or [None] * len(model.models)
-    failures = []
+def _audit(model: TameMinimalModel, target: PersistentCDGA, through: int,
+           names: Optional[list] = None) -> dict[str, list[str]]:
+    """The failures of each invariant class the module docstring marks, in
+    the report's wording and the order the build raises them, through degree
+    `through`, on every generator or on names[r] at stage r."""
+    window = names if names is not None else [None] * len(model.algebras)
+    structure = []
     for r, m in enumerate(model.models):
-        failures.extend(f"m({r}): {p}" for p in validate_morphism(m, names[r]))
+        structure.extend(f"m({r}): {p}" for p in validate_morphism(m, window[r]))
         if m.codomain is not target.stages[r]:
-            failures.append(f"m({r}) does not land in the given target")
+            structure.append(f"m({r}) does not land in the given target")
     for r, sigma in enumerate(model.sigmas):
-        failures.extend(f"sigma({r}): {p}" for p in validate_morphism(sigma, names[r]))
-    return failures
-
-
-def _minimality_failures(model: TameMinimalModel) -> list[str]:
-    """The first stage algebra that is not minimal, if any."""
+        structure.extend(f"sigma({r}): {p}" for p in validate_morphism(sigma, window[r]))
+    identities = []
+    for r, square in enumerate(model.stage_squares()):
+        try:
+            problems = ([f"homotopy: {p}" for p in validate_morphism(square.homotopy)]
+                        if names is None else []) or square.validate(window[r])
+            if problems:
+                raise InternalError(f"{problems[0]} at stage {r}")
+            identities.extend(f"stage {r}: {p}" for p in check_homotopy_identity(
+                square.homotopy, through, window[r]))
+        except (InternalError, ValidationError) as exc:
+            identities.append(f"stage {r}: {exc}")
     try:
-        for alg in model.algebras:
-            check_minimality(alg)
-    except InternalError as exc:
-        return [str(exc)]
-    return []
+        connectivity = connectivity_failures(model.stage_cones(), through)
+    except InternalError as exc:  # d*d != 0 on a cone: a stage model is no chain map
+        connectivity = [str(exc)]
+    return {"structure": structure,
+            "minimality": next((f for alg in model.algebras if (f := check_minimality(alg))), []),
+            "homotopy_identities": identities, "connectivity": connectivity}
 
 
 def build_persistent_minimal_model(a: PersistentCDGA, cap: Optional[int] = None
@@ -502,79 +504,45 @@ def homotopy_barcode(model: TameMinimalModel) -> PiBarcode:
 
 def validate_model(model: TameMinimalModel,
                    against: Optional[PersistentCDGA] = None) -> dict:
-    """Machine-readable pass/fail per invariant class."""
-    target = against if against is not None else model.target
+    """Machine-readable pass/fail per invariant class: the audit of every
+    generator (_audit), the endpoint law and the Hirsch certificates."""
     cap = model.degree_done
-    report: dict = {"schema_version": 1}
-
-    failures = _minimality_failures(model)
-    report["minimality"] = {"status": "pass" if not failures else "fail",
-                            "failures": failures}
-
-    try:
-        failures = connectivity_failures(model.stage_cones(), cap)
-    except InternalError as exc:  # d*d != 0 on a cone: a stage model is no chain map
-        failures = [str(exc)]
-    report["connectivity"] = {"status": "pass" if not failures else "fail",
-                              "checked_through_degree": cap, "failures": failures}
-
-    failures = []
-    for r, square in enumerate(model.stage_squares()):
-        try:
-            problems = ([f"homotopy: {p}" for p in validate_morphism(square.homotopy)]
-                        or square.validate())
-            if problems:
-                raise InternalError(f"{problems[0]} at stage {r}")
-            problems = check_homotopy_identity(square.homotopy, cap)
-            failures.extend(f"stage {r}: {p}" for p in problems)
-        except (InternalError, ValidationError) as exc:
-            failures.append(f"stage {r}: {exc}")
-    report["homotopy_identities"] = "pass" if not failures else \
-        {"status": "fail", "failures": failures}
-
-    failures = []
-    for g in model.generators:
-        if g.death == INF:
-            continue
-        pushed = model.pushforward(g.birth_differential, g.birth, int(g.death))
-        du = differential(g.endpoint_image)
-        if du != pushed:
-            failures.append(f"endpoint law fails for {g.name}")
-    report["endpoint_law"] = "pass" if not failures else \
-        {"status": "fail", "failures": failures}
-
+    audit = _audit(model, against if against is not None else model.target, cap)
+    gens = model.generators
+    endpoint = [f"endpoint law fails for {g.name}" for g in gens if g.death != INF
+                and model.pushforward(g.birth_differential, g.birth, int(g.death))
+                != differential(g.endpoint_image)]
     certs = []
-    all_ok = True
-    by_degree: dict[int, list[PersistentGenerator]] = {}
-    for g in model.generators:
-        by_degree.setdefault(g.degree, []).append(g)
-    for k in sorted(by_degree):
-        problems = _hirsch_certificate_problems(model, k, by_degree[k])
-        all_ok = all_ok and not problems
+    for k in sorted({g.degree for g in gens}):
+        layer = [g for g in gens if g.degree == k]
+        problems = _hirsch_certificate_problems(model, k, layer)
         certs.append({
             "degree": k,
             "generators": [{"name": g.name,
                             "birth": str(model.grid.times[g.birth]),
                             "death": None if g.death == INF
                             else str(model.grid.times[int(g.death)])}
-                           for g in by_degree[k]],
+                           for g in layer],
             "status": "pass" if not problems else "fail",
             "failures": problems,
         })
-    report["hirsch_certificates"] = certs
 
-    failures = _structure_failures(model, target)
-    report["structure"] = {"status": "pass" if not failures else "fail",
-                           "failures": failures}
+    def status(failures):
+        return {"status": "pass" if not failures else "fail", "failures": failures}
 
-    def passed(entry):
-        return entry == "pass" or (isinstance(entry, dict)
-                                   and entry.get("status") == "pass")
-
-    report["ok"] = all(passed(report[key]) for key in (
-        "minimality", "connectivity", "homotopy_identities",
-        "endpoint_law", "structure")) and all_ok
-    return report
+    identities = audit["homotopy_identities"]
+    return {
+        "schema_version": 1,
+        "minimality": status(audit["minimality"]),
+        "connectivity": {"status": "fail" if audit["connectivity"] else "pass",
+                         "checked_through_degree": cap, "failures": audit["connectivity"]},
+        "homotopy_identities": "pass" if not identities else status(identities),
+        "endpoint_law": "pass" if not endpoint else status(endpoint),
+        "hirsch_certificates": certs,
+        "structure": status(audit["structure"]),
+        "ok": not any(audit.values()) and not endpoint
+        and all(c["status"] == "pass" for c in certs),
+    }
 
 
 def _hirsch_certificate_problems(model: TameMinimalModel, k: int,

@@ -1,5 +1,6 @@
 import gc
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -128,7 +129,7 @@ def test_d_squared_enforced():
         free_cdga([("a", 2), ("u", 2)], {"u": scratch.gen("a")}, 8)
 
 
-@pytest.mark.parametrize("key", [
+MALFORMED_KEYS = [
     (2, 0, 0),            # a dense exponent tuple of the wrong length
     (2, 0),               # a dense exponent tuple of the right length
     (2,),
@@ -145,10 +146,24 @@ def test_d_squared_enforced():
     ((0, 1), (0, 1)),
     ((2, 1),),            # an index out of range
     ((-1, 2),),
-])
+]
+
+
+@pytest.mark.parametrize("key", MALFORMED_KEYS)
 def test_a_malformed_monomial_is_refused_naming_its_generator(key):
     with pytest.raises(ValidationError, match=r"^d\(y\) has a malformed monomial"):
         free_cdga([("a", 2), ("y", 3)], {"y": {key: 1}}, 8)
+
+
+@pytest.mark.parametrize("key", MALFORMED_KEYS + [(1, 0)])
+def test_an_element_refuses_a_malformed_key_naming_it(key):
+    # {(1, 0): 3} was accepted, and its repr and to_sparse raised a raw TypeError.
+    m = free_cdga([("a", 2), ("y", 3)], {"y": {((0, 2),): 1}}, 8)
+    for make in (lambda terms: CdgaElement(m, terms), m.element):
+        with pytest.raises(ValidationError,
+                           match=f"^{re.escape(repr(key))} is not a monomial of the algebra$"):
+            make({key: 3})
+    assert m.element({((0, 1),): 3, ((1, 1),): 0}).terms == {((0, 1),): Fraction(3)}
 
 
 def test_an_odd_generator_squared_is_a_malformed_monomial():

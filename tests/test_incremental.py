@@ -631,8 +631,13 @@ def test_build_checks_the_integration_identity_on_new_generators():
     h.gen_images["x2_0"] = h.gen_images["x2_0"] + h.codomain.tensor(w, 0, 1)
     h._images.clear()
     h._mat_cache.clear()
-    with pytest.raises(InternalError, match="integration identity fails on x2_0 at stage 0"):
+    with pytest.raises(InternalError,
+                       match="^after degree-2 surgery: stage 0: identity fails on x2_0$"):
         pminimal._verify_surgery(model, 2, ["x2_0"])
+    # d(w dt) = a dt: H is no CDGA map, which the build checks in
+    # _extend_state and validate_model before the square and the identity.
+    assert validate_model(model)["homotopy_identities"]["failures"] == [
+        "stage 0: homotopy: d-compatibility fails on generator x2_0 at stage 0"]
 
 
 def test_build_checks_the_chain_condition_on_new_generators(monkeypatch):
