@@ -20,8 +20,7 @@ from .errors import InternalError, SchemaError, ValidationError
 from .io import (
     SCHEMA_VERSION, barcode_payload, dump_json, emit_barcode,
     emit_presentation, emit_report, load_input, load_model,
-    load_pcomplex, load_pcomplex_map, load_persistence_module,
-    model_payload, presentation_payload,
+    load_pcomplex, load_pcomplex_map, load_persistence_module, model_payload,
 )
 from .persistence import INF, interval_decompose
 from .pminimal import (
@@ -91,7 +90,7 @@ def cmd_build(args) -> int:
     else:
         print(json.dumps({
             "barcode": barcode_payload(homotopy_barcode(model).bars, model.grid),
-            "presentation": presentation_payload(model)["text"],
+            "presentation": presentation(model).text(),
             "ok": report["ok"],
         }, sort_keys=True))
     if not report["ok"]:

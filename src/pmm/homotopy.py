@@ -21,7 +21,8 @@ identity above, in every degree n where B^n != 0: elsewhere both sides map
 into the zero space).  Its columns I_H(a) (`integrate_01`) and g(a) - f(a)
 (`_end_difference`) are each one pass over the terms b t^j dt^e of the
 memoised H(a): the dt terms weighted (-1)^{|b|}/(j+1), and the terms t^j,
-j >= 1, without dt.
+j >= 1, without dt.  They and the evaluations and `integrate_0t` are kernel
+results, made with `CdgaElement._of` (cancelled keys dropped by `_summed`).
 
 Mapping cones and cone maps are the block matrices [[A, 0], [B, C]] of the
 per-degree matrices their algebras, maps and homotopy cache, each written in
@@ -34,7 +35,6 @@ Fractions.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Optional, Sequence
 
 from .cdga import (
@@ -47,25 +47,21 @@ from .exactla import ONE, QMatrix, Row, _lower_block, split_row
 
 def eval_at_0(u: CdgaElement) -> CdgaElement:
     """b t^j dt^e -> b when j = e = 0, else 0."""
-    return CdgaElement(u.algebra.base, {b: c for (b, j, e), c in u.terms.items() if j == e == 0})
+    return CdgaElement._of(u.algebra.base,
+                           {b: c for (b, j, e), c in u.terms.items() if j == e == 0})
 
 
 def eval_at_1(u: CdgaElement) -> CdgaElement:
     """b t^j -> b, b t^j dt -> 0."""
-    out: dict = {}
-    for (b, _, e), c in u.terms.items():
-        if not e:
-            out[b] = out.get(b, 0) + c
-    return CdgaElement(u.algebra.base, out)
+    return _summed(u.algebra.base, ((b, c) for (b, _, e), c in u.terms.items() if not e))
 
 
 def integrate_0t(u: CdgaElement) -> CdgaElement:
     """t^k -> 0, t^k dt -> t^{k+1}/(k+1), with tensor sign (-1)^{|b|}."""
     _check_integration_convention()
-    base = u.algebra.base
-    return CdgaElement(u.algebra, {
-        (b, j + 1, 0): c * Fraction(-1 if base.key_degree(b) % 2 else 1, j + 1)
-        for (b, j, e), c in u.terms.items() if e})
+    degree = u.algebra.base.key_degree
+    return CdgaElement._of(u.algebra, {(b, j + 1, 0): (-c if degree(b) % 2 else c) / (j + 1)
+                                       for (b, j, e), c in u.terms.items() if e})
 
 
 def integrate_01(u: CdgaElement) -> CdgaElement:

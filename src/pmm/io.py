@@ -3,7 +3,8 @@
 One canonical machine format; rational numbers travel as exact strings
 ("1/3", never decimals), outputs are deterministic (sorted keys, fixed
 orderings, no timestamps), and every document carries enough structure to
-be reloaded and re-validated.
+be reloaded and re-validated.  A degree-keyed object of matrices (a complex's
+d and maps, a map document's components) has one reader, `_matrices`.
 """
 from __future__ import annotations
 
@@ -248,6 +249,16 @@ def load_matrix(rows, want_rows: int, want_cols: int, where: str) -> QMatrix:
     return QMatrix._of(want_rows, want_cols, tuple(data))
 
 
+def _matrices(spec: dict, where: str, top: int, shape, name: str) -> dict[int, QMatrix]:
+    """An object of matrices keyed by degree, each key (k in 0..top, else
+    refused in `where`) read before its matrix, of shape(k), named f"{name},{k})"."""
+    out = {}
+    for key, rows in spec.items():
+        k = _key(key, where, top)
+        out[k] = load_matrix(rows, *shape(k), f"{name},{k})")
+    return out
+
+
 def _bound_nonzeros(mats, bound: int, what: str, entries: str):
     nonzeros = sum(m.nonzeros() for m in mats)
     if nonzeros > bound:
@@ -295,22 +306,12 @@ def load_pcomplex(doc: dict) -> PersistentComplex:
     total = sum(len(labs) for stage in labels for labs in stage)
     if total > MAX_COMPLEX_LABELS:
         raise SchemaError(f"complex too large: {total} basis labels is over {MAX_COMPLEX_LABELS}")
-    d = []
-    for r, spec in enumerate(stage_specs):
-        dd = {}
-        for key, rows in _optional(spec, "d", "complex stage", dict).items():
-            k = _key(key, f"d of stage {r}", max_degree - 1)
-            dd[k] = load_matrix(rows, len(labels[r][k + 1]), len(labels[r][k]),
-                                f"d({r},{k})")
-        d.append(dd)
-    sigma = []
-    for r, spec in enumerate(_objects(doc, "maps", "complex", len(grid) - 1)):
-        ss = {}
-        for key, rows in spec.items():
-            k = _key(key, f"map {r}", max_degree)
-            ss[k] = load_matrix(rows, len(labels[r + 1][k]), len(labels[r][k]),
-                                f"sigma({r},{k})")
-        sigma.append(ss)
+    d = [_matrices(_optional(spec, "d", "complex stage", dict), f"d of stage {r}",
+                   max_degree - 1, lambda k: (len(labels[r][k + 1]), len(labels[r][k])), f"d({r}")
+         for r, spec in enumerate(stage_specs)]
+    sigma = [_matrices(spec, f"map {r}", max_degree,
+                       lambda k: (len(labels[r + 1][k]), len(labels[r][k])), f"sigma({r}")
+             for r, spec in enumerate(_objects(doc, "maps", "complex", len(grid) - 1))]
     _bound_nonzeros([m for mats in d + sigma for m in mats.values()],
                     MAX_COMPLEX_NONZEROS, "complex", "d and map")
     try:
@@ -322,15 +323,10 @@ def load_pcomplex(doc: dict) -> PersistentComplex:
 def load_pcomplex_map(doc: dict) -> PComplexMap:
     source = load_pcomplex(_need(doc, "source", "map document", dict))
     target = load_pcomplex(_need(doc, "target", "map document", dict))
-    comp_specs = _objects(doc, "components", "map document", len(source.grid))
-    comps = []
-    for r, spec in enumerate(comp_specs):
-        cc = {}
-        for key, rows in spec.items():
-            k = _key(key, f"component {r}", source.max_degree)
-            cc[k] = load_matrix(rows, target.dim(r, k), source.dim(r, k),
-                                f"component ({r},{k})")
-        comps.append(cc)
+    comps = [_matrices(spec, f"component {r}", source.max_degree,
+                       lambda k: (target.dim(r, k), source.dim(r, k)), f"component ({r}")
+             for r, spec in enumerate(_objects(doc, "components", "map document",
+                                               len(source.grid)))]
     _bound_nonzeros([m for cc in comps for m in cc.values()],
                     MAX_COMPLEX_NONZEROS, "map", "component")
     try:
@@ -350,20 +346,6 @@ def barcode_payload(bars, grid: Grid) -> list[dict]:
             "death": None if b.death == INF else str(grid.times[int(b.death)]),
         })
     return out
-
-
-def presentation_payload(model: TameMinimalModel) -> dict:
-    pres = presentation(model)
-    return {
-        "generators": [{
-            "name": e.name, "degree": e.degree,
-            "birth": str(e.birth_time),
-            "death": None if e.death_time is None else str(e.death_time),
-            "differential": e.differential,
-            "endpoint": e.endpoint,
-        } for e in pres.entries],
-        "text": pres.text(),
-    }
 
 
 def model_payload(model: TameMinimalModel, input_doc: dict) -> dict:
@@ -485,6 +467,4 @@ def emit_presentation(model: TameMinimalModel, path: str, verbose: bool = False)
 
 
 def emit_report(report: dict, path: str):
-    report = dict(report)
-    report.setdefault("schema_version", SCHEMA_VERSION)
     dump_json(report, path)

@@ -127,12 +127,13 @@ class BarRepresentative:
 
 
 class _Live:
-    __slots__ = ("birth", "order", "vectors")
+    __slots__ = ("birth", "order", "vectors", "death")
 
     def __init__(self, birth, order, first_vector):
         self.birth = birth
         self.order = order
         self.vectors = {birth: first_vector}
+        self.death = INF
 
 
 def interval_decompose(m: PersistenceModule) -> tuple[list[Bar], list[BarRepresentative]]:
@@ -146,12 +147,8 @@ def interval_decompose(m: PersistenceModule) -> tuple[list[Bar], list[BarReprese
     """
     n = len(m.dims)
     finished: list[_Live] = []
-    deaths: dict[int, float] = {}
-    alive: list[_Live] = []
-    counter = 0
-    for b in range(m.dims[0]):
-        alive.append(_Live(0, counter, {b: ONE}))
-        counter += 1
+    alive = [_Live(0, b, {b: ONE}) for b in range(m.dims[0])]
+    counter = len(alive)
 
     for i in range(n - 1):
         t = m.maps[i]
@@ -166,7 +163,7 @@ def interval_decompose(m: PersistenceModule) -> tuple[list[Bar], list[BarReprese
             # order), so the combination exists on the target's whole support.
             for idx in range(target.birth, i + 1):
                 target.vectors[idx] = combine((c, alive[j].vectors[idx]) for j, c in kv.items())
-            deaths[target.order] = i + 1
+            target.death = i + 1
             finished.append(target)
         survivors = []
         for pos, lv in enumerate(alive):
@@ -175,20 +172,15 @@ def interval_decompose(m: PersistenceModule) -> tuple[list[Bar], list[BarReprese
             lv.vectors[i + 1] = t.apply(lv.vectors[i])
             survivors.append(lv)
         alive = survivors
-        newborn = quotient_basis([lv.vectors[i + 1] for lv in alive], m.dims[i + 1])
-        for v in newborn:
-            nb = _Live(i + 1, counter, v)
+        for v in quotient_basis([lv.vectors[i + 1] for lv in alive], m.dims[i + 1]):
+            alive.append(_Live(i + 1, counter, v))
             counter += 1
-            alive.append(nb)
 
-    for lv in alive:
-        deaths[lv.order] = INF
-        finished.append(lv)
-
-    finished.sort(key=lambda lv: (lv.birth, deaths[lv.order] == INF, deaths[lv.order], lv.order))
+    finished += alive
+    finished.sort(key=lambda lv: (lv.birth, lv.death == INF, lv.death, lv.order))
     bars, reps = [], []
     for lv in finished:
-        bar = Bar(lv.birth, deaths[lv.order])
+        bar = Bar(lv.birth, lv.death)
         bars.append(bar)
         reps.append(BarRepresentative(bar, dict(lv.vectors)))
     return bars, reps

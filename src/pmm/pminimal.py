@@ -315,8 +315,7 @@ def _extend_state(model: TameMinimalModel, k: int, gens: list[PersistentGenerato
 
     models = []
     for r in range(n):
-        images = {g.name: model.models[r].gen_images[g.name]
-                  for g in old_algs[r].generators}
+        images = dict(model.models[r].gen_images)
         for g, (sections, _) in zip(gens, parts):
             if g.alive_at(r):
                 images[g.name] = sections[r][1]
