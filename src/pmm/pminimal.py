@@ -420,7 +420,7 @@ def _audit(model: TameMinimalModel, target: PersistentCDGA, through: int,
             identities.append(f"stage {r}: {exc}")
     try:
         connectivity = connectivity_failures(model.stage_cones(), through)
-    except InternalError as exc:  # d*d != 0 on a cone: a stage model is no chain map
+    except (InternalError, ValidationError) as exc:  # d*d != 0, or an image of a wrong degree
         connectivity = [str(exc)]
     return {"structure": structure,
             "minimality": next((f for alg in model.algebras if (f := check_minimality(alg))), []),

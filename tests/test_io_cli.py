@@ -335,6 +335,24 @@ def test_cli_check_reports_a_degree_one_generator_once(tmp_path, capsys):
                                     "failures": ["generator y1 has degree 1 < 2"]}
 
 
+def test_cli_check_reports_a_stage_image_of_the_wrong_degree(tmp_path, capsys):
+    # The cone of a stage model with a degree-0 image of x4_0 cannot be
+    # assembled; the check reports that under connectivity, with the rest.
+    doc = _built_model("example3")
+    doc["model"]["stage_models"][0]["x4_0"] = "1"
+    f = tmp_path / "model.json"
+    f.write_text(json.dumps(doc))
+    rc = main(["check", "--input", str(f), "--output", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["structure"]["failures"] == ["m(0): image of x4_0 has wrong degree"]
+    assert report["homotopy_identities"]["failures"] == [
+        "stage 0: homotopy start mismatch on x4_0 at stage 0"]
+    assert report["connectivity"]["failures"] == ["term 1 of degree 0 in degree-4 vector"]
+    assert all(c["status"] == "pass" for c in report["hirsch_certificates"])
+
+
 @pytest.mark.parametrize("name", ["example1_case1", "example3", "sphere3"])
 def test_reload_attaches_the_builds_algebras_and_maps(name):
     doc = fixture(name)
