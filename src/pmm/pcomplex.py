@@ -127,8 +127,10 @@ def zero_complex(grid: Grid, max_degree: int) -> PersistentComplex:
 
 def interval_complex(grid: Grid, k: int, s: int, t,
                      max_degree: Optional[int] = None) -> PersistentComplex:
-    """The interval I^k_[s,t): one degree-k line alive on [s,t), zero d."""
-    md = max_degree if max_degree is not None else max(k, 0)
+    """The interval I^k_[s,t): one degree-k line alive on [s,t), zero d.
+    Refuses [s,t) off the grid (_check_lifespan), k off 0..max_degree."""
+    _check_lifespan(grid, s, t)
+    md = _cell_degrees(k, max_degree)
     alive = [s <= r and (t == INF or r < t) for r in range(len(grid))]
     labels = [[[f"i{k}"] if deg == k and live else [] for deg in range(md + 1)]
               for live in alive]
@@ -139,7 +141,8 @@ def interval_complex(grid: Grid, k: int, s: int, t,
 
 def interval_sphere(grid: Grid, k: int, s: int, t,
                     max_degree: Optional[int] = None) -> PersistentComplex:
-    """S^k_[s,t): the cocycle line on [s,t), completed to a disk from t on."""
+    """S^k_[s,t): the cocycle line on [s,t), completed to a disk from t on;
+    refuses what interval_complex refuses."""
     _check_lifespan(grid, s, t)
     if k == 0:
         # S^0 is a degree-0 line on [s,t); D^0 = 0 kills it afterwards.
@@ -148,7 +151,7 @@ def interval_sphere(grid: Grid, k: int, s: int, t,
 
 
 def _check_lifespan(grid: Grid, s: int, t):
-    """A sphere's lifespan [s, t): grid indices s < t, or t = INF."""
+    """A lifespan [s, t) of a cell: grid indices s < t, or t = INF."""
     n = len(grid)
     if not 0 <= s < n:
         raise ValidationError(f"invalid sphere birth s={s}")
@@ -158,7 +161,8 @@ def _check_lifespan(grid: Grid, s: int, t):
 
 def interval_disk(grid: Grid, k: int, s: int,
                   max_degree: Optional[int] = None) -> PersistentComplex:
-    """D^k_s: identity differential on two lines from s on; D^0 = 0."""
+    """D^k_s: identity differential on two lines from s on; D^0 = 0.
+    Refuses s off the grid and, for k > 0, k off 0..max_degree."""
     if not 0 <= s < len(grid):
         raise ValidationError(f"invalid disk index s={s}")
     if k == 0:
@@ -169,7 +173,7 @@ def interval_disk(grid: Grid, k: int, s: int,
 def _cell(grid: Grid, k: int, s: int, t, max_degree: Optional[int]) -> PersistentComplex:
     """A degree-k line x from s on and, from t on, a line y with d y = x."""
     n = len(grid)
-    md = max_degree if max_degree is not None else k
+    md = _cell_degrees(k, max_degree)
     labels = [[[] for _ in range(md + 1)] for _ in range(n)]
     d = [dict() for _ in range(n)]
     sigma = [dict() for _ in range(n - 1)]
@@ -185,6 +189,14 @@ def _cell(grid: Grid, k: int, s: int, t, max_degree: Optional[int]) -> Persisten
         if t != INF and r >= t:
             sigma[r][k - 1] = QMatrix.identity(1)
     return PersistentComplex(grid, md, labels, d, sigma)
+
+
+def _cell_degrees(k: int, max_degree: Optional[int]) -> int:
+    """A cell complex's max_degree (k when None), once 0 <= k <= max_degree."""
+    md = k if max_degree is None else max_degree
+    if not 0 <= k <= md:
+        raise ValidationError(f"invalid cell degree k={k}: need 0 <= k <= max_degree {md}")
+    return md
 
 
 def cohomology_module(grid: Grid, sigmas: Sequence[QMatrix],

@@ -310,8 +310,7 @@ def _extend_state(model: TameMinimalModel, k: int, gens: list[PersistentGenerato
     """
     n = len(model.grid)
     target = model.target
-    old_algs = model.algebras
-    new_algs, sigmas = _attach_generators(old_algs, model.sigmas, k, gens)
+    new_algs, sigmas = _attach_generators(model.algebras, model.sigmas, k, gens)
 
     models = []
     for r in range(n):

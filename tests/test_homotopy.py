@@ -738,3 +738,69 @@ def test_path_algebra_matches_the_interval_formulas(seed):
                                                   for b in old_v[0].values())
             truncated += bool(u.terms and v.terms) and n1 + n2 > base.degree_cap
     assert odd_past_dt and truncated
+
+
+# -- the evaluations are kernel results ------------------------------------------
+# eval_at_0, eval_at_1 and integrate_0t make their elements with
+# CdgaElement._of; the references go through the public constructor.
+
+
+def _ref_eval_at_0(u):
+    return CdgaElement(u.algebra.base, {b: c for (b, j, e), c in u.terms.items() if j == e == 0})
+
+
+def _ref_eval_at_1(u):
+    out = {}
+    for (b, _, e), c in u.terms.items():
+        if not e:
+            out[b] = out.get(b, 0) + c
+    return CdgaElement(u.algebra.base, out)
+
+
+def _ref_integrate_0t(u):
+    base = u.algebra.base
+    return CdgaElement(u.algebra, {
+        (b, j + 1, 0): c * Fraction(-1 if base.key_degree(b) % 2 else 1, j + 1)
+        for (b, j, e), c in u.terms.items() if e})
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_evaluations_and_integral_equal_the_public_constructor(seed):
+    rng = random.Random(900 + seed)
+    free = _random_chain(rng, rng.randint(5, 7), 3)[-1]
+    cancelled = 0
+    for base in (free, _finite_base()):
+        for _ in range(40):
+            u = _random_path_element(rng, base, rng.randint(0, base.degree_cap + 1))
+            for got, want in ((eval_at_0(u), _ref_eval_at_0(u)), (eval_at_1(u), _ref_eval_at_1(u)),
+                              (integrate_0t(u), _ref_integrate_0t(u))):
+                assert got.algebra is want.algebra
+                assert list(got.terms.items()) == list(want.terms.items())
+                assert all(type(c) is Fraction and c for c in got.terms.values())
+            poly = [b for b, _, e in u.terms if not e]
+            cancelled += len(set(poly)) > len(eval_at_1(u).terms)
+    assert cancelled
+
+
+def test_eval_at_1_drops_a_cancelled_term():
+    b = lam([("a", 2)])
+    p, a = b.path, b.gen("a")
+    u = p.tensor(a, 1) - p.tensor(a, 2)
+    assert len(u.terms) == 2
+    assert eval_at_1(u).terms == {}
+    assert eval_at_0(u).terms == {}
+
+
+def test_square_validation_runs_no_monomial_key_check(monkeypatch):
+    # The squares of a built free tower: every value H(x) is read through the
+    # evaluations, whose keys come from H's own terms.
+    from pmm import cdga
+
+    squares = [sq for seed in (7, 508) for sq in build_persistent_minimal_model(
+        random_tower(random.Random(seed), 6, n_stages=4, max_gens=3)).stage_squares()]
+    assert any(v.terms for sq in squares for v in sq.homotopy.gen_images.values())
+    calls = []
+    real = cdga._is_monomial
+    monkeypatch.setattr(cdga, "_is_monomial", lambda *a: calls.append(a) or real(*a))
+    assert all(sq.validate() == [] for sq in squares)
+    assert calls == []

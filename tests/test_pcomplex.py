@@ -103,6 +103,23 @@ def test_hom_from_sphere_refuses_a_lifespan_outside_the_grid(s, t, message):
             call()
 
 
+@pytest.mark.parametrize("make, message", [
+    (lambda g: interval_sphere(g, 5, 0, 2, max_degree=3),
+     "invalid cell degree k=5: need 0 <= k <= max_degree 3"),
+    (lambda g: interval_disk(g, 5, 0, max_degree=3),
+     "invalid cell degree k=5: need 0 <= k <= max_degree 3"),
+    (lambda g: interval_complex(g, 2, 2, 1),
+     "invalid sphere death t=1: need a grid index after s"),
+    (lambda g: interval_complex(g, 5, 0, 2, max_degree=3),
+     "invalid cell degree k=5: need 0 <= k <= max_degree 3")],
+    ids=["sphere-above-max-degree", "disk-above-max-degree", "interval-death-before-birth",
+         "interval-above-max-degree"])
+def test_interval_cells_refuse_a_bad_lifespan_or_degree(make, message):
+    # Each used to fail with a raw IndexError or return the zero complex.
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        make(grid_of(3))
+
+
 @pytest.mark.parametrize("data, message", [
     (SphereMapData(2, 0, INF, (1, 0), None), "cocycle has the wrong length"),
     (SphereMapData(1, 0, INF, (1,), None), "attaching element is not a cocycle"),
