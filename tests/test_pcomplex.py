@@ -115,7 +115,8 @@ def test_hom_from_sphere_refuses_a_lifespan_outside_the_grid(s, t, message):
     ids=["sphere-above-max-degree", "disk-above-max-degree", "interval-death-before-birth",
          "interval-above-max-degree"])
 def test_interval_cells_refuse_a_bad_lifespan_or_degree(make, message):
-    # Each used to fail with a raw IndexError or return the zero complex.
+    # A degree past max_degree is not indexed into the degree lists, and an
+    # empty lifespan is not built as the zero complex.
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         make(grid_of(3))
 
