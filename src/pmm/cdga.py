@@ -14,12 +14,12 @@ because both operations only raise degree.
 free algebra, refuses a key that is no monomial; it is the constructor for
 parsed input and callers outside the kernel.  The kernel's own results are made
 by `CdgaElement._of`, which trusts its keys and its nonzero Fraction terms.
-An extension's basis is its base's basis times the monomials in the new
-generators (Λ(V ⊕ W) = ΛV ⊗ ΛW); a base basis not built yet is built the
-same way down the chain of bases and kept by that base.  A basis
-depends only on the generator degrees, so free algebras with the same degree
+A basis depends only on the generator degrees: ΛV = ⊗_d Λ(V^d), symmetric
+on each even degree d and exterior on each odd one, so `_monomials` picks a
+multiset or a set from each degree class.  Free algebras with the same degree
 tuple share one table of bases and positions, across stages, steps, builds
-and checks; a table lives while some algebra holds it.  What depends on
+and checks; a table lives while some algebra holds it, and an extension
+takes its base's bases below its first added generator.  What depends on
 the differentials (d-matrices, cohomology, the carry guard's identity answer)
 stays with each algebra.  A free algebra differentiates a monomial p·x by the
 Leibniz rule on the memoised d(p), each product signed by `mul_keys`.  Bases
@@ -47,8 +47,8 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
-from functools import lru_cache
 from fractions import Fraction
+from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
 from .cochain import CohomologySpace, compute_cohomology
@@ -250,10 +250,6 @@ class FreeCDGA(_GradedAlgebra):
             table = _BASES[self._degrees] = _Bases()
         self._basis_cache: dict[int, tuple[Monomial, ...]] = table
         self._basis_pos: dict[int, dict[Monomial, int]] = table.pos
-        # Its count of generators, its basis cache and its base's record (None
-        # without a base), so that a basis can be built down the chain.  The
-        # record is this algebra's own, even where the cache is shared.
-        self._chain: _Chain = (len(self.generators), self._basis_cache, None)
         # Term dicts, not elements: an element would hold self, a cycle.
         self._dmono_cache: dict[Monomial, dict[Monomial, Fraction]] = {}
         self._dmat_cache: dict[int, QMatrix] = {}
@@ -286,14 +282,21 @@ class FreeCDGA(_GradedAlgebra):
             return False
         return all(self._diff[g.name] == base._diff[g.name] for g in base.generators)
 
+    _base_ref = None  # a weak reference to the base checked by `extends`
+
     def _inherit(self, base: "FreeCDGA"):
-        """Take base's d-matrices in the degrees we share and its differentials
-        of monomials (self extends base); `basis_keys` reads base's bases.
-        The memo is copied, not shared: a sibling extension of base may give
-        another generator our first added index."""
+        """Take base's bases, positions and d-matrices in the degrees below
+        the first added generator, and its differentials of monomials (self
+        extends base), and name base weakly for `unchanged_below`.  The memo
+        is copied, not shared: a sibling extension of base may give another
+        generator our first added index."""
         added = self.generators[len(base.generators):]
         low = min((g.degree for g in added), default=self.degree_cap + 1)
-        self._chain = (len(self.generators), self._basis_cache, base._chain)
+        self._base_ref = weakref.ref(base)
+        for n, pos in base._basis_pos.items():
+            if n < low:
+                self._basis_cache.setdefault(n, base._basis_cache[n])
+                self._basis_pos.setdefault(n, pos)
         for n, mat in base._dmat_cache.items():
             if n + 1 < low:
                 self._dmat_cache[n] = mat
@@ -313,21 +316,20 @@ class FreeCDGA(_GradedAlgebra):
     _term_order = staticmethod(_dense_order)
 
     def basis_keys(self, n: int) -> tuple[Monomial, ...]:
-        """All degree-n monomials, ordered by (total exponent, lexicographic).
+        """All degree-n monomials (`_monomials`), ordered by total exponent
+        and then as their dense exponent tuples (`_dense_order`).
 
-        On an extension Λ(V ⊕ W) = ΛV ⊗ ΛW of a base ΛV, they are the base's
-        degree-(n−j) monomials times the degree-j monomials in W's generators;
-        a base basis not built yet is built the same way from the base's own
-        base, down the chain, and kept in the base's cache (`_chain_basis`).
-        The caches are shared by all algebras with the same generator degrees,
-        so a basis any of them built is read, not built again.
+        The table is shared by all algebras with the same generator degrees,
+        so a basis any of them built, or an extension took from its base, is
+        read, not built again.
         """
         if n > self.degree_cap:
             raise ValidationError(f"degree {n} above cap {self.degree_cap}")
         keys = self._basis_cache.get(n)
         if keys is None:
-            keys = _chain_basis(self._degrees, self._chain, n)
-        if n not in self._basis_pos:
+            found = _monomials(self._degrees, n)
+            found.sort(key=lambda m: (sum([e for _, e in m]), _dense_order(m)))
+            keys = self._basis_cache[n] = tuple(found)
             self._basis_pos[n] = {m: i for i, m in enumerate(keys)}
         return keys
 
@@ -738,8 +740,8 @@ def hirsch_extend(a: FreeCDGA, new_gens: Sequence[tuple[str, int, CdgaElement]]
     Returns the extended algebra and the inclusion morphism.  Degree cap is
     inherited; each d_image must be a cocycle in `a` of degree gen+1.  The
     extension is one FreeCDGA over base `a`: it checks the degree and d^2 = 0
-    on the new generators only, builds its bases from a's and takes a's
-    d-matrices below them.
+    on the new generators only, and takes a's bases and d-matrices below
+    them.
     """
     if any(img.algebra is not a for _, _, img in new_gens):
         raise ValidationError("d_image must live in the base algebra")
@@ -782,16 +784,10 @@ def _is_monomial(mono, degrees: Sequence[int]) -> bool:
             and all(e == 1 or e > 1 and degrees[i] % 2 == 0 for i, e in mono))
 
 
-# A free algebra's count of generators, its basis cache and its base's
-# record (None at the root of a chain of extensions).
-_Chain = tuple[int, dict[int, tuple[Monomial, ...]], Optional[tuple]]
-
-
 class _Bases(dict):
     """{n: degree-n basis} of one generator-degree tuple, and in `pos` each
     basis's {monomial: position}.  `_BASES` names it weakly, so it lives while
-    some algebra holds it: its own algebras, and their extensions through
-    `_chain`."""
+    some algebra with these degrees holds it."""
 
     __slots__ = ("__weakref__", "pos")
 
@@ -802,73 +798,68 @@ class _Bases(dict):
 _BASES: "weakref.WeakValueDictionary[tuple[int, ...], _Bases]" = weakref.WeakValueDictionary()
 
 
-def _chain_basis(degrees: tuple[int, ...], level: _Chain, n: int) -> tuple[Monomial, ...]:
-    """The degree-n basis of the algebra on the first `count` of these
-    generators, read from its cache or built and stored there: enumerated at
-    the root, and on an extension the base's degree-(n−j) monomials (built
-    the same way) times the `_new_monomials` of degree j in the added ones."""
-    count, cache, base = level
-    keys = cache.get(n)
-    if keys is None:
-        if base is None:
-            found = _monomials(degrees[:count], n)
-        else:
-            w_degrees = degrees[base[0]:count]
-            found = []
-            for j in range(n + 1):
-                w_monos = _new_monomials(w_degrees, j, base[0])
-                if w_monos:
-                    base_keys = _chain_basis(degrees, base, n - j)
-                    found += [b + w for w in w_monos for b in base_keys]
-        found.sort(key=lambda m: (sum([e for _, e in m]), _dense_order(m)))
-        keys = cache[n] = tuple(found)
-    return keys
-
-
 def _monomials(degrees: Sequence[int], n: int) -> list[Monomial]:
     """Every monomial over generators of these degrees with total degree n,
-    odd generators to exponent at most 1, in dense lexicographic order."""
-    found: list[Monomial] = []
-    _monomials_into(found, degrees, 0, n, [])
+    odd generators to exponent at most 1.  ΛV = ⊗_d Λ(V^d): the generators
+    of each degree d <= n form a class, and a monomial is a set (odd d) or a
+    multiset (even d) picked from each class, by `_picks`.  A factor of
+    exponent 1 is one shared (index, 1) pair in every monomial it is in."""
+    classes: dict[int, list[tuple[int, int]]] = {}
+    for i, d in enumerate(degrees):
+        if d <= n:
+            classes.setdefault(d, []).append((i, 1))
+    order = sorted(classes.items())
+    # Bit r of reach[c] is set when the classes from c on fill degree r exactly.
+    reach = [1]
+    for d, ones in reversed(order):
+        mask = 0
+        for e in range(min(n // d, len(ones) if d % 2 else n) + 1):
+            mask |= reach[-1] << e * d
+        reach.append(mask)
+    reach.reverse()
+    found: list[Monomial] = [] if n else [()]
+    if n > 0 and reach[0] >> n & 1:
+        _picks(found, order, reach, 0, n, ())
     return found
 
 
-@lru_cache(maxsize=1024)
-def _new_monomials(degrees: tuple[int, ...], n: int, first: int) -> tuple[Monomial, ...]:
-    """`_monomials` memoised for an extension's added generators, numbered
-    from `first`; a whole basis is never memoised here, so a freed algebra's
-    bases are freed with it."""
-    return tuple(tuple([(first + i, e) for i, e in m]) for m in _monomials(degrees, n))
-
-
-def _monomials_into(found: list[Monomial], degrees: Sequence[int], i: int,
-                    remaining: int, acc: list[tuple[int, int]]):
-    """Append to `found` each monomial whose pairs below index i are `acc`
-    and whose other generators add `remaining` to its degree."""
-    if remaining == 0:
-        found.append(tuple(acc))
-        return
-    if i == len(degrees):
-        return
-    deg = degrees[i]
-    max_e = 1 if deg % 2 == 1 else remaining // deg
-    for e in range(min(max_e, remaining // deg) + 1):
-        _monomials_into(found, degrees, i + 1, remaining - e * deg, acc + [(i, e)] if e else acc)
+def _picks(found: list[Monomial], order: list, reach: list, first: int, remaining: int,
+           acc: tuple[tuple[int, int], ...]):
+    """Append to `found` each monomial acc·m, where m of degree `remaining` > 0
+    takes e >= 1 generators from its first class c >= `first` and the rest from
+    the classes after c, entered only where those fill the rest exactly: the
+    depth is at most the count of classes."""
+    for c in range(first, len(order)):
+        d, ones = order[c]
+        if d > remaining:
+            break
+        later = reach[c + 1]
+        for e in range(1, min(remaining // d, len(ones) if d % 2 else remaining) + 1):
+            rest = remaining - e * d
+            if not later >> rest & 1:
+                continue
+            for pick in (combinations if d % 2 else combinations_with_replacement)(ones, e):
+                if d % 2 == 0 and e > 1:  # a repeated pair becomes one pair with its count
+                    pick = tuple([p if (k := pick.count(p)) == 1 else (p[0], k)
+                                  for p in dict.fromkeys(pick)])
+                if rest:
+                    _picks(found, order, reach, c + 1, rest, acc + pick)
+                else:
+                    found.append(tuple(sorted(acc + pick)))
 
 
 def unchanged_below(new: Algebra, old: Algebra) -> int:
     """The degree below which `new` has old's basis and differential:
     past the cap when new is old, the first added generator's degree when new
     extends old, and 0 otherwise.  An extension checked `extends` against its
-    base when it was made and holds that base's `_chain` record, so that base
-    is answered by identity; any other pair runs the check.  The record is
-    each algebra's own: the basis table in it is shared by every algebra with
-    the same generator degrees, whatever their differentials, so it answers
-    nothing here."""
+    base when it was made and names that base weakly (`_inherit`), so that
+    base is answered by identity; any other pair runs the check, also one
+    with old's generator degrees, whose basis table is shared whatever its
+    differentials."""
     if new is old:
         return new.degree_cap + 1
     if new.kind == old.kind == "free" and (
-            new._chain[2] is old._chain or new.extends(old)):
+            new._base_ref is not None and new._base_ref() is old or new.extends(old)):
         return min((g.degree for g in new.generators[len(old.generators):]),
                    default=new.degree_cap + 1)
     return 0

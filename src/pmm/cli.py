@@ -42,7 +42,9 @@ def _load_json(path: str) -> dict:
             doc = json.load(fh)
     except FileNotFoundError as exc:
         raise SchemaError(f"{path}: {exc}") from exc
-    except ValueError as exc:  # JSONDecodeError, or an integer past int()'s digit limit
+    except (ValueError, RecursionError) as exc:
+        # JSONDecodeError, an integer past int()'s digit limit, or arrays and
+        # objects nested past the recursion limit
         raise SchemaError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise SchemaError(f"{path}: the document must be a JSON object")

@@ -129,7 +129,7 @@ def interval_complex(grid: Grid, k: int, s: int, t,
                      max_degree: Optional[int] = None) -> PersistentComplex:
     """The interval I^k_[s,t): one degree-k line alive on [s,t), zero d.
     Refuses [s,t) off the grid (_check_lifespan), k off 0..max_degree."""
-    _check_lifespan(grid, s, t)
+    _check_lifespan(grid, s, t, "interval")
     md = _cell_degrees(k, max_degree)
     alive = [s <= r and (t == INF or r < t) for r in range(len(grid))]
     labels = [[[f"i{k}"] if deg == k and live else [] for deg in range(md + 1)]
@@ -143,20 +143,21 @@ def interval_sphere(grid: Grid, k: int, s: int, t,
                     max_degree: Optional[int] = None) -> PersistentComplex:
     """S^k_[s,t): the cocycle line on [s,t), completed to a disk from t on;
     refuses what interval_complex refuses."""
-    _check_lifespan(grid, s, t)
+    _check_lifespan(grid, s, t, "sphere")
     if k == 0:
         # S^0 is a degree-0 line on [s,t); D^0 = 0 kills it afterwards.
         return interval_complex(grid, 0, s, t, max_degree)
     return _cell(grid, k, s, t, max_degree)
 
 
-def _check_lifespan(grid: Grid, s: int, t):
-    """A lifespan [s, t) of a cell: grid indices s < t, or t = INF."""
+def _check_lifespan(grid: Grid, s: int, t, cell: str):
+    """A lifespan [s, t) of a cell: grid indices s < t, or t = INF.  A
+    refusal names the kind of cell."""
     n = len(grid)
     if not 0 <= s < n:
-        raise ValidationError(f"invalid sphere birth s={s}")
+        raise ValidationError(f"invalid {cell} birth s={s}")
     if t != INF and not (isinstance(t, int) and s < t < n):
-        raise ValidationError(f"invalid sphere death t={t}: need a grid index after s")
+        raise ValidationError(f"invalid {cell} death t={t}: need a grid index after s")
 
 
 def interval_disk(grid: Grid, k: int, s: int,
@@ -257,7 +258,7 @@ class SphereMapData:
 
     def validate_against(self, x: PersistentComplex):
         k, s, t = self.degree, self.birth, self.death
-        _check_lifespan(x.grid, s, t)
+        _check_lifespan(x.grid, s, t, "attached cell")
         if len(self.cocycle) != x.dim(s, k):
             raise ValidationError("cocycle has the wrong length")
         cocycle = _row(self.cocycle)
@@ -288,7 +289,7 @@ def hom_from_sphere(x: PersistentComplex, k: int, s: int, t
                     ) -> tuple[int, list[SphereMapData]]:
     """Basis of Hom(S^k_[s,t), X) = Z X^k(s) x_{X^k(t)} X^{k-1}(t): a
     cocycle at s whose push to t is d of an element at t."""
-    _check_lifespan(x.grid, s, t)
+    _check_lifespan(x.grid, s, t, "sphere")
     z_basis = kernel_basis(x.d_mat(s, k))
     dim = x.dim(s, k)
     if t == INF:

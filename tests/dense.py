@@ -4,7 +4,8 @@ vector became a sparse Row.  The tests compare the sparse kernels with these,
 entry for entry, through `dense` (a Row expanded to a tuple) and `row` (a
 tuple's nonzero entries).  Monomials convert the same way: `dense_key` gives
 a free algebra's (index, exponent) key as the exponent tuple over all its
-generators, and `sparse_key` takes it back."""
+generators, and `sparse_key` takes it back; `monomials` is the free-algebra
+basis enumerator as it ran one generator at a time."""
 from __future__ import annotations
 
 from pmm.exactla import ONE, ZERO, QMatrix, echelon, frac, hstack, rref
@@ -64,6 +65,29 @@ def sparse_key(exponents) -> tuple:
     """The monomial key of an exponent tuple: its (index, exponent) pairs
     with a nonzero exponent."""
     return tuple((i, e) for i, e in enumerate(exponents) if e)
+
+
+def monomials(degrees, n: int) -> list:
+    """Every monomial key over generators of these degrees with total degree
+    n, odd generators to exponent at most 1, in dense lexicographic order:
+    one recursion frame per generator, so only for short degree tuples."""
+    found: list = []
+    _monomials_into(found, degrees, 0, n, [])
+    return found
+
+
+def _monomials_into(found: list, degrees, i: int, remaining: int, acc: list):
+    """Append to `found` each monomial whose pairs below index i are `acc`
+    and whose other generators add `remaining` to its degree."""
+    if remaining == 0:
+        found.append(tuple(acc))
+        return
+    if i == len(degrees):
+        return
+    deg = degrees[i]
+    max_e = 1 if deg % 2 == 1 else remaining // deg
+    for e in range(min(max_e, remaining // deg) + 1):
+        _monomials_into(found, degrees, i + 1, remaining - e * deg, acc + [(i, e)] if e else acc)
 
 
 def apply(m: QMatrix, v) -> tuple:

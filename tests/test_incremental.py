@@ -432,14 +432,14 @@ def test_the_guard_answers_a_verified_base_by_identity(monkeypatch):
 
 def test_the_guard_does_not_answer_an_equal_degree_algebra_by_identity(monkeypatch):
     # `twin` has `base`'s generators and so `base`'s shared basis tables, but
-    # another differential.  Its extension's record names twin's record, not
-    # base's: the guard runs `extends`, which fails, and `inherit` refuses.
+    # another differential.  Its extension's base reference names twin, not
+    # base: the guard runs `extends`, which fails, and `inherit` refuses.
     scratch = free_cdga([("a", 2), ("x", 3)], {}, 8)
     base = free_cdga([("a", 2), ("x", 3)], {"x": multiply(scratch.gen("a"), scratch.gen("a"))}, 8)
     twin = free_cdga([("a", 2), ("x", 3)], {}, 8)
     assert twin._basis_cache is base._basis_cache
     twin_ext, _ = hirsch_extend(twin, [("y", 3, twin.zero())])
-    assert twin_ext._chain[2] is twin._chain and twin_ext._chain[2][1] is base._chain[1]
+    assert twin_ext._base_ref() is twin and base._base_ref is None
     calls = []
     extends = FreeCDGA.extends
     monkeypatch.setattr(FreeCDGA, "extends", lambda s, o: calls.append((s, o)) or extends(s, o))

@@ -17,7 +17,7 @@ from pmm.pminimal import (
     build_persistent_minimal_model, homotopy_barcode, validate_model,
 )
 
-from .dense import dense_key, sparse_key
+from .dense import dense_key, monomials, sparse_key
 from .golden import add_degree_one_generator
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -115,14 +115,13 @@ def test_the_check_path_computes_no_class_representatives(name, monkeypatch):
 @pytest.mark.parametrize("name", TOWER_FIXTURES)
 def test_the_check_path_builds_extension_bases_down_the_chain(name, monkeypatch):
     # load_model attaches the saved generators degree by degree, a chain of
-    # extensions from the unit algebras.  No extension enumerates its base's
-    # basis from scratch: every full `_monomials` run with generators is over
-    # the degrees of an algebra with no base.  Bases are shared by degree
+    # extensions from the unit algebras; each extension takes its base's
+    # bases below its first added generator.  Bases are shared by degree
     # tuple, so no (degree tuple, degree) pair is enumerated twice, however
     # many algebras read it: a second check while the first one's model is
     # alive enumerates nothing again.  Then every algebra of the chain, in
-    # every degree, lists the monomials of one enumeration over all its
-    # generators, sorted by (total exponent, lex).
+    # every degree, lists the monomials of the reference enumeration over
+    # all its generators, sorted by (total exponent, lex).
     import gc
     from pmm import cdga
     doc = fixture(name)
@@ -137,24 +136,21 @@ def test_the_check_path_builds_extension_bases_down_the_chain(name, monkeypatch)
         made.append(self)
 
     def counting(degrees, n):
-        if degrees and sys._getframe(1).f_code.co_name != "_new_monomials":
+        if degrees:
             full.append((tuple(degrees), n))
         return enumerate_monomials(degrees, n)
 
     monkeypatch.setattr(cdga.FreeCDGA, "__init__", record_init)
     monkeypatch.setattr(cdga, "_monomials", counting)
-    cdga._new_monomials.cache_clear()
     checked = [load_model(payload) for _ in range(2)]
     for tower, model in checked:
         assert validate_model(model, against=tower)["ok"]
-    roots = {alg._degrees for alg in made if alg._chain[2] is None}
-    assert {degrees for degrees, _ in full} <= roots
     assert len(set(full)) == len(full)
     monkeypatch.setattr(cdga, "_monomials", enumerate_monomials)
     for alg in made:
         degrees = [g.degree for g in alg.generators]
         for n in range(alg.degree_cap + 1):
-            dense = sorted((dense_key(m, len(degrees)) for m in enumerate_monomials(degrees, n)),
+            dense = sorted((dense_key(m, len(degrees)) for m in monomials(degrees, n)),
                            key=lambda m: (sum(m), m))
             want = [sparse_key(m) for m in dense]
             assert list(alg.basis_keys(n)) == want, (name, n)
@@ -406,6 +402,19 @@ def test_cli_bad_command_line_is_one_schema_error_line(capsys, argv, reason):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith(f"schema error: {reason}"), err
+
+
+@pytest.mark.parametrize("command", ["build", "check", "decompose", "factor"])
+def test_cli_json_nested_past_the_recursion_limit_is_one_schema_error_line(tmp_path, command):
+    # The decoder recurses once per nesting level: a document opened 100,000
+    # levels deep is malformed input, not an internal error.
+    f = tmp_path / "deep.json"
+    f.write_text("[" * 100000)
+    proc = run_module("pmm", [command, "--input", str(f), "--output", str(tmp_path / "out")])
+    assert proc.returncode == 2, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("schema error:"), \
+        proc.stderr
+    assert not (tmp_path / "out").exists()
 
 
 def test_cli_help_still_exits_zero(capsys):

@@ -87,19 +87,22 @@ def test_hom_from_sphere_infinite_death():
 
 
 @pytest.mark.parametrize("s, t, message", [
-    (-1, 2, "invalid sphere birth s=-1"), (3, INF, "invalid sphere birth s=3"),
-    (0, 5, "invalid sphere death t=5"), (1, 1, "invalid sphere death t=1"),
-    (2, 1, "invalid sphere death t=1"), (0, 1.5, "invalid sphere death t=1.5")],
+    (-1, 2, "birth s=-1"), (3, INF, "birth s=3"),
+    (0, 5, "death t=5"), (1, 1, "death t=1"),
+    (2, 1, "death t=1"), (0, 1.5, "death t=1.5")],
     ids=["birth-before-grid", "birth-after-grid", "death-after-grid", "death-at-birth",
          "death-before-birth", "fractional-death"])
 def test_hom_from_sphere_refuses_a_lifespan_outside_the_grid(s, t, message):
     # A lifespan [s, t) needs grid indices s < t (or t = INF).  Maps out of
-    # a sphere, the sphere itself and attaching data share one check.
+    # a sphere, the sphere itself, an interval and attaching data share one
+    # check, and its refusal names the kind of cell.
     g = grid_of(3)
     x = interval_sphere(g, 2, 0, 2, max_degree=3)
-    for call in (lambda: hom_from_sphere(x, 2, s, t), lambda: interval_sphere(g, 2, s, t),
-                 lambda: attach_cell(x, SphereMapData(2, s, t, (), ()))):
-        with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+    for cell, call in (("sphere", lambda: hom_from_sphere(x, 2, s, t)),
+                       ("sphere", lambda: interval_sphere(g, 2, s, t)),
+                       ("interval", lambda: interval_complex(g, 2, s, t)),
+                       ("attached cell", lambda: attach_cell(x, SphereMapData(2, s, t, (), ())))):
+        with pytest.raises(ValidationError, match=f"^{re.escape(f'invalid {cell} {message}')}"):
             call()
 
 
@@ -109,7 +112,7 @@ def test_hom_from_sphere_refuses_a_lifespan_outside_the_grid(s, t, message):
     (lambda g: interval_disk(g, 5, 0, max_degree=3),
      "invalid cell degree k=5: need 0 <= k <= max_degree 3"),
     (lambda g: interval_complex(g, 2, 2, 1),
-     "invalid sphere death t=1: need a grid index after s"),
+     "invalid interval death t=1: need a grid index after s"),
     (lambda g: interval_complex(g, 5, 0, 2, max_degree=3),
      "invalid cell degree k=5: need 0 <= k <= max_degree 3")],
     ids=["sphere-above-max-degree", "disk-above-max-degree", "interval-death-before-birth",
