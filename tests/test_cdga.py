@@ -80,8 +80,8 @@ def test_class_enumeration_equals_the_per_generator_reference(seed):
 @pytest.mark.parametrize("count", [2500, 3000])
 def test_enumeration_over_thousands_of_generators_matches_the_poincare_series(count):
     # A single extension can add thousands of generators; the enumeration
-    # takes one frame per degree class, not one per generator.  The count is
-    # the coefficient of t^n in prod(1 + t^odd) / prod(1 - t^even).
+    # recurses at most once per degree class, not once per generator.  The
+    # count is the coefficient of t^n in prod(1 + t^odd) / prod(1 - t^even).
     rng = random.Random(count)
     n = 6
     degrees = ([rng.randint(2, n) for _ in range(200)]
