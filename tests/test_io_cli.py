@@ -517,6 +517,20 @@ def test_cli_verbose_relations(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("verbose, relations", [
+    (False, "d x3_0 = x2_0^2"), (True, "d x2_0 = 0 ; d x3_0 = x2_0^2")],
+    ids=["plain", "verbose-relations"])
+def test_cli_build_text_format_prints_the_presentation_and_the_barcode(
+        tmp_path, capsys, verbose, relations):
+    argv = ["build", "--input", str(FIXTURES / "sphere2.json"), "--output", str(tmp_path),
+            "--degree-cap", "5", "--format", "text"]
+    rc = main(argv + ["--verbose-relations"] * verbose)
+    assert rc == 0
+    assert capsys.readouterr().out == (
+        f"pΛ( x2_0 : deg 2 on [0,inf) ; x3_0 : deg 3 on [0,inf) | {relations} )\n"
+        "pi_2: [0, inf)\npi_3: [0, inf)\n")
+
+
 def test_fractional_grid_round_trip(tmp_path, capsys):
     doc = fixture("example1_case1")
     doc["grid"] = ["0", "1/3", "1/2", "7/2"]
@@ -1029,6 +1043,31 @@ def test_cli_refuses_a_malformed_module_or_complex(tmp_path, capsys, command, do
     rc = main([command, "--input", str(f), "--output", str(tmp_path)])
     assert rc == 2
     assert capsys.readouterr().err == f"schema error: {message}\n"
+
+
+def _line_complex(stages, labels):
+    return {"grid": [str(r) for r in range(stages)], "max_degree": 0,
+            "stages": [{"basis": {"0": labels}} for _ in range(stages)],
+            "maps": [{"0": [["1"]]}] * (stages - 1)}
+
+
+@pytest.mark.parametrize("command, doc, message", [
+    ("decompose", _one_stage_complex(basis={"0": ["a"], "1": ["b"], "2": ["c"]},
+                                     d={"0": [["1"]], "1": [["1"]]}) | {"max_degree": 2},
+     "complex invalid: d*d != 0 at stage 0, degree 0"),
+    ("factor", {"source": _line_complex(2, ["a"]), "target": _line_complex(2, ["a"]),
+                "components": [{"0": [["1"]]}, {"0": [["2"]]}]},
+     "map invalid: map fails sigma-naturality at (0,0)")],
+    ids=["complex-d-squared", "map-not-natural"])
+def test_cli_refuses_a_complex_or_map_that_fails_a_square(tmp_path, capsys, command, doc,
+                                                          message):
+    # Well-formed documents whose matrices break d*d = 0 or sigma f = f sigma
+    # are refused by the library's validators: exit 1 and one line.
+    f = tmp_path / "doc.json"
+    f.write_text(json.dumps(doc))
+    rc = main([command, "--input", str(f), "--output", str(tmp_path)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"validation error: {message}\n"
 
 
 def test_module_dimension_bound_is_inclusive():

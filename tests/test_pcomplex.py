@@ -650,3 +650,53 @@ def test_gap_map_epi_matches_the_dense_reference():
                         assert got == ref_gap_map_epi(g, i, j, k), (idx, i, j, k)
                         values[got] += 1
     assert values[False] >= 20 and values[True] >= 100, values
+
+
+def one(x):
+    return QMatrix.from_rows([[x]])
+
+
+# Two stages with a in degree 0 and b in degree 1, d a = b at both, sigma
+# the identity on a and 2 on b: not a cochain map at (0, 0).
+_TWO_LINES = [[["a"], ["b"]], [["a"], ["b"]]]
+
+
+@pytest.mark.parametrize("stages, max_degree, labels, d, sigma, message", [
+    (2, 1, [[[], []]], [{}, {}], [{}], "labels must have one entry per grid stage"),
+    (2, 1, [[[]], [[], []]], [{}, {}], [{}], "labels must cover degrees 0..max_degree"),
+    (2, 1, [[[], []], [[], []]], [{}], [{}], "need d per stage and sigma per consecutive pair"),
+    (2, 1, [[[], []], [[], []]], [{}, {}], [], "need d per stage and sigma per consecutive pair"),
+    (2, 1, [[["a"], ["b"]], [[], []]], [{0: QMatrix.identity(2)}, {}], [{}],
+     "d(0,0) has the wrong shape"),
+    (1, 2, [[["a"], ["b"], ["c"]]], [{0: one(1), 1: one(1)}], [], "d*d != 0 at stage 0, degree 0"),
+    (2, 0, [[["a"]], [["a"]]], [{}, {}], [{0: QMatrix.identity(2)}], "sigma(0,0) has the wrong shape"),
+    (2, 1, _TWO_LINES, [{0: one(1)}, {0: one(1)}], [{0: one(1), 1: one(2)}],
+     "structure map not a cochain map at (0,0)")],
+    ids=["labels-per-stage", "degrees-per-stage", "d-count", "sigma-count", "d-shape",
+         "d-squared", "sigma-shape", "not-a-cochain-map"])
+def test_complex_refuses_a_bad_shape_or_square(stages, max_degree, labels, d, sigma, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        PersistentComplex(grid_of(stages), max_degree, labels, d, sigma)
+
+
+def _line(stages):
+    """One degree-0 line at every stage, sigma the identity."""
+    return interval_complex(grid_of(stages), 0, 0, INF, max_degree=1)
+
+
+@pytest.mark.parametrize("source, target, components, message", [
+    (lambda: zero_complex(grid_of(2), 1), lambda: zero_complex(grid_of(3), 1), [{}] * 2,
+     "map needs a common grid"),
+    (lambda: zero_complex(grid_of(2), 1), lambda: zero_complex(grid_of(2), 2), [{}] * 2,
+     "source and target must share max_degree"),
+    (lambda: _line(2), lambda: _line(2), [{0: QMatrix.identity(2)}, {0: one(1)}],
+     "component (0,0) has wrong shape"),
+    (lambda: interval_disk(grid_of(2), 1, 0), lambda: interval_disk(grid_of(2), 1, 0),
+     [{0: one(1), 1: one(0)}] * 2, "map fails d-naturality at (0,0)"),
+    (lambda: _line(2), lambda: _line(2), [{0: one(1)}, {0: one(2)}],
+     "map fails sigma-naturality at (0,0)")],
+    ids=["grid", "max-degree", "component-shape", "d-naturality", "sigma-naturality"])
+def test_complex_map_refuses_a_bad_shape_or_square(source, target, components, message):
+    # D^1_0 sends y to d y = x; the identity on y and 0 on x is no chain map.
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        PComplexMap(source(), target(), components)

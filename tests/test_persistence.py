@@ -1,4 +1,5 @@
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -43,6 +44,16 @@ def test_grid_validation():
         Grid(())
     with pytest.raises(ValidationError):
         Grid((0, 0))
+
+
+@pytest.mark.parametrize("dims, maps, message", [
+    ((1,), (), "dims must match grid length"),
+    ((1, 1), (), "need one map per consecutive stage pair"),
+    ((1, 2), (QMatrix.identity(1),), "map 0 has shape 1x1, want 2x1")],
+    ids=["dims-length", "map-count", "map-shape"])
+def test_module_refuses_a_bad_shape(dims, maps, message):
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        PersistenceModule(grid_of(2), dims, maps)
 
 
 def test_rank_invariant_interval():
