@@ -51,7 +51,7 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement
 from typing import Iterable, Mapping, Optional, Sequence, Union
 
-from .cochain import CohomologySpace, compute_cohomology
+from .cochain import CohomologySpace, cached_cohomology, chain_map_failures
 from .errors import InternalError, ValidationError
 from .exactla import ONE, QMatrix, Row, check_keys, frac
 
@@ -216,11 +216,7 @@ class _GradedAlgebra:
         return self._dmat_cache[n]
 
     def cohomology_space(self, n: int) -> CohomologySpace:
-        if n not in self._h_cache:
-            d_in = self.d_matrix(n - 1) if n >= 1 else None
-            self._h_cache[n] = compute_cohomology(self.d_matrix(n), d_in,
-                                                  self._h_cache.get(n - 1))
-        return self._h_cache[n]
+        return cached_cohomology(self._h_cache, self.d_matrix, n, 0)
 
 
 class FreeCDGA(_GradedAlgebra):
@@ -1007,12 +1003,8 @@ def validate_morphism(f: CdgaMorphism, names: Optional[Iterable[str]] = None) ->
         elem = {k: CdgaElement._of(dom, {k: ONE}) for k in keys}
         if not f.image(dom.unit_key) == f.codomain.one():
             problems.append("unit not preserved")
-        for n in range(min(cap, dom.degree_cap) + 1):
-            if n + 1 <= cap:
-                lhs = f.matrix(n + 1) @ dom.d_matrix(n)
-                rhs = f.codomain.d_matrix(n) @ f.matrix(n)
-                if lhs != rhs:
-                    problems.append(f"d-compatibility fails in degree {n}")
+        problems += [f"d-compatibility fails in degree {n}" for n in chain_map_failures(
+            dom.d_matrix, f.codomain.d_matrix, f.matrix, range(cap))]
         for k1 in keys:
             for k2 in keys:
                 if k1[0] + k2[0] > cap:

@@ -19,7 +19,8 @@ off it (`exactla.kernel_of`); the class data (representatives and class_of)
 is also computed on first read, and never on a space of dimension 0, whose
 reps are [] and whose classes are {}.  Connectivity checks read only `dim`.
 The next degree up, whose d_in is this d_out, reads its boundaries off the
-kept pivots instead of reducing that matrix again.
+kept pivots instead of reducing that matrix again (`cached_cohomology`, the
+one H^n cache of every complex).  `chain_map_failures` is the one chain-map test.
 
 A cocycle's Z-coordinates are its entries at d_out's free columns.  The
 representatives are the cocycles at the Z-positions that are no key of the
@@ -28,7 +29,7 @@ boundaries' reverse echelon; class_of clears those keys and reads the rest.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 from .errors import InternalError
 from .exactla import (
@@ -145,3 +146,17 @@ def compute_cohomology(d_out: QMatrix, d_in: Optional[QMatrix],
     if b and not (space._basis() @ d_in).is_zero():
         raise InternalError("boundary is not a cocycle: d*d != 0 upstream")
     return space
+
+
+def cached_cohomology(cache: dict[int, CohomologySpace], d: Callable[[int], QMatrix],
+                      n: int, bottom: int) -> CohomologySpace:
+    """H^n of d(j), j >= bottom, kept in `cache` by degree; B read off a kept H^{n-1}."""
+    if n not in cache:
+        cache[n] = compute_cohomology(d(n), d(n - 1) if n > bottom else None, cache.get(n - 1))
+    return cache[n]
+
+
+def chain_map_failures(d_src, d_dst, f, degrees: Iterable[int]) -> Iterator[int]:
+    """The degrees n of `degrees`, in order, where d_dst(n) f(n) != f(n+1) d_src(n):
+    d_src, d_dst and f are the complexes' differentials and the map, by degree."""
+    return (n for n in degrees if d_dst(n) @ f(n) != f(n + 1) @ d_src(n))

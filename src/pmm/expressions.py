@@ -16,7 +16,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .cdga import Algebra, CdgaElement, FreeCDGA, multiply
-from .errors import ParseError
+from .errors import ParseError, ValidationError
 
 MAX_NESTING = 100  # parenthesis depth; three parser frames per level, far below the limit
 MAX_DIGITS = 100  # digits in one number, as io._rational bounds a number's text
@@ -173,7 +173,7 @@ class _Parser:
         else:
             try:
                 return alg.basis_elem(tok.value)
-            except Exception:
+            except ValidationError:
                 pass
         raise ParseError(f"unknown identifier {tok.value!r}", tok.line, tok.column)
 

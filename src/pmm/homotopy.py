@@ -40,7 +40,7 @@ from typing import Iterable, Optional, Sequence
 from .cdga import (
     CdgaElement, CdgaMorphism, differential, free_cdga, multiply, unchanged_below,
 )
-from .cochain import CohomologySpace, compute_cohomology
+from .cochain import CohomologySpace, cached_cohomology, chain_map_failures
 from .errors import InternalError, ValidationError
 from .exactla import ONE, QMatrix, Row, _lower_block, split_row
 
@@ -235,11 +235,7 @@ class ConeComplex:
         """H^n of the cone; valid for n <= max_degree - 1."""
         if n > self.max_degree - 1:
             raise ValidationError(f"cone cohomology degree {n} exceeds reliable range")
-        if n not in self._h_cache:
-            d_in = self.d_matrix(n - 1) if n - 1 >= -1 else None
-            self._h_cache[n] = compute_cohomology(self.d_matrix(n), d_in,
-                                                  self._h_cache.get(n - 1))
-        return self._h_cache[n]
+        return cached_cohomology(self._h_cache, self.d_matrix, n, -1)
 
     def carry_cohomology(self, old: "ConeComplex"):
         """Take old's H^n where the domain did not change in degrees n+1 and
@@ -332,11 +328,9 @@ class ConeMap:
         """d phi(n) = phi(n+1) d for each n in degrees (default: -1 to one below
         the lower max_degree of the two cones, past which d_C reads nothing)."""
         top = min(self.source.max_degree, self.target.max_degree)
-        for n in range(-1, top) if degrees is None else degrees:
-            lhs = self.target.d_matrix(n) @ self.matrix(n)
-            rhs = self.matrix(n + 1) @ self.source.d_matrix(n)
-            if lhs != rhs:
-                raise InternalError(f"cone map fails to be a cochain map in degree {n}")
+        for n in chain_map_failures(self.source.d_matrix, self.target.d_matrix, self.matrix,
+                                    range(-1, top) if degrees is None else degrees):
+            raise InternalError(f"cone map fails to be a cochain map in degree {n}")
 
 
 def cone_map(square: HomotopySquare) -> ConeMap:

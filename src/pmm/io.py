@@ -280,10 +280,7 @@ def load_persistence_module(doc: dict) -> PersistenceModule:
     maps = [load_matrix(spec, dims[r + 1], dims[r], f"module map {r}")
             for r, spec in enumerate(map_specs)]
     _bound_nonzeros(maps, MAX_MODULE_NONZEROS, "module", "map")
-    try:
-        return PersistenceModule(grid, tuple(dims), tuple(maps))
-    except ValidationError as exc:
-        raise SchemaError(str(exc)) from exc
+    return PersistenceModule(grid, tuple(dims), tuple(maps))
 
 
 def load_pcomplex(doc: dict) -> PersistentComplex:
@@ -405,8 +402,11 @@ def load_model(doc: dict) -> tuple[PersistentCDGA, TameMinimalModel]:
         _int(_need(e, "degree", where, object), where)
         birth = _int(_need(e, "birth", where, object), where)
         death = _need(e, "death", where, object)
-        if not 0 <= birth < n or (death is not None and not birth < _int(death, where) < n):
-            raise SchemaError(f"{where} {e['name']!r}: lifespan outside the grid")
+        try:
+            target.grid.check_lifespan(birth, INF if death is None else _int(death, where),
+                                       f"{where} {e['name']!r}")
+        except ValidationError as exc:
+            raise SchemaError(str(exc)) from exc
 
     trivial = TameMinimalModel.trivial(target)
     algebras, sigmas, records = trivial.algebras, trivial.sigmas, []

@@ -19,16 +19,19 @@ maps through k = max_degree + 1.  Every matrix is assembled from blocks
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional, Sequence
 
-from .cochain import CohomologySpace, compute_cohomology, induced_map
+from .cochain import (
+    CohomologySpace, cached_cohomology, chain_map_failures, compute_cohomology, induced_map,
+)
 from .errors import InternalError, ValidationError
 from .exactla import (
     ONE, QMatrix, Row, block_diag, dense_vec, frac, hstack, kernel_basis, quotient_basis, rank,
     rref, solve, split_row, vstack,
 )
 from .persistence import (
-    INF, Bar, BarRepresentative, Grid, PersistenceModule, interval_decompose,
+    INF, Bar, BarRepresentative, Grid, PersistenceModule, composite, interval_decompose,
 )
 
 
@@ -53,6 +56,7 @@ class PersistentComplex:
         if len(self._d) != n or len(self._sigma) != n - 1:
             raise ValidationError("need d per stage and sigma per consecutive pair")
         self.validate()
+        self._h_caches: list[dict[int, CohomologySpace]] = [{} for _ in range(n)]
 
     # -- shape ---------------------------------------------------------------
 
@@ -70,37 +74,26 @@ class PersistentComplex:
         return QMatrix.zero(self.dim(r + 1, k), self.dim(r, k)) if m is None else m
 
     def sigma_range(self, r1: int, r2: int, k: int) -> QMatrix:
-        m = QMatrix.identity(self.dim(r1, k))
-        for r in range(r1, r2):
-            m = self.sigma_mat(r, k) @ m
-        return m
+        return composite((self.sigma_mat(r, k) for r in range(r1, r2)), self.dim(r1, k))
 
     def validate(self):
+        """Every shape, then d*d = 0 and each structure map a cochain map."""
         n = len(self.grid)
+        _check_shapes(self.d_mat, self, self, n, 0, 1, "d({},{}) has the wrong shape")
+        _check_shapes(self.sigma_mat, self, self, n - 1, 1, 0, "sigma({},{}) has the wrong shape")
         for r in range(n):
-            for k in range(self.max_degree + 1):
-                dk = self.d_mat(r, k)
-                if (dk.rows, dk.cols) != (self.dim(r, k + 1), self.dim(r, k)):
-                    raise ValidationError(f"d({r},{k}) has the wrong shape")
-                if k + 1 <= self.max_degree:
-                    if not (self.d_mat(r, k + 1) @ dk).is_zero():
-                        raise ValidationError(f"d*d != 0 at stage {r}, degree {k}")
+            for k in range(self.max_degree):
+                if not (self.d_mat(r, k + 1) @ self.d_mat(r, k)).is_zero():
+                    raise ValidationError(f"d*d != 0 at stage {r}, degree {k}")
         for r in range(n - 1):
-            for k in range(self.max_degree + 1):
-                sk = self.sigma_mat(r, k)
-                if (sk.rows, sk.cols) != (self.dim(r + 1, k), self.dim(r, k)):
-                    raise ValidationError(f"sigma({r},{k}) has the wrong shape")
-                if k + 1 <= self.max_degree:
-                    lhs = self.sigma_mat(r, k + 1) @ self.d_mat(r, k)
-                    rhs = self.d_mat(r + 1, k) @ sk
-                    if lhs != rhs:
-                        raise ValidationError(f"structure map not a cochain map at ({r},{k})")
+            for k in chain_map_failures(partial(self.d_mat, r), partial(self.d_mat, r + 1),
+                                        partial(self.sigma_mat, r), range(self.max_degree)):
+                raise ValidationError(f"structure map not a cochain map at ({r},{k})")
 
     # -- cohomology ----------------------------------------------------------
 
     def cohomology_space(self, r: int, k: int) -> CohomologySpace:
-        d_in = self.d_mat(r, k - 1) if k >= 1 else None
-        return compute_cohomology(self.d_mat(r, k), d_in)
+        return cached_cohomology(self._h_caches[r], partial(self.d_mat, r), k, 0)
 
     def direct_sum(self, other: "PersistentComplex") -> "PersistentComplex":
         if self.grid != other.grid or self.max_degree != other.max_degree:
@@ -128,8 +121,8 @@ def zero_complex(grid: Grid, max_degree: int) -> PersistentComplex:
 def interval_complex(grid: Grid, k: int, s: int, t,
                      max_degree: Optional[int] = None) -> PersistentComplex:
     """The interval I^k_[s,t): one degree-k line alive on [s,t), zero d.
-    Refuses [s,t) off the grid (_check_lifespan), k off 0..max_degree."""
-    _check_lifespan(grid, s, t, "interval")
+    Refuses [s,t) off the grid (Grid.check_lifespan), k off 0..max_degree."""
+    grid.check_lifespan(s, t, "interval")
     md = _cell_degrees(k, max_degree)
     alive = [s <= r and (t == INF or r < t) for r in range(len(grid))]
     labels = [[[f"i{k}"] if deg == k and live else [] for deg in range(md + 1)]
@@ -143,31 +136,20 @@ def interval_sphere(grid: Grid, k: int, s: int, t,
                     max_degree: Optional[int] = None) -> PersistentComplex:
     """S^k_[s,t): the cocycle line on [s,t), completed to a disk from t on;
     refuses what interval_complex refuses."""
-    _check_lifespan(grid, s, t, "sphere")
+    grid.check_lifespan(s, t, "sphere")
     if k == 0:
         # S^0 is a degree-0 line on [s,t); D^0 = 0 kills it afterwards.
         return interval_complex(grid, 0, s, t, max_degree)
     return _cell(grid, k, s, t, max_degree)
 
 
-def _check_lifespan(grid: Grid, s: int, t, cell: str):
-    """A lifespan [s, t) of a cell: grid indices s < t, or t = INF.  A
-    refusal names the kind of cell."""
-    n = len(grid)
-    if not 0 <= s < n:
-        raise ValidationError(f"invalid {cell} birth s={s}")
-    if t != INF and not (isinstance(t, int) and s < t < n):
-        raise ValidationError(f"invalid {cell} death t={t}: need a grid index after s")
-
-
 def interval_disk(grid: Grid, k: int, s: int,
                   max_degree: Optional[int] = None) -> PersistentComplex:
     """D^k_s: identity differential on two lines from s on; D^0 = 0.
-    Refuses s off the grid and, for k > 0, k off 0..max_degree."""
-    if not 0 <= s < len(grid):
-        raise ValidationError(f"invalid disk index s={s}")
+    Refuses s off the grid and k off 0..max_degree."""
+    grid.check_lifespan(s, INF, "disk")
     if k == 0:
-        return zero_complex(grid, max_degree if max_degree is not None else 0)
+        return zero_complex(grid, _cell_degrees(0, max_degree))
     return _cell(grid, k, s, s, max_degree)
 
 
@@ -192,12 +174,23 @@ def _cell(grid: Grid, k: int, s: int, t, max_degree: Optional[int]) -> Persisten
     return PersistentComplex(grid, md, labels, d, sigma)
 
 
-def _cell_degrees(k: int, max_degree: Optional[int]) -> int:
-    """A cell complex's max_degree (k when None), once 0 <= k <= max_degree."""
+def _cell_degrees(k: int, max_degree: Optional[int], shift: int = 0) -> int:
+    """A cell complex's max_degree (k when None), once 0 <= k - shift <= max_degree:
+    shift 1 for an attached cell, whose new element has degree k - 1."""
     md = k if max_degree is None else max_degree
-    if not 0 <= k <= md:
-        raise ValidationError(f"invalid cell degree k={k}: need 0 <= k <= max_degree {md}")
+    if not 0 <= k - shift <= md:
+        raise ValidationError(f"invalid cell degree k={k}: need {shift} <= k <= "
+                              f"max_degree {md}{' + 1' * shift}")
     return md
+
+
+def _check_shapes(mat, x, y, stages: int, dr: int, dk: int, message: str):
+    """Refuse the first (stage r, degree k) where mat(r, k) is no map X^k(r) -> Y^{k+dk}(r+dr)."""
+    for r in range(stages):
+        for k in range(x.max_degree + 1):
+            m = mat(r, k)
+            if (m.rows, m.cols) != (y.dim(r + dr, k + dk), x.dim(r, k)):
+                raise ValidationError(message.format(r, k))
 
 
 def cohomology_module(grid: Grid, sigmas: Sequence[QMatrix],
@@ -258,7 +251,8 @@ class SphereMapData:
 
     def validate_against(self, x: PersistentComplex):
         k, s, t = self.degree, self.birth, self.death
-        _check_lifespan(x.grid, s, t, "attached cell")
+        x.grid.check_lifespan(s, t, "attached cell")
+        _cell_degrees(k, x.max_degree, 1)
         if len(self.cocycle) != x.dim(s, k):
             raise ValidationError("cocycle has the wrong length")
         cocycle = _row(self.cocycle)
@@ -289,7 +283,7 @@ def hom_from_sphere(x: PersistentComplex, k: int, s: int, t
                     ) -> tuple[int, list[SphereMapData]]:
     """Basis of Hom(S^k_[s,t), X) = Z X^k(s) x_{X^k(t)} X^{k-1}(t): a
     cocycle at s whose push to t is d of an element at t."""
-    _check_lifespan(x.grid, s, t, "sphere")
+    x.grid.check_lifespan(s, t, "sphere")
     z_basis = kernel_basis(x.d_mat(s, k))
     dim = x.dim(s, k)
     if t == INF:
@@ -302,8 +296,9 @@ def hom_from_sphere(x: PersistentComplex, k: int, s: int, t
 
 
 def hom_from_disk(x: PersistentComplex, k: int, s: int) -> int:
-    """dim Hom(D^k_s, X) = dim X^{k-1}(s)."""
-    return x.dim(s, k - 1) if k >= 1 else 0
+    """dim Hom(D^k_s, X) = dim X^{k-1}(s), 0 for k = 0."""
+    x.grid.check_lifespan(s, INF, "disk")
+    return x.dim(s, k - 1)
 
 
 def attach_cell(x: PersistentComplex, data: SphereMapData,
@@ -316,8 +311,6 @@ def attach_cell(x: PersistentComplex, data: SphereMapData,
     """
     data.validate_against(x)
     k, s, t = data.degree, data.birth, data.death
-    if k < 1:
-        raise ValidationError("attach_cell needs degree >= 1 (D^0 = 0)")
     n = len(x.grid)
     lab = label or data.label
     labels = [[list(x.labels[r][deg]) for deg in range(x.max_degree + 1)] for r in range(n)]
@@ -355,6 +348,8 @@ class PComplexMap:
                  components: Sequence[dict[int, QMatrix]]):
         if source.grid != target.grid:
             raise ValidationError("map needs a common grid")
+        if len(components) != len(source.grid):
+            raise ValidationError("map needs one component per grid stage")
         self.source = source
         self.target = target
         self.components = [dict(c) for c in components]
@@ -365,23 +360,20 @@ class PComplexMap:
             k, QMatrix.zero(self.target.dim(r, k), self.source.dim(r, k)))
 
     def validate(self):
+        """Every shape, then d-naturality by stage and sigma-naturality by degree (sigma as d)."""
         x, y = self.source, self.target
+        n = len(x.grid)
         if x.max_degree != y.max_degree:
             raise ValidationError("source and target must share max_degree")
-        for r in range(len(x.grid)):
-            for k in range(x.max_degree + 1):
-                f = self.mat(r, k)
-                if (f.rows, f.cols) != (y.dim(r, k), x.dim(r, k)):
-                    raise ValidationError(f"component ({r},{k}) has wrong shape")
-                if k + 1 <= x.max_degree:
-                    if y.d_mat(r, k) @ f != self.mat(r, k + 1) @ x.d_mat(r, k):
-                        raise ValidationError(f"map fails d-naturality at ({r},{k})")
-        for r in range(len(x.grid) - 1):
-            for k in range(x.max_degree + 1):
-                lhs = y.sigma_mat(r, k) @ self.mat(r, k)
-                rhs = self.mat(r + 1, k) @ x.sigma_mat(r, k)
-                if lhs != rhs:
-                    raise ValidationError(f"map fails sigma-naturality at ({r},{k})")
+        _check_shapes(self.mat, x, y, n, 0, 0, "component ({},{}) has wrong shape")
+        for r in range(n):
+            for k in chain_map_failures(partial(x.d_mat, r), partial(y.d_mat, r),
+                                        partial(self.mat, r), range(x.max_degree)):
+                raise ValidationError(f"map fails d-naturality at ({r},{k})")
+        for k in range(x.max_degree + 1):
+            for r in chain_map_failures(partial(x.sigma_mat, k=k), partial(y.sigma_mat, k=k),
+                                        partial(self.mat, k=k), range(n - 1)):
+                raise ValidationError(f"map fails sigma-naturality at ({r},{k})")
 
     @classmethod
     def identity(cls, x: PersistentComplex) -> "PComplexMap":
@@ -486,8 +478,6 @@ def _gap_map_epi(f: PComplexMap, i: int, j: int, k: int) -> bool:
     z a cocycle in X^k(i), u_j in X^{k-1}(j) and y_i in Y^{k-1}(i)."""
     x, y = f.source, f.target
     d_k, d_i, d_j = x.d_mat(i, k), x.d_mat(i, k - 1), x.d_mat(j, k - 1)
-    if not (d_k @ d_i).is_zero():
-        raise InternalError("d of a cochain is not a cocycle")
     red = rref(d_k)
     z = QMatrix.from_columns(red.kernel_basis(), d_k.cols)
     a = vstack([hstack([x.sigma_range(i, j, k) @ z, d_j.scale(-1)]),

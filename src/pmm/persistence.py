@@ -21,6 +21,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
+from typing import Iterable
 
 from .errors import ValidationError
 from .exactla import (
@@ -47,6 +49,13 @@ class Grid:
 
     def __len__(self) -> int:
         return len(self.times)
+
+    def check_lifespan(self, s: int, t, cell: str):
+        """A lifespan [s, t): grid indices s < t, or t = INF; a refusal names the cell."""
+        if not 0 <= s < len(self):
+            raise ValidationError(f"invalid {cell} birth s={s}")
+        if t != INF and not (isinstance(t, int) and s < t < len(self)):
+            raise ValidationError(f"invalid {cell} death t={t}: need a grid index after s")
 
     def insert(self, position: int, time) -> "Grid":
         time = frac(time)
@@ -94,10 +103,7 @@ class PersistenceModule:
         """Composite structure map from stage i to stage j (i <= j)."""
         if not 0 <= i <= j < len(self.dims):
             raise IndexError(f"stage pair ({i},{j}) out of range")
-        m = QMatrix.identity(self.dims[i])
-        for r in range(i, j):
-            m = self.maps[r] @ m
-        return m
+        return composite(self.maps[i:j], self.dims[i])
 
     def direct_sum(self, other: "PersistenceModule") -> "PersistenceModule":
         if self.grid != other.grid:
@@ -107,10 +113,13 @@ class PersistenceModule:
         return PersistenceModule(self.grid, dims, maps)
 
 
+def composite(maps: Iterable[QMatrix], dim: int) -> QMatrix:
+    """The composite of `maps`, first applied first; the identity of Q^dim if none."""
+    return reduce(lambda m, f: f @ m, maps, QMatrix.identity(dim))
+
+
 def rank_invariant(m: PersistenceModule, i: int, j: int) -> int:
     """Rank of the composite map from stage i to stage j."""
-    if i > j:
-        raise IndexError("rank_invariant needs i <= j")
     return rank(m.map_range(i, j))
 
 
@@ -187,11 +196,11 @@ def interval_decompose(m: PersistenceModule) -> tuple[list[Bar], list[BarReprese
 
 
 def from_bars(grid: Grid, bars: list[Bar]) -> PersistenceModule:
-    """Direct sum of interval modules with the given lifespans."""
+    """Direct sum of interval modules with the given lifespans; a death at
+    len(grid), past the last stage, is read as INF."""
     n = len(grid)
     for b in bars:
-        if not (0 <= b.birth < n) or (b.death != INF and not b.death <= n):
-            raise ValidationError(f"bar {b} outside grid of length {n}")
+        grid.check_lifespan(b.birth, INF if b.death == n else b.death, "bar")
     dims = tuple(sum(1 for b in bars if b.alive_at(i)) for i in range(n))
     maps = []
     for i in range(n - 1):

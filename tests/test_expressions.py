@@ -121,6 +121,23 @@ def test_parse_finite_context():
     assert parse_expression("alpha^2", s2).is_zero()
 
 
+def test_parse_unknown_label_in_a_finite_stage():
+    # A finite stage resolves an identifier as a basis label; an unknown one
+    # is a ParseError at its position, not the algebra's refusal.
+    s2 = FiniteCDGA(basis={0: ["one"], 2: ["alpha"]}, unit="one",
+                    products={("alpha", "alpha"): {}}, differential={}, degree_cap=6)
+    with pytest.raises(ParseError) as err:
+        parse_expression("alpha + beta", s2)
+    assert str(err.value) == "unknown identifier 'beta' (line 1, column 9)"
+
+
+def test_parse_error_on_a_second_line_names_that_line_and_its_column():
+    with pytest.raises(ParseError) as err:
+        parse_expression("2*a\n  + bogus", algebra())
+    assert (err.value.line, err.value.column) == (2, 5)
+    assert str(err.value) == "unknown identifier 'bogus' (line 2, column 5)"
+
+
 def test_render_round_trip_random():
     rng = random.Random(12)
     m = algebra()

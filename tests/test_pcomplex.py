@@ -124,6 +124,35 @@ def test_interval_cells_refuse_a_bad_lifespan_or_degree(make, message):
         make(grid_of(3))
 
 
+@pytest.mark.parametrize("s, message", [
+    (-1, "invalid disk birth s=-1"), (3, "invalid disk birth s=3")],
+    ids=["birth-before-grid", "birth-after-grid"])
+def test_disks_and_maps_out_of_a_disk_refuse_a_birth_outside_the_grid(s, message):
+    # A disk lives on [s, INF): hom_from_disk checks its birth as interval_disk
+    # does, instead of indexing a stage that is not there.
+    g = grid_of(3)
+    x = interval_sphere(g, 2, 0, 2, max_degree=3)
+    for call in (lambda: hom_from_disk(x, 2, s), lambda: interval_disk(g, 2, s)):
+        with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+            call()
+
+
+def test_a_zero_disk_refuses_a_negative_max_degree():
+    with pytest.raises(ValidationError, match=re.escape("need 0 <= k <= max_degree -1")):
+        interval_disk(grid_of(2), 0, 0, max_degree=-1)
+
+
+@pytest.mark.parametrize("k", [0, 5], ids=["degree-0", "above-max-degree-plus-one"])
+def test_attach_cell_refuses_a_degree_off_1_to_max_degree_plus_one(k):
+    # Attaching along S^k adds an element of degree k - 1, which must be one
+    # of the complex's degrees 0..max_degree (3 here).
+    x = interval_sphere(grid_of(3), 2, 0, 2, max_degree=3)
+    with pytest.raises(ValidationError, match=f"^invalid cell degree k={k}: "
+                       + re.escape("need 1 <= k <= max_degree 3 + 1") + "$"):
+        attach_cell(x, SphereMapData(k, 0, INF, (), None))
+    assert attach_cell(x, SphereMapData(4, 0, INF, (), None)).dim(0, 3) == 1
+
+
 @pytest.mark.parametrize("data, message", [
     (SphereMapData(2, 0, INF, (1, 0), None), "cocycle has the wrong length"),
     (SphereMapData(1, 0, INF, (1,), None), "attaching element is not a cocycle"),
@@ -700,3 +729,9 @@ def test_complex_map_refuses_a_bad_shape_or_square(source, target, components, m
     # D^1_0 sends y to d y = x; the identity on y and 0 on x is no chain map.
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
         PComplexMap(source(), target(), components)
+
+
+@pytest.mark.parametrize("count", [1, 3], ids=["short", "long"])
+def test_complex_map_refuses_a_component_list_of_the_wrong_length(count):
+    with pytest.raises(ValidationError, match="^map needs one component per grid stage$"):
+        PComplexMap(_line(2), _line(2), [{0: one(1)}] * count)

@@ -56,6 +56,18 @@ def test_module_refuses_a_bad_shape(dims, maps, message):
         PersistenceModule(grid_of(2), dims, maps)
 
 
+@pytest.mark.parametrize("bar, message", [
+    (Bar(3, INF), "invalid bar birth s=3"), (Bar(0, 4), "invalid bar death t=4"),
+    (Bar(-1, 2), "invalid bar birth s=-1"), (Bar(0, 1.5), "invalid bar death t=1.5")],
+    ids=["birth-after-grid", "death-past-the-end", "negative-birth", "fractional-death"])
+def test_from_bars_refuses_a_lifespan_outside_the_grid(bar, message):
+    # A death at len(grid) = 3 is the documented "survives past the last
+    # stage" (test_round_trip_random_bars); one past it is refused.
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}"):
+        from_bars(grid_of(3), [bar])
+    assert from_bars(grid_of(3), [Bar(0, 3)]).dims == (1, 1, 1)
+
+
 def test_rank_invariant_interval():
     m = from_bars(grid_of(3), [Bar(0, 2)])
     assert rank_invariant(m, 0, 0) == 1

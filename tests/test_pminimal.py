@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from pmm.cdga import CdgaMorphism, FiniteCDGA, free_cdga, multiply
+from pmm.cdga import CdgaElement, CdgaMorphism, FiniteCDGA, free_cdga, multiply
 from pmm.errors import InternalError, ValidationError
 from pmm.homotopy import cone
 from pmm.io import load_input
@@ -310,6 +310,60 @@ def test_validate_model_negative_controls():
         c["status"] == "fail" for c in rep["hirsch_certificates"])
     gen.endpoint_image = original
     assert validate_model(model)["ok"]
+
+
+def _shift_birth(model):
+    # x2_0 of example three lives on [1, 3); a record born at 2 no longer
+    # matches stage 1's generator set.
+    next(g for g in model.gen_records if g.name == "x2_0").birth = 2
+
+
+def _double_birth_differential(model):
+    gen = next(g for g in model.gen_records if g.name == "x3_0")  # d x3_0 = x2_0^2 at 1
+    gen.birth_differential = gen.birth_differential.scale(2)
+
+
+def _double_sigma_image(r, name):
+    def tamper(model):
+        sigma = model.sigmas[r]
+        sigma.gen_images[name] = sigma.gen_images[name].scale(2)
+        sigma._images.clear()
+        sigma._mat_cache.clear()
+    return tamper
+
+
+def _stage_model_into_a_twin(model):
+    # An equal stage algebra that is not the target's own object.
+    m, twin = model.models[0], example_three().stages[0]
+    model.models[0] = CdgaMorphism.on_generators(
+        m.domain, twin, {name: CdgaElement._of(twin, img.terms)
+                         for name, img in m.gen_images.items()})
+
+
+@pytest.mark.parametrize("make, tamper, where, failure", [
+    (example_three, _shift_birth, "hirsch_certificates",
+     "stage 1: degree-2 generators ['x2_0'], expected []"),
+    (lambda: example_one(1), _double_birth_differential, "hirsch_certificates",
+     "x3_0: differential at stage 1 is not the pushed birth differential"),
+    (lambda: example_one(1), _double_sigma_image(1, "x3_0"), "hirsch_certificates",
+     "x3_0: does not survive stage 1 by identity"),
+    (example_three, _double_sigma_image(1, "x4_0"), "hirsch_certificates",
+     "x4_0: structure map at death is not the endpoint image"),
+    (example_three, _stage_model_into_a_twin, "structure",
+     "m(0) does not land in the given target")],
+    ids=["generator-set", "pushed-differential", "survival-image", "death-image",
+         "stage-model-codomain"])
+def test_validate_model_reports_each_tampered_certificate_and_target(make, tamper, where,
+                                                                     failure):
+    model = build_persistent_minimal_model(make())
+    assert validate_model(model)["ok"]
+    tamper(model)
+    report = validate_model(model)
+    assert report["ok"] is False
+    section = report[where]
+    failures = ([f for c in section for f in c["failures"]] if where == "hirsch_certificates"
+                else section["failures"])
+    assert failure in failures, failures
 
 
 def test_validate_model_homotopy_tamper():
