@@ -18,9 +18,8 @@ the rows into d_out's RREF, which then replaces them, and reads the cocycles
 off it (`exactla.kernel_of`); the class data (representatives and class_of)
 is also computed on first read, and never on a space of dimension 0, whose
 reps are [] and whose classes are {}.  Connectivity checks read only `dim`.
-The next degree up, whose d_in is this d_out, reads its boundaries off the
-kept pivots instead of reducing that matrix again (`cached_cohomology`, the
-one H^n cache of every complex).  `chain_map_failures` is the one chain-map test.
+`cached_cohomology`, the one H^n cache, reads the next degree's boundaries off
+the kept pivots; `chain_map_failures` is the one chain-map test.
 
 A cocycle's Z-coordinates are its entries at d_out's free columns.  The
 representatives are the cocycles at the Z-positions that are no key of the
@@ -29,7 +28,7 @@ boundaries' reverse echelon; class_of clears those keys and reads the rest.
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Iterable, Iterator, Optional
+from typing import Iterable, Iterator, Optional
 
 from .errors import InternalError
 from .exactla import (
@@ -148,8 +147,7 @@ def compute_cohomology(d_out: QMatrix, d_in: Optional[QMatrix],
     return space
 
 
-def cached_cohomology(cache: dict[int, CohomologySpace], d: Callable[[int], QMatrix],
-                      n: int, bottom: int) -> CohomologySpace:
+def cached_cohomology(cache: dict, d, n: int, bottom: int) -> CohomologySpace:
     """H^n of d(j), j >= bottom, kept in `cache` by degree; B read off a kept H^{n-1}."""
     if n not in cache:
         cache[n] = compute_cohomology(d(n), d(n - 1) if n > bottom else None, cache.get(n - 1))

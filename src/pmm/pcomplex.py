@@ -1,9 +1,12 @@
 """Tame persistent cochain complexes over a grid.
 
 Stages hold labeled bases per degree with differentials; structure maps
-commute with the differentials.  Interval spheres and disks are the
-generating cells: attaching one along a (cocycle, bounding element) pair is
-a pointwise pushout whose cofiber is an interval.  The fibration and
+commute with the differentials.  Complexes and maps check every shape, then
+each square by the one chain-map test (`cochain.chain_map_failures`); H^n is
+cached per stage; a cell's degree (`_cell_degrees`) and lifespan
+(`Grid.check_lifespan`) each have one check.  Interval spheres and disks are
+the generating cells: attaching one along a (cocycle, bounding element) pair
+is a pointwise pushout whose cofiber is an interval.  The fibration and
 trivial-fibration predicates quantify over grid index pairs, which by the
 constancy of tame objects on half-open intervals (first grid time taken as
 global birth) covers every real pair.
@@ -79,8 +82,8 @@ class PersistentComplex:
     def validate(self):
         """Every shape, then d*d = 0 and each structure map a cochain map."""
         n = len(self.grid)
-        _check_shapes(self.d_mat, self, self, n, 0, 1, "d({},{}) has the wrong shape")
-        _check_shapes(self.sigma_mat, self, self, n - 1, 1, 0, "sigma({},{}) has the wrong shape")
+        _check_shapes(self.d_mat, self, self, 0, 1, "d({},{}) has the wrong shape")
+        _check_shapes(self.sigma_mat, self, self, 1, 0, "sigma({},{}) has the wrong shape")
         for r in range(n):
             for k in range(self.max_degree):
                 if not (self.d_mat(r, k + 1) @ self.d_mat(r, k)).is_zero():
@@ -184,9 +187,9 @@ def _cell_degrees(k: int, max_degree: Optional[int], shift: int = 0) -> int:
     return md
 
 
-def _check_shapes(mat, x, y, stages: int, dr: int, dk: int, message: str):
+def _check_shapes(mat, x, y, dr: int, dk: int, message: str):
     """Refuse the first (stage r, degree k) where mat(r, k) is no map X^k(r) -> Y^{k+dk}(r+dr)."""
-    for r in range(stages):
+    for r in range(len(x.grid) - dr):
         for k in range(x.max_degree + 1):
             m = mat(r, k)
             if (m.rows, m.cols) != (y.dim(r + dr, k + dk), x.dim(r, k)):
@@ -365,7 +368,7 @@ class PComplexMap:
         n = len(x.grid)
         if x.max_degree != y.max_degree:
             raise ValidationError("source and target must share max_degree")
-        _check_shapes(self.mat, x, y, n, 0, 0, "component ({},{}) has wrong shape")
+        _check_shapes(self.mat, x, y, 0, 0, "component ({},{}) has wrong shape")
         for r in range(n):
             for k in chain_map_failures(partial(x.d_mat, r), partial(y.d_mat, r),
                                         partial(self.mat, r), range(x.max_degree)):

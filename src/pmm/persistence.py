@@ -2,9 +2,9 @@
 
 A grid t_0 < ... < t_n of rational timestamps discretizes the half-line;
 module values are constant on [t_i, t_{i+1}) and from t_n on, so everything
-is determined by the finitely many stages.  Bars are half-open intervals
-reported by grid index, with INF standing for "survives past the last grid
-point".
+is determined by the finitely many stages.  Bars and cells live on half-open
+intervals [s, t) of grid indices, INF standing for "survives past the last
+grid point"; the grid owns their one lifespan check (`Grid.check_lifespan`).
 
 The decomposition is a genuine direct-sum splitting: each bar carries a
 representative section that is propagated exactly by the structure maps and
@@ -196,8 +196,7 @@ def interval_decompose(m: PersistenceModule) -> tuple[list[Bar], list[BarReprese
 
 
 def from_bars(grid: Grid, bars: list[Bar]) -> PersistenceModule:
-    """Direct sum of interval modules with the given lifespans; a death at
-    len(grid), past the last stage, is read as INF."""
+    """Direct sum of interval modules on these lifespans; a death at len(grid) is INF."""
     n = len(grid)
     for b in bars:
         grid.check_lifespan(b.birth, INF if b.death == n else b.death, "bar")

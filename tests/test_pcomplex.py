@@ -735,3 +735,9 @@ def test_complex_map_refuses_a_bad_shape_or_square(source, target, components, m
 def test_complex_map_refuses_a_component_list_of_the_wrong_length(count):
     with pytest.raises(ValidationError, match="^map needs one component per grid stage$"):
         PComplexMap(_line(2), _line(2), [{0: one(1)}] * count)
+
+
+def test_direct_sum_refuses_another_grid_or_max_degree():
+    for other in (zero_complex(grid_of(3), 1), zero_complex(grid_of(2), 2)):
+        with pytest.raises(ValidationError, match="^direct_sum: shape mismatch$"):
+            zero_complex(grid_of(2), 1).direct_sum(other)

@@ -56,6 +56,13 @@ def test_module_refuses_a_bad_shape(dims, maps, message):
         PersistenceModule(grid_of(2), dims, maps)
 
 
+def test_a_bar_and_a_direct_sum_refuse_a_bad_shape():
+    with pytest.raises(ValidationError, match=re.escape("bar needs birth < death, got [2,1)")):
+        Bar(2, 1)
+    with pytest.raises(ValidationError, match="^direct_sum: grid mismatch$"):
+        from_bars(grid_of(2), []).direct_sum(from_bars(grid_of(3), []))
+
+
 @pytest.mark.parametrize("bar, message", [
     (Bar(3, INF), "invalid bar birth s=3"), (Bar(0, 4), "invalid bar death t=4"),
     (Bar(-1, 2), "invalid bar birth s=-1"), (Bar(0, 1.5), "invalid bar death t=1.5")],
