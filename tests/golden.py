@@ -40,7 +40,7 @@ from .gen import random_morphism, random_pcomplex, random_sphere_data
 
 FIXTURES = Path(__file__).parent / "fixtures"
 TOWERS = ("example1_case1", "example1_case2", "example2", "example3",
-          "sphere2", "sphere2_bounded", "sphere3")
+          "longgrid_runs", "sphere2", "sphere2_bounded", "sphere3")
 CAPS = (5, 7)
 
 GOLDEN = {
@@ -60,6 +60,10 @@ GOLDEN = {
         "c55f81b4416206292e1f1608dc33ff1fa3293d5863220c1b6a6568d80954108d",
     "build:example3:7":
         "73aa38c708ea2683df98fb81c3ab520391d96090b5a928f42e469e3655b56aba",
+    "build:longgrid_runs:5":
+        "9e93071dfb60dcdee1905ac6507525589ce694fd0274095cc235e5a2e96effb7",
+    "build:longgrid_runs:7":
+        "0af86ca4aecf0f527cb3886dec9b0869cebebc11992ae0798ef6a120f91022db",
     "build:sphere2:5":
         "39afbf32bd1a22ac9f9e71f447d7982ceb2f2e5048f927c84a61c7ac66289f32",
     "build:sphere2:7":
@@ -90,6 +94,10 @@ GOLDEN = {
         "17d0ae564862f58f199492f4036ea2b38557ab0a77fb4aa03c6265f5e79aa1be",
     "check:example3:7":
         "9af280b35388e2a95a72539ff176391e763f99a357ae40f9aa6c750e28e0f078",
+    "check:longgrid_runs:5":
+        "ed9442b8e6c73a8641a2b7a0316e82d6b7d5d6153ac7506362c16e72fe78946c",
+    "check:longgrid_runs:7":
+        "3dec4f06f137e64e4b94edd71e8bbba68da08e0a759d9295510ddb75dbf1a1fd",
     "check:sphere2:5":
         "0e5f4f7578417bb027f29642ecce5d1faa905a5ce287ffa4f3976eb5db050809",
     "check:sphere2:7":
