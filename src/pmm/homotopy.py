@@ -189,12 +189,16 @@ class ConeComplex:
     C^n = M^{n+1} + A^n with d(v, a) = (dv, m(v) - da); degrees run from -1
     so that H^0 is honest.  Carries no algebra structure.  d_C(n) is the block
     matrix [[d_M(n+1), 0], [m(n+1), -d_A(n)]] of the matrices M, A and m cache.
+    `like`, a cone with our domain and target objects (the previous stage's),
+    lends us its d(n) and H^n where they are ours.
     """
 
-    def __init__(self, m: CdgaMorphism):
+    def __init__(self, m: CdgaMorphism, like: Optional["ConeComplex"] = None):
         self.m = m
         self.domain = m.domain
         self.target = m.codomain
+        self.like = (like if like is not None and like.domain is self.domain
+                     and like.target is self.target else None)
         # d: C^n -> C^{n+1} reads M^{n+2}; stay a degree below the cap.
         self.max_degree = min(self.domain.degree_cap, self.target.degree_cap) - 1
         self._d_cache: dict[int, QMatrix] = {}
@@ -227,51 +231,79 @@ class ConeComplex:
             else:
                 blocks = (self.domain.d_matrix(n + 1), self.m.matrix(n + 1),
                           self.target.d_matrix(n))
-                self._d_cache[n] = _lower_block(*blocks, negate_c=True)
+                d = None if self.like is None else self.like._stacked(n, blocks)
+                self._d_cache[n] = _lower_block(*blocks, negate_c=True) if d is None else d
                 self._d_blocks[n] = blocks + (self._d_cache[n],)
         return self._d_cache[n]
 
+    def _stacked(self, n: int, blocks: tuple) -> Optional[QMatrix]:
+        """Our d(n), when we stacked it from the same d_M(n+1) and d_A(n)
+        objects as `blocks` and an equal m(n+1), and still hold it."""
+        record = self._d_blocks.get(n)
+        if (record is not None and record[0] is blocks[0] and record[2] is blocks[2]
+                and record[1] == blocks[1] and self._d_cache.get(n) is record[3]):
+            return record[3]
+        return None
+
+    def _take_cohomology(self, other: "ConeComplex", degrees: Iterable[int]):
+        """Take other's H^n, n in degrees, where our d(n-1) and d(n) are other's."""
+        self._h_cache.update((n, other._h_cache[n]) for n in degrees if n in other._h_cache
+                             and all(self.d_matrix(j) is other._d_cache.get(j)
+                                     for j in range(max(n - 1, -1), n + 1)))
+
     def cohomology_space(self, n: int) -> CohomologySpace:
-        """H^n of the cone; valid for n <= max_degree - 1."""
+        """H^n of the cone; valid for n <= max_degree - 1.  Taken from `like`
+        when our d(n-1) and d(n) are its objects."""
         if n > self.max_degree - 1:
             raise ValidationError(f"cone cohomology degree {n} exceeds reliable range")
+        if self.like is not None and n not in self._h_cache:
+            self._take_cohomology(self.like, [n])
         return cached_cohomology(self._h_cache, self.d_matrix, n, -1)
 
     def carry_cohomology(self, old: "ConeComplex"):
         """Take old's H^n where the domain did not change in degrees n+1 and
         n+2, once our d(n-1) and d(n) equal old's: an extension leaves the
         cone unchanged there, so a differing block is an error.  Old's d(j)
-        is ours, unassembled, when old stacked it from the very block objects
-        our domain, model map and target now cache (carried by
-        `FreeCDGA(base=)` and `inherit`) and still holds that result; else
-        ours is stacked and compared.  We keep old's matrix, which the
-        carried spaces hold as their d_out, so one copy stays alive."""
+        is ours, unassembled, when old stacked it from the very d_M and d_A
+        objects our domain and target now cache (carried by `FreeCDGA(base=)`)
+        and an m block equal to the one our model map caches (carried by
+        `inherit`); else ours is stacked and compared.  We keep old's matrix,
+        which the carried spaces hold as their d_out, so one copy stays alive."""
         through = unchanged_below(self.domain, old.domain) - 3
         carried = [n for n in old._h_cache if n <= through]
         for j in sorted({j for n in carried for j in (n - 1, n)}):
-            mine = (self.domain._dmat_cache.get(j + 1), self.m._mat_cache.get(j + 1),
-                    self.target._dmat_cache.get(j), old._d_cache.get(j))
-            record = old._d_blocks.get(j)
-            if record is None or any(a is not b for a, b in zip(mine, record)):
-                if self.d_matrix(j) != old.d_matrix(j):
+            blocks = (self.domain._dmat_cache.get(j + 1), self.m._mat_cache.get(j + 1),
+                      self.target._dmat_cache.get(j))
+            d = old._stacked(j, blocks)
+            if d is None:
+                d = old.d_matrix(j)
+                if self.d_matrix(j) != d:
                     raise InternalError(f"cone d({j}) differs from the previous cone's")
-                record = self._d_blocks[j][:3] + (old.d_matrix(j),)
-            self._d_cache[j] = record[3]
-            self._d_blocks[j] = record
-        self._h_cache.update((n, old._h_cache[n]) for n in carried)
+                blocks = self._d_blocks[j][:3]
+            self._d_cache[j] = d
+            self._d_blocks[j] = blocks + (d,)
+        self._take_cohomology(old, carried)
 
     def h_dim(self, n: int) -> int:
         return self.cohomology_space(n).dim
 
 
-def cone(m: CdgaMorphism) -> ConeComplex:
-    return ConeComplex(m)
+def cone(m: CdgaMorphism, like: Optional[ConeComplex] = None) -> ConeComplex:
+    return ConeComplex(m, like)
 
 
 def connectivity_failures(cones: Sequence[ConeComplex], through: int) -> list[str]:
-    """Each nonzero H^j, j <= through, of the stage cones C_m(r) = cones[r]."""
-    return [f"H^{j} C_m({r}) has dimension {c.h_dim(j)}" for r, c in enumerate(cones)
-            for j in range(through + 1) if c.h_dim(j)]
+    """Each nonzero H^j, j <= through, of the stage cones C_m(r) = cones[r];
+    or, for the first cone that cannot be assembled (d*d != 0, or an image
+    of a wrong degree), its error alone, naming the cone."""
+    out = []
+    for r, c in enumerate(cones):
+        try:
+            out += [f"H^{j} C_m({r}) has dimension {c.h_dim(j)}"
+                    for j in range(through + 1) if c.h_dim(j)]
+        except (InternalError, ValidationError) as exc:
+            return [f"C_m({r}): {exc}"]
+    return out
 
 
 @dataclass

@@ -202,24 +202,47 @@ def _build_stage_map(spec: dict, dom: Algebra, cod: Algebra, where: str) -> Cdga
     return CdgaMorphism.on_basis(dom, cod, images)
 
 
+def _same_types(a, b) -> bool:
+    """Whether a and b, equal under ==, hold values of one type at each place:
+    JSON's 2, 2.0 and true are equal, but only 2 is an integer to `_int`.
+    Iterative, so it reads any depth json.loads did."""
+    todo = [(a, b)]
+    while todo:
+        x, y = todo.pop()
+        if type(x) is not type(y):
+            return False
+        todo += ([(v, y[key]) for key, v in x.items()] if type(x) is dict
+                 else zip(x, y) if type(x) is list else [])
+    return True
+
+
 def load_input(doc: dict) -> PersistentCDGA:
-    """Parse and validate a persistent-CDGA input document."""
+    """Parse and validate a persistent-CDGA input document.
+
+    A stage document equal to an earlier one, type for type, gives
+    that stage's algebra object again: it is parsed and checked once, and the
+    build sees the equal stages as one.  A stage is refused at its first
+    occurrence, in its own words."""
     grid = load_grid(_need(doc, "grid", "input", list))
     user_cap = _int(_need(doc, "degree_cap", "input", object), "input")
     if user_cap < 2:
         raise SchemaError("degree_cap must be at least 2")
     cap = user_cap + INTERNAL_HEADROOM
     stage_specs = _objects(doc, "stages", "input", len(grid))
-    stages = []
+    stages, built = [], []  # built: (document, stage) of each distinct stage
     for r, spec in enumerate(stage_specs):
         where = f"stage {r}"
-        kind = _need(spec, "type", where, object)
-        if kind == "free":
-            stages.append(_build_free_stage(spec, cap, where))
-        elif kind == "finite":
-            stages.append(_build_finite_stage(spec, cap, where))
-        else:
-            raise SchemaError(f"{where}: unknown stage type {kind!r}")
+        stage = next((a for s, a in built if s == spec and _same_types(s, spec)), None)
+        if stage is None:
+            kind = _need(spec, "type", where, object)
+            if kind == "free":
+                stage = _build_free_stage(spec, cap, where)
+            elif kind == "finite":
+                stage = _build_finite_stage(spec, cap, where)
+            else:
+                raise SchemaError(f"{where}: unknown stage type {kind!r}")
+            built.append((spec, stage))
+        stages.append(stage)
     map_specs = _objects(doc, "maps", "input", len(grid) - 1)
     maps = [_build_stage_map(spec, stages[r], stages[r + 1], f"map {r}")
             for r, spec in enumerate(map_specs)]

@@ -357,6 +357,7 @@ class PComplexMap:
         self.target = target
         self.components = [dict(c) for c in components]
         self.validate()
+        self._cocycles: dict[tuple[int, int], tuple] = {}  # (i, k) -> _gap_map_epi's z data
 
     def mat(self, r: int, k: int) -> QMatrix:
         return self.components[r].get(
@@ -478,20 +479,26 @@ def _i_injective_direct(f: PComplexMap) -> bool:
 def _gap_map_epi(f: PComplexMap, i: int, j: int, k: int) -> bool:
     """u_i -> ((d u_i, sigma u_i), f u_i) onto the fiber product of
     (z, u_j) -> (sigma z - d u_j, f z, f u_j) and y_i -> (0, d y_i, sigma y_i),
-    z a cocycle in X^k(i), u_j in X^{k-1}(j) and y_i in Y^{k-1}(i)."""
+    z a cocycle in X^k(i), u_j in X^{k-1}(j) and y_i in Y^{k-1}(i).  What
+    depends on (i, k) alone is made once per (i, k) and kept in f._cocycles:
+    d(i,k) reduced, z, f z and the Z-coordinates of d(i,k-1)."""
     x, y = f.source, f.target
-    d_k, d_i, d_j = x.d_mat(i, k), x.d_mat(i, k - 1), x.d_mat(j, k - 1)
-    red = rref(d_k)
-    z = QMatrix.from_columns(red.kernel_basis(), d_k.cols)
+    if (i, k) not in f._cocycles:
+        d_k = x.d_mat(i, k)
+        red = rref(d_k)
+        z = QMatrix.from_columns(red.kernel_basis(), d_k.cols)
+        # A kernel-basis vector is 1 at its own free column of d(i,k) and 0 at
+        # the others, so a cocycle's Z-coordinates are its entries there.
+        coords = QMatrix._of(z.cols, z.rows, tuple({c: ONE} for c in red.free_columns()))
+        f._cocycles[i, k] = z, f.mat(i, k) @ z, coords @ x.d_mat(i, k - 1)
+    z, fz, z_of_d = f._cocycles[i, k]
+    d_j = x.d_mat(j, k - 1)
     a = vstack([hstack([x.sigma_range(i, j, k) @ z, d_j.scale(-1)]),
-                hstack([f.mat(i, k) @ z, QMatrix.zero(y.dim(i, k), d_j.cols)]),
+                hstack([fz, QMatrix.zero(y.dim(i, k), d_j.cols)]),
                 hstack([QMatrix.zero(y.dim(j, k - 1), z.cols), f.mat(j, k - 1)])])
     b = vstack([QMatrix.zero(x.dim(j, k), y.dim(i, k - 1)), y.d_mat(i, k - 1),
                 y.sigma_range(i, j, k - 1)])
-    # A kernel-basis vector is 1 at its own free column of d(i,k) and 0 at the
-    # others, so a cocycle's Z-coordinates are its entries at the free columns.
-    coords = QMatrix._of(z.cols, z.rows, tuple({c: ONE} for c in red.free_columns()))
-    gap = vstack([coords @ d_i, x.sigma_range(i, j, k - 1), f.mat(i, k - 1)])
+    gap = vstack([z_of_d, x.sigma_range(i, j, k - 1), f.mat(i, k - 1)])
     return rank(gap) == len(_fiber_product(a, b))
 
 

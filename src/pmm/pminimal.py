@@ -23,9 +23,15 @@ from the last what lies below k (_extend_state): d-matrices, with bases built
 from the last step's (hirsch_extend), map and homotopy blocks (inherit), and
 stage cone cohomology (ConeComplex.carry_cohomology, after checking that the
 cone's d-matrices there equal the previous cone's, or are stacked from the
-same block objects).  A model is its generators: _attach_generators makes
-the stage algebras and structure maps from the degree-k ones (lifespan,
-birth differential, end point), for the build and for io.load_model alike.
+same block objects); by the same rule a stage cone takes the previous
+stage's d(n) and H^n where its domain and target are that cone's and its
+m(n+1) is equal.  A model is its generators: _attach_generators makes the
+stage algebras and structure maps from the degree-k ones (lifespan, birth
+differential, end point), for the build and for io.load_model alike.  A
+stage that gains no generator keeps its algebra, and one whose new
+generators and differentials equal the previous stage's over the same base
+takes that stage's algebra: from io.load_input's one object per distinct
+stage and the trivial model's one unit algebra, equal stages are built once.
 
 The build checks each generator once, in the step that adds it; the
 `inherit` guards show that the old generators' differentials, images and
@@ -155,13 +161,13 @@ class TameMinimalModel:
         self.homotopies = homotopies
         self.gen_records = gen_records
         self.degree_done = degree_done
-        self._cones = [cone(m) for m in models]
+        self._cones: list = [None] * len(models)
 
     @classmethod
     def trivial(cls, target: PersistentCDGA) -> "TameMinimalModel":
-        """The 1-minimal model: unit algebras at every stage."""
+        """The 1-minimal model: one unit algebra at every stage."""
         n = len(target.grid)
-        algebras = [free_cdga([], {}, target.internal_cap) for _ in range(n)]
+        algebras = [free_cdga([], {}, target.internal_cap)] * n
         sigmas = [CdgaMorphism.on_generators(algebras[r], algebras[r + 1], {})
                   for r in range(n - 1)]
         models = [CdgaMorphism.on_generators(algebras[r], target.stages[r], {})
@@ -190,9 +196,15 @@ class TameMinimalModel:
         return out
 
     def stage_cones(self) -> list[ConeComplex]:
-        """The mapping cone of each stage model, reused while models[r] is the same object."""
-        self._cones = [c if c.m is m else cone(m) for c, m in zip(self._cones, self.models)]
-        return self._cones
+        """The mapping cone of each stage model, reused while models[r] is the
+        same object; a new one may take the previous stage's d(n) and H^n
+        (ConeComplex `like`)."""
+        cones: list[ConeComplex] = []
+        for c, m in zip(self._cones, self.models):
+            kept = c is not None and c.m is m
+            cones.append(c if kept else cone(m, cones[-1] if cones else None))
+        self._cones = cones
+        return cones
 
     def cone_maps(self, degrees: Optional[Sequence[int]] = None) -> list[ConeMap]:
         """The cone map of each stage square, checked to commute with d in
@@ -355,15 +367,20 @@ def _attach_generators(algebras: Sequence[FreeCDGA], sigmas: Sequence[CdgaMorphi
     cell to itself and a dying one to its end point, embedded by generator
     name.  A stage that gains no generator keeps its algebra, and a map
     between two kept algebras is kept; the others inherit the old map's
-    blocks.
+    blocks.  Stage r takes stage r-1's new algebra when both extend one
+    algebra object by the same generators, in order, with equal pushed
+    differentials.
     """
     new_algs, diffs = [], {}
     for r, alg in enumerate(algebras):
-        diffs = {c.name: c.birth_differential if c.birth == r
-                 else sigmas[r - 1].apply(diffs[c.name])
-                 for c in cells if c.alive_at(r)}
-        new_algs.append(hirsch_extend(alg, [(name, k, v) for name, v in diffs.items()])[0]
-                        if diffs else alg)
+        last, diffs = diffs, {c.name: c.birth_differential if c.birth == r
+                              else sigmas[r - 1].apply(diffs[c.name])
+                              for c in cells if c.alive_at(r)}
+        if r and alg is algebras[r - 1] and list(diffs.items()) == list(last.items()):
+            new_algs.append(new_algs[-1])
+        else:
+            new_algs.append(hirsch_extend(alg, [(name, k, v) for name, v in diffs.items()])[0]
+                            if diffs else alg)
     new_sigmas = []
     for r, sigma in enumerate(sigmas):
         dom, cod = new_algs[r], new_algs[r + 1]
@@ -417,13 +434,10 @@ def _audit(model: TameMinimalModel, target: PersistentCDGA, through: int,
                 square.homotopy, through, window[r]))
         except (InternalError, ValidationError) as exc:
             identities.append(f"stage {r}: {exc}")
-    try:
-        connectivity = connectivity_failures(model.stage_cones(), through)
-    except (InternalError, ValidationError) as exc:  # d*d != 0, or an image of a wrong degree
-        connectivity = [str(exc)]
     return {"structure": structure,
             "minimality": next((f for alg in model.algebras if (f := check_minimality(alg))), []),
-            "homotopy_identities": identities, "connectivity": connectivity}
+            "homotopy_identities": identities,
+            "connectivity": connectivity_failures(model.stage_cones(), through)}
 
 
 def build_persistent_minimal_model(a: PersistentCDGA, cap: Optional[int] = None

@@ -113,11 +113,11 @@ GOLDEN = {
     "check-fails:degree-1-generator":
         "13ffc630885224f4479b3c7069f8c0e0e27cf19a92dc30405cca7dcf3a329823",
     "check-fails:doubled-birth-differential":
-        "98bd512210127f9d0271ede9f0b0f9ee1539b7f9d7aa20a1572b2e5464e652d2",
+        "e41d080077fb80e716ed6989e7b3f4710da9885dabca19ccbada03ff780f54ed",
     "check-fails:homotopy-start":
         "559184c7527ff0d568215ef5850873a3fe5c252b8df81df1c851806477f29d11",
     "check-fails:stage-image-of-degree-0":
-        "99e30fe87300750f49805242ab46325fd76e4c5a1b77d609bd537022cfc90292",
+        "a91b56e123b0ea028c45bdef0bfebaae50128c9b05c358b9329473781e113af5",
     "decompose:module_dims121":
         "e2bc9ea912fce36d425f8fc004eef2a4cdda5e5cdd079b16dd9eb4b84b86e8ff",
     "decompose:pcomplex-batch":

@@ -24,7 +24,7 @@ from pmm.cochain import CohomologySpace, compute_cohomology
 from pmm.errors import InternalError, ValidationError
 from pmm.exactla import ONE, QMatrix
 from pmm.homotopy import ConeComplex, ConeMap, HomotopySquare, integral_matrix
-from pmm.io import load_input
+from pmm.io import load_input, load_model, model_payload
 from pmm.minimal import build_map_model, map_model_step, trivial_map_model
 from pmm.persistence import Grid
 from pmm.pminimal import (
@@ -325,6 +325,61 @@ def test_a_stage_that_gains_no_generator_keeps_its_algebra():
     kept = [a is b for a, b in zip(after.algebras, before.algebras)]
     assert kept == [False, False, True, True]
     assert [s is t for s, t in zip(after.sigmas, before.sigmas)] == [False, False, True]
+
+
+def _generator_data(alg):
+    return [(g, alg.generator_diff(g.name).terms) for g in alg.generators]
+
+
+def test_a_stage_takes_the_previous_stages_algebra_exactly_where_both_extend_one_alike():
+    # Stage r takes stage r-1's new algebra when both extend one algebra
+    # object by the same generators with equal pushed differentials; the
+    # trivial model has one unit algebra.  An equal algebra that comes back
+    # after a different one is another object.
+    doc = json.loads((FIXTURES / "longgrid_runs.json").read_text())
+    tower = load_input(doc)
+    model = TameMinimalModel.trivial(tower)
+    assert all(a is model.algebras[0] for a in model.algebras)
+    seen = Counter()
+    for k in range(2, tower.user_cap + 1):
+        before, model = model, surgery_step(model, k)
+        for r in range(1, len(tower.grid)):
+            new, prev = model.algebras[r], model.algebras[r - 1]
+            rule = (before.algebras[r] is before.algebras[r - 1]
+                    and _generator_data(new) == _generator_data(prev))
+            assert (new is prev) == rule, (k, r)
+            seen[rule] += 1
+    assert seen[True] and seen[False]
+    algs = model.algebras
+    assert any(algs[q] is not algs[r] and _generator_data(algs[q]) == _generator_data(algs[r])
+               for r in range(len(algs)) for q in range(r))
+    # io.load_model attaches the saved generators with the same step.
+    _, loaded = load_model(json.loads(json.dumps(model_payload(model, doc))))
+    assert ([a is b for a, b in zip(loaded.algebras, loaded.algebras[1:])]
+            == [a is b for a, b in zip(algs, algs[1:])])
+    assert validate_model(model)["ok"] and validate_model(loaded)["ok"]
+
+
+def test_a_stage_cone_takes_the_previous_stage_cones_equal_d_and_its_cohomology():
+    # A cone whose domain and target are the previous stage's takes that
+    # cone's d(n) where its m(n+1) block is equal, and its H^n where d(n-1)
+    # and d(n) are both taken; the rest it stacks and reduces itself.
+    tower = load_input(json.loads((FIXTURES / "longgrid_runs.json").read_text()))
+    model = build_persistent_minimal_model(tower)
+    assert validate_model(model)["ok"]
+    cones = model.stage_cones()
+    seen = Counter()
+    for c, p in zip(cones[1:], cones):
+        for n, blocks in c._d_blocks.items():
+            equal = (c.domain is p.domain and c.target is p.target and n in p._d_blocks
+                     and blocks[1] == p._d_blocks[n][1])
+            assert (c._d_cache[n] is p._d_cache.get(n)) == equal
+            seen["d", equal] += 1
+        for n, h in c._h_cache.items():
+            taken = all(c._d_cache.get(j) is p._d_cache.get(j) for j in (n - 1, n))
+            assert (h is p._h_cache.get(n)) == taken
+            seen["H", taken] += 1
+    assert min(seen.values()) >= 10, seen
 
 
 def test_unwindowed_cone_maps_check_every_degree(monkeypatch):

@@ -76,6 +76,91 @@ def test_load_input_rejects_non_simply_connected():
         load_input(doc)
 
 
+# -- equal stage documents: one stage object -----------------------------------
+#
+# longgrid_runs holds wedges of two spheres (stages 0, 1, 3, 4, ...) and of
+# one (stages 2, 5, ...): runs of equal stages, and equal stages that come
+# back after a different one, joined by automorphisms of the wedge.
+
+
+def test_equal_stage_documents_give_one_stage_object():
+    doc = fixture("longgrid_runs")
+    tower = load_input(doc)
+    stages = doc["stages"]
+    pairs = [(q, r) for r in range(len(stages)) for q in range(r)]
+    assert all((tower.stages[q] is tower.stages[r]) == (stages[q] == stages[r])
+               for q, r in pairs)
+    assert len({id(a) for a in tower.stages}) == 2
+    assert validate_model(build_persistent_minimal_model(tower))["ok"]
+
+
+def _tagged(doc):
+    """doc with a distinct unused key in each stage document: no two equal."""
+    out = json.loads(json.dumps(doc))
+    for r, stage in enumerate(out["stages"]):
+        stage["unused"] = r
+    return out
+
+
+def test_a_build_that_shares_no_stage_writes_the_same_files(tmp_path):
+    # The tagged stage documents are all distinct, so nothing is shared: this
+    # second build is the oracle for the first.
+    doc = fixture("longgrid_runs")
+    assert len({id(a) for a in load_input(_tagged(doc)).stages}) == len(doc["stages"])
+    out = {}
+    for name, d in (("plain", doc), ("tagged", _tagged(doc))):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(d))
+        assert main(["build", "--input", str(path), "--output", str(tmp_path / name),
+                     "--emit", "barcode,presentation,report,model"]) == 0
+        assert main(["check", "--input", str(tmp_path / name / "model.json"),
+                     "--output", str(tmp_path / name / "check")]) == 0
+        out[name] = {f: (tmp_path / name / f).read_bytes() for f in (
+            "barcode.json", "presentation.txt", "report.json", "model.json",
+            "check/report.json")}
+    plain, tagged = out["plain"], out["tagged"]
+    for f in ("barcode.json", "presentation.txt", "report.json", "check/report.json"):
+        assert plain[f] == tagged[f], f
+    # model.json also holds the input document, tags and all.
+    plain_model, tagged_model = (json.loads(plain.pop("model.json")),
+                                 json.loads(tagged.pop("model.json")))
+    assert tagged_model["input"] == _tagged(doc) and plain_model["input"] == doc
+    assert tagged_model["model"] == plain_model["model"]
+
+
+@pytest.mark.parametrize("where, value", [(0, False), (1, 2.0)])
+def test_a_stage_equal_to_an_earlier_one_only_under_python_eq_is_refused(
+        tmp_path, capsys, where, value):
+    # Stage 1 equals stage 0 but for a degree written as 2.0 or false: Python
+    # says 2 == 2.0 and 0 == False, JSON and `_int` do not.  It is refused as
+    # it is when no earlier stage equals it.
+    errors = []
+    for alone in (False, True):
+        doc = fixture("longgrid_runs")
+        doc["stages"][1]["basis"][where]["degree"] = value
+        if alone:
+            doc["stages"][0]["unused"] = 0
+        assert doc["stages"][1] == doc["stages"][0] or alone
+        path = tmp_path / "tower.json"
+        path.write_text(json.dumps(doc))
+        assert main(["build", "--input", str(path), "--output", str(tmp_path / "out")]) == 2
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1] == f"schema error: bad integer {value!r} in stage 1\n"
+
+
+def test_a_repeated_invalid_stage_is_refused_at_its_first_occurrence(tmp_path, capsys):
+    doc = fixture("longgrid_runs")
+    bad = doc["stages"][2]  # one sphere; stages 5, 7, 8, ... are equal to it
+    bad["products"][0]["value"] = "b"
+    for r, stage in enumerate(doc["stages"]):
+        if stage["basis"] == bad["basis"]:
+            doc["stages"][r] = bad
+    path = tmp_path / "tower.json"
+    path.write_text(json.dumps(doc))
+    assert main(["build", "--input", str(path), "--output", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("schema error: stage 2: product a0,a0: ")
+
+
 def test_model_round_trip():
     doc = fixture("example3")
     tower = load_input(doc)
@@ -345,7 +430,8 @@ def test_cli_check_reports_a_stage_image_of_the_wrong_degree(tmp_path, capsys):
     assert report["structure"]["failures"] == ["m(0): image of x4_0 has wrong degree"]
     assert report["homotopy_identities"]["failures"] == [
         "stage 0: homotopy start mismatch on x4_0 at stage 0"]
-    assert report["connectivity"]["failures"] == ["term 1 of degree 0 in degree-4 vector"]
+    assert report["connectivity"]["failures"] == [
+        "C_m(0): term 1 of degree 0 in degree-4 vector"]
     assert all(c["status"] == "pass" for c in report["hirsch_certificates"])
 
 

@@ -377,6 +377,18 @@ def test_trivial_fibration_always_runs_the_gap_map_cross_check(monkeypatch):
         is_trivial_fibration(PComplexMap.identity(x))
 
 
+def test_gap_maps_reduce_each_cocycle_matrix_once(monkeypatch):
+    # d(i, k) and the cocycle data built from it depend on (i, k) alone, not
+    # on the second stage j of the gap map: one rref per (i, k) visited.
+    x = random_pcomplex(random.Random(3), grid_of(5), 3, cells=8)
+    reduced = []
+    rref = pcomplex.rref
+    monkeypatch.setattr(pcomplex, "rref", lambda m: reduced.append(m) or rref(m))
+    assert is_trivial_fibration(PComplexMap.identity(x)).holds
+    assert len(reduced) == 5 * 4  # every (i, k), k = 1..max_degree + 1
+    assert len({(m.rows, m.cols, tuple(m.data)) for m in reduced}) == 4
+
+
 def test_sphere_to_zero_not_trivial_fibration():
     # The sphere's degree-2 class goes to zero: no quasi-isomorphism.
     g = grid_of(3)

@@ -191,7 +191,8 @@ def test_verify_surgery_rejects_broken_stage_model():
         _verify_surgery(model, 3, [name])
     report = validate_model(model)
     assert problem in report["structure"]["failures"]
-    assert report["connectivity"]["failures"] == ["boundary is not a cocycle: d*d != 0 upstream"]
+    assert report["connectivity"]["failures"] == [
+        f"C_m({r}): boundary is not a cocycle: d*d != 0 upstream"]
 
 
 def test_verify_surgery_rejects_an_indecomposable_differential():
