@@ -241,7 +241,8 @@ class ConeComplex:
         objects as `blocks` and an equal m(n+1), and still hold it."""
         record = self._d_blocks.get(n)
         if (record is not None and record[0] is blocks[0] and record[2] is blocks[2]
-                and record[1] == blocks[1] and self._d_cache.get(n) is record[3]):
+                and (record[1] is blocks[1] or record[1] == blocks[1])
+                and self._d_cache.get(n) is record[3]):
             return record[3]
         return None
 

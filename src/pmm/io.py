@@ -202,18 +202,14 @@ def _build_stage_map(spec: dict, dom: Algebra, cod: Algebra, where: str) -> Cdga
     return CdgaMorphism.on_basis(dom, cod, images)
 
 
-def _same_types(a, b) -> bool:
-    """Whether a and b, equal under ==, hold values of one type at each place:
-    JSON's 2, 2.0 and true are equal, but only 2 is an integer to `_int`.
-    Iterative, so it reads any depth json.loads did."""
-    todo = [(a, b)]
-    while todo:
-        x, y = todo.pop()
-        if type(x) is not type(y):
-            return False
-        todo += ([(v, y[key]) for key, v in x.items()] if type(x) is dict
-                 else zip(x, y) if type(x) is list else [])
-    return True
+def _same_json(a, b) -> bool:
+    """Whether a and b, equal under ==, are also the same JSON: 2, 2.0 and
+    true are equal, but only 2 is an integer to `_int`.  False when either
+    cannot be written as JSON, so the caller reads b itself."""
+    try:
+        return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+    except (TypeError, ValueError, RecursionError):
+        return False
 
 
 def load_input(doc: dict) -> PersistentCDGA:
@@ -232,7 +228,7 @@ def load_input(doc: dict) -> PersistentCDGA:
     stages, built = [], []  # built: (document, stage) of each distinct stage
     for r, spec in enumerate(stage_specs):
         where = f"stage {r}"
-        stage = next((a for s, a in built if s == spec and _same_types(s, spec)), None)
+        stage = next((a for s, a in built if s == spec and _same_json(s, spec)), None)
         if stage is None:
             kind = _need(spec, "type", where, object)
             if kind == "free":
