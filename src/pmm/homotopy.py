@@ -249,8 +249,8 @@ class ConeComplex:
     def _take_cohomology(self, other: "ConeComplex", degrees: Iterable[int]):
         """Take other's H^n, n in degrees, where our d(n-1) and d(n) are other's."""
         self._h_cache.update((n, other._h_cache[n]) for n in degrees if n in other._h_cache
-                             and all(self.d_matrix(j) is other._d_cache.get(j)
-                                     for j in range(max(n - 1, -1), n + 1)))
+                             and self._d_cache.get(n) is other._d_cache.get(n)
+                             and self._d_cache.get(n - 1) is other._d_cache.get(n - 1))
 
     def cohomology_space(self, n: int) -> CohomologySpace:
         """H^n of the cone; valid for n <= max_degree - 1.  Taken from `like`
@@ -258,6 +258,8 @@ class ConeComplex:
         if n > self.max_degree - 1:
             raise ValidationError(f"cone cohomology degree {n} exceeds reliable range")
         if self.like is not None and n not in self._h_cache:
+            for j in range(max(n - 1, -1), n + 1):
+                self.d_matrix(j)
             self._take_cohomology(self.like, [n])
         return cached_cohomology(self._h_cache, self.d_matrix, n, -1)
 

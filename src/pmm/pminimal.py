@@ -199,12 +199,10 @@ class TameMinimalModel:
         """The mapping cone of each stage model, reused while models[r] is the
         same object; a new one may take the previous stage's d(n) and H^n
         (ConeComplex `like`)."""
-        cones: list[ConeComplex] = []
-        for c, m in zip(self._cones, self.models):
-            kept = c is not None and c.m is m
-            cones.append(c if kept else cone(m, cones[-1] if cones else None))
-        self._cones = cones
-        return cones
+        last = None
+        self._cones = [last := c if c is not None and c.m is m else cone(m, last)
+                       for c, m in zip(self._cones, self.models)]
+        return self._cones
 
     def cone_maps(self, degrees: Optional[Sequence[int]] = None) -> list[ConeMap]:
         """The cone map of each stage square, checked to commute with d in
