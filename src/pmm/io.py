@@ -215,10 +215,10 @@ def _same_json(a, b) -> bool:
 def load_input(doc: dict) -> PersistentCDGA:
     """Parse and validate a persistent-CDGA input document.
 
-    A stage document equal to an earlier one, type for type, gives
-    that stage's algebra object again: it is parsed and checked once, and the
-    build sees the equal stages as one.  A stage is refused at its first
-    occurrence, in its own words."""
+    A stage document equal to an earlier one, type for type (`_same_json`),
+    gives that stage's algebra object again: it is parsed and checked once,
+    and the build sees the equal stages as one.  A stage is refused at its
+    first occurrence, in its own words."""
     grid = load_grid(_need(doc, "grid", "input", list))
     user_cap = _int(_need(doc, "degree_cap", "input", object), "input")
     if user_cap < 2:

@@ -379,7 +379,7 @@ def test_a_stage_cone_takes_the_previous_stage_cones_equal_d_and_its_cohomology(
             taken = all(c._d_cache.get(j) is p._d_cache.get(j) for j in (n - 1, n))
             assert (h is p._h_cache.get(n)) == taken
             seen["H", taken] += 1
-    assert min(seen.values()) >= 10, seen
+    assert all(seen[kind, taken] >= 10 for kind in "dH" for taken in (True, False)), seen
 
 
 def test_unwindowed_cone_maps_check_every_degree(monkeypatch):
