@@ -189,16 +189,15 @@ class ConeComplex:
     C^n = M^{n+1} + A^n with d(v, a) = (dv, m(v) - da); degrees run from -1
     so that H^0 is honest.  Carries no algebra structure.  d_C(n) is the block
     matrix [[d_M(n+1), 0], [m(n+1), -d_A(n)]] of the matrices M, A and m cache.
-    `like`, a cone with our domain and target objects (the previous stage's),
-    lends us its d(n) and H^n where they are ours.
+    `like`, a cone over our domain and target objects (the latest such stage
+    cone), lends us its d(n) and H^n where `_stacked` finds them ours.
     """
 
     def __init__(self, m: CdgaMorphism, like: Optional["ConeComplex"] = None):
         self.m = m
         self.domain = m.domain
         self.target = m.codomain
-        self.like = (like if like is not None and like.domain is self.domain
-                     and like.target is self.target else None)
+        self.like = like
         # d: C^n -> C^{n+1} reads M^{n+2}; stay a degree below the cap.
         self.max_degree = min(self.domain.degree_cap, self.target.degree_cap) - 1
         self._d_cache: dict[int, QMatrix] = {}
@@ -238,7 +237,8 @@ class ConeComplex:
 
     def _stacked(self, n: int, blocks: tuple) -> Optional[QMatrix]:
         """Our d(n), when we stacked it from the same d_M(n+1) and d_A(n)
-        objects as `blocks` and an equal m(n+1), and still hold it."""
+        objects as `blocks` and an equal m(n+1), and still hold it: the one
+        share test, for `like` and for carry_cohomology."""
         record = self._d_blocks.get(n)
         if (record is not None and record[0] is blocks[0] and record[2] is blocks[2]
                 and (record[1] is blocks[1] or record[1] == blocks[1])
@@ -267,11 +267,10 @@ class ConeComplex:
         """Take old's H^n where the domain did not change in degrees n+1 and
         n+2, once our d(n-1) and d(n) equal old's: an extension leaves the
         cone unchanged there, so a differing block is an error.  Old's d(j)
-        is ours, unassembled, when old stacked it from the very d_M and d_A
-        objects our domain and target now cache (carried by `FreeCDGA(base=)`)
-        and an m block equal to the one our model map caches (carried by
-        `inherit`); else ours is stacked and compared.  We keep old's matrix,
-        which the carried spaces hold as their d_out, so one copy stays alive."""
+        is ours, unassembled, where old._stacked finds our blocks (d_M and
+        d_A carried by `FreeCDGA(base=)`, m by `inherit`); else ours is
+        stacked and compared.  We keep old's matrix, which the carried
+        spaces hold as their d_out, so one copy stays alive."""
         through = unchanged_below(self.domain, old.domain) - 3
         carried = [n for n in old._h_cache if n <= through]
         for j in sorted({j for n in carried for j in (n - 1, n)}):

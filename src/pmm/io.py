@@ -203,11 +203,11 @@ def _build_stage_map(spec: dict, dom: Algebra, cod: Algebra, where: str) -> Cdga
 
 
 def _same_json(a, b) -> bool:
-    """Whether a and b, equal under ==, are also the same JSON: 2, 2.0 and
-    true are equal, but only 2 is an integer to `_int`.  False when either
-    cannot be written as JSON, so the caller reads b itself."""
+    """Whether a and b are equal under == and the same JSON: 2, 2.0 and true
+    are equal, but only 2 is an integer to `_int`.  False when either cannot
+    be compared or written as JSON (too deep), so the caller reads b itself."""
     try:
-        return json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        return a == b and json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
     except (TypeError, ValueError, RecursionError):
         return False
 
@@ -228,7 +228,7 @@ def load_input(doc: dict) -> PersistentCDGA:
     stages, built = [], []  # built: (document, stage) of each distinct stage
     for r, spec in enumerate(stage_specs):
         where = f"stage {r}"
-        stage = next((a for s, a in built if s == spec and _same_json(s, spec)), None)
+        stage = next((a for s, a in built if _same_json(s, spec)), None)
         if stage is None:
             kind = _need(spec, "type", where, object)
             if kind == "free":

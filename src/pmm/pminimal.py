@@ -23,15 +23,15 @@ from the last what lies below k (_extend_state): d-matrices, with bases built
 from the last step's (hirsch_extend), map and homotopy blocks (inherit), and
 stage cone cohomology (ConeComplex.carry_cohomology, after checking that the
 cone's d-matrices there equal the previous cone's, or are stacked from the
-same block objects); by the same rule a stage cone takes the previous
-stage's d(n) and H^n where its domain and target are that cone's and its
-m(n+1) is equal.  A model is its generators: _attach_generators makes the
-stage algebras and structure maps from the degree-k ones (lifespan, birth
-differential, end point), for the build and for io.load_model alike.  A
-stage that gains no generator keeps its algebra, and one whose new
-generators and differentials equal the previous stage's over the same base
-takes that stage's algebra: from io.load_input's one object per distinct
-stage and the trivial model's one unit algebra, equal stages are built once.
+same block objects); by the same rule a stage cone takes the d(n) and H^n
+of the latest stage cone over its two algebra objects where its m(n+1) is
+equal.  A model is its generators: _attach_generators makes the stage
+algebras and structure maps from the degree-k ones (lifespan, birth
+differential, end point), for the build and for io.load_model alike, each
+stage algebra looked up in one table by the algebra it extends and the new
+(name, pushed differential) pairs.  From io.load_input's one object per
+distinct stage and the trivial model's one unit algebra, each distinct stage
+algebra is then one object wherever it recurs.
 
 The build checks each generator once, in the step that adds it; the
 `inherit` guards show that the old generators' differentials, images and
@@ -197,12 +197,15 @@ class TameMinimalModel:
 
     def stage_cones(self) -> list[ConeComplex]:
         """The mapping cone of each stage model, reused while models[r] is the
-        same object; a new one may take the previous stage's d(n) and H^n
-        (ConeComplex `like`)."""
-        last = None
-        self._cones = [last := c if c is not None and c.m is m else cone(m, last)
-                       for c, m in zip(self._cones, self.models)]
-        return self._cones
+        same object; a new one may take the d(n) and H^n of the latest cone
+        over the same domain and target objects (ConeComplex `like`)."""
+        latest, cones = {}, []
+        for c, m in zip(self._cones, self.models):
+            key = m.domain, m.codomain
+            latest[key] = c if c is not None and c.m is m else cone(m, latest.get(key))
+            cones.append(latest[key])
+        self._cones = cones
+        return cones
 
     def cone_maps(self, degrees: Optional[Sequence[int]] = None) -> list[ConeMap]:
         """The cone map of each stage square, checked to commute with d in
@@ -363,22 +366,20 @@ def _attach_generators(algebras: Sequence[FreeCDGA], sigmas: Sequence[CdgaMorphi
     Stage r adjoins the cells alive there, each with its birth differential
     pushed along the old structure maps; structure map r sends a surviving
     cell to itself and a dying one to its end point, embedded by generator
-    name.  A stage that gains no generator keeps its algebra, and a map
-    between two kept algebras is kept; the others inherit the old map's
-    blocks.  Stage r takes stage r-1's new algebra when both extend one
-    algebra object by the same generators, in order, with equal pushed
-    differentials.
+    name.  Each new algebra is looked up by the algebra object it extends and
+    the (name, pushed differential) pairs, in order: an equal stage anywhere
+    on the grid gets the same object, and a stage that gains no generator
+    keeps its algebra.  A map between two kept algebras is kept; the others
+    inherit the old map's blocks.
     """
-    new_algs, diffs = [], {}
+    new_algs, diffs, made = [], {}, {}
     for r, alg in enumerate(algebras):
-        last, diffs = diffs, {c.name: c.birth_differential if c.birth == r
-                              else sigmas[r - 1].apply(diffs[c.name])
-                              for c in cells if c.alive_at(r)}
-        if r and alg is algebras[r - 1] and list(diffs.items()) == list(last.items()):
-            new_algs.append(new_algs[-1])
-        else:
-            new_algs.append(hirsch_extend(alg, [(name, k, v) for name, v in diffs.items()])[0]
-                            if diffs else alg)
+        diffs = {c.name: c.birth_differential if c.birth == r
+                 else sigmas[r - 1].apply(diffs[c.name]) for c in cells if c.alive_at(r)}
+        key = alg, tuple(diffs.items())
+        if key not in made:
+            made[key] = hirsch_extend(alg, [(x, k, v) for x, v in key[1]])[0] if diffs else alg
+        new_algs.append(made[key])
     new_sigmas = []
     for r, sigma in enumerate(sigmas):
         dom, cod = new_algs[r], new_algs[r + 1]

@@ -32,6 +32,8 @@ from pmm.pminimal import (
     homotopy_barcode, presentation, surgery_step, tame_cone, validate_model,
 )
 
+from perfbench.gen import longgrid_tower
+
 from .dense import dense_key, sparse_key
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -331,54 +333,82 @@ def _generator_data(alg):
     return [(g, alg.generator_diff(g.name).terms) for g in alg.generators]
 
 
+def _longgrid_docs():
+    return [json.loads((FIXTURES / "longgrid_runs.json").read_text()), longgrid_tower(1)]
+
+
+def _built_and_loaded(doc):
+    model = build_persistent_minimal_model(load_input(doc))
+    _, loaded = load_model(json.loads(json.dumps(model_payload(model, doc))))
+    return model, loaded
+
+
+def _distinct(algebras):
+    return len({id(a) for a in algebras})
+
+
 def test_a_stage_takes_the_previous_stages_algebra_exactly_where_both_extend_one_alike():
-    # Stage r takes stage r-1's new algebra when both extend one algebra
-    # object by the same generators with equal pushed differentials; the
-    # trivial model has one unit algebra.  An equal algebra that comes back
-    # after a different one is another object.
-    doc = json.loads((FIXTURES / "longgrid_runs.json").read_text())
-    tower = load_input(doc)
+    # Any two stages, adjacent or not, get one algebra object exactly when
+    # both extend one base object by the same generators with equal pushed
+    # differentials; the trivial model has one unit algebra.  An equal stage
+    # that comes back after a different one gets the same object again.
+    tower = load_input(_longgrid_docs()[0])
     model = TameMinimalModel.trivial(tower)
-    assert all(a is model.algebras[0] for a in model.algebras)
+    assert _distinct(model.algebras) == 1
     seen = Counter()
+    pairs = [(q, r) for r in range(len(tower.grid)) for q in range(r)]
     for k in range(2, tower.user_cap + 1):
         before, model = model, surgery_step(model, k)
-        for r in range(1, len(tower.grid)):
-            new, prev = model.algebras[r], model.algebras[r - 1]
-            rule = (before.algebras[r] is before.algebras[r - 1]
-                    and _generator_data(new) == _generator_data(prev))
-            assert (new is prev) == rule, (k, r)
-            seen[rule] += 1
-    assert seen[True] and seen[False]
-    algs = model.algebras
-    assert any(algs[q] is not algs[r] and _generator_data(algs[q]) == _generator_data(algs[r])
-               for r in range(len(algs)) for q in range(r))
-    # io.load_model attaches the saved generators with the same step.
-    _, loaded = load_model(json.loads(json.dumps(model_payload(model, doc))))
-    assert ([a is b for a, b in zip(loaded.algebras, loaded.algebras[1:])]
-            == [a is b for a, b in zip(algs, algs[1:])])
-    assert validate_model(model)["ok"] and validate_model(loaded)["ok"]
+        for q, r in pairs:
+            new = model.algebras
+            rule = (before.algebras[q] is before.algebras[r]
+                    and _generator_data(new[q]) == _generator_data(new[r]))
+            assert (new[q] is new[r]) == rule, (k, q, r)
+            seen[rule, r - q > 1 and any(new[p] is not new[r] for p in range(q + 1, r))] += 1
+    assert all(seen[rule, apart] for rule in (True, False) for apart in (True, False)), seen
+
+
+@pytest.mark.parametrize("which, objects", [(0, 8), (1, 7)])
+def test_each_distinct_stage_algebra_is_one_object_in_the_build_and_the_reload(which, objects):
+    # longgrid_runs.json and perfbench.gen.longgrid_tower(1), 16 stages each:
+    # io.load_model attaches the saved generators with the build's own step,
+    # so it holds the same objects; unequal algebras stay apart.
+    doc = _longgrid_docs()[which]
+    for model in _built_and_loaded(doc):
+        algs = model.algebras
+        assert all((algs[q] is algs[r]) == (_generator_data(algs[q]) == _generator_data(algs[r]))
+                   for r in range(len(algs)) for q in range(r))
+        assert (len(algs), _distinct(algs)) == (16, objects)
+        assert validate_model(model)["ok"]
 
 
 def test_a_stage_cone_takes_the_previous_stage_cones_equal_d_and_its_cohomology():
-    # A cone whose domain and target are the previous stage's takes that
-    # cone's d(n) where its m(n+1) block is equal, and its H^n where d(n-1)
-    # and d(n) are both taken; the rest it stacks and reduces itself.
-    tower = load_input(json.loads((FIXTURES / "longgrid_runs.json").read_text()))
-    model = build_persistent_minimal_model(tower)
-    assert validate_model(model)["ok"]
-    cones = model.stage_cones()
+    # Each new stage cone has as `like` the latest cone over its domain and
+    # target objects, its table donor.  It takes the donor's d(n) exactly
+    # where it stacks d(n) from the donor's d_M(n+1) and d_A(n) objects and
+    # an equal m(n+1), and the donor's H^n where d(n-1) and d(n) are both
+    # taken; the rest it stacks and reduces itself.
     seen = Counter()
-    for c, p in zip(cones[1:], cones):
-        for n, blocks in c._d_blocks.items():
-            equal = (c.domain is p.domain and c.target is p.target and n in p._d_blocks
-                     and blocks[1] == p._d_blocks[n][1])
-            assert (c._d_cache[n] is p._d_cache.get(n)) == equal
-            seen["d", equal] += 1
-        for n, h in c._h_cache.items():
-            taken = all(c._d_cache.get(j) is p._d_cache.get(j) for j in (n - 1, n))
-            assert (h is p._h_cache.get(n)) == taken
-            seen["H", taken] += 1
+    for doc in _longgrid_docs():
+        for model in _built_and_loaded(doc):
+            assert validate_model(model)["ok"]
+            latest = {}
+            for c in model.stage_cones():
+                donor = c.like
+                assert donor is latest.get((c.domain, c.target))
+                latest[c.domain, c.target] = c
+                if donor is None:
+                    continue
+                for n, blocks in c._d_blocks.items():
+                    record = donor._d_blocks.get(n)
+                    equal = (record is not None and record[0] is blocks[0]
+                             and record[2] is blocks[2] and record[1] == blocks[1])
+                    assert (c._d_cache[n] is donor._d_cache.get(n)) == equal
+                    seen["d", equal] += 1
+                for n, h in c._h_cache.items():
+                    taken = all(c._d_cache.get(j) is donor._d_cache.get(j) for j in (n - 1, n))
+                    assert (h is donor._h_cache.get(n)) == taken
+                    seen["H", taken] += 1
     assert all(seen[kind, taken] >= 10 for kind in "dH" for taken in (True, False)), seen
 
 

@@ -148,6 +148,22 @@ def test_a_stage_equal_to_an_earlier_one_only_under_python_eq_is_refused(
     assert errors[0] == errors[1] == f"schema error: bad integer {value!r} in stage 1\n"
 
 
+def test_equal_stages_too_deep_to_compare_are_each_built():
+    # Each of two equal stage documents holds an unused key nested past the
+    # recursion limit, so neither == nor json.dumps can compare them: each
+    # stage is built by itself, as it is alone.  json.load refuses such
+    # nesting first, so only a document built in Python gets here.
+    doc = fixture("sphere2")
+    for stage in doc["stages"]:
+        deep = []
+        for _ in range(3 * sys.getrecursionlimit()):
+            deep = [deep]
+        stage["unused"] = deep
+    tower = load_input(doc)
+    assert tower.stages[0] is not tower.stages[1]
+    assert validate_model(build_persistent_minimal_model(tower))["ok"]
+
+
 def test_a_repeated_invalid_stage_is_refused_at_its_first_occurrence(tmp_path, capsys):
     doc = fixture("longgrid_runs")
     bad = doc["stages"][2]  # one sphere; stages 5, 7, 8, ... are equal to it
@@ -433,6 +449,24 @@ def test_cli_check_reports_a_stage_image_of_the_wrong_degree(tmp_path, capsys):
     assert report["connectivity"]["failures"] == [
         "C_m(0): term 1 of degree 0 in degree-4 vector"]
     assert all(c["status"] == "pass" for c in report["hirsch_certificates"])
+
+
+def test_cli_check_reports_an_inhomogeneous_stage_image(tmp_path, capsys):
+    # a + one mixes degrees 2 and 0: the structure check names x2_0 and goes
+    # on to x3_0, and the cone of stage model 0 cannot be assembled.
+    doc = _built_model("sphere2")
+    assert doc["model"]["stage_models"][0]["x2_0"] == "a"
+    doc["model"]["stage_models"][0]["x2_0"] = "a + one"
+    f = tmp_path / "model.json"
+    f.write_text(json.dumps(doc))
+    rc = main(["check", "--input", str(f), "--output", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 1
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["structure"]["failures"] == [
+        "m(0): image of x2_0 is inhomogeneous", "m(0): d-compatibility fails on generator x3_0"]
+    assert report["connectivity"]["failures"] == [
+        "C_m(0): term one of degree 0 in degree-2 vector"]
 
 
 @pytest.mark.parametrize("name", ["example1_case1", "example3", "sphere3"])

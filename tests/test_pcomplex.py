@@ -41,6 +41,19 @@ def test_sphere_immortal():
     assert bars_of(cohomology(s, 3)) == Counter({(1, INF): 1})
 
 
+@pytest.mark.parametrize("s, t", [(0, 2), (1, 3), (2, INF)])
+def test_the_zero_sphere_is_the_degree_zero_interval(s, t):
+    # S^0_[s,t) is a degree-0 line on [s,t); D^0 = 0 kills it afterwards.
+    g = grid_of(4)
+    sphere, interval = interval_sphere(g, 0, s, t), interval_complex(g, 0, s, t)
+    assert (sphere.max_degree, sphere.labels) == (interval.max_degree, interval.labels)
+    degrees = range(sphere.max_degree + 1)
+    assert all(sphere.d_mat(r, k) == interval.d_mat(r, k) for r in range(4) for k in degrees)
+    assert all(sphere.sigma_mat(r, k) == interval.sigma_mat(r, k)
+               for r in range(3) for k in degrees)
+    assert bars_of(cohomology(sphere, 0)) == Counter({(s, t): 1})
+
+
 def test_disk_acyclic():
     g = grid_of(3)
     d = interval_disk(g, 2, 0)
