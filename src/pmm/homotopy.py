@@ -236,9 +236,8 @@ class ConeComplex:
         return self._d_cache[n]
 
     def _stacked(self, n: int, blocks: tuple) -> Optional[QMatrix]:
-        """Our d(n), when we stacked it from the same d_M(n+1) and d_A(n)
-        objects as `blocks` and an equal m(n+1), and still hold it: the one
-        share test, for `like` and for carry_cohomology."""
+        """Our d(n), when stacked from the same d_M(n+1) and d_A(n) objects as
+        `blocks` and an equal m(n+1), and still held: the one share test."""
         record = self._d_blocks.get(n)
         if (record is not None and record[0] is blocks[0] and record[2] is blocks[2]
                 and (record[1] is blocks[1] or record[1] == blocks[1])

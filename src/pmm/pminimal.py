@@ -199,13 +199,12 @@ class TameMinimalModel:
         """The mapping cone of each stage model, reused while models[r] is the
         same object; a new one may take the d(n) and H^n of the latest cone
         over the same domain and target objects (ConeComplex `like`)."""
-        latest, cones = {}, []
-        for c, m in zip(self._cones, self.models):
-            key = m.domain, m.codomain
-            latest[key] = c if c is not None and c.m is m else cone(m, latest.get(key))
-            cones.append(latest[key])
-        self._cones = cones
-        return cones
+        latest: dict = {}
+        for r, m in enumerate(self.models):
+            c, key = self._cones[r], (m.domain, m.codomain)
+            self._cones[r] = latest[key] = (c if c is not None and c.m is m
+                                            else cone(m, latest.get(key)))
+        return self._cones
 
     def cone_maps(self, degrees: Optional[Sequence[int]] = None) -> list[ConeMap]:
         """The cone map of each stage square, checked to commute with d in
@@ -366,20 +365,22 @@ def _attach_generators(algebras: Sequence[FreeCDGA], sigmas: Sequence[CdgaMorphi
     Stage r adjoins the cells alive there, each with its birth differential
     pushed along the old structure maps; structure map r sends a surviving
     cell to itself and a dying one to its end point, embedded by generator
-    name.  Each new algebra is looked up by the algebra object it extends and
-    the (name, pushed differential) pairs, in order: an equal stage anywhere
-    on the grid gets the same object, and a stage that gains no generator
-    keeps its algebra.  A map between two kept algebras is kept; the others
-    inherit the old map's blocks.
+    name.  A new algebra is looked up by the algebra object it extends and the
+    new names, in order, then by equal pushed differentials (compared, not
+    hashed), so equal stages get one object wherever they sit; a stage that
+    gains no generator keeps its algebra.  A map between two kept algebras
+    is kept; the others inherit the old map's blocks.
     """
     new_algs, diffs, made = [], {}, {}
     for r, alg in enumerate(algebras):
         diffs = {c.name: c.birth_differential if c.birth == r
                  else sigmas[r - 1].apply(diffs[c.name]) for c in cells if c.alive_at(r)}
-        key = alg, tuple(diffs.items())
-        if key not in made:
-            made[key] = hirsch_extend(alg, [(x, k, v) for x, v in key[1]])[0] if diffs else alg
-        new_algs.append(made[key])
+        alike = made.setdefault((alg, tuple(diffs)), [])
+        new = next((b for d, b in alike if d == diffs), None)
+        if new is None:
+            new = hirsch_extend(alg, [(x, k, v) for x, v in diffs.items()])[0] if diffs else alg
+            alike.append((diffs, new))
+        new_algs.append(new)
     new_sigmas = []
     for r, sigma in enumerate(sigmas):
         dom, cod = new_algs[r], new_algs[r + 1]
